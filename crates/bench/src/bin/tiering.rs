@@ -63,6 +63,7 @@ fn main() {
             "budget",
             "wall",
             "spills",
+            "clean",
             "faults",
             "prefetch",
             "hit-rate",
@@ -95,6 +96,7 @@ fn main() {
             "resident".into(),
             secs(wall),
             s.spills.to_string(),
+            s.clean_evictions.to_string(),
             s.faults.to_string(),
             format!(
                 "{}/{}",
@@ -146,6 +148,7 @@ fn main() {
             ("checksum", Json::U64(checksum)),
             ("spills", Json::U64(s.spills)),
             ("spill_bytes", Json::U64(s.spill_bytes)),
+            ("clean_evictions", Json::U64(s.clean_evictions)),
             ("faults", Json::U64(s.faults)),
             ("fault_bytes", Json::U64(s.fault_bytes)),
             ("prefetch_hits", Json::U64(s.prefetch_hits)),
@@ -156,6 +159,7 @@ fn main() {
             format!("{factor:.2}x"),
             secs(wall),
             s.spills.to_string(),
+            s.clean_evictions.to_string(),
             s.faults.to_string(),
             format!("{}/{}", s.prefetch_hits, transitions),
             format!("{hit_rate:.2}"),

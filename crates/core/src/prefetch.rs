@@ -15,8 +15,11 @@
 //! 2. faults the scheduled bucket's spilled trunks in with one bulk TFS
 //!    read, counting `tier.prefetch_hits` (already resident — the
 //!    pipeline worked) vs `tier.prefetch_misses` (compute had to wait);
-//! 3. spawns a background fetcher for the *next* bucket's trunks, so
-//!    bucket `i + 1`'s I/O overlaps bucket `i`'s compute.
+//! 3. hands the *next* bucket's trunks to the machine's background
+//!    fetcher thread, so bucket `i + 1`'s I/O overlaps bucket `i`'s
+//!    compute. Each machine has one fetcher, started on first use and
+//!    joined by [`BucketPrefetcher::release`]: once `release` returns no
+//!    fetch is in flight or still to come.
 //!
 //! Type B state — message boxes, vertex runtime state — lives in the
 //! worker pool, not in cells, so it stays resident throughout; only the
@@ -24,14 +27,49 @@
 //!
 //! [`BucketSchedule::round_robin`]: crate::residency::BucketSchedule::round_robin
 
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
 use trinity_graph::DistributedGraph;
+use trinity_memcloud::CloudNode;
 use trinity_net::MachineId;
 
 use crate::bsp::SuperstepHook;
+
+/// One machine's background fetcher: a thread that faults in, in order,
+/// every bucket sent to it, and exits when the sender is dropped.
+struct Fetcher {
+    jobs: Sender<Vec<u64>>,
+    thread: JoinHandle<()>,
+}
+
+impl Fetcher {
+    fn start(node: Arc<CloudNode>) -> Self {
+        let (jobs, queue) = channel::<Vec<u64>>();
+        let thread = std::thread::Builder::new()
+            .name(format!("trinity-prefetch-{}", node.machine().0))
+            .spawn(move || {
+                for bucket in queue {
+                    // Best effort: a trunk that fails to load here is
+                    // faulted in (and its error surfaced) by the compute
+                    // path's own `resident_trunk`.
+                    let _ = node.fault_in_many(&bucket);
+                }
+            })
+            .expect("spawn the prefetch thread");
+        Fetcher { jobs, thread }
+    }
+
+    /// Let the fetcher finish what it was sent, then join it. False if
+    /// the thread had panicked.
+    fn finish(self) -> bool {
+        drop(self.jobs);
+        self.thread.join().is_ok()
+    }
+}
 
 /// Schedule-driven trunk prefetcher; install via
 /// [`BspConfig::superstep_hook`](crate::BspConfig::superstep_hook).
@@ -42,6 +80,8 @@ pub struct BucketPrefetcher {
     nbuckets: usize,
     /// Per machine: trunks pinned by the previous superstep's hook.
     pinned: Vec<Mutex<Vec<u64>>>,
+    /// Per machine: the background fetcher, while one is running.
+    fetchers: Vec<Mutex<Option<Fetcher>>>,
 }
 
 impl std::fmt::Debug for BucketPrefetcher {
@@ -72,6 +112,7 @@ impl BucketPrefetcher {
             buckets,
             nbuckets,
             pinned: (0..machines).map(|_| Mutex::new(Vec::new())).collect(),
+            fetchers: (0..machines).map(|_| Mutex::new(None)).collect(),
         })
     }
 
@@ -85,16 +126,41 @@ impl BucketPrefetcher {
         &self.buckets[m][superstep % self.nbuckets]
     }
 
-    /// Release every pin this prefetcher still holds. Call after the job
-    /// finishes — otherwise the last scheduled buckets stay immune to
-    /// eviction until the prefetcher is dropped and re-created.
+    /// Wait out every background fetch, then release every pin this
+    /// prefetcher still holds. Call after the job finishes — otherwise the
+    /// last scheduled buckets stay immune to eviction. A barrier: when it
+    /// returns, this prefetcher moves no trunk until the next
+    /// `superstep_start` (which starts the fetchers again). Dropping the
+    /// prefetcher does the same.
     pub fn release(&self) {
+        assert!(self.quiesce(), "a bucket prefetch thread panicked");
+    }
+
+    /// Join the fetchers, then drop the pins. False if a fetcher had
+    /// panicked.
+    fn quiesce(&self) -> bool {
+        // Fetchers first: a fetch landing after its pins are gone would
+        // bring trunks in that the next sweep is free to push out again.
+        let mut clean = true;
+        for fetcher in &self.fetchers {
+            if let Some(fetcher) = fetcher.lock().take() {
+                clean &= fetcher.finish();
+            }
+        }
         for (m, pins) in self.pinned.iter().enumerate() {
             let node = self.graph.cloud().node(m);
             for gid in pins.lock().drain(..) {
                 node.unpin_trunk(gid);
             }
         }
+        clean
+    }
+}
+
+impl Drop for BucketPrefetcher {
+    fn drop(&mut self) {
+        // A fetcher's panic already printed; `drop` must not add one.
+        self.quiesce();
     }
 }
 
@@ -135,11 +201,64 @@ impl SuperstepHook for BucketPrefetcher {
         }
         // Next bucket: load in the background while this one computes.
         if self.nbuckets > 1 && !nxt.is_empty() {
-            let node = Arc::clone(&node);
-            let nxt = nxt.clone();
-            std::thread::spawn(move || {
-                let _ = node.fault_in_many(&nxt);
-            });
+            let mut slot = self.fetchers[machine].lock();
+            let fetcher = slot.get_or_insert_with(|| Fetcher::start(Arc::clone(&node)));
+            // The receiver lives as long as the fetcher thread, which
+            // only `release` ends — after taking it out of this slot.
+            let _ = fetcher.jobs.send(nxt.clone());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trinity_graph::{load_graph, LoadOptions};
+    use trinity_memcloud::{CloudConfig, MemoryCloud};
+
+    /// `release` is a barrier for the background fetch: the next bucket,
+    /// handed to the fetcher by the hook an instant earlier, is resident
+    /// by the time `release` returns — nothing is left to land later —
+    /// and every pin is gone. The prefetcher keeps working afterwards.
+    #[test]
+    fn release_waits_for_the_background_fetch_and_drops_every_pin() {
+        const MACHINES: usize = 2;
+        const BUCKETS: usize = 4;
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(MACHINES)));
+        let csr = trinity_graphgen::social(2_000, 6, 5);
+        let graph =
+            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).expect("load"));
+        let prefetcher = BucketPrefetcher::new(graph, BUCKETS);
+        // Everything out of core: each bucket must come back through TFS.
+        for node in cloud.nodes() {
+            for gid in node.table().trunks_of(node.machine()) {
+                assert!(node.spill_trunk(gid).expect("spill"));
+            }
+        }
+        for round in 0..3 {
+            for step in round * BUCKETS..(round + 1) * BUCKETS {
+                for m in 0..MACHINES {
+                    prefetcher.superstep_start(m, step);
+                    prefetcher.release();
+                    let node = cloud.node(m);
+                    for (what, bucket) in [("scheduled", step), ("next", step + 1)] {
+                        for &gid in prefetcher.bucket(m, bucket) {
+                            assert!(
+                                node.trunk_resident(gid),
+                                "step {step}: {what} trunk {gid} not resident after release"
+                            );
+                        }
+                    }
+                    // Unpinned again: the scheduled bucket can leave.
+                    for &gid in prefetcher.bucket(m, step) {
+                        assert!(node.spill_trunk(gid).expect("spill"));
+                    }
+                }
+            }
+        }
+        let stats = cloud.tier_stats();
+        assert!(stats.faults > 0 && stats.clean_evictions > 0);
+        drop(prefetcher);
+        cloud.shutdown();
     }
 }

@@ -165,6 +165,7 @@ impl MemoryCloud {
             let s = n.tier_stats();
             total.spills += s.spills;
             total.spill_bytes += s.spill_bytes;
+            total.clean_evictions += s.clean_evictions;
             total.faults += s.faults;
             total.fault_bytes += s.fault_bytes;
             total.prefetch_hits += s.prefetch_hits;

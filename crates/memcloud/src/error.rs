@@ -32,6 +32,10 @@ pub enum CloudError {
     Migration(String),
     /// A remote reply could not be decoded.
     BadReply,
+    /// The trunk's TFS image exists but is not a well-formed trunk image.
+    /// Nothing of it was loaded: the trunk stays spilled (or, on a
+    /// reload, as it was) rather than serving part of its cells.
+    CorruptImage { trunk: u64 },
 }
 
 impl fmt::Display for CloudError {
@@ -57,6 +61,9 @@ impl fmt::Display for CloudError {
             }
             CloudError::Migration(msg) => write!(f, "migration refused: {msg}"),
             CloudError::BadReply => write!(f, "malformed remote reply"),
+            CloudError::CorruptImage { trunk } => {
+                write!(f, "TFS image of trunk {trunk} is damaged; nothing loaded")
+            }
         }
     }
 }

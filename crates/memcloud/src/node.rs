@@ -44,11 +44,12 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use trinity_memstore::{
-    CellVersion, LocalStore, LocalStoreConfig, StoreError, Trunk, TrunkSnapshot, TrunkStats,
+    CellVersion, LocalStore, LocalStoreConfig, SnapshotError, StoreError, Trunk, TrunkSnapshot,
+    TrunkStats,
 };
 use trinity_net::{Endpoint, FrameBuf, MachineId, NetError};
 use trinity_obs::MachineScope;
-use trinity_tfs::Tfs;
+use trinity_tfs::{Blob, Tfs, TfsError};
 
 use crate::cache::{CacheStats, RemoteCache};
 use crate::migration::{self, BeginOutcome, MigEntry, MigrationState, SEAL_TIMEOUT};
@@ -61,6 +62,18 @@ use crate::{CellId, CloudError, Result};
 /// TFS path of a trunk's backup image.
 pub fn trunk_backup_path(gid: u64) -> String {
     format!("trunks/{gid:08}")
+}
+
+/// Why loading trunk `gid`'s image failed, as the caller should see it:
+/// bytes that are not an image are the image's fault, a cell the trunk
+/// had no room for is the store's.
+fn image_error(gid: u64, e: SnapshotError) -> CloudError {
+    match e {
+        SnapshotError::BadMagic | SnapshotError::Truncated => {
+            CloudError::CorruptImage { trunk: gid }
+        }
+        SnapshotError::Load(_, e) => CloudError::Store(e),
+    }
 }
 
 /// Per-sharer budget for a synchronous invalidation. Short on purpose: a
@@ -347,46 +360,11 @@ impl CloudNode {
         }
     }
 
-    /// Restore a spilled trunk from its TFS image. On success the tier
-    /// entry clears and waiters wake; on failure the entry reverts to
-    /// `Spilled` so a later access retries.
+    /// Restore a spilled trunk from its TFS image, then bring the store
+    /// back under budget.
     fn fault_in(&self, gid: u64, version: u64) -> Result<()> {
-        let path = trunk_backup_path(gid);
-        let image = match self.tfs.read_versioned(&path) {
-            Ok((_, bytes)) => Some(bytes),
-            // Vanished backup (wiped TFS): an empty trunk matches the
-            // `reload_trunk` durability contract.
-            Err(trinity_tfs::TfsError::NotFound(_)) => None,
-            Err(e) => {
-                self.tiering.fail_fault(gid, version);
-                return Err(e.into());
-            }
-        };
-        if image.is_some() {
-            // A resident remnant (e.g. a staging reload that raced the
-            // spill) would keep cells the image doesn't vouch for: drop
-            // it so the restored trunk is exactly the image.
-            self.store.evict(gid);
-        }
-        let trunk = self.store.ensure_trunk(gid);
-        let mut bytes_in = 0u64;
-        if let Some(bytes) = image {
-            let restored = TrunkSnapshot::decode(&bytes)
-                .ok()
-                .and_then(|snap| snap.restore_into(&trunk).ok());
-            if restored.is_none() {
-                // Undecodable or unrestorable image: drop the partial
-                // trunk and leave the entry Spilled — serving a half
-                // image would silently lose cells.
-                self.store.evict(gid);
-                self.tiering.fail_fault(gid, version);
-                return Err(CloudError::Tfs(trinity_tfs::TfsError::NotFound(path)));
-            }
-            bytes_in = bytes.len() as u64;
-        }
-        self.tiering.finish_fault(gid);
-        self.tiering.metrics.faults.inc();
-        self.tiering.metrics.fault_bytes.add(bytes_in);
+        let image = self.tfs.read_versioned(&trunk_backup_path(gid));
+        self.restore_image(gid, version, image)?;
         // The freshly faulted trunk must not be the sweep's next victim —
         // its EWMA score is stale-cold. Pin it across the enforcement.
         self.tiering.pin(gid);
@@ -406,12 +384,10 @@ impl CloudNode {
     ///
     /// [`Tfs::read_versioned_many`]: trinity_tfs::Tfs::read_versioned_many
     pub fn fault_in_many(&self, gids: &[u64]) -> Result<usize> {
-        let mut claims: Vec<(u64, u64)> = Vec::new();
-        for &gid in gids {
-            if let Some(version) = self.tiering.try_begin_fault(gid) {
-                claims.push((gid, version));
-            }
-        }
+        let claims: Vec<(u64, u64)> = gids
+            .iter()
+            .filter_map(|&gid| Some((gid, self.tiering.try_begin_fault(gid)?)))
+            .collect();
         if claims.is_empty() {
             return Ok(0);
         }
@@ -422,32 +398,8 @@ impl CloudNode {
         let images = self.tfs.read_versioned_many(&paths);
         let mut restored = 0usize;
         for ((gid, version), image) in claims.into_iter().zip(images) {
-            match image {
-                Ok((_, bytes)) => {
-                    let trunk = self.store.ensure_trunk(gid);
-                    let ok = TrunkSnapshot::decode(&bytes)
-                        .ok()
-                        .and_then(|snap| snap.restore_into(&trunk).ok())
-                        .is_some();
-                    if ok {
-                        self.tiering.finish_fault(gid);
-                        self.tiering.metrics.faults.inc();
-                        self.tiering.metrics.fault_bytes.add(bytes.len() as u64);
-                        restored += 1;
-                    } else {
-                        self.store.evict(gid);
-                        self.tiering.fail_fault(gid, version);
-                    }
-                }
-                Err(trinity_tfs::TfsError::NotFound(_)) => {
-                    // Same contract as `reload_trunk`: a vanished backup
-                    // restores as an empty trunk.
-                    self.store.ensure_trunk(gid);
-                    self.tiering.finish_fault(gid);
-                    self.tiering.metrics.faults.inc();
-                    restored += 1;
-                }
-                Err(_) => self.tiering.fail_fault(gid, version),
+            if self.restore_image(gid, version, image).is_ok() {
+                restored += 1;
             }
         }
         self.update_resident_gauge();
@@ -455,18 +407,75 @@ impl CloudNode {
         Ok(restored)
     }
 
-    /// Spill one trunk's sealed cell image to TFS and drop it from the
-    /// memstore. `Ok(true)` when it spilled; `Ok(false)` when skipped
+    /// The one way out of `FaultingIn`, for the turn claimed at
+    /// `claimed`: make trunk `gid` exactly what `image` (the outcome of
+    /// reading its backup path) says, or put the entry back to `Spilled`
+    /// so a later access retries.
+    ///
+    /// Whatever is resident under `gid` first goes: a remnant (e.g. a
+    /// staging reload that raced the spill) would keep cells the image
+    /// doesn't vouch for. A vanished backup (wiped TFS) restores as an
+    /// empty trunk, the `reload_trunk` durability contract. A damaged
+    /// image restores nothing — serving part of it would silently lose
+    /// cells. The restored trunk is recorded as equal to the image
+    /// *before* `finish_fault` lets waiting writers at it.
+    fn restore_image(
+        &self,
+        gid: u64,
+        claimed: u64,
+        image: std::result::Result<(u64, Blob), TfsError>,
+    ) -> Result<()> {
+        let started = Instant::now();
+        let image = match image {
+            Ok(found) => Some(found),
+            Err(TfsError::NotFound(_)) => None,
+            Err(e) => {
+                self.tiering.fail_fault(gid, claimed);
+                return Err(e.into());
+            }
+        };
+        self.store.evict(gid);
+        let trunk = self.store.ensure_trunk(gid);
+        let mut bytes_in = 0u64;
+        if let Some((version, bytes)) = image {
+            if let Err(e) = TrunkSnapshot::restore_image(&bytes, &trunk) {
+                self.store.evict(gid);
+                self.tiering.fail_fault(gid, claimed);
+                return Err(image_error(gid, e));
+            }
+            self.tiering.record_clean(gid, &trunk, version);
+            bytes_in = bytes.len() as u64;
+        }
+        self.tiering.finish_fault(gid);
+        self.tiering.metrics.faults.inc();
+        self.tiering.metrics.fault_bytes.add(bytes_in);
+        self.tiering
+            .metrics
+            .fault_in_us
+            .record(started.elapsed().as_micros() as u64);
+        Ok(())
+    }
+
+    /// Evict one trunk to TFS: drop it from the memstore, writing its
+    /// sealed cell image first unless TFS already holds exactly that
+    /// image. `Ok(true)` when it left memory; `Ok(false)` when skipped
     /// (not owned, pinned, absent/already spilled, or busy migrating).
     ///
     /// Seal protocol: after claiming `Spilling`, taking and releasing the
     /// donor map's **write** lock is a barrier — every in-flight
     /// `gated_mutate` either finished its write under the read lock (the
-    /// write is in the capture) or will re-check the tier state and wait
-    /// out the fault-in. The image goes to the trunk's recovery backup
-    /// path via a TFS compare-and-swap, so a crash mid-spill leaves
-    /// either the old image or the new one — never a torn file — and
-    /// recovery's `reload_trunk` reads whichever committed.
+    /// write is in the trunk, and in its mutation count) or will re-check
+    /// the tier state and wait out the fault-in.
+    ///
+    /// Behind the seal, a trunk whose mutation count has not moved since
+    /// it was restored from the image at some TFS version holds exactly
+    /// that image; if a stat says TFS still holds that version, nothing
+    /// needs writing. Anything else — a write since, a concurrent
+    /// `backup_trunk`, a wiped or partly dead TFS — takes the full path:
+    /// the image goes to the trunk's recovery backup path via a TFS
+    /// compare-and-swap, so a crash mid-spill leaves either the old image
+    /// or the new one — never a torn file — and recovery's `reload_trunk`
+    /// reads whichever committed.
     pub fn spill_trunk(&self, gid: u64) -> Result<bool> {
         if self.table.read().machine_for(gid) != self.machine
             || self.tiering.pinned(gid)
@@ -490,34 +499,55 @@ impl CloudNode {
             self.tiering.abort_spill(gid);
             return Ok(false);
         };
-        let image = TrunkSnapshot::capture(&trunk).encode();
         let path = trunk_backup_path(gid);
+        let held = self
+            .tiering
+            .clean_version(gid, &trunk)
+            .filter(|&version| self.tfs.version_of(&path) == Ok(version));
+        let version = match held {
+            Some(version) => {
+                self.tiering.metrics.clean_evictions.inc();
+                version
+            }
+            None => {
+                let image = TrunkSnapshot::capture(&trunk);
+                match self.write_image(&path, image.as_bytes()) {
+                    Ok(version) => {
+                        self.tiering.metrics.spills.inc();
+                        self.tiering
+                            .metrics
+                            .spill_bytes
+                            .add(image.as_bytes().len() as u64);
+                        version
+                    }
+                    Err(e) => {
+                        self.tiering.abort_spill(gid);
+                        return Err(e.into());
+                    }
+                }
+            }
+        };
+        self.store.evict(gid);
+        self.tiering.commit_spill(gid, version);
+        self.update_resident_gauge();
+        Ok(true)
+    }
+
+    /// Replace the file at `path` with `image` by compare-and-swap on
+    /// its version, retrying when a concurrent writer (a backup, a
+    /// migration commit) gets in between. Returns the version written.
+    /// The caller holds the trunk sealed, so `image` stays current
+    /// however many rounds this takes.
+    fn write_image(&self, path: &str, image: &[u8]) -> std::result::Result<u64, TfsError> {
         loop {
-            let expected = match self.tfs.read_versioned(&path) {
-                Ok((v, _)) => v,
-                Err(trinity_tfs::TfsError::NotFound(_)) => 0,
-                Err(e) => {
-                    self.tiering.abort_spill(gid);
-                    return Err(e.into());
-                }
+            let expected = match self.tfs.version_of(path) {
+                Ok(v) => v,
+                Err(TfsError::NotFound(_)) => 0,
+                Err(e) => return Err(e),
             };
-            match self.tfs.write_if_version(&path, &image, expected) {
-                Ok(version) => {
-                    self.store.evict(gid);
-                    self.tiering.commit_spill(gid, version);
-                    self.tiering.metrics.spills.inc();
-                    self.tiering.metrics.spill_bytes.add(image.len() as u64);
-                    self.update_resident_gauge();
-                    return Ok(true);
-                }
-                // Lost the CAS to a concurrent backup writer. The trunk
-                // is sealed, so our capture is still current: re-read
-                // the version and retry.
-                Err(trinity_tfs::TfsError::VersionMismatch { .. }) => continue,
-                Err(e) => {
-                    self.tiering.abort_spill(gid);
-                    return Err(e.into());
-                }
+            match self.tfs.write_if_version(path, image, expected) {
+                Err(TfsError::VersionMismatch { .. }) => continue,
+                done => return done,
             }
         }
     }
@@ -809,7 +839,7 @@ impl CloudNode {
                     self.migration.moved_epoch(gid)
                 }
             }
-            Err(trinity_tfs::TfsError::NotFound(_)) => {
+            Err(TfsError::NotFound(_)) => {
                 // No primary was ever persisted, so no flip can exist.
                 self.migration.abort_donor(gid, Some(mid));
                 None
@@ -1483,8 +1513,8 @@ impl CloudNode {
     /// Back one trunk up to TFS.
     pub fn backup_trunk(&self, gid: u64) -> Result<()> {
         if let Some(trunk) = self.store.trunk(gid) {
-            let snap = TrunkSnapshot::capture(&trunk);
-            self.tfs.write(&trunk_backup_path(gid), &snap.encode())?;
+            let image = TrunkSnapshot::capture(&trunk);
+            self.tfs.write(&trunk_backup_path(gid), image.as_bytes())?;
         }
         Ok(())
     }
@@ -1506,23 +1536,15 @@ impl CloudNode {
     /// Reload a trunk from its TFS backup into the local store (used when
     /// this machine absorbs a failed machine's trunk). Missing backups
     /// yield an empty trunk — the data was never persisted, matching the
-    /// paper's durability contract.
+    /// paper's durability contract. A backup that exists but is damaged
+    /// is [`CloudError::CorruptImage`] and loads no cell.
     pub fn reload_trunk(&self, gid: u64) -> Result<()> {
         let trunk = self.store.ensure_trunk(gid);
         match self.tfs.read(&trunk_backup_path(gid)) {
             Ok(bytes) => {
-                let snap = TrunkSnapshot::decode(&bytes).map_err(|_| {
-                    CloudError::Tfs(trinity_tfs::TfsError::NotFound(trunk_backup_path(gid)))
-                })?;
-                snap.restore_into(&trunk).map_err(|_| {
-                    CloudError::Store(StoreError::OutOfMemory {
-                        requested: 0,
-                        reserved: 0,
-                    })
-                })?;
-                Ok(())
+                TrunkSnapshot::restore_image(&bytes, &trunk).map_err(|e| image_error(gid, e))
             }
-            Err(trinity_tfs::TfsError::NotFound(_)) => Ok(()),
+            Err(TfsError::NotFound(_)) => Ok(()),
             Err(e) => Err(e.into()),
         }
     }
@@ -1647,7 +1669,7 @@ impl CloudNode {
                     Err(CloudError::BadReply)
                 }
             }
-            Err(trinity_tfs::TfsError::NotFound(_)) => Ok(false),
+            Err(TfsError::NotFound(_)) => Ok(false),
             Err(e) => Err(e.into()),
         }
     }

@@ -9,17 +9,22 @@
 //! machine is:
 //!
 //! ```text
-//! resident ──spill──▶ Spilling ──CAS write──▶ Spilled{version}
-//!    ▲                                             │ access
-//!    └──────── FaultingIn ◀────────────────────────┘
+//!                              ┌──clean: TFS already holds it──┐
+//!                              │                               ▼
+//! resident ──spill──▶ Spilling ┴──dirty: CAS write──▶ Spilled{version}
+//!    ▲                                                     │ access
+//!    └──────────── FaultingIn ◀────────────────────────────┘
 //! ```
 //!
 //! * **resident** (no entry): the trunk lives in the memstore; accesses
 //!   pay one atomic load over the untiered baseline.
-//! * **Spilling**: capture + TFS write in progress. The spiller seals the
-//!   trunk first (see [`CloudNode::spill_trunk`]'s donor-lock barrier), so
-//!   no mutation can land between the capture and the evict; readers and
-//!   writers arriving during the window wait on the state's condvar.
+//! * **Spilling**: the spiller seals the trunk first (see
+//!   [`CloudNode::spill_trunk`]'s donor-lock barrier), so no mutation can
+//!   land between the decision below and the evict; readers and writers
+//!   arriving during the window wait on the state's condvar. A trunk that
+//!   is *clean* — unchanged since it was restored from a TFS image that
+//!   TFS still holds at the same version ([`Tiering::clean_version`]) —
+//!   is simply dropped; any other trunk is captured and CAS-written.
 //! * **Spilled{version}**: the image lives only in TFS, at that file
 //!   version. The first accessor transitions to FaultingIn; everyone else
 //!   waits.
@@ -35,15 +40,17 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Condvar, Mutex};
-use trinity_obs::{Counter, Gauge, MachineScope};
+use trinity_memstore::Trunk;
+use trinity_obs::{Counter, Gauge, Histogram, MachineScope};
 
 /// Per-trunk tiering state. Absence from the map means *resident*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierState {
-    /// Snapshot capture + TFS write in progress; accessors wait.
+    /// Eviction in progress behind the write seal — the image is being
+    /// captured and written unless TFS already holds it; accessors wait.
     Spilling,
     /// Image lives only in TFS, at this file version.
     Spilled {
@@ -67,10 +74,13 @@ pub(crate) enum FaultTurn {
 /// published as `tier.*` metrics in the machine's registry scope.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TierStats {
-    /// Trunks spilled to TFS.
+    /// Trunk images written to TFS by spills.
     pub spills: u64,
     /// Encoded image bytes written by spills.
     pub spill_bytes: u64,
+    /// Trunks evicted without a write because TFS already held their
+    /// exact image.
+    pub clean_evictions: u64,
     /// Trunks faulted back in from TFS.
     pub faults: u64,
     /// Encoded image bytes read by fault-ins.
@@ -89,8 +99,12 @@ pub struct TierStats {
 pub(crate) struct TierMetrics {
     pub(crate) spills: Arc<Counter>,
     pub(crate) spill_bytes: Arc<Counter>,
+    pub(crate) clean_evictions: Arc<Counter>,
     pub(crate) faults: Arc<Counter>,
     pub(crate) fault_bytes: Arc<Counter>,
+    /// Wall time of one trunk restore: from the image in hand to the
+    /// trunk resident (`tier.fault_in_us`).
+    pub(crate) fault_in_us: Arc<Histogram>,
     pub(crate) prefetch_hits: Arc<Counter>,
     pub(crate) prefetch_misses: Arc<Counter>,
     pub(crate) resident_bytes: Arc<Gauge>,
@@ -101,13 +115,26 @@ impl TierMetrics {
         TierMetrics {
             spills: obs.counter("tier.spills"),
             spill_bytes: obs.counter("tier.spill_bytes"),
+            clean_evictions: obs.counter("tier.clean_evictions"),
             faults: obs.counter("tier.faults"),
             fault_bytes: obs.counter("tier.fault_bytes"),
+            fault_in_us: obs.histogram("tier.fault_in_us"),
             prefetch_hits: obs.counter("tier.prefetch_hits"),
             prefetch_misses: obs.counter("tier.prefetch_misses"),
             resident_bytes: obs.gauge("tier.resident_bytes"),
         }
     }
+}
+
+/// "This resident trunk's cells are exactly the TFS image at `version`":
+/// true when recorded, and still true for as long as `trunk` is the same
+/// object and its mutation count has not moved.
+struct CleanImage {
+    /// Identity, not ownership: a trunk evicted and recreated under the
+    /// same id is a different object and never matches.
+    trunk: Weak<Trunk>,
+    version: u64,
+    mutations: u64,
 }
 
 /// One machine's tiering books: the per-trunk state map, pin counts, the
@@ -123,6 +150,8 @@ pub(crate) struct Tiering {
     budget: AtomicU64,
     states: Mutex<HashMap<u64, TierState>>,
     cv: Condvar,
+    /// Per resident trunk: the TFS image it was last restored from.
+    clean: Mutex<HashMap<u64, CleanImage>>,
     /// Pin counts per trunk: pinned trunks are never chosen for eviction.
     pins: Mutex<HashMap<u64, usize>>,
     /// Mutations since the last budget sweep (write-path trigger).
@@ -142,6 +171,7 @@ impl Tiering {
             budget: AtomicU64::new(0),
             states: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
+            clean: Mutex::new(HashMap::new()),
             pins: Mutex::new(HashMap::new()),
             write_ticks: AtomicU64::new(0),
             metrics: TierMetrics::new(obs),
@@ -230,9 +260,34 @@ impl Tiering {
         self.cv.notify_all();
     }
 
-    /// Commit a spill: the image landed in TFS at `version` and the
+    /// Remember that `trunk`, as it stands, equals the TFS image at
+    /// `version`. Only sound while no writer can reach the trunk — the
+    /// fault-in calls this before [`finish_fault`](Self::finish_fault)
+    /// lets the waiting writers through.
+    pub(crate) fn record_clean(&self, gid: u64, trunk: &Arc<Trunk>, version: u64) {
+        let rec = CleanImage {
+            trunk: Arc::downgrade(trunk),
+            version,
+            mutations: trunk.mutation_count(),
+        };
+        self.clean.lock().insert(gid, rec);
+    }
+
+    /// The TFS version whose image `trunk` still equals, if it has not
+    /// been written to since [`record_clean`](Self::record_clean). The
+    /// caller must hold the spill seal, so no write is in flight, and
+    /// must still check that TFS holds that version.
+    pub(crate) fn clean_version(&self, gid: u64, trunk: &Arc<Trunk>) -> Option<u64> {
+        let clean = self.clean.lock();
+        let rec = clean.get(&gid)?;
+        (Weak::as_ptr(&rec.trunk) == Arc::as_ptr(trunk) && rec.mutations == trunk.mutation_count())
+            .then_some(rec.version)
+    }
+
+    /// Commit a spill: TFS holds the trunk's image at `version` and the
     /// caller evicted the trunk. Waiters wake and fault it back in.
     pub(crate) fn commit_spill(&self, gid: u64, version: u64) {
+        self.clean.lock().remove(&gid);
         let mut states = self.states.lock();
         states.insert(gid, TierState::Spilled { version });
         drop(states);
@@ -295,6 +350,7 @@ impl Tiering {
     /// ownership changes hands (the new owner reloads from TFS through
     /// the recovery path, which reads the same image a spill wrote).
     pub(crate) fn forget(&self, gid: u64) {
+        self.clean.lock().remove(&gid);
         let mut states = self.states.lock();
         if states.remove(&gid).is_some() {
             self.recompute_active(&states);
@@ -306,6 +362,7 @@ impl Tiering {
     pub(crate) fn reset(&self) {
         let mut states = self.states.lock();
         states.clear();
+        self.clean.lock().clear();
         self.pins.lock().clear();
         self.recompute_active(&states);
         self.cv.notify_all();
@@ -341,6 +398,7 @@ impl Tiering {
         TierStats {
             spills: self.metrics.spills.get(),
             spill_bytes: self.metrics.spill_bytes.get(),
+            clean_evictions: self.metrics.clean_evictions.get(),
             faults: self.metrics.faults.get(),
             fault_bytes: self.metrics.fault_bytes.get(),
             prefetch_hits: self.metrics.prefetch_hits.get(),

@@ -8,12 +8,18 @@
 //! the recovery contract: a machine that dies mid-spill or with trunks
 //! spilled loses nothing, because the spill image *is* the recovery
 //! backup image.
+//!
+//! Eviction must also cost what changed and no more: a trunk untouched
+//! since it was faulted in leaves memory without a byte written to TFS,
+//! while any write — or any foreign writer of its backup path — forces
+//! exactly one full image write. `eviction_cost_tracks_change` checks
+//! both directions against an exact model.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use trinity_memcloud::{trunk_backup_path, CloudConfig, MemoryCloud};
+use trinity_memcloud::{trunk_backup_path, CloudConfig, CloudError, CloudNode, MemoryCloud};
 use trinity_memstore::TrunkSnapshot;
 
 /// Capture the canonical byte image of every resident trunk `machine`
@@ -28,6 +34,233 @@ fn capture_owned(cloud: &MemoryCloud, machine: usize) -> HashMap<u64, Vec<u8>> {
         }
     }
     images
+}
+
+/// The `TKS1` image a trunk holding exactly `cells` must have, built
+/// here from the format's definition rather than by the code under test.
+fn model_image(gid: u64, cells: &BTreeMap<u64, Vec<u8>>) -> Vec<u8> {
+    let mut out = b"TKS1".to_vec();
+    out.extend_from_slice(&gid.to_le_bytes());
+    out.extend_from_slice(&(cells.len() as u64).to_le_bytes());
+    for (id, bytes) in cells {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(bytes);
+    }
+    out
+}
+
+/// The resident trunk `gid` holds exactly `cells`.
+fn assert_trunk_is(node: &CloudNode, gid: u64, cells: &BTreeMap<u64, Vec<u8>>, when: &str) {
+    let trunk = node
+        .store()
+        .trunk(gid)
+        .unwrap_or_else(|| panic!("{when}: trunk {gid} is not in the store"));
+    assert_eq!(
+        TrunkSnapshot::capture(&trunk).as_bytes(),
+        model_image(gid, cells),
+        "{when}: trunk {gid} diverged from the model"
+    );
+}
+
+/// One trunk of machine 0 and `n` cell ids that live in it.
+fn trunk_with_keys(cloud: &MemoryCloud, n: usize) -> (u64, Vec<u64>) {
+    let node = cloud.node(0);
+    let table = node.table();
+    let gid = table.trunks_of(node.machine())[0];
+    let keys = (0u64..).filter(|&k| table.trunk_of(k) == gid).take(n);
+    (gid, keys.collect())
+}
+
+#[derive(Debug, Clone)]
+enum TierOp {
+    Put(usize, Vec<u8>),
+    Append(usize, Vec<u8>),
+    Remove(usize),
+    /// Write one byte in place through `Trunk::get_mut`.
+    Poke(usize, u8),
+    Backup,
+    /// A foreign writer re-writes the backup file with the bytes it
+    /// already has: contents equal, version stamp advanced.
+    ForeignTouch,
+    Spill,
+    Fault,
+    /// Evict, then lose the machine: revive it and reload from TFS.
+    EvictAndCrash,
+}
+
+const TIER_KEYS: usize = 10;
+
+fn tier_op() -> impl Strategy<Value = TierOp> {
+    let key = 0usize..TIER_KEYS;
+    let bytes = proptest::collection::vec(any::<u8>(), 0..24);
+    prop_oneof![
+        3 => (key.clone(), bytes.clone()).prop_map(|(k, b)| TierOp::Put(k, b)),
+        2 => (key.clone(), bytes).prop_map(|(k, b)| TierOp::Append(k, b)),
+        1 => key.clone().prop_map(TierOp::Remove),
+        1 => (key, any::<u8>()).prop_map(|(k, b)| TierOp::Poke(k, b)),
+        1 => Just(TierOp::Backup),
+        1 => Just(TierOp::ForeignTouch),
+        5 => Just(TierOp::Spill),
+        4 => Just(TierOp::Fault),
+        1 => Just(TierOp::EvictAndCrash),
+    ]
+}
+
+/// Evict trunk `gid` and check the cost against what the model expects:
+/// `dirty` ⇒ exactly one full image write; clean ⇒ no write at all.
+fn spill_and_check(
+    cloud: &MemoryCloud,
+    gid: u64,
+    cells: &BTreeMap<u64, Vec<u8>>,
+    dirty: bool,
+    step: usize,
+) {
+    let path = trunk_backup_path(gid);
+    let before = cloud.tier_stats();
+    let file_before = cloud.tfs().read_versioned(&path).ok();
+    assert!(
+        cloud.node(0).spill_trunk(gid).unwrap(),
+        "step {step}: a resident, unpinned trunk must leave memory"
+    );
+    let after = cloud.tier_stats();
+    let (version, file) = cloud.tfs().read_versioned(&path).unwrap();
+    let image = model_image(gid, cells);
+    assert_eq!(*file, image, "step {step}: TFS does not hold the trunk");
+    assert!(cloud.node(0).store().trunk(gid).is_none());
+    if dirty {
+        assert_eq!(after.spills, before.spills + 1, "step {step}: one write");
+        assert_eq!(after.spill_bytes, before.spill_bytes + image.len() as u64);
+        assert_eq!(after.clean_evictions, before.clean_evictions);
+        assert!(file_before.is_none_or(|(v, _)| version > v));
+    } else {
+        let (version_before, file_before) = file_before.expect("clean implies an image");
+        assert_eq!(after.spills, before.spills, "step {step}: no write");
+        assert_eq!(
+            after.spill_bytes, before.spill_bytes,
+            "step {step}: 0 bytes"
+        );
+        assert_eq!(after.clean_evictions, before.clean_evictions + 1);
+        assert_eq!(version, version_before, "step {step}: stamp untouched");
+        assert!(
+            Arc::ptr_eq(&file, &file_before),
+            "step {step}: blob replaced"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random interleavings of cell writes, in-place pokes, backups and
+    /// foreign touches of the backup file with evictions, faults and
+    /// crashes, on one trunk, against an exact model of (a) the trunk's
+    /// cells and (b) whether TFS already holds them.
+    #[test]
+    fn eviction_cost_tracks_change(ops in proptest::collection::vec(tier_op(), 1..60)) {
+        let cloud = MemoryCloud::new(CloudConfig::small(2));
+        let (gid, keys) = trunk_with_keys(&cloud, TIER_KEYS);
+        let node = cloud.node(0);
+        let path = trunk_backup_path(gid);
+        let mut cells: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut resident = true;
+        // A trunk TFS has never seen is dirty by definition.
+        let mut dirty = true;
+        for (step, op) in ops.into_iter().enumerate() {
+            // Every cell operation faults a spilled trunk in first.
+            let touches_cells = matches!(
+                op,
+                TierOp::Put(..) | TierOp::Append(..) | TierOp::Remove(_) | TierOp::Poke(..) | TierOp::Fault
+            );
+            if touches_cells && !resident {
+                if let TierOp::Poke(..) | TierOp::Fault = op {
+                    node.resident_trunk(gid).unwrap();
+                }
+                (resident, dirty) = (true, false);
+            }
+            // Route writes through either machine: the local handler and
+            // the remote one share the gate.
+            let via = cloud.node(step % 2);
+            match op {
+                TierOp::Put(k, bytes) => {
+                    via.put(keys[k], &bytes).unwrap();
+                    cells.insert(keys[k], bytes);
+                    dirty = true;
+                }
+                TierOp::Append(k, bytes) => {
+                    let applied = via.append(keys[k], &bytes).unwrap();
+                    prop_assert_eq!(applied, cells.contains_key(&keys[k]));
+                    if let Some(cell) = cells.get_mut(&keys[k]) {
+                        cell.extend_from_slice(&bytes);
+                        dirty = true;
+                    }
+                }
+                TierOp::Remove(k) => {
+                    let applied = via.remove(keys[k]).unwrap();
+                    prop_assert_eq!(applied, cells.remove(&keys[k]).is_some());
+                    dirty |= applied;
+                }
+                TierOp::Poke(k, byte) => {
+                    let trunk = node.store().trunk(gid).unwrap();
+                    if let Some(mut cell) = trunk.get_mut(keys[k]) {
+                        // Handing the guard out counts, written or not.
+                        dirty = true;
+                        if let Some(first) = cell.first_mut() {
+                            *first = byte;
+                            cells.get_mut(&keys[k]).unwrap()[0] = byte;
+                        }
+                    };
+                }
+                TierOp::Backup => {
+                    node.backup_trunk(gid).unwrap();
+                    // Same bytes, new stamp: the next eviction cannot
+                    // know that and must write.
+                    dirty |= resident;
+                }
+                TierOp::ForeignTouch => {
+                    if let Ok(file) = cloud.tfs().read(&path) {
+                        cloud.tfs().write(&path, &file).unwrap();
+                        // A spilled trunk faults in at the new stamp and
+                        // is clean again; a resident one is not.
+                        dirty |= resident;
+                    }
+                }
+                TierOp::Spill => {
+                    if resident {
+                        spill_and_check(&cloud, gid, &cells, dirty, step);
+                        resident = false;
+                    } else {
+                        prop_assert!(!node.spill_trunk(gid).unwrap());
+                    }
+                }
+                TierOp::Fault => {
+                    node.resident_trunk(gid).unwrap();
+                    assert_trunk_is(node, gid, &cells, &format!("step {step}, after fault"));
+                }
+                TierOp::EvictAndCrash => {
+                    if resident {
+                        spill_and_check(&cloud, gid, &cells, dirty, step);
+                    }
+                    cloud.kill_machine(0);
+                    cloud.revive_machine(0).unwrap();
+                    node.reload_trunk(gid).unwrap();
+                    assert_trunk_is(node, gid, &cells, &format!("step {step}, after crash"));
+                    // The machine's tier books died with it.
+                    (resident, dirty) = (true, true);
+                }
+            }
+        }
+        node.resident_trunk(gid).unwrap();
+        assert_trunk_is(node, gid, &cells, "at the end");
+        // Pokes went around the owner's write path, so no invalidation
+        // told machine 1 about them.
+        cloud.node(1).clear_cache();
+        for (k, v) in &cells {
+            let got = cloud.node(1).get(*k).unwrap();
+            prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
+        }
+        cloud.shutdown();
+    }
 }
 
 proptest! {
@@ -60,7 +293,7 @@ proptest! {
                     prop_assert!(node.store().trunk(gid).is_none(), "spill must drop trunk {gid} from the memstore");
                     // The TFS blob is the sealed capture, byte for byte.
                     let (_, blob) = cloud.tfs().read_versioned(&trunk_backup_path(gid)).unwrap();
-                    prop_assert_eq!(&blob, image, "TFS spill image diverged for trunk {}", gid);
+                    prop_assert_eq!(&*blob, image, "TFS spill image diverged for trunk {}", gid);
                     // Fault back in and re-capture: bit-identical.
                     node.resident_trunk(gid).unwrap();
                     prop_assert!(node.trunk_resident(gid));
@@ -338,6 +571,69 @@ fn writes_to_spilled_trunks_fault_in_and_land() {
             Some(&[1, 2, 3, 4][..]),
             "append lost on spilled trunk for cell {k}"
         );
+    }
+    cloud.shutdown();
+}
+
+/// A backup file that exists but is not an image is a typed error on
+/// every load path, and nothing of it — nor of a remnant trunk left in
+/// the store — is ever served: after the file is repaired, both the
+/// single and the bulk fault-in restore exactly the image.
+#[test]
+fn damaged_image_is_typed_and_fault_in_restores_exactly_the_image() {
+    let cloud = MemoryCloud::new(CloudConfig::small(2));
+    let (gid, keys) = trunk_with_keys(&cloud, 8);
+    let node = cloud.node(0);
+    let path = trunk_backup_path(gid);
+    let mut cells = BTreeMap::new();
+    for (i, &k) in keys.iter().enumerate() {
+        let v = vec![i as u8; 5 + i];
+        node.put(k, &v).unwrap();
+        cells.insert(k, v);
+    }
+    assert!(node.spill_trunk(gid).unwrap());
+    let good = cloud.tfs().read(&path).unwrap();
+    let junk_cell = |node: &CloudNode| {
+        node.store()
+            .ensure_trunk(gid)
+            .put(u64::MAX - 7, b"not in the image")
+            .unwrap();
+    };
+
+    cloud.tfs().write(&path, &good[..good.len() - 3]).unwrap();
+    let corrupt = CloudError::CorruptImage { trunk: gid };
+    assert_eq!(node.resident_trunk(gid).err(), Some(corrupt.clone()));
+    assert_eq!(node.fault_in_many(&[gid]).unwrap(), 0);
+    assert_eq!(node.reload_trunk(gid).err(), Some(corrupt));
+    assert!(!node.trunk_resident(gid));
+    assert_eq!(node.spilled_trunks(), vec![gid], "still spilled, to retry");
+    assert_eq!(cloud.tier_stats().faults, 0);
+    // `reload_trunk` left an empty trunk in the store; make it worse.
+    junk_cell(node);
+
+    cloud.tfs().write(&path, &good).unwrap();
+    assert_eq!(node.fault_in_many(&[gid]).unwrap(), 1);
+    assert_trunk_is(node, gid, &cells, "bulk fault over a remnant");
+
+    assert!(node.spill_trunk(gid).unwrap());
+    junk_cell(node);
+    node.resident_trunk(gid).unwrap();
+    assert_trunk_is(node, gid, &cells, "single fault over a remnant");
+
+    // A vanished backup restores as an empty trunk on both paths too.
+    for bulk in [false, true] {
+        assert!(node.spill_trunk(gid).unwrap());
+        cloud.tfs().delete(&path).unwrap();
+        junk_cell(node);
+        if bulk {
+            assert_eq!(node.fault_in_many(&[gid]).unwrap(), 1);
+        } else {
+            node.resident_trunk(gid).unwrap();
+        }
+        assert_trunk_is(node, gid, &BTreeMap::new(), "fault with no backup");
+        for (&k, v) in &cells {
+            node.put(k, v).unwrap();
+        }
     }
     cloud.shutdown();
 }

@@ -53,7 +53,7 @@
 //! no cycle.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -229,6 +229,8 @@ pub struct Trunk {
     /// (used to report how much slack reservations currently hold).
     live_tight: AtomicUsize,
     bytes_moved: AtomicUsize,
+    /// Mutating calls so far; see [`Trunk::mutation_count`].
+    mutations: AtomicU64,
     metrics: TrunkMetrics,
 }
 
@@ -314,6 +316,7 @@ impl Trunk {
             live_entry: AtomicUsize::new(0),
             live_tight: AtomicUsize::new(0),
             bytes_moved: AtomicUsize::new(0),
+            mutations: AtomicU64::new(0),
             metrics: TrunkMetrics::new(&obs),
         }
     }
@@ -326,6 +329,25 @@ impl Trunk {
     /// Number of live cells.
     pub fn cell_count(&self) -> usize {
         self.index.read().table.len()
+    }
+
+    /// How many mutating calls (`put`, `insert_new`, `update`,
+    /// `put_if_version`, `append`, `remove`, `get_mut`) this trunk has
+    /// served. Monotone; defragmentation moves bytes without changing any
+    /// cell and does not count. Two equal readings with no mutating call
+    /// in flight between them mean the cell contents did not change —
+    /// tiering uses that to skip re-writing an image TFS already holds.
+    ///
+    /// The counter is `Relaxed`: it publishes no data itself. A reader
+    /// that needs the guarantee above must already be ordered after the
+    /// writers it cares about (tiering reads it behind its seal barrier).
+    pub fn mutation_count(&self) -> u64 {
+        self.mutations.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn note_mutation(&self) {
+        self.mutations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Point-in-time statistics.
@@ -605,6 +627,7 @@ impl Trunk {
             idx.slab.get(slot).set_version(version);
             idx.table.insert(id, slot);
             drop(idx);
+            self.note_mutation();
             self.live_payload
                 .fetch_add(size as usize, Ordering::Relaxed);
             self.live_entry.fetch_add(need, Ordering::Relaxed);
@@ -625,6 +648,7 @@ impl Trunk {
         id: CellId,
     ) -> Result<CellVersion> {
         let new_size = self.check_len(payload.len())?;
+        self.note_mutation();
         // SAFETY: caller holds the cell lock, so `meta` is valid and the
         // cell cannot move underneath us.
         let meta = unsafe { &*meta };
@@ -753,6 +777,7 @@ impl Trunk {
         let (_, cap, size) = self.read_header(off);
         let new_size = size as usize + extra.len();
         let res = if new_size <= cap as usize {
+            self.note_mutation();
             // Entirely in place: copy only the appended suffix.
             // SAFETY: we own the entry via its lock.
             unsafe {
@@ -844,6 +869,9 @@ impl Trunk {
     /// to resize).
     pub fn get_mut(&self, id: CellId) -> Option<CellMutGuard<'_>> {
         let meta = self.lock_cell(id)?;
+        // Counted when the guard is handed out: the caller may write
+        // through it at any point until it drops.
+        self.note_mutation();
         // SAFETY: lock held; guard releases it on drop.
         let off = unsafe { (*meta).offset() } as usize;
         let (_, _, size) = self.read_header(off);
@@ -878,6 +906,7 @@ impl Trunk {
         // SAFETY: the slot stays allocated until we free it below.
         let meta_ref = unsafe { &*meta };
         meta_ref.lock();
+        self.note_mutation();
         let off = meta_ref.offset() as usize;
         let (_, cap, size) = self.read_header(off);
         self.write_tombstone(off, cap);
@@ -1434,6 +1463,43 @@ mod tests {
         drop(g);
         assert_eq!(t.version_of(1), Some(v6));
         assert_eq!(t.version_of(999), None);
+    }
+
+    #[test]
+    fn mutation_count_moves_on_every_write_and_on_nothing_else() {
+        let t = tiny();
+        let mut last = t.mutation_count();
+        let mut bumped = |t: &Trunk, what: &str| {
+            let now = t.mutation_count();
+            assert!(now > last, "{what} must bump the mutation count");
+            last = now;
+        };
+        t.put(1, b"a").unwrap();
+        bumped(&t, "put (fresh)");
+        let v = t.put(1, b"b").unwrap();
+        bumped(&t, "put (replace)");
+        t.insert_new(2, b"c").unwrap();
+        bumped(&t, "insert_new");
+        t.update(2, &[b'd'; 100]).unwrap();
+        bumped(&t, "update (relocating)");
+        t.append(2, b"e").unwrap();
+        bumped(&t, "append (in place)");
+        t.append(2, &[b'f'; 400]).unwrap();
+        bumped(&t, "append (relocating)");
+        t.put_if_version(1, b"g", v).unwrap();
+        bumped(&t, "put_if_version");
+        drop(t.get_mut(1).unwrap());
+        bumped(&t, "get_mut");
+        t.remove(2).unwrap();
+        bumped(&t, "remove");
+        // Reads, scans, statistics and defragmentation change no cell.
+        let before = t.mutation_count();
+        let _ = t.get(1).map(|g| g.len());
+        let _ = t.get_versioned(1).map(|(_, g)| g.len());
+        t.for_each_cell(|_, _| {});
+        let _ = (t.contains(1), t.version_of(1), t.cell_ids(), t.stats());
+        t.defragment();
+        assert_eq!(t.mutation_count(), before);
     }
 
     #[test]

@@ -152,4 +152,44 @@ proptest! {
     fn trunk_matches_hashmap_with_aggressive_slack(ops in proptest::collection::vec(op_strategy(), 0..200)) {
         check_against_model(ops, 4.0);
     }
+
+    /// Image bytes come from TFS, i.e. from outside the process. Whatever
+    /// arrives — noise, or a real image cut short or with a byte flipped
+    /// in its framing — the restorer answers without panicking, an `Err`
+    /// leaves the target trunk exactly as it was, and an `Ok` loaded an
+    /// image that re-encodes to a prefix of the bytes given.
+    #[test]
+    fn restorer_survives_arbitrary_and_damaged_images(
+        cells in proptest::collection::vec((0u64..64, proptest::collection::vec(any::<u8>(), 0..40)), 0..24),
+        noise in proptest::collection::vec(any::<u8>(), 0..96),
+        cut in any::<usize>(),
+        flip in any::<usize>(),
+    ) {
+        let source = Trunk::new(5, TrunkConfig::small());
+        for (k, v) in &cells {
+            source.put(*k, v).unwrap();
+        }
+        let good = TrunkSnapshot::capture(&source).encode();
+        let truncated = good[..cut % good.len()].to_vec();
+        let mut flipped = good.clone();
+        // Flip inside the header or the first cell's framing, where every
+        // byte steers the parse.
+        let at = flip % good.len().min(32);
+        flipped[at] ^= 0x40;
+        for image in [&noise, &truncated, &flipped] {
+            let target = Trunk::new(5, TrunkConfig::small());
+            match TrunkSnapshot::restore_image(image, &target) {
+                Err(_) => {
+                    prop_assert_eq!(target.cell_count(), 0);
+                    prop_assert_eq!(target.mutation_count(), 0);
+                    prop_assert!(TrunkSnapshot::decode(image).is_err());
+                }
+                Ok(()) => {
+                    let decoded = TrunkSnapshot::decode(image).unwrap();
+                    prop_assert!(image.starts_with(decoded.as_bytes()));
+                    prop_assert!(target.cell_count() as u64 <= decoded.cell_count());
+                }
+            }
+        }
+    }
 }

@@ -30,7 +30,7 @@
 //! let tfs = Tfs::new(TfsConfig { nodes: 4, replication: 2 });
 //! tfs.write("trunks/00000007", b"snapshot bytes").unwrap();
 //! tfs.kill_node(0); // any single node may die
-//! assert_eq!(tfs.read("trunks/00000007").unwrap(), b"snapshot bytes");
+//! assert_eq!(*tfs.read("trunks/00000007").unwrap(), b"snapshot bytes");
 //! assert!(tfs.try_acquire_flag("leader", "machine-3"));
 //! assert!(!tfs.try_acquire_flag("leader", "machine-5"));
 //! ```
@@ -99,10 +99,14 @@ impl Default for TfsConfig {
     }
 }
 
+/// A file's bytes as reads hand them out: shared with the replica that
+/// stores them, never copied.
+pub type Blob = Arc<Vec<u8>>;
+
 #[derive(Debug, Default)]
 struct Node {
     alive: bool,
-    files: HashMap<String, (u64, Arc<Vec<u8>>)>,
+    files: HashMap<String, (u64, Blob)>,
 }
 
 #[derive(Debug)]
@@ -181,14 +185,16 @@ impl Tfs {
         }
     }
 
-    /// Read the freshest live copy of a file.
-    pub fn read(&self, name: &str) -> Result<Vec<u8>, TfsError> {
+    /// Read the freshest live copy of a file. The result shares the
+    /// replica's blob: a trunk-sized image is handed out without copying
+    /// it under the file system's lock.
+    pub fn read(&self, name: &str) -> Result<Blob, TfsError> {
         self.read_versioned(name).map(|(_, bytes)| bytes)
     }
 
     /// Freshest live version stamp of a file, if any replica survives.
-    fn freshest_inner<'a>(inner: &'a Inner, name: &str) -> Option<&'a (u64, Arc<Vec<u8>>)> {
-        let mut best: Option<&(u64, Arc<Vec<u8>>)> = None;
+    fn freshest_inner<'a>(inner: &'a Inner, name: &str) -> Option<&'a (u64, Blob)> {
+        let mut best: Option<&(u64, Blob)> = None;
         for i in Self::placement_inner(inner, name) {
             if inner.nodes[i].alive {
                 if let Some(entry) = inner.nodes[i].files.get(name) {
@@ -204,10 +210,20 @@ impl Tfs {
     /// Read the freshest live copy of a file along with its version
     /// stamp, for a later [`Tfs::write_if_version`]. Every write of a
     /// file (same bytes or not) advances its stamp.
-    pub fn read_versioned(&self, name: &str) -> Result<(u64, Vec<u8>), TfsError> {
+    pub fn read_versioned(&self, name: &str) -> Result<(u64, Blob), TfsError> {
         let inner = self.inner.lock();
         Self::freshest_inner(&inner, name)
-            .map(|(v, blob)| (*v, blob.to_vec()))
+            .map(|(v, blob)| (*v, Arc::clone(blob)))
+            .ok_or_else(|| TfsError::NotFound(name.to_string()))
+    }
+
+    /// The version stamp [`Tfs::read_versioned`] would return, without
+    /// touching the file's bytes — the stat a writer needs before a
+    /// [`Tfs::write_if_version`], or to learn whether a file changed.
+    pub fn version_of(&self, name: &str) -> Result<u64, TfsError> {
+        let inner = self.inner.lock();
+        Self::freshest_inner(&inner, name)
+            .map(|(v, _)| *v)
             .ok_or_else(|| TfsError::NotFound(name.to_string()))
     }
 
@@ -216,13 +232,13 @@ impl Tfs {
     /// for trunk-image prefetch — a BSP bucket fetcher resolving the next
     /// bucket's spilled trunks pays one lock round instead of one per
     /// trunk.
-    pub fn read_versioned_many(&self, names: &[String]) -> Vec<Result<(u64, Vec<u8>), TfsError>> {
+    pub fn read_versioned_many(&self, names: &[String]) -> Vec<Result<(u64, Blob), TfsError>> {
         let inner = self.inner.lock();
         names
             .iter()
             .map(|name| {
                 Self::freshest_inner(&inner, name)
-                    .map(|(v, blob)| (*v, blob.to_vec()))
+                    .map(|(v, blob)| (*v, Arc::clone(blob)))
                     .ok_or_else(|| TfsError::NotFound(name.clone()))
             })
             .collect()
@@ -273,7 +289,7 @@ impl Tfs {
 
     /// Whether a live replica of the file exists.
     pub fn exists(&self, name: &str) -> bool {
-        self.read(name).is_ok()
+        self.version_of(name).is_ok()
     }
 
     /// Delete a file from all live replicas.
@@ -362,7 +378,7 @@ impl Tfs {
         let mut refreshed = 0;
         for name in names {
             let placement = Self::placement_inner(&inner, &name);
-            let best: Option<(u64, Arc<Vec<u8>>)> = placement
+            let best: Option<(u64, Blob)> = placement
                 .iter()
                 .filter(|&&i| inner.nodes[i].alive)
                 .filter_map(|&i| inner.nodes[i].files.get(&name))
@@ -447,10 +463,10 @@ mod tests {
             replication: 2,
         });
         tfs.write("a/b", b"hello").unwrap();
-        assert_eq!(tfs.read("a/b").unwrap(), b"hello");
+        assert_eq!(*tfs.read("a/b").unwrap(), b"hello");
         assert!(tfs.exists("a/b"));
         tfs.write("a/b", b"world").unwrap();
-        assert_eq!(tfs.read("a/b").unwrap(), b"world");
+        assert_eq!(*tfs.read("a/b").unwrap(), b"world");
         tfs.delete("a/b").unwrap();
         assert!(!tfs.exists("a/b"));
         assert_eq!(tfs.read("a/b"), Err(TfsError::NotFound("a/b".into())));
@@ -469,7 +485,7 @@ mod tests {
         tfs.kill_node(1);
         for i in 0..50 {
             assert_eq!(
-                tfs.read(&format!("f{i}")).unwrap(),
+                *tfs.read(&format!("f{i}")).unwrap(),
                 format!("data{i}").as_bytes()
             );
         }
@@ -503,12 +519,12 @@ mod tests {
         tfs.write("f", b"v2").unwrap(); // only node 1 gets v2
         tfs.revive_node(0);
         // Freshest-copy read must return v2 even though node 0 has v1.
-        assert_eq!(tfs.read("f").unwrap(), b"v2");
+        assert_eq!(*tfs.read("f").unwrap(), b"v2");
         let refreshed = tfs.heal();
         assert_eq!(refreshed, 1);
         tfs.kill_node(1);
         assert_eq!(
-            tfs.read("f").unwrap(),
+            *tfs.read("f").unwrap(),
             b"v2",
             "heal should have refreshed node 0"
         );
@@ -550,6 +566,11 @@ mod tests {
         // Read-modify-write succeeds against the version it read...
         let (ver, bytes) = tfs.read_versioned("t").unwrap();
         assert_eq!((ver, bytes.as_slice()), (v1, &b"a"[..]));
+        assert_eq!(tfs.version_of("t"), Ok(v1));
+        assert_eq!(
+            tfs.version_of("absent"),
+            Err(TfsError::NotFound("absent".into()))
+        );
         let v2 = tfs.write_if_version("t", b"c", ver).unwrap();
         assert!(v2 > v1);
         // ...and a second writer holding the stale version loses, even
@@ -560,7 +581,35 @@ mod tests {
         ));
         let v3 = tfs.write_if_version("t", b"c", v2).unwrap();
         assert!(v3 > v2, "a same-bytes touch must advance the version");
-        assert_eq!(tfs.read("t").unwrap(), b"c");
+        assert_eq!(*tfs.read("t").unwrap(), b"c");
+    }
+
+    #[test]
+    fn reads_share_the_replica_blob_and_version_of_tracks_the_freshest_copy() {
+        let tfs = Tfs::new(TfsConfig {
+            nodes: 2,
+            replication: 2,
+        });
+        tfs.write("f", b"v1").unwrap();
+        let a = tfs.read("f").unwrap();
+        let (v1, b) = tfs.read_versioned("f").unwrap();
+        let many = tfs.read_versioned_many(&["f".to_string(), "nope".to_string()]);
+        assert!(Arc::ptr_eq(&a, &b), "a read must not copy the image");
+        assert!(matches!(&many[0], Ok((v, c)) if *v == v1 && Arc::ptr_eq(&a, c)));
+        assert_eq!(many[1], Err(TfsError::NotFound("nope".into())));
+        // A reader keeps the bytes it was handed across a rewrite.
+        tfs.kill_node(0);
+        tfs.write("f", b"v2").unwrap();
+        assert_eq!(*a, b"v1");
+        let v2 = tfs.version_of("f").unwrap();
+        assert!(v2 > v1);
+        // Only the stale replica left alive: the stat reports what a read
+        // would now return.
+        tfs.revive_node(0);
+        tfs.kill_node(1);
+        assert_eq!(tfs.version_of("f"), Ok(v1));
+        tfs.kill_node(0);
+        assert!(!tfs.exists("f"));
     }
 
     #[test]
@@ -574,7 +623,7 @@ mod tests {
         ));
         let (ver, _) = tfs.read_versioned("t").unwrap();
         tfs.write_if_version("t", b"c", ver).unwrap();
-        assert_eq!(tfs.read("t").unwrap(), b"c");
+        assert_eq!(*tfs.read("t").unwrap(), b"c");
     }
 
     #[test]
