@@ -36,7 +36,6 @@ pub mod hub;
 pub mod incremental;
 pub mod minitx;
 pub mod online;
-pub mod online_async;
 pub mod prefetch;
 pub mod recovery;
 pub mod residency;
@@ -53,9 +52,7 @@ pub use incremental::{
     GatherCtx, GatherMode, GatherProgram, InContribution, IncrementalBsp, IncrementalConfig,
     MinLabel, PageRankGather, RefreshReport,
 };
-pub use online::{
-    explore_via, CallHook, ExplorationResult, ExploreOptions, Explorer, ExplorerConfig,
-};
+pub use online::{explore_via, CallHook, ExplorationResult, ExploreOptions, Explorer};
 pub use prefetch::BucketPrefetcher;
 pub use streaming::{
     CommittedBatch, DirtySet, Mutation, MutationBatch, MutationLog, StreamingIngest, Topology,
@@ -95,10 +92,4 @@ pub(crate) mod proto {
     pub const MTX_COMMIT: ProtoId = BASE + 13;
     /// Mini-transactions: abort (release locks).
     pub const MTX_ABORT: ProtoId = BASE + 14;
-    /// Asynchronous exploration: a frontier batch.
-    pub const EXPLORE_ASYNC: ProtoId = BASE + 15;
-    /// Asynchronous exploration: progress report to the coordinator.
-    pub const EXPLORE_REPORT: ProtoId = BASE + 16;
-    /// Asynchronous exploration: collect per-machine results.
-    pub const EXPLORE_COLLECT: ProtoId = BASE + 17;
 }

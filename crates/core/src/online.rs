@@ -72,6 +72,11 @@ pub struct ExplorationResult {
     pub deadline_exceeded: bool,
     /// The query was cancelled mid-flight; results are partial.
     pub cancelled: bool,
+    /// Fan-out batches lost to anything but the deadline: the owner was
+    /// unreachable, the call failed, or the reply did not decode. Non-zero
+    /// means `per_hop` and `matches` miss those machines' share of the
+    /// frontier.
+    pub failed_batches: usize,
 }
 
 impl ExplorationResult {
@@ -141,14 +146,6 @@ fn decode_reply(data: &[u8]) -> Option<(Vec<CellId>, Vec<CellId>)> {
     Some((matches, neighbors))
 }
 
-/// Expansion pool tuning for the slave-side EXPAND handler.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExplorerConfig {
-    /// Worker threads per machine for frontier expansion. `0` means
-    /// trunk-aligned, like [`crate::BspConfig::compute_threads`].
-    pub compute_threads: usize,
-}
-
 /// Frontiers below this size expand serially: spawning a pool costs more
 /// than scanning a few hundred ids.
 const PARALLEL_FRONTIER: usize = 256;
@@ -169,13 +166,10 @@ impl std::fmt::Debug for Explorer {
 }
 
 impl Explorer {
-    /// Install the exploration protocol on every slave of the cloud.
+    /// Install the exploration protocol on every slave of the cloud. Each
+    /// slave's expansion pool is trunk-aligned: one worker per hosted
+    /// trunk, capped by the host's parallelism.
     pub fn install(cloud: Arc<MemoryCloud>) -> Arc<Self> {
-        Self::install_with(cloud, ExplorerConfig::default())
-    }
-
-    /// [`Explorer::install`] with explicit expansion-pool tuning.
-    pub fn install_with(cloud: Arc<MemoryCloud>, cfg: ExplorerConfig) -> Arc<Self> {
         let handles: Vec<GraphHandle> = (0..cloud.machines())
             .map(|m| GraphHandle::new(Arc::clone(cloud.node(m))))
             .collect();
@@ -188,7 +182,7 @@ impl Explorer {
                 .table()
                 .trunks_of(MachineId(m as u16))
                 .len();
-            let workers = crate::bsp::resolve_compute_threads(cfg.compute_threads, trunks);
+            let workers = crate::bsp::resolve_compute_threads(0, trunks);
             explorer
                 .cloud
                 .node(m)
@@ -299,58 +293,74 @@ pub fn explore_via(
         for &id in &frontier {
             by_machine[table.machine_of(id).0 as usize].push(id);
         }
-        // One batched request per machine, issued in parallel. Each
-        // worker re-installs the query trace and deadline: guards are
-        // thread-local and these are fresh scoped threads.
-        let replies: Vec<Option<trinity_net::Result<FrameBuf>>> = std::thread::scope(|scope| {
-            let joins: Vec<_> = by_machine
-                .iter()
-                .enumerate()
-                .map(|(m, batch)| {
-                    let coordinator = Arc::clone(coordinator);
-                    let hook = opts.call.clone();
-                    scope.spawn(move || {
-                        if batch.is_empty() {
-                            return None;
-                        }
-                        let _tg = TraceGuard::enter(trace);
-                        let _dg = DeadlineGuard::enter(effective_deadline);
-                        let payload = encode_ids(pattern, batch);
-                        let dst = MachineId(m as u16);
-                        Some(match hook {
-                            Some(call) => call(dst, proto::EXPAND, &payload),
-                            None => coordinator.call(dst, proto::EXPAND, &payload),
+        // One batched request per machine owning part of the frontier.
+        let batches: Vec<(MachineId, &[CellId])> = by_machine
+            .iter()
+            .enumerate()
+            .filter(|(_, batch)| !batch.is_empty())
+            .map(|(m, batch)| (MachineId(m as u16), batch.as_slice()))
+            .collect();
+        let issue = |dst: MachineId, batch: &[CellId]| {
+            let payload = encode_ids(pattern, batch);
+            match &opts.call {
+                Some(call) => call(dst, proto::EXPAND, &payload),
+                None => coordinator.call(dst, proto::EXPAND, &payload),
+            }
+        };
+        let replies: Vec<trinity_net::Result<FrameBuf>> = match batches.as_slice() {
+            // A lone batch (hop 0 always is one) goes out on the calling
+            // thread, which already carries the query's trace and deadline.
+            &[(dst, batch)] => vec![issue(dst, batch)],
+            // Several are issued in parallel. Each worker re-installs the
+            // trace and deadline: guards are thread-local and these are
+            // fresh scoped threads.
+            many => std::thread::scope(|scope| {
+                let joins: Vec<_> = many
+                    .iter()
+                    .map(|&(dst, batch)| {
+                        let issue = &issue;
+                        scope.spawn(move || {
+                            let _tg = TraceGuard::enter(trace);
+                            let _dg = DeadlineGuard::enter(effective_deadline);
+                            issue(dst, batch)
                         })
                     })
-                })
-                .collect();
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("expand worker panicked"))
-                .collect()
-        });
-        let hop_batches = by_machine.iter().filter(|b| !b.is_empty()).count();
+                    .collect();
+                joins
+                    .into_iter()
+                    .map(|j| j.join().expect("expand worker panicked"))
+                    .collect()
+            }),
+        };
+        let hop_batches = batches.len();
         result.batches += hop_batches;
         batches_sent.add(hop_batches as u64);
         let mut reply_bytes = 0u64;
         let mut next = Vec::new();
-        for reply in replies.into_iter().flatten() {
-            let reply = match reply {
-                Ok(r) => r,
+        for reply in replies {
+            let decoded = match reply {
+                Ok(reply) => {
+                    reply_bytes += reply.len() as u64;
+                    decode_reply(&reply)
+                }
                 Err(NetError::DeadlineExceeded(_, _)) => {
                     result.deadline_exceeded = true;
                     continue;
                 }
-                Err(_) => continue,
+                Err(_) => None,
             };
-            reply_bytes += reply.len() as u64;
-            if let Some((matches, neighbors)) = decode_reply(&reply) {
-                result.matches.extend(matches);
-                if hop < hops {
-                    for n in neighbors {
-                        if visited.insert(n) {
-                            next.push(n);
-                        }
+            // A batch lost to a dead owner or a damaged reply leaves a hole
+            // in the frontier: say so instead of looking complete.
+            let Some((matches, neighbors)) = decoded else {
+                result.failed_batches += 1;
+                obs.counter("explore.failed_batches").inc();
+                continue;
+            };
+            result.matches.extend(matches);
+            if hop < hops {
+                for n in neighbors {
+                    if visited.insert(n) {
+                        next.push(n);
                     }
                 }
             }
@@ -513,7 +523,7 @@ mod tests {
     fn explores_exactly_k_hops_on_a_path() {
         let (cloud, ex) = cloud_with(&path_graph(20), 3, None);
         // From node 10, k hops reach 2k new nodes on a path (both sides).
-        for hops in 0..4 {
+        for hops in 0..5 {
             let r = ex.explore(0, 10, hops, b"");
             assert_eq!(r.visited(), 1 + 2 * hops, "hops={hops}");
             assert_eq!(r.per_hop.len(), hops + 1);

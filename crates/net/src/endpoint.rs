@@ -13,8 +13,8 @@
 //! can never be starved by busy handlers), while request and one-way
 //! frames are queued to a pool of *worker* threads that run the registered
 //! protocol handlers. Handlers are allowed to issue further `call`s and
-//! `send`s — the recursive asynchronous fan-out of the paper's online
-//! traversal queries (§5.1) runs exactly this way.
+//! `send`s — a slave expanding a traversal frontier (§5.1) fetches
+//! straggler cells from their owners exactly this way.
 //!
 //! # The one-copy contract
 //!
@@ -626,7 +626,7 @@ impl Endpoint {
     /// A *request* whose deadline has already passed is refused without
     /// running the handler — the caller has given up, so the answer would
     /// be wasted CPU. *One-way* frames always dispatch: asynchronous
-    /// protocols (BSP fences, exploration ack-trees) rely on every message
+    /// protocols (BSP fences, Safra tokens) rely on every message
     /// being counted, and their handlers check the deadline themselves.
     pub(crate) fn dispatch(&self, src: MachineId, trace: u64, deadline: u64, frame: Frame) {
         if self.router.is_dead(self.machine) {

@@ -43,6 +43,10 @@ fn small_pack_fabric() -> Arc<Fabric> {
     // Shrink the packing threshold so multi-envelope flushes happen at
     // test-sized payloads instead of 64 KiB.
     cfg.pack_threshold_bytes = 512;
+    // One worker: handlers then run in arrival order, which is what the
+    // FIFO assertions and the echo-call fence below rely on. A pool of
+    // several may finish a later envelope's frames first.
+    cfg.workers_per_machine = 1;
     Fabric::new(cfg)
 }
 

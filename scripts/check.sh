@@ -22,8 +22,10 @@ echo "==> cargo test"
 cargo test --workspace -q "${HERMETIC[@]}" "$@"
 
 echo "==> benchmark/ still builds against crates/ and its oracles pass (its own workspace, so the steps above never compile it)"
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
-cargo test --offline --manifest-path benchmark/Cargo.toml
+# --locked: a crates/ manifest change that would rewrite
+# benchmark/Cargo.lock fails here instead of dirtying a file PRs may not touch.
+cargo run --release "${HERMETIC[@]}" --manifest-path benchmark/Cargo.toml -- --smoke
+cargo test "${HERMETIC[@]}" --manifest-path benchmark/Cargo.toml
 
 echo "==> serve_load --smoke (serving-path gate: admission + deadlines + shedding)"
 cargo run --release -p trinity-bench --bin serve_load "${HERMETIC[@]}" "$@" -- --smoke

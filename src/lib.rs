@@ -51,5 +51,4 @@ pub use trinity_memstore as memstore;
 pub use trinity_net as net;
 pub use trinity_serve as serve;
 pub use trinity_tfs as tfs;
-pub use trinity_tql as tql;
 pub use trinity_tsl as tsl;

@@ -233,5 +233,36 @@ fn queries_continue_during_and_after_unrelated_machine_failure() {
         before.per_hop, after.per_hop,
         "exploration results changed across recovery"
     );
+    assert_eq!(after.failed_batches, 0, "recovered cluster lost a batch");
+    cloud.shutdown();
+}
+
+#[test]
+fn exploration_with_a_dead_owner_reports_failed_batches() {
+    use trinity::core::Explorer;
+    let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(4)));
+    let csr = trinity::graphgen::social(400, 10, 3);
+    load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap();
+    let explorer = Explorer::install(Arc::clone(&cloud));
+    let whole = explorer.explore(0, 5, 2, b"");
+    assert_eq!(whole.failed_batches, 0);
+    // Machine 3 dies and nobody recovers it: its share of every frontier
+    // is unreachable, and the result must say so rather than pass for a
+    // smaller but complete neighbourhood.
+    cloud.kill_machine(3);
+    let partial = explorer.explore(0, 5, 2, b"");
+    assert!(
+        partial.failed_batches > 0,
+        "lost batches went unreported: {partial:?}"
+    );
+    assert!(partial.visited() < whole.visited());
+    assert!(!partial.deadline_exceeded && !partial.cancelled);
+    let failed = cloud
+        .node(0)
+        .endpoint()
+        .obs()
+        .counter("explore.failed_batches")
+        .get();
+    assert_eq!(failed, partial.failed_batches as u64);
     cloud.shutdown();
 }
