@@ -39,7 +39,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -345,15 +345,12 @@ impl FlatOutbox {
     }
 }
 
-fn decode_data_frame(data: &[u8]) -> Option<(u32, CellId, &[u8])> {
-    if data.len() < 12 {
-        return None;
-    }
-    Some((
-        u32::from_le_bytes(data[..4].try_into().unwrap()),
-        u64::from_le_bytes(data[4..12].try_into().unwrap()),
-        &data[12..],
-    ))
+/// Decode a data frame into its target id (destination vertex, or the
+/// broadcasting hub) and message; the superstep stamp is not checked —
+/// the fence keeps supersteps apart.
+fn decode_data_frame<P: VertexProgram>(data: &[u8]) -> Option<(CellId, P::Msg)> {
+    let id = u64::from_le_bytes(data.get(4..12)?.try_into().unwrap());
+    Some((id, P::decode_msg(&data[12..])?))
 }
 
 // ---------------------------------------------------------------------
@@ -413,6 +410,10 @@ impl BspMetrics {
 /// One worker's inbox: flattened `(dst, msg)` pairs under a single lock.
 type ShardInbox<M> = Mutex<Vec<(CellId, M)>>;
 
+/// Hub id → per-shard lists of the local vertices subscribed to it,
+/// pre-split so fan-out stages straight into the owning shard.
+type HubSubs = HashMap<CellId, Vec<Vec<CellId>>>;
+
 struct MachineRt<P: VertexProgram> {
     endpoint: Arc<Endpoint>,
     machines: usize,
@@ -429,10 +430,14 @@ struct MachineRt<P: VertexProgram> {
     local_deliveries: AtomicU64,
     fence: Mutex<FenceState>,
     fence_cv: Condvar,
-    /// Hub subscriber index: remote hub id → per-shard lists of local
-    /// vertices that list it as an (in-)neighbor, pre-split so fan-out
-    /// locks each shard inbox once.
-    subs: Mutex<HashMap<CellId, Vec<Vec<CellId>>>>,
+    /// Hub subscriber index under construction: `BSP_HUB_SETUP` handlers
+    /// insert here until the setup barrier.
+    subs_setup: Mutex<HubSubs>,
+    /// The index as hub fan-out reads it — remote hub id → per-shard
+    /// lists of local vertices that list it as an (in-)neighbor. Frozen
+    /// from `subs_setup` by the first hub run to arrive, which a peer can
+    /// only send after the setup barrier, so fan-out takes no lock on it.
+    subs: OnceLock<HubSubs>,
     metrics: BspMetrics,
 }
 
@@ -441,16 +446,23 @@ impl<P: VertexProgram> MachineRt<P> {
         (self.table.trunk_of(id) as usize) % self.shard_workers
     }
 
-    fn deliver(&self, dst: CellId, msg: P::Msg) {
-        let trunk = self.table.trunk_of(dst);
-        self.endpoint.obs().load().record_msgs(trunk, 1);
-        self.inboxes[(trunk as usize) % self.shard_workers]
-            .lock()
-            .push((dst, msg));
+    /// One empty staging buffer per shard, for [`Self::deliver_sharded`].
+    fn stage(&self) -> Vec<Vec<(CellId, P::Msg)>> {
+        (0..self.shard_workers).map(|_| Vec::new()).collect()
     }
 
-    /// Append a worker's buffered machine-local deliveries for one shard
-    /// under a single lock acquisition.
+    /// Hand deliveries staged by owning shard to the shard inboxes: each
+    /// inbox lock is taken once per call.
+    fn deliver_sharded(&self, staged: &mut [Vec<(CellId, P::Msg)>]) {
+        for (shard, buf) in staged.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                self.deliver_batch(shard, buf);
+            }
+        }
+    }
+
+    /// Append buffered deliveries for one shard under a single lock
+    /// acquisition.
     fn deliver_batch(&self, shard: usize, buf: &mut Vec<(CellId, P::Msg)>) {
         // Attribute each delivery to its destination trunk, batched so the
         // shared LoadMap sees one update per distinct trunk in the run.
@@ -465,9 +477,10 @@ impl<P: VertexProgram> MachineRt<P> {
         self.inboxes[shard].lock().append(buf);
     }
 
-    fn count_frame(&self, src: MachineId) {
+    /// Credit `n` received data frames from `src` to the fence.
+    fn count_frames(&self, src: MachineId, n: usize) {
         let mut f = self.fence.lock();
-        f.got[src.0 as usize] += 1;
+        f.got[src.0 as usize] += n as u64;
         self.fence_cv.notify_all();
     }
 
@@ -577,66 +590,57 @@ impl<P: VertexProgram> BspRunner<P> {
                         got: vec![0; machines],
                     }),
                     fence_cv: Condvar::new(),
-                    subs: Mutex::new(HashMap::new()),
+                    subs_setup: Mutex::new(HashMap::new()),
+                    subs: OnceLock::new(),
                 })
             })
             .collect();
         // Register message handlers.
         for (m, rt) in rts.iter().enumerate() {
             let endpoint = Arc::clone(&rt.endpoint);
-            // Vertex data messages.
+            // Vertex data messages: decode the run, then one lock per
+            // shard inbox and one fence update for all of it.
             {
                 let rt = Arc::clone(rt);
-                endpoint.register(proto::BSP_MSG, move |src, data| {
-                    if let Some((_s, dst, bytes)) = decode_data_frame(data) {
-                        if let Some(msg) = P::decode_msg(bytes) {
-                            rt.deliver(dst, msg);
+                endpoint.register_batch(proto::BSP_MSG, move |src, frames| {
+                    let mut staged = rt.stage();
+                    for frame in frames {
+                        if let Some((dst, msg)) = decode_data_frame::<P>(&frame.payload) {
+                            staged[rt.shard_of(dst)].push((dst, msg));
                         }
                     }
-                    rt.count_frame(src);
-                    None
+                    rt.deliver_sharded(&mut staged);
+                    rt.count_frames(src, frames.len());
                 });
             }
             // Hub broadcasts: fan out through the subscriber index.
             {
                 let rt = Arc::clone(rt);
-                endpoint.register(proto::BSP_HUB, move |src, data| {
+                endpoint.register_batch(proto::BSP_HUB, move |src, frames| {
                     // On a lapsed deadline the fan-out is skipped but the
-                    // frame is still counted: fences must balance or the
+                    // frames are still counted: fences must balance or the
                     // superstep would hang instead of finishing early.
-                    if deadline_expired() {
-                        rt.count_frame(src);
-                        return None;
-                    }
-                    if let Some((_s, hub, bytes)) = decode_data_frame(data) {
-                        if let Some(msg) = P::decode_msg(bytes) {
-                            let subs = rt.subs.lock();
-                            if let Some(shards) = subs.get(&hub) {
-                                let mut fanned = 0u64;
-                                let mut by_trunk: std::collections::BTreeMap<u64, u64> =
-                                    std::collections::BTreeMap::new();
-                                for (w, targets) in shards.iter().enumerate() {
-                                    if targets.is_empty() {
-                                        continue;
-                                    }
-                                    let mut inbox = rt.inboxes[w].lock();
-                                    for &t in targets {
-                                        inbox.push((t, msg.clone()));
-                                        *by_trunk.entry(rt.table.trunk_of(t)).or_insert(0) += 1;
-                                    }
-                                    fanned += targets.len() as u64;
-                                }
-                                rt.local_deliveries.fetch_add(fanned, Ordering::Relaxed);
-                                rt.metrics.hub_fanout.add(fanned);
-                                let load = rt.endpoint.obs().load();
-                                for (trunk, n) in by_trunk {
-                                    load.record_msgs(trunk, n);
-                                }
+                    if !deadline_expired() {
+                        let subs = rt
+                            .subs
+                            .get_or_init(|| std::mem::take(&mut *rt.subs_setup.lock()));
+                        let mut staged = rt.stage();
+                        for frame in frames {
+                            let Some((hub, msg)) = decode_data_frame::<P>(&frame.payload) else {
+                                continue;
+                            };
+                            for (buf, targets) in
+                                staged.iter_mut().zip(subs.get(&hub).into_iter().flatten())
+                            {
+                                buf.extend(targets.iter().map(|&t| (t, msg.clone())));
                             }
                         }
+                        let fanned: u64 = staged.iter().map(|b| b.len() as u64).sum();
+                        rt.local_deliveries.fetch_add(fanned, Ordering::Relaxed);
+                        rt.metrics.hub_fanout.add(fanned);
+                        rt.deliver_sharded(&mut staged);
                     }
-                    rt.count_frame(src);
-                    None
+                    rt.count_frames(src, frames.len());
                 });
             }
             // Fences.
@@ -665,7 +669,7 @@ impl<P: VertexProgram> BspRunner<P> {
                         .collect();
                     // Targets are pre-split by owning shard so hub fan-out
                     // locks each worker inbox once per broadcast.
-                    let mut found: HashMap<CellId, Vec<Vec<CellId>>> = HashMap::new();
+                    let mut found: HubSubs = HashMap::new();
                     let workers = rt.shard_workers;
                     handle.for_each_local_node(|id, view| {
                         // In-neighbors when stored; otherwise the graph is
@@ -692,7 +696,7 @@ impl<P: VertexProgram> BspRunner<P> {
                         }
                     });
                     let mut reply = Vec::with_capacity(found.len() * 8);
-                    let mut subs = rt.subs.lock();
+                    let mut subs = rt.subs_setup.lock();
                     for (hub, targets) in found {
                         reply.extend_from_slice(&hub.to_le_bytes());
                         subs.insert(hub, targets);
@@ -1324,11 +1328,7 @@ fn compute_phase<P: VertexProgram>(
             ob.clear();
         }
     }
-    for shard in 0..ws.local_buf.len() {
-        if !ws.local_buf[shard].is_empty() {
-            ctx.rt.deliver_batch(shard, &mut ws.local_buf[shard]);
-        }
-    }
+    ctx.rt.deliver_sharded(&mut ws.local_buf);
     ctx.rt
         .local_deliveries
         .fetch_add(local_delivered, Ordering::Relaxed);

@@ -16,6 +16,14 @@
 //! `send`s — a slave expanding a traversal frontier (§5.1) fetches
 //! straggler cells from their owners exactly this way.
 //!
+//! The unit of one-way delivery is the *run*: the consecutive one-way
+//! frames of one envelope reach the pool as one work item, so what was
+//! packed per destination is also handled in bulk. A protocol registered
+//! with [`Endpoint::register_batch`] sees a run's frames as one slice;
+//! per-frame handlers ([`Endpoint::register`]) are looped over it, with
+//! the run cut into one chunk per worker so handlers that block still
+//! occupy the whole pool. See DESIGN.md §14 for the ordering contract.
+//!
 //! # The one-copy contract
 //!
 //! Every payload byte an endpoint ships is copied exactly once: into the
@@ -52,10 +60,24 @@ use crate::{proto, MachineId, ProtoId, Result};
 /// between the wire and the handler.
 pub type Handler = Arc<dyn Fn(MachineId, &[u8]) -> Option<Vec<u8>> + Send + Sync>;
 
+/// A batch handler for a one-way protocol: receives the source machine
+/// and a run of the protocol's frames — consecutive in one envelope, in
+/// envelope order — as one slice.
+pub type BatchHandler = Arc<dyn Fn(MachineId, &[Frame]) + Send + Sync>;
+
+#[derive(Clone)]
+pub(crate) enum Registered {
+    Frame(Handler),
+    Batch(BatchHandler),
+}
+
 pub(crate) enum Work {
     /// Source machine, trace id and deadline carried by the envelope,
-    /// frame.
+    /// request frame.
     Frame(MachineId, u64, u64, Frame),
+    /// Source machine, trace id, deadline, a run of one-way frames of one
+    /// protocol, and that protocol's handler.
+    Run(MachineId, u64, u64, Vec<Frame>, Registered),
     Stop,
 }
 
@@ -106,7 +128,7 @@ struct NetMetrics {
     /// machine's outbound transfers.
     modeled_tx_us: Arc<Counter>,
     /// Payload bytes memcpy'd on this machine's send paths — a *true* copy
-    /// count: every path (`call`, `send`, `send_batch`, `send_slices`)
+    /// count: every path (`call`, `send`, `send_slices`)
     /// records its arena copy here and nothing else counts. Dividing by
     /// [`Self::frame_payload_bytes`] gives copies-per-payload-byte, which
     /// the zero-copy wire path holds at ≤ 1.0.
@@ -121,7 +143,8 @@ struct NetMetrics {
     env_frames: Arc<Histogram>,
     /// Synchronous call round-trip latency, microseconds.
     call_us: Arc<Histogram>,
-    /// Handler execution time, microseconds.
+    /// Handler execution time, microseconds: one sample per request and
+    /// per same-protocol stretch of a one-way run.
     handler_us: Arc<Histogram>,
 }
 
@@ -154,13 +177,15 @@ impl NetMetrics {
 pub struct Endpoint {
     machine: MachineId,
     router: Arc<Router>,
-    handlers: RwLock<HashMap<ProtoId, Handler>>,
+    handlers: RwLock<HashMap<ProtoId, Registered>>,
     pending: Mutex<HashMap<u64, Sender<Result<FrameBuf>>>>,
     corr: AtomicU64,
     pack_bufs: Vec<Mutex<PackBuf>>,
     pack_threshold: usize,
     call_timeout: Duration,
     pub(crate) work_tx: Sender<Work>,
+    /// Size of the worker pool behind `work_tx`.
+    workers: usize,
     stats: NetStats,
     cost: CostModel,
     obs: MachineScope,
@@ -188,6 +213,7 @@ impl Endpoint {
         pack_threshold: usize,
         call_timeout: Duration,
         work_tx: Sender<Work>,
+        workers: usize,
         cost: CostModel,
         obs: MachineScope,
         chaos: Option<Arc<ChaosState>>,
@@ -205,6 +231,7 @@ impl Endpoint {
             pack_threshold,
             call_timeout,
             work_tx,
+            workers,
             stats: NetStats::default(),
             cost,
             obs,
@@ -235,7 +262,24 @@ impl Endpoint {
     where
         F: Fn(MachineId, &[u8]) -> Option<Vec<u8>> + Send + Sync + 'static,
     {
-        self.handlers.write().insert(proto, Arc::new(handler));
+        self.handlers
+            .write()
+            .insert(proto, Registered::Frame(Arc::new(handler)));
+    }
+
+    /// Register (or replace) a batch handler for a one-way protocol: it
+    /// is called once per run with every frame of the run, in envelope
+    /// order, instead of once per frame. For protocols whose per-message
+    /// work is small next to a lock or a wake-up (BSP vertex messages). A
+    /// batch handler never blocks the run's other frames from spreading,
+    /// so it must not block; requests to the protocol get `NoHandler`.
+    pub fn register_batch<F>(&self, proto: ProtoId, handler: F)
+    where
+        F: Fn(MachineId, &[Frame]) + Send + Sync + 'static,
+    {
+        self.handlers
+            .write()
+            .insert(proto, Registered::Batch(Arc::new(handler)));
     }
 
     /// Copy `payload` once into a pooled buffer and wrap it as a frame
@@ -359,30 +403,6 @@ impl Endpoint {
         }
         let mut buf = self.pack_bufs[dst.0 as usize].lock();
         self.buffer_frame(&mut buf, dst, proto, payload, trace, deadline);
-    }
-
-    /// Batched one-way messages: append `payloads` (drained) to `dst`'s
-    /// pack buffer under a single lock acquisition, shipping full
-    /// envelopes at the packing threshold along the way. Semantically
-    /// identical to calling [`Endpoint::send`] once per payload, but a
-    /// concurrent sender (a BSP compute worker flushing its outbox)
-    /// contends on the per-destination lock once per batch instead of
-    /// once per message, and per-destination FIFO order within the batch
-    /// is preserved because threshold flushes happen while the lock is
-    /// held.
-    pub fn send_batch(&self, dst: MachineId, proto: ProtoId, payloads: &mut Vec<Vec<u8>>) {
-        if dst == self.machine {
-            for payload in payloads.drain(..) {
-                self.send(dst, proto, &payload);
-            }
-            return;
-        }
-        let trace = current_trace();
-        let deadline = current_deadline();
-        let mut buf = self.pack_bufs[dst.0 as usize].lock();
-        for payload in payloads.drain(..) {
-            self.buffer_frame(&mut buf, dst, proto, &payload, trace, deadline);
-        }
     }
 
     /// Batched one-way messages from one flat buffer: `bounds[i-1]..bounds[i]`
@@ -577,136 +597,192 @@ impl Endpoint {
                 self.obs.now_us(),
             );
         }
+        // The common packed envelope is all one-way: its frame vector
+        // goes to the pool as it is.
+        if env.frames.iter().all(|f| f.kind == FrameKind::OneWay) {
+            self.queue_run(env.src, env.trace, env.deadline, env.frames);
+            return;
+        }
+        let mut run = Vec::new();
         for frame in env.frames {
-            match frame.kind {
-                FrameKind::Response(corr) => {
-                    match self.pending.lock().remove(&corr) {
-                        Some(tx) => {
-                            self.count_delivered(1);
-                            // The payload moves into the caller's hands as
-                            // the same shared slice that crossed the wire.
-                            let _ = tx.send(Ok(frame.payload));
-                        }
-                        // An orphan response: its call already completed
-                        // (timed out, or this is a duplicate delivery).
-                        None => self.count_dropped(1),
-                    }
+            let corr = match frame.kind {
+                FrameKind::OneWay => {
+                    run.push(frame);
+                    continue;
                 }
-                FrameKind::NoHandler(corr) => match self.pending.lock().remove(&corr) {
-                    Some(tx) => {
-                        self.count_delivered(1);
-                        let _ = tx.send(Err(NetError::NoHandler(frame.proto)));
-                    }
-                    None => self.count_dropped(1),
-                },
-                FrameKind::Expired(corr) => match self.pending.lock().remove(&corr) {
-                    Some(tx) => {
-                        self.count_delivered(1);
-                        let _ = tx.send(Err(NetError::DeadlineExceeded(env.src, frame.proto)));
-                    }
-                    None => self.count_dropped(1),
-                },
-                FrameKind::Request(_) | FrameKind::OneWay => {
+                FrameKind::Request(_) => {
+                    self.queue_run(env.src, env.trace, env.deadline, std::mem::take(&mut run));
                     let _ = self
                         .work_tx
                         .send(Work::Frame(env.src, env.trace, env.deadline, frame));
+                    continue;
                 }
+                FrameKind::Response(corr)
+                | FrameKind::NoHandler(corr)
+                | FrameKind::Expired(corr) => corr,
+            };
+            match self.pending.lock().remove(&corr) {
+                Some(tx) => {
+                    self.count_delivered(1);
+                    let _ = tx.send(match frame.kind {
+                        // The payload moves into the caller's hands as
+                        // the same shared slice that crossed the wire.
+                        FrameKind::Response(_) => Ok(frame.payload),
+                        FrameKind::NoHandler(_) => Err(NetError::NoHandler(frame.proto)),
+                        _ => Err(NetError::DeadlineExceeded(env.src, frame.proto)),
+                    });
+                }
+                // An orphan response: its call already completed (timed
+                // out, or this is a duplicate delivery).
+                None => self.count_dropped(1),
+            }
+        }
+        self.queue_run(env.src, env.trace, env.deadline, run);
+    }
+
+    /// Queue a run of one-way frames for the worker pool, one work item
+    /// per same-protocol stretch with its handler resolved here. A batch
+    /// handler takes its stretch whole — the common one-protocol envelope
+    /// forwards its frame vector as it is. Per-frame handlers may block
+    /// (nested calls), so their stretch is cut into one chunk per worker,
+    /// queued in envelope order ahead of whatever arrives next: a run of
+    /// blocking frames occupies the pool the way single frames did, and
+    /// with one worker nothing is cut and handler order stays FIFO.
+    fn queue_run(&self, src: MachineId, trace: u64, deadline: u64, mut frames: Vec<Frame>) {
+        while !frames.is_empty() {
+            let proto = frames[0].proto;
+            let n = frames.iter().take_while(|f| f.proto == proto).count();
+            let Some(handler) = self.handlers.read().get(&proto).cloned() else {
+                self.count_dropped(n as u64);
+                frames.drain(..n);
+                continue;
+            };
+            let chunk = match handler {
+                Registered::Batch(_) => n,
+                Registered::Frame(_) => n.div_ceil(self.workers),
+            };
+            let mut left = n;
+            while left > 0 {
+                let rest = frames.split_off(chunk.min(left));
+                left -= frames.len();
+                let run = std::mem::replace(&mut frames, rest);
+                let _ = self
+                    .work_tx
+                    .send(Work::Run(src, trace, deadline, run, handler.clone()));
             }
         }
     }
 
-    /// Worker-thread entry: dispatch one request or one-way frame. The
-    /// envelope's trace id and deadline are installed on the worker thread
-    /// for the duration of the handler, so spans the handler records — and
-    /// any nested `call`/`send` it issues — stay attributed to the
-    /// originating query and bounded by its remaining budget. This is how
-    /// a trace (and a budget) follows the recursive fan-out of the paper's
-    /// traversal queries across machines.
+    /// Worker-thread entry: dispatch a run of one-way frames of one
+    /// protocol. The envelope's trace id and deadline are installed on
+    /// the worker thread for the duration of the handler, so spans it
+    /// records — and any nested `call`/`send` it issues — stay attributed
+    /// to the originating query and bounded by its remaining budget. This
+    /// is how a trace (and a budget) follows the recursive fan-out of the
+    /// paper's traversal queries across machines.
     ///
-    /// A *request* whose deadline has already passed is refused without
+    /// The guards, the clock, `net.handler.us` and the `net.dispatch`
+    /// span are paid once per run, not per frame; the ledger still counts
+    /// every frame, and a machine killed mid-run handles no further frame
+    /// of it. One-way frames dispatch even past
+    /// their deadline: asynchronous protocols (BSP fences, Safra tokens)
+    /// rely on every message being counted, and their handlers check the
+    /// deadline themselves.
+    pub(crate) fn dispatch_run(
+        &self,
+        src: MachineId,
+        trace: u64,
+        deadline: u64,
+        frames: Vec<Frame>,
+        handler: Registered,
+    ) {
+        let _guard = TraceGuard::enter(trace);
+        let _deadline_guard = DeadlineGuard::enter(deadline);
+        let start_us = self.obs.now_us();
+        let handled = match handler {
+            Registered::Batch(_) if self.router.is_dead(self.machine) => 0,
+            Registered::Batch(h) => {
+                h(src, &frames);
+                frames.len()
+            }
+            // A machine killed mid-run stops at the next frame.
+            Registered::Frame(h) => frames
+                .iter()
+                .take_while(|f| {
+                    let alive = !self.router.is_dead(self.machine);
+                    if alive {
+                        h(src, &f.payload);
+                    }
+                    alive
+                })
+                .count(),
+        };
+        self.count_dropped((frames.len() - handled) as u64);
+        if handled > 0 {
+            self.count_delivered(handled as u64);
+            self.metrics
+                .handler_us
+                .record(self.obs.now_us().saturating_sub(start_us));
+            if trace != NO_TRACE {
+                let bytes = frames[..handled].iter().map(|f| f.payload.len() as u64);
+                self.obs.span_for(
+                    trace,
+                    "net.dispatch",
+                    frames[0].proto,
+                    bytes.sum(),
+                    handled as u32,
+                    start_us,
+                );
+            }
+        }
+    }
+
+    /// Worker-thread entry: dispatch one request frame, under the
+    /// envelope's trace id and deadline like [`Self::dispatch_run`]. A
+    /// request whose deadline has already passed is refused without
     /// running the handler — the caller has given up, so the answer would
-    /// be wasted CPU. *One-way* frames always dispatch: asynchronous
-    /// protocols (BSP fences, Safra tokens) rely on every message
-    /// being counted, and their handlers check the deadline themselves.
-    pub(crate) fn dispatch(&self, src: MachineId, trace: u64, deadline: u64, frame: Frame) {
+    /// be wasted CPU.
+    pub(crate) fn dispatch_request(&self, src: MachineId, trace: u64, deadline: u64, frame: Frame) {
+        let FrameKind::Request(corr) = frame.kind else {
+            unreachable!("only requests are queued frame by frame")
+        };
         if self.router.is_dead(self.machine) {
             self.count_dropped(1);
             return;
         }
         let _guard = TraceGuard::enter(trace);
         let _deadline_guard = DeadlineGuard::enter(deadline);
-        if deadline != NO_DEADLINE && deadline_now_us() >= deadline {
-            if let FrameKind::Request(corr) = frame.kind {
-                self.count_delivered(1);
-                self.metrics.deadline_expired.inc();
-                let _ = self.transmit(Envelope {
-                    src: self.machine,
-                    dst: src,
-                    trace,
-                    deadline,
-                    frames: vec![Frame {
-                        proto: frame.proto,
-                        kind: FrameKind::Expired(corr),
-                        payload: FrameBuf::new(),
-                    }],
-                });
-                return;
-            }
-        }
+        self.count_delivered(1);
         let start_us = self.obs.now_us();
-        let proto = frame.proto;
-        let payload_len = frame.payload.len() as u64;
         let handler = self.handlers.read().get(&frame.proto).cloned();
-        match frame.kind {
-            FrameKind::OneWay => {
-                if let Some(h) = handler {
-                    h(src, &frame.payload);
-                    self.count_delivered(1);
-                    self.metrics
-                        .handler_us
-                        .record(self.obs.now_us().saturating_sub(start_us));
-                    self.obs
-                        .span("net.dispatch", proto, payload_len, 1, start_us);
-                } else {
-                    self.count_dropped(1);
-                }
-            }
-            FrameKind::Request(corr) => {
-                self.count_delivered(1);
-                let reply = match handler {
-                    Some(h) => {
-                        let payload = h(src, &frame.payload).unwrap_or_default();
-                        self.metrics
-                            .handler_us
-                            .record(self.obs.now_us().saturating_sub(start_us));
-                        self.obs
-                            .span("net.dispatch", proto, payload_len, 1, start_us);
-                        Frame {
-                            proto: frame.proto,
-                            kind: FrameKind::Response(corr),
-                            // The handler's buffer *is* the wire payload:
-                            // adopted, never copied.
-                            payload: FrameBuf::from_vec(payload),
-                        }
-                    }
-                    None => Frame {
-                        proto: frame.proto,
-                        kind: FrameKind::NoHandler(corr),
-                        payload: FrameBuf::new(),
-                    },
-                };
-                let _ = self.transmit(Envelope {
-                    src: self.machine,
-                    dst: src,
-                    trace,
-                    deadline,
-                    frames: vec![reply],
-                });
-            }
-            FrameKind::Response(_) | FrameKind::NoHandler(_) | FrameKind::Expired(_) => {
-                unreachable!("responses are routed by the receiver")
-            }
-        }
+        let (kind, payload) = if deadline != NO_DEADLINE && deadline_now_us() >= deadline {
+            self.metrics.deadline_expired.inc();
+            (FrameKind::Expired(corr), FrameBuf::new())
+        } else if let Some(Registered::Frame(h)) = handler {
+            let payload = h(src, &frame.payload).unwrap_or_default();
+            self.metrics
+                .handler_us
+                .record(self.obs.now_us().saturating_sub(start_us));
+            let sent = frame.payload.len() as u64;
+            self.obs
+                .span("net.dispatch", frame.proto, sent, 1, start_us);
+            // The handler's buffer *is* the wire payload: adopted, never
+            // copied.
+            (FrameKind::Response(corr), FrameBuf::from_vec(payload))
+        } else {
+            (FrameKind::NoHandler(corr), FrameBuf::new())
+        };
+        let _ = self.transmit(Envelope {
+            src: self.machine,
+            dst: src,
+            trace,
+            deadline,
+            frames: vec![Frame {
+                proto: frame.proto,
+                kind,
+                payload,
+            }],
+        });
     }
 
     fn count_delivered(&self, frames: u64) {
@@ -747,7 +823,12 @@ pub(crate) fn receiver_loop(
 pub(crate) fn worker_loop(ep: Arc<Endpoint>, rx: crossbeam::channel::Receiver<Work>) {
     while let Ok(work) = rx.recv() {
         match work {
-            Work::Frame(src, trace, deadline, frame) => ep.dispatch(src, trace, deadline, frame),
+            Work::Frame(src, trace, deadline, frame) => {
+                ep.dispatch_request(src, trace, deadline, frame)
+            }
+            Work::Run(src, trace, deadline, frames, handler) => {
+                ep.dispatch_run(src, trace, deadline, frames, handler)
+            }
             Work::Stop => break,
         }
     }

@@ -143,6 +143,7 @@ impl Fabric {
         let mut handles = Vec::new();
         for (m, inbox_rx) in inbox_rxs.into_iter().enumerate() {
             let (work_tx, work_rx) = unbounded::<Work>();
+            let workers = cfg.workers_per_machine.max(1);
             let ep = Endpoint::new(
                 MachineId(m as u16),
                 Arc::clone(&router),
@@ -150,11 +151,11 @@ impl Fabric {
                 cfg.pack_threshold_bytes,
                 cfg.call_timeout,
                 work_tx,
+                workers,
                 cfg.cost,
                 obs.scope(m as u16),
                 chaos.clone(),
             );
-            let workers = cfg.workers_per_machine.max(1);
             {
                 let ep = Arc::clone(&ep);
                 handles.push(
@@ -321,6 +322,24 @@ mod tests {
         }
     }
 
+    /// Wait until every frame that entered the fabric has been consumed —
+    /// handled, or counted dropped. Nothing may sit uncounted in channel
+    /// buffers.
+    fn wait_balanced(fabric: &Fabric) -> StatsDelta {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let total = fabric.total_stats();
+            if total.entered_frames() == total.consumed_frames() {
+                return total;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "ledger never balanced: {total:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn echo_call_roundtrip() {
         let fabric = Fabric::new(quick_cfg(3));
@@ -389,10 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_send_batch_delivers_everything_packed() {
+    fn concurrent_send_slices_delivers_everything_packed() {
         // Several sender threads (BSP compute workers flushing private
-        // outboxes) push batches to the same destinations concurrently;
-        // every frame must arrive exactly once and still pack well.
+        // flat outboxes) push batches to the same destinations
+        // concurrently; every frame must arrive exactly once and still
+        // pack well.
         let fabric = Fabric::new(quick_cfg(3));
         let sums: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         let counts: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::new(AtomicUsize::new(0))).collect();
@@ -413,19 +433,22 @@ mod tests {
             for w in 0..workers {
                 let a = Arc::clone(&a);
                 s.spawn(move || {
-                    let mut outbox: Vec<Vec<Vec<u8>>> = vec![Vec::new(); 3];
+                    // Per destination: payloads laid end to end + end offsets.
+                    let mut outbox: Vec<(Vec<u8>, Vec<usize>)> = vec![Default::default(); 3];
                     for i in 0..per_worker {
                         let v = w * per_worker + i;
                         let dst = 1 + (v % 2) as usize;
-                        outbox[dst].push(v.to_le_bytes().to_vec());
-                        if outbox[dst].len() >= 32 {
-                            a.send_batch(MachineId(dst as u16), 10, &mut outbox[dst]);
+                        let (data, ends) = &mut outbox[dst];
+                        data.extend_from_slice(&v.to_le_bytes());
+                        ends.push(data.len());
+                        if ends.len() >= 32 {
+                            a.send_slices(MachineId(dst as u16), 10, data, ends);
+                            data.clear();
+                            ends.clear();
                         }
                     }
-                    for (dst, buf) in outbox.iter_mut().enumerate() {
-                        if !buf.is_empty() {
-                            a.send_batch(MachineId(dst as u16), 10, buf);
-                        }
+                    for (dst, (data, ends)) in outbox.iter().enumerate() {
+                        a.send_slices(MachineId(dst as u16), 10, data, ends);
                     }
                 });
             }
@@ -665,19 +688,7 @@ mod tests {
         // Every frame that entered the fabric must be consumed — handled
         // before the kill, or counted dropped after it. Nothing may sit
         // uncounted in channel buffers.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let total = fabric.total_stats();
-            if total.entered_frames() == total.consumed_frames() {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "ledger never balanced: {total:?}"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let total = fabric.total_stats();
+        let total = wait_balanced(&fabric);
         assert_eq!(total.entered_frames(), 200);
         assert!(
             total.dropped_frames > 0,
@@ -688,6 +699,139 @@ mod tests {
             total.delivered_frames,
             "handled exactly the frames the ledger says were delivered"
         );
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn kill_with_queued_runs_balances_the_ledger() {
+        // The delivery unit is the run: a kill that lands while whole
+        // runs (batch and per-frame) sit in the worker queue must still
+        // account every frame exactly once — handled before the kill,
+        // dropped in the queue, or refused at the send site after it.
+        let fabric = Fabric::new(quick_cfg(2));
+        let handled = Arc::new(AtomicUsize::new(0));
+        // Handlers park until the gate opens, so the kill provably lands
+        // with every worker mid-run and the rest of the runs queued.
+        let parked = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new(AtomicBool::new(false));
+        let wait = {
+            let (parked, gate) = (Arc::clone(&parked), Arc::clone(&gate));
+            move || {
+                parked.fetch_add(1, Ordering::SeqCst);
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        };
+        {
+            let (handled, wait) = (Arc::clone(&handled), wait.clone());
+            fabric
+                .endpoint(MachineId(1))
+                .register_batch(10, move |_, frames| {
+                    wait();
+                    handled.fetch_add(frames.len(), Ordering::SeqCst);
+                });
+        }
+        {
+            let handled = Arc::clone(&handled);
+            fabric.endpoint(MachineId(1)).register(11, move |_, _| {
+                wait();
+                handled.fetch_add(1, Ordering::SeqCst);
+                None
+            });
+        }
+        let a = fabric.endpoint(MachineId(0));
+        let sent = 600u64;
+        for i in 0..sent {
+            a.send(MachineId(1), 10 + (i / 8 % 2) as u16, &i.to_le_bytes());
+            if i % 24 == 23 {
+                a.flush_to(MachineId(1));
+            }
+            if i == sent / 2 {
+                while parked.load(Ordering::SeqCst) == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                fabric.kill(MachineId(1));
+                gate.store(true, Ordering::SeqCst);
+            }
+        }
+        a.flush();
+        let total = wait_balanced(&fabric);
+        assert_eq!(
+            sent,
+            total.delivered_frames + total.dropped_frames + total.refused_frames,
+            "sent == delivered + dropped + refused: {total:?}"
+        );
+        assert!(total.dropped_frames > 0, "the kill found queued runs");
+        assert!(total.refused_frames > 0, "sends after the kill are refused");
+        assert_eq!(
+            handled.load(Ordering::SeqCst) as u64,
+            total.delivered_frames,
+            "handlers saw exactly the frames the ledger says were delivered"
+        );
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn mixed_envelope_is_cut_into_runs_at_requests() {
+        // `call` always ships its request alone, so a mixed envelope only
+        // arises from a foreign sender; route one by hand. One-way frames
+        // on either side of the request form separate runs, cut again at
+        // the protocol change, and every frame is ledgered once.
+        use crate::envelope::{Frame, FrameKind};
+        use crate::framebuf::FrameBuf;
+        let fabric = Fabric::new(FabricConfig {
+            workers_per_machine: 1,
+            ..quick_cfg(2)
+        });
+        let b = fabric.endpoint(MachineId(1));
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        {
+            let runs = Arc::clone(&runs);
+            b.register_batch(10, move |_, frames| {
+                let run: Vec<u8> = frames.iter().map(|f| f.payload[0]).collect();
+                runs.lock().push(run);
+            });
+        }
+        {
+            let runs = Arc::clone(&runs);
+            b.register(11, move |_, p| {
+                runs.lock().push(vec![p[0]]);
+                Some(p.to_vec())
+            });
+        }
+        let frame = |proto, kind, tag: u8| Frame {
+            proto,
+            kind,
+            payload: FrameBuf::from_vec(vec![tag]),
+        };
+        b.route_envelope(Envelope {
+            src: MachineId(0),
+            dst: MachineId(1),
+            trace: 0,
+            deadline: crate::NO_DEADLINE,
+            frames: vec![
+                frame(10, FrameKind::OneWay, 1),
+                frame(10, FrameKind::OneWay, 2),
+                frame(11, FrameKind::Request(77), 3),
+                frame(10, FrameKind::OneWay, 4),
+                frame(12, FrameKind::OneWay, 5), // no handler: dropped
+                frame(11, FrameKind::OneWay, 6),
+                frame(10, FrameKind::Response(99), 7), // orphan: dropped
+                frame(10, FrameKind::OneWay, 8),
+            ],
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while runs.lock().len() < 5 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            &*runs.lock(),
+            &[vec![1, 2], vec![3], vec![4], vec![6], vec![8]],
+            "one worker: runs dispatch in envelope order"
+        );
+        let s = b.stats().snapshot();
+        assert_eq!((s.delivered_frames, s.dropped_frames), (6, 2));
         fabric.shutdown();
     }
 

@@ -60,7 +60,7 @@ pub use deadline::{
     current_deadline, deadline_expired, deadline_now_us, remaining_us, CancelToken, DeadlineGuard,
     NO_DEADLINE,
 };
-pub use endpoint::{Endpoint, Handler};
+pub use endpoint::{BatchHandler, Endpoint, Handler};
 pub use envelope::{layout, Envelope, Frame, FrameKind};
 pub use error::NetError;
 pub use fabric::{Fabric, FabricConfig};

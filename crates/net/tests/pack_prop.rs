@@ -23,6 +23,7 @@ use trinity_net::{
 const SINK: u16 = 90;
 const ECHO: u16 = 91;
 const SLOW: u16 = 92;
+const BATCH: u16 = 93;
 
 /// Payload shapes that exercise every packing regime: empty frames,
 /// sub-threshold runts that pack many-to-an-envelope, and payloads larger
@@ -35,6 +36,33 @@ fn payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
             2 => proptest::collection::vec(any::<u8>(), 200..600),
         ],
         0..40,
+    )
+}
+
+/// One step of the batch-vs-per-frame comparison: a stretch of payloads
+/// sent to the batch protocol, the per-frame protocol, or alternating
+/// between them (so runs are cut at every protocol change), a synchronous
+/// call (a request lands between the one-ways), or an explicit flush.
+#[derive(Debug, Clone)]
+enum Step {
+    Stretch {
+        len: usize,
+        pad: usize,
+        interleave: bool,
+    },
+    Call,
+    Flush,
+}
+
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec(
+        prop_oneof![
+            4 => (1usize..24, 0usize..80, any::<bool>())
+                .prop_map(|(len, pad, interleave)| Step::Stretch { len, pad, interleave }),
+            1 => proptest::strategy::Just(Step::Call),
+            1 => proptest::strategy::Just(Step::Flush),
+        ],
+        1..24,
     )
 }
 
@@ -103,6 +131,100 @@ proptest! {
         b.register(ECHO, |_src, p| Some(p.to_vec()));
         a.call(MachineId(1), ECHO, b"fence").unwrap();
         prop_assert_eq!(&*seen.lock().unwrap(), &batch);
+        fabric.shutdown();
+    }
+
+    /// The delivery unit is the run: a batch handler sees exactly the
+    /// frames a per-frame handler sees — the same multiset, and envelope
+    /// (= send) order inside every run — whatever the pack threshold cuts,
+    /// however the two protocols interleave, and with requests landing
+    /// between the one-ways. With one worker the order is total.
+    #[test]
+    fn batch_handler_sees_what_per_frame_handler_sees(
+        script in steps(),
+        threshold in 48usize..4096,
+        one_worker in any::<bool>(),
+    ) {
+        let mut cfg = FabricConfig::with_machines(2);
+        cfg.pack_threshold_bytes = threshold;
+        cfg.workers_per_machine = if one_worker { 1 } else { 4 };
+        let fabric = Fabric::new(cfg);
+        let a = fabric.endpoint(MachineId(0));
+        let b = fabric.endpoint(MachineId(1));
+        let seq_of = |p: &[u8]| u32::from_le_bytes(p[..4].try_into().unwrap());
+        let runs: Arc<Mutex<Vec<Vec<u32>>>> = Arc::new(Mutex::new(Vec::new()));
+        let singles: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        {
+            let runs = Arc::clone(&runs);
+            b.register_batch(BATCH, move |_src, frames| {
+                let run = frames.iter().map(|f| seq_of(&f.payload)).collect();
+                runs.lock().unwrap().push(run);
+            });
+            let singles = Arc::clone(&singles);
+            b.register(SINK, move |_src, p| {
+                singles.lock().unwrap().push(seq_of(p));
+                None
+            });
+            b.register(ECHO, |_src, p| Some(p.to_vec()));
+        }
+        let mut sent = 0u32;
+        for step in &script {
+            match *step {
+                Step::Stretch { len, pad, interleave } => {
+                    let payloads: Vec<Vec<u8>> = (sent..sent + len as u32)
+                        .map(|seq| {
+                            let mut p = seq.to_le_bytes().to_vec();
+                            p.resize(4 + pad, 0xa5);
+                            p
+                        })
+                        .collect();
+                    sent += len as u32;
+                    if interleave {
+                        for p in &payloads {
+                            a.send(MachineId(1), BATCH, p);
+                            a.send(MachineId(1), SINK, p);
+                        }
+                    } else {
+                        for proto in [BATCH, SINK] {
+                            for p in &payloads {
+                                a.send(MachineId(1), proto, p);
+                            }
+                        }
+                    }
+                }
+                Step::Call => {
+                    prop_assert_eq!(a.call(MachineId(1), ECHO, b"mid").unwrap(), b"mid");
+                }
+                Step::Flush => a.flush_to(MachineId(1)),
+            }
+        }
+        a.flush_to(MachineId(1));
+        // One worker: the echo fences every earlier run. Four: poll.
+        a.call(MachineId(1), ECHO, b"fence").unwrap();
+        let seen = || {
+            let batched: usize = runs.lock().unwrap().iter().map(Vec::len).sum();
+            (batched, singles.lock().unwrap().len())
+        };
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        while seen() != (sent as usize, sent as usize) && std::time::Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let runs = runs.lock().unwrap().clone();
+        let mut batched: Vec<u32> = runs.concat();
+        let mut singles = singles.lock().unwrap().clone();
+        let all: Vec<u32> = (0..sent).collect();
+        for run in &runs {
+            prop_assert!(!run.is_empty());
+            prop_assert!(run.windows(2).all(|w| w[0] < w[1]), "run out of order: {:?}", run);
+        }
+        if one_worker {
+            prop_assert_eq!(&batched, &all);
+            prop_assert_eq!(&singles, &all);
+        }
+        batched.sort_unstable();
+        singles.sort_unstable();
+        prop_assert_eq!(&batched, &all);
+        prop_assert_eq!(&singles, &all);
         fabric.shutdown();
     }
 

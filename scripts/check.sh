@@ -12,6 +12,12 @@ cd "$(dirname "$0")/.."
 
 HERMETIC=(--offline --locked)
 
+# Artifacts the smoke gates export (and metrics_check then validates) go
+# under target/, never over the tracked results/ files: those change only
+# when a figure binary is run on purpose.
+OUT=target/check
+mkdir -p "$OUT"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -35,35 +41,35 @@ cargo run --release -p trinity-bench --bin chaos_smoke "${HERMETIC[@]}" "$@" -- 
 
 echo "==> cache_traversal --smoke (remote-read cache gate: warm hits + envelope reduction + trace critical path)"
 cargo run --release -p trinity-bench --bin cache_traversal "${HERMETIC[@]}" "$@" -- --smoke \
-    --metrics-out results/cache_traversal.metrics.json \
-    --trace-out results/cache_traversal.trace.json
+    --metrics-out "$OUT/cache_traversal.metrics.json" \
+    --trace-out "$OUT/cache_traversal.trace.json"
 
 echo "==> scaleout --smoke (elastic gate: zero failed ops across an online join + rebalance convergence)"
 cargo run --release -p trinity-bench --bin scaleout "${HERMETIC[@]}" "$@" -- --smoke \
-    --metrics-out results/scaleout.metrics.json
+    --metrics-out "$OUT/scaleout.metrics.json"
 
 echo "==> freshness --smoke (streaming gate: zero oracle divergences + incremental beats full recompute at ~1% dirty)"
 cargo run --release -p trinity-bench --bin freshness "${HERMETIC[@]}" "$@" -- --smoke \
-    --metrics-out results/freshness.metrics.json
+    --metrics-out "$OUT/freshness.metrics.json"
 
 echo "==> e13_residency (tiering model: residency table + schedule peak-bytes check)"
 cargo run --release -p trinity-bench --bin e13_residency "${HERMETIC[@]}" "$@"
 
 echo "==> tiering --smoke (out-of-core gate: 2x-budget wall within 2.5x resident, prefetch >=80%, chaos seeds clean)"
 cargo run --release -p trinity-bench --bin tiering "${HERMETIC[@]}" "$@" -- --smoke \
-    --metrics-out results/tiering.metrics.json
+    --metrics-out "$OUT/tiering.metrics.json"
 
 echo "==> metrics_check (observability gate: exported artifacts schema-validate)"
 cargo run --release -p trinity-bench --bin metrics_check "${HERMETIC[@]}" "$@" -- \
-    results/cache_traversal.metrics.json results/cache_traversal.trace.json \
-    results/scaleout.metrics.json results/freshness.metrics.json \
-    results/tiering.metrics.json
+    "$OUT/cache_traversal.metrics.json" "$OUT/cache_traversal.trace.json" \
+    "$OUT/scaleout.metrics.json" "$OUT/freshness.metrics.json" \
+    "$OUT/tiering.metrics.json"
 
 echo "==> chaos --force-fail (postmortem gate: a failing run must leave a flight dump)"
-TRINITY_FLIGHT_DIR=results/flight \
+TRINITY_FLIGHT_DIR="$OUT/flight" \
     cargo run --release -p trinity-bench --bin chaos_smoke "${HERMETIC[@]}" "$@" -- --force-fail
 cargo run --release -p trinity-bench --bin metrics_check "${HERMETIC[@]}" "$@" -- \
-    results/flight/sabotaged-seed2989.flight.json
+    "$OUT/flight/sabotaged-seed2989.flight.json"
 
 echo "==> bsp_scaling --smoke (worker-pool gate: bit-identical results across thread counts)"
 cargo run --release -p trinity-bench --bin bsp_scaling "${HERMETIC[@]}" "$@" -- --smoke

@@ -1,0 +1,89 @@
+//! The BSP receive path delivers packed envelopes as runs.
+//!
+//! `BSP_MSG` and `BSP_HUB` are batch protocols: a worker decodes a whole
+//! run, takes each shard inbox lock once, updates the `LoadMap` once per
+//! trunk and bumps the fence once. These tests pin what that batching
+//! must not change — every delivery is still attributed exactly once —
+//! and what it fixes: one `net.dispatch` span per run instead of one per
+//! vertex message, so a traced job keeps the spans it was traced for.
+
+use std::sync::Arc;
+
+use trinity::algos::pagerank_distributed;
+use trinity::core::BspConfig;
+use trinity::graph::{load_graph, LoadOptions};
+use trinity::memcloud::{CloudConfig, MemoryCloud};
+
+/// Span ring capacity per machine (`trinity_obs::SPAN_RING_CAPACITY`).
+const SPAN_RING: u64 = 4096;
+
+#[test]
+fn traced_pagerank_keeps_every_superstep_span() {
+    // ~8k remote messages per machine per superstep: twice the span ring.
+    // One `net.dispatch` span per message (the parent) overwrites every
+    // `bsp.superstep` span but the last; one per run leaves room to spare.
+    let machines = 2;
+    let csr = trinity::graphgen::rmat(12, 8, 41);
+    let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+    let result = pagerank_distributed(graph, 4, BspConfig::default());
+    let busiest = result.reports.iter().map(|r| r.remote_messages).max();
+    assert!(
+        busiest.unwrap() / machines as u64 > SPAN_RING,
+        "workload too small to overflow the ring: {busiest:?}"
+    );
+    let obs = cloud.fabric().obs();
+    let supersteps = obs
+        .spans()
+        .iter()
+        .filter(|s| s.label == "bsp.superstep")
+        .count();
+    assert_eq!(
+        supersteps,
+        machines * result.supersteps(),
+        "every machine's span of every superstep is still in the ring"
+    );
+    assert_eq!(obs.snapshot().totals().counters["obs.spans_dropped"], 0);
+    cloud.shutdown();
+}
+
+#[test]
+fn load_map_counts_every_delivery_once() {
+    // `record_msgs` is batched per trunk per run; the per-trunk totals
+    // must still add up to exactly the deliveries the reports count. Hub
+    // broadcasts travel as one remote frame per subscribing machine and
+    // are counted as local deliveries where they fan out, so with hubs
+    // the frames themselves are subtracted.
+    let machines = 4;
+    let csr = trinity::graphgen::social(900, 10, 29);
+    for hub_threshold in [None, Some(12)] {
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+        let graph =
+            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+        let cfg = BspConfig {
+            hub_threshold,
+            ..BspConfig::default()
+        };
+        let result = pagerank_distributed(graph, 5, cfg);
+        let reported: u64 = result
+            .reports
+            .iter()
+            .map(|r| r.local_messages + r.remote_messages)
+            .sum();
+        let obs = cloud.fabric().obs();
+        let hub_frames = obs.snapshot().totals().counters["bsp.hub.broadcasts"];
+        assert_eq!(hub_frames > 0, hub_threshold.is_some());
+        // A roll shorter than a millisecond is skipped; outwait it.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let attributed: u64 = (0..machines as u16)
+            .flat_map(|m| obs.scope(m).load().snapshot())
+            .map(|trunk| trunk.msgs)
+            .sum();
+        assert_eq!(
+            attributed,
+            reported - hub_frames,
+            "LoadMap message total (hubs: {hub_threshold:?})"
+        );
+        cloud.shutdown();
+    }
+}
