@@ -16,19 +16,7 @@
 use std::process::ExitCode;
 
 fn required_keys(path: &str) -> &'static [&'static str] {
-    if path.ends_with("tiering.metrics.json") {
-        // The out-of-core gate additionally promises its budget-sweep
-        // series (wall, spills/clean evictions/faults, prefetch hit rate
-        // per budget) and the tier metrics an operator reads first.
-        &[
-            "\"bench\"",
-            "\"sections\"",
-            "\"budget_sweep\"",
-            "\"clean_evictions\"",
-            "\"tier.clean_evictions\"",
-            "\"tier.fault_in_us\"",
-        ]
-    } else if path.ends_with(".metrics.json") {
+    if path.ends_with(".metrics.json") {
         &["\"bench\"", "\"sections\""]
     } else if path.ends_with(".trace.json") {
         &["\"traceEvents\""]

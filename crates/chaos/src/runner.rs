@@ -136,10 +136,14 @@ impl ChaosReport {
 }
 
 /// Destination for a failing run's flight dump:
-/// `$TRINITY_FLIGHT_DIR` (default `results/flight`) /
-/// `<workload>-seed<seed>.flight.json`.
+/// `$TRINITY_FLIGHT_DIR/<workload>-seed<seed>.flight.json`. The default
+/// directory is `target/flight` of the workspace this crate was built
+/// in — anchored at the manifest, not the cwd (which is the crate
+/// directory under `cargo test`), so a failing run never writes into a
+/// tracked or unignored path.
 fn flight_artifact_path(workload: &str, seed: u64) -> std::path::PathBuf {
-    let dir = std::env::var("TRINITY_FLIGHT_DIR").unwrap_or_else(|_| "results/flight".to_string());
+    const DEFAULT_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/flight");
+    let dir = std::env::var("TRINITY_FLIGHT_DIR").unwrap_or_else(|_| DEFAULT_DIR.to_string());
     std::path::PathBuf::from(dir).join(format!("{workload}-seed{seed}.flight.json"))
 }
 

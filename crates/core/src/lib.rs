@@ -22,10 +22,13 @@
 //! * [`async_compute`] — asynchronous (superstep-free) vertex computation
 //!   with periodic-interruption snapshots;
 //! * [`checkpoint`] — BSP checkpointing to TFS and restart;
-//! * [`wal`] — buffered logging for online update durability (RAMCloud
-//!   style, §6.2);
-//! * [`recovery`] — leader election over the TFS flag, heartbeat-driven
-//!   failure detection, and addressing-table recovery.
+//! * [`recovery`] — leader election over the TFS flag, the cluster's one
+//!   failure detector (the leader's `PING` probe loop plus reported
+//!   suspicions), and addressing-table recovery.
+//!
+//! §6.2's buffered logging for online updates is not implemented: the
+//! durable point of a cell is the last trunk image in TFS (backup or
+//! spill), and a crash loses writes acknowledged after it.
 
 pub mod async_compute;
 pub mod bsp;
@@ -41,7 +44,6 @@ pub mod recovery;
 pub mod residency;
 pub mod safra;
 pub mod streaming;
-pub mod wal;
 
 pub use bsp::{
     resolve_compute_threads, BspConfig, BspResult, BspRunner, MessagingMode, ResumePoint,
@@ -80,10 +82,7 @@ pub(crate) mod proto {
     pub const TABLE_BCAST: ProtoId = BASE + 7;
     /// Recovery: a machine reports a peer failure to the leader.
     pub const REPORT_FAILURE: ProtoId = BASE + 8;
-    /// Buffered logging: replicate a log record to a remote buffer.
-    pub const WAL_APPEND: ProtoId = BASE + 9;
-    /// Buffered logging: fetch a failed machine's remote buffer.
-    pub const WAL_FETCH: ProtoId = BASE + 10;
+    // BASE + 9 and BASE + 10 are unassigned.
     /// Hub optimization: hub-subscription discovery at job setup.
     pub const BSP_HUB_SETUP: ProtoId = BASE + 11;
     /// Mini-transactions: prepare (lock + validate + read).

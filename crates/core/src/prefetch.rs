@@ -261,4 +261,94 @@ mod tests {
         drop(prefetcher);
         cloud.shutdown();
     }
+
+    /// The bucket-scheduled scan of DESIGN §15, driven as the BSP runtime
+    /// drives it (hook, then scan the scheduled bucket, all machines per
+    /// superstep): fully resident and at budgets of 1.0x / 0.5x / 0.25x of
+    /// the per-machine working set the checksum is bit-identical, and
+    /// every scheduled trunk is counted exactly once as a prefetch hit or
+    /// a miss.
+    #[test]
+    fn budget_sweep_keeps_the_checksum_and_counts_every_scheduled_trunk_once() {
+        const MACHINES: usize = 4;
+        const BUCKETS: usize = 4;
+        const SUPERSTEPS: usize = 12;
+        let csr = trinity_graphgen::social(4_000, 8, 7);
+        let run = |budget_factor: Option<f64>| -> u64 {
+            let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(MACHINES)));
+            let graph = Arc::new(
+                load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).expect("load"),
+            );
+            if let Some(factor) = budget_factor {
+                let working_set = cloud
+                    .nodes()
+                    .iter()
+                    .map(|n| {
+                        let trunks = n.store().trunks();
+                        trunks.iter().map(|t| t.stats().used_bytes as u64).sum()
+                    })
+                    .max()
+                    .unwrap_or(0u64);
+                cloud.set_memory_budget((working_set as f64 * factor) as u64);
+            }
+            let prefetcher = BucketPrefetcher::new(graph, BUCKETS);
+            let mut checksum = 0u64;
+            let mut scheduled = 0u64;
+            for s in 0..SUPERSTEPS {
+                let sums: Vec<u64> = std::thread::scope(|scope| {
+                    let workers: Vec<_> = (0..MACHINES)
+                        .map(|m| {
+                            let (cloud, prefetcher) = (&cloud, &prefetcher);
+                            scope.spawn(move || {
+                                prefetcher.superstep_start(m, s);
+                                let mut sum = 0u64;
+                                for &gid in prefetcher.bucket(m, s) {
+                                    let trunk = cloud
+                                        .node(m)
+                                        .resident_trunk(gid)
+                                        .expect("scheduled trunk must fault in");
+                                    trunk.for_each_cell(|id, payload| {
+                                        let mut h = id ^ 0xcbf2_9ce4_8422_2325;
+                                        for &b in payload {
+                                            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
+                                        }
+                                        sum = sum.wrapping_add(h);
+                                    });
+                                }
+                                sum
+                            })
+                        })
+                        .collect();
+                    workers.into_iter().map(|w| w.join().unwrap()).collect()
+                });
+                checksum = sums.into_iter().fold(checksum, u64::wrapping_add);
+                scheduled += (0..MACHINES)
+                    .map(|m| prefetcher.bucket(m, s).len() as u64)
+                    .sum::<u64>();
+            }
+            prefetcher.release();
+            let stats = cloud.tier_stats();
+            assert_eq!(
+                stats.prefetch_hits + stats.prefetch_misses,
+                scheduled,
+                "budget {budget_factor:?}: a scheduled trunk was counted twice or not at all"
+            );
+            if budget_factor.is_some_and(|f| f < 1.0) {
+                assert!(
+                    stats.faults > 0,
+                    "budget {budget_factor:?} never went out of core"
+                );
+            }
+            cloud.shutdown();
+            checksum
+        };
+        let resident = run(None);
+        for factor in [1.0, 0.5, 0.25] {
+            assert_eq!(
+                run(Some(factor)),
+                resident,
+                "tiering changed the answer at budget {factor}x"
+            );
+        }
+    }
 }

@@ -2,15 +2,19 @@
 //!
 //! Trinity keeps the primary addressing-table replica on a *leader*
 //! machine and persists it in TFS before committing any update. Failures
-//! are detected two ways — proactive heartbeats, and detection-by-access
-//! (a machine whose call to a peer fails informs the leader). On a
-//! confirmed failure the leader reloads the dead machine's trunks onto
-//! survivors (from their TFS backups), updates the primary table, and
-//! broadcasts it; a machine that misses the broadcast self-heals on its
-//! next failed access by syncing with the TFS primary. If the leader
-//! itself dies, a new election is triggered; the winner "marks a flag on
-//! the shared distributed fault-tolerant file system to avoid multiple
-//! leaders".
+//! are detected two ways — the leader's liveness probes, and
+//! detection-by-access (a machine whose call to a peer fails informs the
+//! leader). This module is the cluster's only failure detector;
+//! `trinity-net` just answers `PING`. On a confirmed failure the leader
+//! reloads the dead machine's trunks onto survivors (from their TFS
+//! backups), updates the primary table, and broadcasts it; a machine
+//! that misses the broadcast self-heals on its next failed access by
+//! syncing with the TFS primary. A recovered machine that answers a
+//! probe again (revived, possibly rejoined with trunks) is re-armed, so
+//! its next death is recovered too; a bounce shorter than one probe
+//! interval is not observed as a revival. If the leader itself dies, a
+//! new election is triggered; the winner "marks a flag on the shared
+//! distributed fault-tolerant file system to avoid multiple leaders".
 //!
 //! [`RecoveryAgents::install`] runs one agent thread per machine. Agents
 //! race for the TFS leader flag; the leader probes peers and performs
@@ -240,24 +244,34 @@ fn agent_loop(
             }
             Some(owner) if owner == my_name => {
                 // Leader duties: probe every other slave; recover confirmed
-                // failures (heartbeats + reported suspicions).
+                // failures (missed probes + reported suspicions).
                 let suspected: HashSet<u16> = suspicions.lock().drain().collect();
                 for peer in 0..cloud.machines() as u16 {
-                    if peer == me.0 || recovered.contains(&peer) {
+                    if peer == me.0 {
                         continue;
                     }
                     probes.inc();
                     let alive = endpoint.call(MachineId(peer), netproto::PING, &[]).is_ok();
                     let miss = misses.entry(peer).or_insert(0);
                     if alive {
+                        // A recovered peer that answers again has been
+                        // revived: re-arm it, so that a second death is
+                        // detected and recovered like the first.
                         *miss = 0;
+                        recovered.remove(&peer);
+                        continue;
+                    }
+                    if recovered.contains(&peer) {
                         continue;
                     }
                     *miss += 1;
                     let confirmed = *miss >= cfg.miss_threshold || suspected.contains(&peer);
                     if confirmed {
-                        recovered.insert(peer);
+                        // Marked recovered only on success: a recovery that
+                        // failed (TFS error, table CAS exhausted) is retried
+                        // on the next round.
                         if let Ok(table) = cloud.recover(peer as usize) {
+                            recovered.insert(peer);
                             recoveries.inc();
                             // Broadcast the new epoch; stragglers self-heal
                             // through TFS on their next failed access.
@@ -415,6 +429,64 @@ mod tests {
     }
 
     #[test]
+    fn a_machine_that_dies_twice_is_recovered_twice() {
+        let cloud = fast_cloud(4);
+        for i in 0..200u64 {
+            cloud.node(0).put(i, format!("v{i}").as_bytes()).unwrap();
+        }
+        cloud.backup_all().unwrap();
+        let agents = RecoveryAgents::install(Arc::clone(&cloud), RecoveryConfig::default());
+        assert!(wait_until(5_000, || RecoveryAgents::current_leader(&cloud).is_some()));
+        let leader = RecoveryAgents::current_leader(&cloud).unwrap();
+        let victim = (0..4u16).map(MachineId).find(|&p| p != leader).unwrap();
+        let recoveries_of_victim = || {
+            agents
+                .events()
+                .iter()
+                .filter(|e| matches!(e, RecoveryEvent::MachineRecovered { failed, .. } if *failed == victim))
+                .count()
+        };
+        cloud.kill_machine(victim.0 as usize);
+        assert!(
+            wait_until(10_000, || recoveries_of_victim() == 1),
+            "first death never recovered; events: {:?}",
+            agents.events()
+        );
+        // The machine comes back, rejoins online and is imaged again.
+        cloud.revive_machine(victim.0 as usize).unwrap();
+        let joined = MigrationEngine::new(MigrationConfig::default())
+            .join_machine(&cloud, victim.0 as usize)
+            .unwrap();
+        assert!(!joined.is_empty(), "the revived machine must own trunks");
+        cloud.backup_all().unwrap();
+        // Let at least one full probe round (3 peers) start and finish
+        // after the revival: two rounds' worth of probes from now.
+        let probes = cloud
+            .node(leader.0 as usize)
+            .endpoint()
+            .obs()
+            .counter("recovery.probes");
+        let seen = probes.get();
+        assert!(wait_until(5_000, || probes.get() >= seen + 2 * 3));
+        cloud.kill_machine(victim.0 as usize);
+        assert!(
+            wait_until(10_000, || recoveries_of_victim() == 2),
+            "second death never recovered; events: {:?}",
+            agents.events()
+        );
+        let reader = (0..4u16).map(MachineId).find(|&p| p != victim).unwrap();
+        for i in 0..200u64 {
+            assert_eq!(
+                cloud.node(reader.0 as usize).get(i).unwrap().as_deref(),
+                Some(format!("v{i}").as_bytes()),
+                "cell {i} unreachable after the second recovery"
+            );
+        }
+        agents.stop();
+        cloud.shutdown();
+    }
+
+    #[test]
     fn leader_failure_triggers_reelection_and_recovery_continues() {
         let cloud = fast_cloud(4);
         for i in 0..60u64 {
@@ -508,7 +580,7 @@ mod tests {
         let leader = RecoveryAgents::current_leader(&cloud).unwrap();
         let victim = (0..3u16).map(MachineId).find(|&p| p != leader).unwrap();
         cloud.kill_machine(victim.0 as usize);
-        // With a miss threshold of 100, heartbeats alone would take ages;
+        // With a miss threshold of 100, probes alone would take ages;
         // a detection-by-access report forces immediate recovery.
         let reporter = (0..3u16)
             .find(|&p| p != victim.0 && !cloud.fabric().is_dead(MachineId(p)))

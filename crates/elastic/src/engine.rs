@@ -412,9 +412,10 @@ impl MigrationEngine {
         Ok(reports)
     }
 
-    /// Online join: stream a fair share of trunks onto machine `m` while
-    /// the donors keep serving (the elastic replacement for
-    /// `MemoryCloud::cold_join`).
+    /// Online join (paper §3: "when new machines join the memory cloud,
+    /// we relocate some memory trunks to those new machines and update
+    /// the addressing table accordingly"): stream a fair share of trunks
+    /// onto machine `m` while the donors keep serving.
     pub fn join_machine(&self, cloud: &MemoryCloud, m: usize) -> Result<Vec<MigrationReport>> {
         let table = read_primary(cloud)?;
         let moves = plan_join(&table, MachineId(m as u16));

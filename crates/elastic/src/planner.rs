@@ -132,8 +132,9 @@ pub fn plan_rebalance(
 }
 
 /// Plan a join: the trunks a newcomer should receive for a fair share,
-/// stolen count-wise from the most loaded machines (same placement the
-/// stop-the-world `cold_join` produces, as a list of online moves).
+/// stolen count-wise from the most loaded machines
+/// (`AddressingTable::rebalance_join`'s placement, as a list of online
+/// moves).
 pub fn plan_join(table: &AddressingTable, joiner: MachineId) -> Vec<Move> {
     let mut scratch = table.clone();
     scratch
@@ -237,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn join_plan_matches_cold_join_placement() {
+    fn join_plan_gives_the_joiner_its_fair_share() {
         let t = table(4, 3);
         let moves = plan_join(&t, MachineId(3));
         assert_eq!(moves.len(), 4); // 16 / 4 fair share

@@ -236,13 +236,24 @@ fn join_machine_streams_a_fair_share_online() {
     for i in 0..400u64 {
         cloud.node(0).put(i, format!("j{i}").as_bytes()).unwrap();
     }
+    // Before the join, the standby owns nothing and serves nothing.
+    assert!(cloud.node(0).table().trunks_of(MachineId(3)).is_empty());
     assert_eq!(cloud.node(3).store().cell_count(), 0);
+    // The placement the online moves must arrive at: the table's own
+    // count-wise fair-share steal.
+    let mut planned = cloud.node(0).table();
+    planned.rebalance_join(MachineId(3));
     let engine = MigrationEngine::new(MigrationConfig::default());
     let reports = engine.join_machine(&cloud, 3).expect("join");
     let fair = cloud.node(0).table().trunk_count() / 4;
     assert_eq!(reports.len(), fair, "the joiner gets a fair share");
-    assert_eq!(cloud.node(0).table().trunks_of(MachineId(3)).len(), fair);
-    assert!(cloud.node(3).store().cell_count() > 0);
+    let its_trunks = cloud.node(0).table().trunks_of(MachineId(3));
+    assert_eq!(its_trunks.len(), reports.len());
+    assert_eq!(its_trunks, planned.trunks_of(MachineId(3)));
+    assert!(
+        cloud.node(3).store().cell_count() > 0,
+        "moved trunks must carry their cells"
+    );
     for i in 0..400u64 {
         for m in 0..4 {
             assert_eq!(
@@ -251,6 +262,37 @@ fn join_machine_streams_a_fair_share_online() {
                 "cell {i} via machine {m} after online join"
             );
         }
+    }
+    // New writes route to the joiner for its trunks.
+    let joiner_bound = (1000..2000u64)
+        .find(|&i| cloud.node(0).table().machine_of(i) == MachineId(3))
+        .expect("some id routes to the joiner");
+    cloud.node(0).put(joiner_bound, b"fresh-on-joiner").unwrap();
+    assert_eq!(
+        cloud.node(3).get(joiner_bound).unwrap().unwrap(),
+        b"fresh-on-joiner"
+    );
+    cloud.shutdown();
+}
+
+#[test]
+fn join_then_failure_uses_the_joiner_as_survivor() {
+    let cloud = cloud_with_standby(2, 1);
+    for i in 0..80u64 {
+        cloud.node(0).put(i, b"resilient").unwrap();
+    }
+    MigrationEngine::new(MigrationConfig::default())
+        .join_machine(&cloud, 2)
+        .expect("join");
+    cloud.backup_all().unwrap();
+    cloud.kill_machine(0);
+    cloud.recover(0).unwrap();
+    for i in 0..80u64 {
+        assert_eq!(
+            cloud.node(2).get(i).unwrap().as_deref(),
+            Some(&b"resilient"[..]),
+            "cell {i}"
+        );
     }
     cloud.shutdown();
 }

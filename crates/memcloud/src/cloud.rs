@@ -4,8 +4,9 @@
 //! fabric, the TFS deployment, one [`CloudNode`] per machine, and the
 //! initial addressing table (persisted to TFS as the primary replica). It
 //! also exposes the mechanical halves of the paper's reconfiguration
-//! protocols — kill/recover/join — which `trinity-core` orchestrates with
-//! leader election and heartbeats on top.
+//! protocols — kill/recover/revive — which `trinity-core` orchestrates
+//! with leader election and liveness probes on top; joining a machine is
+//! `trinity-elastic`'s online migration.
 
 use std::sync::Arc;
 
@@ -40,9 +41,8 @@ pub struct CloudConfig {
     /// horizon; recovery tests shorten it).
     pub call_timeout: std::time::Duration,
     /// Standby slaves: fully provisioned machines that own no trunks
-    /// until a join — `trinity-elastic`'s online migration, or
-    /// [`MemoryCloud::cold_join`] — rebalances some onto them (the
-    /// paper's dynamic join, §3).
+    /// until a join — `trinity-elastic`'s `MigrationEngine::join_machine`
+    /// — streams a fair share onto them (the paper's dynamic join, §3).
     pub standby_machines: usize,
     /// Fault-injection plan for the fabric (`None` = fault-free). The
     /// chaos harness sets this to run whole workloads under seeded
@@ -174,49 +174,6 @@ impl MemoryCloud {
             total.resident_bytes += s.resident_bytes;
         }
         total
-    }
-
-    /// Bring a standby machine into the cloud the *stop-the-world* way
-    /// (paper §3: "when new machines join the memory cloud, we relocate
-    /// some memory trunks to those new machines and update the addressing
-    /// table accordingly").
-    ///
-    /// The donors' trunks are snapshotted to TFS, the rebalanced table is
-    /// persisted and installed everywhere (the joiner reloads its new
-    /// trunks; donors evict theirs). Writes racing the snapshot can land
-    /// after the capture and be lost on the moved trunks — this is the
-    /// fallback for quiesced clusters; the online path is
-    /// `trinity-elastic`'s `MigrationEngine::join_machine`, which streams
-    /// trunks while the donors keep serving. Returns the trunks moved, as
-    /// `(trunk, donor)` pairs.
-    pub fn cold_join(&self, m: usize) -> Result<Vec<(u64, MachineId)>> {
-        let joiner = MachineId(m as u16);
-        let (table, moved) = loop {
-            let (ver, mut table) = self.primary_versioned()?;
-            let moved = table.rebalance_join(joiner);
-            // Fresh snapshots of the moving trunks, straight from the
-            // donors.
-            for &(trunk, donor) in &moved {
-                self.nodes[donor.0 as usize].backup_trunk(trunk)?;
-            }
-            match self
-                .tfs
-                .write_if_version(TFS_TABLE_PATH, &table.encode(), ver)
-            {
-                Ok(_) => break (table, moved),
-                // A concurrent table writer (migration flip, recovery)
-                // got in between our read and write: replan against the
-                // fresh primary rather than clobbering their update.
-                Err(trinity_tfs::TfsError::VersionMismatch { .. }) => continue,
-                Err(e) => return Err(e.into()),
-            }
-        };
-        for node in &self.nodes {
-            if !self.fabric.is_dead(node.machine()) {
-                node.install_table(table.clone())?;
-            }
-        }
-        Ok(moved)
     }
 
     /// The primary table from TFS plus its file version, for a
@@ -493,72 +450,6 @@ mod tests {
         // And the cloud accepts new writes to the reassigned trunks.
         for i in 0..60u64 {
             cloud.node(2).put(1000 + i, b"fresh").unwrap();
-        }
-        cloud.shutdown();
-    }
-
-    #[test]
-    fn standby_machine_joins_and_takes_trunk_share() {
-        let cloud = MemoryCloud::new(CloudConfig {
-            standby_machines: 1,
-            ..CloudConfig::small(3)
-        });
-        for i in 0..200u64 {
-            cloud.node(0).put(i, format!("j{i}").as_bytes()).unwrap();
-        }
-        // Before the join, the standby owns nothing and serves nothing.
-        assert!(cloud.node(0).table().trunks_of(MachineId(3)).is_empty());
-        assert_eq!(cloud.node(3).store().cell_count(), 0);
-        let moved = cloud.cold_join(3).unwrap();
-        assert!(!moved.is_empty(), "the joiner must receive trunks");
-        // The joiner holds its fair share and serves its cells.
-        let its_trunks = cloud.node(0).table().trunks_of(MachineId(3));
-        assert_eq!(its_trunks.len(), moved.len());
-        assert!(
-            cloud.node(3).store().cell_count() > 0,
-            "moved trunks must carry their cells"
-        );
-        // Every cell still reads back, from old and new machines alike.
-        for i in 0..200u64 {
-            for m in 0..4 {
-                assert_eq!(
-                    cloud.node(m).get(i).unwrap().as_deref(),
-                    Some(format!("j{i}").as_bytes()),
-                    "cell {i} via machine {m} after join"
-                );
-            }
-        }
-        // New writes route to the joiner for its trunks.
-        let joiner_bound = (1000..2000u64)
-            .find(|&i| cloud.node(0).table().machine_of(i) == MachineId(3))
-            .expect("some id routes to the joiner");
-        cloud.node(0).put(joiner_bound, b"fresh-on-joiner").unwrap();
-        assert_eq!(
-            cloud.node(3).get(joiner_bound).unwrap().unwrap(),
-            b"fresh-on-joiner"
-        );
-        cloud.shutdown();
-    }
-
-    #[test]
-    fn join_then_failure_uses_the_joiner_as_survivor() {
-        let cloud = MemoryCloud::new(CloudConfig {
-            standby_machines: 1,
-            ..CloudConfig::small(2)
-        });
-        for i in 0..80u64 {
-            cloud.node(0).put(i, b"resilient").unwrap();
-        }
-        cloud.cold_join(2).unwrap();
-        cloud.backup_all().unwrap();
-        cloud.kill_machine(0);
-        cloud.recover(0).unwrap();
-        for i in 0..80u64 {
-            assert_eq!(
-                cloud.node(2).get(i).unwrap().as_deref(),
-                Some(&b"resilient"[..]),
-                "cell {i}"
-            );
         }
         cloud.shutdown();
     }

@@ -3,64 +3,16 @@
 //! The cloud must behave exactly like a `HashMap<u64, Vec<u8>>` under
 //! arbitrary op sequences issued from arbitrary machines — including a
 //! machine failure + recovery in the middle (for cells that were backed
-//! up) and a standby join.
+//! up). The same model runs across an online join in
+//! `crates/elastic/tests/join.rs`.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 use trinity_memcloud::{CloudConfig, MemoryCloud};
 
-#[derive(Debug, Clone)]
-enum Op {
-    Put { via: usize, key: u64, val: Vec<u8> },
-    Append { via: usize, key: u64, val: Vec<u8> },
-    Remove { via: usize, key: u64 },
-    Get { via: usize, key: u64 },
-    Backup,
-}
-
-fn op_strategy(machines: usize) -> impl Strategy<Value = Op> {
-    let via = 0..machines;
-    let key = 0u64..64;
-    let bytes = proptest::collection::vec(any::<u8>(), 0..48);
-    prop_oneof![
-        4 => (via.clone(), key.clone(), bytes.clone()).prop_map(|(via, key, val)| Op::Put { via, key, val }),
-        2 => (via.clone(), key.clone(), bytes).prop_map(|(via, key, val)| Op::Append { via, key, val }),
-        2 => (via.clone(), key.clone()).prop_map(|(via, key)| Op::Remove { via, key }),
-        3 => (via, key).prop_map(|(via, key)| Op::Get { via, key }),
-        1 => Just(Op::Backup),
-    ]
-}
-
-fn apply(cloud: &MemoryCloud, model: &mut HashMap<u64, Vec<u8>>, op: &Op) {
-    match op {
-        Op::Put { via, key, val } => {
-            cloud.node(*via).put(*key, val).unwrap();
-            model.insert(*key, val.clone());
-        }
-        Op::Append { via, key, val } => {
-            let existed = cloud.node(*via).append(*key, val).unwrap();
-            match model.get_mut(key) {
-                Some(m) => {
-                    assert!(existed);
-                    m.extend_from_slice(val);
-                }
-                None => assert!(!existed),
-            }
-        }
-        Op::Remove { via, key } => {
-            let existed = cloud.node(*via).remove(*key).unwrap();
-            assert_eq!(existed, model.remove(key).is_some());
-        }
-        Op::Get { via, key } => {
-            assert_eq!(
-                cloud.node(*via).get(*key).unwrap().as_deref(),
-                model.get(key).map(Vec::as_slice)
-            );
-        }
-        Op::Backup => cloud.backup_all().unwrap(),
-    }
-}
+mod model;
+use model::{apply, op_strategy, Op};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -107,31 +59,6 @@ proptest! {
         }
         for (k, v) in &model {
             let got = cloud.node(0).get(*k).unwrap();
-            prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
-        }
-        cloud.shutdown();
-    }
-
-    #[test]
-    fn join_mid_sequence_is_transparent(
-        before in proptest::collection::vec(op_strategy(2), 1..60),
-        after in proptest::collection::vec(op_strategy(3), 1..60),
-    ) {
-        let cloud = MemoryCloud::new(CloudConfig { standby_machines: 1, ..CloudConfig::small(2) });
-        let mut model = HashMap::new();
-        for op in &before {
-            apply(&cloud, &mut model, op);
-        }
-        cloud.cold_join(2).unwrap();
-        for (k, v) in &model {
-            let got = cloud.node(2).get(*k).unwrap();
-            prop_assert_eq!(got.as_deref(), Some(v.as_slice()), "cell {} lost in join", k);
-        }
-        for op in &after {
-            apply(&cloud, &mut model, op); // `via` may now be the joiner
-        }
-        for (k, v) in &model {
-            let got = cloud.node(1).get(*k).unwrap();
             prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
         }
         cloud.shutdown();

@@ -147,10 +147,9 @@ proptest! {
         }
     }
 
-    /// A join into a balanced placement takes the same number of trunks
-    /// from the donors as `cold_join` would hand over: exactly the fair
-    /// share, each taken from a machine holding more than the fair share
-    /// at the moment of the steal.
+    /// A join into a balanced placement takes exactly the fair share from
+    /// the donors, each trunk taken from a machine holding more than the
+    /// fair share at the moment of the steal.
     #[test]
     fn join_steals_only_from_surplus_holders(
         p in 3u32..6,

@@ -196,14 +196,8 @@ impl TrunkSnapshot {
     /// Materialize the snapshot as a fresh trunk.
     pub fn restore(&self, cfg: TrunkConfig) -> Result<Trunk, SnapshotError> {
         let trunk = Trunk::new(self.trunk_id, cfg);
-        self.restore_into(&trunk)?;
+        Self::restore_image(&self.image, &trunk)?;
         Ok(trunk)
-    }
-
-    /// Load the snapshot's cells into an existing trunk (used when a
-    /// surviving machine absorbs a failed machine's trunk).
-    pub fn restore_into(&self, trunk: &Trunk) -> Result<(), SnapshotError> {
-        Self::restore_image(&self.image, trunk)
     }
 
     /// Load the cells of an undecoded `image` into `trunk`, `put`ting

@@ -239,7 +239,7 @@ impl Endpoint {
             pool: FramePool::new(),
             chaos,
         });
-        // Liveness probe for the heartbeat monitor.
+        // Liveness probe, answered for the recovery leader's probe loop.
         ep.register(proto::PING, |_src, _p| Some(Vec::new()));
         ep
     }

@@ -221,7 +221,7 @@ impl Fabric {
 
     /// Revive a killed machine (its state is whatever it held at death;
     /// Trinity's recovery instead reloads trunks from TFS onto survivors,
-    /// but revival is useful for heartbeat tests).
+    /// and a revived machine rejoins through `MigrationEngine::join_machine`).
     pub fn revive(&self, m: MachineId) {
         self.router.set_dead(m, false);
     }

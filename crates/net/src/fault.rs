@@ -425,7 +425,7 @@ fn decode_trigger(tag: &str, val: &str) -> Option<Trigger> {
 
 /// xorshift64* over a mixed key: every decision is a pure function of the
 /// plan seed and the envelope's link coordinates, so replays and reruns
-/// agree (same idiom as the heartbeat jitter PRNG).
+/// agree.
 fn link_rand(seed: u64, src: u16, dst: u16, seq: u64, salt: u64) -> u64 {
     // Multiplicative diffusion first: the `| 1` nonzero guard must not
     // erase low-bit differences between nearby seeds.

@@ -14,9 +14,10 @@
 //!   [`Endpoint::send`] buffers small messages per destination and ships
 //!   them in a single transfer, because "the total number of messages in
 //!   the system is huge although each message may be small";
-//! * **failure detection**: heartbeats plus detection-by-access (a call to
-//!   a dead machine fails), feeding the recovery protocol in
-//!   `trinity-core`.
+//! * **failure detection** is not here: every endpoint answers
+//!   [`proto::PING`] and a call to a dead machine fails
+//!   (detection-by-access); the one detector that probes and counts
+//!   misses is the leader loop in `trinity-core`'s `recovery` module.
 //!
 //! # The simulated interconnect
 //!
@@ -52,7 +53,6 @@ mod error;
 mod fabric;
 mod fault;
 mod framebuf;
-mod heartbeat;
 mod stats;
 
 pub use cost::CostModel;
@@ -69,7 +69,6 @@ pub use fault::{
     ReorderPolicy, Trigger,
 };
 pub use framebuf::{FrameBuf, FramePool, PackArena, MAX_RECYCLED_CAPACITY};
-pub use heartbeat::{HeartbeatConfig, HeartbeatMonitor, HeartbeatStats, PeerEvent};
 pub use stats::{NetStats, StatsDelta};
 
 /// Identifier of a machine in the cluster (a Trinity slave, proxy, or
@@ -95,7 +94,8 @@ pub type ProtoId = u16;
 /// computation runtime, `64..` TSL-declared user protocols.
 pub mod proto {
     use super::ProtoId;
-    /// Liveness probe used by the heartbeat monitor.
+    /// Liveness probe: every endpoint answers it with an empty reply (the
+    /// recovery leader's probe loop in `trinity-core` is the caller).
     pub const PING: ProtoId = 0;
     /// First protocol id available to the memory cloud layer.
     pub const FIRST_MEMCLOUD: ProtoId = 8;

@@ -1,9 +1,11 @@
 //! Fault tolerance end to end (paper §6.2).
 //!
-//! Brings up a cluster with recovery agents, stores data with buffered
-//! logging, kills a machine, and watches the leader detect the failure,
-//! reassign the dead machine's trunks, reload them from TFS, and replay
-//! the post-snapshot operations from the remote log buffers.
+//! Brings up a cluster with recovery agents, stores data, kills a
+//! machine, and watches the leader detect the failure, reassign the dead
+//! machine's trunks and reload them from their TFS images. §6.2's
+//! buffered logging is not implemented, so the example also shows where
+//! the durable point is: cells written after the last trunk image die
+//! with the machine that owned them.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance
@@ -13,7 +15,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use trinity::core::recovery::{RecoveryAgents, RecoveryConfig, RecoveryEvent};
-use trinity::core::wal::{replay_lost, LoggedStore};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
 use trinity::net::MachineId;
 
@@ -23,25 +24,23 @@ fn main() {
         call_timeout: Duration::from_millis(200),
         ..CloudConfig::small(machines)
     }));
-    let stores: Vec<_> = (0..machines)
-        .map(|m| LoggedStore::install(&cloud, m, 2))
-        .collect();
 
     // Phase 1: base data, snapshotted to TFS.
     println!("writing 300 cells and snapshotting trunks to TFS...");
     for i in 0..300u64 {
-        stores[0]
+        cloud
+            .node(0)
             .put(i, format!("snapshot-cell-{i}").as_bytes())
             .unwrap();
     }
     cloud.backup_all().unwrap();
 
-    // Phase 2: post-snapshot updates — durable only through the remote
-    // log buffers (RAMCloud-style buffered logging).
-    println!("writing 100 post-snapshot cells (buffered logging only)...");
+    // Phase 2: post-snapshot updates, held in memory only.
+    println!("writing 100 post-snapshot cells (no trunk image yet)...");
     for i in 300..400u64 {
-        stores[1]
-            .put(i, format!("logged-cell-{i}").as_bytes())
+        cloud
+            .node(1)
+            .put(i, format!("volatile-cell-{i}").as_bytes())
             .unwrap();
     }
 
@@ -55,24 +54,21 @@ fn main() {
     };
     println!("leader elected: {leader}");
 
-    // Kill a non-leader machine (remembering which trunks die with it).
+    // Kill a non-leader machine (remembering which cells die with it).
     let victim = (0..machines as u16)
         .map(MachineId)
         .find(|&p| p != leader)
         .unwrap();
-    let lost: std::collections::HashSet<u64> = cloud
-        .node(0)
-        .table()
-        .trunks_of(victim)
-        .into_iter()
-        .collect();
+    let table = cloud.node(0).table();
+    let on_victim = |i: &u64| table.machine_of(*i) == victim;
+    let volatile_on_victim = (300..400u64).filter(on_victim).count();
     println!(
         "killing machine {victim} (owner of {} trunks)...",
-        lost.len()
+        table.trunks_of(victim).len()
     );
     cloud.kill_machine(victim.0 as usize);
 
-    // The leader's heartbeats notice and run the §6.2 recovery protocol.
+    // The leader's probe loop notices and runs the §6.2 recovery protocol.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     while std::time::Instant::now() < deadline {
         if agents.events().iter().any(
@@ -86,22 +82,28 @@ fn main() {
         println!("  event: {e:?}");
     }
 
-    // Snapshot-era data is back; replay the buffered logs for the
-    // post-snapshot operations that died with the victim's trunks.
+    // Everything that had a trunk image is back; of the post-snapshot
+    // cells, exactly the ones the victim owned are gone.
     let survivor = (0..machines).find(|&m| m != victim.0 as usize).unwrap();
-    let replayed = replay_lost(&cloud, &lost, survivor).unwrap();
-    println!("replayed {replayed} logged operations over the recovered trunks");
-
-    let mut missing = 0;
-    for i in 0..400u64 {
-        if cloud.node(survivor).get(i).unwrap().is_none() {
-            missing += 1;
-        }
-    }
-    println!("verification: {missing} of 400 cells missing after recovery");
-    assert_eq!(missing, 0, "recovery must restore everything");
+    let missing = |range: std::ops::Range<u64>| {
+        range
+            .filter(|&i| cloud.node(survivor).get(i).unwrap().is_none())
+            .count()
+    };
+    let snapshot_missing = missing(0..300);
+    let volatile_missing = missing(300..400);
+    println!("verification: {snapshot_missing} of 300 snapshotted cells missing after recovery");
     println!(
-        "all data recovered. new table epoch: {}",
+        "              {volatile_missing} of 100 post-snapshot cells missing \
+         ({volatile_on_victim} lived on {victim})"
+    );
+    assert_eq!(
+        snapshot_missing, 0,
+        "recovery must restore every imaged cell"
+    );
+    assert_eq!(volatile_missing, volatile_on_victim);
+    println!(
+        "recovered from TFS. new table epoch: {}",
         cloud.node(survivor).table().epoch
     );
     agents.stop();

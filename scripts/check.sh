@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 
 HERMETIC=(--offline --locked)
 
+# The gate must leave the working tree exactly as it found it: nothing it
+# builds or runs may touch a tracked file or drop an unignored one.
+TREE_BEFORE=$(git status --porcelain)
+
 # Artifacts the smoke gates export (and metrics_check then validates) go
 # under target/, never over the tracked results/ files: those change only
 # when a figure binary is run on purpose.
@@ -55,24 +59,16 @@ cargo run --release -p trinity-bench --bin freshness "${HERMETIC[@]}" "$@" -- --
 echo "==> e13_residency (tiering model: residency table + schedule peak-bytes check)"
 cargo run --release -p trinity-bench --bin e13_residency "${HERMETIC[@]}" "$@"
 
-echo "==> tiering --smoke (out-of-core gate: 2x-budget wall within 2.5x resident, prefetch >=80%, chaos seeds clean)"
-cargo run --release -p trinity-bench --bin tiering "${HERMETIC[@]}" "$@" -- --smoke \
-    --metrics-out "$OUT/tiering.metrics.json"
-
 echo "==> metrics_check (observability gate: exported artifacts schema-validate)"
 cargo run --release -p trinity-bench --bin metrics_check "${HERMETIC[@]}" "$@" -- \
     "$OUT/cache_traversal.metrics.json" "$OUT/cache_traversal.trace.json" \
-    "$OUT/scaleout.metrics.json" "$OUT/freshness.metrics.json" \
-    "$OUT/tiering.metrics.json"
+    "$OUT/scaleout.metrics.json" "$OUT/freshness.metrics.json"
 
 echo "==> chaos --force-fail (postmortem gate: a failing run must leave a flight dump)"
 TRINITY_FLIGHT_DIR="$OUT/flight" \
     cargo run --release -p trinity-bench --bin chaos_smoke "${HERMETIC[@]}" "$@" -- --force-fail
 cargo run --release -p trinity-bench --bin metrics_check "${HERMETIC[@]}" "$@" -- \
     "$OUT/flight/sabotaged-seed2989.flight.json"
-
-echo "==> bsp_scaling --smoke (worker-pool gate: bit-identical results across thread counts)"
-cargo run --release -p trinity-bench --bin bsp_scaling "${HERMETIC[@]}" "$@" -- --smoke
 
 echo "==> bsp determinism suite, serial harness + stressed pool width"
 # RUST_TEST_THREADS=1 keeps the test harness from adding its own
@@ -81,5 +77,15 @@ echo "==> bsp determinism suite, serial harness + stressed pool width"
 # stress the sharded inbox handoff.
 RUST_TEST_THREADS=1 TRINITY_STRESS_THREADS=8 \
     cargo test -q "${HERMETIC[@]}" "$@" --test bsp_determinism
+
+echo "==> working tree unchanged by the gate"
+if [ "$(git status --porcelain)" != "$TREE_BEFORE" ]; then
+    echo "check.sh changed the working tree:" >&2
+    diff <(echo "$TREE_BEFORE") <(git status --porcelain) >&2 || true
+    exit 1
+fi
+
+echo "==> size ledger (scripts/loc.sh)"
+scripts/loc.sh
 
 echo "All checks passed."

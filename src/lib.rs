@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`memstore`] | memory trunks, circular memory management, per-cell spin locks | §3, §6.1 |
 //! | [`tfs`] | the replicated Trinity File System and its leader flag | §3, §6.2 |
-//! | [`net`] | one-sided message passing, transparent packing, heartbeats, cost model | §2, §4.2 |
+//! | [`net`] | one-sided message passing, transparent packing, `PING` liveness reply, cost model | §2, §4.2 |
 //! | [`tsl`] | the Trinity Specification Language and zero-copy cell accessors | §4.2, §4.3 |
 //! | [`memcloud`] | the 2^p-trunk memory cloud and its addressing table | §3 |
 //! | [`elastic`] | online trunk migration, load-driven rebalance, machine drain | §3 |

@@ -5,7 +5,8 @@
 //! trunk and bumps the fence once. These tests pin what that batching
 //! must not change — every delivery is still attributed exactly once —
 //! and what it fixes: one `net.dispatch` span per run instead of one per
-//! vertex message, so a traced job keeps the spans it was traced for.
+//! vertex message, so a traced job keeps the spans it was traced for. The
+//! send side of the same path is held to its one-copy contract.
 
 use std::sync::Arc;
 
@@ -86,4 +87,35 @@ fn load_map_counts_every_delivery_once() {
         );
         cloud.shutdown();
     }
+}
+
+#[test]
+fn bsp_frames_are_copied_once() {
+    // The one-copy contract on the BSP message path: a superstep frame is
+    // copied once into the pack arena and never again, whatever the
+    // worker-pool width (5 % slack for frame headers and control traffic).
+    let machines = 4;
+    let csr = trinity::graphgen::social(4_000, 12, 7);
+    let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+    let obs = cloud.fabric().obs();
+    let sum =
+        |name: &'static str| -> u64 { obs.scopes().iter().map(|s| s.counter(name).get()).sum() };
+    let (copied0, payload0) = (sum("net.frame_copy_bytes"), sum("net.frame_payload_bytes"));
+    let cfg = BspConfig {
+        compute_threads: 4,
+        ..BspConfig::default()
+    };
+    let result = pagerank_distributed(graph, 4, cfg);
+    assert!(result.reports.iter().any(|r| r.remote_messages > 0));
+    let copied = sum("net.frame_copy_bytes") - copied0;
+    let payload = sum("net.frame_payload_bytes") - payload0;
+    assert!(payload > 0, "the job must ship frames");
+    let ratio = copied as f64 / payload as f64;
+    assert!(
+        ratio <= 1.05,
+        "one-copy contract broken on the BSP path: {copied} bytes copied for \
+         {payload} payload bytes ({ratio:.3} per byte)"
+    );
+    cloud.shutdown();
 }
