@@ -10,10 +10,16 @@
 //! coordinating a query partitions the current frontier by owner machine
 //! and sends each machine one batched `EXPAND` request; every machine
 //! expands its share of the frontier against purely local, zero-copy node
-//! cells and returns the discovered neighbors (and attribute matches).
+//! cells and returns exactly what the request asks for — attribute matches
+//! when there is a pattern, the discovered neighbors when another hop will
+//! consume them. The last level is therefore only checked for matches, and
+//! a round that could return neither is not issued at all.
 //! All machines expand in parallel, so each hop costs one fan-out round —
 //! which is why 3-hop queries over millions of reachable nodes return in
 //! the tens of milliseconds.
+//!
+//! Wire format (DESIGN §10): a flags byte, then strictly ascending id lists
+//! as LEB128 `count | first | gap…`; the decoders reject anything else.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -86,64 +92,107 @@ impl ExplorationResult {
     }
 }
 
-fn encode_ids(pattern: &[u8], ids: &[CellId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(6 + pattern.len() + ids.len() * 8);
-    out.extend_from_slice(&(pattern.len() as u16).to_le_bytes());
+/// Request flag: the coordinator will consume this round's neighbors.
+const WANT_NEIGHBORS: u8 = 1;
+/// Reply flag: the scan stopped at the envelope deadline, so the lists
+/// cover only a prefix of the batch.
+const TRUNCATED: u8 = 1;
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A strictly ascending id list: count, first id, then the gaps.
+fn put_ids(out: &mut Vec<u8>, ids: &[CellId]) {
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
+    put_varint(out, ids.len() as u64);
+    let mut prev = 0;
+    for &id in ids {
+        put_varint(out, id - prev);
+        prev = id;
+    }
+}
+
+/// The flags byte, which may carry `flag` and nothing else.
+fn take_flag(data: &mut &[u8], flag: u8) -> Option<bool> {
+    let (&flags, rest) = data.split_first()?;
+    *data = rest;
+    (flags & !flag == 0).then_some(flags == flag)
+}
+
+/// Minimal LEB128 only: at most 10 bytes, no bits past the 64th, no
+/// padding zero groups.
+fn take_varint(data: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for (i, &byte) in data.iter().enumerate().take(10) {
+        let group = u64::from(byte & 0x7f);
+        if i == 9 && group > 1 {
+            return None;
+        }
+        v |= group << (7 * i);
+        if byte & 0x80 == 0 {
+            *data = &data[i + 1..];
+            return (byte != 0 || i == 0).then_some(v);
+        }
+    }
+    None
+}
+
+fn take_ids(data: &mut &[u8]) -> Option<Vec<CellId>> {
+    // Every id costs at least one byte, so a count the remaining bytes
+    // cannot hold is rejected before anything is allocated for it.
+    let n = usize::try_from(take_varint(data)?).ok()?;
+    if n > data.len() {
+        return None;
+    }
+    let mut ids = Vec::with_capacity(n);
+    let mut prev = 0u64;
+    for i in 0..n {
+        let gap = take_varint(data)?;
+        if gap == 0 && i > 0 {
+            return None;
+        }
+        prev = prev.checked_add(gap)?;
+        ids.push(prev);
+    }
+    Some(ids)
+}
+
+fn encode_request(want_neighbors: bool, pattern: &[u8], ids: &[CellId]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + pattern.len() + ids.len() * 2);
+    out.push(if want_neighbors { WANT_NEIGHBORS } else { 0 });
+    put_varint(&mut out, pattern.len() as u64);
     out.extend_from_slice(pattern);
-    out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-    for id in ids {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
+    put_ids(&mut out, ids);
     out
 }
 
-fn decode_ids(data: &[u8]) -> Option<(&[u8], Vec<CellId>)> {
-    if data.len() < 2 {
-        return None;
-    }
-    let plen = u16::from_le_bytes(data[..2].try_into().unwrap()) as usize;
-    let pattern = data.get(2..2 + plen)?;
-    let rest = &data[2 + plen..];
-    if rest.len() < 4 {
-        return None;
-    }
-    let n = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-    let body = rest.get(4..4 + n * 8)?;
-    let ids = body
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Some((pattern, ids))
+fn decode_request(mut data: &[u8]) -> Option<(bool, &[u8], Vec<CellId>)> {
+    let want_neighbors = take_flag(&mut data, WANT_NEIGHBORS)?;
+    let plen = usize::try_from(take_varint(&mut data)?).ok()?;
+    let (pattern, rest) = data.split_at_checked(plen)?;
+    data = rest;
+    let ids = take_ids(&mut data)?;
+    data.is_empty().then_some((want_neighbors, pattern, ids))
 }
 
-fn encode_reply(matches: &[CellId], neighbors: &[CellId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + (matches.len() + neighbors.len()) * 8);
-    out.extend_from_slice(&(matches.len() as u32).to_le_bytes());
-    for m in matches {
-        out.extend_from_slice(&m.to_le_bytes());
-    }
-    out.extend_from_slice(&(neighbors.len() as u32).to_le_bytes());
-    for n in neighbors {
-        out.extend_from_slice(&n.to_le_bytes());
-    }
+fn encode_reply(truncated: bool, matches: &[CellId], neighbors: &[CellId]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(3 + (matches.len() + neighbors.len()) * 2);
+    out.push(if truncated { TRUNCATED } else { 0 });
+    put_ids(&mut out, matches);
+    put_ids(&mut out, neighbors);
     out
 }
 
-fn decode_reply(data: &[u8]) -> Option<(Vec<CellId>, Vec<CellId>)> {
-    let n_m = u32::from_le_bytes(data.get(..4)?.try_into().unwrap()) as usize;
-    let m_end = 4 + n_m * 8;
-    let matches = data
-        .get(4..m_end)?
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let n_n = u32::from_le_bytes(data.get(m_end..m_end + 4)?.try_into().unwrap()) as usize;
-    let neighbors = data
-        .get(m_end + 4..m_end + 4 + n_n * 8)?
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Some((matches, neighbors))
+fn decode_reply(mut data: &[u8]) -> Option<(bool, Vec<CellId>, Vec<CellId>)> {
+    let truncated = take_flag(&mut data, TRUNCATED)?;
+    let matches = take_ids(&mut data)?;
+    let neighbors = take_ids(&mut data)?;
+    data.is_empty().then_some((truncated, matches, neighbors))
 }
 
 /// Frontiers below this size expand serially: spawning a pool costs more
@@ -188,8 +237,7 @@ impl Explorer {
                 .node(m)
                 .endpoint()
                 .register(proto::EXPAND, move |_src, data| {
-                    let (pattern, ids) = decode_ids(data)?;
-                    Some(expand_local(&handle, pattern, &ids, workers))
+                    expand_local(&handle, data, workers)
                 });
         }
         explorer
@@ -236,8 +284,8 @@ impl Explorer {
 /// Level-synchronous exploration coordinated from an arbitrary fabric
 /// endpoint — a slave (the classic path) or a Trinity *proxy*, which is
 /// how the serving runtime drives queries without owning any trunks.
-/// `slaves` is the number of machines holding graph data; the addressing
-/// `table` routes each frontier id to its owner.
+/// `slaves` is how many machines are expected to hold graph data (a
+/// capacity hint); the addressing `table` routes each id to its owner.
 pub fn explore_via(
     coordinator: &Arc<Endpoint>,
     table: &AddressingTable,
@@ -265,6 +313,9 @@ pub fn explore_via(
     let hop_us = obs.histogram("explore.hop.us");
     let frontier_sizes = obs.histogram("explore.frontier");
     let batches_sent = obs.counter("explore.batches");
+    let reply_bytes_total = obs.counter("explore.reply_bytes");
+    let ids_received = obs.counter("explore.ids_received");
+    let ids_new = obs.counter("explore.ids_new");
     let mut visited: HashSet<CellId> = HashSet::new();
     visited.insert(start);
     let mut result = ExplorationResult {
@@ -272,13 +323,16 @@ pub fn explore_via(
         ..Default::default()
     };
     let mut frontier = vec![start];
-    for hop in 0..=hops {
+    // Round `hop` expands level `hop` into level `hop + 1`; the round after
+    // the last expansion only checks the last level against the pattern,
+    // so without a pattern it has nothing to ask and is not issued.
+    let rounds = hops + usize::from(!pattern.is_empty());
+    for hop in 0..rounds {
         // Hop boundaries are the cooperation points: a lapsed budget or a
         // cancelled token stops the fan-out and returns what previous
         // hops already established.
         if deadline_expired() {
             result.deadline_exceeded = true;
-            obs.counter("explore.deadline_exceeded").inc();
             break;
         }
         if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
@@ -286,52 +340,61 @@ pub fn explore_via(
             obs.counter("explore.cancelled").inc();
             break;
         }
+        let want_neighbors = hop < hops;
         let hop_start_us = obs.now_us();
         frontier_sizes.record(frontier.len() as u64);
-        // Partition the frontier by owner machine.
+        // Partition the frontier by owner machine. The table may route an
+        // id past `slaves` (a trunk migrated to a machine joined later).
         let mut by_machine: Vec<Vec<CellId>> = vec![Vec::new(); slaves];
         for &id in &frontier {
-            by_machine[table.machine_of(id).0 as usize].push(id);
+            let owner = table.machine_of(id).0 as usize;
+            if owner >= by_machine.len() {
+                by_machine.resize(owner + 1, Vec::new());
+            }
+            by_machine[owner].push(id);
         }
-        // One batched request per machine owning part of the frontier.
+        // One batched request per machine owning part of the frontier,
+        // its ids ascending as the wire format requires.
         let batches: Vec<(MachineId, &[CellId])> = by_machine
-            .iter()
+            .iter_mut()
             .enumerate()
             .filter(|(_, batch)| !batch.is_empty())
-            .map(|(m, batch)| (MachineId(m as u16), batch.as_slice()))
+            .map(|(m, batch)| {
+                batch.sort_unstable();
+                (MachineId(m as u16), batch.as_slice())
+            })
             .collect();
         let issue = |dst: MachineId, batch: &[CellId]| {
-            let payload = encode_ids(pattern, batch);
+            let payload = encode_request(want_neighbors, pattern, batch);
             match &opts.call {
                 Some(call) => call(dst, proto::EXPAND, &payload),
                 None => coordinator.call(dst, proto::EXPAND, &payload),
             }
         };
-        let replies: Vec<trinity_net::Result<FrameBuf>> = match batches.as_slice() {
-            // A lone batch (hop 0 always is one) goes out on the calling
-            // thread, which already carries the query's trace and deadline.
-            &[(dst, batch)] => vec![issue(dst, batch)],
-            // Several are issued in parallel. Each worker re-installs the
-            // trace and deadline: guards are thread-local and these are
-            // fresh scoped threads.
-            many => std::thread::scope(|scope| {
-                let joins: Vec<_> = many
-                    .iter()
-                    .map(|&(dst, batch)| {
-                        let issue = &issue;
-                        scope.spawn(move || {
-                            let _tg = TraceGuard::enter(trace);
-                            let _dg = DeadlineGuard::enter(effective_deadline);
-                            issue(dst, batch)
-                        })
+        // The first batch goes out on the calling thread, which already
+        // carries the query's trace and deadline and would otherwise only
+        // wait; the others are issued in parallel. Each worker re-installs
+        // the trace and deadline: guards are thread-local and these are
+        // fresh scoped threads.
+        let replies: Vec<trinity_net::Result<FrameBuf>> = std::thread::scope(|scope| {
+            let joins: Vec<_> = batches[1..]
+                .iter()
+                .map(|&(dst, batch)| {
+                    let issue = &issue;
+                    scope.spawn(move || {
+                        let _tg = TraceGuard::enter(trace);
+                        let _dg = DeadlineGuard::enter(effective_deadline);
+                        issue(dst, batch)
                     })
-                    .collect();
-                joins
-                    .into_iter()
-                    .map(|j| j.join().expect("expand worker panicked"))
-                    .collect()
-            }),
-        };
+                })
+                .collect();
+            let (dst, batch) = batches[0];
+            let mut replies = vec![issue(dst, batch)];
+            for join in joins {
+                replies.push(join.join().expect("expand worker panicked"));
+            }
+            replies
+        });
         let hop_batches = batches.len();
         result.batches += hop_batches;
         batches_sent.add(hop_batches as u64);
@@ -351,20 +414,21 @@ pub fn explore_via(
             };
             // A batch lost to a dead owner or a damaged reply leaves a hole
             // in the frontier: say so instead of looking complete.
-            let Some((matches, neighbors)) = decoded else {
+            let Some((truncated, matches, neighbors)) = decoded else {
                 result.failed_batches += 1;
                 obs.counter("explore.failed_batches").inc();
                 continue;
             };
+            // A truncated reply covers a prefix of its batch: a partial answer.
+            result.deadline_exceeded |= truncated;
             result.matches.extend(matches);
-            if hop < hops {
-                for n in neighbors {
-                    if visited.insert(n) {
-                        next.push(n);
-                    }
-                }
+            ids_received.add(neighbors.len() as u64);
+            if want_neighbors {
+                next.extend(neighbors.into_iter().filter(|&n| visited.insert(n)));
             }
         }
+        ids_new.add(next.len() as u64);
+        reply_bytes_total.add(reply_bytes);
         hop_us.record(obs.now_us().saturating_sub(hop_start_us));
         obs.span(
             "explore.hop",
@@ -373,35 +437,45 @@ pub fn explore_via(
             hop_batches.min(u32::MAX as usize) as u32,
             hop_start_us,
         );
-        if hop < hops {
-            result.per_hop.push(next.len());
-        }
+        // Only a round that asked for neighbors can have found a next level.
         if next.is_empty() {
             break;
         }
+        result.per_hop.push(next.len());
         frontier = next;
+    }
+    if result.deadline_exceeded {
+        obs.counter("explore.deadline_exceeded").inc();
     }
     result.matches.sort_unstable();
     result.matches.dedup();
-    // Normalize: drop trailing empty hops (the frontier died before the
-    // hop budget ran out).
-    while result.per_hop.len() > 1 && *result.per_hop.last().unwrap() == 0 {
-        result.per_hop.pop();
-    }
     result
+}
+
+/// What one scan of (part of) a batch found; `truncated` = the deadline cut it.
+#[derive(Default)]
+struct Scan {
+    matches: Vec<CellId>,
+    neighbors: Vec<CellId>,
+    truncated: bool,
 }
 
 /// Slave-side frontier expansion: purely local zero-copy reads. The scan
 /// polls the envelope-carried deadline (installed on this worker thread by
 /// the fabric) every few dozen ids and returns what it has when the budget
-/// lapses — a partial reply beats a wasted one.
+/// lapses — a partial reply beats a wasted one, as long as it says so
+/// (the `TRUNCATED` flag). Neighbors are collected, sorted and encoded
+/// only when the request wants them.
 ///
 /// Large frontiers are split into contiguous chunks scanned by a pool of
 /// scoped threads; trunk reads are lock-free for concurrent readers, so
 /// the chunks proceed independently. Chunk results are concatenated in
 /// chunk order and the neighbor set is sorted and deduplicated exactly as
 /// in the serial scan, so the reply bytes do not depend on the pool width.
-fn expand_local(handle: &GraphHandle, pattern: &[u8], ids: &[CellId], workers: usize) -> Vec<u8> {
+///
+/// `None` (an empty reply on the wire) for a request that does not decode.
+fn expand_local(handle: &GraphHandle, request: &[u8], workers: usize) -> Option<Vec<u8>> {
+    let (want_neighbors, pattern, ids) = decode_request(request)?;
     // The coordinator routed these ids here because its table says we own
     // them — but a stale table can leave stragglers owned elsewhere. Those
     // would each cost one remote round-trip inside `with_node`; batch-warm
@@ -415,13 +489,11 @@ fn expand_local(handle: &GraphHandle, pattern: &[u8], ids: &[CellId], workers: u
     if !stragglers.is_empty() {
         handle.prefetch(&stragglers);
     }
-    let mut matches = Vec::new();
-    let mut neighbors = Vec::new();
-    if workers > 1 && ids.len() >= PARALLEL_FRONTIER {
+    let mut all = if workers > 1 && ids.len() >= PARALLEL_FRONTIER {
         let chunk = ids.len().div_ceil(workers);
         let trace = current_trace();
         let deadline = current_deadline();
-        let parts: Vec<(Vec<CellId>, Vec<CellId>)> = std::thread::scope(|scope| {
+        let parts: Vec<Scan> = std::thread::scope(|scope| {
             let joins: Vec<_> = ids
                 .chunks(chunk)
                 .map(|part| {
@@ -430,7 +502,7 @@ fn expand_local(handle: &GraphHandle, pattern: &[u8], ids: &[CellId], workers: u
                         // them so chunk scans poll the query's budget.
                         let _tg = TraceGuard::enter(trace);
                         let _dg = DeadlineGuard::enter(deadline);
-                        scan_ids(handle, pattern, part)
+                        scan_ids(handle, want_neighbors, pattern, part)
                     })
                 })
                 .collect();
@@ -439,38 +511,41 @@ fn expand_local(handle: &GraphHandle, pattern: &[u8], ids: &[CellId], workers: u
                 .map(|j| j.join().expect("expand pool worker panicked"))
                 .collect()
         });
-        for (m, n) in parts {
-            matches.extend(m);
-            neighbors.extend(n);
+        let mut all = Scan::default();
+        for part in parts {
+            all.matches.extend(part.matches);
+            all.neighbors.extend(part.neighbors);
+            all.truncated |= part.truncated;
         }
+        all
     } else {
-        let (m, n) = scan_ids(handle, pattern, ids);
-        matches = m;
-        neighbors = n;
-    }
-    neighbors.sort_unstable();
-    neighbors.dedup();
-    encode_reply(&matches, &neighbors)
+        scan_ids(handle, want_neighbors, pattern, &ids)
+    };
+    all.neighbors.sort_unstable();
+    all.neighbors.dedup();
+    Some(encode_reply(all.truncated, &all.matches, &all.neighbors))
 }
 
 /// Scan one contiguous run of frontier ids, polling the deadline every
 /// few dozen ids.
-fn scan_ids(handle: &GraphHandle, pattern: &[u8], ids: &[CellId]) -> (Vec<CellId>, Vec<CellId>) {
-    let mut matches = Vec::new();
-    let mut neighbors = Vec::new();
+fn scan_ids(handle: &GraphHandle, want_neighbors: bool, pattern: &[u8], ids: &[CellId]) -> Scan {
+    let mut scan = Scan::default();
     // Per-trunk hop attribution, batched locally so the hot loop pays one
     // `trunk_of` hash per id and the shared LoadMap one update per trunk.
     let table = handle.cloud().table();
     let mut hops: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
     for (i, &id) in ids.iter().enumerate() {
         if i % 64 == 63 && deadline_expired() {
+            scan.truncated = true;
             break;
         }
         let _ = handle.with_node(id, |view| {
             if !pattern.is_empty() && contains(view.attrs(), pattern) {
-                matches.push(id);
+                scan.matches.push(id);
             }
-            neighbors.extend(view.outs());
+            if want_neighbors {
+                scan.neighbors.extend(view.outs());
+            }
         });
         *hops.entry(table.trunk_of(id)).or_insert(0) += 1;
     }
@@ -478,7 +553,7 @@ fn scan_ids(handle: &GraphHandle, pattern: &[u8], ids: &[CellId]) -> (Vec<CellId
     for (trunk, n) in hops {
         load.record_hops(trunk, n);
     }
-    (matches, neighbors)
+    scan
 }
 
 /// Byte-substring check (attribute patterns are short names).
@@ -616,6 +691,48 @@ mod tests {
                 .any(|s| s.machine != 0 && s.label == "net.dispatch"),
             "remote machines record handler dispatch under the query trace"
         );
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_truncated_reply_marks_the_result_deadline_exceeded() {
+        let (cloud, ex) = cloud_with(&path_graph(10), 2, None);
+        // The slave says its scan was cut short; nothing else is wrong.
+        let hook: CallHook =
+            Arc::new(|_, _, _| Ok(FrameBuf::from_vec(encode_reply(true, &[4], &[]))));
+        let opts = ExploreOptions {
+            call: Some(hook),
+            ..Default::default()
+        };
+        // One round only (final round, with a pattern): no hop boundary
+        // follows that could notice a lapsed budget.
+        let r = ex.explore_with(0, 5, 0, b"David", &opts);
+        assert!(r.deadline_exceeded, "{r:?}");
+        assert_eq!((r.matches.as_slice(), r.failed_batches), (&[4][..], 0));
+        let obs = cloud.node(0).endpoint().obs();
+        assert_eq!(obs.counter("explore.deadline_exceeded").get(), 1);
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_scan_cut_by_the_deadline_says_so_on_both_scan_paths() {
+        let n = 600u64;
+        let (cloud, ex) = cloud_with(&path_graph(n as usize), 1, None);
+        let ids: Vec<CellId> = (0..n).collect();
+        let request = encode_request(true, b"", &ids);
+        for workers in [1, 4] {
+            let whole = expand_local(&ex.handles[0], &request, workers).unwrap();
+            let (truncated, _, neighbors) = decode_reply(&whole).unwrap();
+            assert!(!truncated, "workers={workers}");
+            assert_eq!(neighbors, ids, "workers={workers}");
+            // Budget long gone: every scan stops at its first poll (id 63 of
+            // its chunk) and the reply owns up to it.
+            let _expired = DeadlineGuard::enter(1);
+            let cut = expand_local(&ex.handles[0], &request, workers).unwrap();
+            let (truncated, _, neighbors) = decode_reply(&cut).unwrap();
+            assert!(truncated, "workers={workers}");
+            assert!(neighbors.len() < ids.len(), "workers={workers}");
+        }
         cloud.shutdown();
     }
 

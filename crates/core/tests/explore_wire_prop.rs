@@ -1,20 +1,21 @@
 //! Hostile input on the EXPAND wire.
 //!
-//! Both directions are checked against a model of the format written out
-//! here, independent of the engine's own codecs:
-//!
-//! ```text
-//! request: u16 plen | pattern | u32 n | n × u64 id
-//! reply:   u32 m | m × u64 match | u32 n | n × u64 neighbor
-//! ```
+//! Both directions are checked against the model of the format in
+//! `wire_model/`, which shares no code with the engine's own codecs.
 //!
 //! * **Request handler**: any byte string sent to a slave's EXPAND
 //!   handler is answered without a panic — empty for a malformed request,
-//!   and for a well-formed one exactly the reply the source `Csr` dictates.
+//!   and for a well-formed one exactly the reply the source `Csr` dictates
+//!   (no neighbors unless the request wants them).
 //! * **Reply decoder**: any byte string handed back to the coordinator as
 //!   a reply never panics; a malformed one is counted in `failed_batches`,
-//!   a well-formed one is taken at its word (round trip), and every
-//!   request the coordinator emits decodes under the model.
+//!   a well-formed one is taken at its word (round trip, truncated flag
+//!   included), and every request the coordinator emits decodes under the
+//!   model, goes to the owner, and asks for neighbors on every round but
+//!   the last.
+
+#[path = "wire_model/mod.rs"]
+mod wire_model;
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -26,57 +27,11 @@ use trinity_graph::{load_graph, Csr, LoadOptions};
 use trinity_graphgen::names::name_for;
 use trinity_memcloud::{CloudConfig, MemoryCloud};
 use trinity_net::{FrameBuf, MachineId, ProtoId};
+use wire_model::{decode_reply, decode_request, encode_reply, encode_request, Twist, Writer};
 
 const MACHINES: usize = 3;
 const NODES: usize = 120;
 const NAME_SEED: u64 = 13;
-
-fn take<'a>(data: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-    let (head, tail) = data.split_at_checked(n)?;
-    *data = tail;
-    Some(head)
-}
-
-fn take_ids(data: &mut &[u8]) -> Option<Vec<u64>> {
-    let n = u32::from_le_bytes(take(data, 4)?.try_into().unwrap()) as usize;
-    let body = take(data, n.checked_mul(8)?)?;
-    Some(
-        body.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
-}
-
-fn put_ids(out: &mut Vec<u8>, ids: &[u64]) {
-    out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-    for id in ids {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
-}
-
-fn model_request(mut data: &[u8]) -> Option<(Vec<u8>, Vec<u64>)> {
-    let plen = u16::from_le_bytes(take(&mut data, 2)?.try_into().unwrap()) as usize;
-    let pattern = take(&mut data, plen)?.to_vec();
-    Some((pattern, take_ids(&mut data)?))
-}
-
-fn model_reply(mut data: &[u8]) -> Option<(Vec<u64>, Vec<u64>)> {
-    Some((take_ids(&mut data)?, take_ids(&mut data)?))
-}
-
-fn encode_request(pattern: &[u8], ids: &[u64]) -> Vec<u8> {
-    let mut out = (pattern.len() as u16).to_le_bytes().to_vec();
-    out.extend_from_slice(pattern);
-    put_ids(&mut out, ids);
-    out
-}
-
-fn encode_reply(matches: &[u64], neighbors: &[u64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_ids(&mut out, matches);
-    put_ids(&mut out, neighbors);
-    out
-}
 
 /// One loaded cluster shared by every case (read-only after set-up).
 struct Fixture {
@@ -113,23 +68,30 @@ fn fixture() -> &'static Fixture {
             call: Some(hook),
             ..Default::default()
         };
-        explorer.explore_with(0, 0, 0, b"", &opts);
+        // Zero hops still issues the match round when there is a pattern.
+        explorer.explore_with(0, 0, 0, b"x", &opts);
         let expand = seen.lock().unwrap().expect("explore issued no call");
         Fixture { cloud, csr, expand }
     })
 }
 
 /// What a correct slave answers to a well-formed request: matches in
-/// request order, neighbors sorted and deduplicated, unknown ids skipped.
-fn expected_reply(csr: &Csr, pattern: &[u8], ids: &[u64]) -> Vec<u8> {
-    let live = || ids.iter().copied().filter(|&v| v < NODES as u64);
+/// request (ascending) order, neighbors — only if wanted — sorted and
+/// deduplicated, unknown ids skipped, nothing truncated.
+fn expected_reply(csr: &Csr, request: &wire_model::Request) -> Vec<u8> {
+    let live = || request.ids.iter().copied().filter(|&v| v < NODES as u64);
+    let pattern = request.pattern.as_slice();
     let named = |v: u64| {
         let name = name_for(NAME_SEED, v).into_bytes();
         !pattern.is_empty() && name.windows(pattern.len()).any(|w| w == pattern)
     };
     let matches: Vec<u64> = live().filter(|&v| named(v)).collect();
-    let neighbors: BTreeSet<u64> = live().flat_map(|v| csr.neighbors(v)).copied().collect();
-    encode_reply(&matches, &neighbors.into_iter().collect::<Vec<_>>())
+    let neighbors: BTreeSet<u64> = live()
+        .filter(|_| request.want_neighbors)
+        .flat_map(|v| csr.neighbors(v))
+        .copied()
+        .collect();
+    encode_reply(false, &matches, &neighbors.into_iter().collect::<Vec<_>>())
 }
 
 /// An optional byte flip, then an optional truncation.
@@ -164,9 +126,35 @@ fn hostile(
     ]
 }
 
+/// A strictly ascending list: mostly real vertices, with a tail of ids
+/// nothing was ever stored under, some of them right below `u64::MAX`.
 fn some_ids() -> impl Strategy<Value = Vec<u64>> {
-    // Mostly real vertices, with a tail of ids nothing was ever stored under.
-    proptest::collection::vec(0u64..(NODES as u64 + 30), 0..12)
+    let id = prop_oneof![
+        8 => 0u64..(NODES as u64 + 30),
+        1 => (0u64..4).prop_map(|k| u64::MAX - k),
+    ];
+    proptest::collection::vec(id, 0..12)
+        .prop_map(|ids| BTreeSet::from_iter(ids).into_iter().collect())
+}
+
+/// What goes into a list slot of a forged message: usually a proper list,
+/// sometimes one in arbitrary order with repeats (which the format bans).
+fn id_list() -> impl Strategy<Value = Vec<u64>> {
+    prop_oneof![
+        6 => some_ids(),
+        1 => proptest::collection::vec(0u64..(NODES as u64 + 30), 2..8),
+    ]
+}
+
+/// Usually none; otherwise one of the message's first few varints spoiled.
+fn twist() -> impl Strategy<Value = Option<(usize, Twist)>> {
+    let how = prop_oneof![
+        1 => Just(Twist::Padded),
+        1 => Just(Twist::TooLong),
+        1 => Just(Twist::Overflowing),
+        1 => Just(Twist::Huge),
+    ];
+    prop_oneof![4 => Just(None), 1 => (0usize..6, how).prop_map(Some)]
 }
 
 fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
@@ -176,11 +164,17 @@ fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
         1 => Just(b"a".to_vec()),
         1 => proptest::collection::vec(any::<u8>(), 0..4),
     ];
-    hostile((pattern, some_ids()).prop_map(|(p, ids)| encode_request(&p, &ids)))
+    hostile(
+        (any::<bool>(), pattern, id_list(), twist())
+            .prop_map(|(want, p, ids, t)| Writer::twisted(t).request(want, &p, &ids)),
+    )
 }
 
 fn reply_bytes() -> impl Strategy<Value = Vec<u8>> {
-    hostile((some_ids(), some_ids()).prop_map(|(m, n)| encode_reply(&m, &n)))
+    hostile(
+        (any::<bool>(), id_list(), id_list(), twist())
+            .prop_map(|(cut, m, n, t)| Writer::twisted(t).reply(cut, &m, &n)),
+    )
 }
 
 proptest! {
@@ -196,12 +190,12 @@ proptest! {
         let reply = fx.cloud.node(0).endpoint().call(MachineId(dst), fx.expand, &bytes);
         prop_assert!(reply.is_ok(), "no answer to {bytes:?}: {reply:?}");
         let reply = reply.unwrap();
-        match model_request(&bytes) {
+        match decode_request(&bytes) {
             None => prop_assert!(reply.is_empty(), "malformed {bytes:?} got {reply:?}"),
-            Some((pattern, ids)) => prop_assert_eq!(
+            Some(request) => prop_assert_eq!(
                 reply.into_vec(),
-                expected_reply(&fx.csr, &pattern, &ids),
-                "pattern {pattern:?} ids {ids:?}"
+                expected_reply(&fx.csr, &request),
+                "{request:?}"
             ),
         }
     }
@@ -211,6 +205,8 @@ proptest! {
         bytes in reply_bytes(),
         start in 0u64..NODES as u64,
         from in 0usize..MACHINES,
+        hops in 1usize..=2,
+        pattern in prop_oneof![1 => Just(&b"Da"[..]), 1 => Just(&b""[..])],
     ) {
         let fx = fixture();
         let table = fx.cloud.node(from).table();
@@ -225,40 +221,47 @@ proptest! {
         };
         let opts = ExploreOptions { call: Some(hook), ..Default::default() };
         let got = explore_via(
-            fx.cloud.node(from).endpoint(), &table, MACHINES, start, 1, b"Da", &opts,
+            fx.cloud.node(from).endpoint(), &table, MACHINES, start, hops, pattern, &opts,
         );
         let asked = std::mem::take(&mut *asked.lock().unwrap());
-        // Requests: hop 0 asks the start's owner about the start alone.
+        // Requests: round 0 asks the start's owner about the start alone,
+        // and wants its neighbors (there is at least one hop to go).
         prop_assert_eq!(
             asked.first(),
-            Some(&(table.machine_of(start), encode_request(b"Da", &[start])))
+            Some(&(table.machine_of(start), encode_request(true, pattern, &[start])))
         );
         prop_assert_eq!(got.batches, asked.len());
-        let Some((matches, neighbors)) = model_reply(&bytes) else {
+        let Some(reply) = decode_reply(&bytes) else {
             prop_assert_eq!(got.failed_batches, 1, "{bytes:?}");
             prop_assert_eq!(&got.per_hop, &vec![1]);
             prop_assert!(got.matches.is_empty());
+            prop_assert!(!got.deadline_exceeded);
             prop_assert_eq!(asked.len(), 1);
             return Ok(());
         };
         // Well-formed: the reply is taken at its word. Its neighbors become
-        // hop 1's frontier, first occurrence first, each sent to its owner.
+        // level 1, each sent to its owner in ascending order — if a second
+        // round has anything to ask: more neighbors, or matches.
         prop_assert_eq!(got.failed_batches, 0, "{bytes:?}");
-        let mut seen = BTreeSet::from([start]);
-        let frontier: Vec<u64> = neighbors.into_iter().filter(|&n| seen.insert(n)).collect();
+        prop_assert_eq!(got.deadline_exceeded, reply.truncated);
+        let frontier: Vec<u64> = reply.neighbors.into_iter().filter(|&n| n != start).collect();
         let mut per_hop = vec![1];
         per_hop.extend((!frontier.is_empty()).then_some(frontier.len()));
         prop_assert_eq!(&got.per_hop, &per_hop);
-        prop_assert_eq!(got.matches, BTreeSet::from_iter(matches).into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(got.matches, reply.matches);
+        // The same reply again reveals nothing new, so round 1 is the last
+        // issued; it wants neighbors iff the hop budget has one more level.
+        let rounds = hops + usize::from(!pattern.is_empty());
         let mut routed = Vec::new();
         for (dst, payload) in &asked[1..] {
-            let request = model_request(payload);
+            let request = decode_request(payload);
             prop_assert!(request.is_some(), "coordinator emitted {payload:?}");
-            let (pattern, ids) = request.unwrap();
-            prop_assert_eq!(pattern.as_slice(), b"Da");
-            prop_assert!(!ids.is_empty(), "empty batch sent to {dst:?}");
-            prop_assert!(ids.iter().all(|&id| table.machine_of(id) == *dst));
-            routed.push((*dst, ids));
+            let request = request.unwrap();
+            prop_assert_eq!(request.want_neighbors, hops > 1, "round 1 of {}", rounds);
+            prop_assert_eq!(request.pattern.as_slice(), pattern);
+            prop_assert!(!request.ids.is_empty(), "empty batch sent to {dst:?}");
+            prop_assert!(request.ids.iter().all(|&id| table.machine_of(id) == *dst));
+            routed.push((*dst, request.ids));
         }
         routed.sort();
         let mut expect: Vec<(MachineId, Vec<u64>)> = Vec::new();
@@ -266,7 +269,7 @@ proptest! {
             let ids: Vec<u64> = frontier
                 .iter()
                 .copied()
-                .filter(|&id| table.machine_of(id) == MachineId(m))
+                .filter(|&id| rounds > 1 && table.machine_of(id) == MachineId(m))
                 .collect();
             if !ids.is_empty() {
                 expect.push((MachineId(m), ids));

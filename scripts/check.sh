@@ -22,6 +22,9 @@ TREE_BEFORE=$(git status --porcelain)
 OUT=target/check
 mkdir -p "$OUT"
 
+echo "==> scripts parse (bash -n)"
+bash -n scripts/pairs.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
