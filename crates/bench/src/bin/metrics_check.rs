@@ -6,7 +6,8 @@
 //! the exporters write), and carry the top-level keys its artifact kind
 //! promises:
 //!
-//! - `*.metrics.json` — a `MetricsOut` document: `"bench"` + `"sections"`.
+//! - `*.metrics.json` — a `MetricsOut` document: `"bench"` + `"sections"`,
+//!   and every [`BSP_COUNTERS`] name if it reports a BSP job at all.
 //! - `*.trace.json` — a Chrome trace-event export: `"traceEvents"`.
 //! - `*.flight.json` — a flight-recorder dump: kind `"trinity.flight"`,
 //!   `"windows"` and `"events"`.
@@ -27,6 +28,13 @@ fn required_keys(path: &str) -> &'static [&'static str] {
     }
 }
 
+/// Counters every BSP job registers (DESIGN §6).
+const BSP_COUNTERS: &[&str] = &[
+    "bsp.frames.remote",
+    "bsp.records.sent",
+    "bsp.frames.malformed",
+];
+
 fn check(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
     let values = trinity_obs::validate_json(&text).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -36,6 +44,13 @@ fn check(path: &str) -> Result<(), String> {
     for key in required_keys(path) {
         if !text.contains(key) {
             return Err(format!("missing required key {key}"));
+        }
+    }
+    if path.ends_with(".metrics.json") && text.contains("\"bsp.supersteps\"") {
+        for name in BSP_COUNTERS {
+            if !text.contains(&format!("\"{name}\"")) {
+                return Err(format!("a BSP job ran but {name} is not reported"));
+            }
         }
     }
     Ok(())

@@ -1,0 +1,948 @@
+//! The vertex-centric BSP runtime (paper §5.3–5.4).
+//!
+//! A computation is expressed as iterative supersteps; in each superstep
+//! every vertex acts as an independent agent: it receives the messages
+//! sent to it in the previous superstep, computes, sends messages, and may
+//! vote to halt (a halted vertex is reawakened by an incoming message).
+//!
+//! Two models are supported, mirroring the paper's comparison:
+//!
+//! * the **general model** (Pregel): a vertex may message *any* vertex —
+//!   use [`VertexContext::send`];
+//! * the **restrictive model** (Trinity): a vertex messages a fixed set,
+//!   usually its neighbors — use [`VertexContext::send_to_neighbors`].
+//!   The fixed, predictable communication pattern is what enables the
+//!   §5.4 optimizations.
+//!
+//! Vertex messages cross machines as *run frames* ([`runs`], DESIGN §14):
+//! a broadcast costs each destination machine one record — the value once
+//! and a gap-coded list of the neighbors there; a point send is the same
+//! record with one destination. On top of that (all measurable, all
+//! switchable for the ablation benchmarks):
+//!
+//! * **transparent packing** ([`MessagingMode::Packed`]): run frames ride
+//!   the fabric's per-destination pack buffers; `Unpacked` ships every
+//!   message as its own record, frame and transfer — the naive cost the
+//!   paper's packing exists to avoid;
+//! * **hub buffering** ([`BspConfig::hub_threshold`]): a high-degree
+//!   vertex broadcasting the same value to its neighbors sends *one*
+//!   record per remote machine per iteration with no destination list at
+//!   all; the receiving machine fans it out locally through a subscriber
+//!   index built at job setup. On a power-law graph with `γ = 2.16`,
+//!   buffering the top few percent of vertices covers most message
+//!   deliveries (paper: 2% of hubs reach 80% of vertices);
+//! * **sender-side combining** ([`BspConfig::combine`]): commutative
+//!   messages to the same destination vertex are merged before leaving
+//!   the machine (Pregel's combiner).
+//!
+//! Superstep synchronization uses message fences: after computing, each
+//! machine tells every peer how many run frames it sent; a machine enters
+//! the barrier only once it has received every announced frame, so no
+//! message of superstep `s` can leak into superstep `s + 1`.
+//!
+//! This file is the *runner* (program interface, job setup, one driver
+//! per machine); `pool` is a machine's worker pool, `path` the message
+//! path from a worker's send to the shard inboxes.
+
+mod path;
+mod pool;
+pub mod runs;
+
+use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Barrier};
+
+use parking_lot::Mutex;
+
+use trinity_graph::DistributedGraph;
+use trinity_memcloud::CellId;
+use trinity_net::{current_deadline, DeadlineGuard, MachineId, StatsDelta};
+use trinity_obs::{next_trace_id, TraceGuard};
+
+use crate::proto;
+use path::MachineRt;
+use pool::{RoundAgg, WorkerState};
+
+/// How vertex messages travel between machines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MessagingMode {
+    /// Small messages are transparently packed per destination (§4.2).
+    Packed,
+    /// Every message is its own transfer — the naive baseline.
+    Unpacked,
+}
+
+/// Per-machine callback fired at the start of every superstep, by the
+/// machine's pool leader, before any worker computes that superstep (a
+/// pool barrier orders the hook against the compute phase). The bucket
+/// prefetcher (`trinity-core::prefetch`) implements this to fault the
+/// scheduled bucket's trunks in and kick off a background load of the
+/// next bucket's — compute of bucket `i` overlaps the I/O of `i + 1`.
+pub trait SuperstepHook: Send + Sync {
+    /// `superstep` is absolute (resume offsets included).
+    fn superstep_start(&self, machine: usize, superstep: usize);
+}
+
+/// BSP job configuration.
+#[derive(Clone)]
+pub struct BspConfig {
+    pub messaging: MessagingMode,
+    /// Out-degree at or above which a broadcasting vertex is treated as a
+    /// hub (None disables hub buffering).
+    pub hub_threshold: Option<usize>,
+    /// Merge combinable messages sender-side.
+    pub combine: bool,
+    /// Hard superstep limit.
+    pub max_supersteps: usize,
+    /// Compute workers per simulated machine. `0` means trunk-aligned:
+    /// one worker per trunk the machine hosts (the paper's §3 layout —
+    /// trunks exist precisely so threads can work without contention),
+    /// capped by the host's available parallelism so the simulation does
+    /// not oversubscribe itself by default. Results are identical for
+    /// every value; see `tests/bsp_determinism.rs`.
+    pub compute_threads: usize,
+    /// Start-of-superstep callback, run once per machine per superstep
+    /// (None = no callback, no extra barrier). See [`SuperstepHook`].
+    pub superstep_hook: Option<Arc<dyn SuperstepHook>>,
+}
+
+impl std::fmt::Debug for BspConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BspConfig")
+            .field("messaging", &self.messaging)
+            .field("hub_threshold", &self.hub_threshold)
+            .field("combine", &self.combine)
+            .field("max_supersteps", &self.max_supersteps)
+            .field("compute_threads", &self.compute_threads)
+            .field("superstep_hook", &self.superstep_hook.is_some())
+            .finish()
+    }
+}
+
+impl Default for BspConfig {
+    fn default() -> Self {
+        BspConfig {
+            messaging: MessagingMode::Packed,
+            hub_threshold: Some(128),
+            combine: false,
+            max_supersteps: 64,
+            compute_threads: 0,
+            superstep_hook: None,
+        }
+    }
+}
+
+/// Resolve a requested per-machine worker count: `0` means trunk-aligned
+/// (one worker per hosted trunk), capped by the host's parallelism.
+pub fn resolve_compute_threads(requested: usize, trunks_hosted: usize) -> usize {
+    if requested > 0 {
+        requested
+    } else {
+        let host = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        trunks_hosted.clamp(1, host)
+    }
+}
+
+/// A vertex-centric program.
+pub trait VertexProgram: Send + Sync + 'static {
+    /// Per-vertex state carried across supersteps.
+    type State: Send + 'static;
+    /// The message type.
+    type Msg: Send + Clone + 'static;
+
+    /// Initialize a vertex's state before superstep 0, with zero-copy
+    /// access to the vertex's cell (adjacency, attributes).
+    fn init(&self, id: CellId, view: &trinity_graph::NodeView<'_>) -> Self::State;
+
+    /// One superstep for one vertex.
+    fn compute(
+        &self,
+        ctx: &mut VertexContext<'_, Self::Msg>,
+        id: CellId,
+        state: &mut Self::State,
+        msgs: &[Self::Msg],
+    );
+
+    /// Serialize a message.
+    fn encode_msg(msg: &Self::Msg) -> Vec<u8>;
+    /// Deserialize a message.
+    fn decode_msg(bytes: &[u8]) -> Option<Self::Msg>;
+
+    /// Serialize a vertex state (checkpointing, paper §6.2).
+    fn encode_state(state: &Self::State) -> Vec<u8>;
+    /// Deserialize a vertex state.
+    fn decode_state(bytes: &[u8]) -> Option<Self::State>;
+
+    /// Merge `b` into `a` when messages to the same vertex are combinable
+    /// (return false to keep them separate). Default: not combinable.
+    fn combine(_a: &mut Self::Msg, _b: &Self::Msg) -> bool {
+        false
+    }
+
+    /// Canonical ordering for messages bound to the same vertex. The
+    /// driver stably sorts each vertex's inbox with this before `compute`,
+    /// so the `msgs` slice a vertex sees does not depend on arrival
+    /// interleaving or on how many workers produced the messages. The
+    /// default keeps arrival order (fine for order-insensitive programs
+    /// like max-propagation); programs that fold non-associative values
+    /// (e.g. `f64` sums) should supply a total order to make results
+    /// bit-identical across `compute_threads` settings and runs.
+    fn msg_cmp(_a: &Self::Msg, _b: &Self::Msg) -> std::cmp::Ordering {
+        std::cmp::Ordering::Equal
+    }
+}
+
+/// Per-vertex compute context. Borrows the worker's reusable scratch
+/// buffers (adjacency and send list) so the per-vertex hot loop performs
+/// no allocations of its own.
+pub struct VertexContext<'a, M> {
+    superstep: usize,
+    outs: &'a [CellId],
+    sends: &'a mut Vec<(CellId, M)>,
+    broadcast: Option<M>,
+    halt: bool,
+}
+
+impl<'a, M> VertexContext<'a, M> {
+    /// Current superstep (0-based).
+    pub fn superstep(&self) -> usize {
+        self.superstep
+    }
+
+    /// The vertex's out-neighbors.
+    pub fn out_neighbors(&self) -> &'a [CellId] {
+        self.outs
+    }
+
+    /// General model: message any vertex.
+    pub fn send(&mut self, dst: CellId, msg: M) {
+        self.sends.push((dst, msg));
+    }
+
+    /// Restrictive model: send the same message to every out-neighbor.
+    /// Eligible for hub buffering.
+    pub fn send_to_neighbors(&mut self, msg: M) {
+        self.broadcast = Some(msg);
+    }
+
+    /// Halt until reawakened by a message.
+    pub fn vote_to_halt(&mut self) {
+        self.halt = true;
+    }
+}
+
+/// Outcome of a BSP run (or one checkpointed segment of a run).
+pub struct BspResult<P: VertexProgram> {
+    /// Final state of every vertex.
+    pub states: HashMap<CellId, P::State>,
+    /// Per-superstep measurements.
+    pub reports: Vec<SuperstepReport>,
+    /// True if the job reached quiescence (all halted, no messages);
+    /// false if it stopped at the superstep limit.
+    pub terminated: bool,
+    /// Messages pending for the next superstep (empty when terminated).
+    pub pending: HashMap<CellId, Vec<P::Msg>>,
+    /// Vertices still active (empty when terminated).
+    pub active: std::collections::HashSet<CellId>,
+}
+
+impl<P: VertexProgram> BspResult<P> {
+    /// Number of supersteps executed.
+    pub fn supersteps(&self) -> usize {
+        self.reports.len()
+    }
+
+    /// Total modeled cluster seconds (compute + network + barriers).
+    pub fn modeled_seconds(&self) -> f64 {
+        self.reports.iter().map(|r| r.modeled_seconds).sum()
+    }
+
+    /// Turn this (non-terminated) result into the resume point for the
+    /// next segment.
+    pub fn into_resume(self) -> ResumePoint<P> {
+        ResumePoint {
+            states: self.states,
+            pending: self.pending,
+            active: self.active,
+        }
+    }
+}
+
+/// State needed to continue a BSP job from a superstep boundary (also
+/// the shape of one machine's slice of it, and of a job's exit state).
+pub struct ResumePoint<P: VertexProgram> {
+    pub states: HashMap<CellId, P::State>,
+    pub pending: HashMap<CellId, Vec<P::Msg>>,
+    pub active: std::collections::HashSet<CellId>,
+}
+
+impl<P: VertexProgram> Default for ResumePoint<P> {
+    fn default() -> Self {
+        ResumePoint {
+            states: HashMap::new(),
+            pending: HashMap::new(),
+            active: Default::default(),
+        }
+    }
+}
+
+/// Measurements for one superstep.
+#[derive(Debug, Clone, Default)]
+pub struct SuperstepReport {
+    pub superstep: usize,
+    /// Vertices computed this superstep.
+    pub computed: usize,
+    /// Vertices still active after the superstep.
+    pub active_after: usize,
+    /// Remote deliveries sent: one per (destination vertex, message)
+    /// carried by a `BSP_MSG` record, plus one per hub broadcast (which
+    /// the receiving machine fans out as local deliveries).
+    pub remote_messages: u64,
+    /// Machine-local message deliveries (free).
+    pub local_messages: u64,
+    /// Critical-path compute seconds, max over machines: per machine, the
+    /// slowest pool worker's CPU time plus the driver's serial section
+    /// (combine replay). This is the superstep latency a real cluster
+    /// with that many cores per machine could not beat. With one compute
+    /// thread it reduces to the old single-thread CPU reading.
+    pub compute_seconds: f64,
+    /// Aggregate compute CPU seconds across every machine and worker.
+    pub compute_cpu_seconds: f64,
+    /// Aggregate compute work divided by the machine count — the compute
+    /// time an actual cluster (one real CPU per machine) would take,
+    /// assuming even progress.
+    pub compute_parallel_seconds: f64,
+    /// Network traffic delta, max over machines (the bottleneck link).
+    pub max_machine_net: StatsDelta,
+    /// Modeled cluster seconds: parallel compute + priced bottleneck
+    /// traffic + barrier.
+    pub modeled_seconds: f64,
+}
+
+/// The distributed BSP job runner.
+pub struct BspRunner<P: VertexProgram> {
+    graph: Arc<DistributedGraph>,
+    program: P,
+    cfg: BspConfig,
+}
+
+impl<P: VertexProgram> BspRunner<P> {
+    /// Prepare a job over `graph`.
+    pub fn new(graph: Arc<DistributedGraph>, program: P, cfg: BspConfig) -> Self {
+        BspRunner {
+            graph,
+            program,
+            cfg,
+        }
+    }
+
+    /// The graph this job runs over.
+    pub fn graph(&self) -> &Arc<DistributedGraph> {
+        &self.graph
+    }
+
+    /// Execute to termination (all vertices halted and no messages in
+    /// flight) or to the superstep limit. Returns final vertex states and
+    /// per-superstep measurements.
+    pub fn run(&self) -> BspResult<P> {
+        self.run_resumed(None, 0)
+    }
+
+    /// Execute starting from a resume point (checkpoint restart), with
+    /// superstep numbering offset by `superstep_offset` in the reports.
+    pub fn run_resumed(
+        &self,
+        resume: Option<ResumePoint<P>>,
+        superstep_offset: usize,
+    ) -> BspResult<P> {
+        let machines = self.graph.machines();
+        // Split the resume point by owning machine.
+        let resumed = resume.is_some();
+        let mut split: Vec<ResumePoint<P>> =
+            (0..machines).map(|_| ResumePoint::default()).collect();
+        if let Some(r) = resume {
+            let table = self.graph.cloud().node(0).table();
+            let owner = |id| table.machine_of(id).0 as usize;
+            for (id, st) in r.states {
+                split[owner(id)].states.insert(id, st);
+            }
+            for (id, msgs) in r.pending {
+                split[owner(id)].pending.insert(id, msgs);
+            }
+            for id in r.active {
+                split[owner(id)].active.insert(id);
+            }
+        }
+        let rts: Vec<Arc<MachineRt<P>>> = (0..machines)
+            .map(|m| {
+                let node = self.graph.cloud().node(m);
+                let table = node.table();
+                let workers = resolve_compute_threads(
+                    self.cfg.compute_threads,
+                    table.trunks_of(MachineId(m as u16)).len(),
+                );
+                let rt = Arc::new(MachineRt::new(
+                    Arc::clone(node.endpoint()),
+                    machines,
+                    workers,
+                    table,
+                ));
+                rt.register_handlers(self.graph.handle(m).clone());
+                rt
+            })
+            .collect();
+        let job = Job {
+            graph: &self.graph,
+            program: &self.program,
+            cfg: &self.cfg,
+            resumed,
+            superstep_offset,
+            // One trace id for the whole job: every driver thread installs
+            // it, so all BSP traffic (run frames, fences, hub setup calls)
+            // is stamped with it and the job can be reconstructed from
+            // span rings across the cluster.
+            trace: next_trace_id(),
+            // A serving-tier deadline installed on the submitting thread is
+            // inherited by every machine driver: the job aborts between
+            // supersteps once the budget lapses.
+            deadline: current_deadline(),
+            barrier: Barrier::new(machines),
+            agg: Mutex::default(),
+            stop: AtomicBool::new(false),
+            terminated: AtomicBool::new(false),
+            reports: Mutex::default(),
+            finals: Mutex::default(),
+        };
+        std::thread::scope(|scope| {
+            for (m, (rt, resume)) in rts.iter().zip(split).enumerate() {
+                let job = &job;
+                scope.spawn(move || machine_driver(job, m, rt, resume));
+            }
+        });
+        let finals = job.finals.into_inner();
+        BspResult {
+            states: finals.states,
+            reports: job.reports.into_inner(),
+            terminated: job.terminated.into_inner(),
+            pending: finals.pending,
+            active: finals.active,
+        }
+    }
+}
+
+/// What the machine drivers and pool workers of one job share: the
+/// program and the cross-machine control plane (leaders only).
+struct Job<'x, P: VertexProgram> {
+    graph: &'x DistributedGraph,
+    program: &'x P,
+    cfg: &'x BspConfig,
+    /// Continues a checkpoint (else every vertex starts active).
+    resumed: bool,
+    superstep_offset: usize,
+    trace: u64,
+    deadline: u64,
+    barrier: Barrier,
+    agg: Mutex<RoundAgg>,
+    stop: AtomicBool,
+    terminated: AtomicBool,
+    reports: Mutex<Vec<SuperstepReport>>,
+    /// Merged exit state of all drivers.
+    finals: Mutex<ResumePoint<P>>,
+}
+
+fn machine_driver<P: VertexProgram>(
+    job: &Job<'_, P>,
+    m: usize,
+    rt: &MachineRt<P>,
+    mut resume: ResumePoint<P>,
+) {
+    // The job's trace id covers every send/call this driver thread makes,
+    // and the submitter's deadline budget bounds them.
+    let _trace_guard = TraceGuard::enter(job.trace);
+    let _deadline_guard = DeadlineGuard::enter(job.deadline);
+    let handle = job.graph.handle(m);
+    let machines = job.graph.machines();
+
+    // --- Setup: local vertex census + state init -----------------------
+    // States are initialized during the census pass, where the program
+    // gets zero-copy access to each vertex's cell. On resume,
+    // checkpointed states win; anything missing from the checkpoint
+    // starts fresh.
+    let mut local: Vec<(CellId, usize)> = Vec::new(); // (id, out_degree)
+    handle.for_each_local_node(|id, view| {
+        local.push((id, view.out_degree()));
+        let init = || job.program.init(id, &view);
+        resume.states.entry(id).or_insert_with(init);
+    });
+    local.sort_unstable();
+    if !job.resumed {
+        resume.active = local.iter().map(|&(id, _)| id).collect();
+    }
+
+    // --- Setup: hub discovery ------------------------------------------
+    // Hub buffering needs the receiving machines to know which of their
+    // vertices are targets of a hub's broadcast, which requires reverse
+    // traversal (symmetric out-lists or stored in-links). On a directed
+    // graph loaded without in-links the optimization silently disables.
+    // A peer whose setup call fails is not subscribed to anything here:
+    // it gets this machine's hubs' messages as ordinary records.
+    let hub_allowed = job.graph.reverse_traversable();
+    let mut hub_targets: HashMap<CellId, Vec<MachineId>> = HashMap::new();
+    if let Some(threshold) = job.cfg.hub_threshold.filter(|_| hub_allowed) {
+        let hubs: Vec<CellId> = local
+            .iter()
+            .filter(|&&(_, deg)| deg >= threshold)
+            .map(|&(id, _)| id)
+            .collect();
+        job.barrier.wait();
+        if !hubs.is_empty() {
+            let mut req = Vec::with_capacity(hubs.len() * 8);
+            for h in &hubs {
+                req.extend_from_slice(&h.to_le_bytes());
+            }
+            for peer in (0..machines).filter(|&p| p != m) {
+                let peer = MachineId(peer as u16);
+                if let Ok(reply) = rt.endpoint.call(peer, proto::BSP_HUB_SETUP, &req) {
+                    for hub in path::le_u64s(&reply) {
+                        hub_targets.entry(hub).or_default().push(peer);
+                    }
+                }
+            }
+        }
+        job.barrier.wait();
+    }
+
+    // --- Worker pool setup ---------------------------------------------
+    // Shard every local vertex (and all resumed state) by
+    // `trunk_of(id) % workers` — the same pure routing the receive
+    // handlers use, so a message lands in exactly the inbox of the worker
+    // that owns its destination. `vseq` is the vertex's position in the
+    // machine-wide sorted order; the combine replay keys on it to
+    // reproduce the serial enqueue sequence exactly.
+    let workers = rt.inboxes.len();
+    rt.metrics.pool_workers.add(workers as u64);
+    let mut shards: Vec<WorkerState<P>> = (0..workers)
+        .map(|w| WorkerState::new(w, machines, workers))
+        .collect();
+    for (vseq, &(id, _deg)) in local.iter().enumerate() {
+        shards[rt.shard_of(id)].local.push((id, vseq));
+    }
+    for (id, st) in resume.states {
+        shards[rt.shard_of(id)].states.insert(id, st);
+    }
+    for id in resume.active {
+        shards[rt.shard_of(id)].active.insert(id);
+    }
+    // Initial pending messages, sharded and loaded like a drained inbox.
+    let mut raw: Vec<Vec<(CellId, P::Msg)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (id, msgs) in resume.pending {
+        raw[rt.shard_of(id)].extend(msgs.into_iter().map(|msg| (id, msg)));
+    }
+    for (ws, mut r) in shards.iter_mut().zip(raw) {
+        r.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| P::msg_cmp(&a.1, &b.1)));
+        (ws.in_ids, ws.in_msgs) = r.into_iter().unzip();
+    }
+
+    pool::run(job, m, rt, &hub_targets, shards);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use trinity_graph::{load_graph, Csr, LoadOptions};
+    use trinity_memcloud::{CloudConfig, MemoryCloud};
+
+    /// Classic Pregel example: propagate the maximum vertex id.
+    struct MaxValue;
+
+    impl VertexProgram for MaxValue {
+        type State = u64;
+        type Msg = u64;
+
+        fn init(&self, id: CellId, _view: &trinity_graph::NodeView<'_>) -> u64 {
+            id
+        }
+
+        fn compute(
+            &self,
+            ctx: &mut VertexContext<'_, u64>,
+            _id: CellId,
+            state: &mut u64,
+            msgs: &[u64],
+        ) {
+            let before = *state;
+            for &m in msgs {
+                *state = (*state).max(m);
+            }
+            if ctx.superstep() == 0 || *state > before {
+                ctx.send_to_neighbors(*state);
+            }
+            ctx.vote_to_halt();
+        }
+
+        fn encode_msg(m: &u64) -> Vec<u8> {
+            m.to_le_bytes().to_vec()
+        }
+
+        fn decode_msg(b: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(b.try_into().ok()?))
+        }
+
+        fn encode_state(s: &u64) -> Vec<u8> {
+            s.to_le_bytes().to_vec()
+        }
+
+        fn decode_state(b: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(b.try_into().ok()?))
+        }
+
+        fn combine(a: &mut u64, b: &u64) -> bool {
+            *a = (*a).max(*b);
+            true
+        }
+    }
+
+    fn run_max(csr: &Csr, machines: usize, cfg: BspConfig) -> BspResult<MaxValue> {
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &LoadOptions::default()).unwrap());
+        let result = BspRunner::new(graph, MaxValue, cfg).run();
+        cloud.shutdown();
+        result
+    }
+
+    fn ring(n: usize) -> Csr {
+        let edges: Vec<(u64, u64)> = (0..n as u64).map(|v| (v, (v + 1) % n as u64)).collect();
+        Csr::undirected_from_edges(n, &edges, true)
+    }
+
+    #[test]
+    fn max_propagation_converges_on_a_ring() {
+        let n = 40;
+        let r = run_max(&ring(n), 3, BspConfig::default());
+        assert_eq!(r.states.len(), n);
+        assert!(
+            r.states.values().all(|&v| v == (n - 1) as u64),
+            "all vertices learn the max"
+        );
+        // A ring needs about n/2 supersteps to converge, then one quiet step.
+        assert!(
+            r.supersteps() >= n / 2 && r.supersteps() <= n,
+            "{} supersteps",
+            r.supersteps()
+        );
+    }
+
+    #[test]
+    fn terminates_immediately_when_everyone_halts_silently() {
+        struct Silent;
+        impl VertexProgram for Silent {
+            type State = ();
+            type Msg = u64;
+            fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) {}
+            fn compute(
+                &self,
+                ctx: &mut VertexContext<'_, u64>,
+                _id: CellId,
+                _s: &mut (),
+                _m: &[u64],
+            ) {
+                ctx.vote_to_halt();
+            }
+            fn encode_msg(m: &u64) -> Vec<u8> {
+                m.to_le_bytes().to_vec()
+            }
+            fn decode_msg(b: &[u8]) -> Option<u64> {
+                Some(u64::from_le_bytes(b.try_into().ok()?))
+            }
+            fn encode_state(_s: &()) -> Vec<u8> {
+                Vec::new()
+            }
+            fn decode_state(_b: &[u8]) -> Option<()> {
+                Some(())
+            }
+        }
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+        let graph =
+            Arc::new(load_graph(Arc::clone(&cloud), &ring(10), &LoadOptions::default()).unwrap());
+        let r = BspRunner::new(graph, Silent, BspConfig::default()).run();
+        assert_eq!(r.supersteps(), 1);
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn all_messaging_modes_agree() {
+        let csr = trinity_graphgen::social(200, 10, 3);
+        let base = run_max(
+            &csr,
+            3,
+            BspConfig {
+                hub_threshold: None,
+                ..BspConfig::default()
+            },
+        );
+        for cfg in [
+            BspConfig {
+                messaging: MessagingMode::Unpacked,
+                hub_threshold: None,
+                ..BspConfig::default()
+            },
+            BspConfig {
+                hub_threshold: Some(8),
+                ..BspConfig::default()
+            },
+            BspConfig {
+                combine: true,
+                hub_threshold: None,
+                ..BspConfig::default()
+            },
+            BspConfig {
+                combine: true,
+                hub_threshold: Some(4),
+                ..BspConfig::default()
+            },
+        ] {
+            let r = run_max(&csr, 3, cfg.clone());
+            assert_eq!(r.states, base.states, "config {cfg:?} changed the results");
+        }
+    }
+
+    #[test]
+    fn hub_buffering_reduces_remote_messages_on_power_law() {
+        let csr = trinity_graphgen::power_law(2_000, 2.16, 1, 400, 5);
+        let plain = run_max(
+            &csr,
+            4,
+            BspConfig {
+                hub_threshold: None,
+                combine: false,
+                ..BspConfig::default()
+            },
+        );
+        let hubbed = run_max(
+            &csr,
+            4,
+            BspConfig {
+                hub_threshold: Some(8),
+                combine: false,
+                ..BspConfig::default()
+            },
+        );
+        assert_eq!(plain.states, hubbed.states);
+        let plain_msgs: u64 = plain.reports.iter().map(|r| r.remote_messages).sum();
+        let hub_msgs: u64 = hubbed.reports.iter().map(|r| r.remote_messages).sum();
+        assert!(
+            (hub_msgs as f64) < 0.75 * plain_msgs as f64,
+            "hub buffering should cut remote frames by >25%: {hub_msgs} vs {plain_msgs}"
+        );
+    }
+
+    #[test]
+    fn hub_buffering_collapses_star_broadcasts() {
+        // A star: node 0 connects to everyone. Broadcasting from the hub
+        // should cost one frame per machine instead of one per neighbor.
+        let n = 800;
+        let edges: Vec<(u64, u64)> = (1..n as u64).map(|v| (0, v)).collect();
+        let csr = Csr::undirected_from_edges(n, &edges, true);
+        let plain = run_max(
+            &csr,
+            4,
+            BspConfig {
+                hub_threshold: None,
+                combine: false,
+                ..BspConfig::default()
+            },
+        );
+        let hubbed = run_max(
+            &csr,
+            4,
+            BspConfig {
+                hub_threshold: Some(100),
+                combine: false,
+                ..BspConfig::default()
+            },
+        );
+        assert_eq!(plain.states, hubbed.states);
+        // Superstep 0: the hub alone sends ~600 remote frames plain,
+        // but only <= 3 hub frames when buffered (leaves send to node 0
+        // either way).
+        let plain_msgs: u64 = plain.reports.iter().map(|r| r.remote_messages).sum();
+        let hub_msgs: u64 = hubbed.reports.iter().map(|r| r.remote_messages).sum();
+        assert!(
+            hub_msgs * 3 < plain_msgs * 2,
+            "star hub should collapse broadcasts: {hub_msgs} vs {plain_msgs}"
+        );
+    }
+
+    #[test]
+    fn packing_reduces_envelopes_not_frames() {
+        let csr = trinity_graphgen::social(400, 16, 8);
+        let packed = run_max(
+            &csr,
+            3,
+            BspConfig {
+                hub_threshold: None,
+                ..BspConfig::default()
+            },
+        );
+        let unpacked = run_max(
+            &csr,
+            3,
+            BspConfig {
+                messaging: MessagingMode::Unpacked,
+                hub_threshold: None,
+                ..BspConfig::default()
+            },
+        );
+        assert_eq!(packed.states, unpacked.states);
+        let env_packed: u64 = packed
+            .reports
+            .iter()
+            .map(|r| r.max_machine_net.remote_envelopes)
+            .sum();
+        let env_unpacked: u64 = unpacked
+            .reports
+            .iter()
+            .map(|r| r.max_machine_net.remote_envelopes)
+            .sum();
+        assert!(
+            env_packed * 3 < env_unpacked,
+            "packing should collapse envelopes: {env_packed} vs {env_unpacked}"
+        );
+        assert!(packed.modeled_seconds() < unpacked.modeled_seconds());
+    }
+
+    #[test]
+    fn general_model_point_sends_reach_arbitrary_vertices() {
+        /// Every vertex sends its id to vertex 0 in superstep 0; vertex 0
+        /// sums what it received.
+        struct SendToZero;
+        impl VertexProgram for SendToZero {
+            type State = u64;
+            type Msg = u64;
+            fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) -> u64 {
+                0
+            }
+            fn compute(
+                &self,
+                ctx: &mut VertexContext<'_, u64>,
+                id: CellId,
+                state: &mut u64,
+                msgs: &[u64],
+            ) {
+                if ctx.superstep() == 0 && id != 0 {
+                    ctx.send(0, id);
+                }
+                for &m in msgs {
+                    *state += m;
+                }
+                ctx.vote_to_halt();
+            }
+            fn encode_msg(m: &u64) -> Vec<u8> {
+                m.to_le_bytes().to_vec()
+            }
+            fn decode_msg(b: &[u8]) -> Option<u64> {
+                Some(u64::from_le_bytes(b.try_into().ok()?))
+            }
+            fn encode_state(s: &u64) -> Vec<u8> {
+                s.to_le_bytes().to_vec()
+            }
+            fn decode_state(b: &[u8]) -> Option<u64> {
+                Some(u64::from_le_bytes(b.try_into().ok()?))
+            }
+        }
+        let n = 30u64;
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+        let graph = Arc::new(
+            load_graph(
+                Arc::clone(&cloud),
+                &ring(n as usize),
+                &LoadOptions::default(),
+            )
+            .unwrap(),
+        );
+        let r = BspRunner::new(
+            graph,
+            SendToZero,
+            BspConfig {
+                hub_threshold: None,
+                ..BspConfig::default()
+            },
+        )
+        .run();
+        assert_eq!(r.states[&0], (1..n).sum::<u64>());
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_frame_with_an_undecodable_message_is_dropped_whole_and_counted() {
+        /// Every vertex sends its id to vertex 0 in superstep 0; vertex 0
+        /// sums what it received. The poison id goes out as a message no
+        /// `decode_msg` accepts.
+        struct Poisoned(u64);
+        impl VertexProgram for Poisoned {
+            type State = u64;
+            type Msg = (u64, bool);
+            fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) -> u64 {
+                0
+            }
+            fn compute(
+                &self,
+                ctx: &mut VertexContext<'_, (u64, bool)>,
+                id: CellId,
+                state: &mut u64,
+                msgs: &[(u64, bool)],
+            ) {
+                if ctx.superstep() == 0 && id != 0 {
+                    ctx.send(0, (id, id == self.0));
+                }
+                *state += msgs.iter().map(|m| m.0).sum::<u64>();
+                ctx.vote_to_halt();
+            }
+            fn encode_msg(m: &(u64, bool)) -> Vec<u8> {
+                let mut bytes = m.0.to_le_bytes().to_vec();
+                bytes.truncate(if m.1 { 3 } else { 8 });
+                bytes
+            }
+            fn decode_msg(b: &[u8]) -> Option<(u64, bool)> {
+                Some((u64::from_le_bytes(b.try_into().ok()?), false))
+            }
+            fn encode_state(s: &u64) -> Vec<u8> {
+                s.to_le_bytes().to_vec()
+            }
+            fn decode_state(b: &[u8]) -> Option<u64> {
+                Some(u64::from_le_bytes(b.try_into().ok()?))
+            }
+        }
+        let n = 30u64;
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+        let graph = Arc::new(
+            load_graph(
+                Arc::clone(&cloud),
+                &ring(n as usize),
+                &LoadOptions::default(),
+            )
+            .unwrap(),
+        );
+        let table = cloud.node(0).table();
+        let poison = (1..n)
+            .find(|&v| table.machine_of(v) != table.machine_of(0))
+            .unwrap();
+        let cfg = BspConfig {
+            hub_threshold: None,
+            compute_threads: 1,
+            ..BspConfig::default()
+        };
+        // The fence still balances: the job ends instead of hanging.
+        let r = BspRunner::new(graph, Poisoned(poison), cfg).run();
+        assert!(r.terminated);
+        // One worker per machine ships one frame per peer: everything the
+        // poisoned machine sent vertex 0 is gone with it, nothing else is.
+        let survivors = (1..n).filter(|&v| table.machine_of(v) != table.machine_of(poison));
+        assert_eq!(r.states[&0], survivors.sum::<u64>());
+        let malformed = cloud.fabric().obs().snapshot().totals().counters["bsp.frames.malformed"];
+        assert_eq!(malformed, 1);
+        cloud.shutdown();
+    }
+}

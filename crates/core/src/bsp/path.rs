@@ -1,0 +1,409 @@
+//! The BSP message path, from a worker's send to the shard inbox its
+//! destination's owner drains. Sending: a [`RunOutbox`] per (worker,
+//! destination machine, protocol) builds [`super::runs`] frames and ships
+//! them by size. Receiving: the `BSP_MSG`/`BSP_HUB` batch handlers
+//! validate each frame whole, decode every record's message once, fan it
+//! out to the owning shards and credit the fence. Machine-local
+//! deliveries go straight to the inboxes.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::{Condvar, Mutex};
+
+use trinity_graph::GraphHandle;
+use trinity_memcloud::{AddressingTable, CellId};
+use trinity_net::{deadline_expired, Endpoint, MachineId, ProtoId};
+use trinity_obs::{Counter, Histogram};
+
+use super::{runs, VertexProgram};
+use crate::proto;
+
+/// Ship an outbox's frame once it holds this many bytes: hundreds of
+/// records a frame, a few frames to the fabric's pack threshold.
+const RUN_FLUSH_BYTES: usize = 16 << 10;
+
+/// Flush a worker's buffered local deliveries for a shard at this many.
+const LOCAL_CHUNK: usize = 128;
+
+struct FenceState {
+    /// Per-peer announced run-frame count for the current superstep.
+    expected: Vec<Option<u64>>,
+    /// Per-peer run frames received so far for the current superstep.
+    got: Vec<u64>,
+}
+
+/// Cached `bsp.*` metric handles for one machine's runtime (resolved once
+/// per job; superstep hot paths touch only relaxed atomics).
+pub(super) struct BspMetrics {
+    /// Supersteps this machine drove (`bsp.supersteps`).
+    pub(super) supersteps: Arc<Counter>,
+    /// Vertices computed (`bsp.computed`).
+    pub(super) computed: Arc<Counter>,
+    /// Deliveries sent to other machines, a hub broadcast counting one
+    /// (`bsp.frames.remote`).
+    pub(super) frames_remote: Arc<Counter>,
+    /// Machine-local deliveries (`bsp.frames.local`).
+    pub(super) frames_local: Arc<Counter>,
+    /// Run records sent, `BSP_MSG` and `BSP_HUB` (`bsp.records.sent`).
+    records_sent: Arc<Counter>,
+    /// Run frames refused and dropped whole (`bsp.frames.malformed`).
+    frames_malformed: Arc<Counter>,
+    /// Hub broadcasts sent, one per subscribed machine (`bsp.hub.broadcasts`).
+    pub(super) hub_broadcasts: Arc<Counter>,
+    /// Vertices fanned out to by incoming hub broadcasts (`bsp.hub.fanout`).
+    hub_fanout: Arc<Counter>,
+    /// Per-superstep compute CPU time, µs (`bsp.compute.us`).
+    pub(super) compute_us: Arc<Histogram>,
+    /// Per-worker per-superstep compute CPU time, µs (`bsp.worker.compute.us`).
+    pub(super) worker_us: Arc<Histogram>,
+    /// Pool workers resolved per job per machine (`bsp.pool.workers`).
+    pub(super) pool_workers: Arc<Counter>,
+    /// Per-superstep wall time including the fence, µs (`bsp.superstep.us`).
+    pub(super) superstep_us: Arc<Histogram>,
+}
+
+impl BspMetrics {
+    fn new(endpoint: &Endpoint) -> Self {
+        let obs = endpoint.obs();
+        BspMetrics {
+            supersteps: obs.counter("bsp.supersteps"),
+            computed: obs.counter("bsp.computed"),
+            frames_remote: obs.counter("bsp.frames.remote"),
+            frames_local: obs.counter("bsp.frames.local"),
+            records_sent: obs.counter("bsp.records.sent"),
+            frames_malformed: obs.counter("bsp.frames.malformed"),
+            hub_broadcasts: obs.counter("bsp.hub.broadcasts"),
+            hub_fanout: obs.counter("bsp.hub.fanout"),
+            compute_us: obs.histogram("bsp.compute.us"),
+            worker_us: obs.histogram("bsp.worker.compute.us"),
+            pool_workers: obs.counter("bsp.pool.workers"),
+            superstep_us: obs.histogram("bsp.superstep.us"),
+        }
+    }
+}
+
+/// One worker's inbox: flattened `(dst, msg)` pairs under a single lock.
+type ShardInbox<M> = Mutex<Vec<(CellId, M)>>;
+
+/// Hub id → per-shard lists of the local vertices subscribed to it,
+/// pre-split so fan-out stages straight into the owning shard.
+type HubSubs = HashMap<CellId, Vec<Vec<CellId>>>;
+
+/// One machine's receive-side state for a job.
+pub(super) struct MachineRt<P: VertexProgram> {
+    pub(super) endpoint: Arc<Endpoint>,
+    machines: usize,
+    /// Resolved pool size: sharding is `trunk_of(dst) % shard_workers`, a
+    /// pure function of the id, so receive handlers can route a message
+    /// to its owning worker's inbox without any setup handshake.
+    shard_workers: usize,
+    table: AddressingTable,
+    /// Per-worker inboxes for the *next* superstep: flattened
+    /// `(dst, msg)` pairs the owning worker drains in sorted runs.
+    pub(super) inboxes: Vec<ShardInbox<P::Msg>>,
+    pub(super) local_deliveries: AtomicU64,
+    fence: Mutex<FenceState>,
+    fence_cv: Condvar,
+    /// Hub subscriber index under construction: `BSP_HUB_SETUP` handlers
+    /// insert here until the setup barrier.
+    subs_setup: Mutex<HubSubs>,
+    /// The index as hub fan-out reads it — remote hub id → per-shard
+    /// lists of local vertices that list it as an (in-)neighbor. Frozen
+    /// from `subs_setup` by the first hub run to arrive, which a peer can
+    /// only send after the setup barrier, so fan-out takes no lock on it.
+    subs: OnceLock<HubSubs>,
+    pub(super) metrics: BspMetrics,
+}
+
+impl<P: VertexProgram> MachineRt<P> {
+    pub(super) fn new(
+        endpoint: Arc<Endpoint>,
+        machines: usize,
+        shard_workers: usize,
+        table: AddressingTable,
+    ) -> Self {
+        MachineRt {
+            metrics: BspMetrics::new(&endpoint),
+            endpoint,
+            machines,
+            shard_workers,
+            table,
+            inboxes: (0..shard_workers).map(|_| Mutex::new(Vec::new())).collect(),
+            local_deliveries: AtomicU64::new(0),
+            fence: Mutex::new(FenceState {
+                expected: vec![None; machines],
+                got: vec![0; machines],
+            }),
+            fence_cv: Condvar::new(),
+            subs_setup: Mutex::new(HashMap::new()),
+            subs: OnceLock::new(),
+        }
+    }
+
+    pub(super) fn shard_of(&self, id: CellId) -> usize {
+        (self.table.trunk_of(id) as usize) % self.shard_workers
+    }
+
+    /// Hand deliveries staged by owning shard to the shard inboxes: each
+    /// inbox lock is taken once per call.
+    pub(super) fn deliver_sharded(&self, staged: &mut [Vec<(CellId, P::Msg)>]) {
+        for (shard, buf) in staged.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                self.deliver_batch(shard, buf);
+            }
+        }
+    }
+
+    /// Append buffered deliveries for one shard under a single lock
+    /// acquisition.
+    fn deliver_batch(&self, shard: usize, buf: &mut Vec<(CellId, P::Msg)>) {
+        // Attribute each delivery to its destination trunk, batched so the
+        // shared LoadMap sees one update per distinct trunk in the run.
+        let load = self.endpoint.obs().load();
+        let mut by_trunk: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
+        for (dst, _) in buf.iter() {
+            *by_trunk.entry(self.table.trunk_of(*dst)).or_insert(0) += 1;
+        }
+        for (trunk, n) in by_trunk {
+            load.record_msgs(trunk, n);
+        }
+        self.inboxes[shard].lock().append(buf);
+    }
+
+    /// Buffer one machine-local delivery, flushing the shard's buffer into
+    /// its inbox once it fills.
+    pub(super) fn push_local(
+        &self,
+        local_buf: &mut [Vec<(CellId, P::Msg)>],
+        dst: CellId,
+        msg: P::Msg,
+    ) {
+        let shard = self.shard_of(dst);
+        let buf = &mut local_buf[shard];
+        buf.push((dst, msg));
+        if buf.len() >= LOCAL_CHUNK {
+            self.deliver_batch(shard, buf);
+        }
+    }
+
+    /// Credit `n` received run frames from `src` to the fence.
+    fn count_frames(&self, src: MachineId, n: usize) {
+        let mut f = self.fence.lock();
+        f.got[src.0 as usize] += n as u64;
+        self.fence_cv.notify_all();
+    }
+
+    /// Fence: tell every peer how many run frames this machine sent it
+    /// this superstep, flush everything, and block until every peer's
+    /// count has arrived and that many of its frames have been received.
+    pub(super) fn fence(&self, self_machine: usize, superstep: usize, frames_to: &[u64]) {
+        for (peer, &sent) in frames_to.iter().enumerate() {
+            if peer != self_machine {
+                let peer = MachineId(peer as u16);
+                let mut fence = (superstep as u32).to_le_bytes().to_vec();
+                fence.extend_from_slice(&sent.to_le_bytes());
+                self.endpoint.send(peer, proto::BSP_FENCE, &fence);
+                self.endpoint.flush_to(peer);
+            }
+        }
+        self.endpoint.flush();
+        let mut f = self.fence.lock();
+        loop {
+            let done = (0..self.machines)
+                .all(|p| p == self_machine || matches!(f.expected[p], Some(e) if f.got[p] >= e));
+            if done {
+                // Reset for the next superstep.
+                for p in 0..self.machines {
+                    f.expected[p] = None;
+                    f.got[p] = 0;
+                }
+                return;
+            }
+            self.fence_cv.wait(&mut f);
+        }
+    }
+
+    /// Decode one run frame and hand `each` every record's message and
+    /// ids — after the whole frame, every message included, has decoded.
+    /// A frame that does not is dropped whole and counted.
+    fn for_each_record(&self, frame: &[u8], mut each: impl FnMut(&P::Msg, &[CellId])) {
+        let decoded = runs::decode(frame).and_then(|run| {
+            let msgs: Option<Vec<P::Msg>> =
+                run.records().map(|(msg, _)| P::decode_msg(msg)).collect();
+            Some((msgs?, run))
+        });
+        let Some((msgs, run)) = decoded else {
+            self.metrics.frames_malformed.inc();
+            return;
+        };
+        for (msg, (_, ids)) in msgs.iter().zip(run.records()) {
+            each(msg, ids);
+        }
+    }
+
+    /// Install this machine's four BSP protocol handlers.
+    pub(super) fn register_handlers(self: &Arc<Self>, handle: GraphHandle) {
+        // Vertex data messages: decode the run, then one lock per shard
+        // inbox and one fence update for all of it. A malformed frame is
+        // still credited: fences must balance.
+        let rt = Arc::clone(self);
+        self.endpoint
+            .register_batch(proto::BSP_MSG, move |src, frames| {
+                let mut staged = vec![Vec::new(); rt.shard_workers];
+                for frame in frames {
+                    rt.for_each_record(&frame.payload, |msg, ids| {
+                        for &dst in ids {
+                            staged[rt.shard_of(dst)].push((dst, msg.clone()));
+                        }
+                    });
+                }
+                rt.deliver_sharded(&mut staged);
+                rt.count_frames(src, frames.len());
+            });
+        // Hub broadcasts: the same run, its ids naming hubs; fan each out
+        // through the subscriber index.
+        let rt = Arc::clone(self);
+        self.endpoint
+            .register_batch(proto::BSP_HUB, move |src, frames| {
+                // On a lapsed deadline the fan-out is skipped but the
+                // frames are still counted: fences must balance or the
+                // superstep would hang instead of finishing early.
+                if !deadline_expired() {
+                    let subs = rt
+                        .subs
+                        .get_or_init(|| std::mem::take(&mut *rt.subs_setup.lock()));
+                    let mut staged = vec![Vec::new(); rt.shard_workers];
+                    for frame in frames {
+                        rt.for_each_record(&frame.payload, |msg, hubs| {
+                            for shards in hubs.iter().filter_map(|hub| subs.get(hub)) {
+                                for (buf, targets) in staged.iter_mut().zip(shards) {
+                                    buf.extend(targets.iter().map(|&t| (t, msg.clone())));
+                                }
+                            }
+                        });
+                    }
+                    let fanned: u64 = staged.iter().map(|b| b.len() as u64).sum();
+                    rt.local_deliveries.fetch_add(fanned, Ordering::Relaxed);
+                    rt.metrics.hub_fanout.add(fanned);
+                    rt.deliver_sharded(&mut staged);
+                }
+                rt.count_frames(src, frames.len());
+            });
+        // Fences.
+        let rt = Arc::clone(self);
+        self.endpoint.register(proto::BSP_FENCE, move |src, data| {
+            let count = u64::from_le_bytes(data.get(4..12)?.try_into().ok()?);
+            let mut f = rt.fence.lock();
+            *f.expected.get_mut(src.0 as usize)? = Some(count);
+            rt.fence_cv.notify_all();
+            None
+        });
+        // Hub subscription discovery: given a peer's hub ids, scan the
+        // local partition for vertices referencing them and remember
+        // the subscriptions; reply with the subscribed subset.
+        let rt = Arc::clone(self);
+        self.endpoint
+            .register(proto::BSP_HUB_SETUP, move |_src, data| {
+                let hubs: std::collections::HashSet<CellId> = le_u64s(data).collect();
+                // Targets are pre-split by owning shard so hub fan-out
+                // locks each worker inbox once per broadcast.
+                let mut found: HubSubs = HashMap::new();
+                let workers = rt.shard_workers;
+                handle.for_each_local_node(|id, view| {
+                    // In-neighbors when stored; otherwise the graph is
+                    // undirected and out-neighbors are the same set.
+                    let shard = rt.shard_of(id);
+                    let mut subscribe = |src_v: CellId| {
+                        if hubs.contains(&src_v) {
+                            found
+                                .entry(src_v)
+                                .or_insert_with(|| vec![Vec::new(); workers])[shard]
+                                .push(id);
+                        }
+                    };
+                    if view.has_ins() {
+                        view.ins().for_each(&mut subscribe);
+                    } else {
+                        view.outs().for_each(&mut subscribe);
+                    }
+                });
+                let mut reply = Vec::with_capacity(found.len() * 8);
+                let mut subs = rt.subs_setup.lock();
+                for (hub, targets) in found {
+                    reply.extend_from_slice(&hub.to_le_bytes());
+                    subs.insert(hub, targets);
+                }
+                Some(reply)
+            });
+    }
+}
+
+/// The whole little-endian `u64`s of a `BSP_HUB_SETUP` id list.
+pub(super) fn le_u64s(data: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    data.as_chunks::<8>()
+        .0
+        .iter()
+        .map(|c| u64::from_le_bytes(*c))
+}
+
+/// One destination's run frame under construction, for one protocol
+/// (`BSP_MSG`: ids are destination vertices; `BSP_HUB`: ids are hubs).
+pub(super) struct RunOutbox {
+    peer: MachineId,
+    proto: ProtoId,
+    frame: Vec<u8>,
+    /// Records in `frame`, added to `bsp.records.sent` when it ships.
+    records: u64,
+    /// Frames shipped (the fence's unit); whoever reads it resets it.
+    pub(super) frames: u64,
+}
+
+impl RunOutbox {
+    pub(super) fn new(peer: usize, proto: ProtoId) -> Self {
+        RunOutbox {
+            peer: MachineId(peer as u16),
+            proto,
+            frame: Vec::new(),
+            records: 0,
+            frames: 0,
+        }
+    }
+
+    /// Append the record "`msg` to `ids`". The frame ships once it reaches
+    /// [`RUN_FLUSH_BYTES`] — or, `unpacked`, at once and its envelope
+    /// with it: the naive one-transfer-per-message baseline.
+    pub(super) fn push<P: VertexProgram>(
+        &mut self,
+        rt: &MachineRt<P>,
+        superstep: usize,
+        unpacked: bool,
+        msg: &[u8],
+        ids: &[CellId],
+    ) {
+        if self.frame.is_empty() {
+            runs::start(&mut self.frame, superstep as u32);
+        }
+        runs::push_record(&mut self.frame, msg, ids);
+        self.records += 1;
+        if unpacked {
+            self.flush(rt);
+            rt.endpoint.flush_to(self.peer);
+        } else if self.frame.len() >= RUN_FLUSH_BYTES {
+            self.flush(rt);
+        }
+    }
+
+    /// Hand the open frame, if any, to the fabric's pack buffer.
+    pub(super) fn flush<P: VertexProgram>(&mut self, rt: &MachineRt<P>) {
+        if !self.frame.is_empty() {
+            rt.endpoint.send(self.peer, self.proto, &self.frame);
+            rt.metrics
+                .records_sent
+                .add(std::mem::take(&mut self.records));
+            self.frame.clear();
+            self.frames += 1;
+        }
+    }
+}

@@ -1,0 +1,571 @@
+//! One machine's worker pool: the superstep loop every worker runs, the
+//! per-worker shard of the job's state, and the leader's serial sections
+//! (combine replay, fence, aggregation, stop decision).
+
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
+use std::sync::Barrier;
+
+use parking_lot::Mutex;
+
+use trinity_graph::GraphHandle;
+use trinity_memcloud::{AddressingTable, CellId};
+use trinity_net::{deadline_expired, CostModel, DeadlineGuard, MachineId, StatsDelta};
+use trinity_obs::TraceGuard;
+
+use super::path::{MachineRt, RunOutbox};
+use super::{Job, MessagingMode, SuperstepReport, VertexContext, VertexProgram};
+use crate::cputime::{PoolTimes, ThreadTimer};
+use crate::proto;
+
+/// One superstep's cross-machine aggregate, filled by every machine's
+/// leader and read by the global leader.
+#[derive(Default)]
+pub(super) struct RoundAgg {
+    active: usize,
+    computed: usize,
+    deliveries: u64,
+    remote_messages: u64,
+    local_messages: u64,
+    compute_max: f64,
+    compute_sum: f64,
+    net_max: StatsDelta,
+}
+
+/// One worker's owned shard of a machine's BSP state. All buffers are
+/// reused across supersteps: retained capacity is what "pre-sizes
+/// outboxes from the previous superstep's send counts".
+pub(super) struct WorkerState<P: VertexProgram> {
+    w: usize,
+    /// This shard's local vertices, sorted by id, with each vertex's
+    /// position in the *machine-wide* sorted order (`vseq`) — the combine
+    /// replay key.
+    pub(super) local: Vec<(CellId, usize)>,
+    pub(super) states: HashMap<CellId, P::State>,
+    pub(super) active: HashSet<CellId>,
+    /// Current-superstep inbox as parallel sorted arrays: run boundaries
+    /// in `in_ids` delimit each vertex's `msgs` slice in `in_msgs`.
+    pub(super) in_ids: Vec<CellId>,
+    pub(super) in_msgs: Vec<P::Msg>,
+    /// Reusable swap target for draining this worker's shared inbox.
+    raw: Vec<(CellId, P::Msg)>,
+    /// Reusable adjacency scratch (replaces a per-vertex `Vec` collect).
+    outs_scratch: Vec<CellId>,
+    /// Reusable send-list scratch lent to the `VertexContext`.
+    sends: Vec<(CellId, P::Msg)>,
+    /// The broadcasting vertex's remote neighbors by owning machine, in
+    /// adjacency order: one record each (reused).
+    groups: Vec<Vec<CellId>>,
+    /// Which machines subscribe to the broadcasting vertex as a hub, and
+    /// which of those its adjacency reaches (all false between vertices).
+    hub_peer: Vec<bool>,
+    hub_hit: Vec<bool>,
+    /// Private per-destination run frames: messages, hub broadcasts.
+    outbox: Vec<RunOutbox>,
+    hub_outbox: Vec<RunOutbox>,
+    /// Buffered machine-local deliveries per shard.
+    local_buf: Vec<Vec<(CellId, P::Msg)>>,
+    /// Deferred combine-mode sends: `(vseq, dst, msg)`.
+    combine: Vec<(usize, CellId, P::Msg)>,
+}
+
+impl<P: VertexProgram> WorkerState<P> {
+    pub(super) fn new(w: usize, machines: usize, workers: usize) -> Self {
+        WorkerState {
+            w,
+            local: Vec::new(),
+            states: HashMap::new(),
+            active: HashSet::new(),
+            in_ids: Vec::new(),
+            in_msgs: Vec::new(),
+            raw: Vec::new(),
+            outs_scratch: Vec::new(),
+            sends: Vec::new(),
+            groups: vec![Vec::new(); machines],
+            hub_peer: vec![false; machines],
+            hub_hit: vec![false; machines],
+            outbox: (0..machines)
+                .map(|p| RunOutbox::new(p, proto::BSP_MSG))
+                .collect(),
+            hub_outbox: (0..machines)
+                .map(|p| RunOutbox::new(p, proto::BSP_HUB))
+                .collect(),
+            local_buf: (0..workers).map(|_| Vec::new()).collect(),
+            combine: Vec::new(),
+        }
+    }
+}
+
+/// Per-round results a worker hands to the leader (worker 0) at the
+/// phase barriers. Written by its owner during a phase, read by the
+/// leader strictly after the phase barrier, so the mutexes never contend.
+struct WorkerRound<P: VertexProgram> {
+    /// Run frames shipped per destination machine (the fence's unit).
+    frames_to: Vec<u64>,
+    sent: u64,
+    combine: Vec<(usize, CellId, P::Msg)>,
+    computed: usize,
+    cpu_seconds: f64,
+    active_after: usize,
+    distinct_dsts: u64,
+}
+
+/// Shared context of one machine's worker pool.
+struct PoolCtx<'x, P: VertexProgram> {
+    job: &'x Job<'x, P>,
+    m: usize,
+    machines: usize,
+    rt: &'x MachineRt<P>,
+    handle: &'x GraphHandle,
+    table: AddressingTable,
+    cost: CostModel,
+    /// Local hub → the machines that subscribed to it at setup.
+    hub_targets: &'x HashMap<CellId, Vec<MachineId>>,
+    barrier: Barrier,
+    rounds: Vec<Mutex<WorkerRound<P>>>,
+}
+
+/// Run the job's supersteps on machine `m` over `shards`, one worker
+/// each; worker 0 (the leader) runs on the calling thread and keeps the
+/// serial work: combine replay, fences, aggregation, the stop decision.
+pub(super) fn run<P: VertexProgram>(
+    job: &Job<'_, P>,
+    m: usize,
+    rt: &MachineRt<P>,
+    hub_targets: &HashMap<CellId, Vec<MachineId>>,
+    shards: Vec<WorkerState<P>>,
+) {
+    let machines = job.graph.machines();
+    let round = || WorkerRound {
+        frames_to: vec![0; machines],
+        sent: 0,
+        combine: Vec::new(),
+        computed: 0,
+        cpu_seconds: 0.0,
+        active_after: 0,
+        distinct_dsts: 0,
+    };
+    let ctx = &PoolCtx {
+        job,
+        m,
+        machines,
+        rt,
+        handle: job.graph.handle(m),
+        table: job.graph.cloud().node(m).table(),
+        cost: job.graph.cloud().fabric().cost_model(),
+        hub_targets,
+        barrier: Barrier::new(shards.len()),
+        rounds: shards.iter().map(|_| Mutex::new(round())).collect(),
+    };
+    std::thread::scope(|scope| {
+        let mut shards = shards.into_iter();
+        let leader_shard = shards.next().expect("at least one worker");
+        for ws in shards {
+            scope.spawn(move || {
+                // Guards are thread-local: re-enter them on each pool worker.
+                let _tg = TraceGuard::enter(job.trace);
+                let _dg = DeadlineGuard::enter(job.deadline);
+                worker_main(ctx, ws);
+            });
+        }
+        worker_main(ctx, leader_shard);
+    });
+}
+
+/// One pool worker's superstep loop. Four pool barriers per superstep
+/// separate the phases:
+///
+/// 1. parallel compute over this worker's shard (+ shard flush);
+/// 2. leader: combine replay, fences, quiescence wait, global barrier;
+/// 3. parallel inbox drain (sort runs, reactivate, count);
+/// 4. leader: round aggregation, reports, stop decision.
+fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
+    let leader = ws.w == 0;
+    let mut superstep = 0usize;
+    // Leader-only round state; idle copies on the other workers.
+    let mut net_before = ctx.rt.endpoint.stats().snapshot();
+    let mut wall_start_us = ctx.rt.endpoint.obs().now_us();
+    loop {
+        // Start-of-superstep hook (bucket prefetch): the leader runs it,
+        // the barrier orders it before anyone computes. Gated on the
+        // option so hook-free jobs pay no extra barrier — every worker
+        // evaluates the same `is_some()`, so the barrier count matches.
+        if let Some(hook) = &ctx.job.cfg.superstep_hook {
+            if leader {
+                hook.superstep_start(ctx.m, ctx.job.superstep_offset + superstep);
+            }
+            ctx.barrier.wait();
+        }
+        compute_phase(ctx, &mut ws, superstep);
+        ctx.barrier.wait();
+        let mut round_totals = None;
+        if leader {
+            round_totals = Some(leader_post_compute(ctx, superstep));
+        }
+        ctx.barrier.wait();
+        drain_phase(ctx, &mut ws);
+        ctx.barrier.wait();
+        if leader {
+            let (sent, computed, pool_times) = round_totals.expect("leader totals");
+            leader_aggregate(
+                ctx,
+                superstep,
+                sent,
+                computed,
+                &pool_times,
+                &net_before,
+                wall_start_us,
+            );
+            // Next round's deltas start here — after the stop-decision
+            // barrier, exactly where the serial driver snapshotted.
+            net_before = ctx.rt.endpoint.stats().snapshot();
+            wall_start_us = ctx.rt.endpoint.obs().now_us();
+        }
+        ctx.barrier.wait();
+        superstep += 1;
+        if ctx.job.stop.load(Ordering::Acquire) {
+            break;
+        }
+    }
+    // Export this shard's slice of the job state (checkpoint material).
+    let mut f = ctx.job.finals.lock();
+    f.states.extend(ws.states);
+    f.active.extend(ws.active);
+    for (id, msg) in ws.in_ids.drain(..).zip(ws.in_msgs.drain(..)) {
+        f.pending.entry(id).or_default().push(msg);
+    }
+}
+
+/// Compute every vertex of this worker's shard for one superstep,
+/// routing sends into the private run frames and local buffers and
+/// flushing them at shard end.
+fn compute_phase<P: VertexProgram>(
+    ctx: &PoolCtx<'_, P>,
+    ws: &mut WorkerState<P>,
+    superstep: usize,
+) {
+    let rt = ctx.rt;
+    let timer = ThreadTimer::start();
+    let unpacked = ctx.job.cfg.messaging == MessagingMode::Unpacked;
+    // Remote deliveries sent (the reports' unit) and vertices computed.
+    let mut sent = 0u64;
+    let mut computed = 0usize;
+    let mut local_delivered = 0u64;
+    // Merge-join the sorted local vertex list against the sorted inbox
+    // runs: no hashing, no per-vertex lookups.
+    let mut pos = 0usize;
+    let n_in = ws.in_ids.len();
+    for li in 0..ws.local.len() {
+        let (id, vseq) = ws.local[li];
+        while pos < n_in && ws.in_ids[pos] < id {
+            pos += 1;
+        }
+        let run_start = pos;
+        while pos < n_in && ws.in_ids[pos] == id {
+            pos += 1;
+        }
+        if run_start == pos && !ws.active.contains(&id) {
+            continue;
+        }
+        computed += 1;
+        let state = ws
+            .states
+            .get_mut(&id)
+            .expect("state exists for local vertex");
+        // Read the adjacency through a zero-copy view into the reusable
+        // scratch (no per-vertex allocation).
+        ws.outs_scratch.clear();
+        let _ = ctx.handle.with_node(id, |view| {
+            ws.outs_scratch.extend(view.outs());
+        });
+        ws.sends.clear();
+        let mut vctx = VertexContext {
+            superstep: ctx.job.superstep_offset + superstep,
+            outs: &ws.outs_scratch,
+            sends: &mut ws.sends,
+            broadcast: None,
+            halt: false,
+        };
+        ctx.job
+            .program
+            .compute(&mut vctx, id, state, &ws.in_msgs[run_start..pos]);
+        let halt = vctx.halt;
+        let broadcast = vctx.broadcast.take();
+        if halt {
+            ws.active.remove(&id);
+        } else {
+            ws.active.insert(id);
+        }
+        // Route the broadcast (restrictive model): each machine holding
+        // neighbors gets one record naming them — or, where it subscribed
+        // to this vertex as a hub (a per-peer fact: a failed setup call
+        // subscribed nobody), one hub record it fans out itself.
+        if let Some(msg) = broadcast {
+            for &peer in ctx.hub_targets.get(&id).into_iter().flatten() {
+                ws.hub_peer[peer.0 as usize] = true;
+            }
+            // Encoded once, and only if a record leaves the machine.
+            let payload = std::cell::OnceCell::new();
+            let payload = || payload.get_or_init(|| P::encode_msg(&msg)).as_slice();
+            for &dst in &ws.outs_scratch {
+                let owner = ctx.table.machine_of(dst).0 as usize;
+                if owner == ctx.m {
+                    local_delivered += 1;
+                    rt.push_local(&mut ws.local_buf, dst, msg.clone());
+                } else if ws.hub_peer[owner] {
+                    // Only machines this hub actually reaches this
+                    // superstep (the index may be stale after updates).
+                    ws.hub_hit[owner] = true;
+                } else if ctx.job.cfg.combine {
+                    ws.combine.push((vseq, dst, msg.clone()));
+                } else if unpacked {
+                    sent += 1;
+                    ws.outbox[owner].push(rt, superstep, true, payload(), &[dst]);
+                } else {
+                    ws.groups[owner].push(dst);
+                }
+            }
+            for owner in 0..ctx.machines {
+                if !ws.groups[owner].is_empty() {
+                    sent += ws.groups[owner].len() as u64;
+                    ws.outbox[owner].push(rt, superstep, false, payload(), &ws.groups[owner]);
+                    ws.groups[owner].clear();
+                }
+                if std::mem::take(&mut ws.hub_hit[owner]) {
+                    ws.hub_outbox[owner].push(rt, superstep, unpacked, payload(), &[id]);
+                    rt.metrics.hub_broadcasts.inc();
+                    sent += 1;
+                }
+                ws.hub_peer[owner] = false;
+            }
+        }
+        // Route point sends (general model): records of one destination.
+        for (dst, msg) in ws.sends.drain(..) {
+            let owner = ctx.table.machine_of(dst).0 as usize;
+            if owner == ctx.m {
+                local_delivered += 1;
+                rt.push_local(&mut ws.local_buf, dst, msg);
+            } else if ctx.job.cfg.combine {
+                ws.combine.push((vseq, dst, msg));
+            } else {
+                sent += 1;
+                ws.outbox[owner].push(rt, superstep, unpacked, &P::encode_msg(&msg), &[dst]);
+            }
+        }
+    }
+    // Shard flush: hand the open run frames to the endpoint's pack
+    // buffers and buffered local deliveries to their shard inboxes.
+    let mut round = ctx.rounds[ws.w].lock();
+    for (owner, frames) in round.frames_to.iter_mut().enumerate() {
+        ws.outbox[owner].flush(rt);
+        ws.hub_outbox[owner].flush(rt);
+        *frames = std::mem::take(&mut ws.outbox[owner].frames)
+            + std::mem::take(&mut ws.hub_outbox[owner].frames);
+    }
+    rt.deliver_sharded(&mut ws.local_buf);
+    rt.local_deliveries
+        .fetch_add(local_delivered, Ordering::Relaxed);
+    let cpu_seconds = timer.elapsed_seconds();
+    rt.metrics.worker_us.record((cpu_seconds * 1e6) as u64);
+    round.computed = computed;
+    round.cpu_seconds = cpu_seconds;
+    round.sent = sent;
+    round.combine.clear();
+    std::mem::swap(&mut round.combine, &mut ws.combine);
+}
+
+/// Leader work after the parallel compute phase: total the per-worker
+/// rounds, replay deferred combine-mode sends in global vertex order
+/// (byte-for-byte the serial combiner), then fence and wait for
+/// quiescence. Returns the machine's remote deliveries, vertices
+/// computed and pool CPU times.
+fn leader_post_compute<P: VertexProgram>(
+    ctx: &PoolCtx<'_, P>,
+    superstep: usize,
+) -> (u64, usize, PoolTimes) {
+    let timer = ThreadTimer::start();
+    let mut pool_times = PoolTimes::default();
+    let mut frames_to: Vec<u64> = vec![0; ctx.machines];
+    let mut sent = 0u64;
+    let mut computed = 0usize;
+    let mut deferred: Vec<(usize, CellId, P::Msg)> = Vec::new();
+    for slot in &ctx.rounds {
+        let mut r = slot.lock();
+        for (total, &f) in frames_to.iter_mut().zip(&r.frames_to) {
+            *total += f;
+        }
+        sent += r.sent;
+        computed += r.computed;
+        pool_times.record_worker(r.cpu_seconds);
+        deferred.append(&mut r.combine);
+    }
+    if ctx.job.cfg.combine && !deferred.is_empty() {
+        // Stable sort restores the machine-wide vertex order the serial
+        // driver enqueued in; ties (sends from one vertex) keep their
+        // program order because each vertex lives in exactly one worker.
+        deferred.sort_by_key(|&(vseq, _, _)| vseq);
+        let unpacked = ctx.job.cfg.messaging == MessagingMode::Unpacked;
+        let mut outbox: Vec<RunOutbox> = (0..ctx.machines)
+            .map(|p| RunOutbox::new(p, proto::BSP_MSG))
+            .collect();
+        let mut ship = |owner: usize, dst: CellId, msg: &P::Msg| {
+            sent += 1;
+            outbox[owner].push(ctx.rt, superstep, unpacked, &P::encode_msg(msg), &[dst]);
+        };
+        let mut outgoing: Vec<HashMap<CellId, P::Msg>> =
+            (0..ctx.machines).map(|_| HashMap::new()).collect();
+        for (_, dst, msg) in deferred {
+            let owner = ctx.table.machine_of(dst).0 as usize;
+            match outgoing[owner].entry(dst) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    if !P::combine(e.get_mut(), &msg) {
+                        // Not combinable after all: ship the buffered one
+                        // and keep the newcomer.
+                        ship(owner, dst, &e.insert(msg));
+                    }
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(msg);
+                }
+            }
+        }
+        for (owner, buf) in outgoing.iter_mut().enumerate() {
+            for (dst, msg) in buf.drain() {
+                ship(owner, dst, &msg);
+            }
+        }
+        for (total, ob) in frames_to.iter_mut().zip(&mut outbox) {
+            ob.flush(ctx.rt);
+            *total += ob.frames;
+        }
+    }
+    // The serial section ends where the serial driver's compute clock
+    // stopped: after the combine flush, before the fence.
+    pool_times.add_serial(timer.elapsed_seconds());
+
+    ctx.rt.fence(ctx.m, superstep, &frames_to);
+    // After this barrier no machine is still computing superstep `s`, so
+    // the workers' inbox drain (next phase) cannot race new deliveries:
+    // anything arriving now belongs to `s + 1` and lands after the swap.
+    ctx.job.barrier.wait();
+    (sent, computed, pool_times)
+}
+
+/// Drain this worker's shared inbox for the next superstep: take the
+/// flattened pairs, stably sort into `(dst, msg_cmp)` runs, count
+/// distinct destinations, and reactivate local vertices that received
+/// messages.
+fn drain_phase<P: VertexProgram>(ctx: &PoolCtx<'_, P>, ws: &mut WorkerState<P>) {
+    ws.raw.clear();
+    {
+        let mut slot = ctx.rt.inboxes[ws.w].lock();
+        std::mem::swap(&mut ws.raw, &mut *slot);
+    }
+    ws.raw
+        .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| P::msg_cmp(&a.1, &b.1)));
+    ws.in_ids.clear();
+    ws.in_msgs.clear();
+    let mut distinct = 0u64;
+    let mut last: Option<CellId> = None;
+    for (dst, msg) in ws.raw.drain(..) {
+        if last != Some(dst) {
+            distinct += 1;
+            last = Some(dst);
+            // Message arrivals reactivate halted vertices.
+            if ws.states.contains_key(&dst) {
+                ws.active.insert(dst);
+            }
+        }
+        ws.in_ids.push(dst);
+        ws.in_msgs.push(msg);
+    }
+    let mut round = ctx.rounds[ws.w].lock();
+    round.active_after = ws.active.len();
+    round.distinct_dsts = distinct;
+}
+
+/// Leader work after the drain phase: publish the machine's round into
+/// the cross-machine aggregate, and (as global leader) emit the report
+/// and the stop decision.
+fn leader_aggregate<P: VertexProgram>(
+    ctx: &PoolCtx<'_, P>,
+    superstep: usize,
+    sent: u64,
+    computed: usize,
+    pool_times: &PoolTimes,
+    net_before: &StatsDelta,
+    wall_start_us: u64,
+) {
+    let rt = ctx.rt;
+    let net_delta = rt.endpoint.stats().delta(net_before);
+    let local_delivered = rt.local_deliveries.swap(0, Ordering::Relaxed);
+    let mut active_after = 0usize;
+    let mut deliveries = 0u64;
+    for slot in &ctx.rounds {
+        let r = slot.lock();
+        active_after += r.active_after;
+        deliveries += r.distinct_dsts;
+    }
+    rt.metrics.supersteps.inc();
+    rt.metrics.computed.add(computed as u64);
+    rt.metrics.frames_remote.add(sent);
+    rt.metrics.frames_local.add(local_delivered);
+    rt.metrics
+        .compute_us
+        .record((pool_times.critical_path_seconds() * 1e6) as u64);
+    rt.metrics
+        .superstep_us
+        .record(rt.endpoint.obs().now_us().saturating_sub(wall_start_us));
+    rt.endpoint.obs().span(
+        "bsp.superstep",
+        proto::BSP_MSG,
+        net_delta.remote_bytes,
+        sent.min(u32::MAX as u64) as u32,
+        wall_start_us,
+    );
+    {
+        let mut a = ctx.job.agg.lock();
+        a.active += active_after;
+        a.computed += computed;
+        a.deliveries += deliveries;
+        a.remote_messages += sent;
+        a.local_messages += local_delivered;
+        a.compute_max = a.compute_max.max(pool_times.critical_path_seconds());
+        a.compute_sum += pool_times.cpu_seconds();
+        if ctx.cost.transfer_seconds(&net_delta) > ctx.cost.transfer_seconds(&a.net_max) {
+            a.net_max = net_delta;
+        }
+    }
+    let leader = ctx.job.barrier.wait().is_leader();
+    if leader {
+        let mut a = ctx.job.agg.lock();
+        let quiet = a.deliveries == 0 && a.active == 0;
+        // Stop on quiescence, the superstep cap, or a lapsed serving
+        // deadline (the job ends un-terminated with partial state).
+        let stop = quiet || superstep + 1 >= ctx.job.cfg.max_supersteps || deadline_expired();
+        let compute_parallel = a.compute_sum / ctx.machines as f64;
+        let modeled = compute_parallel
+            + ctx.cost.transfer_seconds(&a.net_max)
+            + 2.0 * ctx.cost.envelope_latency_s * (ctx.machines as f64).log2().max(1.0);
+        ctx.job.reports.lock().push(SuperstepReport {
+            superstep: ctx.job.superstep_offset + superstep,
+            computed: a.computed,
+            active_after: a.active,
+            remote_messages: a.remote_messages,
+            local_messages: a.local_messages,
+            compute_seconds: a.compute_max,
+            compute_cpu_seconds: a.compute_sum,
+            compute_parallel_seconds: compute_parallel,
+            max_machine_net: a.net_max,
+            modeled_seconds: modeled,
+        });
+        if stop {
+            if quiet {
+                ctx.job.terminated.store(true, Ordering::Release);
+            }
+            ctx.job.stop.store(true, Ordering::Release);
+        }
+        *a = RoundAgg::default();
+    }
+    ctx.job.barrier.wait();
+}

@@ -1,0 +1,141 @@
+//! The BSP data frame: a *run* of records (DESIGN §14).
+//!
+//! ```text
+//! frame:   superstep u32 LE | record…
+//! record:  varint msg_len | msg | varint n | n × varint zigzag(gap)
+//! gap:     id − previous id of the record (the first: − 0), mod 2^64,
+//!          read as an i64
+//! ```
+//!
+//! One record says "this message, to these `n` vertices": a broadcast
+//! crosses the wire once per destination machine, its destinations
+//! gap-coded in stored adjacency order. A point send is a record with
+//! `n = 1`; a `BSP_HUB` frame is the same run with hub ids in place of
+//! destinations. Gaps wrap, so every id sequence (any order, repeats
+//! included) has exactly one encoding and no gap can run past
+//! `u64::MAX`. [`decode`] refuses a frame shorter than its superstep, a
+//! record cut short, a `msg_len` or `n` the remaining bytes cannot back,
+//! and any varint [`crate::varint::take_varint`] refuses.
+
+use trinity_memcloud::CellId;
+
+use crate::varint::{put_varint, take_varint};
+
+/// Open a frame in an empty buffer.
+pub fn start(frame: &mut Vec<u8>, superstep: u32) {
+    debug_assert!(frame.is_empty(), "a run frame starts in an empty buffer");
+    frame.extend_from_slice(&superstep.to_le_bytes());
+}
+
+/// Append one record to an open frame.
+pub fn push_record(frame: &mut Vec<u8>, msg: &[u8], ids: &[CellId]) {
+    put_varint(frame, msg.len() as u64);
+    frame.extend_from_slice(msg);
+    put_varint(frame, ids.len() as u64);
+    let mut prev = 0u64;
+    for &id in ids {
+        let gap = id.wrapping_sub(prev) as i64;
+        put_varint(frame, ((gap << 1) ^ (gap >> 63)) as u64);
+        prev = id;
+    }
+}
+
+/// A decoded frame; message bytes borrow from it.
+pub struct Run<'a> {
+    pub superstep: u32,
+    /// Message bytes and the end of the record's ids in `ids`.
+    records: Vec<(&'a [u8], usize)>,
+    ids: Vec<CellId>,
+}
+
+impl<'a> Run<'a> {
+    /// The records in frame order: message bytes and destination ids.
+    pub fn records(&self) -> impl Iterator<Item = (&'a [u8], &[CellId])> + '_ {
+        let mut start = 0;
+        self.records.iter().map(move |&(msg, end)| {
+            let ids = &self.ids[start..end];
+            start = end;
+            (msg, ids)
+        })
+    }
+}
+
+/// Decode a whole frame, or nothing.
+pub fn decode(frame: &[u8]) -> Option<Run<'_>> {
+    let (superstep, mut data) = frame.split_first_chunk::<4>()?;
+    let mut run = Run {
+        superstep: u32::from_le_bytes(*superstep),
+        records: Vec::new(),
+        ids: Vec::new(),
+    };
+    while !data.is_empty() {
+        let msg_len = usize::try_from(take_varint(&mut data)?).ok()?;
+        let (msg, rest) = data.split_at_checked(msg_len)?;
+        data = rest;
+        // Every gap costs at least one byte, so a count the remaining
+        // bytes cannot hold is refused before anything is reserved.
+        let n = usize::try_from(take_varint(&mut data)?).ok()?;
+        if n > data.len() {
+            return None;
+        }
+        run.ids.reserve(n);
+        let mut prev = 0u64;
+        for _ in 0..n {
+            let zz = take_varint(&mut data)?;
+            let gap = (zz >> 1) as i64 ^ -((zz & 1) as i64);
+            prev = prev.wrapping_add(gap as u64);
+            run.ids.push(prev);
+        }
+        run.records.push((msg, run.ids.len()));
+    }
+    Some(run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_broadcast_record_costs_the_value_once_and_short_gaps() {
+        let mut frame = Vec::new();
+        start(&mut frame, 7);
+        push_record(&mut frame, &[0xAB; 8], &[1000, 1003, 1001, 1001]);
+        // 4 superstep + 1 len + 8 msg + 1 n + (2 + 1 + 1 + 1) gaps.
+        assert_eq!(frame.len(), 19);
+        let run = decode(&frame).unwrap();
+        assert_eq!(run.superstep, 7);
+        let records: Vec<_> = run.records().collect();
+        assert_eq!(records, [(&[0xAB; 8][..], &[1000, 1003, 1001, 1001][..])]);
+    }
+
+    #[test]
+    fn ids_at_both_ends_of_the_range_round_trip() {
+        let ids = [u64::MAX, 0, u64::MAX - 1, 1 << 63, (1 << 63) - 1, 0, 0];
+        let mut frame = Vec::new();
+        start(&mut frame, u32::MAX);
+        push_record(&mut frame, b"", &ids);
+        push_record(&mut frame, b"x", &[]);
+        let run = decode(&frame).unwrap();
+        let records: Vec<_> = run.records().collect();
+        assert_eq!(records, [(&b""[..], &ids[..]), (&b"x"[..], &[][..])]);
+    }
+
+    #[test]
+    fn damaged_frames_are_refused_whole() {
+        let mut frame = Vec::new();
+        start(&mut frame, 1);
+        push_record(&mut frame, b"abcd", &[5, 9]);
+        assert!(decode(&frame).is_some());
+        assert!(decode(&frame[..3]).is_none(), "shorter than the superstep");
+        assert!(decode(&frame[..4]).is_some(), "an empty run is a run");
+        for cut in 5..frame.len() {
+            assert!(decode(&frame[..cut]).is_none(), "cut at {cut}");
+        }
+        let mut trailing = frame.clone();
+        trailing.push(0x80);
+        assert!(decode(&trailing).is_none(), "half a varint after the run");
+        // A count nothing backs, and a padded varint.
+        assert!(decode(&[0, 0, 0, 0, 0, 0xFF, 0xFF, 0x03]).is_none());
+        assert!(decode(&[0, 0, 0, 0, 0x80, 0x00, 0]).is_none());
+    }
+}

@@ -44,6 +44,7 @@ pub mod recovery;
 pub mod residency;
 pub mod safra;
 pub mod streaming;
+mod varint;
 
 pub use bsp::{
     resolve_compute_threads, BspConfig, BspResult, BspRunner, MessagingMode, ResumePoint,
@@ -66,11 +67,11 @@ pub(crate) mod proto {
     const BASE: ProtoId = trinity_net::proto::FIRST_RUNTIME;
     /// Online traversal: expand a batch of frontier nodes.
     pub const EXPAND: ProtoId = BASE;
-    /// BSP: a packed batch of vertex messages.
+    /// BSP: a run frame of vertex-message records (`bsp::runs`).
     pub const BSP_MSG: ProtoId = BASE + 1;
-    /// BSP: end-of-superstep control record (message counts).
+    /// BSP: end-of-superstep control record (run-frame counts).
     pub const BSP_FENCE: ProtoId = BASE + 2;
-    /// Hub optimization: a hub broadcast value.
+    /// Hub optimization: a run frame of hub broadcasts (ids name hubs).
     pub const BSP_HUB: ProtoId = BASE + 3;
     /// Async compute: a vertex message.
     pub const ASYNC_MSG: ProtoId = BASE + 4;

@@ -33,6 +33,7 @@ use trinity_net::{
 use trinity_obs::{current_trace, next_trace_id, TraceGuard, NO_TRACE};
 
 use crate::proto;
+use crate::varint::{put_varint, take_varint};
 
 /// How a fan-out request is issued. The serving runtime injects its
 /// request coalescer here so identical in-flight expansions against the
@@ -98,14 +99,6 @@ const WANT_NEIGHBORS: u8 = 1;
 /// cover only a prefix of the batch.
 const TRUNCATED: u8 = 1;
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
 /// A strictly ascending id list: count, first id, then the gaps.
 fn put_ids(out: &mut Vec<u8>, ids: &[CellId]) {
     debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
@@ -122,24 +115,6 @@ fn take_flag(data: &mut &[u8], flag: u8) -> Option<bool> {
     let (&flags, rest) = data.split_first()?;
     *data = rest;
     (flags & !flag == 0).then_some(flags == flag)
-}
-
-/// Minimal LEB128 only: at most 10 bytes, no bits past the 64th, no
-/// padding zero groups.
-fn take_varint(data: &mut &[u8]) -> Option<u64> {
-    let mut v = 0u64;
-    for (i, &byte) in data.iter().enumerate().take(10) {
-        let group = u64::from(byte & 0x7f);
-        if i == 9 && group > 1 {
-            return None;
-        }
-        v |= group << (7 * i);
-        if byte & 0x80 == 0 {
-            *data = &data[i + 1..];
-            return (byte != 0 || i == 0).then_some(v);
-        }
-    }
-    None
 }
 
 fn take_ids(data: &mut &[u8]) -> Option<Vec<CellId>> {

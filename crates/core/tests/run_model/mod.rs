@@ -1,0 +1,108 @@
+//! The BSP run frame as the tests understand it, written out here
+//! independently of the engine's codec (`trinity_core::bsp::runs`) and
+//! `#[path]`-included by the suites that forge or size BSP traffic:
+//!
+//! ```text
+//! frame:   superstep u32 LE | record…
+//! record:  varint msg_len | msg | varint n | n × varint zigzag(gap)
+//! gap:     id − previous id of the record (the first: − 0), mod 2^64,
+//!          read as a two's-complement i64
+//! zigzag:  0, −1, 1, −2, … ↦ 0, 1, 2, 3, …
+//! varint:  LEB128, minimal, at most 10 bytes, below 2^64 — the EXPAND
+//!          model's (`wire_model/`), writer twists included
+//! ```
+//!
+//! A frame ends with its last record; an empty run is a run.
+#![allow(dead_code)]
+
+#[path = "../wire_model/mod.rs"]
+mod wire_model;
+
+pub use wire_model::Twist;
+use wire_model::{take_varint, Writer};
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    pub msg: Vec<u8>,
+    pub ids: Vec<u64>,
+}
+
+pub fn varint_len(value: u64) -> usize {
+    (1..=10)
+        .find(|&n| n == 10 || value >> (7 * n) == 0)
+        .unwrap()
+}
+
+/// Zig-zag of the wrapped difference, computed wide and reduced.
+pub fn zigzag_gap(prev: u64, id: u64) -> u64 {
+    let diff = (i128::from(id) - i128::from(prev)).rem_euclid(1 << 64);
+    // Differences of 2^63 and up stand for the negative numbers.
+    if diff < 1 << 63 {
+        (diff as u64) * 2
+    } else {
+        (((1i128 << 64) - diff) as u64 - 1) * 2 + 1
+    }
+}
+
+/// Bytes one record occupies.
+pub fn record_len(msg_len: usize, ids: &[u64]) -> usize {
+    let mut prev = 0;
+    let gaps: usize = ids
+        .iter()
+        .map(|&id| varint_len(zigzag_gap(std::mem::replace(&mut prev, id), id)))
+        .sum();
+    varint_len(msg_len as u64) + msg_len + varint_len(ids.len() as u64) + gaps
+}
+
+/// The frame for `records`; `twist = (k, how)` spoils its k-th varint.
+pub fn forge(twist: Option<(usize, Twist)>, superstep: u32, records: &[Record]) -> Vec<u8> {
+    let mut w = Writer::twisted(twist);
+    w.out.extend_from_slice(&superstep.to_le_bytes());
+    for r in records {
+        w.varint(r.msg.len() as u64);
+        w.out.extend_from_slice(&r.msg);
+        w.varint(r.ids.len() as u64);
+        let mut prev = 0;
+        for &id in &r.ids {
+            w.varint(zigzag_gap(prev, id));
+            prev = id;
+        }
+    }
+    w.out
+}
+
+pub fn encode(superstep: u32, records: &[Record]) -> Vec<u8> {
+    forge(None, superstep, records)
+}
+
+pub fn decode(frame: &[u8]) -> Option<(u32, Vec<Record>)> {
+    let superstep = u32::from_le_bytes(frame.get(..4)?.try_into().unwrap());
+    let mut data = &frame[4..];
+    let mut records = Vec::new();
+    while !data.is_empty() {
+        let msg_len = take_varint(&mut data)?;
+        if msg_len > data.len() as u64 {
+            return None;
+        }
+        let (msg, rest) = data.split_at(msg_len as usize);
+        data = rest;
+        let n = take_varint(&mut data)?;
+        let mut ids = Vec::new();
+        let mut prev = 0i128;
+        for _ in 0..n {
+            let zz = take_varint(&mut data)?;
+            let gap = if zz % 2 == 0 {
+                i128::from(zz / 2)
+            } else {
+                -i128::from(zz / 2) - 1
+            };
+            prev = (prev + gap).rem_euclid(1 << 64);
+            ids.push(prev as u64);
+        }
+        records.push(Record {
+            msg: msg.to_vec(),
+            ids,
+        });
+    }
+    Some((superstep, records))
+}

@@ -1,0 +1,123 @@
+//! The BSP run-frame codec against the format model in `run_model/`,
+//! which shares no code with `trinity_core::bsp::runs`.
+//!
+//! * **Round trip**: any mix of records — empty messages, empty id lists,
+//!   ids at both ends of the `u64` range, descending and repeated ids —
+//!   encodes to exactly the model's bytes and decodes back to itself.
+//! * **Hostile bytes**: anything at all handed to the decoder either is
+//!   refused (and the model refuses it too) or decodes to records that
+//!   re-encode to the same bytes; it never panics, and a count no bytes
+//!   back never sizes an allocation.
+
+#[path = "run_model/mod.rs"]
+mod run_model;
+
+use proptest::prelude::*;
+
+use run_model::{Record, Twist};
+use trinity_core::bsp::runs;
+
+fn engine_encode(superstep: u32, records: &[Record]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    runs::start(&mut frame, superstep);
+    for r in records {
+        runs::push_record(&mut frame, &r.msg, &r.ids);
+    }
+    frame
+}
+
+fn engine_decode(frame: &[u8]) -> Option<(u32, Vec<Record>)> {
+    let run = runs::decode(frame)?;
+    let records = run
+        .records()
+        .map(|(msg, ids)| Record {
+            msg: msg.to_vec(),
+            ids: ids.to_vec(),
+        })
+        .collect();
+    Some((run.superstep, records))
+}
+
+fn some_id() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        6 => 0u64..5_000,
+        2 => any::<u64>(),
+        1 => (0u64..4).prop_map(|k| u64::MAX - k),
+        1 => (0u64..4).prop_map(|k| (1u64 << 63) - 2 + k),
+    ]
+}
+
+fn record() -> impl Strategy<Value = Record> {
+    let ids = prop_oneof![
+        // Ascending like a stored adjacency list, or any order at all.
+        3 => proptest::collection::vec(some_id(), 0..12).prop_map(|mut ids| { ids.sort(); ids }),
+        2 => proptest::collection::vec(some_id(), 0..12),
+        1 => (some_id(), 1usize..6).prop_map(|(id, n)| vec![id; n]),
+    ];
+    (proptest::collection::vec(any::<u8>(), 0..20), ids).prop_map(|(msg, ids)| Record { msg, ids })
+}
+
+fn records() -> impl Strategy<Value = Vec<Record>> {
+    proptest::collection::vec(record(), 0..8)
+}
+
+fn twist() -> impl Strategy<Value = Option<(usize, Twist)>> {
+    let how = prop_oneof![
+        1 => Just(Twist::Padded),
+        1 => Just(Twist::TooLong),
+        1 => Just(Twist::Overflowing),
+        1 => Just(Twist::Huge),
+    ];
+    prop_oneof![2 => Just(None), 3 => (0usize..12, how).prop_map(Some)]
+}
+
+/// Raw noise, or a well-formed frame that is then (maybe) spoiled: one
+/// varint twisted, a byte flipped, the tail cut, a byte appended.
+fn hostile() -> impl Strategy<Value = Vec<u8>> {
+    let forged = (
+        any::<u32>(),
+        records(),
+        twist(),
+        0u8..5,
+        any::<usize>(),
+        any::<u8>(),
+    )
+        .prop_map(|(superstep, records, twist, damage, at, byte)| {
+            let mut bytes = run_model::forge(twist, superstep, &records);
+            let at = at % bytes.len();
+            match damage {
+                0 => bytes[at] ^= byte | 1,
+                1 => bytes.truncate(at),
+                2 => bytes.push(byte),
+                _ => {}
+            }
+            bytes
+        });
+    prop_oneof![
+        1 => proptest::collection::vec(any::<u8>(), 0..48),
+        5 => forged,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn any_mix_of_records_round_trips(superstep in any::<u32>(), records in records()) {
+        let bytes = engine_encode(superstep, &records);
+        prop_assert_eq!(&bytes, &run_model::encode(superstep, &records));
+        let sized: usize = records.iter().map(|r| run_model::record_len(r.msg.len(), &r.ids)).sum();
+        prop_assert_eq!(bytes.len(), 4 + sized);
+        prop_assert_eq!(engine_decode(&bytes), Some((superstep, records.clone())));
+        prop_assert_eq!(run_model::decode(&bytes), Some((superstep, records)));
+    }
+
+    #[test]
+    fn arbitrary_bytes_decode_to_themselves_or_are_refused(bytes in hostile()) {
+        let got = engine_decode(&bytes);
+        prop_assert_eq!(&got, &run_model::decode(&bytes), "{:?}", bytes);
+        if let Some((superstep, records)) = got {
+            prop_assert_eq!(engine_encode(superstep, &records), bytes);
+        }
+    }
+}

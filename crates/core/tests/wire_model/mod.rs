@@ -57,7 +57,7 @@ impl Writer {
         }
     }
 
-    fn varint(&mut self, value: u64) {
+    pub fn varint(&mut self, value: u64) {
         let how = match self.twist {
             Some((k, how)) if k == self.varints => Some(how),
             _ => None,
@@ -142,7 +142,7 @@ fn take_flag(data: &mut &[u8]) -> Option<bool> {
     }
 }
 
-fn take_varint(data: &mut &[u8]) -> Option<u64> {
+pub fn take_varint(data: &mut &[u8]) -> Option<u64> {
     // Accumulate wide, judge at the end: length, range, minimality.
     let len = data.iter().position(|b| b & 0x80 == 0)? + 1;
     let (bytes, rest) = data.split_at(len);

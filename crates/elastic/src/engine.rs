@@ -111,7 +111,8 @@ pub struct MigrationConfig {
     /// Soft byte bound per streamed chunk (the chunk ends at the cell
     /// that crosses it).
     pub chunk_bytes: u32,
-    /// Seal once a catch-up drain leaves at most this many dirty cells —
+    /// Seal once a catch-up drain leaves at most this many dirty cells
+    /// (queued, or drained and not yet acknowledged) on the donor —
     /// the remainder drains inside the (brief) seal window.
     pub catchup_threshold: u64,
     /// Catch-up rounds before sealing regardless of the dirty backlog
@@ -325,13 +326,16 @@ impl MigrationEngine {
 
         self.phase(MigrationPhase::CatchUp, trunk);
         let mut delta_replayed = 0u64;
+        // Highest delta sequence applied on the recipient so far.
+        let mut acked = 0u64;
         for _ in 0..self.cfg.max_catchup_rounds.max(1) {
-            let (remaining, entries) =
-                migration::drain_delta(ep, from, mid, trunk, self.cfg.chunk_cells)?;
+            let (remaining, seq, entries) =
+                migration::drain_delta(ep, from, mid, trunk, acked, self.cfg.chunk_cells)?;
             if !entries.is_empty() {
                 delta_replayed += entries.len() as u64;
                 migration::apply(ep, to, mid, trunk, &entries)?;
             }
+            acked = seq;
             if remaining <= self.cfg.catchup_threshold {
                 break;
             }
@@ -341,13 +345,14 @@ impl MigrationEngine {
         self.phase(MigrationPhase::Seal, trunk);
         migration::seal(ep, from, mid, trunk)?;
         loop {
-            let (remaining, entries) =
-                migration::drain_delta(ep, from, mid, trunk, self.cfg.chunk_cells)?;
+            let (remaining, seq, entries) =
+                migration::drain_delta(ep, from, mid, trunk, acked, self.cfg.chunk_cells)?;
             let drained = entries.len();
             if drained > 0 {
                 delta_replayed += drained as u64;
                 migration::apply(ep, to, mid, trunk, &entries)?;
             }
+            acked = seq;
             if remaining == 0 && drained == 0 {
                 break;
             }

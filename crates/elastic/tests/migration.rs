@@ -374,6 +374,108 @@ fn uncommitted_staging_is_not_adopted_by_failure_recovery() {
     cloud.shutdown();
 }
 
+/// Finish a hand-driven migration the way the engine does after the
+/// seal: drain to empty with acknowledgements, commit, flip, install.
+fn drain_commit_flip(
+    cloud: &MemoryCloud,
+    trunk: u64,
+    mid: u64,
+    to: MachineId,
+    mut acked: u64,
+    chunk: u32,
+) {
+    let ep = cloud.node(1).endpoint().clone();
+    loop {
+        let (remaining, seq, entries) =
+            migration::drain_delta(&ep, MachineId(0), mid, trunk, acked, chunk).unwrap();
+        migration::apply(&ep, to, mid, trunk, &entries).unwrap();
+        acked = seq;
+        if remaining == 0 && entries.is_empty() {
+            break;
+        }
+    }
+    migration::commit(&ep, to, mid, trunk).unwrap();
+    let mut table = cloud.node(1).table();
+    table.reassign_one(trunk, to);
+    cloud.tfs().write(TFS_TABLE_PATH, &table.encode()).unwrap();
+    for m in [to.0 as usize, 0, 1, 2] {
+        cloud.node(m).install_table(table.clone()).unwrap();
+    }
+}
+
+#[test]
+fn a_repeated_delta_request_ships_the_last_write() {
+    // write, MIG_DELTA, write, the same MIG_DELTA again (the fabric runs
+    // every copy of a duplicated request; only one reply has a caller),
+    // seal, drain, commit, flip. A drain that pops hands the second write
+    // to the copy nobody listens to.
+    let cloud = cloud_with_standby(3, 1);
+    let (donor, to) = (MachineId(0), MachineId(3));
+    let trunk = trunk_of_machine(&cloud, 0);
+    let id = ids_in_trunk(&cloud, trunk, 1)[0];
+    let ep = cloud.node(1).endpoint().clone();
+    let mid = migration::next_migration_id();
+    migration::begin(&ep, donor, mid, trunk).unwrap();
+    cloud.node(2).put(id, b"first").unwrap();
+    let (_, seq, entries) = migration::drain_delta(&ep, donor, mid, trunk, 0, 8).unwrap();
+    assert_eq!(entries.len(), 1);
+    migration::apply(&ep, to, mid, trunk, &entries).unwrap();
+    cloud.node(2).put(id, b"last").unwrap();
+    // The same request bytes again; its reply is the one that gets lost.
+    let _ = migration::drain_delta(&ep, donor, mid, trunk, 0, 8).unwrap();
+    migration::seal(&ep, donor, mid, trunk).unwrap();
+    drain_commit_flip(&cloud, trunk, mid, to, seq, 8);
+    for m in 0..4 {
+        assert_eq!(
+            cloud.node(m).get(id).unwrap().as_deref(),
+            Some(&b"last"[..]),
+            "acked write lost across the flip (read via machine {m})"
+        );
+    }
+    cloud.shutdown();
+}
+
+#[test]
+fn a_repeated_post_seal_drain_loses_no_batch() {
+    // Two chunks of dirty cells are pending at the seal, where nothing
+    // re-dirties them. The copy of the first post-seal drain takes the
+    // second chunk; it must still reach the recipient.
+    let cloud = cloud_with_standby(3, 1);
+    let (donor, to) = (MachineId(0), MachineId(3));
+    let trunk = trunk_of_machine(&cloud, 0);
+    let chunk = 4u32;
+    let ids = ids_in_trunk(&cloud, trunk, 2 * chunk as usize);
+    for &i in &ids {
+        cloud.node(0).put(i, b"old").unwrap();
+    }
+    let ep = cloud.node(1).endpoint().clone();
+    let mid = migration::next_migration_id();
+    let total = migration::begin(&ep, donor, mid, trunk).unwrap();
+    let (_, entries) =
+        migration::read_chunk(&ep, donor, mid, trunk, 0, total as u32, u32::MAX).unwrap();
+    migration::apply(&ep, to, mid, trunk, &entries).unwrap();
+    for &i in &ids {
+        cloud.node(2).put(i, b"new").unwrap();
+    }
+    assert_eq!(
+        migration::seal(&ep, donor, mid, trunk).unwrap(),
+        ids.len() as u64
+    );
+    let (_, seq, first) = migration::drain_delta(&ep, donor, mid, trunk, 0, chunk).unwrap();
+    assert_eq!(first.len(), chunk as usize);
+    let _ = migration::drain_delta(&ep, donor, mid, trunk, 0, chunk).unwrap();
+    migration::apply(&ep, to, mid, trunk, &first).unwrap();
+    drain_commit_flip(&cloud, trunk, mid, to, seq, chunk);
+    for &i in &ids {
+        assert_eq!(
+            cloud.node(1).get(i).unwrap().as_deref(),
+            Some(&b"new"[..]),
+            "cell {i}: its post-seal batch went to the duplicate"
+        );
+    }
+    cloud.shutdown();
+}
+
 #[test]
 fn donor_unseal_fences_out_a_slow_coordinators_flip() {
     let cloud = cloud_with_standby(3, 1);

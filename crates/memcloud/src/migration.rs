@@ -15,7 +15,9 @@
 //!    the final state right either way).
 //! 3. **Catch-up** — `MIG_DELTA` drains the dirty set in rounds: each
 //!    dirty id resolves to its *current* state (upsert with fresh bytes,
-//!    or a remove), version-stamped for fencing.
+//!    or a remove), version-stamped for fencing. A round is an
+//!    acknowledged cursor, not a pop: drained ids are re-sent until a
+//!    later request says their batch was applied on the recipient.
 //! 4. **Seal** — the donor rejects further *writes* to the trunk with
 //!    `MOVED` (reads still serve); one final delta drain empties the log.
 //! 5. **Commit** — the recipient persists the assembled trunk to TFS, so
@@ -38,6 +40,13 @@
 //! cell backwards, and re-applying the same entry twice is a no-op.
 //! Control frames carry a monotonic migration id (`mid`); a frame from a
 //! superseded migration attempt is rejected outright.
+//!
+//! The donor side is duplicate-safe because no request consumes state the
+//! coordinator has not confirmed: the fabric runs every delivered copy of
+//! a request and only one reply has a caller, so a `MIG_DELTA` that
+//! popped what it returned would ship the copy's share to nobody.
+//! `DonorMig::drain` keeps drained ids until the request's `acked`
+//! sequence covers them (DESIGN §12, ordering contract clause 3).
 //!
 //! # Crash matrix
 //!
@@ -168,11 +177,42 @@ pub(crate) struct DonorMig {
     /// Dirty cells in first-touch order, awaiting a delta drain.
     pub(crate) dirty: VecDeque<CellId>,
     pub(crate) dirty_set: HashSet<CellId>,
+    /// Drained, unacknowledged ids with their round's delta sequence.
+    shipped: VecDeque<(u64, CellId)>,
+    /// Highest delta sequence issued so far.
+    delta_seq: u64,
     /// When the seal landed; `None` while streaming/catching up.
     pub(crate) sealed_at: Option<Instant>,
     /// Last coordinator frame seen; an unsealed entry idle past
     /// [`DONOR_IDLE_TIMEOUT`] is garbage collected by the write gate.
     pub(crate) last_frame: Instant,
+}
+
+impl DonorMig {
+    /// One `MIG_DELTA` round: forget the rounds up to `acked` (applied on
+    /// the recipient), drain up to `max` more dirty ids under the next
+    /// sequence, and return it with *every* unacknowledged id. A repeated
+    /// request re-reads; it cannot take ids away from the real one.
+    pub(crate) fn drain(&mut self, acked: u64, max: usize) -> (u64, Vec<CellId>) {
+        while self.shipped.front().is_some_and(|&(seq, _)| seq <= acked) {
+            self.shipped.pop_front();
+        }
+        let fresh = max.min(self.dirty.len());
+        if fresh > 0 {
+            self.delta_seq += 1;
+            for id in self.dirty.drain(..fresh) {
+                self.dirty_set.remove(&id);
+                self.shipped.push_back((self.delta_seq, id));
+            }
+        }
+        let ids = self.shipped.iter().map(|&(_, id)| id).collect();
+        (self.delta_seq, ids)
+    }
+
+    /// Ids not yet known to be on the recipient: unacknowledged + queued.
+    pub(crate) fn pending(&self) -> usize {
+        self.shipped.len() + self.dirty.len()
+    }
 }
 
 /// Outcome of arming a donor-side migration (see
@@ -257,6 +297,8 @@ impl MigrationState {
             snapshot: Vec::new(),
             dirty: VecDeque::new(),
             dirty_set: HashSet::new(),
+            shipped: VecDeque::new(),
+            delta_seq: 0,
             sealed_at: None,
             last_frame: Instant::now(),
         }));
@@ -578,25 +620,30 @@ pub fn read_chunk(
     Ok((fields[0], entries))
 }
 
-/// Drain up to `max` dirty cells from the donor's delta log. Returns the
-/// number still pending and the drained entries (resolved to their
-/// current state at drain time).
+/// One round of the donor's delta log. `acked` is the highest delta
+/// sequence the caller has applied on the recipient (0 at first); up to
+/// `max` more dirty cells are drained. Returns `(pending, seq, entries)`:
+/// every cell drained after `acked` at its current state — pass `seq` as
+/// `acked` once applied — and how many cells the donor still holds for
+/// this migration, these included.
 pub fn drain_delta(
     ep: &Endpoint,
     donor: MachineId,
     mid: u64,
     trunk: u64,
+    acked: u64,
     max: u32,
-) -> Result<(u64, Vec<MigEntry>)> {
+) -> Result<(u64, u64, Vec<MigEntry>)> {
     let mut req = encode_header(mid, trunk);
     req.extend_from_slice(&max.to_le_bytes());
+    req.extend_from_slice(&acked.to_le_bytes());
     let raw = call(ep, donor, proto::MIG_DELTA, &req)?;
-    let (fields, rest) = parse_ok(&raw, 1)?;
+    let (fields, rest) = parse_ok(&raw, 2)?;
     let (entries, tail) = decode_entries(rest).ok_or(CloudError::BadReply)?;
     if !tail.is_empty() {
         return Err(CloudError::BadReply);
     }
-    Ok((fields[0], entries))
+    Ok((fields[0], fields[1], entries))
 }
 
 /// Seal the trunk on the donor: writes are refused from here on (reads
@@ -700,6 +747,34 @@ mod tests {
         let (started, fresh) = st.fence_incoming(3, 11, vec![up(1, 5)]).unwrap();
         assert!(started);
         assert_eq!(fresh.len(), 1);
+    }
+
+    #[test]
+    fn delta_drain_resends_until_acknowledged() {
+        let st = MigrationState::default();
+        let BeginOutcome::Created(entry) = st.begin_donor(1, 10) else {
+            panic!("first begin must create");
+        };
+        let mut g = entry.lock();
+        let dirty = |g: &mut DonorMig, id| {
+            if g.dirty_set.insert(id) {
+                g.dirty.push_back(id);
+            }
+        };
+        for id in [5, 6, 7] {
+            dirty(&mut g, id);
+        }
+        assert_eq!(g.drain(0, 2), (1, vec![5, 6]));
+        // The same request again re-reads round 1 and drains on.
+        assert_eq!(g.drain(0, 2), (2, vec![5, 6, 7]));
+        assert_eq!(g.pending(), 3);
+        // A cell written after it was drained is dirty again.
+        dirty(&mut g, 5);
+        assert_eq!(g.drain(1, 2), (3, vec![7, 5]));
+        // A late copy carrying an old acknowledgement takes nothing away.
+        assert_eq!(g.drain(0, 2), (3, vec![7, 5]));
+        assert_eq!(g.drain(3, 2), (3, vec![]));
+        assert_eq!(g.pending(), 0);
     }
 
     #[test]

@@ -748,6 +748,17 @@ impl CloudNode {
                 drop(donors);
                 continue;
             }
+            // Ownership is decided here, under the donor lock, not where
+            // the caller routed: a handler descheduled across the flip
+            // would otherwise find no entry, write into an empty
+            // re-creation of the evicted trunk, and ack. (`install_table`
+            // swaps the table before it drops the entry.)
+            {
+                let table = self.table.read();
+                if table.machine_for(gid) != self.machine {
+                    return Ok(Gate::Moved { epoch: table.epoch });
+                }
+            }
             let Some(trunk) = self.store.trunk(gid) else {
                 drop(donors);
                 continue;
@@ -1070,17 +1081,19 @@ impl CloudNode {
         migration::ok_with_entries(&[next as u64], &entries)
     }
 
-    /// `MIG_DELTA` (donor): drain dirty cells, resolved to their current
+    /// `MIG_DELTA` (donor): one acknowledged round of the delta log (see
+    /// `DonorMig::drain`), each id resolved to its current
     /// state. Removed cells ship a freshly minted fence stamp, greater
     /// than any stamp the cell ever carried.
     fn handle_mig_delta(&self, data: &[u8]) -> Vec<u8> {
         let Some((mid, gid, rest)) = migration::decode_header(data) else {
             return migration::err_reply("bad frame");
         };
-        if rest.len() < 4 {
+        if rest.len() < 12 {
             return migration::err_reply("bad frame");
         }
-        let max = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        let max = u32::from_le_bytes(rest[..4].try_into().unwrap());
+        let acked = u64::from_le_bytes(rest[4..12].try_into().unwrap());
         let Some(entry) = self.migration.donor(gid) else {
             return migration::err_reply("no migration in flight");
         };
@@ -1092,25 +1105,22 @@ impl CloudNode {
             return migration::err_reply("superseded migration id");
         }
         g.last_frame = Instant::now();
-        let mut entries = Vec::new();
-        for _ in 0..max.max(1) {
-            let Some(id) = g.dirty.pop_front() else {
-                break;
-            };
-            g.dirty_set.remove(&id);
-            match trunk.get_versioned(id) {
-                Some((version, guard)) => entries.push(MigEntry::Upsert {
+        let (seq, ids) = g.drain(acked, (max as usize).max(1));
+        let entries: Vec<MigEntry> = ids
+            .into_iter()
+            .map(|id| match trunk.get_versioned(id) {
+                Some((version, guard)) => MigEntry::Upsert {
                     id,
                     version,
                     bytes: guard.to_vec(),
-                }),
-                None => entries.push(MigEntry::Remove {
+                },
+                None => MigEntry::Remove {
                     id,
                     version: trinity_memstore::next_version(),
-                }),
-            }
-        }
-        migration::ok_with_entries(&[g.dirty.len() as u64], &entries)
+                },
+            })
+            .collect();
+        migration::ok_with_entries(&[g.pending() as u64, seq], &entries)
     }
 
     /// `MIG_SEAL` (donor): refuse writes from here on (reads still serve)
@@ -1130,7 +1140,7 @@ impl CloudNode {
         if g.sealed_at.is_none() {
             g.sealed_at = Some(Instant::now());
         }
-        migration::ok_u64s(&[g.dirty.len() as u64])
+        migration::ok_u64s(&[g.pending() as u64])
     }
 
     /// `MIG_ABORT` (either side): on the donor, lift the seal and stop
@@ -1616,8 +1626,10 @@ impl CloudNode {
             }
         }
         let moved: BTreeSet<u64> = old.changed_trunks(&new).into_iter().collect();
+        // Swap first, reconcile the migration books second: the write
+        // gate must never see "old table, donor entry already gone".
+        *self.table.write() = new.clone();
         self.migration.on_table_installed(self.machine, &old, &new);
-        *self.table.write() = new;
         // Tier entries for trunks this node no longer owns are dead
         // weight (the new owner reloads from the same TFS image): drop
         // them so the write gate stops blocking on them. This runs
@@ -1677,5 +1689,48 @@ impl CloudNode {
     /// Machine-level storage statistics.
     pub fn stats(&self) -> TrunkStats {
         self.store.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CloudConfig, MemoryCloud};
+
+    #[test]
+    fn a_mutation_reaching_the_gate_after_the_flip_is_refused() {
+        // A handler checks routing, loses the CPU, and resumes after the
+        // trunk was flipped away: the donor entry is gone and the trunk
+        // evicted, so an ungated write would land in an empty re-creation
+        // of it and be acked to nobody's benefit. Calling the handlers
+        // directly is that interleaving with the sleep taken out.
+        let cloud = MemoryCloud::new(CloudConfig::small(2));
+        let node = cloud.node(0);
+        let id = (0u64..).find(|&i| node.owns(i)).unwrap();
+        node.put(id, b"before").unwrap();
+        cloud.backup_all().unwrap();
+        let mut table = node.table();
+        let gid = table.trunk_of(id);
+        table.reassign_one(gid, MachineId(1));
+        cloud.tfs().write(TFS_TABLE_PATH, &table.encode()).unwrap();
+        for m in [1, 0] {
+            cloud.node(m).install_table(table.clone()).unwrap();
+        }
+        let mut put_if = 0u64.to_le_bytes().to_vec();
+        put_if.extend_from_slice(b"after");
+        for reply in [
+            node.handle_put(node.machine, id, b"after"),
+            node.handle_append(node.machine, id, b"after"),
+            node.handle_put_if(node.machine, id, &put_if),
+            node.handle_remove(node.machine, id, b""),
+        ] {
+            let parsed = wire::parse_reply(&FrameBuf::from_vec(reply), gid, node.machine);
+            assert!(
+                matches!(parsed, Err(CloudError::Moved { epoch, .. }) if epoch == table.epoch),
+                "the old owner answered {parsed:?}"
+            );
+        }
+        assert_eq!(cloud.node(0).get(id).unwrap().unwrap(), b"before");
+        cloud.shutdown();
     }
 }

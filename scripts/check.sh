@@ -24,6 +24,7 @@ mkdir -p "$OUT"
 
 echo "==> scripts parse (bash -n)"
 bash -n scripts/pairs.sh
+bash -n scripts/stress.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -62,10 +63,14 @@ cargo run --release -p trinity-bench --bin freshness "${HERMETIC[@]}" "$@" -- --
 echo "==> e13_residency (tiering model: residency table + schedule peak-bytes check)"
 cargo run --release -p trinity-bench --bin e13_residency "${HERMETIC[@]}" "$@"
 
+echo "==> e15_hubs at 1/10 scale (BSP message ablation; exports the bsp.* counters metrics_check requires of a BSP job)"
+TRINITY_BENCH_SCALE=0.1 cargo run --release -p trinity-bench --bin e15_hubs "${HERMETIC[@]}" "$@" -- \
+    --metrics-out "$OUT/e15_hubs.metrics.json"
+
 echo "==> metrics_check (observability gate: exported artifacts schema-validate)"
 cargo run --release -p trinity-bench --bin metrics_check "${HERMETIC[@]}" "$@" -- \
     "$OUT/cache_traversal.metrics.json" "$OUT/cache_traversal.trace.json" \
-    "$OUT/scaleout.metrics.json" "$OUT/freshness.metrics.json"
+    "$OUT/scaleout.metrics.json" "$OUT/freshness.metrics.json" "$OUT/e15_hubs.metrics.json"
 
 echo "==> chaos --force-fail (postmortem gate: a failing run must leave a flight dump)"
 TRINITY_FLIGHT_DIR="$OUT/flight" \

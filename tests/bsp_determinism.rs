@@ -26,7 +26,8 @@ use trinity::algos::pagerank_distributed;
 use trinity::chaos::{BspRingMax, ChaosRunner};
 use trinity::core::{
     BspConfig, BspResult, BspRunner, CommittedBatch, GatherProgram, IncrementalBsp,
-    IncrementalConfig, MinLabel, Mutation, PageRankGather, Topology, VertexContext, VertexProgram,
+    IncrementalConfig, MessagingMode, MinLabel, Mutation, PageRankGather, Topology, VertexContext,
+    VertexProgram,
 };
 use trinity::graph::{load_graph, Csr, DistributedGraph, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
@@ -193,6 +194,58 @@ fn pagerank_bit_identical_across_thread_counts() {
             assert_eq!(message_profile(&threaded), serial_profile);
         }
     }
+}
+
+/// FNV-1a over little-endian words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn pagerank_rank_bits_match_the_pinned_digest() {
+    // "Bit-identical to before" as a test: every rank of every
+    // configuration, hashed to a constant computed at the commit *before*
+    // the BSP wire format became grouped run frames (PR 21). How messages
+    // are framed, grouped or batched on the way must never reach the
+    // ranks; a change that moves this digest changed what vertices
+    // compute, not how messages travel.
+    const PINNED: u64 = 0xfb9b_da67_5201_8545;
+    let csr = trinity::graphgen::social(300, 8, 5);
+    let mut words = Vec::new();
+    for hub_threshold in [None, Some(8)] {
+        for combine in [false, true] {
+            for messaging in [MessagingMode::Packed, MessagingMode::Unpacked] {
+                for compute_threads in [1, 3] {
+                    let cfg = BspConfig {
+                        hub_threshold,
+                        combine,
+                        messaging,
+                        compute_threads,
+                        ..BspConfig::default()
+                    };
+                    let r = with_graph(&csr, 4, |g| pagerank_distributed(g, 5, cfg));
+                    let ranks: std::collections::BTreeMap<u64, u64> = r
+                        .states
+                        .iter()
+                        .map(|(&id, s)| (id, s.rank.to_bits()))
+                        .collect();
+                    assert_eq!(ranks.len(), 300);
+                    words.extend(ranks.into_iter().flat_map(|(id, bits)| [id, bits]));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(words),
+        PINNED,
+        "PageRank rank bits moved: hub x combine x messaging x threads"
+    );
 }
 
 #[test]

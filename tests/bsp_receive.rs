@@ -6,14 +6,21 @@
 //! must not change — every delivery is still attributed exactly once —
 //! and what it fixes: one `net.dispatch` span per run instead of one per
 //! vertex message, so a traced job keeps the spans it was traced for. The
-//! send side of the same path is held to its one-copy contract.
+//! send side of the same path is held to its one-copy contract and to the
+//! exact bytes the run-frame format (DESIGN §14) predicts, and a hub whose
+//! setup call to one peer failed must still reach its neighbors there.
 
+#[path = "../crates/core/tests/run_model/mod.rs"]
+mod run_model;
+
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use trinity::algos::pagerank_distributed;
+use trinity::algos::{pagerank_distributed, pagerank_reference};
 use trinity::core::BspConfig;
-use trinity::graph::{load_graph, LoadOptions};
+use trinity::graph::{load_graph, Csr, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
+use trinity::net::{FaultPlan, Partition};
 
 /// Span ring capacity per machine (`trinity_obs::SPAN_RING_CAPACITY`).
 const SPAN_RING: u64 = 4096;
@@ -117,5 +124,117 @@ fn bsp_frames_are_copied_once() {
         "one-copy contract broken on the BSP path: {copied} bytes copied for \
          {payload} payload bytes ({ratio:.3} per byte)"
     );
+    cloud.shutdown();
+}
+
+#[test]
+fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
+    // One PageRank iteration = one sending superstep, in which every
+    // vertex broadcasts an 8-byte share. The format model (written
+    // independently of the engine's encoder) sizes that superstep from the
+    // graph and the addressing table alone: per sending machine and peer
+    // one run frame, per (vertex, peer) one record — the share once and
+    // the vertex's neighbors there as gaps in stored adjacency order.
+    let machines = 4;
+    let csr = trinity::graphgen::social(1_200, 10, 29);
+    let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+    let table = cloud.node(0).table();
+    let owner = |v: u64| table.machine_of(v).0 as usize;
+    let (mut records, mut messages, mut widest) = (0u64, 0u64, 0usize);
+    let mut pair_bytes: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    for v in 0..csr.node_count() as u64 {
+        let mut groups: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+        for &t in csr.neighbors(v) {
+            if owner(t) != owner(v) {
+                groups.entry(owner(t)).or_default().push(t);
+            }
+        }
+        for (peer, ids) in groups {
+            records += 1;
+            messages += ids.len() as u64;
+            widest = widest.max(ids.len());
+            *pair_bytes.entry((owner(v), peer)).or_insert(4) +=
+                run_model::record_len(8, &ids) as u64;
+        }
+    }
+    assert!(widest >= 3, "no vertex has several neighbors on one peer");
+    let fences = 2 * (machines * (machines - 1)) as u64 * 12;
+
+    let obs = cloud.fabric().obs();
+    let sum =
+        |name: &'static str| -> u64 { obs.scopes().iter().map(|s| s.counter(name).get()).sum() };
+    let payload0 = sum("net.frame_payload_bytes");
+    let cfg = BspConfig {
+        compute_threads: 1,
+        hub_threshold: None,
+        ..BspConfig::default()
+    };
+    let result = pagerank_distributed(graph, 1, cfg);
+    assert_eq!(result.supersteps(), 2);
+    assert_eq!(result.reports[0].remote_messages, messages);
+    assert_eq!(result.reports[1].remote_messages, 0);
+    assert_eq!(sum("bsp.frames.remote"), messages);
+    // A vertex with k neighbors on one peer is one record there, not k.
+    assert_eq!(sum("bsp.records.sent"), records);
+    assert_eq!(sum("bsp.frames.malformed"), 0);
+    assert_eq!(
+        sum("net.frame_payload_bytes") - payload0 - fences,
+        pair_bytes.values().sum::<u64>(),
+        "payload bytes of the sending superstep ({messages} messages in {records} records)"
+    );
+    cloud.shutdown();
+}
+
+#[test]
+fn a_hub_reaches_its_neighbors_on_a_peer_whose_setup_call_failed() {
+    // Vertex 0 is a hub with neighbors on every machine. The first
+    // envelope its machine sends to one peer once chaos is armed — the
+    // `BSP_HUB_SETUP` request — is swallowed, so that peer never answers
+    // and is not subscribed, while the other peers are. The hub's
+    // neighbors on the silent peer must get its messages the ordinary way.
+    let machines = 4;
+    let n = 400u64;
+    let mut edges: Vec<(u64, u64)> = (1..n).map(|v| (0, v)).collect();
+    edges.extend((1..n).map(|v| (v, 1 + v % (n - 1))));
+    let csr = Csr::undirected_from_edges(n as usize, &edges, true);
+    let probe = MemoryCloud::new(CloudConfig::small(machines));
+    let hub_machine = probe.node(0).table().machine_of(0).0;
+    probe.shutdown();
+    let silent = (hub_machine + 1) % machines as u16;
+    let cloud = Arc::new(MemoryCloud::new(CloudConfig {
+        faults: Some(FaultPlan::new(0).with_partition(Partition {
+            from: hub_machine,
+            to: silent,
+            from_seq: 0,
+            to_seq: 1,
+        })),
+        call_timeout: std::time::Duration::from_millis(250),
+        ..CloudConfig::small(machines)
+    }));
+    cloud.fabric().chaos_arm(false);
+    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+    cloud.fabric().chaos_arm(true);
+    let iterations = 4;
+    let cfg = BspConfig {
+        hub_threshold: Some(100),
+        ..BspConfig::default()
+    };
+    let result = pagerank_distributed(graph, iterations, cfg);
+    let obs = cloud.fabric().obs();
+    let totals = obs.snapshot().totals();
+    assert_eq!(totals.counters["chaos.partition_drops"], 1);
+    assert!(
+        totals.counters["bsp.hub.broadcasts"] > 0,
+        "the peers that did answer are still served as hub subscribers"
+    );
+    let reference = pagerank_reference(&csr, iterations);
+    for (id, want) in &reference {
+        let got = result.states[id].rank;
+        assert!(
+            (got - want).abs() < 1e-9,
+            "vertex {id}: rank {got}, reference {want}"
+        );
+    }
     cloud.shutdown();
 }

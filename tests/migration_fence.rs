@@ -112,6 +112,7 @@ fn mutation_batches_never_split_across_a_trunk_flip() {
     // A background writer hammers the moving trunk with cross-trunk
     // edge batches for the whole migration, re-submitting on error.
     let stop = Arc::new(AtomicBool::new(false));
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
     let writer = {
         let ingest = Arc::clone(&ingest);
         let stop = Arc::clone(&stop);
@@ -127,10 +128,15 @@ fn mutation_batches_never_split_across_a_trunk_flip() {
                 ]);
                 commit_with_retry(&ingest, machines, &batch);
                 k += 1;
+                let _ = started_tx.send(());
             }
             k
         })
     };
+    // The move starts once the writer is demonstrably writing: on a
+    // loaded host the whole migration can otherwise finish before the
+    // writer thread is first scheduled.
+    started_rx.recv().expect("the writer landed a batch");
 
     // Synchronous batches at the dangerous phases too: during the
     // stream (rides the delta log) and right before the seal (the last
@@ -194,6 +200,7 @@ fn mutation_batches_survive_repeated_flips() {
     assert!(!targets.is_empty());
 
     let stop = Arc::new(AtomicBool::new(false));
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
     let writer = {
         let ingest = Arc::clone(&ingest);
         let stop = Arc::clone(&stop);
@@ -205,10 +212,13 @@ fn mutation_batches_survive_repeated_flips() {
                 let batch = MutationBatch::new(vec![Mutation::AddEdge(a, (a + 5 + k * 3) % n)]);
                 commit_with_retry(&ingest, machines, &batch);
                 k += 1;
+                let _ = started_tx.send(());
             }
             k
         })
     };
+    // As above: flips start once the writer is demonstrably writing.
+    started_rx.recv().expect("the writer landed a batch");
     let engine = MigrationEngine::new(MigrationConfig {
         chunk_cells: 8,
         ..MigrationConfig::default()
