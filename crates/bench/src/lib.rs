@@ -131,19 +131,6 @@ impl MetricsOut {
         }
     }
 
-    /// A sink that always writes to `path` (for tests).
-    pub fn to_path(path: impl Into<PathBuf>) -> Self {
-        MetricsOut {
-            path: Some(path.into()),
-            sections: Vec::new(),
-        }
-    }
-
-    /// Whether a capture will actually be recorded.
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
     /// Record the cloud's current observability state under `label`: the
     /// whole metrics registry (all machines) plus per-machine trunk
     /// utilization.
@@ -181,15 +168,6 @@ impl MetricsOut {
         ));
     }
 
-    /// Record an arbitrary JSON section under `label` — for series a
-    /// binary computes itself (e.g. `serve_load`'s per-phase latency
-    /// quantiles and shed-rate curves).
-    pub fn section(&mut self, label: &str, value: Json) {
-        if self.path.is_some() {
-            self.sections.push((label.to_string(), value));
-        }
-    }
-
     /// Write the document (if `--metrics-out` was given), returning the
     /// path written.
     pub fn finish(self) -> Option<PathBuf> {
@@ -223,4 +201,53 @@ impl MetricsOut {
             }
         }
     }
+}
+
+/// Counters every BSP job registers (DESIGN §6).
+const BSP_COUNTERS: &[&str] = &[
+    "bsp.frames.remote",
+    "bsp.records.sent",
+    "bsp.frames.malformed",
+];
+
+/// Schema-validate one exported JSON artifact: the file must exist, parse
+/// (via `trinity_obs::validate_json`, the same hand-rolled grammar the
+/// exporters write) and carry the top-level keys its kind promises:
+///
+/// - `*.metrics.json` — a [`MetricsOut`] document: `"bench"` + `"sections"`,
+///   and every [`BSP_COUNTERS`] name if it reports a BSP job at all.
+/// - `*.trace.json` — a Chrome trace-event export: `"traceEvents"`.
+/// - `*.flight.json` — a flight-recorder dump: kind `"trinity.flight"`,
+///   `"windows"` and `"events"`.
+///
+/// The one artifact schema: the `metrics_check` binary and the tests that
+/// export a flight dump or a trace all call this.
+pub fn check_artifact(path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
+    let values = trinity_obs::validate_json(&text).map_err(|e| format!("invalid JSON: {e}"))?;
+    if values == 0 {
+        return Err("empty document".into());
+    }
+    let required: &[&str] = if path.ends_with(".metrics.json") {
+        &["\"bench\"", "\"sections\""]
+    } else if path.ends_with(".trace.json") {
+        &["\"traceEvents\""]
+    } else if path.ends_with(".flight.json") {
+        &["\"trinity.flight\"", "\"windows\"", "\"events\""]
+    } else {
+        &[]
+    };
+    for key in required {
+        if !text.contains(key) {
+            return Err(format!("missing required key {key}"));
+        }
+    }
+    if path.ends_with(".metrics.json") && text.contains("\"bsp.supersteps\"") {
+        for name in BSP_COUNTERS {
+            if !text.contains(&format!("\"{name}\"")) {
+                return Err(format!("a BSP job ran but {name} is not reported"));
+            }
+        }
+    }
+    Ok(())
 }

@@ -419,6 +419,45 @@ mod tests {
         assert_eq!(same.canonical(), log.canonical());
     }
 
+    /// Judging always fails: the real runs execute (so faults are
+    /// injected and recorded), but `check` adds a violation
+    /// unconditionally.
+    struct Sabotaged<W>(W);
+
+    impl<W: ChaosWorkload> ChaosWorkload for Sabotaged<W> {
+        fn name(&self) -> &str {
+            "sabotaged"
+        }
+        fn run(&self, faults: Option<FaultPlan>) -> ChaosRun {
+            self.0.run(faults)
+        }
+        fn check(&self, reference: &ChaosRun, faulty: &ChaosRun) -> Vec<String> {
+            let mut v = self.0.check(reference, faulty);
+            v.push("forced failure: exercising the flight-dump path".into());
+            v
+        }
+    }
+
+    /// A failure that produces no artifact is a silent failure: a failing
+    /// run of a real workload must leave a schema-valid flight dump that
+    /// carries a closed delta window and the injected faults' breadcrumbs.
+    #[test]
+    fn a_failing_run_leaves_a_valid_flight_dump() {
+        let runner = ChaosRunner::new(
+            Sabotaged(crate::BspRingMax::small()),
+            FaultPlan::new(0).with_delay(0.3, 200, 400),
+        );
+        let report = runner.run(0xBAD);
+        assert!(!report.passed(), "the sabotaged run must fail");
+        let path = report.flight_path.expect("a failing run writes a dump");
+        assert!(path.ends_with("sabotaged-seed2989.flight.json"), "{path:?}");
+        trinity_bench::check_artifact(path.to_str().unwrap()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for needle in ["\"start_us\"", "fault Delay"] {
+            assert!(text.contains(needle), "flight dump lacks {needle:?}");
+        }
+    }
+
     #[test]
     fn judge_flags_leaks_imbalance_and_phantom_recovery() {
         struct Leaky;

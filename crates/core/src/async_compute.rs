@@ -573,158 +573,3 @@ fn decode_snapshot<P: AsyncVertexProgram>(
     }
     Some((states, queue))
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use trinity_graph::{load_graph, Csr, LoadOptions};
-    use trinity_memcloud::{CloudConfig, MemoryCloud};
-
-    /// Asynchronous single-source shortest paths: relax on arrival.
-    struct AsyncSssp;
-
-    impl AsyncVertexProgram for AsyncSssp {
-        type State = u64; // distance (u64::MAX = unreached)
-        type Msg = u64;
-
-        fn init(&self, _id: CellId, _deg: usize) -> u64 {
-            u64::MAX
-        }
-
-        fn on_message(
-            &self,
-            ctx: &mut AsyncContext<'_, u64>,
-            _id: CellId,
-            state: &mut u64,
-            msg: &u64,
-        ) {
-            if *msg < *state {
-                *state = *msg;
-                ctx.send_to_neighbors(msg + 1);
-            }
-        }
-
-        fn encode_msg(m: &u64) -> Vec<u8> {
-            m.to_le_bytes().to_vec()
-        }
-        fn decode_msg(b: &[u8]) -> Option<u64> {
-            Some(u64::from_le_bytes(b.try_into().ok()?))
-        }
-        fn encode_state(s: &u64) -> Vec<u8> {
-            s.to_le_bytes().to_vec()
-        }
-        fn decode_state(b: &[u8]) -> Option<u64> {
-            Some(u64::from_le_bytes(b.try_into().ok()?))
-        }
-    }
-
-    fn grid(n: usize) -> Csr {
-        // n x n grid, undirected.
-        let idx = |r: usize, c: usize| (r * n + c) as u64;
-        let mut edges = Vec::new();
-        for r in 0..n {
-            for c in 0..n {
-                if r + 1 < n {
-                    edges.push((idx(r, c), idx(r + 1, c)));
-                }
-                if c + 1 < n {
-                    edges.push((idx(r, c), idx(r, c + 1)));
-                }
-            }
-        }
-        Csr::undirected_from_edges(n * n, &edges, true)
-    }
-
-    fn reference_bfs(csr: &Csr, src: u64) -> Vec<u64> {
-        let mut dist = vec![u64::MAX; csr.node_count()];
-        dist[src as usize] = 0;
-        let mut q = std::collections::VecDeque::from([src]);
-        while let Some(v) = q.pop_front() {
-            for &t in csr.neighbors(v) {
-                if dist[t as usize] == u64::MAX {
-                    dist[t as usize] = dist[v as usize] + 1;
-                    q.push_back(t);
-                }
-            }
-        }
-        dist
-    }
-
-    fn setup(csr: &Csr, machines: usize) -> (Arc<MemoryCloud>, Arc<DistributedGraph>) {
-        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &LoadOptions::default()).unwrap());
-        (cloud, graph)
-    }
-
-    #[test]
-    fn async_sssp_matches_bfs_and_terminates() {
-        let csr = grid(8);
-        let (cloud, graph) = setup(&csr, 3);
-        let job = spawn(Arc::clone(&graph), AsyncSssp, "sssp-term", vec![(0, 0u64)]);
-        let result = job.join();
-        let expect = reference_bfs(&csr, 0);
-        for (v, &d) in expect.iter().enumerate() {
-            assert_eq!(result.states[&(v as u64)], d, "vertex {v}");
-        }
-        assert!(result.messages_processed > 0);
-        cloud.shutdown();
-    }
-
-    #[test]
-    fn empty_seed_job_terminates_immediately() {
-        let csr = grid(3);
-        let (cloud, graph) = setup(&csr, 2);
-        let job = spawn(Arc::clone(&graph), AsyncSssp, "empty", vec![]);
-        let result = job.join();
-        assert!(result.states.values().all(|&d| d == u64::MAX));
-        cloud.shutdown();
-    }
-
-    #[test]
-    fn single_machine_jobs_work() {
-        let csr = grid(5);
-        let (cloud, graph) = setup(&csr, 1);
-        let job = spawn(Arc::clone(&graph), AsyncSssp, "one", vec![(0, 0u64)]);
-        let result = job.join();
-        let expect = reference_bfs(&csr, 0);
-        for (v, &d) in expect.iter().enumerate() {
-            assert_eq!(result.states[&(v as u64)], d);
-        }
-        cloud.shutdown();
-    }
-
-    #[test]
-    fn snapshot_then_abort_then_resume_completes_correctly() {
-        let csr = grid(12); // enough work that the snapshot lands mid-run
-        let (cloud, graph) = setup(&csr, 3);
-        let job = spawn(Arc::clone(&graph), AsyncSssp, "resumable", vec![(0, 0u64)]);
-        // Let it make some progress, then snapshot and kill it.
-        std::thread::sleep(Duration::from_millis(20));
-        job.snapshot().unwrap();
-        job.abort();
-        // Resume from the snapshot on a fresh runtime.
-        let job2 = spawn_from_snapshot(Arc::clone(&graph), AsyncSssp, "resumable").unwrap();
-        let result = job2.join();
-        let expect = reference_bfs(&csr, 0);
-        for (v, &d) in expect.iter().enumerate() {
-            assert_eq!(result.states[&(v as u64)], d, "vertex {v} after resume");
-        }
-        cloud.shutdown();
-    }
-
-    #[test]
-    fn snapshot_during_quiet_periods_is_safe_and_repeatable() {
-        let csr = grid(6);
-        let (cloud, graph) = setup(&csr, 2);
-        let job = spawn(Arc::clone(&graph), AsyncSssp, "multi-snap", vec![(0, 0u64)]);
-        for _ in 0..3 {
-            job.snapshot().unwrap();
-        }
-        let result = job.join();
-        let expect = reference_bfs(&csr, 0);
-        for (v, &d) in expect.iter().enumerate() {
-            assert_eq!(result.states[&(v as u64)], d);
-        }
-        cloud.shutdown();
-    }
-}

@@ -92,7 +92,6 @@ impl TrinityCluster {
                     .endpoint(MachineId((slaves + cfg.proxies + i) as u16)),
                 cloud: Arc::clone(&cloud),
                 slaves,
-                proxies: cfg.proxies,
             })
             .collect();
         TrinityCluster {
@@ -195,7 +194,6 @@ pub struct TrinityClient {
     endpoint: Arc<Endpoint>,
     cloud: Arc<MemoryCloud>,
     slaves: usize,
-    proxies: usize,
 }
 
 impl std::fmt::Debug for TrinityClient {
@@ -210,16 +208,6 @@ impl TrinityClient {
     /// The client's endpoint.
     pub fn endpoint(&self) -> &Arc<Endpoint> {
         &self.endpoint
-    }
-
-    /// Call a protocol on slave `m`.
-    pub fn call_slave(
-        &self,
-        m: usize,
-        proto: ProtoId,
-        payload: &[u8],
-    ) -> trinity_net::Result<FrameBuf> {
-        self.endpoint.call(MachineId(m as u16), proto, payload)
     }
 
     /// Call a protocol on proxy `i`.
@@ -253,11 +241,6 @@ impl TrinityClient {
             Some(1) => Ok(None),
             _ => Err(CloudError::BadReply),
         }
-    }
-
-    /// Number of proxies configured.
-    pub fn proxy_count(&self) -> usize {
-        self.proxies
     }
 }
 

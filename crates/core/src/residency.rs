@@ -61,18 +61,6 @@ impl ResidencyModel {
         }
     }
 
-    /// Build the model from a concrete graph.
-    pub fn from_csr(csr: &Csr, attr_bytes: f64, local_bytes: f64, msg_bytes: f64, p: f64) -> Self {
-        ResidencyModel {
-            vertices: csr.node_count() as u64,
-            edges: csr.arc_count() as u64,
-            attr_bytes,
-            local_bytes,
-            msg_bytes,
-            type_a_fraction: p,
-        }
-    }
-
     /// `S`: bytes with the whole graph resident.
     pub fn full_bytes(&self) -> f64 {
         self.vertices as f64 * (16.0 + self.attr_bytes + self.local_bytes + self.msg_bytes)
@@ -90,11 +78,6 @@ impl ResidencyModel {
         let p = self.type_a_fraction;
         (1.0 - p) * (self.attr_bytes + self.local_bytes) * self.vertices as f64
             + (1.0 - p) * 8.0 * self.edges as f64
-    }
-
-    /// Machines saved at a given per-machine memory budget.
-    pub fn machines_saved(&self, bytes_per_machine: f64) -> f64 {
-        self.saved_bytes() / bytes_per_machine
     }
 }
 

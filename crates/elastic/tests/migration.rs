@@ -3,11 +3,13 @@
 //! cluster operations (join, drain, rebalance) leave every cell
 //! readable through every machine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use trinity_elastic::{MigrationConfig, MigrationEngine, MigrationPhase};
+use trinity_elastic::{
+    cluster_trunk_scores, placement_imbalance, MigrationConfig, MigrationEngine, MigrationPhase,
+};
 use trinity_memcloud::{migration, AddressingTable, CloudConfig, MemoryCloud, TFS_TABLE_PATH};
 use trinity_net::MachineId;
 
@@ -272,6 +274,99 @@ fn join_machine_streams_a_fair_share_online() {
         cloud.node(3).get(joiner_bound).unwrap().unwrap(),
         b"fresh-on-joiner"
     );
+    cloud.shutdown();
+}
+
+/// The scenario the engine exists for: a steady 7:1 read/write mix through
+/// the original members keeps running while the standby joins online. No
+/// op may fail because the cluster grew (the access path retries `MOVED`
+/// internally); afterwards a load-driven rebalance must not worsen the
+/// imbalance, and every cell reads back through the joiner.
+#[test]
+fn a_read_write_mix_never_fails_while_a_machine_joins() {
+    const CELLS: u64 = 3_000;
+    const WORKERS: usize = 4;
+    let value = |i: u64| format!("cell{i}").into_bytes();
+    let cloud = cloud_with_standby(3, 1);
+    for i in 0..CELLS {
+        cloud.node(0).put(i, &value(i)).unwrap();
+    }
+    let ops: Vec<AtomicU64> = (0..WORKERS).map(|_| AtomicU64::new(0)).collect();
+    let errors = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    let total = || ops.iter().map(|c| c.load(Ordering::Relaxed)).sum::<u64>();
+
+    let (reports, during) = std::thread::scope(|scope| {
+        for (w, done) in ops.iter().enumerate() {
+            let (cloud, errors, stop) = (&cloud, &errors, &stop);
+            scope.spawn(move || {
+                let via = w % 3; // entry nodes: the original members
+                let mut i = w as u64 * 7919 % CELLS;
+                while !stop.load(Ordering::Relaxed) {
+                    i = (i + 7919) % CELLS;
+                    let ok = if i.is_multiple_of(8) {
+                        cloud.node(via).put(i, &value(i)).is_ok()
+                    } else {
+                        cloud.node(via).get(i).is_ok()
+                    };
+                    if !ok {
+                        errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        // The join starts only once every worker is mid-stream.
+        while ops.iter().any(|c| c.load(Ordering::Relaxed) == 0) {
+            std::thread::yield_now();
+        }
+        let before = total();
+        let reports = MigrationEngine::new(MigrationConfig::default())
+            .join_machine(&cloud, 3)
+            .expect("online join");
+        let during = total() - before;
+        stop.store(true, Ordering::Relaxed);
+        (reports, during)
+    });
+    assert!(during > 0, "the mix must overlap the join");
+    assert_eq!(
+        errors.load(Ordering::Relaxed),
+        0,
+        "ops failed while the cluster grew — the join was not transparent"
+    );
+    assert!(
+        reports.iter().map(|r| r.cells_moved).sum::<u64>() > 0,
+        "the join streamed no cells"
+    );
+
+    // Skew the load map onto machine 0, then let the planner spread it.
+    let table = cloud.node(0).table();
+    for i in (0..CELLS).filter(|&i| table.machine_of(i) == MachineId(0)) {
+        for _ in 0..2 {
+            cloud.node(0).get(i).unwrap();
+        }
+    }
+    let imbalance = || placement_imbalance(&cloud.node(0).table(), &cluster_trunk_scores(&cloud));
+    let before = imbalance();
+    MigrationEngine::new(MigrationConfig::default())
+        .rebalance(&cloud)
+        .expect("rebalance");
+    let after = imbalance();
+    assert!(
+        after <= before + 1e-9,
+        "rebalance worsened the imbalance: {before:.3} → {after:.3}"
+    );
+
+    for m in 0..4 {
+        cloud.node(m).clear_cache();
+    }
+    for i in 0..CELLS {
+        assert_eq!(
+            cloud.node(3).get(i).unwrap().as_deref(),
+            Some(value(i).as_slice()),
+            "cell {i} wrong after join + rebalance"
+        );
+    }
     cloud.shutdown();
 }
 

@@ -40,7 +40,6 @@ pub struct SimRdbms {
     /// Simulated per-access latency (a disk seek / SQL round trip).
     latency: Duration,
     fetches: AtomicU64,
-    stores: AtomicU64,
 }
 
 impl std::fmt::Debug for SimRdbms {
@@ -58,18 +57,12 @@ impl SimRdbms {
             rows: Mutex::new(HashMap::new()),
             latency,
             fetches: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
         })
     }
 
     /// How many fetches hit the external store (cache misses).
     pub fn fetch_count(&self) -> u64 {
         self.fetches.load(Ordering::Relaxed)
-    }
-
-    /// How many stores were issued.
-    pub fn store_count(&self) -> u64 {
-        self.stores.load(Ordering::Relaxed)
     }
 }
 
@@ -83,7 +76,6 @@ impl ExternalStore for SimRdbms {
     }
 
     fn store(&self, id: CellId, column: &str, bytes: &[u8]) {
-        self.stores.fetch_add(1, Ordering::Relaxed);
         self.rows
             .lock()
             .insert((id, column.to_string()), bytes.to_vec());

@@ -36,11 +36,6 @@ impl GraphHandle {
         self.node.machine()
     }
 
-    /// Create (or replace) a graph node cell.
-    pub fn create_node(&self, id: CellId, record: &NodeRecord) -> Result<(), CloudError> {
-        self.node.put(id, &record.encode())
-    }
-
     /// Create a StructEdge cell.
     pub fn create_edge(&self, id: CellId, record: &EdgeRecord) -> Result<(), CloudError> {
         self.node.put(id, &record.encode())
@@ -169,17 +164,5 @@ impl GraphHandle {
                 }
             });
         }
-    }
-
-    /// Ids of all node cells hosted on this machine.
-    pub fn local_node_ids(&self) -> Vec<CellId> {
-        let mut ids = Vec::new();
-        for gid in self.node.table().trunks_of(self.node.machine()) {
-            let Ok(trunk) = self.node.resident_trunk(gid) else {
-                continue;
-            };
-            ids.extend(trunk.cell_ids());
-        }
-        ids
     }
 }

@@ -36,8 +36,11 @@
 //! the state it describes (removes carry a freshly minted fence stamp,
 //! which is greater than every stamp the cell ever had). The recipient
 //! keeps a per-cell high-water fence and drops any entry at or below it —
-//! a duplicated or reordered frame (chaos injects both) can never roll a
-//! cell backwards, and re-applying the same entry twice is a no-op.
+//! a duplicated or reordered frame can never roll a cell backwards, and
+//! re-applying the same entry twice is a no-op. (The `MigrationStorm`
+//! chaos seeds inject duplicates and delays; the reorder fault is armed
+//! on the traversal workload only, so reordered migration frames are
+//! covered by this argument and the fence unit tests, not by a seed.)
 //! Control frames carry a monotonic migration id (`mid`); a frame from a
 //! superseded migration attempt is rejected outright.
 //!

@@ -635,11 +635,6 @@ impl CloudNode {
         self.enforce_budget()
     }
 
-    /// The current per-machine memory budget (0 = unlimited).
-    pub fn memory_budget(&self) -> u64 {
-        self.tiering.budget()
-    }
-
     /// Whether the trunk is resident (no tier entry and present in the
     /// store). The prefetcher uses this to classify hits vs. faults.
     pub fn trunk_resident(&self, gid: u64) -> bool {

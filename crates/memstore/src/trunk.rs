@@ -113,14 +113,6 @@ impl TrunkConfig {
             expansion_slack: 1.0,
         }
     }
-
-    /// A trunk with `bytes` of reserved space and default paging.
-    pub fn with_reserved(bytes: usize) -> Self {
-        TrunkConfig {
-            reserved_bytes: bytes,
-            ..TrunkConfig::default()
-        }
-    }
 }
 
 /// Allocation state protected by the trunk's allocation mutex.

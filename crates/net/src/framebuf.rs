@@ -353,11 +353,6 @@ impl PackArena {
         payload.len()
     }
 
-    /// Buffered frame count.
-    pub fn frame_count(&self) -> usize {
-        self.metas.len()
-    }
-
     /// Buffered payload bytes.
     pub fn payload_bytes(&self) -> usize {
         self.arena.len()

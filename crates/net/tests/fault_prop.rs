@@ -4,8 +4,9 @@
 //! schedule) is indistinguishable from the fault-free fabric — same
 //! delivery order, same stats, empty fault log — for any seed and any
 //! send/flush interleaving; a delay-only plan preserves per-link FIFO and
-//! exactly-once delivery; and a lossy plan keeps the frame ledger
-//! balanced (entered == consumed + swallowed) after quiescence.
+//! exactly-once delivery; a reorder-only plan gives up FIFO but not
+//! exactly-once; and a lossy plan keeps the frame ledger balanced
+//! (entered == consumed + swallowed) after quiescence.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -211,6 +212,24 @@ proptest! {
         let (plain_order, _, _) = run_ops(&ops, None);
         let (chaos_order, stats, _) = run_ops(&ops, Some(plan));
         prop_assert_eq!(plain_order, chaos_order, "delay plan changed delivery");
+        prop_assert_eq!(stats.entered_frames(), stats.consumed_frames());
+    }
+
+    /// Reordering permutes a link's deliveries but never loses or
+    /// duplicates one: every message arrives exactly once (so no envelope
+    /// stays parked in a hold slot) and the ledger balances.
+    #[test]
+    fn reorder_only_plan_balances_the_ledger_and_leaks_nothing(
+        ops in proptest::collection::vec(op_strategy(), 1..100),
+        seed in any::<u64>(),
+        prob_pct in 10u32..100,
+        hold_us in 1u64..3_000,
+    ) {
+        let plan = FaultPlan::new(seed).with_reorder(prob_pct as f64 / 100.0, hold_us);
+        let (plain_order, _, _) = run_ops(&ops, None);
+        let (mut chaos_order, stats, _) = run_ops(&ops, Some(plan));
+        chaos_order.iter_mut().for_each(|per_dst| per_dst.sort_unstable());
+        prop_assert_eq!(plain_order, chaos_order, "reordering lost or minted a message");
         prop_assert_eq!(stats.entered_frames(), stats.consumed_frames());
     }
 

@@ -222,15 +222,6 @@ impl LoadMap {
         }
     }
 
-    /// Attribute `n` batched cell reads (MULTI_GET) of `bytes` total.
-    #[inline]
-    pub fn record_reads(&self, trunk: u64, n: u64, bytes: u64) {
-        if let Some(c) = self.cell(trunk) {
-            c.reads.fetch_add(n, Ordering::Relaxed);
-            c.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
     /// Attribute a cell write (PUT/APPEND/REMOVE) of `bytes` to `trunk`.
     #[inline]
     pub fn record_write(&self, trunk: u64, bytes: u64) {

@@ -84,11 +84,6 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().queues[class.idx()].len()
     }
 
-    /// Total queued entries across classes.
-    pub fn total_depth(&self) -> usize {
-        self.inner.lock().queues.iter().map(VecDeque::len).sum()
-    }
-
     /// Admit `item` into `class`'s queue, or shed it. On rejection the
     /// item comes back to the caller along with the observed depth, so
     /// the caller can fail the query without losing its completion

@@ -97,11 +97,6 @@ impl<R> Ticket<R> {
         self.cancel.cancel();
     }
 
-    /// A clone of the query's cancel token.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// The query's trace id (for span-ring reconstruction).
     pub fn trace(&self) -> u64 {
         self.trace

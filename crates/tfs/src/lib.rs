@@ -347,18 +347,6 @@ impl Tfs {
         }
     }
 
-    /// Indices of live storage nodes.
-    pub fn alive_nodes(&self) -> Vec<usize> {
-        let inner = self.inner.lock();
-        inner
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Re-replicate: copy the freshest version of every file onto every
     /// live replica node that is missing it or holds a stale copy.
     /// Returns the number of replica copies refreshed.

@@ -133,6 +133,28 @@ fn traversal_duplicate_delivery_seed_f00d() {
     assert_pinned_seed(&traversal_runner(), 0xF00D);
 }
 
+/// Bounded reordering on its own — with no delay policy, whether an
+/// envelope is held is a pure function of its link sequence number, so
+/// the log pins like any other deterministic seed.
+#[test]
+fn traversal_reordered_delivery_seed_0dd() {
+    let runner = ChaosRunner::new(
+        TraversalSearch::small(),
+        FaultPlan::new(0).with_reorder(0.3, 500),
+    );
+    assert_pinned_seed(&runner, 0x0DD);
+    let report = runner.run(0x0DD);
+    assert!(
+        report
+            .faulty
+            .log
+            .records
+            .iter()
+            .any(|r| matches!(r.kind, trinity::net::FaultKind::Reorder)),
+        "the plan must actually hold something back"
+    );
+}
+
 /// Partition windows swallow protocol traffic between survivors while
 /// the recovery agents handle a crashed machine; the partitions heal
 /// (their sequence windows end) and recovery must converge with exact

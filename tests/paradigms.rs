@@ -5,39 +5,10 @@
 
 use std::sync::Arc;
 
-use trinity::algos::bfs_distributed;
-use trinity::core::async_compute::{spawn, AsyncContext, AsyncVertexProgram};
+use trinity::algos::{bfs_async, bfs_distributed};
 use trinity::core::{BspConfig, Explorer};
 use trinity::graph::{load_graph, Csr, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
-
-/// Asynchronous BFS/SSSP by message relaxation.
-struct AsyncSssp;
-impl AsyncVertexProgram for AsyncSssp {
-    type State = u64;
-    type Msg = u64;
-    fn init(&self, _id: u64, _d: usize) -> u64 {
-        u64::MAX
-    }
-    fn on_message(&self, ctx: &mut AsyncContext<'_, u64>, _id: u64, state: &mut u64, msg: &u64) {
-        if *msg < *state {
-            *state = *msg;
-            ctx.send_to_neighbors(msg + 1);
-        }
-    }
-    fn encode_msg(m: &u64) -> Vec<u8> {
-        m.to_le_bytes().to_vec()
-    }
-    fn decode_msg(b: &[u8]) -> Option<u64> {
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-    fn encode_state(s: &u64) -> Vec<u8> {
-        s.to_le_bytes().to_vec()
-    }
-    fn decode_state(b: &[u8]) -> Option<u64> {
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-}
 
 #[test]
 fn three_paradigms_agree_on_reachability_and_distance() {
@@ -58,13 +29,7 @@ fn three_paradigms_agree_on_reachability_and_distance() {
     );
 
     // Paradigm 2: asynchronous message-driven relaxation.
-    let job = spawn(
-        Arc::clone(&graph),
-        AsyncSssp,
-        "paradigms",
-        vec![(source, 0u64)],
-    );
-    let async_result = job.join();
+    let async_result = bfs_async(Arc::clone(&graph), source);
 
     // Paradigm 3: online traversal, hop by hop.
     let explorer = Explorer::install(Arc::clone(&cloud));
