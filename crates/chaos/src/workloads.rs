@@ -1000,7 +1000,6 @@ impl ChaosWorkload for MigrationStorm {
             let engine = MigrationEngine::new(MigrationConfig {
                 chunk_cells: 4,
                 coordinator: Some(self.coordinator),
-                ..MigrationConfig::default()
             })
             .with_phase_hook({
                 let fabric = Arc::clone(&fabric);

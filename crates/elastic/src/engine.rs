@@ -103,24 +103,25 @@ impl MigrationPhase {
     }
 }
 
+/// Soft byte bound per streamed chunk (the chunk ends at the cell that
+/// crosses it).
+const CHUNK_BYTES: u32 = 256 * 1024;
+/// Seal once a catch-up drain leaves at most this many dirty cells
+/// (queued, or drained and not yet acknowledged) on the donor — the
+/// remainder drains inside the (brief) seal window.
+const CATCHUP_THRESHOLD: u64 = 16;
+/// Catch-up rounds before sealing regardless of the dirty backlog (bounds
+/// the chase against a write-heavy trunk).
+const MAX_CATCHUP_ROUNDS: u32 = 8;
+/// Imbalance (max/mean machine hotness) the rebalance planner drives the
+/// cluster under.
+const REBALANCE_THRESHOLD: f64 = 1.5;
+
 /// Tuning knobs for the migration engine.
 #[derive(Debug, Clone)]
 pub struct MigrationConfig {
     /// Max cells per streamed chunk.
     pub chunk_cells: u32,
-    /// Soft byte bound per streamed chunk (the chunk ends at the cell
-    /// that crosses it).
-    pub chunk_bytes: u32,
-    /// Seal once a catch-up drain leaves at most this many dirty cells
-    /// (queued, or drained and not yet acknowledged) on the donor —
-    /// the remainder drains inside the (brief) seal window.
-    pub catchup_threshold: u64,
-    /// Catch-up rounds before sealing regardless of the dirty backlog
-    /// (bounds the chase against a write-heavy trunk).
-    pub max_catchup_rounds: u32,
-    /// Imbalance (max/mean machine hotness) the rebalance planner drives
-    /// the cluster under.
-    pub rebalance_threshold: f64,
     /// Machine to issue coordinator frames from; `None` picks the first
     /// live machine. The recovery leader sets this to itself.
     pub coordinator: Option<u16>,
@@ -130,10 +131,6 @@ impl Default for MigrationConfig {
     fn default() -> Self {
         MigrationConfig {
             chunk_cells: 128,
-            chunk_bytes: 256 * 1024,
-            catchup_threshold: 16,
-            max_catchup_rounds: 8,
-            rebalance_threshold: 1.5,
             coordinator: None,
         }
     }
@@ -311,7 +308,7 @@ impl MigrationEngine {
                 trunk,
                 cursor,
                 self.cfg.chunk_cells,
-                self.cfg.chunk_bytes,
+                CHUNK_BYTES,
             )?;
             if !entries.is_empty() {
                 cells_moved += entries.len() as u64;
@@ -328,7 +325,7 @@ impl MigrationEngine {
         let mut delta_replayed = 0u64;
         // Highest delta sequence applied on the recipient so far.
         let mut acked = 0u64;
-        for _ in 0..self.cfg.max_catchup_rounds.max(1) {
+        for _ in 0..MAX_CATCHUP_ROUNDS {
             let (remaining, seq, entries) =
                 migration::drain_delta(ep, from, mid, trunk, acked, self.cfg.chunk_cells)?;
             if !entries.is_empty() {
@@ -336,7 +333,7 @@ impl MigrationEngine {
                 migration::apply(ep, to, mid, trunk, &entries)?;
             }
             acked = seq;
-            if remaining <= self.cfg.catchup_threshold {
+            if remaining <= CATCHUP_THRESHOLD {
                 break;
             }
         }
@@ -451,7 +448,7 @@ impl MigrationEngine {
     pub fn rebalance(&self, cloud: &MemoryCloud) -> Result<Vec<MigrationReport>> {
         let table = read_primary(cloud)?;
         let scores = cluster_trunk_scores(cloud);
-        let moves = plan_rebalance(&table, &scores, self.cfg.rebalance_threshold);
+        let moves = plan_rebalance(&table, &scores, REBALANCE_THRESHOLD);
         self.execute(cloud, &moves)
     }
 }

@@ -23,8 +23,6 @@ use crate::Result;
 pub struct CloudConfig {
     /// Number of machines (Trinity slaves).
     pub machines: usize,
-    /// `log2` of the trunk count; `2^p` must be at least the machine count.
-    pub p_bits: u32,
     /// Per-machine trunk storage configuration.
     pub store: LocalStoreConfig,
     /// TFS deployment backing the cloud.
@@ -53,23 +51,13 @@ pub struct CloudConfig {
     /// Must be uniform across the cloud — the coherence protocol skips
     /// machines entirely when the cache is off.
     pub cache_capacity: usize,
-    /// Per-machine resident-memory budget in bytes; 0 (the default)
-    /// disables trunk tiering. With a budget set, each node spills its
-    /// coldest trunks' sealed images to TFS whenever resident bytes
-    /// exceed the budget, and faults them back in on access — graphs
-    /// larger than RAM at the cost of TFS round-trips on cold reads
-    /// (DESIGN.md §15).
-    pub memory_budget_bytes: u64,
 }
 
 impl CloudConfig {
-    /// A production-shaped config: 2^(ceil(log2 m) + 3) trunks so every
-    /// machine hosts ~8, with default trunk sizes.
+    /// A production-shaped config with default trunk sizes.
     pub fn new(machines: usize) -> Self {
-        let p_bits = (machines.next_power_of_two().trailing_zeros() + 3).max(4);
         CloudConfig {
             machines,
-            p_bits,
             store: LocalStoreConfig::default(),
             tfs: TfsConfig {
                 nodes: machines.max(3),
@@ -82,7 +70,6 @@ impl CloudConfig {
             standby_machines: 0,
             faults: None,
             cache_capacity: 4096,
-            memory_budget_bytes: 0,
         }
     }
 
@@ -126,7 +113,9 @@ impl MemoryCloud {
             ..FabricConfig::with_machines(slaves + cfg.extra_machines)
         });
         let tfs = Tfs::new(cfg.tfs);
-        let table = AddressingTable::round_robin(cfg.p_bits, cfg.machines);
+        // 2^(ceil(log2 m) + 3) trunks, so every machine hosts ~8.
+        let p_bits = (cfg.machines.next_power_of_two().trailing_zeros() + 3).max(4);
+        let table = AddressingTable::round_robin(p_bits, cfg.machines);
         // Persist the primary replica before the cloud serves traffic.
         tfs.write(TFS_TABLE_PATH, &table.encode())
             .expect("persist initial addressing table");
@@ -141,17 +130,17 @@ impl MemoryCloud {
                 )
             })
             .collect();
-        let cloud = MemoryCloud { fabric, tfs, nodes };
-        if cfg.memory_budget_bytes > 0 {
-            cloud.set_memory_budget(cfg.memory_budget_bytes);
-        }
-        cloud
+        MemoryCloud { fabric, tfs, nodes }
     }
 
-    /// Set every machine's resident-memory budget (0 = unlimited) and
-    /// enforce it immediately. Enforcement failures are best-effort at
-    /// this level — a machine that cannot reach TFS simply stays over
-    /// budget until its next sweep.
+    /// Set every machine's resident-memory budget in bytes (0, the state
+    /// a cloud starts in, is unlimited: no trunk tiering) and enforce it
+    /// immediately. With a budget set, each node spills its coldest
+    /// trunks' sealed images to TFS whenever resident bytes exceed it,
+    /// and faults them back in on access — graphs larger than RAM at the
+    /// cost of TFS round-trips on cold reads (DESIGN.md §15). Enforcement
+    /// failures are best-effort at this level — a machine that cannot
+    /// reach TFS simply stays over budget until its next sweep.
     pub fn set_memory_budget(&self, bytes: u64) {
         for n in &self.nodes {
             let _ = n.set_memory_budget(bytes);

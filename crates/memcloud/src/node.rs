@@ -330,9 +330,26 @@ impl CloudNode {
     // Local handler bodies
     // ------------------------------------------------------------------
 
-    fn local_trunk(&self, id: CellId) -> Result<Arc<Trunk>> {
+    /// The trunk holding `id`, for a read handler: faulted in if tiering
+    /// spilled it, never created, and `None` unless this node still owns
+    /// it once it is resolved. A read descheduled across `install_table`
+    /// then answers `MOVED`/`NOT_OWNER` as the write gate does — not
+    /// `NOT_FOUND` out of an empty re-creation of a trunk that moved away.
+    fn local_trunk(&self, id: CellId) -> Result<Option<Arc<Trunk>>> {
         let gid = self.table.read().trunk_of(id);
-        self.resident_trunk(gid)
+        loop {
+            self.await_resident(gid)?;
+            let trunk = self.store.trunk(gid);
+            if self.table.read().machine_for(gid) != self.machine {
+                return Ok(None);
+            }
+            // Owned and absent with a tier entry: a spill took it out
+            // since the fault turn — queue for the next one. Owned and
+            // absent without one: an install is evicting it right now.
+            if trunk.is_some() || !self.tiering.blocks(gid) {
+                return Ok(trunk);
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -346,18 +363,23 @@ impl CloudNode {
     /// trunk exactly one caller wins the fault-in turn; the rest block on
     /// the tier condvar until the image is restored.
     pub fn resident_trunk(&self, gid: u64) -> Result<Arc<Trunk>> {
-        if !self.tiering.is_active() {
-            return Ok(self.store.ensure_trunk(gid));
-        }
-        loop {
+        self.await_resident(gid)?;
+        Ok(self.store.ensure_trunk(gid))
+    }
+
+    /// Return once trunk `gid` has no tier entry, restoring it from TFS
+    /// when the fault turn falls to this thread.
+    fn await_resident(&self, gid: u64) -> Result<()> {
+        while self.tiering.is_active() {
             match self.tiering.await_fault_turn(gid) {
-                FaultTurn::Resident => return Ok(self.store.ensure_trunk(gid)),
+                FaultTurn::Resident => break,
                 // Loop after the restore: a racing spill may have taken
                 // the trunk out again, in which case we queue for the
                 // next fault turn rather than hand out a dead Arc.
                 FaultTurn::Fault { version } => self.fault_in(gid, version)?,
             }
         }
+        Ok(())
     }
 
     /// Restore a spilled trunk from its TFS image, then bring the store
@@ -678,7 +700,8 @@ impl CloudNode {
 
     fn handle_get(&self, src: MachineId, id: CellId, _body: &[u8]) -> Vec<u8> {
         let trunk = match self.local_trunk(id) {
-            Ok(t) => t,
+            Ok(Some(t)) => t,
+            Ok(None) => return self.not_owner_reply(id),
             // Fault-in failed (TFS unreachable): the caller's retry
             // budget rides out the transient.
             Err(_) => return wire::reply(wire::STORE_ERR, b""),
@@ -935,7 +958,8 @@ impl CloudNode {
 
     fn handle_contains(&self, _src: MachineId, id: CellId, _body: &[u8]) -> Vec<u8> {
         let trunk = match self.local_trunk(id) {
-            Ok(t) => t,
+            Ok(Some(t)) => t,
+            Ok(None) => return self.not_owner_reply(id),
             Err(_) => return wire::reply(wire::STORE_ERR, b""),
         };
         self.obs.load().record_read(trunk.id(), 0);
@@ -958,18 +982,12 @@ impl CloudNode {
         // serve path (the reply Vec itself ships zero-copy).
         let mut out = Vec::new();
         for id in ids {
-            if !self.owns(id) {
+            // Not (or no longer) the owner — or the fault-in failed, which
+            // degrades to the same entry: the caller's single-cell
+            // fallback retries (and re-syncs).
+            let Ok(Some(trunk)) = self.local_trunk(id) else {
                 wire::multi_push_status(&mut out, wire::NOT_OWNER);
                 continue;
-            }
-            let trunk = match self.local_trunk(id) {
-                Ok(t) => t,
-                // Fault-in failed: degrade this entry to NOT_OWNER so the
-                // caller's single-cell fallback retries (and re-syncs).
-                Err(_) => {
-                    wire::multi_push_status(&mut out, wire::NOT_OWNER);
-                    continue;
-                }
             };
             match trunk.get_versioned(id) {
                 Some((version, guard)) => {
@@ -1560,13 +1578,16 @@ impl CloudNode {
     /// A trunk staged by an inbound migration is already resident; when
     /// the install is the migration's own flip — the staging was marked
     /// *committed* by `MIG_COMMIT`, so its image is complete and TFS has
-    /// it — it is adopted verbatim, the streamed cells surviving. An
-    /// **uncommitted** staging is a partial stream (its coordinator died
-    /// mid-migration): an install that grants this node the trunk evicts
-    /// it and reloads the TFS backup instead, so acked cells absent from
-    /// the partial image cannot silently disappear; and an install that
-    /// does not grant ownership keeps it only while it is actively fed
-    /// (staging idle past the timeout is orphaned and evicted).
+    /// it — it is adopted verbatim, the streamed cells surviving. Nothing
+    /// else resident under a trunk the old table did not grant this node
+    /// is trusted: an **uncommitted** staging is a partial stream (its
+    /// coordinator died mid-migration), and a late access after the trunk
+    /// moved away can leave an empty re-creation of it behind. An install
+    /// that grants this node the trunk evicts either and reloads the TFS
+    /// backup instead, so acked cells absent from what was resident
+    /// cannot silently disappear; and an install that does not grant
+    /// ownership keeps a staging only while it is actively fed (idle past
+    /// the timeout it is orphaned and evicted).
     /// Coherence state is invalidated *selectively*: only the
     /// trunks whose owner actually changed drop their cached cells and
     /// sharer records; unmoved trunks kept serving (and invalidating)
@@ -1582,34 +1603,30 @@ impl CloudNode {
             }
             cur.clone()
         };
-        let old_mine: std::collections::BTreeSet<u64> =
-            self.store.trunk_ids().into_iter().collect();
-        let new_mine: std::collections::BTreeSet<u64> =
-            new.trunks_of(self.machine).into_iter().collect();
+        let resident: BTreeSet<u64> = self.store.trunk_ids().into_iter().collect();
+        let new_mine: BTreeSet<u64> = new.trunks_of(self.machine).into_iter().collect();
         for &gid in &new_mine {
-            if !old_mine.contains(&gid) {
-                // Newly gained trunks reload from the TFS backup. A
-                // trunk this node owns but has tiered out keeps its
-                // entry untouched instead — the spilled image is the
-                // current data and faults in lazily. Forgetting the
-                // entry here would open a window where a concurrent
-                // budget sweep spills an empty recreation of the trunk
-                // over the good image.
-                if self.tiering.state(gid).is_none() {
-                    self.reload_trunk(gid)?;
-                }
-            } else if self.migration.has_incoming(gid) && !self.migration.incoming_committed(gid) {
-                // Resident only as an uncommitted inbound staging — a
-                // partial stream whose coordinator never sent COMMIT.
-                // Becoming the owner through any other path (failure
-                // recovery, a competing migration) must not adopt it:
-                // evict and reload the last good TFS backup.
+            // What is resident is kept for a trunk this node already
+            // owned, and for a gained one only as the committed staging
+            // of the migration whose flip this is.
+            let keep = if old.machine_for(gid) == self.machine {
+                resident.contains(&gid)
+            } else {
+                self.migration.incoming_committed(gid)
+            };
+            // Everything else reloads from the TFS backup. A trunk this
+            // node owns but has tiered out keeps its entry untouched
+            // instead — the spilled image is the current data and faults
+            // in lazily. Forgetting the entry here would open a window
+            // where a concurrent budget sweep spills an empty recreation
+            // of the trunk over the good image.
+            if !keep && self.tiering.state(gid).is_none() {
                 self.migration.drop_incoming(gid);
                 self.store.evict(gid);
                 self.reload_trunk(gid)?;
             }
         }
-        for &gid in old_mine.difference(&new_mine) {
+        for &gid in resident.difference(&new_mine) {
             // Keep an actively staging trunk: a reconfiguration unrelated
             // to the migration must not destroy its streamed cells. A
             // staging nobody has fed for STAGING_TIMEOUT is orphaned
@@ -1726,6 +1743,62 @@ mod tests {
             );
         }
         assert_eq!(cloud.node(0).get(id).unwrap().unwrap(), b"before");
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_late_access_on_the_old_owner_leaves_no_phantom_for_a_hand_back_to_adopt() {
+        // The same interleaving for reads, and what it used to cost: the
+        // old owner re-created the moved trunk empty, answered NOT_FOUND
+        // for a cell that exists, and kept the phantom — so a later table
+        // handing the trunk back found it "already resident", skipped the
+        // reload, and the cell was gone from every machine's view (and
+        // from TFS at the next backup).
+        let cloud = MemoryCloud::new(CloudConfig::small(2));
+        let node = cloud.node(0);
+        let id = (0u64..).find(|&i| node.owns(i)).unwrap();
+        node.put(id, b"kept").unwrap();
+        cloud.backup_all().unwrap();
+        let mut table = node.table();
+        let gid = table.trunk_of(id);
+        let mut flip = |to: u16| {
+            table.reassign_one(gid, MachineId(to));
+            cloud.tfs().write(TFS_TABLE_PATH, &table.encode()).unwrap();
+            for m in [1, 0] {
+                cloud.node(m).install_table(table.clone()).unwrap();
+            }
+            table.epoch
+        };
+        let epoch = flip(1);
+        for reply in [
+            node.handle_get(node.machine, id, b""),
+            node.handle_contains(node.machine, id, b""),
+        ] {
+            let parsed = wire::parse_reply(&FrameBuf::from_vec(reply), gid, node.machine);
+            assert!(
+                matches!(parsed, Err(CloudError::Moved { epoch: e, .. }) if e == epoch),
+                "the old owner answered {parsed:?}"
+            );
+        }
+        let multi = node.handle_multi_get(node.machine, &wire::encode_multi_req(&[id]));
+        assert!(matches!(
+            wire::decode_multi_reply(&FrameBuf::from_vec(multi), 1).as_deref(),
+            Some([wire::MultiEntry::NotOwner])
+        ));
+        assert!(
+            node.store.trunk(gid).is_none(),
+            "a read re-created the trunk"
+        );
+        // A late write is refused too, but faults the trunk in on its way
+        // to the gate: whatever that leaves resident must not be adopted.
+        node.handle_put(node.machine, id, b"late");
+        flip(0);
+        for m in [0, 1] {
+            assert_eq!(
+                cloud.node(m).get(id).unwrap().as_deref(),
+                Some(&b"kept"[..])
+            );
+        }
         cloud.shutdown();
     }
 }

@@ -8,13 +8,16 @@
 //! * [`Endpoint::send`] — asynchronous one-way messages, transparently
 //!   packed per destination and shipped in bulk.
 //!
-//! Two thread roles service an endpoint. A *receiver* thread drains the
-//! machine's inbox: response frames are completed directly (so a response
-//! can never be starved by busy handlers), while request and one-way
-//! frames are queued to a pool of *worker* threads that run the registered
-//! protocol handlers. Handlers are allowed to issue further `call`s and
-//! `send`s — a slave expanding a traversal frontier (§5.1) fetches
-//! straggler cells from their owners exactly this way.
+//! One thread role services an endpoint: a pool of *worker* threads that
+//! run the registered protocol handlers. The thread that delivers an
+//! envelope routes it here ([`Endpoint::route_envelope`]): a response
+//! frame completes its caller's pending slot on the spot — on the replying
+//! thread, so a response can never be starved by busy handlers — while
+//! request and one-way frames go onto the pool's work queue, the one queue
+//! between the two machines. No handler ever runs on a sender's thread.
+//! Handlers are allowed to issue further `call`s and `send`s — a slave
+//! expanding a traversal frontier (§5.1) fetches straggler cells from
+//! their owners exactly this way.
 //!
 //! The unit of one-way delivery is the *run*: the consecutive one-way
 //! frames of one envelope reach the pool as one work item, so what was
@@ -29,7 +32,7 @@
 //! Every payload byte an endpoint ships is copied exactly once: into the
 //! per-destination [`PackArena`] (or a pooled request buffer). From there
 //! it travels as a [`FrameBuf`] shared slice — through the fault injector,
-//! the receiver, the pending-call table, and into caches — without ever
+//! the work queue, the pending-call table, and into caches — without ever
 //! being copied again. `net.frame_copy_bytes` counts the arena copies and
 //! `net.frame_payload_bytes` counts the bytes that entered frames, so
 //! their ratio is the contract's live audit (≤ 1.0; response payloads ship
@@ -48,7 +51,7 @@ use crate::cost::CostModel;
 use crate::deadline::{current_deadline, deadline_now_us, DeadlineGuard, NO_DEADLINE};
 use crate::envelope::{layout, Envelope, Frame, FrameKind};
 use crate::error::NetError;
-use crate::fabric::{Item, Router};
+use crate::fabric::Router;
 use crate::fault::ChaosState;
 use crate::framebuf::{FrameBuf, FramePool, PackArena};
 use crate::stats::NetStats;
@@ -183,7 +186,7 @@ pub struct Endpoint {
     pack_bufs: Vec<Mutex<PackBuf>>,
     pack_threshold: usize,
     call_timeout: Duration,
-    pub(crate) work_tx: Sender<Work>,
+    work_tx: Sender<Work>,
     /// Size of the worker pool behind `work_tx`.
     workers: usize,
     stats: NetStats,
@@ -349,6 +352,8 @@ impl Endpoint {
             }],
         };
         let sent_bytes = env.wire_bytes();
+        // `transmit` re-checks `closed` after the insert above: a shutdown
+        // either drains this slot or the call returns `Closed` right here.
         if let Err(e) = self.transmit(env) {
             self.pending.lock().remove(&corr);
             return Err(e);
@@ -489,7 +494,7 @@ impl Endpoint {
         let trace = std::mem::replace(&mut buf.trace, NO_TRACE);
         let deadline = std::mem::replace(&mut buf.deadline, NO_DEADLINE);
         // Transmit while holding the buffer lock so envelopes from this
-        // endpoint to `dst` enter the inbox in flush order.
+        // endpoint to `dst` enter its work queue in flush order.
         let _ = self.transmit(Envelope {
             src: self.machine,
             dst,
@@ -573,12 +578,13 @@ impl Endpoint {
         self.router.deliver(env)
     }
 
-    /// Receiver-thread entry: route one inbound envelope.
+    /// Route one inbound envelope, on the thread that delivers it: responses
+    /// into their callers' slots, everything else onto the work queue.
     pub(crate) fn route_envelope(&self, env: Envelope) {
         if self.router.is_dead(self.machine) {
             // A dead machine processes nothing, but the frames must still
             // be consumed from the ledger: they entered the fabric and
-            // die here, in its inbox.
+            // die here, at its door.
             let frames = env.frames.len() as u64;
             self.stats.record_dropped(frames);
             self.metrics.frames_dropped.add(frames);
@@ -645,9 +651,9 @@ impl Endpoint {
     /// handler takes its stretch whole — the common one-protocol envelope
     /// forwards its frame vector as it is. Per-frame handlers may block
     /// (nested calls), so their stretch is cut into one chunk per worker,
-    /// queued in envelope order ahead of whatever arrives next: a run of
-    /// blocking frames occupies the pool the way single frames did, and
-    /// with one worker nothing is cut and handler order stays FIFO.
+    /// queued in envelope order: a run of blocking frames occupies the
+    /// pool the way single frames did, and with one worker nothing is cut
+    /// and handler order stays FIFO per (src, dst).
     fn queue_run(&self, src: MachineId, trace: u64, deadline: u64, mut frames: Vec<Frame>) {
         while !frames.is_empty() {
             let proto = frames[0].proto;
@@ -752,7 +758,6 @@ impl Endpoint {
         }
         let _guard = TraceGuard::enter(trace);
         let _deadline_guard = DeadlineGuard::enter(deadline);
-        self.count_delivered(1);
         let start_us = self.obs.now_us();
         let handler = self.handlers.read().get(&frame.proto).cloned();
         let (kind, payload) = if deadline != NO_DEADLINE && deadline_now_us() >= deadline {
@@ -783,6 +788,10 @@ impl Endpoint {
                 payload,
             }],
         });
+        // The request leaves the ledger only once its reply is in it, so
+        // a balanced ledger means no reply is still to be born — what a
+        // chaos run waits for before it snapshots its fault log.
+        self.count_delivered(1);
     }
 
     fn count_delivered(&self, frames: u64) {
@@ -795,29 +804,16 @@ impl Endpoint {
         self.metrics.frames_dropped.add(frames);
     }
 
-    /// Fail any calls still pending when the fabric shuts down.
-    pub(crate) fn fail_pending(&self) {
+    /// Fabric shutdown, once marked closed: workers stop after what is
+    /// already queued, and pending calls fail with [`NetError::Closed`].
+    pub(crate) fn stop(&self) {
+        for _ in 0..self.workers {
+            let _ = self.work_tx.send(Work::Stop);
+        }
         for (_, tx) in self.pending.lock().drain() {
             let _ = tx.send(Err(NetError::Closed));
         }
     }
-}
-
-pub(crate) fn receiver_loop(
-    ep: Arc<Endpoint>,
-    rx: crossbeam::channel::Receiver<Item>,
-    workers: usize,
-) {
-    while let Ok(item) = rx.recv() {
-        match item {
-            Item::Env(env) => ep.route_envelope(env),
-            Item::Stop => break,
-        }
-    }
-    for _ in 0..workers {
-        let _ = ep.work_tx.send(Work::Stop);
-    }
-    ep.fail_pending();
 }
 
 pub(crate) fn worker_loop(ep: Arc<Endpoint>, rx: crossbeam::channel::Receiver<Work>) {

@@ -1,37 +1,38 @@
 //! The simulated interconnect.
 //!
 //! A [`Fabric`] wires `n` machine endpoints together. Machines exchange
-//! data exclusively through envelopes delivered over per-machine inbox
-//! channels — the in-process stand-in for the paper's cluster network (see
+//! data exclusively through envelopes: the sending thread hands one to the
+//! router, which routes it at the destination endpoint — a response into
+//! the waiting caller's slot, requests and one-way runs onto the
+//! destination's work queue — so there is one queue between two machines
+//! and only the destination's worker threads ever run its handlers. This
+//! is the in-process stand-in for the paper's cluster network (see
 //! DESIGN.md). The fabric also owns failure injection: a killed machine
-//! stops processing its inbox and every transfer addressed to it fails,
-//! which is how the recovery experiments exercise the paper's §6.2
-//! protocols.
+//! handles nothing more, what is queued for it is counted dropped, and
+//! every transfer addressed to it fails, which is how the recovery
+//! experiments exercise the paper's §6.2 protocols.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use trinity_obs::Registry;
 
 use crate::cost::CostModel;
-use crate::endpoint::{receiver_loop, worker_loop, Endpoint, Work};
+use crate::endpoint::{worker_loop, Endpoint, Work};
 use crate::envelope::Envelope;
 use crate::error::NetError;
 use crate::fault::{ChaosState, FaultLog, FaultPlan};
 use crate::stats::StatsDelta;
 use crate::{MachineId, Result};
 
-pub(crate) enum Item {
-    Env(Envelope),
-    Stop,
-}
-
-/// Shared routing state: inbox senders plus liveness flags.
+/// Shared routing state: the destination endpoints plus liveness flags.
 pub(crate) struct Router {
-    inboxes: Vec<Sender<Item>>,
+    /// Every machine's endpoint, set once by [`Fabric::new`]. Weak,
+    /// because each endpoint holds the router.
+    endpoints: OnceLock<Vec<Weak<Endpoint>>>,
     dead: Vec<AtomicBool>,
     closed: AtomicBool,
 }
@@ -53,12 +54,14 @@ impl Router {
         }
     }
 
+    /// Hand `env` to its destination: the calling thread routes it
+    /// ([`Endpoint::route_envelope`]); handlers run on its workers only.
     pub(crate) fn deliver(&self, env: Envelope) -> Result<()> {
-        let dst = env.dst.0 as usize;
-        match self.inboxes.get(dst) {
-            Some(tx) => tx.send(Item::Env(env)).map_err(|_| NetError::Closed),
-            None => Err(NetError::Unreachable(env.dst)),
-        }
+        let routes = self.endpoints.get();
+        let ep = routes.and_then(|eps| eps.get(env.dst.0 as usize));
+        let ep = ep.ok_or(NetError::Unreachable(env.dst))?;
+        ep.upgrade().ok_or(NetError::Closed)?.route_envelope(env);
+        Ok(())
     }
 }
 
@@ -118,19 +121,11 @@ impl std::fmt::Debug for Fabric {
 }
 
 impl Fabric {
-    /// Bring up the fabric: all machines alive, receiver and worker
-    /// threads running.
+    /// Bring up the fabric: all machines alive, worker threads running.
     pub fn new(cfg: FabricConfig) -> Arc<Self> {
         assert!(cfg.machines >= 1 && cfg.machines <= u16::MAX as usize);
-        let mut inboxes = Vec::with_capacity(cfg.machines);
-        let mut inbox_rxs = Vec::with_capacity(cfg.machines);
-        for _ in 0..cfg.machines {
-            let (tx, rx) = unbounded();
-            inboxes.push(tx);
-            inbox_rxs.push(rx);
-        }
         let router = Arc::new(Router {
-            inboxes,
+            endpoints: OnceLock::new(),
             dead: (0..cfg.machines).map(|_| AtomicBool::new(false)).collect(),
             closed: AtomicBool::new(false),
         });
@@ -141,7 +136,7 @@ impl Fabric {
             .map(|plan| ChaosState::start(plan, cfg.machines, Arc::clone(&router), cfg.cost, &obs));
         let mut endpoints = Vec::with_capacity(cfg.machines);
         let mut handles = Vec::new();
-        for (m, inbox_rx) in inbox_rxs.into_iter().enumerate() {
+        for m in 0..cfg.machines {
             let (work_tx, work_rx) = unbounded::<Work>();
             let workers = cfg.workers_per_machine.max(1);
             let ep = Endpoint::new(
@@ -156,15 +151,6 @@ impl Fabric {
                 obs.scope(m as u16),
                 chaos.clone(),
             );
-            {
-                let ep = Arc::clone(&ep);
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("trinity-net-rx-{m}"))
-                        .spawn(move || receiver_loop(ep, inbox_rx, workers))
-                        .expect("spawn receiver"),
-                );
-            }
             for w in 0..workers {
                 let ep = Arc::clone(&ep);
                 let work_rx = work_rx.clone();
@@ -177,6 +163,8 @@ impl Fabric {
             }
             endpoints.push(ep);
         }
+        let routes = endpoints.iter().map(Arc::downgrade).collect();
+        assert!(router.endpoints.set(routes).is_ok(), "routes are set once");
         Arc::new(Fabric {
             cfg,
             router,
@@ -289,13 +277,15 @@ impl Fabric {
         if self.router.closed.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Flush the injector first: parked envelopes are delivered ahead
-        // of the Stop items so nothing leaks through shutdown.
+        // Drain the injector first: parked envelopes reach the work queues
+        // ahead of the workers' stops, so nothing leaks through shutdown.
         if let Some(c) = &self.chaos {
             c.stop();
         }
-        for tx in &self.router.inboxes {
-            let _ = tx.send(Item::Stop);
+        // Stop every endpoint before joining any thread: a worker blocked
+        // in a nested call is released by its own endpoint's `Closed`.
+        for ep in &self.endpoints {
+            ep.stop();
         }
         let handles = std::mem::take(&mut *self.handles.lock());
         for h in handles {
@@ -338,6 +328,25 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// A handler body that counts its arrival and parks until the gate
+    /// opens, so a test can act while handlers provably hold workers.
+    fn parking() -> (impl Fn() + Clone, Arc<AtomicUsize>, Arc<AtomicBool>) {
+        let (parked, gate) = (
+            Arc::new(AtomicUsize::new(0)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let park = {
+            let (parked, gate) = (Arc::clone(&parked), Arc::clone(&gate));
+            move || {
+                parked.fetch_add(1, Ordering::SeqCst);
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        };
+        (park, parked, gate)
     }
 
     #[test]
@@ -563,8 +572,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         // Shutdown must complete the pending call with Closed without
         // waiting for the sleeping handler... but join() would wait for the
-        // worker. So spawn the shutdown check around receiver exit instead:
-        // mark closed and verify the pending call errors out quickly.
+        // worker. So run the shutdown on its own thread and verify the
+        // pending call errors out quickly.
         std::thread::spawn({
             let fabric = Arc::clone(&fabric);
             move || fabric.shutdown()
@@ -574,6 +583,143 @@ mod tests {
             matches!(res, Err(NetError::Closed) | Err(NetError::Timeout(..))),
             "got {res:?}"
         );
+    }
+
+    #[test]
+    fn shutdown_with_calls_in_flight_closes_every_caller_and_joins_every_thread() {
+        // Every worker of machine 1 is parked in a handler, more calls
+        // sit queued behind them, and one handler is itself blocked in a
+        // nested call: shutdown must fail all of them with `Closed` at
+        // once (not after `call_timeout`) and join every thread as soon
+        // as the handlers return.
+        let fabric = Fabric::new(FabricConfig {
+            workers_per_machine: 2,
+            call_timeout: Duration::from_secs(60),
+            ..FabricConfig::with_machines(3)
+        });
+        let (park, parked, gate) = parking();
+        fabric.endpoint(MachineId(1)).register(10, move |_, _| {
+            park();
+            Some(Vec::new())
+        });
+        let nested = Arc::new(Mutex::new(None));
+        {
+            let (fabric2, nested) = (Arc::clone(&fabric), Arc::clone(&nested));
+            fabric.endpoint(MachineId(2)).register(11, move |_, p| {
+                let r = fabric2.endpoint(MachineId(2)).call(MachineId(1), 10, p);
+                *nested.lock() = Some(r.map(|_| ()));
+                None
+            });
+        }
+        let callers: Vec<_> = (0..6)
+            .map(|i| {
+                let a = fabric.endpoint(MachineId(0));
+                // The last caller goes through machine 2's nested call.
+                let (dst, proto) = if i == 5 { (2, 11) } else { (1, 10) };
+                std::thread::spawn(move || a.call(MachineId(dst), proto, b"").map(|_| ()))
+            })
+            .collect();
+        // All seven requests (six callers, one nested) are on the wire and
+        // both workers of machine 1 are parked before the shutdown starts.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while parked.load(Ordering::SeqCst) < 2 || fabric.total_stats().remote_envelopes < 7 {
+            assert!(std::time::Instant::now() < deadline, "calls never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let started = std::time::Instant::now();
+        let stopper = std::thread::spawn({
+            let fabric = Arc::clone(&fabric);
+            move || fabric.shutdown()
+        });
+        for c in callers {
+            assert_eq!(c.join().unwrap(), Err(NetError::Closed));
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "callers waited out their timeout: {:?}",
+            started.elapsed()
+        );
+        // A call that starts after the shutdown began is refused too.
+        assert_eq!(
+            fabric.endpoint(MachineId(0)).call(MachineId(1), 10, b""),
+            Err(NetError::Closed)
+        );
+        gate.store(true, Ordering::SeqCst);
+        stopper.join().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "threads joined late: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(*nested.lock(), Some(Err(NetError::Closed)));
+        assert!(fabric.handles.lock().is_empty(), "every thread was joined");
+    }
+
+    #[test]
+    fn a_send_racing_the_injectors_stop_is_delivered_not_deadlocked() {
+        // A sender that passed `transmit`'s closed check just before
+        // shutdown reaches the injector after its timer stopped. The
+        // delayed envelope is then delivered inline — under the link lock
+        // the sender already holds, which the inline path used to take a
+        // second time: the worker hung, and `shutdown` hung joining it.
+        let fabric = Fabric::new(FabricConfig {
+            faults: Some(FaultPlan::new(5).with_delay(1.0, 50, 0)),
+            ..quick_cfg(2)
+        });
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        fabric.endpoint(MachineId(1)).register(10, move |_, p| {
+            let _ = tx.send(p.to_vec());
+            None
+        });
+        fabric.chaos().unwrap().stop();
+        let a = fabric.endpoint(MachineId(0));
+        let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+        std::thread::spawn(move || {
+            a.send(MachineId(1), 10, b"late");
+            a.flush();
+            let _ = done_tx.send(());
+        });
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)).as_deref(),
+            Ok(&b"late"[..]),
+            "the late envelope was never delivered"
+        );
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "the sender hung inside the injector"
+        );
+        assert_eq!(fabric.chaos().unwrap().pending(), 0);
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn the_ledger_stays_open_until_a_requests_reply_has_entered_it() {
+        // A chaos run snapshots its fault log once the ledger balances. A
+        // request counted consumed before its handler returned left that
+        // balance true with a reply — and whatever fault the injector
+        // draws for it — still to be born: one log record more or fewer
+        // between two runs of one seed.
+        let fabric = Fabric::new(quick_cfg(2));
+        let (park, parked, gate) = parking();
+        fabric.endpoint(MachineId(1)).register(10, move |_, p| {
+            park();
+            Some(p.to_vec())
+        });
+        let a = fabric.endpoint(MachineId(0));
+        let caller = std::thread::spawn(move || a.call(MachineId(1), 10, b"x").map(|_| ()));
+        while parked.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let total = fabric.total_stats();
+        assert_eq!(
+            (total.entered_frames(), total.consumed_frames()),
+            (1, 0),
+            "the request is consumed only once its reply is in the ledger"
+        );
+        gate.store(true, Ordering::SeqCst);
+        assert_eq!(caller.join().unwrap(), Ok(()));
+        assert_eq!(wait_balanced(&fabric).entered_frames(), 2);
+        fabric.shutdown();
     }
 
     #[test]
@@ -662,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_drains_inbox_and_balances() {
+    fn queued_work_of_a_killed_machine_is_counted_dropped() {
         let fabric = Fabric::new(quick_cfg(2));
         let counter = Arc::new(AtomicUsize::new(0));
         {

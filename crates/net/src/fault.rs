@@ -739,7 +739,7 @@ impl ChaosState {
             Arc::clone(links.entry(key).or_default())
         };
         // The link lock is held across delivery/scheduling so this link's
-        // envelopes enter the inbox (or the timer) in sequence order —
+        // envelopes enter the work queue (or the timer) in sequence order —
         // the same discipline `flush_to` uses for pack buffers.
         let mut link = link_arc.lock();
         let seq = link.seq;
@@ -941,10 +941,12 @@ impl ChaosState {
     fn schedule_timed(&self, due_us: u64, what: Timed) {
         let mut q = self.timer.lock();
         if q.stopped {
-            // Late arrival during shutdown: deliver inline so nothing
-            // leaks.
+            // Late arrival after the timer stopped: deliver inline, under
+            // the link lock the caller holds, so nothing leaks. All later
+            // traffic on the link comes this way too, in order under that
+            // lock, so the in-timer count it raised no longer matters.
             drop(q);
-            self.fire_timed(what);
+            self.deliver_parked(what);
             return;
         }
         let order = q.next_order;
@@ -958,27 +960,32 @@ impl ChaosState {
         self.timer_cv.notify_all();
     }
 
+    /// Timer-thread delivery of a parked item. Deliver before decrementing:
+    /// once in_timer drops, a concurrent sender may deliver inline, and the
+    /// work queue must already hold this envelope for FIFO to hold.
     fn fire_timed(&self, what: Timed) {
-        match what {
-            Timed::Deliver(env, link) => {
-                // Deliver before decrementing: once in_timer drops, a
-                // concurrent sender may deliver inline, and the inbox
-                // must already hold this envelope for FIFO to hold.
-                let _ = self.router.deliver(env);
-                link.lock().in_timer -= 1;
-                self.pending.fetch_sub(1, Ordering::AcqRel);
-            }
-            Timed::Release(slot) => {
-                if let Some(env) = slot.lock().take() {
-                    let _ = self.router.deliver(env);
-                    self.pending.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
+        if let Some(link) = self.deliver_parked(what) {
+            link.lock().in_timer -= 1;
         }
     }
 
+    /// Deliver a parked envelope (a reorder slot may already be empty) and
+    /// take it off the quiescence count. Takes no link lock: returns the
+    /// link whose in-timer count the item still holds.
+    fn deliver_parked(&self, what: Timed) -> Option<SharedLink> {
+        let (env, link) = match what {
+            Timed::Deliver(env, link) => (Some(env), Some(link)),
+            Timed::Release(slot) => (slot.lock().take(), None),
+        };
+        if let Some(env) = env {
+            let _ = self.router.deliver(env);
+            self.pending.fetch_sub(1, Ordering::AcqRel);
+        }
+        link
+    }
+
     /// Stop the timer thread, delivering everything still parked. Called
-    /// by fabric shutdown before the inboxes close.
+    /// by fabric shutdown before the workers are stopped.
     pub(crate) fn stop(&self) {
         let drained: Vec<TimedItem> = {
             let mut q = self.timer.lock();

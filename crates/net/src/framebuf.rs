@@ -23,7 +23,9 @@
 //!   nothing.
 
 use std::ops::{Deref, Range};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
+
+use parking_lot::Mutex;
 
 use crate::envelope::{Frame, FrameKind};
 use crate::ProtoId;
@@ -62,7 +64,7 @@ impl PoolInner {
             return;
         }
         buf.clear();
-        let mut spares = self.spares.lock().unwrap();
+        let mut spares = self.spares.lock();
         if spares.len() < MAX_SPARES {
             spares.push(buf);
         }
@@ -104,7 +106,6 @@ impl FramePool {
         self.inner
             .spares
             .lock()
-            .unwrap()
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(DEFAULT_ARENA_CAPACITY))
     }
@@ -126,7 +127,7 @@ impl FramePool {
     /// Spare buffers currently parked in the pool (observability for the
     /// recycling tests).
     pub fn spares(&self) -> usize {
-        self.inner.spares.lock().unwrap().len()
+        self.inner.spares.lock().len()
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property tests on the fabric's delivery guarantees.
 //!
 //! Invariants: per-(src, dst) FIFO order of packed one-way messages under
-//! arbitrary send/flush interleavings (with a single handler worker), and
+//! arbitrary send/flush interleavings (with a single handler worker) —
+//! from one sender thread and from two racing on one endpoint — and
 //! exactly-once delivery regardless of packing boundaries.
 
 use proptest::prelude::*;
@@ -10,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use trinity_net::{Fabric, FabricConfig, MachineId};
+use trinity_net::{Fabric, FabricConfig, FaultPlan, MachineId};
 
 #[derive(Debug, Clone)]
 enum SendOp {
@@ -77,6 +78,77 @@ proptest! {
                 &sent[dst],
                 "per-pair FIFO broken to machine {}", dst
             );
+        }
+        fabric.shutdown();
+    }
+
+    /// Two threads of one endpoint send to the same destinations with no
+    /// receiver thread to serialise them: whichever thread trips a flush
+    /// routes the envelope itself. Each thread's frames must still reach
+    /// the handler in that thread's send order — the pack-buffer lock
+    /// (and, under a delay-only plan, the injector's link lock) orders
+    /// the envelopes on their way into the work queue.
+    #[test]
+    fn two_sender_threads_keep_each_threads_order(
+        ops_a in proptest::collection::vec(op_strategy(), 1..120),
+        ops_b in proptest::collection::vec(op_strategy(), 1..120),
+        delay in proptest::option::of((10u32..100, 1u64..2_000)),
+        seed in any::<u64>(),
+    ) {
+        let fabric = Fabric::new(FabricConfig {
+            workers_per_machine: 1, // handler-order FIFO requires one worker
+            pack_threshold_bytes: 256, // threshold flushes race the explicit ones
+            call_timeout: Duration::from_secs(5),
+            faults: delay.map(|(pct, us)| FaultPlan::new(seed).with_delay(pct as f64 / 100.0, us, us)),
+            ..FabricConfig::with_machines(3)
+        });
+        // seen[dst][thread] = that thread's sequence numbers, in handler order.
+        let seen: Arc<Mutex<Vec<[Vec<u32>; 2]>>> = Arc::new(Mutex::new(vec![Default::default(); 3]));
+        for m in 1..=2u16 {
+            let seen = Arc::clone(&seen);
+            fabric.endpoint(MachineId(m)).register(30, move |_src, p| {
+                let seq = u32::from_le_bytes(p[1..].try_into().unwrap());
+                seen.lock()[m as usize][p[0] as usize].push(seq);
+                None
+            });
+        }
+        let sender = fabric.endpoint(MachineId(0));
+        let mut sent = [[0u32; 3]; 2];
+        std::thread::scope(|s| {
+            for ((t, ops), sent) in [&ops_a, &ops_b].into_iter().enumerate().zip(&mut sent) {
+                let sender = &sender;
+                s.spawn(move || {
+                    for op in ops {
+                        match op {
+                            SendOp::Send { dst } => {
+                                let mut p = vec![t as u8];
+                                p.extend_from_slice(&sent[*dst as usize].to_le_bytes());
+                                sender.send(MachineId(*dst), 30, &p);
+                                sent[*dst as usize] += 1;
+                            }
+                            SendOp::Flush { dst } => sender.flush_to(MachineId(*dst)),
+                            SendOp::FlushAll => sender.flush(),
+                        }
+                    }
+                });
+            }
+        });
+        sender.flush();
+        let total: u32 = sent.iter().flatten().sum();
+        let arrived = || seen.lock().iter().flatten().map(Vec::len).sum::<usize>();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while arrived() < total as usize && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let seen = seen.lock();
+        for dst in 1..=2usize {
+            for t in 0..2 {
+                prop_assert_eq!(
+                    &seen[dst][t],
+                    &(0..sent[t][dst]).collect::<Vec<u32>>(),
+                    "thread {}'s order broken to machine {}", t, dst
+                );
+            }
         }
         fabric.shutdown();
     }
