@@ -69,7 +69,7 @@ pub fn trunk_backup_path(gid: u64) -> String {
 /// had no room for is the store's.
 fn image_error(gid: u64, e: SnapshotError) -> CloudError {
     match e {
-        SnapshotError::BadMagic | SnapshotError::Truncated => {
+        SnapshotError::BadMagic | SnapshotError::Checksum | SnapshotError::Malformed => {
             CloudError::CorruptImage { trunk: gid }
         }
         SnapshotError::Load(_, e) => CloudError::Store(e),
@@ -1560,13 +1560,16 @@ impl CloudNode {
     /// this machine absorbs a failed machine's trunk). Missing backups
     /// yield an empty trunk — the data was never persisted, matching the
     /// paper's durability contract. A backup that exists but is damaged
-    /// is [`CloudError::CorruptImage`] and loads no cell.
+    /// is [`CloudError::CorruptImage`] and loads no cell. Whatever was
+    /// resident under `gid` is replaced, not merged into.
     pub fn reload_trunk(&self, gid: u64) -> Result<()> {
+        self.store.evict(gid);
         let trunk = self.store.ensure_trunk(gid);
         match self.tfs.read(&trunk_backup_path(gid)) {
-            Ok(bytes) => {
-                TrunkSnapshot::restore_image(&bytes, &trunk).map_err(|e| image_error(gid, e))
-            }
+            Ok(bytes) => TrunkSnapshot::restore_image(&bytes, &trunk).map_err(|e| {
+                self.store.evict(gid);
+                image_error(gid, e)
+            }),
             Err(TfsError::NotFound(_)) => Ok(()),
             Err(e) => Err(e.into()),
         }

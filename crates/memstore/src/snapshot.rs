@@ -1,16 +1,41 @@
 //! Trunk serialization for TFS-backed persistence (paper §3, §6.2).
 //!
 //! Memory trunks are backed up in the Trinity File System so that a failed
-//! machine's trunks can be reloaded onto surviving machines. A snapshot is
-//! a flat, self-delimiting byte image of a trunk's live cells:
+//! machine's trunks can be reloaded onto surviving machines, and the
+//! out-of-core path (§5.4) pages trunks through the same files. An image
+//! is a compact, self-checking byte string of a trunk's live cells:
 //!
 //! ```text
-//! magic "TKS1" | trunk id: u64 | cell count: u64 |
-//!   repeat: uid: u64 | len: u32 | payload bytes (unaligned)
+//! magic "TKC1" | trunk id: u64 | cell count: u64 |
+//!   repeat, in ascending id order:
+//!     id: varint      the first cell's id, then the gap to the previous id (≥ 1);
+//!                     ids stop short of u64::MAX - 1, which the trunk reserves
+//!     head: varint    raw length << 1 | list bit
+//!     raw bytes
+//!     if list bit:    n: varint | n × zig-zag varint gap, in stored order
+//! body length: u64 | checksum of the body: u64
 //! ```
+//!
+//! Fixed-width fields are little-endian; a varint is LEB128 (seven bits
+//! a byte, low group first). A payload that ends in a length-prefixed
+//! `u64` list — `u32 n | n × u64 LE`, the out-list of a node record or a
+//! TSL `List<long>` tail — keeps everything before the list as its raw
+//! bytes and stores the list as `n` and the gaps between consecutive ids
+//! (the first from 0), so an adjacency list of small ids costs a byte or
+//! two an id instead of eight. Any other payload, and any cell the list
+//! form would not make smaller, is stored verbatim. Either way the codec
+//! only drops bytes it rebuilds exactly, so every payload restores
+//! bit-identical; the resident cell layout never changes.
 //!
 //! Cells appear in ascending id order, so two trunks with the same live
 //! cells have byte-identical images however they were built.
+//!
+//! The trailer is verified before anything else is read: a flipped byte
+//! anywhere, a cut, or bytes after the trailer is
+//! [`SnapshotError::Checksum`]. Behind a good trailer the decoder is
+//! still strict — a zero or overflowing id gap, a reserved id, a padded or over-long
+//! varint, a length or list count larger than the bytes left, or a cell
+//! count that disagrees with the header is [`SnapshotError::Malformed`].
 //!
 //! Each cell is captured atomically (its spin lock is held while copying),
 //! but the snapshot as a whole is not a point-in-time cut across cells —
@@ -18,29 +43,35 @@
 //! supersteps, or after termination detection for asynchronous jobs), so
 //! snapshot callers are single-writer by protocol.
 //!
-//! Both directions stream: [`TrunkSnapshot::capture`] copies each pinned
+//! Both directions stream: [`TrunkSnapshot::capture`] encodes each pinned
 //! cell straight into the image buffer, and
-//! [`TrunkSnapshot::restore_image`] `put`s borrowed slices of the image
-//! into the trunk. Neither allocates per cell, so an image costs one
-//! buffer however many cells it holds.
+//! [`TrunkSnapshot::restore_image`] decodes and inserts cell by cell, a
+//! verbatim payload borrowed from the image and a list payload rebuilt in
+//! one scratch buffer. Neither allocates per cell.
 
+use crate::hash::mix64;
 use crate::trunk::{Trunk, TrunkConfig};
 use crate::CellId;
 use std::fmt;
 
-const MAGIC: &[u8; 4] = b"TKS1";
+const MAGIC: &[u8; 4] = b"TKC1";
 /// magic + trunk id + cell count.
 const HEADER_LEN: usize = 20;
-/// uid + payload length.
-const CELL_HEADER_LEN: usize = 12;
+/// body length + checksum.
+const TRAILER_LEN: usize = 16;
+/// The `head` bit of a payload stored with its list tail as gaps.
+const LIST_BIT: u64 = 1;
 
 /// Errors from decoding a trunk snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The byte image does not start with the snapshot magic.
     BadMagic,
-    /// The image ended before the declared contents.
-    Truncated,
+    /// The trailer does not vouch for the bytes before it: the image was
+    /// damaged, cut short or extended.
+    Checksum,
+    /// The checksum holds but the cells break the format.
+    Malformed,
     /// A cell failed to load into the target trunk (e.g. it does not fit).
     Load(CellId, crate::StoreError),
 }
@@ -49,7 +80,8 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::BadMagic => write!(f, "not a trunk snapshot (bad magic)"),
-            SnapshotError::Truncated => write!(f, "trunk snapshot is truncated"),
+            SnapshotError::Checksum => write!(f, "trunk snapshot fails its checksum"),
+            SnapshotError::Malformed => write!(f, "trunk snapshot is malformed"),
             SnapshotError::Load(id, e) => write!(f, "failed to load cell {id:#x}: {e}"),
         }
     }
@@ -57,66 +89,170 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The cells of an image, borrowed from it in stored order. Yields
-/// `Err(Truncated)` once, then ends, if the image stops short of the
-/// cell count its header declares.
-#[derive(Clone)]
-struct ImageCells<'a> {
-    rest: &'a [u8],
-    /// Cells the header still promises.
-    left: u64,
+/// 64-bit checksum of `bytes`, a little-endian word at a time. Each step
+/// is a bijection of the state for a fixed word and injective in the word
+/// for a fixed state, so two inputs of one length that differ inside a
+/// single word always sum differently.
+fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut words = bytes.chunks_exact(8);
+    let h = words
+        .by_ref()
+        .map(le64)
+        .fold((bytes.len() as u64).wrapping_mul(K), step);
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix64(step(h, u64::from_le_bytes(tail)))
 }
 
-impl<'a> ImageCells<'a> {
-    /// Check the image header and position on the first cell. Returns the
-    /// trunk id the image was captured from alongside the walk.
-    fn open(image: &'a [u8]) -> Result<(u64, Self), SnapshotError> {
-        let (magic, rest) = image
-            .split_first_chunk::<4>()
-            .ok_or(SnapshotError::Truncated)?;
-        let (trunk_id, rest) = rest
-            .split_first_chunk::<8>()
-            .ok_or(SnapshotError::Truncated)?;
-        let (count, rest) = rest
-            .split_first_chunk::<8>()
-            .ok_or(SnapshotError::Truncated)?;
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let left = u64::from_le_bytes(*count);
-        Ok((u64::from_le_bytes(*trunk_id), ImageCells { rest, left }))
-    }
-
-    /// Walk to the last declared cell, proving the image well formed.
-    /// Returns the bytes after it.
-    fn end(mut self) -> Result<&'a [u8], SnapshotError> {
-        self.by_ref().try_for_each(|cell| cell.map(drop))?;
-        Ok(self.rest)
-    }
-
-    fn take_cell(&mut self) -> Option<(CellId, &'a [u8])> {
-        let (id, rest) = self.rest.split_first_chunk::<8>()?;
-        let (len, rest) = rest.split_first_chunk::<4>()?;
-        let (payload, rest) = rest.split_at_checked(u32::from_le_bytes(*len) as usize)?;
-        self.rest = rest;
-        Some((u64::from_le_bytes(*id), payload))
-    }
+fn le64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
 }
 
-impl<'a> Iterator for ImageCells<'a> {
-    type Item = Result<(CellId, &'a [u8]), SnapshotError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let cell = self.take_cell();
-        if cell.is_none() {
-            self.left = 0;
-        }
-        Some(cell.ok_or(SnapshotError::Truncated))
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
     }
+    out.push(v as u8);
+}
+
+fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+fn zigzag(delta: u64) -> u64 {
+    (delta << 1) ^ ((delta as i64 >> 63) as u64)
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// The longest `u32 n | n × u64` list `payload` ends in: where its `n`
+/// starts, and `n`.
+fn list_tail(payload: &[u8]) -> Option<(usize, usize)> {
+    let longest = payload.len().checked_sub(4)? / 8;
+    (0..=longest).rev().find_map(|n| {
+        let at = payload.len() - 4 - 8 * n;
+        let word = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+        (word as usize == n).then_some((at, n))
+    })
+}
+
+/// Append one cell's `head`, raw bytes and list (no id).
+fn put_payload(image: &mut Vec<u8>, payload: &[u8]) {
+    if let Some((at, n)) = list_tail(payload) {
+        let start = image.len();
+        put_varint(image, ((at as u64) << 1) | LIST_BIT);
+        image.extend_from_slice(&payload[..at]);
+        put_varint(image, n as u64);
+        let mut prev = 0u64;
+        for id in payload[at + 4..].chunks_exact(8).map(le64) {
+            put_varint(image, zigzag(id.wrapping_sub(prev)));
+            prev = id;
+        }
+        let verbatim = varint_len((payload.len() as u64) << 1) + payload.len();
+        if image.len() - start < verbatim {
+            return;
+        }
+        image.truncate(start);
+    }
+    put_varint(image, (payload.len() as u64) << 1);
+    image.extend_from_slice(payload);
+}
+
+/// Take one varint off the front of `rest`, refusing one that runs past
+/// it, has a padding group (a last byte of zero after the first) or does
+/// not fit a `u64`.
+fn take_varint(rest: &mut &[u8]) -> Result<u64, SnapshotError> {
+    if let Some((&b, tail)) = rest.split_first().filter(|(&b, _)| b < 0x80) {
+        *rest = tail;
+        return Ok(u64::from(b));
+    }
+    let mut v = 0u64;
+    for (i, &b) in rest.iter().take(10).enumerate() {
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b < 0x80 {
+            if (i > 0 && b == 0) || (i == 9 && b > 1) {
+                return Err(SnapshotError::Malformed);
+            }
+            *rest = &rest[i + 1..];
+            return Ok(v);
+        }
+    }
+    Err(SnapshotError::Malformed)
+}
+
+fn take_bytes<'a>(rest: &mut &'a [u8], len: u64) -> Result<&'a [u8], SnapshotError> {
+    let len = usize::try_from(len).map_err(|_| SnapshotError::Malformed)?;
+    let (head, tail) = rest.split_at_checked(len).ok_or(SnapshotError::Malformed)?;
+    *rest = tail;
+    Ok(head)
+}
+
+/// Verify `image` and hand each cell to `visit` in stored order, its
+/// payload borrowed from the image when stored verbatim and rebuilt in a
+/// scratch buffer otherwise. Nothing is visited unless the magic and the
+/// trailer check out; a structural fault stops the walk where it is
+/// found. Returns the trunk id and the cell count.
+fn walk(
+    image: &[u8],
+    mut visit: impl FnMut(CellId, &[u8]) -> Result<(), SnapshotError>,
+) -> Result<(u64, u64), SnapshotError> {
+    if !image.starts_with(MAGIC) {
+        return Err(SnapshotError::BadMagic);
+    }
+    let (body, trailer) = image
+        .split_at_checked(image.len().wrapping_sub(TRAILER_LEN))
+        .filter(|(body, _)| body.len() >= HEADER_LEN)
+        .ok_or(SnapshotError::Checksum)?;
+    if le64(&trailer[..8]) != body.len() as u64 || le64(&trailer[8..]) != checksum(body) {
+        return Err(SnapshotError::Checksum);
+    }
+    let (trunk_id, count) = (le64(&body[4..12]), le64(&body[12..HEADER_LEN]));
+    let mut rest = &body[HEADER_LEN..];
+    let mut scratch = Vec::new();
+    let mut prev: Option<CellId> = None;
+    for _ in 0..count {
+        let step = take_varint(&mut rest)?;
+        let id = match prev {
+            None => Some(step),
+            Some(_) if step == 0 => None,
+            Some(p) => p.checked_add(step),
+        }
+        // The trunk keeps the top two ids as markers of its own.
+        .filter(|&id| id < CellId::MAX - 1)
+        .ok_or(SnapshotError::Malformed)?;
+        prev = Some(id);
+        let head = take_varint(&mut rest)?;
+        let raw = take_bytes(&mut rest, head >> 1)?;
+        if head & LIST_BIT == 0 {
+            visit(id, raw)?;
+            continue;
+        }
+        // Every gap takes at least one byte: a count past the bytes left
+        // is refused before anything is reserved for it.
+        let n = take_varint(&mut rest)?;
+        if n > rest.len() as u64 || n > u64::from(u32::MAX) {
+            return Err(SnapshotError::Malformed);
+        }
+        scratch.clear();
+        scratch.reserve(raw.len() + 4 + 8 * n as usize);
+        scratch.extend_from_slice(raw);
+        scratch.extend_from_slice(&(n as u32).to_le_bytes());
+        let mut nb = 0u64;
+        for _ in 0..n {
+            nb = nb.wrapping_add(unzigzag(take_varint(&mut rest)?));
+            scratch.extend_from_slice(&nb.to_le_bytes());
+        }
+        visit(id, &scratch)?;
+    }
+    if !rest.is_empty() {
+        return Err(SnapshotError::Malformed);
+    }
+    Ok((trunk_id, count))
 }
 
 /// A well-formed trunk image: construction ([`capture`](Self::capture) or
@@ -135,8 +271,10 @@ impl TrunkSnapshot {
         let mut ids = trunk.cell_ids();
         // Deterministic image: TFS replicas compare byte-for-byte in tests.
         ids.sort_unstable();
+        // Never more than the cells verbatim, each behind a maximal id and
+        // head.
         let mut image = Vec::with_capacity(
-            HEADER_LEN + ids.len() * CELL_HEADER_LEN + trunk.stats().live_payload_bytes,
+            HEADER_LEN + TRAILER_LEN + ids.len() * 15 + trunk.stats().live_payload_bytes,
         );
         image.extend_from_slice(MAGIC);
         image.extend_from_slice(&trunk.id().to_le_bytes());
@@ -144,15 +282,19 @@ impl TrunkSnapshot {
         // A cell removed since `ids` was listed is skipped, so the count
         // is only known after the walk.
         let mut count = 0u64;
+        let mut prev = None;
         for id in ids {
             if let Some(cell) = trunk.get(id) {
-                image.extend_from_slice(&id.to_le_bytes());
-                image.extend_from_slice(&(cell.len() as u32).to_le_bytes());
-                image.extend_from_slice(&cell);
+                put_varint(&mut image, prev.map_or(id, |p| id - p));
+                put_payload(&mut image, &cell);
+                prev = Some(id);
                 count += 1;
             }
         }
         image[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&count.to_le_bytes());
+        let sum = checksum(&image);
+        image.extend_from_slice(&(image.len() as u64).to_le_bytes());
+        image.extend_from_slice(&sum.to_le_bytes());
         TrunkSnapshot {
             trunk_id: trunk.id(),
             cell_count: count,
@@ -170,16 +312,13 @@ impl TrunkSnapshot {
         self.image.clone()
     }
 
-    /// Decode from the flat byte format. Bytes past the last declared
-    /// cell are ignored.
+    /// Decode from the flat byte format, checking every cell.
     pub fn decode(data: &[u8]) -> Result<Self, SnapshotError> {
-        let (trunk_id, cells) = ImageCells::open(data)?;
-        let cell_count = cells.left;
-        let used = data.len() - cells.end()?.len();
+        let (trunk_id, cell_count) = walk(data, |_, _| Ok(()))?;
         Ok(TrunkSnapshot {
             trunk_id,
             cell_count,
-            image: data[..used].to_vec(),
+            image: data.to_vec(),
         })
     }
 
@@ -200,21 +339,22 @@ impl TrunkSnapshot {
         Ok(trunk)
     }
 
-    /// Load the cells of an undecoded `image` into `trunk`, `put`ting
-    /// each payload straight from the image bytes. The whole image is
-    /// checked before the first cell is written, so a damaged image
-    /// fails without touching the trunk; a `Load` error (the trunk ran
-    /// out of room) can leave the cells before it in place.
+    /// Load the cells of an undecoded `image` into the empty `trunk`,
+    /// decoding and inserting in one pass. The magic and the trailer are
+    /// checked before the first cell is written, so an image damaged in
+    /// storage fails without touching the trunk. An image whose checksum
+    /// holds but whose cells break the format (only a faulty writer makes
+    /// one), or a cell the trunk has no room for, fails where it is found
+    /// and can leave the cells before it in place: discard the trunk on
+    /// any error.
     pub fn restore_image(image: &[u8], trunk: &Trunk) -> Result<(), SnapshotError> {
-        let (_, cells) = ImageCells::open(image)?;
-        cells.clone().end()?;
-        for cell in cells {
-            let (id, payload) = cell?;
+        walk(image, |id, payload| {
             trunk
-                .put(id, payload)
-                .map_err(|e| SnapshotError::Load(id, e))?;
-        }
-        Ok(())
+                .insert_new(id, payload)
+                .map(drop)
+                .map_err(|e| SnapshotError::Load(id, e))
+        })
+        .map(drop)
     }
 }
 
@@ -251,24 +391,20 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
+        assert_eq!(TrunkSnapshot::decode(b"oops"), Err(SnapshotError::BadMagic));
         assert_eq!(
-            TrunkSnapshot::decode(b"oops"),
-            Err(SnapshotError::Truncated)
-        );
-        assert_eq!(
-            TrunkSnapshot::decode(&[b'X'; 32]),
+            TrunkSnapshot::decode(&[b'X'; 64]),
             Err(SnapshotError::BadMagic)
         );
-        // Valid header claiming more cells than present.
-        let mut data = Vec::new();
-        data.extend_from_slice(b"TKS1");
-        data.extend_from_slice(&1u64.to_le_bytes());
-        data.extend_from_slice(&5u64.to_le_bytes());
-        assert_eq!(TrunkSnapshot::decode(&data), Err(SnapshotError::Truncated));
+        // The magic alone, or a header with no trailer behind it.
+        assert_eq!(TrunkSnapshot::decode(b"TKC1"), Err(SnapshotError::Checksum));
+        let mut data = b"TKC1".to_vec();
+        data.extend_from_slice(&[0; 28]);
+        assert_eq!(TrunkSnapshot::decode(&data), Err(SnapshotError::Checksum));
     }
 
-    /// The `TKS1` layout is what TFS holds for every trunk ever backed up
-    /// or spilled: pin it byte for byte, including id order.
+    /// The layout is what TFS holds for every trunk ever backed up or
+    /// spilled: pin it byte for byte, including id order.
     #[test]
     fn image_bytes_are_pinned() {
         let t = Trunk::new(0x0102_0304_0506_0708, TrunkConfig::small());
@@ -278,23 +414,107 @@ mod tests {
         t.put(9, b"gone").unwrap();
         t.remove(9).unwrap();
         t.append(7, b"grown").unwrap();
+        // A node record: flag, no attributes, out-list 300, 2, u64::MAX.
+        let mut record = vec![0, 0, 0, 0, 0, 3, 0, 0, 0];
+        for id in [300u64, 2, u64::MAX] {
+            record.extend_from_slice(&id.to_le_bytes());
+        }
+        t.put(0x2c, &record).unwrap();
         #[rustfmt::skip]
-        let golden: &[u8] = &[
-            b'T', b'K', b'S', b'1',
+        let body: &[u8] = &[
+            b'T', b'K', b'C', b'1',
             0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // trunk id
-            3, 0, 0, 0, 0, 0, 0, 0,                         // cell count
-            7, 0, 0, 0, 0, 0, 0, 0,   5, 0, 0, 0,   b'g', b'r', b'o', b'w', b'n',
-            0x2a, 0, 0, 0, 0, 0, 0, 0,   4, 0, 0, 0,   b'l', b'a', b't', b'e',
-            0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,   3, 0, 0, 0,   0xff, 0x00, 0x7f,
+            4, 0, 0, 0, 0, 0, 0, 0,                         // cell count
+            7,    5 << 1,   b'g', b'r', b'o', b'w', b'n',   // id 7, verbatim
+            0x23, 4 << 1,   b'l', b'a', b't', b'e',         // gap 35
+            // gap 2; raw 5 bytes + list bit; n = 3; zig-zag gaps
+            // +300, -298, u64::MAX - 2 (= -3)
+            2,    (5 << 1) | 1,   0, 0, 0, 0, 0,   3,   0xd8, 0x04,   0xd3, 0x04,   5,
+            // gap to u64::MAX - 2, a ten-byte varint
+            0xd1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+            3 << 1,   0xff, 0x00, 0x7f,
         ];
+        let mut golden = body.to_vec();
+        golden.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        golden.extend_from_slice(&checksum(body).to_le_bytes());
         let snap = TrunkSnapshot::capture(&t);
         assert_eq!(snap.as_bytes(), golden);
         assert_eq!(snap.encode(), golden);
-        assert_eq!(TrunkSnapshot::decode(golden).unwrap(), snap);
+        assert_eq!(TrunkSnapshot::decode(&golden).unwrap(), snap);
         // And back: the golden bytes alone rebuild the same trunk.
-        let back = Trunk::new(0, TrunkConfig::small());
-        TrunkSnapshot::restore_image(golden, &back).unwrap();
-        assert_eq!(TrunkSnapshot::capture(&back).as_bytes()[12..], golden[12..]);
+        let back = Trunk::new(0x0102_0304_0506_0708, TrunkConfig::small());
+        TrunkSnapshot::restore_image(&golden, &back).unwrap();
+        assert_eq!(back.get_owned(0x2c).unwrap(), record);
+        assert_eq!(TrunkSnapshot::capture(&back).as_bytes(), golden);
+    }
+
+    /// `body` behind a trailer that vouches for it, so only the cell walk
+    /// can refuse it.
+    fn sealed(cells: &[u8], count: u64) -> Vec<u8> {
+        let mut image = b"TKC1".to_vec();
+        image.extend_from_slice(&5u64.to_le_bytes());
+        image.extend_from_slice(&count.to_le_bytes());
+        image.extend_from_slice(cells);
+        let sum = checksum(&image);
+        image.extend_from_slice(&(image.len() as u64).to_le_bytes());
+        image.extend_from_slice(&sum.to_le_bytes());
+        image
+    }
+
+    #[test]
+    fn strict_decoder_refuses_every_malformed_cell_list() {
+        // id 7 "a" then id 9 "b": the well-formed baseline.
+        let good = sealed(&[7, 2, b'a', 2, 2, b'b'], 2);
+        let t = Trunk::new(5, TrunkConfig::small());
+        TrunkSnapshot::restore_image(&good, &t).unwrap();
+        assert_eq!(t.get_owned(9).unwrap(), b"b");
+        let varint = |v: u64| {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            out
+        };
+        let malformed: &[(&str, Vec<u8>)] = &[
+            // The same id twice: a zero gap, whose last copy used to win.
+            ("duplicate id", sealed(&[7, 2, b'a', 0, 2, b'b'], 2)),
+            (
+                "overflowing gap",
+                sealed(
+                    &[&[7, 2, b'a'], &varint(u64::MAX)[..], &[2, b'b']].concat(),
+                    2,
+                ),
+            ),
+            (
+                "reserved id",
+                sealed(&[&varint(u64::MAX - 1)[..], &[2, b'a']].concat(), 1),
+            ),
+            ("padded varint", sealed(&[0x87, 0x00, 2, b'a'], 1)),
+            ("eleven-byte varint", sealed(&[0x80; 11], 1)),
+            (
+                "varint past u64",
+                sealed(&[&[0xff; 9][..], &[2, 0, 0]].concat(), 1),
+            ),
+            ("length past the body", sealed(&[7, 8, b'a'], 1)),
+            ("list count past the body", sealed(&[7, 1, 200, 1], 1)),
+            ("count above the cells", sealed(&[7, 2, b'a'], 2)),
+            (
+                "count below the cells",
+                sealed(&[7, 2, b'a', 2, 2, b'b'], 1),
+            ),
+            ("varint cut at the end", sealed(&[7, 0x80], 1)),
+        ];
+        for (what, image) in malformed {
+            let t = Trunk::new(5, TrunkConfig::small());
+            assert_eq!(
+                TrunkSnapshot::decode(image),
+                Err(SnapshotError::Malformed),
+                "{what}"
+            );
+            assert_eq!(
+                TrunkSnapshot::restore_image(image, &t),
+                Err(SnapshotError::Malformed),
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -305,22 +525,25 @@ mod tests {
         }
         let image = TrunkSnapshot::capture(&t).encode();
         let target = Trunk::new(3, TrunkConfig::small());
-        // Cut inside the last cell: the nine before it are intact, yet
-        // none may land.
-        assert_eq!(
-            TrunkSnapshot::restore_image(&image[..image.len() - 1], &target),
-            Err(SnapshotError::Truncated)
-        );
+        // Cut inside the trailer, flip one payload byte, or extend: the
+        // cells are intact or nearly so, yet none may land.
+        let mut flipped = image.clone();
+        flipped[HEADER_LEN + 5] ^= 1;
+        let mut padded = image.clone();
+        padded.extend_from_slice(b"tail");
+        for bad in [&image[..image.len() - 1], &flipped, &padded] {
+            assert_eq!(
+                TrunkSnapshot::restore_image(bad, &target),
+                Err(SnapshotError::Checksum)
+            );
+            assert_eq!(TrunkSnapshot::decode(bad), Err(SnapshotError::Checksum));
+        }
         assert_eq!(target.cell_count(), 0);
         assert_eq!(target.mutation_count(), 0);
         // A cell count far past the bytes present allocates nothing.
-        let mut lying = image.clone();
-        lying[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert_eq!(TrunkSnapshot::decode(&lying), Err(SnapshotError::Truncated));
-        // Bytes after the last declared cell are not part of the image.
-        let mut padded = image.clone();
-        padded.extend_from_slice(b"tail");
-        assert_eq!(TrunkSnapshot::decode(&padded).unwrap().as_bytes(), &image);
+        let cells = &image[HEADER_LEN..image.len() - TRAILER_LEN];
+        let lying = sealed(cells, u64::MAX);
+        assert_eq!(TrunkSnapshot::decode(&lying), Err(SnapshotError::Malformed));
     }
 
     #[test]
@@ -338,5 +561,18 @@ mod tests {
             TrunkSnapshot::capture(&t1).encode(),
             TrunkSnapshot::capture(&t2).encode()
         );
+    }
+
+    #[test]
+    fn checksum_sees_a_change_in_any_byte() {
+        let data: Vec<u8> = (0..37u8).collect();
+        let base = checksum(&data);
+        for i in 0..data.len() {
+            let mut d = data.clone();
+            d[i] ^= 0x01;
+            assert_ne!(checksum(&d), base, "byte {i}");
+        }
+        assert_ne!(checksum(&data[..36]), base);
+        assert_ne!(checksum(&[0]), checksum(&[]));
     }
 }

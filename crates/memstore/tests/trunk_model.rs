@@ -155,15 +155,16 @@ proptest! {
 
     /// Image bytes come from TFS, i.e. from outside the process. Whatever
     /// arrives — noise, or a real image cut short or with a byte flipped
-    /// in its framing — the restorer answers without panicking, an `Err`
-    /// leaves the target trunk exactly as it was, and an `Ok` loaded an
-    /// image that re-encodes to a prefix of the bytes given.
+    /// anywhere — the restorer answers without panicking and an `Err`
+    /// leaves the target trunk exactly as it was. A cut or a flip never
+    /// restores: the trailer vouches for every byte.
     #[test]
     fn restorer_survives_arbitrary_and_damaged_images(
-        cells in proptest::collection::vec((0u64..64, proptest::collection::vec(any::<u8>(), 0..40)), 0..24),
+        cells in proptest::collection::vec((0u64..64, payload()), 0..24),
         noise in proptest::collection::vec(any::<u8>(), 0..96),
         cut in any::<usize>(),
         flip in any::<usize>(),
+        bit in 0u8..8,
     ) {
         let source = Trunk::new(5, TrunkConfig::small());
         for (k, v) in &cells {
@@ -172,10 +173,7 @@ proptest! {
         let good = TrunkSnapshot::capture(&source).encode();
         let truncated = good[..cut % good.len()].to_vec();
         let mut flipped = good.clone();
-        // Flip inside the header or the first cell's framing, where every
-        // byte steers the parse.
-        let at = flip % good.len().min(32);
-        flipped[at] ^= 0x40;
+        flipped[flip % good.len()] ^= 1 << bit;
         for image in [&noise, &truncated, &flipped] {
             let target = Trunk::new(5, TrunkConfig::small());
             match TrunkSnapshot::restore_image(image, &target) {
@@ -185,11 +183,94 @@ proptest! {
                     prop_assert!(TrunkSnapshot::decode(image).is_err());
                 }
                 Ok(()) => {
-                    let decoded = TrunkSnapshot::decode(image).unwrap();
-                    prop_assert!(image.starts_with(decoded.as_bytes()));
-                    prop_assert!(target.cell_count() as u64 <= decoded.cell_count());
+                    prop_assert!(image == &noise, "a damaged image restored");
+                    prop_assert_eq!(TrunkSnapshot::capture(&target).encode(), *image);
                 }
             }
         }
     }
+
+    /// Every payload comes back bit-identical, whatever its shape: bytes
+    /// with no list tail, a real `u32 n | n × u64` tail whose ids are
+    /// ascending, descending, repeated or near `u64::MAX`, and tails that
+    /// only look like one. Cell ids span the whole `u64` range. The image
+    /// is canonical: decoding it and encoding again gives the same bytes.
+    #[test]
+    fn image_round_trip_is_bit_identical_and_canonical(
+        cells in proptest::collection::vec((cell_id(), payload()), 0..40),
+    ) {
+        let source = Trunk::new(9, TrunkConfig::small());
+        let mut model = HashMap::new();
+        for (k, v) in cells {
+            source.put(k, &v).unwrap();
+            model.insert(k, v);
+        }
+        let image = TrunkSnapshot::capture(&source).encode();
+        let decoded = TrunkSnapshot::decode(&image).unwrap();
+        prop_assert_eq!(decoded.cell_count(), model.len() as u64);
+        let restored = decoded.restore(TrunkConfig::small()).unwrap();
+        prop_assert_eq!(restored.cell_count(), model.len());
+        for (k, v) in &model {
+            prop_assert_eq!(restored.get_owned(*k), Some(v.clone()), "cell {}", k);
+        }
+        prop_assert_eq!(TrunkSnapshot::capture(&restored).encode(), image);
+    }
+}
+
+/// `prefix | u32 n | n × u64 LE`, the list tail the image codec stores as
+/// gaps.
+fn with_list(mut prefix: Vec<u8>, ids: &[u64]) -> Vec<u8> {
+    prefix.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+    for id in ids {
+        prefix.extend_from_slice(&id.to_le_bytes());
+    }
+    prefix
+}
+
+/// A cell id; the trunk reserves the top two.
+fn cell_id() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        2 => 0u64..256,
+        1 => (2u64..258).prop_map(|k| u64::MAX - k),
+        1 => 0..u64::MAX - 1,
+    ]
+}
+
+/// An id as a list stores it: any `u64`.
+fn listed_id() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        2 => 0u64..256,
+        1 => (0u64..256).prop_map(|k| u64::MAX - k),
+        1 => any::<u64>(),
+    ]
+}
+
+/// Payloads of every shape the image codec tells apart.
+fn payload() -> impl Strategy<Value = Vec<u8>> {
+    let bytes = || proptest::collection::vec(any::<u8>(), 0..40);
+    let ids = || proptest::collection::vec(listed_id(), 0..24);
+    prop_oneof![
+        2 => bytes(),
+        // A real list: sorted, reversed, every id twice, or as drawn.
+        3 => (bytes(), ids(), 0u8..4).prop_map(|(prefix, mut ids, order)| {
+            match order {
+                0 => ids.sort_unstable(),
+                1 => ids.sort_unstable_by(|a, b| b.cmp(a)),
+                2 => ids = ids.iter().flat_map(|&id| [id, id]).collect(),
+                _ => {}
+            }
+            with_list(prefix, &ids)
+        }),
+        // Looks like a list and is not: the count is off by one, or the
+        // last byte of the last id is missing.
+        2 => (bytes(), ids(), any::<bool>()).prop_map(|(prefix, ids, cut)| {
+            let mut p = with_list(prefix.clone(), &ids);
+            if cut {
+                p.pop();
+            } else {
+                p[prefix.len()] ^= 1;
+            }
+            p
+        }),
+    ]
 }

@@ -14,7 +14,9 @@
 # (ties count for neither) and failed operations; with CLAIM set, the
 # verdict line for that claim: met iff the change won at least 9/10 of the
 # pairs, its median is better by more than the parent's quartile distance,
-# and no more operations failed than at the parent. Run on an otherwise
+# and no more operations failed than at the parent. A (workload, metric)
+# whose change median is worse than the parent's by more than its bound is
+# marked REGRESSION, and the script then exits 1. Run on an otherwise
 # idle host. Writes only under target/pairs/.
 set -euo pipefail
 [ $# -ge 2 ] || { sed -n '2,7p' "$0" >&2; exit 2; }
@@ -67,7 +69,7 @@ def quartiles(vals):
 print(f"seed {seed}, {pairs} pairs, --seconds {bench['run_seconds']} --trace 0\n")
 print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change vs parent | bound | pairs won | failed ops p/c |")
 print("|---|---|---:|---:|---:|---:|---:|---:|")
-verdict = None
+verdict, regressions = None, []
 for w in workloads:
     runs = {s: [json.load(open(f"{out}/{s}.{w}.{p}.json")) for p in range(1, pairs + 1)] for s in ("parent", "change")}
     failed = {s: sum(r["failed"] for r in runs[s]) for s in runs}
@@ -80,8 +82,12 @@ for w in workloads:
         won = sum(better(c, p) for p, c in zip(vals["parent"], vals["change"]))
         lost = sum(better(p, c) for p, c in zip(vals["parent"], vals["change"]))
         rel = (cmed - pmed) / pmed if pmed else 0.0
+        regressed = (-rel if higher else rel) > m["bound"]
+        if regressed:
+            regressions.append(f"{w}:{name}")
         print(f"| {w} | {name} | {fmt(pmed)} [{fmt(pq1)}, {fmt(pq3)}] | {fmt(cmed)} [{fmt(cq1)}, {fmt(cq3)}] "
-              f"| {rel:+.1%} | {m['bound']:.0%} | {won}/{pairs} ({lost} lost) | {failed['parent']}/{failed['change']} of {attempted} |")
+              f"| {rel:+.1%}{' REGRESSION' if regressed else ''} | {m['bound']:.0%} | {won}/{pairs} ({lost} lost) "
+              f"| {failed['parent']}/{failed['change']} of {attempted} |")
         if claim == f"{w}:{name}":
             gap, spread = (cmed - pmed if higher else pmed - cmed), pq3 - pq1
             met = won * 10 >= pairs * 9 and gap > spread and failed["change"] <= failed["parent"]
@@ -90,4 +96,7 @@ for w in workloads:
                        f"failed ops {failed['parent']}/{failed['change']}")
 if claim:
     print("\n" + (verdict or f"claim {claim}: no such workload:metric among the runs"))
+if regressions:
+    print(f"\nREGRESSION beyond the bound: {', '.join(regressions)}")
+    sys.exit(1)
 PY
