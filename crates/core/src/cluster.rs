@@ -160,9 +160,9 @@ impl TrinityProxy {
         self.endpoint.machine()
     }
 
-    /// Register an aggregating protocol: on each request, `per_slave` is
-    /// called against every slave and the partial replies are folded with
-    /// `combine`.
+    /// Register an aggregating protocol: on each request, `slave_proto` is
+    /// called on every slave in one round ([`Endpoint::call_many`]) and the
+    /// partial replies that arrived are folded with `combine`.
     pub fn register_aggregator<F, G>(
         &self,
         proto: ProtoId,
@@ -177,13 +177,11 @@ impl TrinityProxy {
         let slaves = self.slaves;
         self.endpoint.register(proto, move |_src, payload| {
             let slave_req = prepare(payload);
-            let mut parts = Vec::with_capacity(slaves);
-            for m in 0..slaves as u16 {
-                if let Ok(reply) = endpoint.call(MachineId(m), slave_proto, &slave_req) {
-                    parts.push(reply.into_vec());
-                }
-            }
-            Some(combine(parts))
+            let requests: Vec<_> = (0..slaves as u16)
+                .map(|m| (MachineId(m), slave_proto, slave_req.as_slice()))
+                .collect();
+            let parts = endpoint.call_many(&requests).into_iter().flatten();
+            Some(combine(parts.map(FrameBuf::into_vec).collect()))
         });
     }
 }
@@ -294,6 +292,44 @@ mod tests {
         }
         let reply = cluster.client(0).call_proxy(0, PROXY_SUM, b"").unwrap();
         assert_eq!(u64::from_le_bytes(reply[..8].try_into().unwrap()), 25);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn an_aggregator_overlaps_its_slaves_round_trips() {
+        // Every remote envelope takes 100 ms: one round trip is 200 ms,
+        // and asking three slaves one after another would take 600.
+        let mut cfg = TrinityConfig::with_proxies(3, 1);
+        cfg.cloud.faults = Some(trinity_net::FaultPlan::new(5).with_delay(1.0, 100_000, 0));
+        let cluster = TrinityCluster::new(cfg);
+        const SLAVE_ID: u16 = 40;
+        const PROXY_IDS: u16 = 41;
+        for m in 0..3 {
+            cluster
+                .cloud()
+                .node(m)
+                .endpoint()
+                .register(SLAVE_ID, move |_src, _p| Some(vec![m as u8]));
+        }
+        let proxy = cluster.proxy(0);
+        proxy.register_aggregator(
+            PROXY_IDS,
+            SLAVE_ID,
+            |req| req.to_vec(),
+            |parts| parts.concat(),
+        );
+        // Asked from the proxy itself, so only the slaves' hops are delayed.
+        let started = std::time::Instant::now();
+        let reply = proxy
+            .endpoint()
+            .call(proxy.machine(), PROXY_IDS, b"")
+            .unwrap();
+        let took = started.elapsed();
+        assert_eq!(&reply[..], &[0, 1, 2]);
+        assert!(
+            took < std::time::Duration::from_millis(400),
+            "{took:?} for 3 slaves"
+        );
         cluster.shutdown();
     }
 }

@@ -14,9 +14,10 @@
 //! when there is a pattern, the discovered neighbors when another hop will
 //! consume them. The last level is therefore only checked for matches, and
 //! a round that could return neither is not issued at all.
-//! All machines expand in parallel, so each hop costs one fan-out round —
-//! which is why 3-hop queries over millions of reachable nodes return in
-//! the tens of milliseconds.
+//! The coordinator issues a round's requests together from its own thread
+//! ([`Endpoint::call_many`]) and all machines expand in parallel, so each
+//! hop costs one fan-out round — which is why 3-hop queries over millions
+//! of reachable nodes return in the tens of milliseconds.
 //!
 //! Wire format (DESIGN §10): a flags byte, then strictly ascending id lists
 //! as LEB128 `count | first | gap…`; the decoders reject anything else.
@@ -35,12 +36,13 @@ use trinity_obs::{current_trace, next_trace_id, TraceGuard, NO_TRACE};
 use crate::proto;
 use crate::varint::{put_varint, take_varint};
 
-/// How a fan-out request is issued. The serving runtime injects its
-/// request coalescer here so identical in-flight expansions against the
-/// same machine merge into one upstream call; the default is a plain
-/// [`Endpoint::call`].
+/// How a fan-out round is issued: it takes the round's requests and
+/// returns one result per request, in order. The serving runtime injects
+/// its request coalescer here so identical in-flight expansions against
+/// the same machine merge into one upstream call; the default is a plain
+/// [`Endpoint::call_many`].
 pub type CallHook =
-    Arc<dyn Fn(MachineId, ProtoId, &[u8]) -> trinity_net::Result<FrameBuf> + Send + Sync>;
+    Arc<dyn Fn(&[(MachineId, ProtoId, &[u8])]) -> Vec<trinity_net::Result<FrameBuf>> + Send + Sync>;
 
 /// Per-query controls for an exploration.
 #[derive(Clone, Default)]
@@ -282,7 +284,6 @@ pub fn explore_via(
     // Install the per-query deadline (if given); otherwise the thread's
     // inherited budget keeps applying.
     let _deadline_guard = opts.deadline.map(DeadlineGuard::enter);
-    let effective_deadline = current_deadline();
     let obs = coordinator.obs();
     obs.counter("explore.queries").inc();
     let hop_us = obs.histogram("explore.hop.us");
@@ -330,62 +331,44 @@ pub fn explore_via(
         }
         // One batched request per machine owning part of the frontier,
         // its ids ascending as the wire format requires.
-        let batches: Vec<(MachineId, &[CellId])> = by_machine
+        let batches: Vec<(MachineId, Vec<u8>)> = by_machine
             .iter_mut()
             .enumerate()
             .filter(|(_, batch)| !batch.is_empty())
             .map(|(m, batch)| {
                 batch.sort_unstable();
-                (MachineId(m as u16), batch.as_slice())
+                let payload = encode_request(want_neighbors, pattern, batch);
+                (MachineId(m as u16), payload)
             })
             .collect();
-        let issue = |dst: MachineId, batch: &[CellId]| {
-            let payload = encode_request(want_neighbors, pattern, batch);
-            match &opts.call {
-                Some(call) => call(dst, proto::EXPAND, &payload),
-                None => coordinator.call(dst, proto::EXPAND, &payload),
-            }
+        let requests: Vec<(MachineId, ProtoId, &[u8])> = batches
+            .iter()
+            .map(|(dst, payload)| (*dst, proto::EXPAND, payload.as_slice()))
+            .collect();
+        // The whole round goes out from this thread, which carries the
+        // query's trace and deadline, and this thread collects the replies.
+        let replies = match &opts.call {
+            Some(call) => call(&requests),
+            None => coordinator.call_many(&requests),
         };
-        // The first batch goes out on the calling thread, which already
-        // carries the query's trace and deadline and would otherwise only
-        // wait; the others are issued in parallel. Each worker re-installs
-        // the trace and deadline: guards are thread-local and these are
-        // fresh scoped threads.
-        let replies: Vec<trinity_net::Result<FrameBuf>> = std::thread::scope(|scope| {
-            let joins: Vec<_> = batches[1..]
-                .iter()
-                .map(|&(dst, batch)| {
-                    let issue = &issue;
-                    scope.spawn(move || {
-                        let _tg = TraceGuard::enter(trace);
-                        let _dg = DeadlineGuard::enter(effective_deadline);
-                        issue(dst, batch)
-                    })
-                })
-                .collect();
-            let (dst, batch) = batches[0];
-            let mut replies = vec![issue(dst, batch)];
-            for join in joins {
-                replies.push(join.join().expect("expand worker panicked"));
-            }
-            replies
-        });
         let hop_batches = batches.len();
         result.batches += hop_batches;
         batches_sent.add(hop_batches as u64);
         let mut reply_bytes = 0u64;
         let mut next = Vec::new();
-        for reply in replies {
-            let decoded = match reply {
-                Ok(reply) => {
+        let mut replies = replies.into_iter();
+        for _ in 0..hop_batches {
+            let decoded = match replies.next() {
+                Some(Ok(reply)) => {
                     reply_bytes += reply.len() as u64;
                     decode_reply(&reply)
                 }
-                Err(NetError::DeadlineExceeded(_, _)) => {
+                Some(Err(NetError::DeadlineExceeded(_, _))) => {
                     result.deadline_exceeded = true;
                     continue;
                 }
-                Err(_) => None,
+                // A failed call, or a hook that returned too few results.
+                _ => None,
             };
             // A batch lost to a dead owner or a damaged reply leaves a hole
             // in the frontier: say so instead of looking complete.
@@ -673,8 +656,12 @@ mod tests {
     fn a_truncated_reply_marks_the_result_deadline_exceeded() {
         let (cloud, ex) = cloud_with(&path_graph(10), 2, None);
         // The slave says its scan was cut short; nothing else is wrong.
-        let hook: CallHook =
-            Arc::new(|_, _, _| Ok(FrameBuf::from_vec(encode_reply(true, &[4], &[]))));
+        let hook: CallHook = Arc::new(|requests| {
+            requests
+                .iter()
+                .map(|_| Ok(FrameBuf::from_vec(encode_reply(true, &[4], &[]))))
+                .collect()
+        });
         let opts = ExploreOptions {
             call: Some(hook),
             ..Default::default()
@@ -686,6 +673,51 @@ mod tests {
         assert_eq!((r.matches.as_slice(), r.failed_batches), (&[4][..], 0));
         let obs = cloud.node(0).endpoint().obs();
         assert_eq!(obs.counter("explore.deadline_exceeded").get(), 1);
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn every_request_of_every_round_leaves_from_the_calling_thread() {
+        let (cloud, ex) = cloud_with(&trinity_graphgen::social(400, 12, 9), 4, None);
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let hook: CallHook = {
+            let (seen, endpoint) = (Arc::clone(&seen), Arc::clone(cloud.node(0).endpoint()));
+            Arc::new(move |requests| {
+                let me = std::thread::current().id();
+                seen.lock().extend(requests.iter().map(|_| me));
+                endpoint.call_many(requests)
+            })
+        };
+        let opts = ExploreOptions {
+            call: Some(hook),
+            ..Default::default()
+        };
+        let r = ex.explore_with(0, 7, 3, b"", &opts);
+        assert_eq!(r.per_hop, ex.explore(0, 7, 3, b"").per_hop);
+        let seen = seen.lock();
+        assert!(seen.len() > 3, "rounds of several batches: {}", seen.len());
+        assert_eq!(seen.len(), r.batches);
+        let me = std::thread::current().id();
+        assert!(
+            seen.iter().all(|&t| t == me),
+            "a request left another thread"
+        );
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_hook_returning_too_few_results_fails_those_batches() {
+        let (cloud, ex) = cloud_with(&trinity_graphgen::social(400, 12, 9), 4, None);
+        // The start node's round has one batch and gets no result for it.
+        let hook: CallHook = Arc::new(|_| Vec::new());
+        let opts = ExploreOptions {
+            call: Some(hook),
+            ..Default::default()
+        };
+        let r = ex.explore_with(0, 7, 3, b"", &opts);
+        assert_eq!((r.batches, r.failed_batches, r.per_hop), (1, 1, vec![1]));
+        let obs = cloud.node(0).endpoint().obs();
+        assert_eq!(obs.counter("explore.failed_batches").get(), 1);
         cloud.shutdown();
     }
 

@@ -226,12 +226,16 @@ fn the_match_round_ships_no_neighbors() {
     let wire = Arc::new(Mutex::new(Vec::new()));
     let hook: CallHook = {
         let (wire, cloud) = (Arc::clone(&wire), Arc::clone(&cloud));
-        Arc::new(move |dst, proto, payload| {
-            let reply = cloud.node(0).endpoint().call(dst, proto, payload)?;
-            wire.lock()
-                .unwrap()
-                .push((payload.to_vec(), reply.to_vec()));
-            Ok(reply)
+        Arc::new(move |requests| {
+            let replies = cloud.node(0).endpoint().call_many(requests);
+            for (&(_, _, payload), reply) in requests.iter().zip(&replies) {
+                if let Ok(reply) = reply {
+                    wire.lock()
+                        .unwrap()
+                        .push((payload.to_vec(), reply.to_vec()));
+                }
+            }
+            replies
         })
     };
     let opts = ExploreOptions {

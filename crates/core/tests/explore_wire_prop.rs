@@ -59,9 +59,9 @@ fn fixture() -> &'static Fixture {
         let seen = Arc::new(Mutex::new(None));
         let hook: CallHook = {
             let (seen, cloud) = (Arc::clone(&seen), Arc::clone(&cloud));
-            Arc::new(move |dst, proto, payload| {
-                *seen.lock().unwrap() = Some(proto);
-                cloud.node(0).endpoint().call(dst, proto, payload)
+            Arc::new(move |requests| {
+                *seen.lock().unwrap() = requests.first().map(|&(_, proto, _)| proto);
+                cloud.node(0).endpoint().call_many(requests)
             })
         };
         let opts = ExploreOptions {
@@ -214,9 +214,14 @@ proptest! {
         let asked = Arc::new(Mutex::new(Vec::new()));
         let hook: CallHook = {
             let (asked, bytes) = (Arc::clone(&asked), bytes.clone());
-            Arc::new(move |dst, _proto, payload| {
-                asked.lock().unwrap().push((dst, payload.to_vec()));
-                Ok(FrameBuf::from_vec(bytes.clone()))
+            Arc::new(move |requests| {
+                requests
+                    .iter()
+                    .map(|&(dst, _proto, payload)| {
+                        asked.lock().unwrap().push((dst, payload.to_vec()));
+                        Ok(FrameBuf::from_vec(bytes.clone()))
+                    })
+                    .collect()
             })
         };
         let opts = ExploreOptions { call: Some(hook), ..Default::default() };

@@ -528,6 +528,42 @@ mod tests {
     }
 
     #[test]
+    fn multi_get_overlaps_its_owners_round_trips() {
+        // Every remote envelope takes 100 ms, so one round trip is 200 ms
+        // and asking three owners one after another would take 600.
+        let cloud = MemoryCloud::new(CloudConfig {
+            faults: Some(FaultPlan::new(3).with_delay(1.0, 100_000, 0)),
+            ..CloudConfig::small(4)
+        });
+        cloud.fabric().chaos_arm(false);
+        let table = cloud.node(0).table();
+        let ids: Vec<u64> = (1..4)
+            .map(|m| {
+                (0u64..)
+                    .find(|&i| table.machine_of(i) == MachineId(m))
+                    .unwrap()
+            })
+            .collect();
+        for &id in &ids {
+            cloud.node(0).put(id, &id.to_le_bytes()).unwrap();
+        }
+        let reader = cloud.node(0);
+        reader.clear_cache();
+        cloud.fabric().chaos_arm(true);
+        let started = std::time::Instant::now();
+        let got = reader.multi_get(&ids).unwrap();
+        let took = started.elapsed();
+        for (id, v) in ids.iter().zip(&got) {
+            assert_eq!(v.as_deref(), Some(&id.to_le_bytes()[..]), "cell {id}");
+        }
+        assert!(
+            took < std::time::Duration::from_millis(400),
+            "{took:?} for 3 owners"
+        );
+        cloud.shutdown();
+    }
+
+    #[test]
     fn multi_get_reports_missing_cells() {
         let cloud = MemoryCloud::new(CloudConfig::small(3));
         cloud.node(0).put(7, b"present").unwrap();

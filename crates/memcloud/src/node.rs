@@ -1439,7 +1439,8 @@ impl CloudNode {
     }
 
     /// Batched read: fetch many cells with **one envelope per destination
-    /// machine** instead of one call per cell. Results align with `ids`
+    /// machine** instead of one call per cell, all in flight together
+    /// ([`Endpoint::call_many`]). Results align with `ids`
     /// (`None` = absent). Local cells are read in place; cached remote
     /// cells are served from the cache; everything fetched on the way is
     /// cached for subsequent single-cell reads — this is the traversal
@@ -1473,13 +1474,22 @@ impl CloudNode {
                 .record_read(trunk, got.as_ref().map_or(0, |b| b.len() as u64));
             out[i] = got.map(FrameBuf::from_vec);
         }
-        for (owner, group) in by_owner {
-            let req_ids: Vec<CellId> = group.iter().map(|&(_, id)| id).collect();
-            let entries = self
-                .endpoint
-                .call(owner, proto::MULTI_GET, &wire::encode_multi_req(&req_ids))
+        let groups: Vec<_> = by_owner
+            .into_iter()
+            .map(|(owner, group)| {
+                let req_ids: Vec<CellId> = group.iter().map(|&(_, id)| id).collect();
+                (owner, group, wire::encode_multi_req(&req_ids))
+            })
+            .collect();
+        let requests: Vec<_> = groups
+            .iter()
+            .map(|(owner, _, payload)| (*owner, proto::MULTI_GET, payload.as_slice()))
+            .collect();
+        let replies = self.endpoint.call_many(&requests);
+        for ((_, group, _), reply) in groups.into_iter().zip(replies) {
+            let entries = reply
                 .ok()
-                .and_then(|raw| wire::decode_multi_reply(&raw, req_ids.len()));
+                .and_then(|raw| wire::decode_multi_reply(&raw, group.len()));
             match entries {
                 Some(entries) => {
                     for ((i, id), entry) in group.into_iter().zip(entries) {

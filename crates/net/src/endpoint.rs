@@ -4,7 +4,9 @@
 //! The endpoint exposes the two communication paradigms the paper's TSL
 //! protocols compile to:
 //!
-//! * [`Endpoint::call`] — synchronous one-sided request/response;
+//! * [`Endpoint::call`] — synchronous one-sided request/response, and
+//!   [`Endpoint::call_many`], a round of them issued together and awaited
+//!   on the calling thread (`call` is `call_many` of one);
 //! * [`Endpoint::send`] — asynchronous one-way messages, transparently
 //!   packed per destination and shipped in bulk.
 //!
@@ -43,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use trinity_obs::{current_trace, Counter, Histogram, MachineScope, TraceGuard, NO_TRACE};
 
@@ -82,6 +84,20 @@ pub(crate) enum Work {
     /// protocol, and that protocol's handler.
     Run(MachineId, u64, u64, Vec<Frame>, Registered),
     Stop,
+}
+
+/// A request on the wire whose reply is still to be collected.
+struct Issued {
+    dst: MachineId,
+    proto: ProtoId,
+    corr: u64,
+    rx: Receiver<Result<FrameBuf>>,
+    /// The caller's deadline at issue ([`NO_DEADLINE`] when none).
+    inherited: u64,
+    /// When the slot gives up: the tighter of the timeout and `inherited`.
+    effective: u64,
+    start_us: u64,
+    sent_bytes: u64,
 }
 
 struct PackBuf {
@@ -311,6 +327,7 @@ impl Endpoint {
     /// envelope so the callee can refuse work that is already doomed, and
     /// exhausting an inherited deadline surfaces as
     /// [`NetError::DeadlineExceeded`] rather than a liveness timeout.
+    /// It is [`Endpoint::call_many`] of one request.
     pub fn call_with_deadline(
         &self,
         dst: MachineId,
@@ -318,6 +335,37 @@ impl Endpoint {
         payload: &[u8],
         timeout: Duration,
     ) -> Result<FrameBuf> {
+        self.issue(dst, proto, payload, timeout)
+            .and_then(|slot| self.complete(slot))
+    }
+
+    /// One fan-out round on the calling thread: every request goes on the
+    /// wire first, then each reply is collected, and the results come back
+    /// in input order. Each request is a [`Endpoint::call`] of its own —
+    /// its own pending slot, FIFO flush, stamped deadline and error — and
+    /// waits against its own absolute deadline, so a peer that never
+    /// answers costs one call timeout for the whole round, not one per
+    /// request. No thread is spawned.
+    pub fn call_many(&self, requests: &[(MachineId, ProtoId, &[u8])]) -> Vec<Result<FrameBuf>> {
+        let issued: Vec<Result<Issued>> = requests
+            .iter()
+            .map(|&(dst, proto, payload)| self.issue(dst, proto, payload, self.call_timeout))
+            .collect();
+        issued
+            .into_iter()
+            .map(|slot| slot.and_then(|slot| self.complete(slot)))
+            .collect()
+    }
+
+    /// The sending half of a call: open its pending slot and ship the
+    /// request.
+    fn issue(
+        &self,
+        dst: MachineId,
+        proto: ProtoId,
+        payload: &[u8],
+        timeout: Duration,
+    ) -> Result<Issued> {
         if self.router.is_closed() {
             return Err(NetError::Closed);
         }
@@ -331,9 +379,7 @@ impl Endpoint {
             self.metrics.deadline_expired.inc();
             return Err(NetError::DeadlineExceeded(dst, proto));
         }
-        let timeout_abs = now.saturating_add(timeout.as_micros() as u64);
-        let effective = inherited.min(timeout_abs);
-        let wait = Duration::from_micros(effective - now);
+        let effective = inherited.min(now.saturating_add(timeout.as_micros() as u64));
         let corr = self.corr.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
         self.pending.lock().insert(corr, tx);
@@ -358,16 +404,33 @@ impl Endpoint {
             self.pending.lock().remove(&corr);
             return Err(e);
         }
-        let result = match rx.recv_timeout(wait) {
+        Ok(Issued {
+            dst,
+            proto,
+            corr,
+            rx,
+            inherited,
+            effective,
+            start_us,
+            sent_bytes,
+        })
+    }
+
+    /// The waiting half of a call: block until the reply fills the slot
+    /// or the slot's absolute deadline passes.
+    fn complete(&self, slot: Issued) -> Result<FrameBuf> {
+        let (dst, proto) = (slot.dst, slot.proto);
+        let wait = Duration::from_micros(slot.effective.saturating_sub(deadline_now_us()));
+        let result = match slot.rx.recv_timeout(wait) {
             Ok(result) => result,
             Err(_) => {
-                self.pending.lock().remove(&corr);
+                self.pending.lock().remove(&slot.corr);
                 // Classify the inherited deadline FIRST: a call that
                 // expired while its peer was dying is a spent budget, not
                 // a liveness failure — reporting `Unreachable` here would
                 // skip the `deadline_expired` metric and invite callers to
                 // retry a query whose budget is already gone.
-                if inherited != NO_DEADLINE && deadline_now_us() >= inherited {
+                if slot.inherited != NO_DEADLINE && deadline_now_us() >= slot.inherited {
                     self.metrics.deadline_expired.inc();
                     Err(NetError::DeadlineExceeded(dst, proto))
                 } else if self.router.is_dead(dst) {
@@ -379,8 +442,9 @@ impl Endpoint {
         };
         self.metrics
             .call_us
-            .record(self.obs.now_us().saturating_sub(start_us));
-        self.obs.span("net.call", proto, sent_bytes, 1, start_us);
+            .record(self.obs.now_us().saturating_sub(slot.start_us));
+        self.obs
+            .span("net.call", proto, slot.sent_bytes, 1, slot.start_us);
         result
     }
 
@@ -816,7 +880,7 @@ impl Endpoint {
     }
 }
 
-pub(crate) fn worker_loop(ep: Arc<Endpoint>, rx: crossbeam::channel::Receiver<Work>) {
+pub(crate) fn worker_loop(ep: Arc<Endpoint>, rx: Receiver<Work>) {
     while let Ok(work) = rx.recv() {
         match work {
             Work::Frame(src, trace, deadline, frame) => {

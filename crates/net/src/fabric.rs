@@ -303,6 +303,7 @@ impl Drop for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framebuf::FrameBuf;
     use std::sync::atomic::AtomicUsize;
 
     fn quick_cfg(n: usize) -> FabricConfig {
@@ -382,6 +383,132 @@ mod tests {
         let a = fabric.endpoint(MachineId(0));
         assert_eq!(a.call(MachineId(1), 99, b""), Err(NetError::NoHandler(99)));
         fabric.shutdown();
+    }
+
+    #[test]
+    fn call_many_answers_in_input_order() {
+        let fabric = Fabric::new(quick_cfg(3));
+        for m in 0..3u16 {
+            fabric.endpoint(MachineId(m)).register(10, move |_, p| {
+                let mut out = p.to_vec();
+                out.push(b'0' + m as u8);
+                Some(out)
+            });
+        }
+        let a = fabric.endpoint(MachineId(0));
+        let (x, y, z) = (&b"x"[..], &b"y"[..], &b"z"[..]);
+        let got = a.call_many(&[
+            (MachineId(2), 10, x),
+            (MachineId(0), 10, y),
+            (MachineId(1), 10, z),
+            (MachineId(2), 10, y),
+        ]);
+        let got: Vec<Vec<u8>> = got.into_iter().map(|r| r.unwrap().into_vec()).collect();
+        assert_eq!(got, [&b"x2"[..], b"y0", b"z1", b"y2"]);
+        assert!(a.call_many(&[]).is_empty());
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn call_many_fails_only_the_slot_that_failed() {
+        let fabric = Fabric::new(quick_cfg(3));
+        for m in 1..3u16 {
+            fabric
+                .endpoint(MachineId(m))
+                .register(10, |_, p| Some(p.to_vec()));
+        }
+        fabric.kill(MachineId(2));
+        let a = fabric.endpoint(MachineId(0));
+        let got = a.call_many(&[
+            (MachineId(1), 10, b"a"),
+            (MachineId(2), 10, b"b"),
+            (MachineId(1), 99, b"c"),
+            (MachineId(1), 10, b"d"),
+        ]);
+        let got: Vec<_> = got.into_iter().map(|r| r.map(FrameBuf::into_vec)).collect();
+        assert_eq!(
+            got,
+            [
+                Ok(b"a".to_vec()),
+                Err(NetError::Unreachable(MachineId(2))),
+                Err(NetError::NoHandler(99)),
+                Ok(b"d".to_vec()),
+            ]
+        );
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn a_partitioned_peer_costs_one_timeout_per_round_not_per_slot() {
+        let timeout = Duration::from_millis(300);
+        let fabric = Fabric::new(FabricConfig {
+            call_timeout: timeout,
+            faults: Some(FaultPlan::new(1).with_partition(crate::Partition {
+                from: 0,
+                to: 2,
+                from_seq: 0,
+                to_seq: u64::MAX,
+            })),
+            ..quick_cfg(3)
+        });
+        for m in 1..3u16 {
+            fabric
+                .endpoint(MachineId(m))
+                .register(10, |_, p| Some(p.to_vec()));
+        }
+        let a = fabric.endpoint(MachineId(0));
+        let mut requests = vec![(MachineId(1), 10, &b"up"[..])];
+        requests.extend((0..4).map(|_| (MachineId(2), 10, &b"lost"[..])));
+        let started = std::time::Instant::now();
+        let got = a.call_many(&requests);
+        let took = started.elapsed();
+        assert_eq!(got[0].as_deref(), Ok(&b"up"[..]));
+        for r in &got[1..] {
+            assert_eq!(r, &Err(NetError::Timeout(MachineId(2), 10)));
+        }
+        assert!(
+            took >= timeout && took < 2 * timeout,
+            "{took:?} for four slots on a silent peer"
+        );
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn shutdown_fails_every_slot_of_a_waiting_call_many() {
+        let fabric = Fabric::new(FabricConfig {
+            call_timeout: Duration::from_secs(60),
+            ..quick_cfg(3)
+        });
+        let (park, parked, gate) = parking();
+        for m in 1..3u16 {
+            let park = park.clone();
+            fabric.endpoint(MachineId(m)).register(10, move |_, _| {
+                park();
+                Some(Vec::new())
+            });
+        }
+        let a = fabric.endpoint(MachineId(0));
+        let caller = std::thread::spawn(move || {
+            let requests = [
+                (MachineId(1), 10, &b""[..]),
+                (MachineId(2), 10, b""),
+                (MachineId(1), 10, b""),
+            ];
+            a.call_many(&requests)
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while parked.load(Ordering::SeqCst) < 3 {
+            assert!(std::time::Instant::now() < deadline, "calls never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stopper = std::thread::spawn({
+            let fabric = Arc::clone(&fabric);
+            move || fabric.shutdown()
+        });
+        assert_eq!(caller.join().unwrap(), vec![Err(NetError::Closed); 3]);
+        gate.store(true, Ordering::SeqCst);
+        stopper.join().unwrap();
+        assert!(fabric.handles.lock().is_empty(), "every thread was joined");
     }
 
     #[test]
@@ -925,7 +1052,6 @@ mod tests {
         // on either side of the request form separate runs, cut again at
         // the protocol change, and every frame is ledgered once.
         use crate::envelope::{Frame, FrameKind};
-        use crate::framebuf::FrameBuf;
         let fabric = Fabric::new(FabricConfig {
             workers_per_machine: 1,
             ..quick_cfg(2)

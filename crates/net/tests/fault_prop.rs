@@ -5,15 +5,16 @@
 //! delivery order, same stats, empty fault log — for any seed and any
 //! send/flush interleaving; a delay-only plan preserves per-link FIFO and
 //! exactly-once delivery; a reorder-only plan gives up FIFO but not
-//! exactly-once; and a lossy plan keeps the frame ledger balanced
-//! (entered == consumed + swallowed) after quiescence.
+//! exactly-once; a lossy plan keeps the frame ledger balanced
+//! (entered == consumed + swallowed) after quiescence; and `call_many`
+//! answers what sequential calls answer under delays and duplicates.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use trinity_net::{Fabric, FabricConfig, FaultPlan, MachineId};
+use trinity_net::{Fabric, FabricConfig, FaultPlan, FrameBuf, MachineId};
 
 #[derive(Debug, Clone)]
 enum SendOp {
@@ -286,6 +287,72 @@ proptest! {
             .records
             .iter()
             .all(|r| matches!(r.kind, trinity_net::FaultKind::Drop)));
+        fabric.shutdown();
+    }
+
+    /// `call_many` is the sequential `call`s it replaces, whatever the
+    /// links do: under any delay/duplicate plan each slot gets what a
+    /// `call` of its own gets, and once the injector is quiet the frame
+    /// ledger balances (every frame that entered, plus every copy the
+    /// injector minted, was delivered or dropped; none was refused).
+    #[test]
+    fn call_many_returns_what_sequential_calls_return(
+        dsts in proptest::collection::vec(0u16..3, 0..12),
+        seed in any::<u64>(),
+        delay_pct in 0u32..100,
+        base_us in 1u64..2_000,
+        dup_pct in 0u32..50,
+    ) {
+        let plan = FaultPlan::new(seed)
+            .with_delay(delay_pct as f64 / 100.0, base_us, base_us)
+            .with_duplicate(dup_pct as f64 / 100.0);
+        let fabric = Fabric::new(FabricConfig {
+            faults: Some(plan),
+            call_timeout: Duration::from_secs(5),
+            ..FabricConfig::with_machines(3)
+        });
+        for m in 0..3u16 {
+            fabric.endpoint(MachineId(m)).register(31, move |src, p| {
+                Some([p, &[m as u8, src.0 as u8]].concat())
+            });
+        }
+        let caller = fabric.endpoint(MachineId(0));
+        let payloads: Vec<[u8; 4]> = (0..dsts.len() as u32).map(u32::to_le_bytes).collect();
+        let requests: Vec<(MachineId, u16, &[u8])> = dsts
+            .iter()
+            .zip(&payloads)
+            .map(|(&dst, payload)| (MachineId(dst), 31, &payload[..]))
+            .collect();
+        let many: Vec<_> = caller
+            .call_many(&requests)
+            .into_iter()
+            .map(|r| r.map(FrameBuf::into_vec))
+            .collect();
+        let one_by_one: Vec<_> = requests
+            .iter()
+            .map(|&(dst, proto, payload)| caller.call(dst, proto, payload).map(FrameBuf::into_vec))
+            .collect();
+        prop_assert!(many.iter().all(Result::is_ok), "{:?}", many);
+        prop_assert_eq!(many, one_by_one);
+        prop_assert!(fabric.chaos_quiesce(Duration::from_secs(10)));
+        let chaos = Arc::clone(fabric.chaos().unwrap());
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let total = fabric.total_stats();
+            if total.entered_frames() + chaos.duplicated_frames()
+                == total.delivered_frames + total.dropped_frames
+            {
+                prop_assert_eq!(total.refused_frames, 0);
+                break;
+            }
+            prop_assert!(
+                std::time::Instant::now() < deadline,
+                "ledger never balanced: {:?} duplicated={}",
+                total,
+                chaos.duplicated_frames()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         fabric.shutdown();
     }
 

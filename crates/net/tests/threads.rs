@@ -1,7 +1,8 @@
 //! The fabric's thread model, checked from the outside: a fabric owns its
 //! handler workers (and the injector's timer) and nothing else, handlers
-//! run only on the destination machine's workers, and a response needs
-//! no thread of the calling endpoint to arrive.
+//! run only on the destination machine's workers, a response needs no
+//! thread of the calling endpoint to arrive, and a `call_many` round is
+//! waited for by its caller alone.
 //!
 //! The census reads every thread of this process, so the tests in this
 //! file take turns.
@@ -78,6 +79,45 @@ fn a_fabric_owns_its_workers_and_the_injectors_timer_and_nothing_else() {
             );
         }
     }
+}
+
+#[test]
+fn call_many_waits_for_its_round_on_the_calling_thread() {
+    let _turn = TURN.lock();
+    let fabric = Fabric::new(FabricConfig::with_machines(4));
+    let gate = Arc::new(AtomicBool::new(false));
+    let parked = Arc::new(AtomicUsize::new(0));
+    for m in 1..4u16 {
+        let (gate, parked) = (Arc::clone(&gate), Arc::clone(&parked));
+        fabric.endpoint(MachineId(m)).register(10, move |_, p| {
+            parked.fetch_add(1, Ordering::SeqCst);
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Some(p.to_vec())
+        });
+    }
+    // A thread that the caller spawned without a name would inherit the
+    // caller's and show in the census.
+    let a = fabric.endpoint(MachineId(0));
+    let caller = std::thread::Builder::new()
+        .name("round-caller".into())
+        .spawn(move || {
+            let requests: Vec<_> = (1..4u16).map(|m| (MachineId(m), 10, &b"r"[..])).collect();
+            a.call_many(&requests)
+        })
+        .expect("spawn caller");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while parked.load(Ordering::SeqCst) < 3 {
+        assert!(std::time::Instant::now() < deadline, "round never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Every request of the round is being handled, and one thread waits.
+    assert_eq!(census("round-caller", &["round-caller"]), ["round-caller"]);
+    gate.store(true, Ordering::SeqCst);
+    let replies = caller.join().expect("caller");
+    assert!(replies.iter().all(|r| r.as_deref() == Ok(&b"r"[..])));
+    fabric.shutdown();
 }
 
 #[test]

@@ -35,9 +35,9 @@ fn expired_deadline_aborts_exploration_mid_flight() {
     // A call hook that slows every fan-out hop: with a ~35 ms/hop wire
     // and a 100 ms budget, the 8-hop exploration must die after 2-3 hops.
     let endpoint = Arc::clone(proxy.endpoint());
-    let slow: trinity_core::CallHook = Arc::new(move |dst, proto, payload| {
+    let slow: trinity_core::CallHook = Arc::new(move |requests| {
         std::thread::sleep(Duration::from_millis(35));
-        endpoint.call(dst, proto, payload)
+        endpoint.call_many(requests)
     });
     let hops = 8;
     let r = explore_via(
@@ -89,10 +89,10 @@ fn cancel_token_stops_exploration_between_hops() {
     // Cancel fires during hop 2's fan-out.
     let endpoint = Arc::clone(proxy.endpoint());
     let cancel2 = cancel.clone();
-    let hook: trinity_core::CallHook = Arc::new(move |dst, proto, payload| {
+    let hook: trinity_core::CallHook = Arc::new(move |requests| {
         std::thread::sleep(Duration::from_millis(10));
         cancel2.cancel();
-        endpoint.call(dst, proto, payload)
+        endpoint.call_many(requests)
     });
     let r = explore_via(
         proxy.endpoint(),

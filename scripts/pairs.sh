@@ -17,7 +17,9 @@
 # and no more operations failed than at the parent. A (workload, metric)
 # whose change median is worse than the parent's by more than its bound is
 # marked REGRESSION, and the script then exits 1. Run on an otherwise
-# idle host. Writes only under target/pairs/.
+# idle host: the header gives the min/max 1-minute load average read
+# before each run and says BUSY when one reached the core count (a label,
+# not a refusal). Writes only under target/pairs/.
 set -euo pipefail
 [ $# -ge 2 ] || { sed -n '2,7p' "$0" >&2; exit 2; }
 PARENT="$(realpath "$1")"
@@ -35,6 +37,7 @@ mkdir -p "$OUT"
 
 run() { # side binary workload pair
     echo "pair $4 $3 $1" >&2
+    cut -d ' ' -f 1 /proc/loadavg >> "$OUT/loadavg"
     # A failed oracle exits non-zero but still prints its JSON line: keep it.
     (cd "$OUT" && "$2" --workload "$3" --seed "$SEED" --seconds "$SECONDS_PER_RUN" --trace 0 || true) \
         | tail -n 1 > "$OUT/$1.$3.$4.json"
@@ -52,7 +55,7 @@ for w in $WORKLOADS; do
 done
 
 python3 - "$OUT" "$PAIRS" "$SEED" "${CLAIM:-}" $WORKLOADS <<'PY'
-import json, statistics, sys
+import json, os, statistics, sys
 out, pairs, seed, claim, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5:]
 bench = json.load(open("BENCHMARK.json"))
 
@@ -66,7 +69,10 @@ def quartiles(vals):
     q = statistics.quantiles(vals, n=4)
     return q[0], statistics.median(vals), q[2]
 
-print(f"seed {seed}, {pairs} pairs, --seconds {bench['run_seconds']} --trace 0\n")
+loads, cores = [float(l) for l in open(f"{out}/loadavg")], os.cpu_count()
+busy = " BUSY" if max(loads) >= cores else ""
+print(f"seed {seed}, {pairs} pairs, --seconds {bench['run_seconds']} --trace 0, "
+      f"1-min load {min(loads):.2f}-{max(loads):.2f} before the {len(loads)} runs on {cores} cores{busy}\n")
 print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change vs parent | bound | pairs won | failed ops p/c |")
 print("|---|---|---:|---:|---:|---:|---:|---:|")
 verdict, regressions = None, []
