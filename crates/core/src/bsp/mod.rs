@@ -60,7 +60,7 @@ use trinity_net::{current_deadline, DeadlineGuard, MachineId, StatsDelta};
 use trinity_obs::{next_trace_id, TraceGuard};
 
 use crate::proto;
-use path::MachineRt;
+use path::{Inbox, MachineRt};
 use pool::{RoundAgg, WorkerState};
 
 /// How vertex messages travel between machines.
@@ -470,49 +470,28 @@ fn machine_driver<P: VertexProgram>(
     // gets zero-copy access to each vertex's cell. On resume,
     // checkpointed states win; anything missing from the checkpoint
     // starts fresh.
-    let mut local: Vec<(CellId, usize)> = Vec::new(); // (id, out_degree)
+    let mut local: Vec<(CellId, usize, P::State)> = Vec::new(); // (id, out_degree, state)
     handle.for_each_local_node(|id, view| {
-        local.push((id, view.out_degree()));
-        let init = || job.program.init(id, &view);
-        resume.states.entry(id).or_insert_with(init);
+        let state = resume
+            .states
+            .remove(&id)
+            .unwrap_or_else(|| job.program.init(id, &view));
+        local.push((id, view.out_degree(), state));
     });
-    local.sort_unstable();
-    if !job.resumed {
-        resume.active = local.iter().map(|&(id, _)| id).collect();
-    }
-
-    // --- Setup: hub discovery ------------------------------------------
+    local.sort_unstable_by_key(|&(id, ..)| id);
     // Hub buffering needs the receiving machines to know which of their
     // vertices are targets of a hub's broadcast, which requires reverse
     // traversal (symmetric out-lists or stored in-links). On a directed
     // graph loaded without in-links the optimization silently disables.
-    // A peer whose setup call fails is not subscribed to anything here:
-    // it gets this machine's hubs' messages as ordinary records.
-    let hub_allowed = job.graph.reverse_traversable();
-    let mut hub_targets: HashMap<CellId, Vec<MachineId>> = HashMap::new();
-    if let Some(threshold) = job.cfg.hub_threshold.filter(|_| hub_allowed) {
-        let hubs: Vec<CellId> = local
-            .iter()
-            .filter(|&&(_, deg)| deg >= threshold)
-            .map(|&(id, _)| id)
-            .collect();
-        job.barrier.wait();
-        if !hubs.is_empty() {
-            let mut req = Vec::with_capacity(hubs.len() * 8);
-            for h in &hubs {
-                req.extend_from_slice(&h.to_le_bytes());
-            }
-            for peer in (0..machines).filter(|&p| p != m) {
-                let peer = MachineId(peer as u16);
-                if let Ok(reply) = rt.endpoint.call(peer, proto::BSP_HUB_SETUP, &req) {
-                    for hub in path::le_u64s(&reply) {
-                        hub_targets.entry(hub).or_default().push(peer);
-                    }
-                }
-            }
-        }
-        job.barrier.wait();
-    }
+    let hub_threshold = job
+        .cfg
+        .hub_threshold
+        .filter(|_| job.graph.reverse_traversable());
+    let hubs: Vec<CellId> = local
+        .iter()
+        .filter(|&&(_, deg, _)| hub_threshold.is_some_and(|t| deg >= t))
+        .map(|&(id, ..)| id)
+        .collect();
 
     // --- Worker pool setup ---------------------------------------------
     // Shard every local vertex (and all resumed state) by
@@ -526,26 +505,66 @@ fn machine_driver<P: VertexProgram>(
     let mut shards: Vec<WorkerState<P>> = (0..workers)
         .map(|w| WorkerState::new(w, machines, workers))
         .collect();
-    for (vseq, &(id, _deg)) in local.iter().enumerate() {
-        shards[rt.shard_of(id)].local.push((id, vseq));
+    for (vseq, (id, _deg, state)) in local.into_iter().enumerate() {
+        let ws = &mut shards[rt.shard_of(id)];
+        ws.ids.push(id);
+        ws.vseq.push(vseq);
+        ws.states.push(state);
     }
-    for (id, st) in resume.states {
-        shards[rt.shard_of(id)].states.insert(id, st);
+    // Resumed states the census did not list take the slots after the
+    // local vertices': carried through, never computed.
+    for (id, state) in resume.states {
+        let ws = &mut shards[rt.shard_of(id)];
+        ws.ids.push(id);
+        ws.states.push(state);
     }
-    for id in resume.active {
-        shards[rt.shard_of(id)].active.insert(id);
-    }
-    // Initial pending messages, sharded and loaded like a drained inbox.
+    // Initial pending messages take the drain's path into the inboxes.
     let mut raw: Vec<Vec<(CellId, P::Msg)>> = (0..workers).map(|_| Vec::new()).collect();
     for (id, msgs) in resume.pending {
         raw[rt.shard_of(id)].extend(msgs.into_iter().map(|msg| (id, msg)));
     }
-    for (ws, mut r) in shards.iter_mut().zip(raw) {
-        r.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| P::msg_cmp(&a.1, &b.1)));
-        (ws.in_ids, ws.in_msgs) = r.into_iter().unzip();
+    for (ws, r) in shards.iter_mut().zip(raw) {
+        ws.inbox = Inbox::new(&ws.ids);
+        ws.inbox.fill(r, P::msg_cmp);
+        ws.active = vec![!job.resumed; ws.ids.len()];
+        ws.subscribers = vec![Vec::new(); ws.ids.len()];
+    }
+    for id in resume.active {
+        let ws = &mut shards[rt.shard_of(id)];
+        match ws.inbox.slot(id) {
+            Some(s) => ws.active[s] = true,
+            None => ws.stray_active.push(id),
+        }
     }
 
-    pool::run(job, m, rt, &hub_targets, shards);
+    // --- Setup: hub discovery ------------------------------------------
+    // A peer whose setup call fails — or whose reply is malformed — is not
+    // subscribed to anything here: it gets this machine's hubs' messages
+    // as ordinary records. A reply naming an id this machine does not
+    // host subscribes nothing.
+    if hub_threshold.is_some() {
+        job.barrier.wait();
+        if !hubs.is_empty() {
+            let mut req = Vec::with_capacity(hubs.len() * 8);
+            for h in &hubs {
+                req.extend_from_slice(&h.to_le_bytes());
+            }
+            for peer in (0..machines).filter(|&p| p != m) {
+                let peer = MachineId(peer as u16);
+                if let Ok(reply) = rt.endpoint.call(peer, proto::BSP_HUB_SETUP, &req) {
+                    for hub in path::le_u64s(&reply).into_iter().flatten() {
+                        let ws = &mut shards[rt.shard_of(hub)];
+                        if let Some(s) = ws.inbox.slot(hub) {
+                            ws.subscribers[s].push(peer);
+                        }
+                    }
+                }
+            }
+        }
+        job.barrier.wait();
+    }
+
+    pool::run(job, m, rt, shards);
 }
 
 #[cfg(test)]
@@ -872,6 +891,43 @@ mod tests {
         )
         .run();
         assert_eq!(r.states[&0], (1..n).sum::<u64>());
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_hub_setup_request_with_a_partial_word_subscribes_nothing() {
+        // Vertex 0 is a hub with neighbors on both machines. Its id plus 4
+        // trailing bytes is not an id list: the peer answers with the
+        // empty reply instead of subscribing the hub the first word names.
+        let n = 60u64;
+        let edges: Vec<(u64, u64)> = (1..n).map(|v| (0, v)).collect();
+        let csr = Csr::undirected_from_edges(n as usize, &edges, true);
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+        let graph = load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap();
+        let hub_machine = cloud.node(0).table().machine_of(0);
+        let peer = MachineId(1 - hub_machine.0);
+        let rt = Arc::new(MachineRt::<MaxValue>::new(
+            Arc::clone(cloud.node(peer.0 as usize).endpoint()),
+            2,
+            1,
+            cloud.node(0).table(),
+        ));
+        rt.register_handlers(graph.handle(peer.0 as usize).clone());
+        let caller = cloud.node(hub_machine.0 as usize).endpoint();
+        let setup = |req: &[u8]| {
+            caller
+                .call(peer, proto::BSP_HUB_SETUP, req)
+                .unwrap()
+                .to_vec()
+        };
+        let mut req = 0u64.to_le_bytes().to_vec();
+        req.extend_from_slice(&[0xff; 4]);
+        assert!(setup(&req).is_empty(), "a 12-byte request subscribed a hub");
+        assert_eq!(
+            setup(&req[..8]),
+            0u64.to_le_bytes(),
+            "the whole id subscribes"
+        );
         cloud.shutdown();
     }
 

@@ -4,8 +4,10 @@
 //! them by size. Receiving: the `BSP_MSG`/`BSP_HUB` batch handlers
 //! validate each frame whole, decode every record's message once, fan it
 //! out to the owning shards and credit the fence. Machine-local
-//! deliveries go straight to the inboxes.
+//! deliveries go straight to the inboxes. Draining: an [`Inbox`] sorts a
+//! shard's arrivals into per-slot runs.
 
+use std::cmp::Ordering as CmpOrdering;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -14,6 +16,7 @@ use parking_lot::{Condvar, Mutex};
 
 use trinity_graph::GraphHandle;
 use trinity_memcloud::{AddressingTable, CellId};
+use trinity_memstore::hash::mix64;
 use trinity_net::{deadline_expired, Endpoint, MachineId, ProtoId};
 use trinity_obs::{Counter, Histogram};
 
@@ -101,7 +104,8 @@ pub(super) struct MachineRt<P: VertexProgram> {
     shard_workers: usize,
     table: AddressingTable,
     /// Per-worker inboxes for the *next* superstep: flattened
-    /// `(dst, msg)` pairs the owning worker drains in sorted runs.
+    /// `(dst, msg)` pairs in arrival order, which the owning worker
+    /// drains into an [`Inbox`].
     pub(super) inboxes: Vec<ShardInbox<P::Msg>>,
     pub(super) local_deliveries: AtomicU64,
     fence: Mutex<FenceState>,
@@ -151,25 +155,9 @@ impl<P: VertexProgram> MachineRt<P> {
     pub(super) fn deliver_sharded(&self, staged: &mut [Vec<(CellId, P::Msg)>]) {
         for (shard, buf) in staged.iter_mut().enumerate() {
             if !buf.is_empty() {
-                self.deliver_batch(shard, buf);
+                self.inboxes[shard].lock().append(buf);
             }
         }
-    }
-
-    /// Append buffered deliveries for one shard under a single lock
-    /// acquisition.
-    fn deliver_batch(&self, shard: usize, buf: &mut Vec<(CellId, P::Msg)>) {
-        // Attribute each delivery to its destination trunk, batched so the
-        // shared LoadMap sees one update per distinct trunk in the run.
-        let load = self.endpoint.obs().load();
-        let mut by_trunk: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        for (dst, _) in buf.iter() {
-            *by_trunk.entry(self.table.trunk_of(*dst)).or_insert(0) += 1;
-        }
-        for (trunk, n) in by_trunk {
-            load.record_msgs(trunk, n);
-        }
-        self.inboxes[shard].lock().append(buf);
     }
 
     /// Buffer one machine-local delivery, flushing the shard's buffer into
@@ -184,7 +172,7 @@ impl<P: VertexProgram> MachineRt<P> {
         let buf = &mut local_buf[shard];
         buf.push((dst, msg));
         if buf.len() >= LOCAL_CHUNK {
-            self.deliver_batch(shard, buf);
+            self.inboxes[shard].lock().append(buf);
         }
     }
 
@@ -306,7 +294,10 @@ impl<P: VertexProgram> MachineRt<P> {
         let rt = Arc::clone(self);
         self.endpoint
             .register(proto::BSP_HUB_SETUP, move |_src, data| {
-                let hubs: std::collections::HashSet<CellId> = le_u64s(data).collect();
+                let Some(hubs) = le_u64s(data) else {
+                    return Some(Vec::new());
+                };
+                let hubs: std::collections::HashSet<CellId> = hubs.collect();
                 // Targets are pre-split by owning shard so hub fan-out
                 // locks each worker inbox once per broadcast.
                 let mut found: HubSubs = HashMap::new();
@@ -340,12 +331,120 @@ impl<P: VertexProgram> MachineRt<P> {
     }
 }
 
-/// The whole little-endian `u64`s of a `BSP_HUB_SETUP` id list.
-pub(super) fn le_u64s(data: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    data.as_chunks::<8>()
-        .0
-        .iter()
-        .map(|c| u64::from_le_bytes(*c))
+/// The little-endian `u64`s of a `BSP_HUB_SETUP` id list, or `None` when
+/// its length is not a whole number of them.
+pub(super) fn le_u64s(data: &[u8]) -> Option<impl Iterator<Item = u64> + '_> {
+    let (words, rest) = data.as_chunks::<8>();
+    rest.is_empty()
+        .then(|| words.iter().map(|c| u64::from_le_bytes(*c)))
+}
+
+/// Marks an empty `Inbox::index` entry: a slot, never an id, so any id —
+/// `u64::MAX` included — can be a key.
+const NO_SLOT: usize = usize::MAX;
+
+/// One superstep's drained shard inbox, by *slot*: an id's position in the
+/// list the inbox was built over. The messages to slot `s` are `run(s)`, in
+/// `msg_cmp` order, and those to ids without a slot are `strays`, in
+/// `(dst, msg_cmp)` order: each id gets what a stable `(dst, msg_cmp)`
+/// sort of the arrivals gives it, but only runs are comparison-sorted.
+pub(super) struct Inbox<M> {
+    /// `id → slot`, probed once per delivered message: open addressing
+    /// over the addressing table's mixer, at most half full.
+    index: Vec<(CellId, usize)>,
+    msgs: Vec<M>,
+    /// `off[s]..off[s + 1]` delimits slot `s`'s run in `msgs`.
+    off: Vec<usize>,
+    pub(super) strays: Vec<(CellId, M)>,
+    /// Reusable scratch: each arrival's bucket, then its position.
+    dest: Vec<usize>,
+}
+
+impl<M> Inbox<M> {
+    /// An empty inbox over distinct `ids`: `ids[s]` gets slot `s`.
+    pub(super) fn new(ids: &[CellId]) -> Self {
+        let mut inbox = Inbox {
+            index: vec![(0, NO_SLOT); (ids.len() * 2).next_power_of_two()],
+            msgs: Vec::new(),
+            off: vec![0; ids.len() + 1],
+            strays: Vec::new(),
+            dest: Vec::new(),
+        };
+        for (slot, &id) in ids.iter().enumerate() {
+            let i = inbox.probe(id);
+            inbox.index[i] = (id, slot);
+        }
+        inbox
+    }
+
+    /// The `index` entry holding `id`, or the empty one ending its probe.
+    #[inline]
+    fn probe(&self, id: CellId) -> usize {
+        let mask = self.index.len() - 1;
+        let mut i = mix64(id) as usize & mask;
+        while self.index[i].1 != NO_SLOT && self.index[i].0 != id {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The slot of `id`, if it has one.
+    pub(super) fn slot(&self, id: CellId) -> Option<usize> {
+        Some(self.index[self.probe(id)].1).filter(|&s| s != NO_SLOT)
+    }
+
+    /// Replace the contents with the arrivals in `raw`: a stable counting
+    /// sort by slot, then a stable sort of each run, and of the strays, by
+    /// `cmp`.
+    pub(super) fn fill(&mut self, mut raw: Vec<(CellId, M)>, cmp: impl Fn(&M, &M) -> CmpOrdering) {
+        // Bucket `strays` follows every slot's. Counting bucket `b` at
+        // `off[b + 2]` leaves `off[b + 1]` at its start after the prefix
+        // sum, and at the next bucket's start once it has served as `b`'s
+        // cursor.
+        let strays = self.off.len() - 1;
+        self.off.clear();
+        self.off.resize(strays + 3, 0);
+        self.dest.clear();
+        for &(dst, _) in raw.iter() {
+            let b = self.slot(dst).unwrap_or(strays);
+            self.dest.push(b);
+            self.off[b + 2] += 1;
+        }
+        for b in 2..self.off.len() {
+            self.off[b] += self.off[b - 1];
+        }
+        for d in &mut self.dest {
+            let b = *d;
+            *d = self.off[b + 1];
+            self.off[b + 1] += 1;
+        }
+        self.off.truncate(strays + 1);
+        // Move every arrival to its position along the permutation's
+        // cycles: swaps only, no message is cloned.
+        for i in 0..raw.len() {
+            while self.dest[i] != i {
+                let j = self.dest[i];
+                raw.swap(i, j);
+                self.dest.swap(i, j);
+            }
+        }
+        self.strays.clear();
+        self.strays.extend(raw.drain(self.off[strays]..));
+        self.strays
+            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
+        self.msgs.clear();
+        self.msgs.extend(raw.into_iter().map(|(_, msg)| msg));
+        for run in self.off.windows(2) {
+            if run[1] - run[0] > 1 {
+                self.msgs[run[0]..run[1]].sort_by(&cmp);
+            }
+        }
+    }
+
+    /// Slot `s`'s messages.
+    pub(super) fn run(&self, s: usize) -> &[M] {
+        &self.msgs[self.off[s]..self.off[s + 1]]
+    }
 }
 
 /// One destination's run frame under construction, for one protocol
@@ -404,6 +503,95 @@ impl RunOutbox {
                 .add(std::mem::take(&mut self.records));
             self.frame.clear();
             self.frames += 1;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Ids a shard may be sent: small ones, the same with only high bytes
+    /// changed, and `u64::MAX`.
+    fn id_pool() -> Vec<CellId> {
+        let small = 0..12u64;
+        let high = (0..12u64).map(|v| v | 0xab << 56);
+        let mid = (0..4u64).map(|v| v | 1 << 40);
+        small.chain(high).chain(mid).chain([u64::MAX]).collect()
+    }
+
+    const VALUES: [f64; 6] = [0.0, -0.0, 1.5, -2.25, f64::NAN, f64::INFINITY];
+
+    /// A message is a value and its arrival index; compared by bits so
+    /// NaN and the zero signs count.
+    type Msg = (f64, usize);
+
+    fn bits(msgs: &[Msg]) -> Vec<(u64, usize)> {
+        msgs.iter().map(|&(v, i)| (v.to_bits(), i)).collect()
+    }
+
+    /// Fill `inbox` with `arrivals` and hold every slot's run and the
+    /// strays to a stable `(dst, cmp)` sort of the arrivals.
+    fn check(
+        inbox: &mut Inbox<Msg>,
+        hosted: &[CellId],
+        arrivals: &[(CellId, Msg)],
+        cmp: fn(&Msg, &Msg) -> CmpOrdering,
+    ) -> Result<(), String> {
+        let mut reference = arrivals.to_vec();
+        reference.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
+        inbox.fill(arrivals.to_vec(), cmp);
+        for (s, &id) in hosted.iter().enumerate() {
+            let want: Vec<Msg> = reference
+                .iter()
+                .filter(|m| m.0 == id)
+                .map(|m| m.1)
+                .collect();
+            prop_assert_eq!(bits(inbox.run(s)), bits(&want), "slot {} (id {:#x})", s, id);
+        }
+        let strays: Vec<(CellId, Msg)> = reference
+            .into_iter()
+            .filter(|m| !hosted.contains(&m.0))
+            .collect();
+        let stray_bits = |v: &[(CellId, Msg)]| -> Vec<(CellId, (u64, usize))> {
+            v.iter().map(|&(d, (x, i))| (d, (x.to_bits(), i))).collect()
+        };
+        prop_assert_eq!(stray_bits(&inbox.strays), stray_bits(&strays));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn inbox_runs_equal_a_stable_dst_then_msg_cmp_sort(
+            hosted_bits in any::<u64>(),
+            picks in proptest::collection::vec((0..29usize, 0..VALUES.len()), 0..300),
+            reorder in any::<u64>(),
+        ) {
+            let pool = id_pool();
+            // Slot order need not be id order: extra slots follow the census.
+            let mut hosted: Vec<CellId> = (0..pool.len())
+                .filter(|i| hosted_bits >> i & 1 == 1)
+                .map(|i| pool[i])
+                .collect();
+            let turn = reorder as usize % hosted.len().max(1);
+            hosted.rotate_left(turn);
+            let arrivals: Vec<(CellId, Msg)> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &(d, v))| (pool[d], (VALUES[v], i)))
+                .collect();
+            let total: fn(&Msg, &Msg) -> CmpOrdering = |a, b| a.0.total_cmp(&b.0);
+            let equal: fn(&Msg, &Msg) -> CmpOrdering = |_, _| CmpOrdering::Equal;
+            // One inbox, refilled: nothing of a drain survives into the next.
+            let mut inbox = Inbox::new(&hosted);
+            for cmp in [total, equal] {
+                check(&mut inbox, &hosted, &arrivals, cmp)?;
+                let reversed: Vec<_> = arrivals.iter().rev().copied().collect();
+                check(&mut inbox, &hosted, &reversed, cmp)?;
+            }
         }
     }
 }

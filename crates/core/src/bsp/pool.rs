@@ -2,7 +2,7 @@
 //! per-worker shard of the job's state, and the leader's serial sections
 //! (combine replay, fence, aggregation, stop decision).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Barrier;
 
@@ -13,7 +13,7 @@ use trinity_memcloud::{AddressingTable, CellId};
 use trinity_net::{deadline_expired, CostModel, DeadlineGuard, MachineId, StatsDelta};
 use trinity_obs::TraceGuard;
 
-use super::path::{MachineRt, RunOutbox};
+use super::path::{Inbox, MachineRt, RunOutbox};
 use super::{Job, MessagingMode, SuperstepReport, VertexContext, VertexProgram};
 use crate::cputime::{PoolTimes, ThreadTimer};
 use crate::proto;
@@ -32,23 +32,30 @@ pub(super) struct RoundAgg {
     net_max: StatsDelta,
 }
 
-/// One worker's owned shard of a machine's BSP state. All buffers are
-/// reused across supersteps: retained capacity is what "pre-sizes
-/// outboxes from the previous superstep's send counts".
+/// One worker's owned shard of a machine's BSP state, addressed by
+/// *slot*: an id's position in `ids`. All buffers are reused across
+/// supersteps: retained capacity is what "pre-sizes outboxes from the
+/// previous superstep's send counts".
 pub(super) struct WorkerState<P: VertexProgram> {
     w: usize,
-    /// This shard's local vertices, sorted by id, with each vertex's
-    /// position in the *machine-wide* sorted order (`vseq`) — the combine
-    /// replay key.
-    pub(super) local: Vec<(CellId, usize)>,
-    pub(super) states: HashMap<CellId, P::State>,
-    pub(super) active: HashSet<CellId>,
-    /// Current-superstep inbox as parallel sorted arrays: run boundaries
-    /// in `in_ids` delimit each vertex's `msgs` slice in `in_msgs`.
-    pub(super) in_ids: Vec<CellId>,
-    pub(super) in_msgs: Vec<P::Msg>,
-    /// Reusable swap target for draining this worker's shared inbox.
-    raw: Vec<(CellId, P::Msg)>,
+    /// Every id the shard holds a state for: its local vertices in id
+    /// order, then any resumed states the census did not list (carried
+    /// through unchanged, never computed).
+    pub(super) ids: Vec<CellId>,
+    /// Each local vertex's position in the *machine-wide* sorted order —
+    /// the combine replay key. Slots `0..vseq.len()` are computed.
+    pub(super) vseq: Vec<usize>,
+    /// Slot-aligned: state, active flag, and the machines subscribed to
+    /// the vertex as a hub (empty for most).
+    pub(super) states: Vec<P::State>,
+    pub(super) active: Vec<bool>,
+    pub(super) subscribers: Vec<Vec<MachineId>>,
+    /// Resumed active ids without a slot, carried through unchanged.
+    pub(super) stray_active: Vec<CellId>,
+    /// The current superstep's messages, by slot.
+    pub(super) inbox: Inbox<P::Msg>,
+    /// Reusable per-trunk delivery counts of a drain.
+    tally: Vec<u64>,
     /// Reusable adjacency scratch (replaces a per-vertex `Vec` collect).
     outs_scratch: Vec<CellId>,
     /// Reusable send-list scratch lent to the `VertexContext`.
@@ -73,12 +80,14 @@ impl<P: VertexProgram> WorkerState<P> {
     pub(super) fn new(w: usize, machines: usize, workers: usize) -> Self {
         WorkerState {
             w,
-            local: Vec::new(),
-            states: HashMap::new(),
-            active: HashSet::new(),
-            in_ids: Vec::new(),
-            in_msgs: Vec::new(),
-            raw: Vec::new(),
+            ids: Vec::new(),
+            vseq: Vec::new(),
+            states: Vec::new(),
+            active: Vec::new(),
+            subscribers: Vec::new(),
+            stray_active: Vec::new(),
+            inbox: Inbox::new(&[]),
+            tally: Vec::new(),
             outs_scratch: Vec::new(),
             sends: Vec::new(),
             groups: vec![Vec::new(); machines],
@@ -119,8 +128,6 @@ struct PoolCtx<'x, P: VertexProgram> {
     handle: &'x GraphHandle,
     table: AddressingTable,
     cost: CostModel,
-    /// Local hub → the machines that subscribed to it at setup.
-    hub_targets: &'x HashMap<CellId, Vec<MachineId>>,
     barrier: Barrier,
     rounds: Vec<Mutex<WorkerRound<P>>>,
 }
@@ -132,7 +139,6 @@ pub(super) fn run<P: VertexProgram>(
     job: &Job<'_, P>,
     m: usize,
     rt: &MachineRt<P>,
-    hub_targets: &HashMap<CellId, Vec<MachineId>>,
     shards: Vec<WorkerState<P>>,
 ) {
     let machines = job.graph.machines();
@@ -153,7 +159,6 @@ pub(super) fn run<P: VertexProgram>(
         handle: job.graph.handle(m),
         table: job.graph.cloud().node(m).table(),
         cost: job.graph.cloud().fabric().cost_model(),
-        hub_targets,
         barrier: Barrier::new(shards.len()),
         rounds: shards.iter().map(|_| Mutex::new(round())).collect(),
     };
@@ -177,7 +182,7 @@ pub(super) fn run<P: VertexProgram>(
 ///
 /// 1. parallel compute over this worker's shard (+ shard flush);
 /// 2. leader: combine replay, fences, quiescence wait, global barrier;
-/// 3. parallel inbox drain (sort runs, reactivate, count);
+/// 3. parallel inbox drain (runs by slot, reactivate, count, load tally);
 /// 4. leader: round aggregation, reports, stop decision.
 fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
     let leader = ws.w == 0;
@@ -229,9 +234,18 @@ fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
     }
     // Export this shard's slice of the job state (checkpoint material).
     let mut f = ctx.job.finals.lock();
-    f.states.extend(ws.states);
-    f.active.extend(ws.active);
-    for (id, msg) in ws.in_ids.drain(..).zip(ws.in_msgs.drain(..)) {
+    for (s, (id, state)) in ws.ids.into_iter().zip(ws.states).enumerate() {
+        f.states.insert(id, state);
+        if ws.active[s] {
+            f.active.insert(id);
+        }
+        let run = ws.inbox.run(s);
+        if !run.is_empty() {
+            f.pending.entry(id).or_default().extend_from_slice(run);
+        }
+    }
+    f.active.extend(ws.stray_active);
+    for (id, msg) in ws.inbox.strays {
         f.pending.entry(id).or_default().push(msg);
     }
 }
@@ -251,27 +265,13 @@ fn compute_phase<P: VertexProgram>(
     let mut sent = 0u64;
     let mut computed = 0usize;
     let mut local_delivered = 0u64;
-    // Merge-join the sorted local vertex list against the sorted inbox
-    // runs: no hashing, no per-vertex lookups.
-    let mut pos = 0usize;
-    let n_in = ws.in_ids.len();
-    for li in 0..ws.local.len() {
-        let (id, vseq) = ws.local[li];
-        while pos < n_in && ws.in_ids[pos] < id {
-            pos += 1;
-        }
-        let run_start = pos;
-        while pos < n_in && ws.in_ids[pos] == id {
-            pos += 1;
-        }
-        if run_start == pos && !ws.active.contains(&id) {
+    for (s, &vseq) in ws.vseq.iter().enumerate() {
+        let id = ws.ids[s];
+        let msgs = ws.inbox.run(s);
+        if msgs.is_empty() && !ws.active[s] {
             continue;
         }
         computed += 1;
-        let state = ws
-            .states
-            .get_mut(&id)
-            .expect("state exists for local vertex");
         // Read the adjacency through a zero-copy view into the reusable
         // scratch (no per-vertex allocation).
         ws.outs_scratch.clear();
@@ -288,20 +288,15 @@ fn compute_phase<P: VertexProgram>(
         };
         ctx.job
             .program
-            .compute(&mut vctx, id, state, &ws.in_msgs[run_start..pos]);
-        let halt = vctx.halt;
+            .compute(&mut vctx, id, &mut ws.states[s], msgs);
         let broadcast = vctx.broadcast.take();
-        if halt {
-            ws.active.remove(&id);
-        } else {
-            ws.active.insert(id);
-        }
+        ws.active[s] = !vctx.halt;
         // Route the broadcast (restrictive model): each machine holding
         // neighbors gets one record naming them — or, where it subscribed
         // to this vertex as a hub (a per-peer fact: a failed setup call
         // subscribed nobody), one hub record it fans out itself.
         if let Some(msg) = broadcast {
-            for &peer in ctx.hub_targets.get(&id).into_iter().flatten() {
+            for &peer in &ws.subscribers[s] {
                 ws.hub_peer[peer.0 as usize] = true;
             }
             // Encoded once, and only if a record leaves the machine.
@@ -452,35 +447,38 @@ fn leader_post_compute<P: VertexProgram>(
 }
 
 /// Drain this worker's shared inbox for the next superstep: take the
-/// flattened pairs, stably sort into `(dst, msg_cmp)` runs, count
-/// distinct destinations, and reactivate local vertices that received
-/// messages.
+/// flattened pairs into per-slot runs, reactivate the vertices that
+/// received messages, count distinct destinations, and attribute the
+/// deliveries to their trunks — one `LoadMap` update per trunk.
 fn drain_phase<P: VertexProgram>(ctx: &PoolCtx<'_, P>, ws: &mut WorkerState<P>) {
-    ws.raw.clear();
-    {
-        let mut slot = ctx.rt.inboxes[ws.w].lock();
-        std::mem::swap(&mut ws.raw, &mut *slot);
-    }
-    ws.raw
-        .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| P::msg_cmp(&a.1, &b.1)));
-    ws.in_ids.clear();
-    ws.in_msgs.clear();
+    // Taken, not swapped with a reused buffer: freeing it every superstep
+    // keeps the allocator's peak down (with the buffer recycled, peak RSS
+    // on pagerank_bsp measured 8–12 MB higher on a 2-vCPU host).
+    let raw = std::mem::take(&mut *ctx.rt.inboxes[ws.w].lock());
+    ws.inbox.fill(raw, P::msg_cmp);
+    ws.tally.resize(ctx.table.trunk_count(), 0);
     let mut distinct = 0u64;
-    let mut last: Option<CellId> = None;
-    for (dst, msg) in ws.raw.drain(..) {
-        if last != Some(dst) {
-            distinct += 1;
-            last = Some(dst);
+    for s in 0..ws.ids.len() {
+        let n = ws.inbox.run(s).len();
+        if n > 0 {
             // Message arrivals reactivate halted vertices.
-            if ws.states.contains_key(&dst) {
-                ws.active.insert(dst);
-            }
+            ws.active[s] = true;
+            distinct += 1;
+            ws.tally[ctx.table.trunk_of(ws.ids[s]) as usize] += n as u64;
         }
-        ws.in_ids.push(dst);
-        ws.in_msgs.push(msg);
+    }
+    for run in ws.inbox.strays.chunk_by(|a, b| a.0 == b.0) {
+        distinct += 1;
+        ws.tally[ctx.table.trunk_of(run[0].0) as usize] += run.len() as u64;
+    }
+    let load = ctx.rt.endpoint.obs().load();
+    for (trunk, n) in ws.tally.iter_mut().enumerate() {
+        if *n > 0 {
+            load.record_msgs(trunk as u64, std::mem::take(n));
+        }
     }
     let mut round = ctx.rounds[ws.w].lock();
-    round.active_after = ws.active.len();
+    round.active_after = ws.active.iter().filter(|&&a| a).count() + ws.stray_active.len();
     round.distinct_dsts = distinct;
 }
 

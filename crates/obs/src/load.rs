@@ -9,7 +9,9 @@
 //! * **Lifetime totals** — relaxed atomic counters bumped on the hot path
 //!   (cell reads/writes, MULTI_GET batches, BSP message deliveries,
 //!   traversal hops, client-cache hits/misses). Recording costs one
-//!   `RwLock` read acquisition plus one or two relaxed `fetch_add`s.
+//!   `RwLock` read acquisition plus one or two relaxed `fetch_add`s. BSP
+//!   deliveries are attributed per trunk when a worker drains its inbox:
+//!   one record per trunk per superstep, not one per message.
 //! * **EWMA-decayed windowed rates** — folded from the totals at *roll*
 //!   time (no background thread): `rate ← rate + α·(Δ/Δt − rate)` with
 //!   `α = 1 − exp(−Δt/τ)` and `τ =` [`LOAD_DECAY_TAU_S`]. A trunk idle
@@ -17,7 +19,7 @@
 //!   by its history.
 //!
 //! [`LoadMap::hottest`] and [`LoadMap::imbalance`] are the snapshot API
-//! trunk migration (ROADMAP item 1) and tiering (item 3) consume.
+//! trunk migration and tiering consume.
 //!
 //! **Overflow behavior:** trunk ids at or above [`MAX_TRUNKS`] are
 //! silently dropped — the map is a dense vector indexed by trunk id, and

@@ -17,9 +17,11 @@
 # and no more operations failed than at the parent. A (workload, metric)
 # whose change median is worse than the parent's by more than its bound is
 # marked REGRESSION, and the script then exits 1. Run on an otherwise
-# idle host: the header gives the min/max 1-minute load average read
-# before each run and says BUSY when one reached the core count (a label,
-# not a refusal). Writes only under target/pairs/.
+# idle host: the header gives the set's min/max foreign load — the host's
+# busy time during a run (/proc/stat, less idle and iowait) minus the
+# run's own user+sys CPU, over its wall time, in cores — and says BUSY
+# when one reached 0.5 core (a label, not a refusal). Writes only under
+# target/pairs/.
 set -euo pipefail
 [ $# -ge 2 ] || { sed -n '2,7p' "$0" >&2; exit 2; }
 PARENT="$(realpath "$1")"
@@ -35,12 +37,19 @@ OUT="$PWD/target/pairs"
 rm -rf "$OUT"
 mkdir -p "$OUT"
 
+busy_ticks() { # the host's non-idle clock ticks so far: cpu line less idle, iowait
+    awk '/^cpu /{ print $2 + $3 + $4 + $7 + $8 + $9; exit }' /proc/stat
+}
 run() { # side binary workload pair
     echo "pair $4 $3 $1" >&2
-    cut -d ' ' -f 1 /proc/loadavg >> "$OUT/loadavg"
+    local before timing
+    before="$(busy_ticks)"
     # A failed oracle exits non-zero but still prints its JSON line: keep it.
-    (cd "$OUT" && "$2" --workload "$3" --seed "$SEED" --seconds "$SECONDS_PER_RUN" --trace 0 || true) \
-        | tail -n 1 > "$OUT/$1.$3.$4.json"
+    # `time` prints the run's wall, user and sys seconds on fd 2, captured
+    # here; the benchmark's own stderr goes around it on fd 3.
+    timing="$( { TIMEFORMAT='%R %U %S'; time (cd "$OUT" && "$2" --workload "$3" --seed "$SEED" \
+        --seconds "$SECONDS_PER_RUN" --trace 0 2>&3 || true) | tail -n 1 > "$OUT/$1.$3.$4.json"; } 3>&2 2>&1 )"
+    echo "$timing $before $(busy_ticks)" >> "$OUT/foreign"
 }
 for w in $WORKLOADS; do
     for pair in $(seq 1 "$PAIRS"); do
@@ -54,9 +63,9 @@ for w in $WORKLOADS; do
     done
 done
 
-python3 - "$OUT" "$PAIRS" "$SEED" "${CLAIM:-}" $WORKLOADS <<'PY'
+python3 - "$OUT" "$PAIRS" "$SEED" "${CLAIM:-}" "$(getconf CLK_TCK)" $WORKLOADS <<'PY'
 import json, os, statistics, sys
-out, pairs, seed, claim, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5:]
+out, pairs, seed, claim, tick_hz, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], float(sys.argv[5]), sys.argv[6:]
 bench = json.load(open("BENCHMARK.json"))
 
 def fmt(v):
@@ -69,10 +78,13 @@ def quartiles(vals):
     q = statistics.quantiles(vals, n=4)
     return q[0], statistics.median(vals), q[2]
 
-loads, cores = [float(l) for l in open(f"{out}/loadavg")], os.cpu_count()
-busy = " BUSY" if max(loads) >= cores else ""
-print(f"seed {seed}, {pairs} pairs, --seconds {bench['run_seconds']} --trace 0, "
-      f"1-min load {min(loads):.2f}-{max(loads):.2f} before the {len(loads)} runs on {cores} cores{busy}\n")
+foreign = []  # cores the rest of the host kept busy during each run
+for line in open(f"{out}/foreign"):
+    wall, user, system, before, after = map(float, line.split())
+    foreign.append(((after - before) / tick_hz - user - system) / wall)
+busy = " BUSY" if max(foreign) >= 0.5 else ""
+print(f"seed {seed}, {pairs} pairs, --seconds {bench['run_seconds']} --trace 0, foreign load "
+      f"{min(foreign):.2f}-{max(foreign):.2f} cores during the {len(foreign)} runs on {os.cpu_count()} cores{busy}\n")
 print("| workload | metric | parent median [q1, q3] | change median [q1, q3] | change vs parent | bound | pairs won | failed ops p/c |")
 print("|---|---|---:|---:|---:|---:|---:|---:|")
 verdict, regressions = None, []

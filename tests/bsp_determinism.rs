@@ -444,3 +444,57 @@ fn sharded_inbox_handoff_race_smoke() {
         }
     }
 }
+
+#[test]
+fn checkpointed_pagerank_is_bit_identical_to_a_straight_run() {
+    // Two-superstep segments: every resume hands the next segment the f64
+    // shares of the superstep before it as `pending`, so the resumed inbox
+    // must be in exactly the order a straight run's drain gives it.
+    use trinity::algos::PageRankProgram;
+    use trinity::core::checkpoint::{run_with_checkpoints, CheckpointConfig};
+    let csr = trinity::graphgen::social(300, 8, 5);
+    let iterations = 5;
+    let rank_bits = |r: &BspResult<PageRankProgram>| -> std::collections::BTreeMap<u64, u64> {
+        r.states
+            .iter()
+            .map(|(&id, s)| (id, s.rank.to_bits()))
+            .collect()
+    };
+    for hub_threshold in [None, Some(8)] {
+        for combine in [false, true] {
+            for compute_threads in [1, 3] {
+                let cfg = BspConfig {
+                    hub_threshold,
+                    combine,
+                    compute_threads,
+                    max_supersteps: iterations + 2,
+                    ..BspConfig::default()
+                };
+                with_graph(&csr, 4, |g| {
+                    let straight = pagerank_distributed(Arc::clone(&g), iterations, cfg.clone());
+                    let program = PageRankProgram {
+                        n: g.node_count(),
+                        iterations,
+                    };
+                    let segment = BspConfig {
+                        max_supersteps: 2,
+                        ..cfg.clone()
+                    };
+                    let runner = BspRunner::new(g, program, segment);
+                    let first = runner.run();
+                    assert!(!first.terminated && !first.pending.is_empty());
+                    let job = format!("pagerank-{hub_threshold:?}-{combine}-{compute_threads}");
+                    let ckpt = CheckpointConfig::new(2, job);
+                    let resumed = run_with_checkpoints(&runner, &cfg, &ckpt).unwrap();
+                    assert!(resumed.terminated);
+                    assert_eq!(resumed.supersteps(), straight.supersteps());
+                    assert_eq!(
+                        rank_bits(&resumed),
+                        rank_bits(&straight),
+                        "checkpointed ranks not bit-identical under {cfg:?}"
+                    );
+                });
+            }
+        }
+    }
+}

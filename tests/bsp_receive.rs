@@ -1,8 +1,9 @@
 //! The BSP receive path delivers packed envelopes as runs.
 //!
 //! `BSP_MSG` and `BSP_HUB` are batch protocols: a worker decodes a whole
-//! run, takes each shard inbox lock once, updates the `LoadMap` once per
-//! trunk and bumps the fence once. These tests pin what that batching
+//! run, takes each shard inbox lock once and bumps the fence once; the
+//! `LoadMap` is updated once per trunk when a shard drains its inbox.
+//! These tests pin what that batching
 //! must not change — every delivery is still attributed exactly once —
 //! and what it fixes: one `net.dispatch` span per run instead of one per
 //! vertex message, so a traced job keeps the spans it was traced for. The
@@ -57,7 +58,7 @@ fn traced_pagerank_keeps_every_superstep_span() {
 
 #[test]
 fn load_map_counts_every_delivery_once() {
-    // `record_msgs` is batched per trunk per run; the per-trunk totals
+    // `record_msgs` is batched per trunk per drain; the per-trunk totals
     // must still add up to exactly the deliveries the reports count. Hub
     // broadcasts travel as one remote frame per subscribing machine and
     // are counted as local deliveries where they fan out, so with hubs
