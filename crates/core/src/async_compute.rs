@@ -30,9 +30,11 @@ use parking_lot::{Condvar, Mutex};
 
 use trinity_graph::DistributedGraph;
 use trinity_memcloud::CellId;
+use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_net::MachineId;
 use trinity_tfs::Tfs;
 
+use crate::checkpoint::{put_by_id, put_value, take_by_id, take_value};
 use crate::proto;
 use crate::safra::{SafraState, Token};
 
@@ -175,7 +177,7 @@ pub fn spawn_from_snapshot<P: AsyncVertexProgram>(
     for m in 0..machines {
         let bytes = tfs.read(&snap_path(job_name, m))?;
         let (st, q) = decode_snapshot::<P>(&bytes)
-            .ok_or_else(|| trinity_tfs::TfsError::NotFound(snap_path(job_name, m)))?;
+            .map_err(|_| trinity_tfs::TfsError::NotFound(snap_path(job_name, m)))?;
         states.push(st);
         queues.push(q);
     }
@@ -221,14 +223,12 @@ fn launch<P: AsyncVertexProgram>(
         {
             let rt = Arc::clone(&shared.rts[m]);
             endpoint.register(proto::ASYNC_MSG, move |_src, data| {
-                if data.len() >= 8 {
-                    let dst = u64::from_le_bytes(data[..8].try_into().unwrap());
-                    if let Some(msg) = P::decode_msg(&data[8..]) {
-                        rt.safra.on_receive();
-                        rt.queue.lock().push_back((dst, msg));
-                        rt.cv.notify_all();
-                    }
-                }
+                let mut r = Reader::new(data);
+                let dst = r.u64().ok()?;
+                let msg = P::decode_msg(r.rest())?;
+                rt.safra.on_receive();
+                rt.queue.lock().push_back((dst, msg));
+                rt.cv.notify_all();
                 None
             });
         }
@@ -522,21 +522,14 @@ fn encode_snapshot<P: AsyncVertexProgram>(
     queue: &VecDeque<(CellId, P::Msg)>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(states.len() as u64).to_le_bytes());
-    let mut ordered: Vec<_> = states.iter().collect();
-    ordered.sort_by_key(|(id, _)| **id);
-    for (id, st) in ordered {
-        let bytes = P::encode_state(st);
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
-    }
+    let states = states.iter().map(|(&id, st)| (id, st)).collect();
+    put_by_id(&mut out, states, |out, st| {
+        put_value(out, &P::encode_state(st))
+    });
     out.extend_from_slice(&(queue.len() as u64).to_le_bytes());
     for (dst, msg) in queue {
-        let bytes = P::encode_msg(msg);
         out.extend_from_slice(&dst.to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        put_value(&mut out, &P::encode_msg(msg));
     }
     out
 }
@@ -544,32 +537,70 @@ fn encode_snapshot<P: AsyncVertexProgram>(
 #[allow(clippy::type_complexity)]
 fn decode_snapshot<P: AsyncVertexProgram>(
     data: &[u8],
-) -> Option<(HashMap<CellId, P::State>, VecDeque<(CellId, P::Msg)>)> {
-    let mut at = 0usize;
-    let read_u64 = |at: &mut usize| -> Option<u64> {
-        let v = u64::from_le_bytes(data.get(*at..*at + 8)?.try_into().ok()?);
-        *at += 8;
-        Some(v)
-    };
-    let n_states = read_u64(&mut at)? as usize;
-    let mut states = HashMap::with_capacity(n_states);
-    for _ in 0..n_states {
-        let id = read_u64(&mut at)?;
-        let len = u32::from_le_bytes(data.get(at..at + 4)?.try_into().ok()?) as usize;
-        at += 4;
-        let st = P::decode_state(data.get(at..at + len)?)?;
-        at += len;
-        states.insert(id, st);
+) -> Result<(HashMap<CellId, P::State>, VecDeque<(CellId, P::Msg)>), DecodeError> {
+    let mut r = Reader::new(data);
+    let states = take_by_id(&mut r, 4, |r| take_value(r, P::decode_state))?;
+    let n = r.u64()?;
+    let queue = (0..r.count(n, 12)?)
+        .map(|_| Ok((r.u64()?, take_value(&mut r, P::decode_msg)?)))
+        .collect::<Result<_, _>>()?;
+    r.finish()?;
+    Ok((states, queue))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Only the snapshot codec runs this program: `u64` states and messages.
+    struct Words;
+
+    impl AsyncVertexProgram for Words {
+        type State = u64;
+        type Msg = u64;
+        fn init(&self, _id: CellId, _out_degree: usize) -> u64 {
+            0
+        }
+        fn on_message(&self, _: &mut AsyncContext<'_, u64>, _: CellId, _: &mut u64, _: &u64) {}
+        fn encode_msg(m: &u64) -> Vec<u8> {
+            m.to_le_bytes().to_vec()
+        }
+        fn decode_msg(b: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(b.try_into().ok()?))
+        }
+        fn encode_state(s: &u64) -> Vec<u8> {
+            s.to_le_bytes().to_vec()
+        }
+        fn decode_state(b: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(b.try_into().ok()?))
+        }
     }
-    let n_queue = read_u64(&mut at)? as usize;
-    let mut queue = VecDeque::with_capacity(n_queue);
-    for _ in 0..n_queue {
-        let dst = read_u64(&mut at)?;
-        let len = u32::from_le_bytes(data.get(at..at + 4)?.try_into().ok()?) as usize;
-        at += 4;
-        let msg = P::decode_msg(data.get(at..at + len)?)?;
-        at += len;
-        queue.push_back((dst, msg));
+
+    /// A TFS image whose state count no bytes back is refused before a
+    /// table is sized for it, and bytes after the queue are refused.
+    #[test]
+    fn snapshot_counts_and_trailing_bytes_are_refused() {
+        assert!(decode_snapshot::<Words>(&u64::MAX.to_le_bytes()).is_err());
+        let mut bytes = encode_snapshot::<Words>(&HashMap::new(), &VecDeque::new());
+        assert!(decode_snapshot::<Words>(&bytes).is_ok());
+        bytes.push(0);
+        assert!(decode_snapshot::<Words>(&bytes).is_err());
     }
-    Some((states, queue))
+
+    #[test]
+    fn snapshot_codec_keeps_the_codec_laws() {
+        use crate::codec_laws::{check, Rng};
+        check(
+            0xa5c0,
+            |rng| {
+                let ids = rng.vec(4, Rng::u64);
+                let states: HashMap<_, _> = ids.into_iter().map(|id| (id, rng.u64())).collect();
+                let queue: VecDeque<_> = rng.vec(4, |rng| (rng.u64(), rng.u64())).into();
+                (states, queue)
+            },
+            |(states, queue)| encode_snapshot::<Words>(states, queue),
+            |b| decode_snapshot::<Words>(b).ok(),
+            true,
+        );
+    }
 }

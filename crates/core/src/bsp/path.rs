@@ -16,6 +16,7 @@ use parking_lot::{Condvar, Mutex};
 
 use trinity_graph::GraphHandle;
 use trinity_memcloud::{AddressingTable, CellId};
+use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_memstore::hash::mix64;
 use trinity_net::{deadline_expired, Endpoint, MachineId, ProtoId};
 use trinity_obs::{Counter, Histogram};
@@ -282,7 +283,7 @@ impl<P: VertexProgram> MachineRt<P> {
         // Fences.
         let rt = Arc::clone(self);
         self.endpoint.register(proto::BSP_FENCE, move |src, data| {
-            let count = u64::from_le_bytes(data.get(4..12)?.try_into().ok()?);
+            let count = decode_fence(data).ok()?;
             let mut f = rt.fence.lock();
             *f.expected.get_mut(src.0 as usize)? = Some(count);
             rt.fence_cv.notify_all();
@@ -294,7 +295,7 @@ impl<P: VertexProgram> MachineRt<P> {
         let rt = Arc::clone(self);
         self.endpoint
             .register(proto::BSP_HUB_SETUP, move |_src, data| {
-                let Some(hubs) = le_u64s(data) else {
+                let Ok(hubs) = le_u64s(data) else {
                     return Some(Vec::new());
                 };
                 let hubs: std::collections::HashSet<CellId> = hubs.collect();
@@ -331,12 +332,20 @@ impl<P: VertexProgram> MachineRt<P> {
     }
 }
 
-/// The little-endian `u64`s of a `BSP_HUB_SETUP` id list, or `None` when
-/// its length is not a whole number of them.
-pub(super) fn le_u64s(data: &[u8]) -> Option<impl Iterator<Item = u64> + '_> {
-    let (words, rest) = data.as_chunks::<8>();
-    rest.is_empty()
-        .then(|| words.iter().map(|c| u64::from_le_bytes(*c)))
+/// A `BSP_FENCE` record, `superstep u32 | run frames sent u64`: the count.
+fn decode_fence(data: &[u8]) -> Result<u64, DecodeError> {
+    let mut r = Reader::new(data);
+    let (_superstep, count) = (r.u32()?, r.u64()?);
+    r.finish().map(|()| count)
+}
+
+/// The little-endian `u64`s of a `BSP_HUB_SETUP` id list, refused when its
+/// length is not a whole number of them.
+pub(super) fn le_u64s(data: &[u8]) -> Result<impl Iterator<Item = u64> + '_, DecodeError> {
+    let mut r = Reader::new(data);
+    let words = r.chunks::<8>(data.len() as u64 / 8)?;
+    r.finish()
+        .map(|()| words.iter().map(|w| u64::from_le_bytes(*w)))
 }
 
 /// Marks an empty `Inbox::index` entry: a slot, never an id, so any id —
@@ -559,6 +568,16 @@ mod tests {
         };
         prop_assert_eq!(stray_bits(&inbox.strays), stray_bits(&strays));
         Ok(())
+    }
+
+    #[test]
+    fn a_fence_record_is_exactly_a_superstep_and_a_count() {
+        let mut fence = 3u32.to_le_bytes().to_vec();
+        fence.extend_from_slice(&9u64.to_le_bytes());
+        assert_eq!(decode_fence(&fence), Ok(9));
+        assert!(decode_fence(&fence[..11]).is_err());
+        fence.push(0);
+        assert!(decode_fence(&fence).is_err());
     }
 
     proptest! {

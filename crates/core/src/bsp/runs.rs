@@ -14,12 +14,11 @@
 //! destinations. Gaps wrap, so every id sequence (any order, repeats
 //! included) has exactly one encoding and no gap can run past
 //! `u64::MAX`. [`decode`] refuses a frame shorter than its superstep, a
-//! record cut short, a `msg_len` or `n` the remaining bytes cannot back,
-//! and any varint [`crate::varint::take_varint`] refuses.
+//! record cut short, and any varint or count the byte codec refuses
+//! (DESIGN "Byte formats").
 
 use trinity_memcloud::CellId;
-
-use crate::varint::{put_varint, take_varint};
+use trinity_memstore::codec::{put_varint, put_zigzag, DecodeError, Reader};
 
 /// Open a frame in an empty buffer.
 pub fn start(frame: &mut Vec<u8>, superstep: u32) {
@@ -34,8 +33,7 @@ pub fn push_record(frame: &mut Vec<u8>, msg: &[u8], ids: &[CellId]) {
     put_varint(frame, ids.len() as u64);
     let mut prev = 0u64;
     for &id in ids {
-        let gap = id.wrapping_sub(prev) as i64;
-        put_varint(frame, ((gap << 1) ^ (gap >> 63)) as u64);
+        put_zigzag(frame, id.wrapping_sub(prev));
         prev = id;
     }
 }
@@ -62,33 +60,31 @@ impl<'a> Run<'a> {
 
 /// Decode a whole frame, or nothing.
 pub fn decode(frame: &[u8]) -> Option<Run<'_>> {
-    let (superstep, mut data) = frame.split_first_chunk::<4>()?;
+    read(frame).ok()
+}
+
+fn read(frame: &[u8]) -> Result<Run<'_>, DecodeError> {
+    let mut r = Reader::new(frame);
     let mut run = Run {
-        superstep: u32::from_le_bytes(*superstep),
+        superstep: r.u32()?,
         records: Vec::new(),
         ids: Vec::new(),
     };
-    while !data.is_empty() {
-        let msg_len = usize::try_from(take_varint(&mut data)?).ok()?;
-        let (msg, rest) = data.split_at_checked(msg_len)?;
-        data = rest;
-        // Every gap costs at least one byte, so a count the remaining
-        // bytes cannot hold is refused before anything is reserved.
-        let n = usize::try_from(take_varint(&mut data)?).ok()?;
-        if n > data.len() {
-            return None;
-        }
+    while !r.is_empty() {
+        let msg_len = r.varint()?;
+        let msg = r.take(r.count(msg_len, 1)?)?;
+        // Every gap costs at least one byte.
+        let n = r.varint()?;
+        let n = r.count(n, 1)?;
         run.ids.reserve(n);
         let mut prev = 0u64;
         for _ in 0..n {
-            let zz = take_varint(&mut data)?;
-            let gap = (zz >> 1) as i64 ^ -((zz & 1) as i64);
-            prev = prev.wrapping_add(gap as u64);
+            prev = prev.wrapping_add(r.zigzag()?);
             run.ids.push(prev);
         }
         run.records.push((msg, run.ids.len()));
     }
-    Some(run)
+    Ok(run)
 }
 
 #[cfg(test)]

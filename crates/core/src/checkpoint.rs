@@ -15,6 +15,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use trinity_memcloud::CellId;
+use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_tfs::TfsError;
 
 use crate::bsp::{BspConfig, BspResult, BspRunner, ResumePoint, SuperstepReport, VertexProgram};
@@ -60,86 +61,101 @@ impl std::fmt::Debug for CheckpointConfig {
     }
 }
 
+const MAGIC: &[u8; 4] = b"CKP1";
+
 fn ckpt_path(job: &str) -> String {
     format!("ckpt/{job}")
 }
 
+/// `len: u32 | bytes`: one encoded state or message.
+pub(crate) fn put_value(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+pub(crate) fn take_value<T>(
+    r: &mut Reader,
+    decode: impl Fn(&[u8]) -> Option<T>,
+) -> Result<T, DecodeError> {
+    let len = r.u32()?;
+    decode(r.take(len as usize)?).ok_or_else(|| r.error())
+}
+
+/// `n: u64 | n × (id: u64 | entry)` in ascending id order: the states,
+/// pending messages and active set of a checkpoint, and the states of an
+/// asynchronous snapshot.
+pub(crate) fn put_by_id<V>(
+    out: &mut Vec<u8>,
+    mut entries: Vec<(CellId, V)>,
+    put: impl Fn(&mut Vec<u8>, V),
+) {
+    entries.sort_unstable_by_key(|e| e.0);
+    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    for (id, v) in entries {
+        out.extend_from_slice(&id.to_le_bytes());
+        put(out, v);
+    }
+}
+
+/// The section [`put_by_id`] writes, each entry at least `min_bytes`
+/// long. Ids must ascend strictly, so each map has one encoding.
+pub(crate) fn take_by_id<V>(
+    r: &mut Reader,
+    min_bytes: usize,
+    mut take: impl FnMut(&mut Reader) -> Result<V, DecodeError>,
+) -> Result<HashMap<CellId, V>, DecodeError> {
+    let n = r.u64()?;
+    let mut map = HashMap::with_capacity(r.count(n, 8 + min_bytes)?);
+    let mut prev = None;
+    for _ in 0..n {
+        let id = r.u64()?;
+        if prev.is_some_and(|p| id <= p) {
+            return Err(r.error());
+        }
+        prev = Some(id);
+        map.insert(id, take(r)?);
+    }
+    Ok(map)
+}
+
 /// Serialize a resume point plus its superstep counter.
 fn encode_checkpoint<P: VertexProgram>(superstep: usize, point: &ResumePoint<P>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(b"CKP1");
+    let mut out = MAGIC.to_vec();
     out.extend_from_slice(&(superstep as u64).to_le_bytes());
-    out.extend_from_slice(&(point.states.len() as u64).to_le_bytes());
-    let mut ordered: Vec<_> = point.states.iter().collect();
-    ordered.sort_by_key(|(id, _)| **id);
-    for (id, st) in ordered {
-        let bytes = P::encode_state(st);
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
-    }
-    out.extend_from_slice(&(point.pending.len() as u64).to_le_bytes());
-    let mut ordered: Vec<_> = point.pending.iter().collect();
-    ordered.sort_by_key(|(id, _)| **id);
-    for (id, msgs) in ordered {
-        out.extend_from_slice(&id.to_le_bytes());
+    let states = point.states.iter().map(|(&id, st)| (id, st)).collect();
+    put_by_id(&mut out, states, |out, st| {
+        put_value(out, &P::encode_state(st))
+    });
+    let pending = point.pending.iter().map(|(&id, msgs)| (id, msgs)).collect();
+    put_by_id(&mut out, pending, |out, msgs| {
         out.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
         for msg in msgs {
-            let bytes = P::encode_msg(msg);
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            put_value(out, &P::encode_msg(msg));
         }
-    }
-    out.extend_from_slice(&(point.active.len() as u64).to_le_bytes());
-    let mut ordered: Vec<_> = point.active.iter().copied().collect();
-    ordered.sort_unstable();
-    for id in ordered {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
+    });
+    let active = point.active.iter().map(|&id| (id, ())).collect();
+    put_by_id(&mut out, active, |_, ()| {});
     out
 }
 
-fn decode_checkpoint<P: VertexProgram>(data: &[u8]) -> Option<(usize, ResumePoint<P>)> {
-    if data.len() < 12 || &data[..4] != b"CKP1" {
-        return None;
+fn decode_checkpoint<P: VertexProgram>(
+    data: &[u8],
+) -> Result<(usize, ResumePoint<P>), DecodeError> {
+    let mut r = Reader::new(data);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(r.error());
     }
-    let mut at = 4usize;
-    let u64_at = |at: &mut usize| -> Option<u64> {
-        let v = u64::from_le_bytes(data.get(*at..*at + 8)?.try_into().ok()?);
-        *at += 8;
-        Some(v)
-    };
-    let superstep = u64_at(&mut at)? as usize;
-    let n_states = u64_at(&mut at)? as usize;
-    let mut states = HashMap::with_capacity(n_states);
-    for _ in 0..n_states {
-        let id = u64_at(&mut at)?;
-        let len = u32::from_le_bytes(data.get(at..at + 4)?.try_into().ok()?) as usize;
-        at += 4;
-        states.insert(id, P::decode_state(data.get(at..at + len)?)?);
-        at += len;
-    }
-    let n_pending = u64_at(&mut at)? as usize;
-    let mut pending: HashMap<CellId, Vec<P::Msg>> = HashMap::with_capacity(n_pending);
-    for _ in 0..n_pending {
-        let id = u64_at(&mut at)?;
-        let count = u32::from_le_bytes(data.get(at..at + 4)?.try_into().ok()?) as usize;
-        at += 4;
-        let mut msgs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let len = u32::from_le_bytes(data.get(at..at + 4)?.try_into().ok()?) as usize;
-            at += 4;
-            msgs.push(P::decode_msg(data.get(at..at + len)?)?);
-            at += len;
-        }
-        pending.insert(id, msgs);
-    }
-    let n_active = u64_at(&mut at)? as usize;
-    let mut active = HashSet::with_capacity(n_active);
-    for _ in 0..n_active {
-        active.insert(u64_at(&mut at)?);
-    }
-    Some((
+    let superstep = r.u64()? as usize;
+    let states = take_by_id(&mut r, 4, |r| take_value(r, P::decode_state))?;
+    let pending = take_by_id(&mut r, 4, |r| {
+        let count = r.u32()?;
+        (0..r.count(count.into(), 4)?)
+            .map(|_| take_value(r, P::decode_msg))
+            .collect()
+    })?;
+    let active = take_by_id(&mut r, 0, |_| Ok(()))?.into_keys().collect();
+    r.finish()?;
+    Ok((
         superstep,
         ResumePoint {
             states,
@@ -169,7 +185,7 @@ pub fn resume_from_checkpoint<P: VertexProgram>(
     let tfs = runner.graph().cloud().tfs();
     let bytes = tfs.read(&ckpt_path(&ckpt.job))?;
     let (superstep, point) =
-        decode_checkpoint::<P>(&bytes).ok_or_else(|| TfsError::NotFound(ckpt_path(&ckpt.job)))?;
+        decode_checkpoint::<P>(&bytes).map_err(|_| TfsError::NotFound(ckpt_path(&ckpt.job)))?;
     continue_job(runner, cfg, ckpt, Some(point), superstep)
 }
 
@@ -369,6 +385,49 @@ mod tests {
         assert_eq!(decoded.states, point.states);
         assert_eq!(decoded.pending, point.pending);
         assert_eq!(decoded.active, point.active);
-        assert!(decode_checkpoint::<MaxValue>(b"garbage").is_none());
+        assert!(decode_checkpoint::<MaxValue>(b"garbage").is_err());
+    }
+
+    /// A TFS image whose state count no bytes back is refused before a
+    /// table is sized for it, and bytes after the active set are refused.
+    #[test]
+    fn checkpoint_counts_and_trailing_bytes_are_refused() {
+        let mut lying = b"CKP1".to_vec();
+        lying.extend_from_slice(&7u64.to_le_bytes());
+        lying.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_checkpoint::<MaxValue>(&lying).is_err());
+        let mut bytes = encode_checkpoint::<MaxValue>(7, &ResumePoint::default());
+        assert!(decode_checkpoint::<MaxValue>(&bytes).is_ok());
+        bytes.push(0);
+        assert!(decode_checkpoint::<MaxValue>(&bytes).is_err());
+    }
+
+    #[test]
+    fn checkpoint_codec_keeps_the_codec_laws() {
+        use crate::codec_laws::{check, Rng};
+        type Point = (HashMap<u64, u64>, HashMap<u64, Vec<u64>>, HashSet<u64>);
+        let ids = |rng: &mut Rng| rng.vec(4, Rng::u64);
+        check(
+            0xc4e1,
+            |rng| {
+                let states = ids(rng).into_iter().map(|id| (id, rng.u64())).collect();
+                let pending = ids(rng).into_iter().map(|id| (id, ids(rng))).collect();
+                let point: Point = (states, pending, ids(rng).into_iter().collect());
+                (rng.below(1000) as usize, point)
+            },
+            |(superstep, (states, pending, active))| {
+                let point = ResumePoint::<MaxValue> {
+                    states: states.clone(),
+                    pending: pending.clone(),
+                    active: active.clone(),
+                };
+                encode_checkpoint(*superstep, &point)
+            },
+            |b| {
+                let (superstep, p) = decode_checkpoint::<MaxValue>(b).ok()?;
+                Some((superstep, (p.states, p.pending, p.active)))
+            },
+            true,
+        );
     }
 }

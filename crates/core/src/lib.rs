@@ -44,7 +44,6 @@ pub mod recovery;
 pub mod residency;
 pub mod safra;
 pub mod streaming;
-mod varint;
 
 pub use bsp::{
     resolve_compute_threads, BspConfig, BspResult, BspRunner, MessagingMode, ResumePoint,
@@ -93,3 +92,7 @@ pub(crate) mod proto {
     /// Mini-transactions: abort (release locks).
     pub const MTX_ABORT: ProtoId = BASE + 14;
 }
+
+#[cfg(test)]
+#[path = "../../memstore/tests/codec_laws/mod.rs"]
+mod codec_laws;

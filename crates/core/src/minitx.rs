@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use trinity_memcloud::{CellId, CloudError, CloudNode, MemoryCloud};
+use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_net::MachineId;
 
 use crate::proto;
@@ -158,27 +159,87 @@ const ST_COMPARE_FAILED: u8 = 2;
 /// coordinator retries.
 const ST_EPOCH: u8 = 3;
 
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
 
-fn get_bytes<'a>(data: &'a [u8], at: &mut usize) -> Option<&'a [u8]> {
-    let len = u32::from_le_bytes(data.get(*at..*at + 4)?.try_into().ok()?) as usize;
-    *at += 4;
-    let b = data.get(*at..*at + len)?;
-    *at += len;
-    Some(b)
+fn take_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], DecodeError> {
+    let len = r.u32()?;
+    r.take(len as usize)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// `n: u64 | n × u64`.
+fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
+    put_u64(out, vs.len() as u64);
+    for &v in vs {
+        put_u64(out, v);
+    }
 }
 
-fn get_u64(data: &[u8], at: &mut usize) -> Option<u64> {
-    let v = u64::from_le_bytes(data.get(*at..*at + 8)?.try_into().ok()?);
-    *at += 8;
-    Some(v)
+fn take_u64s(r: &mut Reader) -> Result<Vec<u64>, DecodeError> {
+    let n = r.u64()?;
+    Ok(r.chunks::<8>(n)?
+        .iter()
+        .map(|w| u64::from_le_bytes(*w))
+        .collect())
+}
+
+/// `tag u8 | cell u64 | [len u32 | bytes]`, the bytes for `Equals` only.
+fn put_compare(out: &mut Vec<u8>, c: &Compare) {
+    out.push(match c {
+        Compare::Equals(..) => 0,
+        Compare::Exists(_) => 1,
+        Compare::Absent(_) => 2,
+    });
+    put_u64(out, c.cell());
+    if let Compare::Equals(_, b) = c {
+        put_bytes(out, b);
+    }
+}
+
+fn take_compare(r: &mut Reader) -> Result<Compare, DecodeError> {
+    let tag = r.u8()?;
+    let id = r.u64()?;
+    Ok(match tag {
+        0 => Compare::Equals(id, take_bytes(r)?.to_vec()),
+        1 => Compare::Exists(id),
+        2 => Compare::Absent(id),
+        _ => return Err(r.error()),
+    })
+}
+
+/// A cell and its value or its absence, `cell u64 | 0` or
+/// `cell u64 | 1 | len u32 | bytes`: a write in COMMIT, a read in
+/// PREPARE's reply.
+type Entry = (CellId, Option<Vec<u8>>);
+
+fn put_entry(out: &mut Vec<u8>, cell: CellId, value: Option<&[u8]>) {
+    put_u64(out, cell);
+    out.push(value.is_some().into());
+    if let Some(b) = value {
+        put_bytes(out, b);
+    }
+}
+
+fn take_entry(r: &mut Reader) -> Result<Entry, DecodeError> {
+    let cell = r.u64()?;
+    let value = match r.u8()? {
+        0 => None,
+        1 => Some(take_bytes(r)?.to_vec()),
+        _ => return Err(r.error()),
+    };
+    Ok((cell, value))
+}
+
+/// `n: u64 | n × entry`, the count checked before anything is reserved.
+fn take_entries(r: &mut Reader) -> Result<Vec<Entry>, DecodeError> {
+    let n = r.u64()?;
+    (0..r.count(n, 9)?).map(|_| take_entry(r)).collect()
 }
 
 /// The per-machine share of a transaction, shipped in PREPARE.
@@ -196,59 +257,28 @@ fn encode_share(txid: u64, epoch: u64, share: &TxShare) -> Vec<u8> {
     put_u64(&mut out, epoch);
     put_u64(&mut out, share.compares.len() as u64);
     for c in &share.compares {
-        match c {
-            Compare::Equals(id, b) => {
-                out.push(0);
-                put_u64(&mut out, *id);
-                put_bytes(&mut out, b);
-            }
-            Compare::Exists(id) => {
-                out.push(1);
-                put_u64(&mut out, *id);
-            }
-            Compare::Absent(id) => {
-                out.push(2);
-                put_u64(&mut out, *id);
-            }
-        }
+        put_compare(&mut out, c);
     }
-    put_u64(&mut out, share.reads.len() as u64);
-    for r in &share.reads {
-        put_u64(&mut out, *r);
-    }
-    put_u64(&mut out, share.write_locks.len() as u64);
-    for w in &share.write_locks {
-        put_u64(&mut out, *w);
-    }
+    put_u64s(&mut out, &share.reads);
+    put_u64s(&mut out, &share.write_locks);
     out
 }
 
-fn decode_share(data: &[u8]) -> Option<(u64, u64, TxShare)> {
-    let mut at = 0usize;
-    let txid = get_u64(data, &mut at)?;
-    let epoch = get_u64(data, &mut at)?;
-    let n = get_u64(data, &mut at)? as usize;
-    let mut share = TxShare::default();
-    for _ in 0..n {
-        let tag = *data.get(at)?;
-        at += 1;
-        let id = get_u64(data, &mut at)?;
-        share.compares.push(match tag {
-            0 => Compare::Equals(id, get_bytes(data, &mut at)?.to_vec()),
-            1 => Compare::Exists(id),
-            2 => Compare::Absent(id),
-            _ => return None,
-        });
-    }
-    let n = get_u64(data, &mut at)? as usize;
-    for _ in 0..n {
-        share.reads.push(get_u64(data, &mut at)?);
-    }
-    let n = get_u64(data, &mut at)? as usize;
-    for _ in 0..n {
-        share.write_locks.push(get_u64(data, &mut at)?);
-    }
-    Some((txid, epoch, share))
+fn decode_share(data: &[u8]) -> Result<(u64, u64, TxShare), DecodeError> {
+    let mut r = Reader::new(data);
+    let txid = r.u64()?;
+    let epoch = r.u64()?;
+    let n = r.u64()?;
+    let compares = (0..r.count(n, 9)?)
+        .map(|_| take_compare(&mut r))
+        .collect::<Result<_, _>>()?;
+    let share = TxShare {
+        compares,
+        reads: take_u64s(&mut r)?,
+        write_locks: take_u64s(&mut r)?,
+    };
+    r.finish()?;
+    Ok((txid, epoch, share))
 }
 
 fn encode_writes(txid: u64, writes: &[Write]) -> Vec<u8> {
@@ -256,35 +286,20 @@ fn encode_writes(txid: u64, writes: &[Write]) -> Vec<u8> {
     put_u64(&mut out, txid);
     put_u64(&mut out, writes.len() as u64);
     for w in writes {
-        put_u64(&mut out, w.cell);
-        match &w.value {
-            Some(b) => {
-                out.push(1);
-                put_bytes(&mut out, b);
-            }
-            None => out.push(0),
-        }
+        put_entry(&mut out, w.cell, w.value.as_deref());
     }
     out
 }
 
-fn decode_writes(data: &[u8]) -> Option<(u64, Vec<Write>)> {
-    let mut at = 0usize;
-    let txid = get_u64(data, &mut at)?;
-    let n = get_u64(data, &mut at)? as usize;
-    let mut writes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let cell = get_u64(data, &mut at)?;
-        let tag = *data.get(at)?;
-        at += 1;
-        let value = if tag == 1 {
-            Some(get_bytes(data, &mut at)?.to_vec())
-        } else {
-            None
-        };
-        writes.push(Write { cell, value });
-    }
-    Some((txid, writes))
+fn decode_writes(data: &[u8]) -> Result<(u64, Vec<Write>), DecodeError> {
+    let mut r = Reader::new(data);
+    let txid = r.u64()?;
+    let writes = take_entries(&mut r)?
+        .into_iter()
+        .map(|(cell, value)| Write { cell, value })
+        .collect();
+    r.finish()?;
+    Ok((txid, writes))
 }
 
 /// The transaction service: one instance installs participants on every
@@ -325,7 +340,7 @@ impl TxService {
                 node.endpoint()
                     .clone()
                     .register(proto::MTX_COMMIT, move |_src, data| {
-                        if let Some((txid, writes)) = decode_writes(data) {
+                        if let Ok((txid, writes)) = decode_writes(data) {
                             for w in &writes {
                                 match &w.value {
                                     Some(b) => {
@@ -350,8 +365,7 @@ impl TxService {
                 node.endpoint()
                     .clone()
                     .register(proto::MTX_ABORT, move |_src, data| {
-                        let mut at = 0usize;
-                        if let Some(txid) = get_u64(data, &mut at) {
+                        if let Ok(txid) = Reader::new(data).u64() {
                             participant
                                 .locks
                                 .lock()
@@ -445,24 +459,29 @@ impl TxService {
                     return Err(CloudError::Net(e));
                 }
             };
-            match reply.first() {
-                Some(&ST_OK) => {
+            let mut r = Reader::new(&reply);
+            match r.u8() {
+                Ok(ST_OK) => {
                     prepared.push(p);
-                    decode_reads(&reply[1..], &mut reads);
+                    let Ok(entries) = take_entries(&mut r) else {
+                        abort_prepared(&prepared);
+                        return Err(CloudError::BadReply);
+                    };
+                    reads.extend(entries);
                 }
-                Some(&ST_BUSY) => {
+                Ok(ST_BUSY) => {
                     verdict = Some(Attempt::Busy);
                     break;
                 }
-                Some(&ST_EPOCH) => {
+                Ok(ST_EPOCH) => {
                     // The participant saw a different table epoch; catch
                     // our own table up and retry as contention.
                     let _ = self.cloud.node(from).sync_table();
                     verdict = Some(Attempt::Busy);
                     break;
                 }
-                Some(&ST_COMPARE_FAILED) => {
-                    let failed = decode_failed_compare(&reply[1..]).ok_or(CloudError::BadReply)?;
+                Ok(ST_COMPARE_FAILED) => {
+                    let failed = take_compare(&mut r).map_err(|_| CloudError::BadReply)?;
                     verdict = Some(Attempt::Done(TxOutcome::Aborted {
                         failed_compare: failed,
                     }));
@@ -510,7 +529,7 @@ enum Attempt {
 /// Participant-side prepare: try-lock every touched cell, validate the
 /// compares, perform the reads.
 fn prepare(node: &Arc<CloudNode>, participant: &TxParticipant, data: &[u8]) -> Vec<u8> {
-    let Some((txid, epoch, share)) = decode_share(data) else {
+    let Ok((txid, epoch, share)) = decode_share(data) else {
         return vec![ST_BUSY];
     };
     // Epoch fence: coordinator and participant must agree on the
@@ -574,7 +593,7 @@ fn prepare(node: &Arc<CloudNode>, participant: &TxParticipant, data: &[u8]) -> V
         if !ok {
             release(participant);
             let mut out = vec![ST_COMPARE_FAILED];
-            encode_failed_compare(&mut out, c);
+            put_compare(&mut out, c);
             return out;
         }
     }
@@ -582,68 +601,9 @@ fn prepare(node: &Arc<CloudNode>, participant: &TxParticipant, data: &[u8]) -> V
     let mut out = vec![ST_OK];
     put_u64(&mut out, share.reads.len() as u64);
     for &r in &share.reads {
-        put_u64(&mut out, r);
-        match node.get(r) {
-            Ok(Some(bytes)) => {
-                out.push(1);
-                put_bytes(&mut out, &bytes);
-            }
-            _ => out.push(0),
-        }
+        put_entry(&mut out, r, node.get(r).ok().flatten().as_deref());
     }
     out
-}
-
-fn decode_reads(data: &[u8], into: &mut HashMap<CellId, Option<Vec<u8>>>) {
-    let mut at = 0usize;
-    let Some(n) = get_u64(data, &mut at) else {
-        return;
-    };
-    for _ in 0..n {
-        let Some(id) = get_u64(data, &mut at) else {
-            return;
-        };
-        let Some(&tag) = data.get(at) else { return };
-        at += 1;
-        if tag == 1 {
-            let Some(bytes) = get_bytes(data, &mut at) else {
-                return;
-            };
-            into.insert(id, Some(bytes.to_vec()));
-        } else {
-            into.insert(id, None);
-        }
-    }
-}
-
-fn encode_failed_compare(out: &mut Vec<u8>, c: &Compare) {
-    match c {
-        Compare::Equals(id, b) => {
-            out.push(0);
-            put_u64(out, *id);
-            put_bytes(out, b);
-        }
-        Compare::Exists(id) => {
-            out.push(1);
-            put_u64(out, *id);
-        }
-        Compare::Absent(id) => {
-            out.push(2);
-            put_u64(out, *id);
-        }
-    }
-}
-
-fn decode_failed_compare(data: &[u8]) -> Option<Compare> {
-    let mut at = 1usize;
-    let tag = *data.first()?;
-    let id = get_u64(data, &mut at)?;
-    Some(match tag {
-        0 => Compare::Equals(id, get_bytes(data, &mut at)?.to_vec()),
-        1 => Compare::Exists(id),
-        2 => Compare::Absent(id),
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -926,6 +886,77 @@ mod tests {
         let (txid, decoded) = decode_writes(&encode_writes(9, &writes)).unwrap();
         assert_eq!(txid, 9);
         assert_eq!(decoded, writes);
-        assert!(decode_share(b"junk").is_none());
+        assert!(decode_share(b"junk").is_err());
+    }
+
+    /// A count is checked against the bytes behind it before anything is
+    /// reserved: `txid | n = u64::MAX` is 16 bytes of refusal, not a
+    /// capacity-overflow panic on the handler's worker.
+    #[test]
+    fn a_count_no_bytes_back_is_refused_before_allocating() {
+        let mut frame = 9u64.to_le_bytes().to_vec();
+        frame.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_writes(&frame).is_err());
+        let mut share = encode_share(9, 1, &TxShare::default());
+        share[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode_share(&share).is_err());
+    }
+
+    /// One encoding per value: a write tag other than 0 (remove) or 1
+    /// (put), and bytes after the last field, are refused.
+    #[test]
+    fn writes_and_shares_have_one_encoding() {
+        let writes = [Write {
+            cell: 7,
+            value: None,
+        }];
+        let mut frame = encode_writes(1, &writes);
+        assert!(decode_writes(&frame).is_ok());
+        *frame.last_mut().unwrap() = 7;
+        assert!(decode_writes(&frame).is_err(), "tag 7 is not a delete");
+        let mut frame = encode_writes(1, &writes);
+        frame.push(0);
+        assert!(decode_writes(&frame).is_err());
+        let mut share = encode_share(1, 1, &TxShare::default());
+        share.push(0);
+        assert!(decode_share(&share).is_err());
+    }
+
+    #[test]
+    fn share_and_write_codecs_keep_the_codec_laws() {
+        use crate::codec_laws::{check, Rng};
+        let value = |rng: &mut Rng| rng.coin().then(|| rng.bytes(6));
+        let compare = |rng: &mut Rng| match rng.below(3) {
+            0 => Compare::Equals(rng.u64(), rng.bytes(6)),
+            1 => Compare::Exists(rng.u64()),
+            _ => Compare::Absent(rng.u64()),
+        };
+        check(
+            0x3a1e,
+            |rng| {
+                let share = TxShare {
+                    compares: rng.vec(3, compare),
+                    reads: rng.vec(3, Rng::u64),
+                    write_locks: rng.vec(3, Rng::u64),
+                };
+                (rng.u64(), rng.u64(), share)
+            },
+            |(txid, epoch, share)| encode_share(*txid, *epoch, share),
+            |b| decode_share(b).ok(),
+            true,
+        );
+        check(
+            0x3a1f,
+            |rng| {
+                let writes = rng.vec(4, |rng| Write {
+                    cell: rng.u64(),
+                    value: value(rng),
+                });
+                (rng.u64(), writes)
+            },
+            |(txid, writes)| encode_writes(*txid, writes),
+            |b| decode_writes(b).ok(),
+            true,
+        );
     }
 }

@@ -20,13 +20,15 @@
 //! of reachable nodes return in the tens of milliseconds.
 //!
 //! Wire format (DESIGN §10): a flags byte, then strictly ascending id lists
-//! as LEB128 `count | first | gap…`; the decoders reject anything else.
+//! as varint `count | first | gap…`; the decoders reject anything else, and
+//! every varint and count follows DESIGN "Byte formats".
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use trinity_graph::GraphHandle;
 use trinity_memcloud::{AddressingTable, CellId, MemoryCloud};
+use trinity_memstore::codec::{put_varint, DecodeError, Reader};
 use trinity_net::{
     current_deadline, deadline_expired, CancelToken, DeadlineGuard, Endpoint, FrameBuf, MachineId,
     NetError, ProtoId,
@@ -34,7 +36,6 @@ use trinity_net::{
 use trinity_obs::{current_trace, next_trace_id, TraceGuard, NO_TRACE};
 
 use crate::proto;
-use crate::varint::{put_varint, take_varint};
 
 /// How a fan-out round is issued: it takes the round's requests and
 /// returns one result per request, in order. The serving runtime injects
@@ -113,30 +114,28 @@ fn put_ids(out: &mut Vec<u8>, ids: &[CellId]) {
 }
 
 /// The flags byte, which may carry `flag` and nothing else.
-fn take_flag(data: &mut &[u8], flag: u8) -> Option<bool> {
-    let (&flags, rest) = data.split_first()?;
-    *data = rest;
-    (flags & !flag == 0).then_some(flags == flag)
+fn take_flag(r: &mut Reader, flag: u8) -> Result<bool, DecodeError> {
+    let flags = r.u8()?;
+    (flags & !flag == 0)
+        .then_some(flags == flag)
+        .ok_or_else(|| r.error())
 }
 
-fn take_ids(data: &mut &[u8]) -> Option<Vec<CellId>> {
-    // Every id costs at least one byte, so a count the remaining bytes
-    // cannot hold is rejected before anything is allocated for it.
-    let n = usize::try_from(take_varint(data)?).ok()?;
-    if n > data.len() {
-        return None;
-    }
+fn take_ids(r: &mut Reader) -> Result<Vec<CellId>, DecodeError> {
+    // Every id costs at least one byte.
+    let n = r.varint()?;
+    let n = r.count(n, 1)?;
     let mut ids = Vec::with_capacity(n);
     let mut prev = 0u64;
     for i in 0..n {
-        let gap = take_varint(data)?;
-        if gap == 0 && i > 0 {
-            return None;
-        }
-        prev = prev.checked_add(gap)?;
+        let gap = r.varint()?;
+        prev = prev
+            .checked_add(gap)
+            .filter(|_| gap > 0 || i == 0)
+            .ok_or_else(|| r.error())?;
         ids.push(prev);
     }
-    Some(ids)
+    Ok(ids)
 }
 
 fn encode_request(want_neighbors: bool, pattern: &[u8], ids: &[CellId]) -> Vec<u8> {
@@ -148,13 +147,14 @@ fn encode_request(want_neighbors: bool, pattern: &[u8], ids: &[CellId]) -> Vec<u
     out
 }
 
-fn decode_request(mut data: &[u8]) -> Option<(bool, &[u8], Vec<CellId>)> {
-    let want_neighbors = take_flag(&mut data, WANT_NEIGHBORS)?;
-    let plen = usize::try_from(take_varint(&mut data)?).ok()?;
-    let (pattern, rest) = data.split_at_checked(plen)?;
-    data = rest;
-    let ids = take_ids(&mut data)?;
-    data.is_empty().then_some((want_neighbors, pattern, ids))
+fn decode_request(data: &[u8]) -> Result<(bool, &[u8], Vec<CellId>), DecodeError> {
+    let mut r = Reader::new(data);
+    let want_neighbors = take_flag(&mut r, WANT_NEIGHBORS)?;
+    let plen = r.varint()?;
+    let pattern = r.take(r.count(plen, 1)?)?;
+    let ids = take_ids(&mut r)?;
+    r.finish()?;
+    Ok((want_neighbors, pattern, ids))
 }
 
 fn encode_reply(truncated: bool, matches: &[CellId], neighbors: &[CellId]) -> Vec<u8> {
@@ -165,11 +165,13 @@ fn encode_reply(truncated: bool, matches: &[CellId], neighbors: &[CellId]) -> Ve
     out
 }
 
-fn decode_reply(mut data: &[u8]) -> Option<(bool, Vec<CellId>, Vec<CellId>)> {
-    let truncated = take_flag(&mut data, TRUNCATED)?;
-    let matches = take_ids(&mut data)?;
-    let neighbors = take_ids(&mut data)?;
-    data.is_empty().then_some((truncated, matches, neighbors))
+fn decode_reply(data: &[u8]) -> Result<(bool, Vec<CellId>, Vec<CellId>), DecodeError> {
+    let mut r = Reader::new(data);
+    let truncated = take_flag(&mut r, TRUNCATED)?;
+    let matches = take_ids(&mut r)?;
+    let neighbors = take_ids(&mut r)?;
+    r.finish()?;
+    Ok((truncated, matches, neighbors))
 }
 
 /// Frontiers below this size expand serially: spawning a pool costs more
@@ -361,7 +363,7 @@ pub fn explore_via(
             let decoded = match replies.next() {
                 Some(Ok(reply)) => {
                     reply_bytes += reply.len() as u64;
-                    decode_reply(&reply)
+                    decode_reply(&reply).ok()
                 }
                 Some(Err(NetError::DeadlineExceeded(_, _))) => {
                     result.deadline_exceeded = true;
@@ -433,7 +435,7 @@ struct Scan {
 ///
 /// `None` (an empty reply on the wire) for a request that does not decode.
 fn expand_local(handle: &GraphHandle, request: &[u8], workers: usize) -> Option<Vec<u8>> {
-    let (want_neighbors, pattern, ids) = decode_request(request)?;
+    let (want_neighbors, pattern, ids) = decode_request(request).ok()?;
     // The coordinator routed these ids here because its table says we own
     // them — but a stale table can leave stragglers owned elsewhere. Those
     // would each cost one remote round-trip inside `with_node`; batch-warm

@@ -30,6 +30,7 @@ use parking_lot::Mutex;
 use trinity_elastic::{MigrationConfig, MigrationEngine};
 use trinity_memcloud::MemoryCloud;
 use trinity_memcloud::{AddressingTable, CloudNode};
+use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_net::{proto as netproto, MachineId};
 
 use crate::proto;
@@ -94,6 +95,13 @@ fn leader_name(m: MachineId) -> String {
     format!("m{}", m.0)
 }
 
+/// A `REPORT_FAILURE` frame: exactly the suspect's `u16` machine id.
+fn decode_suspect(data: &[u8]) -> Result<u16, DecodeError> {
+    let mut r = Reader::new(data);
+    let suspect = r.u16()?;
+    r.finish().map(|()| suspect)
+}
+
 fn parse_leader(name: &str) -> Option<MachineId> {
     name.strip_prefix('m')
         .and_then(|s| s.parse().ok())
@@ -132,11 +140,9 @@ impl RecoveryAgents {
                 .node(m)
                 .endpoint()
                 .register(proto::REPORT_FAILURE, move |_src, data| {
-                    if data.len() >= 2 {
+                    if let Ok(suspect) = decode_suspect(data) {
                         reports.inc();
-                        suspicions
-                            .lock()
-                            .insert(u16::from_le_bytes(data[..2].try_into().unwrap()));
+                        suspicions.lock().insert(suspect);
                     }
                     Some(Vec::new())
                 });
@@ -377,6 +383,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         false
+    }
+
+    #[test]
+    fn a_failure_report_is_exactly_one_machine_id() {
+        assert_eq!(decode_suspect(&7u16.to_le_bytes()), Ok(7));
+        assert!(decode_suspect(&[7]).is_err());
+        assert!(decode_suspect(&[7, 0, 0]).is_err());
     }
 
     #[test]

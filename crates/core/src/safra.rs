@@ -24,6 +24,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 
+use trinity_memstore::codec::Reader;
+
 /// Token colors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Color {
@@ -64,20 +66,18 @@ impl Token {
         out
     }
 
-    /// Deserialize from the wire.
+    /// Deserialize from the wire: exactly the ten bytes `encode` writes.
     pub fn decode(data: &[u8]) -> Option<Self> {
-        if data.len() < 10 {
-            return None;
-        }
-        Some(Token {
-            q: i64::from_le_bytes(data[..8].try_into().unwrap()),
-            color: if data[8] == 0 {
-                Color::White
-            } else {
-                Color::Black
-            },
-            purpose: data[9],
-        })
+        let mut r = Reader::new(data);
+        let q = r.u64().ok()? as i64;
+        let color = match r.u8().ok()? {
+            0 => Color::White,
+            1 => Color::Black,
+            _ => return None,
+        };
+        let purpose = r.u8().ok()?;
+        r.finish().ok()?;
+        Some(Token { q, color, purpose })
     }
 }
 
@@ -149,6 +149,35 @@ mod tests {
         };
         assert_eq!(Token::decode(&t.encode()), Some(t));
         assert_eq!(Token::decode(&[1, 2, 3]), None);
+    }
+
+    /// One encoding per token: a color byte other than 0 or 1, and bytes
+    /// after the purpose, are refused, not read as Black or ignored.
+    #[test]
+    fn token_decoder_keeps_the_codec_laws() {
+        let mut black = Token::fresh(3).encode();
+        black[8] = 1;
+        assert_eq!(Token::decode(&black).map(|t| t.color), Some(Color::Black));
+        black[8] = 2;
+        assert_eq!(Token::decode(&black), None);
+        let mut long = Token::fresh(3).encode();
+        long.push(0);
+        assert_eq!(Token::decode(&long), None);
+        crate::codec_laws::check(
+            0x5af4,
+            |rng| Token {
+                q: rng.u64() as i64,
+                color: if rng.coin() {
+                    Color::Black
+                } else {
+                    Color::White
+                },
+                purpose: rng.below(256) as u8,
+            },
+            Token::encode,
+            Token::decode,
+            true,
+        );
     }
 
     /// Simulate a quiet 4-machine ring: one full white round must detect

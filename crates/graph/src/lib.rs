@@ -39,3 +39,7 @@ pub use loader::{load_graph, DistributedGraph, LoadOptions};
 pub use record::{EdgeRecord, HyperEdgeRecord, NodeRecord, NodeView, RecordError};
 
 pub use trinity_memcloud::CellId;
+
+#[cfg(test)]
+#[path = "../../memstore/tests/codec_laws/mod.rs"]
+mod codec_laws;

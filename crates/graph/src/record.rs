@@ -14,10 +14,12 @@
 //! The in-link section is present only when bit 0 of `flags` is set
 //! (directed graphs that need reverse traversal). [`NodeView`] reads any
 //! field straight out of a borrowed blob — typically a pinned
-//! `trinity_memstore::CellGuard` — with no decoding pass.
+//! `trinity_memstore::CellGuard` — with no decoding pass. Fields follow
+//! DESIGN "Byte formats"; bytes after the last list are ignored.
 
 use crate::CellId;
 use std::fmt;
+use trinity_memstore::codec::{DecodeError, Reader};
 
 /// Flag bit: the record carries an in-link list.
 const HAS_IN: u8 = 1;
@@ -38,6 +40,12 @@ impl fmt::Display for RecordError {
 }
 
 impl std::error::Error for RecordError {}
+
+impl From<DecodeError> for RecordError {
+    fn from(e: DecodeError) -> Self {
+        RecordError::Truncated(e.at)
+    }
+}
 
 /// Builder/owner form of a node cell.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -100,94 +108,69 @@ impl NodeRecord {
 /// Zero-copy reader over a packed node cell.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeView<'a> {
-    blob: &'a [u8],
-    out_off: usize,
-    out_count: usize,
-    in_off: usize,
-    in_count: usize,
+    has_ins: bool,
+    attrs: &'a [u8],
+    outs: &'a [[u8; 8]],
+    ins: &'a [[u8; 8]],
 }
 
 impl<'a> NodeView<'a> {
     /// Validate the framing and compute section offsets (one cheap pass;
     /// no payload copying).
     pub fn new(blob: &'a [u8]) -> Result<Self, RecordError> {
-        let need = |at: usize, n: usize| {
-            if at + n > blob.len() {
-                Err(RecordError::Truncated(at))
-            } else {
-                Ok(())
-            }
-        };
-        need(0, 5)?;
-        let flags = blob[0];
-        let attr_len = u32::from_le_bytes(blob[1..5].try_into().unwrap()) as usize;
-        let out_cnt_off = 5 + attr_len;
-        need(out_cnt_off, 4)?;
-        let out_count =
-            u32::from_le_bytes(blob[out_cnt_off..out_cnt_off + 4].try_into().unwrap()) as usize;
-        let out_off = out_cnt_off + 4;
-        need(out_off, out_count * 8)?;
-        let (in_off, in_count) = if flags & HAS_IN != 0 {
-            let in_cnt_off = out_off + out_count * 8;
-            need(in_cnt_off, 4)?;
-            let in_count =
-                u32::from_le_bytes(blob[in_cnt_off..in_cnt_off + 4].try_into().unwrap()) as usize;
-            need(in_cnt_off + 4, in_count * 8)?;
-            (in_cnt_off + 4, in_count)
+        let mut r = Reader::new(blob);
+        let has_ins = r.u8()? & HAS_IN != 0;
+        let attr_len = r.u32()?;
+        let attrs = r.take(attr_len as usize)?;
+        let out_count = r.u32()?;
+        let outs = r.chunks(out_count.into())?;
+        let ins = if has_ins {
+            let in_count = r.u32()?;
+            r.chunks(in_count.into())?
         } else {
-            (out_off + out_count * 8, 0)
+            &[]
         };
         Ok(NodeView {
-            blob,
-            out_off,
-            out_count,
-            in_off,
-            in_count,
+            has_ins,
+            attrs,
+            outs,
+            ins,
         })
     }
 
     /// Attribute bytes.
     pub fn attrs(&self) -> &'a [u8] {
-        &self.blob[5..self.out_off - 4]
+        self.attrs
     }
 
     /// Whether an in-link list is stored.
     pub fn has_ins(&self) -> bool {
-        self.blob[0] & HAS_IN != 0
+        self.has_ins
     }
 
     /// Out-degree.
     pub fn out_degree(&self) -> usize {
-        self.out_count
+        self.outs.len()
     }
 
     /// In-degree (0 when no in-list is stored).
     pub fn in_degree(&self) -> usize {
-        self.in_count
+        self.ins.len()
     }
 
-    /// Outgoing neighbor `i`.
+    /// Outgoing neighbor `i`; panics unless `i < out_degree()`.
     pub fn out(&self, i: usize) -> CellId {
-        let at = self.out_off + i * 8;
-        u64::from_le_bytes(self.blob[at..at + 8].try_into().unwrap())
+        u64::from_le_bytes(self.outs[i])
     }
 
     /// Iterate outgoing neighbors — `Outlinks.Foreach(...)` (paper Fig. 2).
     pub fn outs(&self) -> impl Iterator<Item = CellId> + 'a {
-        let blob = self.blob;
-        let off = self.out_off;
-        (0..self.out_count).map(move |i| {
-            u64::from_le_bytes(blob[off + i * 8..off + i * 8 + 8].try_into().unwrap())
-        })
+        self.outs.iter().map(|w| u64::from_le_bytes(*w))
     }
 
     /// Iterate incoming neighbors — `GetInlinks()` (paper Fig. 2).
     pub fn ins(&self) -> impl Iterator<Item = CellId> + 'a {
-        let blob = self.blob;
-        let off = self.in_off;
-        (0..self.in_count).map(move |i| {
-            u64::from_le_bytes(blob[off + i * 8..off + i * 8 + 8].try_into().unwrap())
-        })
+        self.ins.iter().map(|w| u64::from_le_bytes(*w))
     }
 }
 
@@ -210,13 +193,11 @@ impl EdgeRecord {
     }
 
     pub fn decode(blob: &[u8]) -> Result<Self, RecordError> {
-        if blob.len() < 16 {
-            return Err(RecordError::Truncated(blob.len()));
-        }
+        let mut r = Reader::new(blob);
         Ok(EdgeRecord {
-            src: u64::from_le_bytes(blob[0..8].try_into().unwrap()),
-            dst: u64::from_le_bytes(blob[8..16].try_into().unwrap()),
-            attrs: blob[16..].to_vec(),
+            src: r.u64()?,
+            dst: r.u64()?,
+            attrs: r.rest().to_vec(),
         })
     }
 }
@@ -240,19 +221,12 @@ impl HyperEdgeRecord {
     }
 
     pub fn decode(blob: &[u8]) -> Result<Self, RecordError> {
-        if blob.len() < 4 {
-            return Err(RecordError::Truncated(0));
-        }
-        let n = u32::from_le_bytes(blob[0..4].try_into().unwrap()) as usize;
-        if 4 + 8 * n > blob.len() {
-            return Err(RecordError::Truncated(4));
-        }
-        let members = (0..n)
-            .map(|i| u64::from_le_bytes(blob[4 + i * 8..12 + i * 8].try_into().unwrap()))
-            .collect();
+        let mut r = Reader::new(blob);
+        let n = r.u32()?;
+        let members = r.chunks(n.into())?;
         Ok(HyperEdgeRecord {
-            members,
-            attrs: blob[4 + 8 * n..].to_vec(),
+            members: members.iter().map(|w| u64::from_le_bytes(*w)).collect(),
+            attrs: r.rest().to_vec(),
         })
     }
 }
@@ -317,6 +291,45 @@ mod tests {
         };
         assert_eq!(HyperEdgeRecord::decode(&h.encode()).unwrap(), h);
         assert!(HyperEdgeRecord::decode(&[9, 0, 0, 0]).is_err());
+    }
+
+    /// The codec harness's laws. A node record ignores the flag bits it
+    /// does not define and any bytes after its last list, so law 3 holds
+    /// for edges only.
+    #[test]
+    fn records_keep_the_codec_laws() {
+        use crate::codec_laws::{check, Rng};
+        let ids = |rng: &mut Rng| rng.vec(5, Rng::u64);
+        let node = |rng: &mut Rng| NodeRecord {
+            attrs: rng.bytes(8),
+            outs: ids(rng),
+            ins: rng.coin().then(|| ids(rng)),
+        };
+        check(
+            0x90de,
+            node,
+            NodeRecord::encode,
+            |b| NodeRecord::decode(b).ok(),
+            false,
+        );
+        let edge = |rng: &mut Rng| EdgeRecord {
+            src: rng.u64(),
+            dst: rng.u64(),
+            attrs: rng.bytes(8),
+        };
+        check(
+            0xed6e,
+            edge,
+            EdgeRecord::encode,
+            |b| EdgeRecord::decode(b).ok(),
+            true,
+        );
+        let hyper = |rng: &mut Rng| HyperEdgeRecord {
+            members: ids(rng),
+            attrs: rng.bytes(8),
+        };
+        let decode = |b: &[u8]| HyperEdgeRecord::decode(b).ok();
+        check(0x4e6e, hyper, HyperEdgeRecord::encode, decode, true);
     }
 
     proptest! {

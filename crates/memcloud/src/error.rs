@@ -1,5 +1,6 @@
 use std::fmt;
 
+use trinity_memstore::codec::DecodeError;
 use trinity_memstore::StoreError;
 use trinity_net::{MachineId, NetError};
 use trinity_tfs::TfsError;
@@ -73,6 +74,12 @@ impl std::error::Error for CloudError {}
 impl From<StoreError> for CloudError {
     fn from(e: StoreError) -> Self {
         CloudError::Store(e)
+    }
+}
+
+impl From<DecodeError> for CloudError {
+    fn from(_: DecodeError) -> Self {
+        CloudError::BadReply
     }
 }
 

@@ -90,3 +90,7 @@ pub(crate) mod proto {
     /// Recipient: persist the assembled trunk to TFS before the flip.
     pub const MIG_COMMIT: ProtoId = trinity_net::proto::FIRST_ELASTIC + 6;
 }
+
+#[cfg(test)]
+#[path = "../../memstore/tests/codec_laws/mod.rs"]
+mod codec_laws;

@@ -92,6 +92,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
+use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_memstore::CellVersion;
 use trinity_net::{Endpoint, MachineId};
 
@@ -485,61 +486,52 @@ pub(crate) fn encode_header(mid: u64, trunk: u64) -> Vec<u8> {
     out
 }
 
-pub(crate) fn decode_header(data: &[u8]) -> Option<(u64, u64, &[u8])> {
-    if data.len() < 16 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(data[..8].try_into().unwrap()),
-        u64::from_le_bytes(data[8..16].try_into().unwrap()),
-        &data[16..],
-    ))
+pub(crate) fn decode_header(data: &[u8]) -> std::result::Result<(u64, u64, &[u8]), DecodeError> {
+    let mut r = Reader::new(data);
+    Ok((r.u64()?, r.u64()?, r.rest()))
 }
 
 pub(crate) fn encode_entries(out: &mut Vec<u8>, entries: &[MigEntry]) {
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
-        match e {
-            MigEntry::Upsert { id, version, bytes } => {
-                out.push(UPSERT_TAG);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
-            MigEntry::Remove { id, version } => {
-                out.push(REMOVE_TAG);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
-            }
+        let (tag, id, version, bytes) = match e {
+            MigEntry::Upsert { id, version, bytes } => (UPSERT_TAG, id, version, Some(bytes)),
+            MigEntry::Remove { id, version } => (REMOVE_TAG, id, version, None),
+        };
+        out.push(tag);
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
+        if let Some(bytes) = bytes {
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
         }
     }
 }
 
-pub(crate) fn decode_entries(data: &[u8]) -> Option<(Vec<MigEntry>, &[u8])> {
-    let n = u32::from_le_bytes(data.get(..4)?.try_into().unwrap()) as usize;
-    let mut at = 4usize;
-    let mut entries = Vec::with_capacity(n.min(1024));
+/// The entries [`encode_entries`] wrote, and nothing after them.
+pub(crate) fn decode_entries(data: &[u8]) -> std::result::Result<Vec<MigEntry>, DecodeError> {
+    let mut r = Reader::new(data);
+    let n = r.u32()?;
+    let n = r.count(n.into(), 17)?;
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let tag = *data.get(at)?;
-        let id = u64::from_le_bytes(data.get(at + 1..at + 9)?.try_into().unwrap());
-        let version = u64::from_le_bytes(data.get(at + 9..at + 17)?.try_into().unwrap());
-        at += 17;
-        match tag {
+        let tag = r.u8()?;
+        let (id, version) = (r.u64()?, r.u64()?);
+        entries.push(match tag {
             UPSERT_TAG => {
-                let len = u32::from_le_bytes(data.get(at..at + 4)?.try_into().unwrap()) as usize;
-                let bytes = data.get(at + 4..at + 4 + len)?.to_vec();
-                at += 4 + len;
-                entries.push(MigEntry::Upsert { id, version, bytes });
+                let len = r.u32()?;
+                let bytes = r.take(len as usize)?.to_vec();
+                MigEntry::Upsert { id, version, bytes }
             }
-            REMOVE_TAG => entries.push(MigEntry::Remove { id, version }),
-            _ => return None,
-        }
+            REMOVE_TAG => MigEntry::Remove { id, version },
+            _ => return Err(r.error()),
+        });
     }
-    Some((entries, &data[at..]))
+    r.finish()?;
+    Ok(entries)
 }
 
-fn ok_reply(fields: &[u64]) -> Vec<u8> {
+pub(crate) fn ok_u64s(fields: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + fields.len() * 8);
     out.push(MIG_OK);
     for f in fields {
@@ -555,12 +547,8 @@ pub(crate) fn err_reply(msg: &str) -> Vec<u8> {
     out
 }
 
-pub(crate) fn ok_u64s(fields: &[u64]) -> Vec<u8> {
-    ok_reply(fields)
-}
-
 pub(crate) fn ok_with_entries(fields: &[u64], entries: &[MigEntry]) -> Vec<u8> {
-    let mut out = ok_reply(fields);
+    let mut out = ok_u64s(fields);
     encode_entries(&mut out, entries);
     out
 }
@@ -568,15 +556,16 @@ pub(crate) fn ok_with_entries(fields: &[u64], entries: &[MigEntry]) -> Vec<u8> {
 /// Split an OK reply into its leading u64 fields and the remainder, or
 /// surface the carried error.
 fn parse_ok(raw: &[u8], n_fields: usize) -> Result<(Vec<u64>, &[u8])> {
-    match raw.first() {
-        Some(&MIG_OK) if raw.len() > n_fields * 8 => {
+    let mut r = Reader::new(raw);
+    match r.u8()? {
+        MIG_OK => {
             let fields = (0..n_fields)
-                .map(|i| u64::from_le_bytes(raw[1 + i * 8..9 + i * 8].try_into().unwrap()))
-                .collect();
-            Ok((fields, &raw[1 + n_fields * 8..]))
+                .map(|_| r.u64())
+                .collect::<std::result::Result<_, _>>()?;
+            Ok((fields, r.rest()))
         }
-        Some(&MIG_ERR) => Err(CloudError::Migration(
-            String::from_utf8_lossy(&raw[1..]).into_owned(),
+        MIG_ERR => Err(CloudError::Migration(
+            String::from_utf8_lossy(r.rest()).into_owned(),
         )),
         _ => Err(CloudError::BadReply),
     }
@@ -616,11 +605,7 @@ pub fn read_chunk(
     req.extend_from_slice(&max_bytes.to_le_bytes());
     let raw = call(ep, donor, proto::MIG_READ, &req)?;
     let (fields, rest) = parse_ok(&raw, 1)?;
-    let (entries, tail) = decode_entries(rest).ok_or(CloudError::BadReply)?;
-    if !tail.is_empty() {
-        return Err(CloudError::BadReply);
-    }
-    Ok((fields[0], entries))
+    Ok((fields[0], decode_entries(rest)?))
 }
 
 /// One round of the donor's delta log. `acked` is the highest delta
@@ -642,11 +627,7 @@ pub fn drain_delta(
     req.extend_from_slice(&acked.to_le_bytes());
     let raw = call(ep, donor, proto::MIG_DELTA, &req)?;
     let (fields, rest) = parse_ok(&raw, 2)?;
-    let (entries, tail) = decode_entries(rest).ok_or(CloudError::BadReply)?;
-    if !tail.is_empty() {
-        return Err(CloudError::BadReply);
-    }
-    Ok((fields[0], fields[1], entries))
+    Ok((fields[0], fields[1], decode_entries(rest)?))
 }
 
 /// Seal the trunk on the donor: writes are refused from here on (reads
@@ -706,18 +687,55 @@ mod tests {
         ];
         let mut raw = Vec::new();
         encode_entries(&mut raw, &entries);
-        let (decoded, rest) = decode_entries(&raw).unwrap();
-        assert_eq!(decoded, entries);
-        assert!(rest.is_empty());
-        // Truncation does not parse.
-        assert!(decode_entries(&raw[..raw.len() - 1]).is_none());
+        assert_eq!(decode_entries(&raw).unwrap(), entries);
+        // Truncation does not parse, nor does a byte after the last entry.
+        assert!(decode_entries(&raw[..raw.len() - 1]).is_err());
+        raw.push(0);
+        assert!(decode_entries(&raw).is_err());
     }
 
     #[test]
     fn header_roundtrip() {
         let h = encode_header(5, 12);
-        assert_eq!(decode_header(&h), Some((5, 12, &b""[..])));
-        assert_eq!(decode_header(&h[..10]), None);
+        assert_eq!(decode_header(&h), Ok((5, 12, &b""[..])));
+        assert!(decode_header(&h[..10]).is_err());
+    }
+
+    #[test]
+    fn header_and_entry_codecs_keep_the_codec_laws() {
+        use crate::codec_laws::{check, Rng};
+        let header = |rng: &mut Rng| (rng.u64(), rng.u64(), rng.bytes(6));
+        check(
+            0x419,
+            header,
+            |(mid, trunk, rest)| [encode_header(*mid, *trunk), rest.clone()].concat(),
+            |b| {
+                decode_header(b)
+                    .ok()
+                    .map(|(m, t, rest)| (m, t, rest.to_vec()))
+            },
+            true,
+        );
+        let entry = |rng: &mut Rng| {
+            let (id, version) = (rng.u64(), rng.u64());
+            if rng.coin() {
+                MigEntry::Remove { id, version }
+            } else {
+                let bytes = rng.bytes(8);
+                MigEntry::Upsert { id, version, bytes }
+            }
+        };
+        check(
+            0x41a,
+            |rng| rng.vec(4, entry),
+            |entries| {
+                let mut out = Vec::new();
+                encode_entries(&mut out, entries);
+                out
+            },
+            |b| decode_entries(b).ok(),
+            true,
+        );
     }
 
     #[test]

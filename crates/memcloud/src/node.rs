@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
+use trinity_memstore::codec::Reader;
 use trinity_memstore::{
     CellVersion, LocalStore, LocalStoreConfig, SnapshotError, StoreError, Trunk, TrunkSnapshot,
     TrunkStats,
@@ -181,9 +182,8 @@ impl CloudNode {
         for (pid, op) in ops {
             let node = Arc::clone(self);
             self.endpoint.register(pid, move |src, data| {
-                let (id, body) = match wire::decode_req(data) {
-                    Some(x) => x,
-                    None => return Some(wire::reply(wire::STORE_ERR, b"")),
+                let Ok((id, body)) = wire::decode_req(data) else {
+                    return Some(vec![wire::STORE_ERR]);
                 };
                 if !node.owns(id) {
                     return Some(node.not_owner_reply(id));
@@ -198,12 +198,12 @@ impl CloudNode {
         let node = Arc::clone(self);
         self.endpoint
             .register(proto::INVALIDATE, move |_src, data| {
-                if let Some((id, version)) = wire::decode_invalidate(data) {
+                if let Ok((id, version)) = wire::decode_invalidate(data) {
                     node.cache.invalidate(id, version);
                 }
                 Some(Vec::new())
             });
-        type MigOp = fn(&CloudNode, &[u8]) -> Vec<u8>;
+        type MigOp = fn(&CloudNode, u64, u64, &[u8]) -> Vec<u8>;
         let mig_ops: [(u16, MigOp); 7] = [
             (proto::MIG_BEGIN, CloudNode::handle_mig_begin),
             (proto::MIG_READ, CloudNode::handle_mig_read),
@@ -215,8 +215,12 @@ impl CloudNode {
         ];
         for (pid, op) in mig_ops {
             let node = Arc::clone(self);
-            self.endpoint
-                .register(pid, move |_src, data| Some(op(&node, data)));
+            self.endpoint.register(pid, move |_src, data| {
+                Some(match migration::decode_header(data) {
+                    Ok((mid, gid, rest)) => op(&node, mid, gid, rest),
+                    Err(_) => migration::err_reply("bad frame"),
+                })
+            });
         }
     }
 
@@ -227,7 +231,7 @@ impl CloudNode {
         let gid = self.table.read().trunk_of(id);
         match self.migration.moved_epoch(gid) {
             Some(epoch) => wire::reply_moved(epoch),
-            None => wire::reply(wire::NOT_OWNER, b""),
+            None => vec![wire::NOT_OWNER],
         }
     }
 
@@ -704,7 +708,7 @@ impl CloudNode {
             Ok(None) => return self.not_owner_reply(id),
             // Fault-in failed (TFS unreachable): the caller's retry
             // budget rides out the transient.
-            Err(_) => return wire::reply(wire::STORE_ERR, b""),
+            Err(_) => return vec![wire::STORE_ERR],
         };
         let reply = match trunk.get_versioned(id) {
             Some((version, guard)) => {
@@ -716,7 +720,7 @@ impl CloudNode {
             }
             None => {
                 self.obs.load().record_read(trunk.id(), 0);
-                wire::reply(wire::NOT_FOUND, b"")
+                vec![wire::NOT_FOUND]
             }
         };
         reply
@@ -888,39 +892,38 @@ impl CloudNode {
         self.record_sharer(gid, src);
         self.obs.load().record_write(gid, body.len() as u64);
         match self.gated_mutate(gid, id, |trunk| trunk.put(id, body)) {
-            Err(_) => wire::reply(wire::STORE_ERR, b""),
+            Err(_) => vec![wire::STORE_ERR],
             Ok(Gate::Moved { epoch }) => wire::reply_moved(epoch),
             Ok(Gate::Done(Ok(version))) => {
                 self.invalidate_sharers(id, version, src);
                 wire::reply_ok(version, b"")
             }
-            Ok(Gate::Done(Err(_))) => wire::reply(wire::STORE_ERR, b""),
+            Ok(Gate::Done(Err(_))) => vec![wire::STORE_ERR],
         }
     }
 
     fn handle_put_if(&self, src: MachineId, id: CellId, body: &[u8]) -> Vec<u8> {
-        let (expected, payload) = match wire::decode_put_if(body) {
-            Some(parts) => parts,
-            None => return wire::reply(wire::STORE_ERR, b""),
+        let Ok((expected, payload)) = wire::decode_req(body) else {
+            return vec![wire::STORE_ERR];
         };
         self.maybe_enforce_budget();
         let gid = self.table.read().trunk_of(id);
         self.record_sharer(gid, src);
         self.obs.load().record_write(gid, payload.len() as u64);
         match self.gated_mutate(gid, id, |trunk| trunk.put_if_version(id, payload, expected)) {
-            Err(_) => wire::reply(wire::STORE_ERR, b""),
+            Err(_) => vec![wire::STORE_ERR],
             Ok(Gate::Moved { epoch }) => wire::reply_moved(epoch),
             Ok(Gate::Done(Ok(version))) => {
                 self.invalidate_sharers(id, version, src);
                 wire::reply_ok(version, b"")
             }
-            Ok(Gate::Done(Err(StoreError::NotFound(_)))) => wire::reply(wire::NOT_FOUND, b""),
+            Ok(Gate::Done(Err(StoreError::NotFound(_)))) => vec![wire::NOT_FOUND],
             Ok(Gate::Done(Err(StoreError::VersionMismatch {
                 id,
                 expected,
                 found,
             }))) => wire::reply_version_mismatch(id, expected, found),
-            Ok(Gate::Done(Err(_))) => wire::reply(wire::STORE_ERR, b""),
+            Ok(Gate::Done(Err(_))) => vec![wire::STORE_ERR],
         }
     }
 
@@ -929,14 +932,14 @@ impl CloudNode {
         let gid = self.table.read().trunk_of(id);
         self.obs.load().record_write(gid, 0);
         match self.gated_mutate(gid, id, |trunk| trunk.remove(id)) {
-            Err(_) => wire::reply(wire::STORE_ERR, b""),
+            Err(_) => vec![wire::STORE_ERR],
             Ok(Gate::Moved { epoch }) => wire::reply_moved(epoch),
             Ok(Gate::Done(Ok(version))) => {
                 self.invalidate_sharers(id, version, src);
                 wire::reply_ok(version, b"")
             }
-            Ok(Gate::Done(Err(StoreError::NotFound(_)))) => wire::reply(wire::NOT_FOUND, b""),
-            Ok(Gate::Done(Err(_))) => wire::reply(wire::STORE_ERR, b""),
+            Ok(Gate::Done(Err(StoreError::NotFound(_)))) => vec![wire::NOT_FOUND],
+            Ok(Gate::Done(Err(_))) => vec![wire::STORE_ERR],
         }
     }
 
@@ -945,14 +948,14 @@ impl CloudNode {
         let gid = self.table.read().trunk_of(id);
         self.obs.load().record_write(gid, body.len() as u64);
         match self.gated_mutate(gid, id, |trunk| trunk.append(id, body)) {
-            Err(_) => wire::reply(wire::STORE_ERR, b""),
+            Err(_) => vec![wire::STORE_ERR],
             Ok(Gate::Moved { epoch }) => wire::reply_moved(epoch),
             Ok(Gate::Done(Ok(version))) => {
                 self.invalidate_sharers(id, version, src);
                 wire::reply_ok(version, b"")
             }
-            Ok(Gate::Done(Err(StoreError::NotFound(_)))) => wire::reply(wire::NOT_FOUND, b""),
-            Ok(Gate::Done(Err(_))) => wire::reply(wire::STORE_ERR, b""),
+            Ok(Gate::Done(Err(StoreError::NotFound(_)))) => vec![wire::NOT_FOUND],
+            Ok(Gate::Done(Err(_))) => vec![wire::STORE_ERR],
         }
     }
 
@@ -960,22 +963,21 @@ impl CloudNode {
         let trunk = match self.local_trunk(id) {
             Ok(Some(t)) => t,
             Ok(None) => return self.not_owner_reply(id),
-            Err(_) => return wire::reply(wire::STORE_ERR, b""),
+            Err(_) => return vec![wire::STORE_ERR],
         };
         self.obs.load().record_read(trunk.id(), 0);
         match trunk.version_of(id) {
             Some(version) => wire::reply_ok(version, b""),
-            None => wire::reply(wire::NOT_FOUND, b""),
+            None => vec![wire::NOT_FOUND],
         }
     }
 
     fn handle_multi_get(&self, src: MachineId, data: &[u8]) -> Vec<u8> {
-        let ids = match wire::decode_multi_req(data) {
-            Some(ids) => ids,
+        let Ok(ids) = wire::decode_multi_req(data) else {
             // An undecodable request yields an empty reply, which fails
             // the caller's entry-count check and routes it to the
             // single-cell fallback.
-            None => return Vec::new(),
+            return Vec::new();
         };
         // Encode straight from the pinned trunk guards into the reply
         // buffer — no per-cell Vec, one copy per payload byte on the
@@ -1011,10 +1013,7 @@ impl CloudNode {
     /// `MIG_BEGIN` (donor): publish the migration entry, *then* snapshot
     /// the trunk's cell ids. Publication-before-snapshot is what lets the
     /// write gate guarantee every mutation is in the snapshot or the log.
-    fn handle_mig_begin(&self, data: &[u8]) -> Vec<u8> {
-        let Some((mid, gid, _)) = migration::decode_header(data) else {
-            return migration::err_reply("bad frame");
-        };
+    fn handle_mig_begin(&self, mid: u64, gid: u64, _rest: &[u8]) -> Vec<u8> {
         if self.table.read().machine_for(gid) != self.machine {
             return migration::err_reply("not the trunk owner");
         }
@@ -1053,16 +1052,13 @@ impl CloudNode {
     /// `MIG_READ` (donor): one bounded chunk of the snapshot, payloads
     /// read at stream time. Cells removed since the snapshot are skipped —
     /// their remove is in the delta log.
-    fn handle_mig_read(&self, data: &[u8]) -> Vec<u8> {
-        let Some((mid, gid, rest)) = migration::decode_header(data) else {
+    fn handle_mig_read(&self, mid: u64, gid: u64, rest: &[u8]) -> Vec<u8> {
+        let mut r = Reader::new(rest);
+        let (Ok(cursor), Ok(max_cells), Ok(max_bytes), Ok(())) =
+            (r.u64(), r.u32(), r.u32(), r.finish())
+        else {
             return migration::err_reply("bad frame");
         };
-        if rest.len() < 16 {
-            return migration::err_reply("bad frame");
-        }
-        let cursor = u64::from_le_bytes(rest[..8].try_into().unwrap()) as usize;
-        let max_cells = u32::from_le_bytes(rest[8..12].try_into().unwrap()) as usize;
-        let max_bytes = u32::from_le_bytes(rest[12..16].try_into().unwrap()) as usize;
         let Some(entry) = self.migration.donor(gid) else {
             return migration::err_reply("no migration in flight");
         };
@@ -1077,7 +1073,12 @@ impl CloudNode {
         let mut entries = Vec::new();
         let mut bytes = 0usize;
         let mut next = cursor;
-        for &id in g.snapshot.iter().skip(cursor).take(max_cells.max(1)) {
+        for &id in g
+            .snapshot
+            .iter()
+            .skip(cursor as usize)
+            .take(max_cells.max(1) as usize)
+        {
             next += 1;
             if let Some((version, guard)) = trunk.get_versioned(id) {
                 bytes += guard.len();
@@ -1086,27 +1087,23 @@ impl CloudNode {
                     version,
                     bytes: guard.to_vec(),
                 });
-                if bytes >= max_bytes {
+                if bytes >= max_bytes as usize {
                     break;
                 }
             }
         }
-        migration::ok_with_entries(&[next as u64], &entries)
+        migration::ok_with_entries(&[next], &entries)
     }
 
     /// `MIG_DELTA` (donor): one acknowledged round of the delta log (see
     /// `DonorMig::drain`), each id resolved to its current
     /// state. Removed cells ship a freshly minted fence stamp, greater
     /// than any stamp the cell ever carried.
-    fn handle_mig_delta(&self, data: &[u8]) -> Vec<u8> {
-        let Some((mid, gid, rest)) = migration::decode_header(data) else {
+    fn handle_mig_delta(&self, mid: u64, gid: u64, rest: &[u8]) -> Vec<u8> {
+        let mut r = Reader::new(rest);
+        let (Ok(max), Ok(acked), Ok(())) = (r.u32(), r.u64(), r.finish()) else {
             return migration::err_reply("bad frame");
         };
-        if rest.len() < 12 {
-            return migration::err_reply("bad frame");
-        }
-        let max = u32::from_le_bytes(rest[..4].try_into().unwrap());
-        let acked = u64::from_le_bytes(rest[4..12].try_into().unwrap());
         let Some(entry) = self.migration.donor(gid) else {
             return migration::err_reply("no migration in flight");
         };
@@ -1138,10 +1135,7 @@ impl CloudNode {
 
     /// `MIG_SEAL` (donor): refuse writes from here on (reads still serve)
     /// and report how many delta entries are still pending.
-    fn handle_mig_seal(&self, data: &[u8]) -> Vec<u8> {
-        let Some((mid, gid, _)) = migration::decode_header(data) else {
-            return migration::err_reply("bad frame");
-        };
+    fn handle_mig_seal(&self, mid: u64, gid: u64, _rest: &[u8]) -> Vec<u8> {
         let Some(entry) = self.migration.donor(gid) else {
             return migration::err_reply("no migration in flight");
         };
@@ -1159,10 +1153,7 @@ impl CloudNode {
     /// `MIG_ABORT` (either side): on the donor, lift the seal and stop
     /// delta capture; on the recipient, drop the version fence and the
     /// staged trunk. The coordinator sends it to both on failure.
-    fn handle_mig_abort(&self, data: &[u8]) -> Vec<u8> {
-        let Some((mid, gid, _)) = migration::decode_header(data) else {
-            return migration::err_reply("bad frame");
-        };
+    fn handle_mig_abort(&self, mid: u64, gid: u64, _rest: &[u8]) -> Vec<u8> {
         self.migration.abort_donor(gid, Some(mid));
         if self.table.read().machine_for(gid) != self.machine
             && self.migration.abort_incoming(gid, mid)
@@ -1175,16 +1166,10 @@ impl CloudNode {
     /// `MIG_APPLY` (recipient): stage a batch of migrated entries behind
     /// the per-cell version fence. The staged trunk is invisible to cell
     /// traffic — this node does not own the trunk until the flip.
-    fn handle_mig_apply(&self, data: &[u8]) -> Vec<u8> {
-        let Some((mid, gid, rest)) = migration::decode_header(data) else {
+    fn handle_mig_apply(&self, mid: u64, gid: u64, rest: &[u8]) -> Vec<u8> {
+        let Ok(entries) = migration::decode_entries(rest) else {
             return migration::err_reply("bad frame");
         };
-        let Some((entries, tail)) = migration::decode_entries(rest) else {
-            return migration::err_reply("bad frame");
-        };
-        if !tail.is_empty() {
-            return migration::err_reply("bad frame");
-        }
         if self.table.read().machine_for(gid) == self.machine {
             return migration::err_reply("already the trunk owner");
         }
@@ -1222,10 +1207,7 @@ impl CloudNode {
     /// a table install adopt the staged image as the trunk's contents.
     /// An empty staging still writes a (empty) backup image — otherwise
     /// the flip would reload the donor's outdated one.
-    fn handle_mig_commit(&self, data: &[u8]) -> Vec<u8> {
-        let Some((mid, gid, _)) = migration::decode_header(data) else {
-            return migration::err_reply("bad frame");
-        };
+    fn handle_mig_commit(&self, mid: u64, gid: u64, _rest: &[u8]) -> Vec<u8> {
         if self.table.read().machine_for(gid) != self.machine {
             // Zero-cell migrations never sent an APPLY; seed the fence so
             // a straggling frame from an older attempt is still rejected.
@@ -1375,7 +1357,7 @@ impl CloudNode {
         bytes: &[u8],
         expected: CellVersion,
     ) -> Result<CellVersion> {
-        let body = wire::encode_put_if(expected, bytes);
+        let body = wire::encode_req(expected, bytes);
         match self.remote_op(proto::PUT_IF, id, &body)? {
             Some((version, _)) => {
                 if !self.owns(id) {
@@ -1489,7 +1471,7 @@ impl CloudNode {
         for ((_, group, _), reply) in groups.into_iter().zip(replies) {
             let entries = reply
                 .ok()
-                .and_then(|raw| wire::decode_multi_reply(&raw, group.len()));
+                .and_then(|raw| wire::decode_multi_reply(&raw, group.len()).ok());
             match entries {
                 Some(entries) => {
                     for ((i, id), entry) in group.into_iter().zip(entries) {
@@ -1619,21 +1601,24 @@ impl CloudNode {
         let resident: BTreeSet<u64> = self.store.trunk_ids().into_iter().collect();
         let new_mine: BTreeSet<u64> = new.trunks_of(self.machine).into_iter().collect();
         for &gid in &new_mine {
-            // What is resident is kept for a trunk this node already
-            // owned, and for a gained one only as the committed staging
-            // of the migration whose flip this is.
-            let keep = if old.machine_for(gid) == self.machine {
-                resident.contains(&gid)
-            } else {
-                self.migration.incoming_committed(gid)
-            };
-            // Everything else reloads from the TFS backup. A trunk this
-            // node owns but has tiered out keeps its entry untouched
-            // instead — the spilled image is the current data and faults
+            // A trunk this node owns but has tiered out keeps its entry
+            // untouched — the spilled image is the current data and faults
             // in lazily. Forgetting the entry here would open a window
             // where a concurrent budget sweep spills an empty recreation
             // of the trunk over the good image.
-            if !keep && self.tiering.state(gid).is_none() {
+            if self.tiering.state(gid).is_some() {
+                continue;
+            }
+            // Kept: a trunk this node already owned that is resident *now*
+            // (one spilled when `resident` was listed may have faulted in
+            // and taken acked writes since), or the committed staging of
+            // the migration whose flip this is. Anything else reloads.
+            let keep = if old.machine_for(gid) == self.machine {
+                self.store.trunk(gid).is_some()
+            } else {
+                self.migration.incoming_committed(gid)
+            };
+            if !keep {
                 self.migration.drop_incoming(gid);
                 self.store.evict(gid);
                 self.reload_trunk(gid)?;
@@ -1796,7 +1781,7 @@ mod tests {
         let multi = node.handle_multi_get(node.machine, &wire::encode_multi_req(&[id]));
         assert!(matches!(
             wire::decode_multi_reply(&FrameBuf::from_vec(multi), 1).as_deref(),
-            Some([wire::MultiEntry::NotOwner])
+            Ok([wire::MultiEntry::NotOwner])
         ));
         assert!(
             node.store.trunk(gid).is_none(),

@@ -7,6 +7,7 @@
 //! epoch so replicas can tell stale from fresh; the primary replica is
 //! persisted in TFS before an update commits (§6.2).
 
+use trinity_memstore::codec::Reader;
 use trinity_net::MachineId;
 
 /// Name of the primary addressing-table replica in TFS.
@@ -175,19 +176,15 @@ impl AddressingTable {
         out
     }
 
-    /// Deserialize from TFS bytes.
+    /// Deserialize what [`encode`](Self::encode) wrote, or `None`.
     pub fn decode(data: &[u8]) -> Option<Self> {
-        if data.len() < 16 || &data[0..4] != b"ATBL" {
-            return None;
-        }
-        let epoch = u64::from_le_bytes(data[4..12].try_into().ok()?);
-        let n = u32::from_le_bytes(data[12..16].try_into().ok()?) as usize;
-        if data.len() != 16 + n * 2 || !n.is_power_of_two() {
-            return None;
-        }
-        let slots = (0..n)
-            .map(|i| u16::from_le_bytes(data[16 + i * 2..18 + i * 2].try_into().unwrap()))
-            .collect();
+        let mut r = Reader::new(data);
+        r.take(4).ok().filter(|magic| magic == b"ATBL")?;
+        let epoch = r.u64().ok()?;
+        let n = r.u32().ok().filter(|n| n.is_power_of_two())?;
+        let slots = r.chunks::<2>(n.into()).ok()?;
+        r.finish().ok()?;
+        let slots = slots.iter().map(|s| u16::from_le_bytes(*s)).collect();
         Some(AddressingTable { epoch, slots })
     }
 }
@@ -251,5 +248,21 @@ mod tests {
         assert_eq!(AddressingTable::decode(&bytes).unwrap(), t);
         assert_eq!(AddressingTable::decode(b"junk"), None);
         assert_eq!(AddressingTable::decode(&bytes[..10]), None);
+    }
+
+    #[test]
+    fn table_codec_keeps_the_codec_laws() {
+        crate::codec_laws::check(
+            0xa7b1,
+            |rng| AddressingTable {
+                epoch: rng.u64(),
+                slots: (0..1 << rng.below(5))
+                    .map(|_| rng.below(4) as u16)
+                    .collect(),
+            },
+            AddressingTable::encode,
+            AddressingTable::decode,
+            true,
+        );
     }
 }

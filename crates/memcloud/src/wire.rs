@@ -10,6 +10,7 @@
 //! as the invalidation floor. `NOT_FOUND`/`NOT_OWNER`/`STORE_ERR` replies
 //! stay a bare status byte.
 
+use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_memstore::CellVersion;
 use trinity_net::FrameBuf;
 
@@ -28,6 +29,8 @@ pub(crate) const MOVED: u8 = 4;
 /// version actually found, 8 bytes each.
 pub(crate) const VERSION_MISMATCH: u8 = 5;
 
+/// An 8-byte word, then bytes: a cell request (`id | payload`), and the
+/// body of a `PUT_IF` request (`expected version | replacement payload`).
 pub(crate) fn encode_req(id: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
     out.extend_from_slice(&id.to_le_bytes());
@@ -35,21 +38,9 @@ pub(crate) fn encode_req(id: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-pub(crate) fn decode_req(data: &[u8]) -> Option<(u64, &[u8])> {
-    if data.len() < 8 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(data[..8].try_into().unwrap()),
-        &data[8..],
-    ))
-}
-
-pub(crate) fn reply(status: u8, data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + data.len());
-    out.push(status);
-    out.extend_from_slice(data);
-    out
+pub(crate) fn decode_req(data: &[u8]) -> Result<(u64, &[u8]), DecodeError> {
+    let mut r = Reader::new(data);
+    Ok((r.u64()?, r.rest()))
 }
 
 /// A `MOVED` reply: status plus the epoch fence the caller must reach.
@@ -58,25 +49,6 @@ pub(crate) fn reply_moved(epoch: u64) -> Vec<u8> {
     out.push(MOVED);
     out.extend_from_slice(&epoch.to_le_bytes());
     out
-}
-
-/// A `PUT_IF` request body (follows the 8-byte id from `encode_req`):
-/// the expected version, then the replacement payload.
-pub(crate) fn encode_put_if(expected: CellVersion, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&expected.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-pub(crate) fn decode_put_if(body: &[u8]) -> Option<(CellVersion, &[u8])> {
-    if body.len() < 8 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(body[..8].try_into().unwrap()),
-        &body[8..],
-    ))
 }
 
 /// A `VERSION_MISMATCH` reply: status, cell id, expected, found.
@@ -104,7 +76,8 @@ pub(crate) fn reply_ok(version: CellVersion, data: &[u8]) -> Vec<u8> {
 
 /// Interpret a remote reply: `Ok(Some((version, bytes)))` for OK,
 /// `Ok(None)` for NOT_FOUND, errors otherwise. `trunk`/`asked`
-/// contextualize NOT_OWNER.
+/// contextualize NOT_OWNER. A status with missing or extra bytes is
+/// `BadReply`.
 ///
 /// The payload comes back as a zero-copy subslice of the received frame:
 /// the bytes the owner shipped are the bytes the caller (and the read
@@ -114,32 +87,35 @@ pub(crate) fn parse_reply(
     trunk: u64,
     asked: trinity_net::MachineId,
 ) -> Result<Option<(CellVersion, FrameBuf)>, CloudError> {
-    match data.first() {
-        Some(&OK) if data.len() >= 9 => {
-            let version = u64::from_le_bytes(data[1..9].try_into().unwrap());
-            Ok(Some((version, data.slice(9..data.len()))))
+    let mut r = Reader::new(data);
+    let reply = match r.u8()? {
+        OK => {
+            let version = r.u64()?;
+            return Ok(Some((version, data.slice(r.offset()..data.len()))));
         }
-        Some(&NOT_FOUND) => Ok(None),
-        Some(&NOT_OWNER) => Err(CloudError::WrongOwner { trunk, asked }),
-        Some(&MOVED) if data.len() >= 9 => Err(CloudError::Moved {
+        NOT_FOUND => Ok(None),
+        NOT_OWNER => Err(CloudError::WrongOwner { trunk, asked }),
+        MOVED => Err(CloudError::Moved {
             trunk,
-            epoch: u64::from_le_bytes(data[1..9].try_into().unwrap()),
+            epoch: r.u64()?,
         }),
-        Some(&VERSION_MISMATCH) if data.len() >= 25 => Err(CloudError::Store(
+        VERSION_MISMATCH => Err(CloudError::Store(
             trinity_memstore::StoreError::VersionMismatch {
-                id: u64::from_le_bytes(data[1..9].try_into().unwrap()),
-                expected: u64::from_le_bytes(data[9..17].try_into().unwrap()),
-                found: u64::from_le_bytes(data[17..25].try_into().unwrap()),
+                id: r.u64()?,
+                expected: r.u64()?,
+                found: r.u64()?,
             },
         )),
-        Some(&STORE_ERR) => Err(CloudError::Store(
+        STORE_ERR => Err(CloudError::Store(
             trinity_memstore::StoreError::OutOfMemory {
                 requested: 0,
                 reserved: 0,
             },
         )),
         _ => Err(CloudError::BadReply),
-    }
+    };
+    r.finish()?;
+    reply
 }
 
 // ---------------------------------------------------------------------
@@ -168,15 +144,11 @@ pub(crate) fn encode_multi_req(ids: &[CellId]) -> Vec<u8> {
     out
 }
 
-pub(crate) fn decode_multi_req(data: &[u8]) -> Option<Vec<CellId>> {
-    if !data.len().is_multiple_of(8) {
-        return None;
-    }
-    Some(
-        data.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
+pub(crate) fn decode_multi_req(data: &[u8]) -> Result<Vec<CellId>, DecodeError> {
+    let mut r = Reader::new(data);
+    let ids = r.chunks::<8>(data.len() as u64 / 8)?;
+    r.finish()
+        .map(|()| ids.iter().map(|w| u64::from_le_bytes(*w)).collect())
 }
 
 /// Append one `Hit` entry — `[OK, version u64, len u32, bytes]` — to a
@@ -210,36 +182,28 @@ pub(crate) fn encode_multi_reply(entries: &[MultiEntry]) -> Vec<u8> {
     out
 }
 
-pub(crate) fn decode_multi_reply(data: &FrameBuf, expected: usize) -> Option<Vec<MultiEntry>> {
+pub(crate) fn decode_multi_reply(
+    data: &FrameBuf,
+    expected: usize,
+) -> Result<Vec<MultiEntry>, DecodeError> {
+    let mut r = Reader::new(data);
     let mut entries = Vec::with_capacity(expected);
-    let mut at = 0usize;
     while entries.len() < expected {
-        match *data.get(at)? {
+        entries.push(match r.u8()? {
             OK => {
-                let version = u64::from_le_bytes(data.get(at + 1..at + 9)?.try_into().unwrap());
-                let len =
-                    u32::from_le_bytes(data.get(at + 9..at + 13)?.try_into().unwrap()) as usize;
-                data.get(at + 13..at + 13 + len)?;
-                let bytes = data.slice(at + 13..at + 13 + len);
-                at += 13 + len;
-                entries.push(MultiEntry::Hit(version, bytes));
+                let version = r.u64()?;
+                let len = r.u32()?;
+                let start = r.offset();
+                r.take(len as usize)?;
+                MultiEntry::Hit(version, data.slice(start..r.offset()))
             }
-            NOT_FOUND => {
-                at += 1;
-                entries.push(MultiEntry::Missing);
-            }
-            NOT_OWNER => {
-                at += 1;
-                entries.push(MultiEntry::NotOwner);
-            }
-            _ => return None,
-        }
+            NOT_FOUND => MultiEntry::Missing,
+            NOT_OWNER => MultiEntry::NotOwner,
+            _ => return Err(r.error()),
+        });
     }
-    if at == data.len() {
-        Some(entries)
-    } else {
-        None
-    }
+    r.finish()?;
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------
@@ -253,14 +217,11 @@ pub(crate) fn encode_invalidate(id: CellId, version: CellVersion) -> Vec<u8> {
     out
 }
 
-pub(crate) fn decode_invalidate(data: &[u8]) -> Option<(CellId, CellVersion)> {
-    if data.len() != 16 {
-        return None;
-    }
-    Some((
-        u64::from_le_bytes(data[..8].try_into().unwrap()),
-        u64::from_le_bytes(data[8..].try_into().unwrap()),
-    ))
+pub(crate) fn decode_invalidate(data: &[u8]) -> Result<(CellId, CellVersion), DecodeError> {
+    let mut r = Reader::new(data);
+    let parts = (r.u64()?, r.u64()?);
+    r.finish()?;
+    Ok(parts)
 }
 
 #[cfg(test)]
@@ -274,7 +235,7 @@ mod tests {
         let (id, body) = decode_req(&req).unwrap();
         assert_eq!(id, 0xDEAD_BEEF);
         assert_eq!(body, b"payload");
-        assert_eq!(decode_req(b"short"), None);
+        assert!(decode_req(b"short").is_err());
     }
 
     fn fb(raw: &[u8]) -> FrameBuf {
@@ -288,11 +249,11 @@ mod tests {
             .unwrap();
         assert_eq!((version, body.as_slice()), (42, &b"x"[..]));
         assert_eq!(
-            parse_reply(&fb(&reply(NOT_FOUND, b"")), 0, MachineId(0)).unwrap(),
+            parse_reply(&fb(&[NOT_FOUND]), 0, MachineId(0)).unwrap(),
             None
         );
         assert!(matches!(
-            parse_reply(&fb(&reply(NOT_OWNER, b"")), 3, MachineId(1)),
+            parse_reply(&fb(&[NOT_OWNER]), 3, MachineId(1)),
             Err(CloudError::WrongOwner {
                 trunk: 3,
                 asked: MachineId(1)
@@ -311,19 +272,22 @@ mod tests {
             parse_reply(&fb(&reply_moved(9)), 5, MachineId(2)),
             Err(CloudError::Moved { trunk: 5, epoch: 9 })
         ));
-        // A truncated MOVED reply (no epoch fence) is malformed.
+        // A truncated MOVED reply (no epoch fence) is malformed, and so is
+        // one with bytes after its fence.
         assert!(matches!(
             parse_reply(&fb(&[MOVED, 1]), 0, MachineId(0)),
+            Err(CloudError::BadReply)
+        ));
+        let mut long = reply_moved(9);
+        long.push(0);
+        assert!(matches!(
+            parse_reply(&fb(&long), 0, MachineId(0)),
             Err(CloudError::BadReply)
         ));
     }
 
     #[test]
     fn put_if_roundtrip() {
-        let body = encode_put_if(99, b"next");
-        assert_eq!(decode_put_if(&body), Some((99, &b"next"[..])));
-        assert_eq!(decode_put_if(&body[..7]), None);
-
         let raw = reply_version_mismatch(0xAB, 3, 9);
         assert!(matches!(
             parse_reply(&fb(&raw), 0, MachineId(0)),
@@ -347,7 +311,7 @@ mod tests {
         let ids = vec![3u64, 99, 7];
         let decoded = decode_multi_req(&encode_multi_req(&ids)).unwrap();
         assert_eq!(decoded, ids);
-        assert_eq!(decode_multi_req(b"misaligned"), None);
+        assert!(decode_multi_req(b"misaligned").is_err());
 
         let entries = vec![
             MultiEntry::Hit(11, fb(b"alpha")),
@@ -358,14 +322,102 @@ mod tests {
         let raw = encode_multi_reply(&entries);
         assert_eq!(decode_multi_reply(&fb(&raw), 4).unwrap(), entries);
         // Wrong expected count or trailing garbage must not parse.
-        assert_eq!(decode_multi_reply(&fb(&raw), 3), None);
-        assert_eq!(decode_multi_reply(&fb(&raw[..raw.len() - 1]), 4), None);
+        assert!(decode_multi_reply(&fb(&raw), 3).is_err());
+        assert!(decode_multi_reply(&fb(&raw[..raw.len() - 1]), 4).is_err());
     }
 
     #[test]
     fn invalidate_roundtrip() {
         let raw = encode_invalidate(0xABCD, 77);
-        assert_eq!(decode_invalidate(&raw), Some((0xABCD, 77)));
-        assert_eq!(decode_invalidate(&raw[..15]), None);
+        assert_eq!(decode_invalidate(&raw), Ok((0xABCD, 77)));
+        assert!(decode_invalidate(&raw[..15]).is_err());
+    }
+
+    /// A reply as the caller sees it, minus `BadReply`.
+    #[derive(Debug, PartialEq)]
+    enum Reply {
+        Ok(u64, Vec<u8>),
+        NotFound,
+        NotOwner,
+        Moved(u64),
+        Mismatch(u64, u64, u64),
+        StoreErr,
+    }
+
+    fn encode_reply(parsed: &Reply) -> Vec<u8> {
+        match parsed {
+            Reply::Ok(version, bytes) => reply_ok(*version, bytes),
+            Reply::NotFound => vec![NOT_FOUND],
+            Reply::NotOwner => vec![NOT_OWNER],
+            Reply::Moved(epoch) => reply_moved(*epoch),
+            Reply::Mismatch(id, expected, found) => reply_version_mismatch(*id, *expected, *found),
+            Reply::StoreErr => vec![STORE_ERR],
+        }
+    }
+
+    fn parse(raw: &[u8]) -> Option<Reply> {
+        use trinity_memstore::StoreError;
+        Some(match parse_reply(&fb(raw), 0, MachineId(0)) {
+            Ok(Some((version, bytes))) => Reply::Ok(version, bytes.to_vec()),
+            Ok(None) => Reply::NotFound,
+            Err(CloudError::WrongOwner { .. }) => Reply::NotOwner,
+            Err(CloudError::Moved { epoch, .. }) => Reply::Moved(epoch),
+            Err(CloudError::Store(StoreError::VersionMismatch {
+                id,
+                expected,
+                found,
+            })) => Reply::Mismatch(id, expected, found),
+            Err(CloudError::Store(_)) => Reply::StoreErr,
+            Err(_) => return None,
+        })
+    }
+
+    #[test]
+    fn every_cell_op_codec_keeps_the_codec_laws() {
+        use crate::codec_laws::{check, Rng};
+        let id_and_bytes = |rng: &mut Rng| (rng.u64(), rng.bytes(12));
+        let req = |(id, body): &(u64, Vec<u8>)| encode_req(*id, body);
+        let owned = |(id, body): (u64, &[u8])| (id, body.to_vec());
+        check(
+            1,
+            id_and_bytes,
+            req,
+            |b| decode_req(b).ok().map(owned),
+            true,
+        );
+        let ids = |rng: &mut Rng| rng.vec(6, Rng::u64);
+        check(
+            3,
+            ids,
+            |ids| encode_multi_req(ids),
+            |b| decode_multi_req(b).ok(),
+            true,
+        );
+        let pair = |rng: &mut Rng| (rng.u64(), rng.u64());
+        let invalidate = |(id, v): &(u64, u64)| encode_invalidate(*id, *v);
+        check(4, pair, invalidate, |b| decode_invalidate(b).ok(), true);
+        let entry = |rng: &mut Rng| match rng.below(3) {
+            0 => MultiEntry::Hit(rng.u64(), fb(&rng.bytes(8))),
+            1 => MultiEntry::Missing,
+            _ => MultiEntry::NotOwner,
+        };
+        // The caller expects as many entries as it asked for ids.
+        let multi = |b: &[u8]| (0..=4).find_map(|n| decode_multi_reply(&fb(b), n).ok());
+        check(
+            5,
+            |rng| rng.vec(4, entry),
+            |es| encode_multi_reply(es),
+            multi,
+            true,
+        );
+        let replies = |rng: &mut Rng| match rng.below(6) {
+            0 => Reply::Ok(rng.u64(), rng.bytes(8)),
+            1 => Reply::NotFound,
+            2 => Reply::NotOwner,
+            3 => Reply::Moved(rng.u64()),
+            4 => Reply::Mismatch(rng.u64(), rng.u64(), rng.u64()),
+            _ => Reply::StoreErr,
+        };
+        check(6, replies, encode_reply, parse, true);
     }
 }

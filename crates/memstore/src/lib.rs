@@ -52,6 +52,7 @@ mod store;
 mod table;
 mod trunk;
 
+pub mod codec;
 pub mod hash;
 
 pub use error::StoreError;
@@ -85,3 +86,7 @@ static VERSION_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 pub fn next_version() -> CellVersion {
     VERSION_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
+
+#[cfg(test)]
+#[path = "../tests/codec_laws/mod.rs"]
+mod codec_laws;

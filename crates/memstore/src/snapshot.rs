@@ -16,8 +16,8 @@
 //! body length: u64 | checksum of the body: u64
 //! ```
 //!
-//! Fixed-width fields are little-endian; a varint is LEB128 (seven bits
-//! a byte, low group first). A payload that ends in a length-prefixed
+//! Fixed-width fields, varints and zig-zag gaps follow DESIGN "Byte
+//! formats" ([`crate::codec`]). A payload that ends in a length-prefixed
 //! `u64` list — `u32 n | n × u64 LE`, the out-list of a node record or a
 //! TSL `List<long>` tail — keeps everything before the list as its raw
 //! bytes and stores the list as `n` and the gaps between consecutive ids
@@ -33,9 +33,9 @@
 //! The trailer is verified before anything else is read: a flipped byte
 //! anywhere, a cut, or bytes after the trailer is
 //! [`SnapshotError::Checksum`]. Behind a good trailer the decoder is
-//! still strict — a zero or overflowing id gap, a reserved id, a padded or over-long
-//! varint, a length or list count larger than the bytes left, or a cell
-//! count that disagrees with the header is [`SnapshotError::Malformed`].
+//! still strict — a zero or overflowing id gap, a reserved id, any varint
+//! or count the codec refuses, or a cell count that disagrees with the
+//! header is [`SnapshotError::Malformed`].
 //!
 //! Each cell is captured atomically (its spin lock is held while copying),
 //! but the snapshot as a whole is not a point-in-time cut across cells —
@@ -49,6 +49,7 @@
 //! verbatim payload borrowed from the image and a list payload rebuilt in
 //! one scratch buffer. Neither allocates per cell.
 
+use crate::codec::{put_varint, put_zigzag, varint_len, DecodeError, Reader};
 use crate::hash::mix64;
 use crate::trunk::{Trunk, TrunkConfig};
 use crate::CellId;
@@ -89,6 +90,12 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<DecodeError> for SnapshotError {
+    fn from(_: DecodeError) -> Self {
+        SnapshotError::Malformed
+    }
+}
+
 /// 64-bit checksum of `bytes`, a little-endian word at a time. Each step
 /// is a bijection of the state for a fixed word and injective in the word
 /// for a fixed state, so two inputs of one length that differ inside a
@@ -96,38 +103,14 @@ impl std::error::Error for SnapshotError {}
 fn checksum(bytes: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
-    let mut words = bytes.chunks_exact(8);
+    let (words, rest) = bytes.as_chunks::<8>();
     let h = words
-        .by_ref()
-        .map(le64)
+        .iter()
+        .map(|w| u64::from_le_bytes(*w))
         .fold((bytes.len() as u64).wrapping_mul(K), step);
     let mut tail = [0u8; 8];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    tail[..rest.len()].copy_from_slice(rest);
     mix64(step(h, u64::from_le_bytes(tail)))
-}
-
-fn le64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-fn varint_len(v: u64) -> usize {
-    (70 - (v | 1).leading_zeros() as usize) / 7
-}
-
-fn zigzag(delta: u64) -> u64 {
-    (delta << 1) ^ ((delta as i64 >> 63) as u64)
-}
-
-fn unzigzag(z: u64) -> u64 {
-    (z >> 1) ^ (z & 1).wrapping_neg()
 }
 
 /// The longest `u32 n | n × u64` list `payload` ends in: where its `n`
@@ -136,7 +119,7 @@ fn list_tail(payload: &[u8]) -> Option<(usize, usize)> {
     let longest = payload.len().checked_sub(4)? / 8;
     (0..=longest).rev().find_map(|n| {
         let at = payload.len() - 4 - 8 * n;
-        let word = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
+        let word = u32::from_le_bytes(*payload[at..].first_chunk()?);
         (word as usize == n).then_some((at, n))
     })
 }
@@ -149,8 +132,9 @@ fn put_payload(image: &mut Vec<u8>, payload: &[u8]) {
         image.extend_from_slice(&payload[..at]);
         put_varint(image, n as u64);
         let mut prev = 0u64;
-        for id in payload[at + 4..].chunks_exact(8).map(le64) {
-            put_varint(image, zigzag(id.wrapping_sub(prev)));
+        for id in payload[at + 4..].as_chunks::<8>().0 {
+            let id = u64::from_le_bytes(*id);
+            put_zigzag(image, id.wrapping_sub(prev));
             prev = id;
         }
         let verbatim = varint_len((payload.len() as u64) << 1) + payload.len();
@@ -161,35 +145,6 @@ fn put_payload(image: &mut Vec<u8>, payload: &[u8]) {
     }
     put_varint(image, (payload.len() as u64) << 1);
     image.extend_from_slice(payload);
-}
-
-/// Take one varint off the front of `rest`, refusing one that runs past
-/// it, has a padding group (a last byte of zero after the first) or does
-/// not fit a `u64`.
-fn take_varint(rest: &mut &[u8]) -> Result<u64, SnapshotError> {
-    if let Some((&b, tail)) = rest.split_first().filter(|(&b, _)| b < 0x80) {
-        *rest = tail;
-        return Ok(u64::from(b));
-    }
-    let mut v = 0u64;
-    for (i, &b) in rest.iter().take(10).enumerate() {
-        v |= u64::from(b & 0x7f) << (7 * i);
-        if b < 0x80 {
-            if (i > 0 && b == 0) || (i == 9 && b > 1) {
-                return Err(SnapshotError::Malformed);
-            }
-            *rest = &rest[i + 1..];
-            return Ok(v);
-        }
-    }
-    Err(SnapshotError::Malformed)
-}
-
-fn take_bytes<'a>(rest: &mut &'a [u8], len: u64) -> Result<&'a [u8], SnapshotError> {
-    let len = usize::try_from(len).map_err(|_| SnapshotError::Malformed)?;
-    let (head, tail) = rest.split_at_checked(len).ok_or(SnapshotError::Malformed)?;
-    *rest = tail;
-    Ok(head)
 }
 
 /// Verify `image` and hand each cell to `visit` in stored order, its
@@ -208,15 +163,17 @@ fn walk(
         .split_at_checked(image.len().wrapping_sub(TRAILER_LEN))
         .filter(|(body, _)| body.len() >= HEADER_LEN)
         .ok_or(SnapshotError::Checksum)?;
-    if le64(&trailer[..8]) != body.len() as u64 || le64(&trailer[8..]) != checksum(body) {
+    let mut sums = Reader::new(trailer);
+    if sums.u64() != Ok(body.len() as u64) || sums.u64() != Ok(checksum(body)) {
         return Err(SnapshotError::Checksum);
     }
-    let (trunk_id, count) = (le64(&body[4..12]), le64(&body[12..HEADER_LEN]));
-    let mut rest = &body[HEADER_LEN..];
+    let mut r = Reader::new(body);
+    r.take(MAGIC.len())?;
+    let (trunk_id, count) = (r.u64()?, r.u64()?);
     let mut scratch = Vec::new();
     let mut prev: Option<CellId> = None;
     for _ in 0..count {
-        let step = take_varint(&mut rest)?;
+        let step = r.varint()?;
         let id = match prev {
             None => Some(step),
             Some(_) if step == 0 => None,
@@ -226,32 +183,28 @@ fn walk(
         .filter(|&id| id < CellId::MAX - 1)
         .ok_or(SnapshotError::Malformed)?;
         prev = Some(id);
-        let head = take_varint(&mut rest)?;
-        let raw = take_bytes(&mut rest, head >> 1)?;
+        let head = r.varint()?;
+        let raw = r.take(r.count(head >> 1, 1)?)?;
         if head & LIST_BIT == 0 {
             visit(id, raw)?;
             continue;
         }
-        // Every gap takes at least one byte: a count past the bytes left
-        // is refused before anything is reserved for it.
-        let n = take_varint(&mut rest)?;
-        if n > rest.len() as u64 || n > u64::from(u32::MAX) {
-            return Err(SnapshotError::Malformed);
-        }
+        // Every gap takes at least one byte.
+        let n = r.varint()?;
+        let n = r.count(n, 1)?;
+        let word = u32::try_from(n).map_err(|_| SnapshotError::Malformed)?;
         scratch.clear();
-        scratch.reserve(raw.len() + 4 + 8 * n as usize);
+        scratch.reserve(raw.len() + 4 + 8 * n);
         scratch.extend_from_slice(raw);
-        scratch.extend_from_slice(&(n as u32).to_le_bytes());
+        scratch.extend_from_slice(&word.to_le_bytes());
         let mut nb = 0u64;
         for _ in 0..n {
-            nb = nb.wrapping_add(unzigzag(take_varint(&mut rest)?));
+            nb = nb.wrapping_add(r.zigzag()?);
             scratch.extend_from_slice(&nb.to_le_bytes());
         }
         visit(id, &scratch)?;
     }
-    if !rest.is_empty() {
-        return Err(SnapshotError::Malformed);
-    }
+    r.finish()?;
     Ok((trunk_id, count))
 }
 
@@ -450,15 +403,59 @@ mod tests {
 
     /// `body` behind a trailer that vouches for it, so only the cell walk
     /// can refuse it.
-    fn sealed(cells: &[u8], count: u64) -> Vec<u8> {
-        let mut image = b"TKC1".to_vec();
-        image.extend_from_slice(&5u64.to_le_bytes());
-        image.extend_from_slice(&count.to_le_bytes());
-        image.extend_from_slice(cells);
-        let sum = checksum(&image);
-        image.extend_from_slice(&(image.len() as u64).to_le_bytes());
-        image.extend_from_slice(&sum.to_le_bytes());
+    fn seal(body: &[u8]) -> Vec<u8> {
+        let mut image = body.to_vec();
+        image.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        image.extend_from_slice(&checksum(body).to_le_bytes());
         image
+    }
+
+    fn sealed(cells: &[u8], count: u64) -> Vec<u8> {
+        let mut body = b"TKC1".to_vec();
+        body.extend_from_slice(&5u64.to_le_bytes());
+        body.extend_from_slice(&count.to_le_bytes());
+        body.extend_from_slice(cells);
+        seal(&body)
+    }
+
+    /// Laws 1 and 2 of the codec harness over the cell walk: the damage
+    /// lands behind a valid trailer. A list-tailed payload may also be
+    /// stored verbatim, so a cell set has more than one image and law 3
+    /// does not apply (`trunk_model.rs` pins the encoder's choice).
+    #[test]
+    fn cell_walk_keeps_the_codec_laws() {
+        use crate::codec_laws::{check, Rng};
+        use std::collections::BTreeMap;
+        let payload = |rng: &mut Rng| {
+            let mut p = rng.bytes(12);
+            if rng.coin() {
+                let ids = rng.vec(5, Rng::u64);
+                p.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+                for id in ids {
+                    p.extend_from_slice(&id.to_le_bytes());
+                }
+            }
+            p
+        };
+        let body = |cells: &BTreeMap<CellId, Vec<u8>>| {
+            let t = Trunk::new(5, TrunkConfig::small());
+            for (&id, bytes) in cells {
+                t.put(id, bytes).unwrap();
+            }
+            let image = TrunkSnapshot::capture(&t).encode();
+            image[..image.len() - TRAILER_LEN].to_vec()
+        };
+        let restore = |body: &[u8]| {
+            let t = Trunk::new(5, TrunkConfig::small());
+            TrunkSnapshot::restore_image(&seal(body), &t).ok()?;
+            let ids = t.cell_ids().into_iter();
+            Some(ids.map(|id| (id, t.get_owned(id).unwrap())).collect())
+        };
+        let cells = |rng: &mut Rng| {
+            let ids = rng.vec(6, |rng| rng.u64().min(CellId::MAX - 2));
+            ids.into_iter().map(|id| (id, payload(rng))).collect()
+        };
+        check(0x7c1, cells, body, restore, false);
     }
 
     #[test]

@@ -18,6 +18,13 @@ use crate::error::TslError;
 use crate::layout::{read_u32, ResolvedType, StructLayout};
 use crate::value::Value;
 
+fn truncated(layout: &StructLayout, at: usize) -> TslError {
+    TslError::Truncated {
+        struct_name: layout.name.clone(),
+        at,
+    }
+}
+
 /// Read-only zero-copy view of a struct blob.
 #[derive(Debug, Clone, Copy)]
 pub struct CellAccessor<'a> {
@@ -62,13 +69,16 @@ impl<'a> CellAccessor<'a> {
                 got: ty.name(),
             });
         }
-        if off + N > self.blob.len() {
-            return Err(TslError::Truncated {
-                struct_name: self.layout.name.clone(),
-                at: off,
-            });
-        }
-        Ok(convert(self.blob[off..off + N].try_into().unwrap()))
+        self.array_at(off).map(convert)
+    }
+
+    /// The `N` bytes at `at`, or `Truncated` when the blob ends first.
+    fn array_at<const N: usize>(&self, at: usize) -> Result<[u8; N], TslError> {
+        self.blob
+            .get(at..)
+            .and_then(<[u8]>::first_chunk)
+            .copied()
+            .ok_or_else(|| truncated(self.layout, at))
     }
 
     /// Read a `long` field.
@@ -142,13 +152,11 @@ impl<'a> CellAccessor<'a> {
             });
         }
         let len = read_u32(self.blob, off)? as usize;
-        if off + 4 + len > self.blob.len() {
-            return Err(TslError::Truncated {
-                struct_name: self.layout.name.clone(),
-                at: off,
-            });
-        }
-        std::str::from_utf8(&self.blob[off + 4..off + 4 + len])
+        let bytes = self
+            .blob
+            .get(off + 4..off + 4 + len)
+            .ok_or_else(|| truncated(self.layout, off))?;
+        std::str::from_utf8(bytes)
             .map_err(|_| TslError::Validate(format!("field {name} is not valid UTF-8")))
     }
 
@@ -202,27 +210,18 @@ impl<'a> CellAccessor<'a> {
                 len,
             });
         }
-        let at = data + i * sz;
-        Ok(i64::from_le_bytes(
-            self.blob[at..at + 8].try_into().unwrap(),
-        ))
+        self.array_at(data + i * sz).map(i64::from_le_bytes)
     }
 
     /// Iterate a `List<long>` field without materializing a `Vec`
     /// (the `Outlinks.Foreach(...)` pattern from paper Figure 2).
     pub fn list_longs(&self, name: &str) -> Result<impl Iterator<Item = i64> + 'a, TslError> {
         let (data, len, sz) = self.list_fixed_elem(name, "long")?;
-        if data + len * sz > self.blob.len() {
-            return Err(TslError::Truncated {
-                struct_name: self.layout.name.clone(),
-                at: data,
-            });
-        }
-        let blob = self.blob;
-        Ok((0..len).map(move |i| {
-            let at = data + i * sz;
-            i64::from_le_bytes(blob[at..at + 8].try_into().unwrap())
-        }))
+        let words = self
+            .blob
+            .get(data..data + len * sz)
+            .ok_or_else(|| truncated(self.layout, data))?;
+        Ok(words.as_chunks().0.iter().map(|w| i64::from_le_bytes(*w)))
     }
 
     /// Read element `i` of a `List<int>` field.
@@ -235,10 +234,7 @@ impl<'a> CellAccessor<'a> {
                 len,
             });
         }
-        let at = data + i * sz;
-        Ok(i32::from_le_bytes(
-            self.blob[at..at + 4].try_into().unwrap(),
-        ))
+        self.array_at(data + i * sz).map(i32::from_le_bytes)
     }
 
     /// Read bit `i` of a `BitArray` field.
@@ -259,7 +255,8 @@ impl<'a> CellAccessor<'a> {
                 len: bits,
             });
         }
-        Ok(self.blob[off + 4 + i / 8] >> (i % 8) & 1 == 1)
+        let [byte] = self.array_at(off + 4 + i / 8)?;
+        Ok(byte >> (i % 8) & 1 == 1)
     }
 
     /// Descend into a nested struct field, returning an accessor scoped to
@@ -334,33 +331,39 @@ impl<'a> CellAccessorMut<'a> {
         self.layout.field_offset(self.blob, self.base, idx)
     }
 
+    /// Overwrite the bytes at `at`, or `Truncated` when the blob ends first.
+    fn write_at(&mut self, at: usize, bytes: &[u8]) -> Result<(), TslError> {
+        self.blob
+            .get_mut(at..)
+            .and_then(|b| b.get_mut(..bytes.len()))
+            .ok_or_else(|| truncated(self.layout, at))?
+            .copy_from_slice(bytes);
+        Ok(())
+    }
+
     /// Overwrite a `long` field in place.
     pub fn set_long(&mut self, name: &str, v: i64) -> Result<(), TslError> {
         let off = self.fixed_field_at(name, "long", |t| matches!(t, ResolvedType::Long))?;
-        self.blob[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write_at(off, &v.to_le_bytes())
     }
 
     /// Overwrite an `int` field in place — the paper's Figure 6
     /// `cell.Links[1] = 2` class of update.
     pub fn set_int(&mut self, name: &str, v: i32) -> Result<(), TslError> {
         let off = self.fixed_field_at(name, "int", |t| matches!(t, ResolvedType::Int))?;
-        self.blob[off..off + 4].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write_at(off, &v.to_le_bytes())
     }
 
     /// Overwrite a `double` field in place.
     pub fn set_double(&mut self, name: &str, v: f64) -> Result<(), TslError> {
         let off = self.fixed_field_at(name, "double", |t| matches!(t, ResolvedType::Double))?;
-        self.blob[off..off + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write_at(off, &v.to_le_bytes())
     }
 
     /// Overwrite a `bool` field in place.
     pub fn set_bool(&mut self, name: &str, v: bool) -> Result<(), TslError> {
         let off = self.fixed_field_at(name, "bool", |t| matches!(t, ResolvedType::Bool))?;
-        self.blob[off] = v as u8;
-        Ok(())
+        self.write_at(off, &[v as u8])
     }
 
     /// Overwrite element `i` of a `List<long>` field in place.
@@ -373,9 +376,7 @@ impl<'a> CellAccessorMut<'a> {
                 len,
             });
         }
-        let at = data + i * sz;
-        self.blob[at..at + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
+        self.write_at(data + i * sz, &v.to_le_bytes())
     }
 
     /// Flip bit `i` of a `BitArray` field in place.
@@ -398,13 +399,10 @@ impl<'a> CellAccessorMut<'a> {
                 len: bits,
             });
         }
-        let byte = &mut self.blob[off + 4 + i / 8];
-        if v {
-            *byte |= 1 << (i % 8);
-        } else {
-            *byte &= !(1 << (i % 8));
-        }
-        Ok(())
+        let at = off + 4 + i / 8;
+        let [byte] = self.reader().array_at(at)?;
+        let mask = 1 << (i % 8);
+        self.write_at(at, &[if v { byte | mask } else { byte & !mask }])
     }
 }
 
@@ -412,6 +410,7 @@ impl<'a> CellAccessorMut<'a> {
 mod tests {
     use super::*;
     use crate::{compile, parse};
+    use proptest::prelude::*;
 
     fn schema() -> crate::Schema {
         compile(
@@ -580,5 +579,64 @@ mod tests {
             acc.set_long("Name", 1),
             Err(TslError::TypeMismatch { .. })
         ));
+    }
+
+    /// Every getter and setter on every field of `layout`, element `i`
+    /// where one is indexed. Results are dropped: only a panic fails.
+    fn touch_every_field(layout: &StructLayout, blob: &mut [u8], i: usize) {
+        let acc = CellAccessor::new(layout, blob);
+        for f in &layout.fields {
+            let name = f.name.as_str();
+            let _ = (acc.get_long(name), acc.get_int(name), acc.get_double(name));
+            let _ = (acc.get_float(name), acc.get_byte(name), acc.get_bool(name));
+            let _ = (acc.get_str(name), acc.get_value(name), acc.list_len(name));
+            let _ = (acc.list_get_long(name, i), acc.list_get_int(name, i));
+            let _ = (
+                acc.list_longs(name).map(Iterator::count),
+                acc.bit_get(name, i),
+            );
+            if let Ok(inner) = acc.get_struct(name) {
+                for g in &inner.layout().fields {
+                    let _ = (inner.get_double(&g.name), inner.get_value(&g.name));
+                }
+            }
+        }
+        let mut acc = CellAccessorMut::new(layout, blob);
+        for f in &layout.fields {
+            let name = f.name.as_str();
+            let _ = (
+                acc.set_long(name, 1),
+                acc.set_int(name, 1),
+                acc.set_double(name, 1.0),
+            );
+            let _ = (acc.set_bool(name, true), acc.set_list_long(name, i, 1));
+            let _ = acc.set_bit(name, i, true);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A blob cut short, with damaged bytes, or arbitrary: every
+        /// accessor answers `Ok` or `Err`.
+        #[test]
+        fn damaged_blobs_never_panic_an_accessor(
+            cut in 0usize..96,
+            flips in proptest::collection::vec((0usize..96, any::<u8>()), 0..4),
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+            arbitrary in any::<bool>(),
+            i in 0usize..64,
+        ) {
+            let schema = schema();
+            let layout = schema.struct_layout("Node").unwrap();
+            let mut blob = if arbitrary { noise } else { sample_blob(&schema) };
+            blob.truncate(cut);
+            for (at, x) in flips {
+                if let Some(b) = blob.get_mut(at) {
+                    *b ^= x;
+                }
+            }
+            touch_every_field(layout, &mut blob, i);
+        }
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The size number ROADMAP tracks: Rust lines under crates/*/src and src/,
-# each file counted up to (not including) its first `#[cfg(test)]` line.
-# A ledger, not a gate: prints a per-crate breakdown and the total.
+# each file counted up to (not including) its first `#[cfg(test)]` line,
+# and, by the same rule, the `.unwrap()`/`.expect(` calls in those lines.
+# A ledger, not a gate: prints a per-crate breakdown and the totals.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,9 +14,14 @@ find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
         crate = (part[1] == "crates") ? part[2] : "(root src)"
         lines[crate]++
         total++
+        line = $0
+        n = gsub(/\.unwrap\(\)|\.expect\(/, "", line)
+        unwraps[crate] += n
+        unwrap_total += n
     }
     END {
-        for (c in lines) printf "%7d  %s\n", lines[c], c | "sort -k2"
-        close("sort -k2")
-        printf "%7d  non-test Rust lines (crates/*/src + src/)\n", total
+        printf "%7s  %7s  %s\n", "lines", "unwraps", "crate"
+        for (c in lines) printf "%7d  %7d  %s\n", lines[c], unwraps[c], c | "sort -k3"
+        close("sort -k3")
+        printf "%7d  %7d  non-test Rust lines and unwrap()/expect( calls (crates/*/src + src/)\n", total, unwrap_total
     }'
