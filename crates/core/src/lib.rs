@@ -56,6 +56,9 @@ pub use incremental::{
 };
 pub use online::{explore_via, CallHook, ExplorationResult, ExploreOptions, Explorer};
 pub use prefetch::BucketPrefetcher;
+/// The traversal protocol ids, for tests that forge their traffic.
+#[doc(hidden)]
+pub use proto::{EXPAND, EXPLORE};
 pub use streaming::{
     CommittedBatch, DirtySet, Mutation, MutationBatch, MutationLog, StreamingIngest, Topology,
 };
@@ -82,7 +85,9 @@ pub(crate) mod proto {
     pub const TABLE_BCAST: ProtoId = BASE + 7;
     /// Recovery: a machine reports a peer failure to the leader.
     pub const REPORT_FAILURE: ProtoId = BASE + 8;
-    // BASE + 9 and BASE + 10 are unassigned.
+    /// Online traversal: run a whole query at its start node's owner.
+    pub const EXPLORE: ProtoId = BASE + 9;
+    // BASE + 10 is unassigned.
     /// Hub optimization: hub-subscription discovery at job setup.
     pub const BSP_HUB_SETUP: ProtoId = BASE + 11;
     /// Mini-transactions: prepare (lock + validate + read).
@@ -96,3 +101,7 @@ pub(crate) mod proto {
 #[cfg(test)]
 #[path = "../../memstore/tests/codec_laws/mod.rs"]
 mod codec_laws;
+
+#[cfg(test)]
+#[path = "../tests/wire_model/mod.rs"]
+mod wire_model;

@@ -1,17 +1,27 @@
-//! The EXPAND wire format as the tests understand it, written out here
-//! independently of the engine's own codecs (`#[path]`-included by the
-//! suites that read or forge EXPAND traffic):
+//! The traversal wire formats as the tests understand them, written out
+//! here independently of the engine's own codecs (`#[path]`-included by
+//! the suites that read or forge traversal traffic), with the proptest
+//! strategies that forge it:
 //!
 //! ```text
-//! request: flags (bit 0 = want_neighbors) | varint plen | pattern | ids
-//! reply:   flags (bit 0 = truncated) | ids matches | ids neighbors
+//! EXPAND request:  flags (bit 0 = want_neighbors) | varint plen | pattern | ids
+//! EXPAND reply:    flags (bit 0 = truncated) | ids matches | ids neighbors
+//! EXPLORE request: flags (bit 0 = budgeted) | varint hops | varint plen
+//!                  | pattern | varint start
+//! EXPLORE reply:   flags (bit 0 = deadline_exceeded) | varint batches
+//!                  | varint failed_batches | varint levels (≥ 1)
+//!                  | levels × varint per_hop | ids matches
 //! ids:     varint n | varint first | (n − 1) × varint gap, every gap ≥ 1
 //! varint:  LEB128, minimal, at most 10 bytes, below 2^64
 //! ```
 //!
-//! Nothing may follow the last list, no other flag bit may be set, and a
+//! Nothing may follow the last field, no other flag bit may be set, and a
 //! list may not run past `u64::MAX`.
 #![allow(dead_code)]
+
+use std::collections::BTreeSet;
+
+use proptest::prelude::*;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -25,6 +35,25 @@ pub struct Reply {
     pub truncated: bool,
     pub matches: Vec<u64>,
     pub neighbors: Vec<u64>,
+}
+
+/// An `EXPLORE` request: a whole query.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Query {
+    pub budgeted: bool,
+    pub hops: u64,
+    pub pattern: Vec<u8>,
+    pub start: u64,
+}
+
+/// An `EXPLORE` reply: a whole result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Answer {
+    pub deadline_exceeded: bool,
+    pub batches: u64,
+    pub failed_batches: u64,
+    pub per_hop: Vec<u64>,
+    pub matches: Vec<u64>,
 }
 
 /// How one varint of a forged message is spoiled.
@@ -122,6 +151,15 @@ impl Writer {
         self.ids(neighbors);
         self.out
     }
+
+    pub fn query(mut self, budgeted: bool, hops: u64, pattern: &[u8], start: u64) -> Vec<u8> {
+        self.out.push(budgeted as u8);
+        self.varint(hops);
+        self.varint(pattern.len() as u64);
+        self.out.extend_from_slice(pattern);
+        self.varint(start);
+        self.out
+    }
 }
 
 pub fn encode_request(want_neighbors: bool, pattern: &[u8], ids: &[u64]) -> Vec<u8> {
@@ -173,15 +211,20 @@ fn take_ids(data: &mut &[u8]) -> Option<Vec<u64>> {
     Some(ids)
 }
 
+fn take_pattern(data: &mut &[u8]) -> Option<Vec<u8>> {
+    let plen = usize::try_from(take_varint(data)?).ok()?;
+    let (pattern, rest) = data.split_at_checked(plen)?;
+    *data = rest;
+    Some(pattern.to_vec())
+}
+
 pub fn decode_request(mut data: &[u8]) -> Option<Request> {
     let want_neighbors = take_flag(&mut data)?;
-    let plen = usize::try_from(take_varint(&mut data)?).ok()?;
-    let (pattern, rest) = data.split_at_checked(plen)?;
-    data = rest;
+    let pattern = take_pattern(&mut data)?;
     let ids = take_ids(&mut data)?;
-    data.is_empty().then(|| Request {
+    data.is_empty().then_some(Request {
         want_neighbors,
-        pattern: pattern.to_vec(),
+        pattern,
         ids,
     })
 }
@@ -195,4 +238,113 @@ pub fn decode_reply(mut data: &[u8]) -> Option<Reply> {
         matches,
         neighbors,
     })
+}
+
+pub fn decode_query(mut data: &[u8]) -> Option<Query> {
+    let budgeted = take_flag(&mut data)?;
+    let hops = take_varint(&mut data)?;
+    let pattern = take_pattern(&mut data)?;
+    let start = take_varint(&mut data)?;
+    data.is_empty().then_some(Query {
+        budgeted,
+        hops,
+        pattern,
+        start,
+    })
+}
+
+pub fn decode_answer(mut data: &[u8]) -> Option<Answer> {
+    let deadline_exceeded = take_flag(&mut data)?;
+    let batches = take_varint(&mut data)?;
+    let failed_batches = take_varint(&mut data)?;
+    let levels = take_varint(&mut data).filter(|&n| n > 0)?;
+    let per_hop = (0..levels)
+        .map(|_| take_varint(&mut data))
+        .collect::<Option<Vec<u64>>>()?;
+    let matches = take_ids(&mut data)?;
+    data.is_empty().then_some(Answer {
+        deadline_exceeded,
+        batches,
+        failed_batches,
+        per_hop,
+        matches,
+    })
+}
+
+/// An optional byte flip, then an optional truncation.
+pub type Damage = (Option<(u16, u8)>, Option<u16>);
+
+fn damage() -> impl Strategy<Value = Damage> {
+    (
+        proptest::option::of((any::<u16>(), any::<u8>())),
+        proptest::option::of(any::<u16>()),
+    )
+}
+
+fn damaged(mut bytes: Vec<u8>, (flip, cut): Damage) -> Vec<u8> {
+    if let (Some((at, value)), false) = (flip, bytes.is_empty()) {
+        let at = at as usize % bytes.len();
+        bytes[at] = value;
+    }
+    if let Some(cut) = cut {
+        bytes.truncate(cut as usize % (bytes.len() + 1));
+    }
+    bytes
+}
+
+/// Arbitrary bytes, or a well-formed message that is damaged half the time.
+pub fn hostile(
+    well_formed: impl Strategy<Value = Vec<u8>> + 'static,
+) -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        1 => proptest::collection::vec(any::<u8>(), 0..64),
+        4 => (well_formed, any::<bool>(), damage())
+            .prop_map(|(bytes, hurt, d)| if hurt { damaged(bytes, d) } else { bytes }),
+    ]
+}
+
+/// A strictly ascending list: mostly ids below `nodes + 30`, with a tail
+/// of ids nothing was ever stored under, some of them right below
+/// `u64::MAX`.
+pub fn some_ids(nodes: u64) -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(any_id(nodes), 0..12)
+        .prop_map(|ids| BTreeSet::from_iter(ids).into_iter().collect())
+}
+
+/// One id: usually below `nodes + 30`, sometimes right below `u64::MAX`.
+pub fn any_id(nodes: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![
+        8 => 0u64..(nodes + 30),
+        1 => (0u64..4).prop_map(|k| u64::MAX - k),
+    ]
+}
+
+/// What goes into a list slot of a forged message: usually a proper list,
+/// sometimes one in arbitrary order with repeats (which the format bans).
+pub fn id_list(nodes: u64) -> impl Strategy<Value = Vec<u64>> {
+    prop_oneof![
+        6 => some_ids(nodes),
+        1 => proptest::collection::vec(0u64..(nodes + 30), 2..8),
+    ]
+}
+
+/// A search pattern: none, a common name fragment, or arbitrary bytes.
+pub fn pattern() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        1 => Just(Vec::new()),
+        1 => Just(b"David".to_vec()),
+        1 => Just(b"a".to_vec()),
+        1 => proptest::collection::vec(any::<u8>(), 0..4),
+    ]
+}
+
+/// Usually none; otherwise one of the message's first few varints spoiled.
+pub fn twist() -> impl Strategy<Value = Option<(usize, Twist)>> {
+    let how = prop_oneof![
+        1 => Just(Twist::Padded),
+        1 => Just(Twist::TooLong),
+        1 => Just(Twist::Overflowing),
+        1 => Just(Twist::Huge),
+    ];
+    prop_oneof![4 => Just(None), 1 => (0usize..6, how).prop_map(Some)]
 }

@@ -347,14 +347,27 @@ impl Endpoint {
     /// answers costs one call timeout for the whole round, not one per
     /// request. No thread is spawned.
     pub fn call_many(&self, requests: &[(MachineId, ProtoId, &[u8])]) -> Vec<Result<FrameBuf>> {
+        self.call_many_while(requests, || ()).0
+    }
+
+    /// [`Endpoint::call_many`] with the caller's own work in the middle:
+    /// every request goes on the wire, `meanwhile` runs on the calling
+    /// thread while the peers work, then the replies are collected.
+    pub fn call_many_while<T>(
+        &self,
+        requests: &[(MachineId, ProtoId, &[u8])],
+        meanwhile: impl FnOnce() -> T,
+    ) -> (Vec<Result<FrameBuf>>, T) {
         let issued: Vec<Result<Issued>> = requests
             .iter()
             .map(|&(dst, proto, payload)| self.issue(dst, proto, payload, self.call_timeout))
             .collect();
-        issued
+        let own = meanwhile();
+        let replies = issued
             .into_iter()
             .map(|slot| slot.and_then(|slot| self.complete(slot)))
-            .collect()
+            .collect();
+        (replies, own)
     }
 
     /// The sending half of a call: open its pending slot and ship the

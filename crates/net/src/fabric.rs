@@ -72,7 +72,10 @@ pub struct FabricConfig {
     pub machines: usize,
     /// Handler worker threads per machine. Workers may block in nested
     /// calls (recursive traversal fan-out), so more workers allow deeper
-    /// concurrent fan-out.
+    /// concurrent fan-out. An online query holds one worker of its start's
+    /// owner while its rounds are out, so two machines can stall each other
+    /// only with `2 × workers_per_machine` queries in flight, or half that
+    /// while a migration leaves tables stale (DESIGN §14).
     pub workers_per_machine: usize,
     /// Byte threshold at which a destination's packed one-way buffer is
     /// shipped.

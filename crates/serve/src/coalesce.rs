@@ -1,14 +1,13 @@
-//! Request coalescing: merge identical in-flight fan-out calls.
+//! Request coalescing: merge identical in-flight calls.
 //!
-//! Concurrent queries exploring overlapping neighborhoods issue the same
-//! `EXPAND` request — same destination machine, same protocol, same
-//! frontier batch — at the same time. The [`Coalescer`] keys in-flight
-//! calls by `(machine, proto, payload)`; the first submitter (the
-//! *leader*) actually issues the call, later identical submitters
-//! (*followers*) block on the leader's flight and share its reply. Under
-//! load this turns N duplicate upstream requests into one. A whole
-//! fan-out round goes through [`Coalescer::call_many`]: its leaders
-//! share one [`Endpoint::call_many`], on the calling thread.
+//! Concurrent online queries from the same start node with the same hop
+//! budget and pattern ship the same `EXPLORE` request — same destination
+//! machine, same protocol, same bytes — at the same time. The
+//! [`Coalescer`] keys in-flight calls by `(machine, proto, payload)`; the
+//! first submitter (the *leader*) actually issues the call, later
+//! identical submitters with no more budget than it had (*followers*)
+//! block on the leader's flight and share its reply. Under load this turns
+//! N duplicate queries into one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,6 +25,8 @@ type Key = (MachineId, ProtoId, Vec<u8>);
 
 #[derive(Default)]
 struct Flight {
+    /// The leader's budget when it issued the call ([`remaining_us`]).
+    budget: u64,
     done: Mutex<Option<trinity_net::Result<FrameBuf>>>,
     cv: Condvar,
 }
@@ -62,80 +63,60 @@ impl Coalescer {
         })
     }
 
-    /// Call `dst`/`proto` with `payload`, sharing the reply with any
-    /// identical call already in flight: [`Coalescer::call_many`] of one.
+    /// Call `dst`/`proto` with `payload`, sharing the reply of an identical
+    /// call in flight whose leader had at least this call's budget, so a
+    /// shared answer is never cut shorter than this call's own. Otherwise
+    /// lead: go upstream under the calling thread's deadline, remove the
+    /// flight, then publish. A follower waits no longer than its own
+    /// budget, and issues the call itself when its leader ran out of budget
+    /// (`DeadlineExceeded`) but it has not. Followers share the leader's
+    /// reply frame by refcount: one upstream call *and* one buffer.
     pub fn call(
         &self,
         dst: MachineId,
         proto: ProtoId,
         payload: &[u8],
     ) -> trinity_net::Result<FrameBuf> {
-        let mut results = self.call_many(&[(dst, proto, payload)]);
-        results.pop().expect("one result per request")
-    }
-
-    /// A fan-out round, one result per request in input order. A request
-    /// identical to one already in flight — another query's, or an earlier
-    /// one of this round — follows that flight; the others lead, and go
-    /// upstream together in one [`Endpoint::call_many`] under the calling
-    /// thread's deadline. Every leader publishes before any follower
-    /// waits, so a round never waits on itself. A follower waits no longer
-    /// than its own budget, and when its leader ran out of budget
-    /// (`DeadlineExceeded`) while its own is still open, it issues the
-    /// call itself. Followers share the leader's reply frame by refcount —
-    /// N coalesced submitters cost one upstream call *and* one buffer.
-    pub fn call_many(
-        &self,
-        requests: &[(MachineId, ProtoId, &[u8])],
-    ) -> Vec<trinity_net::Result<FrameBuf>> {
-        // Each request's flight, and its key when this call leads it.
-        let mut leaders = Vec::new();
-        let flights: Vec<(Arc<Flight>, Option<Key>)> = {
-            let mut inflight = self.inflight.lock();
-            requests
-                .iter()
-                .map(|&(dst, proto, payload)| {
-                    let key: Key = (dst, proto, payload.to_vec());
-                    if let Some(f) = inflight.get(&key) {
-                        return (Arc::clone(f), None);
-                    }
-                    let f = Arc::new(Flight::default());
-                    inflight.insert(key.clone(), Arc::clone(&f));
-                    leaders.push((dst, proto, payload));
-                    (f, Some(key))
-                })
-                .collect()
-        };
-        self.misses.add(leaders.len() as u64);
-        self.hits.add((requests.len() - leaders.len()) as u64);
-        let mut upstream = self.endpoint.call_many(&leaders).into_iter();
-        for (flight, key) in &flights {
-            let Some(key) = key else { continue };
-            let result = upstream.next().expect("call_many answers every request");
-            // Remove the flight BEFORE publishing the result: a submitter
-            // arriving after this point starts a fresh call instead of
-            // reading a stale reply.
-            self.inflight.lock().remove(key);
-            *flight.done.lock() = Some(result);
-            flight.cv.notify_all();
+        let key: Key = (dst, proto, payload.to_vec());
+        let budget = remaining_us();
+        let mut inflight = self.inflight.lock();
+        if let Some(flight) = inflight.get(&key).filter(|f| f.budget >= budget).cloned() {
+            drop(inflight);
+            self.hits.inc();
+            return self.follow(&flight, dst, proto, payload);
         }
-        flights
-            .iter()
-            .zip(requests)
-            .map(|((flight, key), &request)| self.await_flight(flight, key.is_some(), request))
-            .collect()
+        // A flight whose leader had less budget is replaced, not joined.
+        let flight = Arc::new(Flight {
+            budget,
+            ..Flight::default()
+        });
+        inflight.insert(key, Arc::clone(&flight));
+        drop(inflight);
+        self.misses.inc();
+        let result = self.endpoint.call(dst, proto, payload);
+        // Remove the flight BEFORE publishing the result: a submitter
+        // arriving after this point starts a fresh call instead of
+        // reading a stale reply.
+        self.inflight.lock().retain(|_, f| !Arc::ptr_eq(f, &flight));
+        *flight.done.lock() = Some(result.clone());
+        flight.cv.notify_all();
+        result
     }
 
-    /// The published reply of `flight`, waiting no longer than the calling
-    /// thread's own budget.
-    fn await_flight(
+    /// The published reply of another caller's `flight`, waiting no longer
+    /// than the calling thread's own budget.
+    fn follow(
         &self,
         flight: &Flight,
-        leader: bool,
-        (dst, proto, payload): (MachineId, ProtoId, &[u8]),
+        dst: MachineId,
+        proto: ProtoId,
+        payload: &[u8],
     ) -> trinity_net::Result<FrameBuf> {
         let mut done = flight.done.lock();
-        while done.is_none() {
+        let result = loop {
+            if let Some(result) = done.as_ref() {
+                break result.clone();
+            }
             let budget = remaining_us();
             if budget == 0 {
                 return Err(NetError::DeadlineExceeded(dst, proto));
@@ -144,12 +125,11 @@ impl Coalescer {
             if flight.cv.wait_for(&mut done, wait).timed_out() && done.is_none() {
                 return Err(NetError::DeadlineExceeded(dst, proto));
             }
-        }
-        let result = done.as_ref().expect("flight published").clone();
+        };
         drop(done);
         match result {
             // The leader's budget ran out, not this caller's.
-            Err(NetError::DeadlineExceeded(..)) if !leader && !deadline_expired() => {
+            Err(NetError::DeadlineExceeded(..)) if !deadline_expired() => {
                 self.misses.inc();
                 self.endpoint.call(dst, proto, payload)
             }
@@ -161,7 +141,7 @@ impl Coalescer {
     /// [`trinity_core::ExploreOptions::call`].
     pub fn hook(self: &Arc<Self>) -> CallHook {
         let this = Arc::clone(self);
-        Arc::new(move |requests| this.call_many(requests))
+        Arc::new(move |dst, proto, payload| this.call(dst, proto, payload))
     }
 
     /// Total calls answered from an in-flight leader.
@@ -220,35 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn a_round_sends_each_distinct_request_once() {
-        let fabric = Fabric::new(FabricConfig::with_machines(3));
-        let served = Arc::new(AtomicU64::new(0));
-        for m in 1..3 {
-            let served = Arc::clone(&served);
-            fabric
-                .endpoint(MachineId(m))
-                .register(SLOW_ECHO, move |_src, p| {
-                    served.fetch_add(1, Ordering::SeqCst);
-                    Some(p.to_vec())
-                });
-        }
-        let co = Coalescer::new(fabric.endpoint(MachineId(0)));
-        let (x, y) = (&b"x"[..], &b"y"[..]);
-        let got = co.call_many(&[
-            (MachineId(1), SLOW_ECHO, x),
-            (MachineId(2), SLOW_ECHO, x),
-            (MachineId(1), SLOW_ECHO, y),
-            (MachineId(1), SLOW_ECHO, x),
-        ]);
-        let got: Vec<Vec<u8>> = got.into_iter().map(|r| r.unwrap().into_vec()).collect();
-        assert_eq!(got, [x, x, y, x]);
-        assert_eq!(served.load(Ordering::SeqCst), 3, "the repeat rode along");
-        assert_eq!((co.misses(), co.hits()), (3, 1));
-        fabric.shutdown();
-    }
-
-    #[test]
-    fn a_follower_with_budget_left_is_not_failed_by_its_leaders_deadline() {
+    fn a_call_with_more_budget_than_the_leader_leads_its_own() {
         let fabric = Fabric::new(FabricConfig::with_machines(2));
         fabric
             .endpoint(MachineId(1))
@@ -257,37 +209,52 @@ mod tests {
                 Some(p.to_vec())
             });
         let co = Coalescer::new(fabric.endpoint(MachineId(0)));
-        // The leader gives up after 2 ms; the follower must catch its
-        // flight inside that window, so try until it has.
-        for _ in 0..100 {
-            let hits = co.hits();
-            let leader = std::thread::spawn({
-                let co = Arc::clone(&co);
-                move || {
-                    let _budget = DeadlineGuard::enter_for(Duration::from_millis(2));
-                    co.call(MachineId(1), SLOW_ECHO, b"same")
-                }
-            });
-            while co.inflight.lock().is_empty() && !leader.is_finished() {
-                std::hint::spin_loop();
-            }
-            let followed = {
-                let _budget = DeadlineGuard::enter_for(Duration::from_secs(5));
+        let leader = std::thread::spawn({
+            let co = Arc::clone(&co);
+            move || {
+                let _budget = DeadlineGuard::enter_for(Duration::from_millis(2));
                 co.call(MachineId(1), SLOW_ECHO, b"same")
-            };
-            let led = leader.join().unwrap();
-            assert!(
-                matches!(led, Err(NetError::DeadlineExceeded(..))),
-                "{led:?}"
-            );
-            if co.hits() > hits {
-                // The leader ran out of time; this query did not.
-                assert_eq!(followed.as_deref(), Ok(&b"same"[..]));
-                fabric.shutdown();
-                return;
             }
+        });
+        while co.inflight.lock().is_empty() && !leader.is_finished() {
+            std::hint::spin_loop();
         }
-        panic!("the follower never caught the leader's flight");
+        // The leader gives up after 2 ms; this call has 5 s and does not
+        // wait on it.
+        let own = {
+            let _budget = DeadlineGuard::enter_for(Duration::from_secs(5));
+            co.call(MachineId(1), SLOW_ECHO, b"same")
+        };
+        let led = leader.join().unwrap();
+        assert!(
+            matches!(led, Err(NetError::DeadlineExceeded(..))),
+            "{led:?}"
+        );
+        assert_eq!(own.as_deref(), Ok(&b"same"[..]));
+        assert_eq!((co.hits(), co.misses()), (0, 2));
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn a_follower_with_budget_left_is_not_failed_by_its_leaders_deadline() {
+        let fabric = Fabric::new(FabricConfig::with_machines(2));
+        fabric
+            .endpoint(MachineId(1))
+            .register(SLOW_ECHO, |_src, p| Some(p.to_vec()));
+        let co = Coalescer::new(fabric.endpoint(MachineId(0)));
+        // A flight whose leader's budget lapsed upstream.
+        let flight = Flight {
+            done: Mutex::new(Some(Err(NetError::DeadlineExceeded(
+                MachineId(1),
+                SLOW_ECHO,
+            )))),
+            ..Flight::default()
+        };
+        let _budget = DeadlineGuard::enter_for(Duration::from_secs(5));
+        let followed = co.follow(&flight, MachineId(1), SLOW_ECHO, b"same");
+        assert_eq!(followed.as_deref(), Ok(&b"same"[..]));
+        assert_eq!(co.misses(), 1, "the follower issued the call itself");
+        fabric.shutdown();
     }
 
     #[test]

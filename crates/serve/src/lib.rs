@@ -15,13 +15,14 @@
 //! * **Deadline propagation**: each admitted query's budget is installed
 //!   on its worker thread, stamped into every fabric envelope next to the
 //!   trace id (`trinity-net`), tightened by the modeled wire time of the
-//!   cost model, and honored by slave-side `EXPAND`/BSP handlers, which
-//!   return partial results instead of completing doomed work.
+//!   cost model, and honored by slave-side `EXPLORE`/`EXPAND`/BSP
+//!   handlers, which return partial results instead of completing doomed
+//!   work.
 //! * **Cooperative cancellation** ([`trinity_net::CancelToken`]): checked
-//!   at hop boundaries and trunk-scan loops through
-//!   [`trinity_core::ExploreOptions`].
-//! * **Request coalescing** ([`Coalescer`]): identical in-flight frontier
-//!   expansions against the same machine merge into one upstream call.
+//!   before a query ships, through [`trinity_core::ExploreOptions`]; once
+//!   shipped, the query is bounded by its deadline.
+//! * **Request coalescing** ([`Coalescer`]): identical in-flight queries
+//!   against the same start node's owner merge into one upstream call.
 
 mod coalesce;
 mod error;
