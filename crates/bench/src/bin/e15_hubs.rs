@@ -49,62 +49,26 @@ fn main() {
         ],
     );
     let iterations = 3;
+    let config = |messaging, hub_threshold, combine| BspConfig {
+        messaging,
+        hub_threshold,
+        combine,
+        ..BspConfig::default()
+    };
+    let packed = MessagingMode::Packed;
     for (name, cfg) in [
         (
             "no optimization (unpacked)",
-            BspConfig {
-                messaging: MessagingMode::Unpacked,
-                hub_threshold: None,
-                combine: false,
-                max_supersteps: 64,
-                compute_threads: 0,
-                ..BspConfig::default()
-            },
+            config(MessagingMode::Unpacked, None, false),
         ),
+        ("packing only", config(packed, None, false)),
+        ("packing + hubs (deg>=64)", config(packed, Some(64), false)),
+        ("packing + hubs (deg>=16)", config(packed, Some(16), false)),
         (
-            "packing only",
-            BspConfig {
-                messaging: MessagingMode::Packed,
-                hub_threshold: None,
-                combine: false,
-                max_supersteps: 64,
-                compute_threads: 0,
-                ..BspConfig::default()
-            },
+            "packing + hubs (every vertex, default)",
+            BspConfig::default(),
         ),
-        (
-            "packing + hubs (deg>=64)",
-            BspConfig {
-                messaging: MessagingMode::Packed,
-                hub_threshold: Some(64),
-                combine: false,
-                max_supersteps: 64,
-                compute_threads: 0,
-                ..BspConfig::default()
-            },
-        ),
-        (
-            "packing + hubs (deg>=16)",
-            BspConfig {
-                messaging: MessagingMode::Packed,
-                hub_threshold: Some(16),
-                combine: false,
-                max_supersteps: 64,
-                compute_threads: 0,
-                ..BspConfig::default()
-            },
-        ),
-        (
-            "packing + hubs + combiner",
-            BspConfig {
-                messaging: MessagingMode::Packed,
-                hub_threshold: Some(16),
-                combine: true,
-                max_supersteps: 64,
-                compute_threads: 0,
-                ..BspConfig::default()
-            },
-        ),
+        ("packing + hubs + combiner", config(packed, Some(16), true)),
     ] {
         let (cloud, graph) = cloud_with_graph(&csr, 8, &LoadOptions::default());
         let result = pagerank_distributed(graph, iterations, cfg);

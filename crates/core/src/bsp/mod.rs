@@ -24,13 +24,14 @@
 //!   the fabric's per-destination pack buffers; `Unpacked` ships every
 //!   message as its own record, frame and transfer — the naive cost the
 //!   paper's packing exists to avoid;
-//! * **hub buffering** ([`BspConfig::hub_threshold`]): a high-degree
-//!   vertex broadcasting the same value to its neighbors sends *one*
-//!   record per remote machine per iteration with no destination list at
-//!   all; the receiving machine fans it out locally through a subscriber
-//!   index built at job setup. On a power-law graph with `γ = 2.16`,
-//!   buffering the top few percent of vertices covers most message
-//!   deliveries (paper: 2% of hubs reach 80% of vertices);
+//! * **hub buffering** ([`BspConfig::hub_threshold`], by default every
+//!   vertex with a neighbor): a vertex broadcasting the same value to its
+//!   neighbors sends *one* record per remote machine per iteration with
+//!   one id, its own, and no destination list; the receiving machine
+//!   fans it out locally through a fan-out index it builds at job setup
+//!   from its own in-edges (Distributed GraphLab's ghosts do the same for
+//!   every boundary vertex; the paper's §5.4 for the hubs of a power-law
+//!   graph);
 //! * **sender-side combining** ([`BspConfig::combine`]): commutative
 //!   messages to the same destination vertex are merged before leaving
 //!   the machine (Pregel's combiner).
@@ -88,7 +89,8 @@ pub trait SuperstepHook: Send + Sync {
 pub struct BspConfig {
     pub messaging: MessagingMode,
     /// Out-degree at or above which a broadcasting vertex is treated as a
-    /// hub (None disables hub buffering).
+    /// hub (None disables hub buffering). The default, 1, makes every
+    /// vertex with a neighbor one.
     pub hub_threshold: Option<usize>,
     /// Merge combinable messages sender-side.
     pub combine: bool,
@@ -123,7 +125,7 @@ impl Default for BspConfig {
     fn default() -> Self {
         BspConfig {
             messaging: MessagingMode::Packed,
-            hub_threshold: Some(128),
+            hub_threshold: Some(1),
             combine: false,
             max_supersteps: 64,
             compute_threads: 0,
@@ -375,24 +377,6 @@ impl<P: VertexProgram> BspRunner<P> {
                 split[owner(id)].active.insert(id);
             }
         }
-        let rts: Vec<Arc<MachineRt<P>>> = (0..machines)
-            .map(|m| {
-                let node = self.graph.cloud().node(m);
-                let table = node.table();
-                let workers = resolve_compute_threads(
-                    self.cfg.compute_threads,
-                    table.trunks_of(MachineId(m as u16)).len(),
-                );
-                let rt = Arc::new(MachineRt::new(
-                    Arc::clone(node.endpoint()),
-                    machines,
-                    workers,
-                    table,
-                ));
-                rt.register_handlers(self.graph.handle(m).clone());
-                rt
-            })
-            .collect();
         let job = Job {
             graph: &self.graph,
             program: &self.program,
@@ -416,9 +400,9 @@ impl<P: VertexProgram> BspRunner<P> {
             finals: Mutex::default(),
         };
         std::thread::scope(|scope| {
-            for (m, (rt, resume)) in rts.iter().zip(split).enumerate() {
+            for (m, resume) in split.into_iter().enumerate() {
                 let job = &job;
-                scope.spawn(move || machine_driver(job, m, rt, resume));
+                scope.spawn(move || machine_driver(job, m, resume));
             }
         });
         let finals = job.finals.into_inner();
@@ -452,12 +436,7 @@ struct Job<'x, P: VertexProgram> {
     finals: Mutex<ResumePoint<P>>,
 }
 
-fn machine_driver<P: VertexProgram>(
-    job: &Job<'_, P>,
-    m: usize,
-    rt: &MachineRt<P>,
-    mut resume: ResumePoint<P>,
-) {
+fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: ResumePoint<P>) {
     // The job's trace id covers every send/call this driver thread makes,
     // and the submitter's deadline budget bounds them.
     let _trace_guard = TraceGuard::enter(job.trace);
@@ -493,6 +472,24 @@ fn machine_driver<P: VertexProgram>(
         .map(|&(id, ..)| id)
         .collect();
 
+    // --- Runtime: receive handlers (and the fan-out index) -------------
+    // No peer sends this job anything before every machine has installed
+    // its handlers: the barrier below.
+    let node = job.graph.cloud().node(m);
+    let table = node.table();
+    let workers = resolve_compute_threads(
+        job.cfg.compute_threads,
+        table.trunks_of(MachineId(m as u16)).len(),
+    );
+    let rt = Arc::new(MachineRt::<P>::new(
+        Arc::clone(node.endpoint()),
+        machines,
+        workers,
+        table,
+        hub_threshold.map(|_| handle),
+    ));
+    rt.register_handlers();
+
     // --- Worker pool setup ---------------------------------------------
     // Shard every local vertex (and all resumed state) by
     // `trunk_of(id) % workers` — the same pure routing the receive
@@ -500,7 +497,6 @@ fn machine_driver<P: VertexProgram>(
     // that owns its destination. `vseq` is the vertex's position in the
     // machine-wide sorted order; the combine replay keys on it to
     // reproduce the serial enqueue sequence exactly.
-    let workers = rt.inboxes.len();
     rt.metrics.pool_workers.add(workers as u64);
     let mut shards: Vec<WorkerState<P>> = (0..workers)
         .map(|w| WorkerState::new(w, machines, workers))
@@ -527,44 +523,41 @@ fn machine_driver<P: VertexProgram>(
         ws.inbox = Inbox::new(&ws.ids);
         ws.inbox.fill(r, P::msg_cmp);
         ws.active = vec![!job.resumed; ws.ids.len()];
-        ws.subscribers = vec![Vec::new(); ws.ids.len()];
+        ws.subscribed = vec![false; ws.ids.len() * machines];
     }
     for id in resume.active {
         let ws = &mut shards[rt.shard_of(id)];
-        match ws.inbox.slot(id) {
+        match ws.inbox.slots.get(id) {
             Some(s) => ws.active[s] = true,
             None => ws.stray_active.push(id),
         }
     }
 
     // --- Setup: hub discovery ------------------------------------------
-    // A peer whose setup call fails — or whose reply is malformed — is not
-    // subscribed to anything here: it gets this machine's hubs' messages
-    // as ordinary records. A reply naming an id this machine does not
-    // host subscribes nothing.
-    if hub_threshold.is_some() {
-        job.barrier.wait();
-        if !hubs.is_empty() {
-            let mut req = Vec::with_capacity(hubs.len() * 8);
-            for h in &hubs {
-                req.extend_from_slice(&h.to_le_bytes());
-            }
-            for peer in (0..machines).filter(|&p| p != m) {
-                let peer = MachineId(peer as u16);
-                if let Ok(reply) = rt.endpoint.call(peer, proto::BSP_HUB_SETUP, &req) {
-                    for hub in path::le_u64s(&reply).into_iter().flatten() {
-                        let ws = &mut shards[rt.shard_of(hub)];
-                        if let Some(s) = ws.inbox.slot(hub) {
-                            ws.subscribers[s].push(peer);
-                        }
-                    }
+    // Each peer answers this machine's hub list with the hubs its
+    // read-only fan-out index covers. A peer whose call fails, or whose
+    // reply does not decode, gets this machine's hubs' messages as
+    // ordinary records; a reply naming an id this machine does not host
+    // subscribes nothing. Sending may start once this loop is done.
+    job.barrier.wait();
+    if !hubs.is_empty() {
+        let mut req = Vec::new();
+        runs::put_ids(&mut req, &hubs);
+        for peer in (0..machines).filter(|&p| p != m) {
+            let reply = rt
+                .endpoint
+                .call(MachineId(peer as u16), proto::BSP_HUB_SETUP, &req);
+            let subscribed = reply.ok().and_then(|r| runs::read_ids(&r).ok());
+            for hub in subscribed.into_iter().flatten() {
+                let ws = &mut shards[rt.shard_of(hub)];
+                if let Some(s) = ws.inbox.slots.get(hub) {
+                    ws.subscribed[s * machines + peer] = true;
                 }
             }
         }
-        job.barrier.wait();
     }
 
-    pool::run(job, m, rt, shards);
+    pool::run(job, m, &rt, shards);
 }
 
 #[cfg(test)]
@@ -895,39 +888,46 @@ mod tests {
     }
 
     #[test]
-    fn a_hub_setup_request_with_a_partial_word_subscribes_nothing() {
-        // Vertex 0 is a hub with neighbors on both machines. Its id plus 4
-        // trailing bytes is not an id list: the peer answers with the
-        // empty reply instead of subscribing the hub the first word names.
-        let n = 60u64;
-        let edges: Vec<(u64, u64)> = (1..n).map(|v| (0, v)).collect();
+    fn a_hub_setup_list_cut_inside_a_varint_or_with_a_trailing_byte_subscribes_nothing() {
+        // Vertex 300 is a hub with neighbors on both machines. Its list cut
+        // inside the id's varint, or followed by one more byte, is not an
+        // id list: the peer answers with the empty list instead of
+        // subscribing the hub.
+        let n = 400u64;
+        let edges: Vec<(u64, u64)> = (0..n).filter(|&v| v != 300).map(|v| (300, v)).collect();
         let csr = Csr::undirected_from_edges(n as usize, &edges, true);
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
         let graph = load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap();
-        let hub_machine = cloud.node(0).table().machine_of(0);
+        let hub_machine = cloud.node(0).table().machine_of(300);
         let peer = MachineId(1 - hub_machine.0);
         let rt = Arc::new(MachineRt::<MaxValue>::new(
             Arc::clone(cloud.node(peer.0 as usize).endpoint()),
             2,
             1,
             cloud.node(0).table(),
+            Some(graph.handle(peer.0 as usize)),
         ));
-        rt.register_handlers(graph.handle(peer.0 as usize).clone());
+        rt.register_handlers();
         let caller = cloud.node(hub_machine.0 as usize).endpoint();
         let setup = |req: &[u8]| {
-            caller
-                .call(peer, proto::BSP_HUB_SETUP, req)
-                .unwrap()
-                .to_vec()
+            let reply = caller.call(peer, proto::BSP_HUB_SETUP, req).unwrap();
+            runs::read_ids(&reply).unwrap()
         };
-        let mut req = 0u64.to_le_bytes().to_vec();
-        req.extend_from_slice(&[0xff; 4]);
-        assert!(setup(&req).is_empty(), "a 12-byte request subscribed a hub");
+        let mut req = Vec::new();
+        runs::put_ids(&mut req, &[300]);
+        assert_eq!(req.len(), 3, "a count and a two-byte id");
         assert_eq!(
-            setup(&req[..8]),
-            0u64.to_le_bytes(),
-            "the whole id subscribes"
+            setup(&req[..2]),
+            [],
+            "a list cut inside a varint subscribed a hub"
         );
+        let trailing = [&req[..], &[0]].concat();
+        assert_eq!(
+            setup(&trailing),
+            [],
+            "a list with a trailing byte subscribed a hub"
+        );
+        assert_eq!(setup(&req), [300], "the whole list subscribes");
         cloud.shutdown();
     }
 

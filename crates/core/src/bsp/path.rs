@@ -3,14 +3,14 @@
 //! destination machine, protocol) builds [`super::runs`] frames and ships
 //! them by size. Receiving: the `BSP_MSG`/`BSP_HUB` batch handlers
 //! validate each frame whole, decode every record's message once, fan it
-//! out to the owning shards and credit the fence. Machine-local
-//! deliveries go straight to the inboxes. Draining: an [`Inbox`] sorts a
-//! shard's arrivals into per-slot runs.
+//! out to the owning shards — a hub's through the machine's [`Fanout`]
+//! index — and credit the fence. Machine-local deliveries go straight to
+//! the inboxes. Draining: an [`Inbox`] sorts a shard's arrivals into
+//! per-slot runs.
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -91,10 +91,6 @@ impl BspMetrics {
 /// One worker's inbox: flattened `(dst, msg)` pairs under a single lock.
 type ShardInbox<M> = Mutex<Vec<(CellId, M)>>;
 
-/// Hub id → per-shard lists of the local vertices subscribed to it,
-/// pre-split so fan-out stages straight into the owning shard.
-type HubSubs = HashMap<CellId, Vec<Vec<CellId>>>;
-
 /// One machine's receive-side state for a job.
 pub(super) struct MachineRt<P: VertexProgram> {
     pub(super) endpoint: Arc<Endpoint>,
@@ -111,25 +107,23 @@ pub(super) struct MachineRt<P: VertexProgram> {
     pub(super) local_deliveries: AtomicU64,
     fence: Mutex<FenceState>,
     fence_cv: Condvar,
-    /// Hub subscriber index under construction: `BSP_HUB_SETUP` handlers
-    /// insert here until the setup barrier.
-    subs_setup: Mutex<HubSubs>,
-    /// The index as hub fan-out reads it — remote hub id → per-shard
-    /// lists of local vertices that list it as an (in-)neighbor. Frozen
-    /// from `subs_setup` by the first hub run to arrive, which a peer can
-    /// only send after the setup barrier, so fan-out takes no lock on it.
-    subs: OnceLock<HubSubs>,
+    /// Remote vertex → the local vertices its broadcast reaches; built
+    /// before the handlers are installed and read-only after.
+    fanout: Fanout,
     pub(super) metrics: BspMetrics,
 }
 
 impl<P: VertexProgram> MachineRt<P> {
+    /// A machine's runtime, with the fan-out index of `hubs`, its graph
+    /// handle when hub buffering is on.
     pub(super) fn new(
         endpoint: Arc<Endpoint>,
         machines: usize,
         shard_workers: usize,
         table: AddressingTable,
+        hubs: Option<&GraphHandle>,
     ) -> Self {
-        MachineRt {
+        let mut rt = MachineRt {
             metrics: BspMetrics::new(&endpoint),
             endpoint,
             machines,
@@ -142,9 +136,12 @@ impl<P: VertexProgram> MachineRt<P> {
                 got: vec![0; machines],
             }),
             fence_cv: Condvar::new(),
-            subs_setup: Mutex::new(HashMap::new()),
-            subs: OnceLock::new(),
+            fanout: Fanout::default(),
+        };
+        if let Some(handle) = hubs {
+            rt.fanout = Fanout::build(handle, &rt);
         }
+        rt
     }
 
     pub(super) fn shard_of(&self, id: CellId) -> usize {
@@ -233,7 +230,7 @@ impl<P: VertexProgram> MachineRt<P> {
     }
 
     /// Install this machine's four BSP protocol handlers.
-    pub(super) fn register_handlers(self: &Arc<Self>, handle: GraphHandle) {
+    pub(super) fn register_handlers(self: &Arc<Self>) {
         // Vertex data messages: decode the run, then one lock per shard
         // inbox and one fence update for all of it. A malformed frame is
         // still credited: fences must balance.
@@ -252,7 +249,7 @@ impl<P: VertexProgram> MachineRt<P> {
                 rt.count_frames(src, frames.len());
             });
         // Hub broadcasts: the same run, its ids naming hubs; fan each out
-        // through the subscriber index.
+        // through the fan-out index.
         let rt = Arc::clone(self);
         self.endpoint
             .register_batch(proto::BSP_HUB, move |src, frames| {
@@ -260,13 +257,10 @@ impl<P: VertexProgram> MachineRt<P> {
                 // frames are still counted: fences must balance or the
                 // superstep would hang instead of finishing early.
                 if !deadline_expired() {
-                    let subs = rt
-                        .subs
-                        .get_or_init(|| std::mem::take(&mut *rt.subs_setup.lock()));
                     let mut staged = vec![Vec::new(); rt.shard_workers];
                     for frame in frames {
                         rt.for_each_record(&frame.payload, |msg, hubs| {
-                            for shards in hubs.iter().filter_map(|hub| subs.get(hub)) {
+                            for shards in hubs.iter().filter_map(|&hub| rt.fanout.get(hub)) {
                                 for (buf, targets) in staged.iter_mut().zip(shards) {
                                     buf.extend(targets.iter().map(|&t| (t, msg.clone())));
                                 }
@@ -289,44 +283,16 @@ impl<P: VertexProgram> MachineRt<P> {
             rt.fence_cv.notify_all();
             None
         });
-        // Hub subscription discovery: given a peer's hub ids, scan the
-        // local partition for vertices referencing them and remember
-        // the subscriptions; reply with the subscribed subset.
+        // Hub subscription discovery: reply with the ascending subset of
+        // a peer's ascending hub list this machine fans out. A list that
+        // does not decode subscribes nothing.
         let rt = Arc::clone(self);
         self.endpoint
             .register(proto::BSP_HUB_SETUP, move |_src, data| {
-                let Ok(hubs) = le_u64s(data) else {
-                    return Some(Vec::new());
-                };
-                let hubs: std::collections::HashSet<CellId> = hubs.collect();
-                // Targets are pre-split by owning shard so hub fan-out
-                // locks each worker inbox once per broadcast.
-                let mut found: HubSubs = HashMap::new();
-                let workers = rt.shard_workers;
-                handle.for_each_local_node(|id, view| {
-                    // In-neighbors when stored; otherwise the graph is
-                    // undirected and out-neighbors are the same set.
-                    let shard = rt.shard_of(id);
-                    let mut subscribe = |src_v: CellId| {
-                        if hubs.contains(&src_v) {
-                            found
-                                .entry(src_v)
-                                .or_insert_with(|| vec![Vec::new(); workers])[shard]
-                                .push(id);
-                        }
-                    };
-                    if view.has_ins() {
-                        view.ins().for_each(&mut subscribe);
-                    } else {
-                        view.outs().for_each(&mut subscribe);
-                    }
-                });
-                let mut reply = Vec::with_capacity(found.len() * 8);
-                let mut subs = rt.subs_setup.lock();
-                for (hub, targets) in found {
-                    reply.extend_from_slice(&hub.to_le_bytes());
-                    subs.insert(hub, targets);
-                }
+                let mut hubs = runs::read_ids(data).unwrap_or_default();
+                hubs.retain(|&hub| rt.fanout.get(hub).is_some());
+                let mut reply = Vec::new();
+                runs::put_ids(&mut reply, &hubs);
                 Some(reply)
             });
     }
@@ -339,18 +305,131 @@ fn decode_fence(data: &[u8]) -> Result<u64, DecodeError> {
     r.finish().map(|()| count)
 }
 
-/// The little-endian `u64`s of a `BSP_HUB_SETUP` id list, refused when its
-/// length is not a whole number of them.
-pub(super) fn le_u64s(data: &[u8]) -> Result<impl Iterator<Item = u64> + '_, DecodeError> {
-    let mut r = Reader::new(data);
-    let words = r.chunks::<8>(data.len() as u64 / 8)?;
-    r.finish()
-        .map(|()| words.iter().map(|w| u64::from_le_bytes(*w)))
-}
-
-/// Marks an empty `Inbox::index` entry: a slot, never an id, so any id —
+/// Marks an empty [`Slots`] entry: a slot, never an id, so any id —
 /// `u64::MAX` included — can be a key.
 const NO_SLOT: usize = usize::MAX;
+
+/// `id → slot`, slots numbered in insertion order: open addressing over
+/// the addressing table's mixer, at most half full.
+pub(super) struct Slots {
+    table: Vec<(CellId, usize)>,
+    len: usize,
+}
+
+impl Default for Slots {
+    fn default() -> Self {
+        Slots {
+            table: vec![(0, NO_SLOT)],
+            len: 0,
+        }
+    }
+}
+
+impl Slots {
+    /// The entry holding `id`, or the empty one ending its probe.
+    #[inline]
+    fn probe(&self, id: CellId) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = mix64(id) as usize & mask;
+        while self.table[i].1 != NO_SLOT && self.table[i].0 != id {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The slot of `id`, if it has one.
+    #[inline]
+    pub(super) fn get(&self, id: CellId) -> Option<usize> {
+        Some(self.table[self.probe(id)].1).filter(|&s| s != NO_SLOT)
+    }
+
+    /// The slot of `id`, giving it the next one if it has none.
+    fn insert(&mut self, id: CellId) -> usize {
+        if (self.len + 1) * 2 > self.table.len() {
+            let grown = vec![(0, NO_SLOT); self.table.len() * 2];
+            let old = std::mem::replace(&mut self.table, grown);
+            for entry in old.into_iter().filter(|e| e.1 != NO_SLOT) {
+                let i = self.probe(entry.0);
+                self.table[i] = entry;
+            }
+        }
+        let i = self.probe(id);
+        if self.table[i].1 == NO_SLOT {
+            self.table[i] = (id, self.len);
+            self.len += 1;
+        }
+        self.table[i].1
+    }
+}
+
+/// One machine's fan-out index for a job: remote vertex → the local
+/// vertices that list it as an in-neighbor (once per listing), split by
+/// owning shard. Entry `e`'s targets in shard `w` are
+/// `targets[off[e * shards + w]..off[e * shards + w + 1]]`.
+#[derive(Default)]
+struct Fanout {
+    slots: Slots,
+    shards: usize,
+    off: Vec<usize>,
+    targets: Vec<CellId>,
+}
+
+impl Fanout {
+    /// One pass over the local adjacency, then a counting sort of its
+    /// remote in-edges by (entry, shard).
+    fn build<P: VertexProgram>(handle: &GraphHandle, rt: &MachineRt<P>) -> Self {
+        let me = rt.endpoint.machine();
+        let shards = rt.shard_workers;
+        let mut slots = Slots::default();
+        let mut edges: Vec<(usize, CellId)> = Vec::new();
+        handle.for_each_local_node(|id, view| {
+            let shard = rt.shard_of(id);
+            let mut add = |src: CellId| {
+                if rt.table.machine_of(src) != me {
+                    edges.push((slots.insert(src) * shards + shard, id));
+                }
+            };
+            // In-neighbors when stored; otherwise the graph is undirected
+            // and out-neighbors are the same set.
+            if view.has_ins() {
+                view.ins().for_each(&mut add);
+            } else {
+                view.outs().for_each(&mut add);
+            }
+        });
+        // Bucket `b` is counted at `off[b + 1]`; after the prefix sum
+        // `off[b]` is its start, then its cursor, which ends at `b + 1`'s
+        // start: one rotation puts the starts back.
+        let mut off = vec![0; slots.len * shards + 1];
+        for &(b, _) in &edges {
+            off[b + 1] += 1;
+        }
+        for b in 1..off.len() {
+            off[b] += off[b - 1];
+        }
+        let mut targets = vec![0; edges.len()];
+        for (b, t) in edges {
+            targets[off[b]] = t;
+            off[b] += 1;
+        }
+        off.rotate_right(1);
+        off[0] = 0;
+        Fanout {
+            slots,
+            shards,
+            off,
+            targets,
+        }
+    }
+
+    /// The local targets of `hub`, one slice per shard, if it has any.
+    #[inline]
+    fn get(&self, hub: CellId) -> Option<impl Iterator<Item = &[CellId]>> {
+        let e = self.slots.get(hub)?;
+        let off = &self.off[e * self.shards..=(e + 1) * self.shards];
+        Some(off.windows(2).map(|w| &self.targets[w[0]..w[1]]))
+    }
+}
 
 /// One superstep's drained shard inbox, by *slot*: an id's position in the
 /// list the inbox was built over. The messages to slot `s` are `run(s)`, in
@@ -358,9 +437,8 @@ const NO_SLOT: usize = usize::MAX;
 /// `(dst, msg_cmp)` order: each id gets what a stable `(dst, msg_cmp)`
 /// sort of the arrivals gives it, but only runs are comparison-sorted.
 pub(super) struct Inbox<M> {
-    /// `id → slot`, probed once per delivered message: open addressing
-    /// over the addressing table's mixer, at most half full.
-    index: Vec<(CellId, usize)>,
+    /// `id → slot`, probed once per delivered message.
+    pub(super) slots: Slots,
     msgs: Vec<M>,
     /// `off[s]..off[s + 1]` delimits slot `s`'s run in `msgs`.
     off: Vec<usize>,
@@ -372,34 +450,17 @@ pub(super) struct Inbox<M> {
 impl<M> Inbox<M> {
     /// An empty inbox over distinct `ids`: `ids[s]` gets slot `s`.
     pub(super) fn new(ids: &[CellId]) -> Self {
-        let mut inbox = Inbox {
-            index: vec![(0, NO_SLOT); (ids.len() * 2).next_power_of_two()],
+        let mut slots = Slots::default();
+        for &id in ids {
+            slots.insert(id);
+        }
+        Inbox {
+            slots,
             msgs: Vec::new(),
             off: vec![0; ids.len() + 1],
             strays: Vec::new(),
             dest: Vec::new(),
-        };
-        for (slot, &id) in ids.iter().enumerate() {
-            let i = inbox.probe(id);
-            inbox.index[i] = (id, slot);
         }
-        inbox
-    }
-
-    /// The `index` entry holding `id`, or the empty one ending its probe.
-    #[inline]
-    fn probe(&self, id: CellId) -> usize {
-        let mask = self.index.len() - 1;
-        let mut i = mix64(id) as usize & mask;
-        while self.index[i].1 != NO_SLOT && self.index[i].0 != id {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// The slot of `id`, if it has one.
-    pub(super) fn slot(&self, id: CellId) -> Option<usize> {
-        Some(self.index[self.probe(id)].1).filter(|&s| s != NO_SLOT)
     }
 
     /// Replace the contents with the arrivals in `raw`: a stable counting
@@ -415,7 +476,7 @@ impl<M> Inbox<M> {
         self.off.resize(strays + 3, 0);
         self.dest.clear();
         for &(dst, _) in raw.iter() {
-            let b = self.slot(dst).unwrap_or(strays);
+            let b = self.slots.get(dst).unwrap_or(strays);
             self.dest.push(b);
             self.off[b + 2] += 1;
         }
@@ -462,6 +523,8 @@ pub(super) struct RunOutbox {
     peer: MachineId,
     proto: ProtoId,
     frame: Vec<u8>,
+    /// The open frame's last id: the next record's gaps start from it.
+    prev: CellId,
     /// Records in `frame`, added to `bsp.records.sent` when it ships.
     records: u64,
     /// Frames shipped (the fence's unit); whoever reads it resets it.
@@ -474,6 +537,7 @@ impl RunOutbox {
             peer: MachineId(peer as u16),
             proto,
             frame: Vec::new(),
+            prev: 0,
             records: 0,
             frames: 0,
         }
@@ -492,8 +556,9 @@ impl RunOutbox {
     ) {
         if self.frame.is_empty() {
             runs::start(&mut self.frame, superstep as u32);
+            self.prev = 0;
         }
-        runs::push_record(&mut self.frame, msg, ids);
+        runs::push_record(&mut self.frame, &mut self.prev, msg, ids);
         self.records += 1;
         if unpacked {
             self.flush(rt);

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 
 use trinity_graph::GraphHandle;
 use trinity_memcloud::{AddressingTable, CellId};
-use trinity_net::{deadline_expired, CostModel, DeadlineGuard, MachineId, StatsDelta};
+use trinity_net::{deadline_expired, CostModel, DeadlineGuard, StatsDelta};
 use trinity_obs::TraceGuard;
 
 use super::path::{Inbox, MachineRt, RunOutbox};
@@ -45,11 +45,12 @@ pub(super) struct WorkerState<P: VertexProgram> {
     /// Each local vertex's position in the *machine-wide* sorted order —
     /// the combine replay key. Slots `0..vseq.len()` are computed.
     pub(super) vseq: Vec<usize>,
-    /// Slot-aligned: state, active flag, and the machines subscribed to
-    /// the vertex as a hub (empty for most).
+    /// Slot-aligned: state and active flag.
     pub(super) states: Vec<P::State>,
     pub(super) active: Vec<bool>,
-    pub(super) subscribers: Vec<Vec<MachineId>>,
+    /// Whether machine `p` fans out slot `s`'s broadcasts, at
+    /// `s * machines + p`.
+    pub(super) subscribed: Vec<bool>,
     /// Resumed active ids without a slot, carried through unchanged.
     pub(super) stray_active: Vec<CellId>,
     /// The current superstep's messages, by slot.
@@ -63,10 +64,6 @@ pub(super) struct WorkerState<P: VertexProgram> {
     /// The broadcasting vertex's remote neighbors by owning machine, in
     /// adjacency order: one record each (reused).
     groups: Vec<Vec<CellId>>,
-    /// Which machines subscribe to the broadcasting vertex as a hub, and
-    /// which of those its adjacency reaches (all false between vertices).
-    hub_peer: Vec<bool>,
-    hub_hit: Vec<bool>,
     /// Private per-destination run frames: messages, hub broadcasts.
     outbox: Vec<RunOutbox>,
     hub_outbox: Vec<RunOutbox>,
@@ -84,15 +81,13 @@ impl<P: VertexProgram> WorkerState<P> {
             vseq: Vec::new(),
             states: Vec::new(),
             active: Vec::new(),
-            subscribers: Vec::new(),
+            subscribed: Vec::new(),
             stray_active: Vec::new(),
             inbox: Inbox::new(&[]),
             tally: Vec::new(),
             outs_scratch: Vec::new(),
             sends: Vec::new(),
             groups: vec![Vec::new(); machines],
-            hub_peer: vec![false; machines],
-            hub_hit: vec![false; machines],
             outbox: (0..machines)
                 .map(|p| RunOutbox::new(p, proto::BSP_MSG))
                 .collect(),
@@ -296,9 +291,7 @@ fn compute_phase<P: VertexProgram>(
         // to this vertex as a hub (a per-peer fact: a failed setup call
         // subscribed nobody), one hub record it fans out itself.
         if let Some(msg) = broadcast {
-            for &peer in &ws.subscribers[s] {
-                ws.hub_peer[peer.0 as usize] = true;
-            }
+            let hub_peer = &ws.subscribed[s * ctx.machines..][..ctx.machines];
             // Encoded once, and only if a record leaves the machine.
             let payload = std::cell::OnceCell::new();
             let payload = || payload.get_or_init(|| P::encode_msg(&msg)).as_slice();
@@ -307,31 +300,29 @@ fn compute_phase<P: VertexProgram>(
                 if owner == ctx.m {
                     local_delivered += 1;
                     rt.push_local(&mut ws.local_buf, dst, msg.clone());
-                } else if ws.hub_peer[owner] {
-                    // Only machines this hub actually reaches this
-                    // superstep (the index may be stale after updates).
-                    ws.hub_hit[owner] = true;
+                } else if hub_peer[owner] || !(ctx.job.cfg.combine || unpacked) {
+                    ws.groups[owner].push(dst);
                 } else if ctx.job.cfg.combine {
                     ws.combine.push((vseq, dst, msg.clone()));
-                } else if unpacked {
+                } else {
                     sent += 1;
                     ws.outbox[owner].push(rt, superstep, true, payload(), &[dst]);
-                } else {
-                    ws.groups[owner].push(dst);
                 }
             }
-            for owner in 0..ctx.machines {
-                if !ws.groups[owner].is_empty() {
-                    sent += ws.groups[owner].len() as u64;
-                    ws.outbox[owner].push(rt, superstep, false, payload(), &ws.groups[owner]);
-                    ws.groups[owner].clear();
-                }
-                if std::mem::take(&mut ws.hub_hit[owner]) {
+            // A subscribed machine gets one hub record, and only if this
+            // superstep's adjacency reaches it (the index may be stale
+            // after updates).
+            let groups = ws.groups.iter_mut().enumerate();
+            for (owner, group) in groups.filter(|(_, g)| !g.is_empty()) {
+                if hub_peer[owner] {
                     ws.hub_outbox[owner].push(rt, superstep, unpacked, payload(), &[id]);
                     rt.metrics.hub_broadcasts.inc();
                     sent += 1;
+                } else {
+                    sent += group.len() as u64;
+                    ws.outbox[owner].push(rt, superstep, false, payload(), group);
                 }
-                ws.hub_peer[owner] = false;
+                group.clear();
             }
         }
         // Route point sends (general model): records of one destination.

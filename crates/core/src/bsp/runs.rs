@@ -1,21 +1,23 @@
-//! The BSP data frame: a *run* of records (DESIGN §14).
+//! The BSP data frame: a *run* of records (DESIGN §14), and the id list
+//! a `BSP_HUB_SETUP` call and its reply carry.
 //!
 //! ```text
 //! frame:   superstep u32 LE | record…
 //! record:  varint msg_len | msg | varint n | n × varint zigzag(gap)
-//! gap:     id − previous id of the record (the first: − 0), mod 2^64,
+//! gap:     id − previous id of the frame (its first: − 0), mod 2^64,
 //!          read as an i64
+//! id list: varint n | n × varint (id − previous id), ascending
 //! ```
 //!
 //! One record says "this message, to these `n` vertices": a broadcast
 //! crosses the wire once per destination machine, its destinations
 //! gap-coded in stored adjacency order. A point send is a record with
 //! `n = 1`; a `BSP_HUB` frame is the same run with hub ids in place of
-//! destinations. Gaps wrap, so every id sequence (any order, repeats
-//! included) has exactly one encoding and no gap can run past
-//! `u64::MAX`. [`decode`] refuses a frame shorter than its superstep, a
-//! record cut short, and any varint or count the byte codec refuses
-//! (DESIGN "Byte formats").
+//! destinations, about a byte an id. Gaps wrap, so every id sequence (any
+//! order, repeats included) has exactly one encoding. [`decode`] refuses
+//! a frame shorter than its superstep, a record cut short, and any varint
+//! or count the byte codec refuses (DESIGN "Byte formats"); [`read_ids`]
+//! also refuses an id past `u64::MAX` and trailing bytes.
 
 use trinity_memcloud::CellId;
 use trinity_memstore::codec::{put_varint, put_zigzag, DecodeError, Reader};
@@ -26,16 +28,40 @@ pub fn start(frame: &mut Vec<u8>, superstep: u32) {
     frame.extend_from_slice(&superstep.to_le_bytes());
 }
 
-/// Append one record to an open frame.
-pub fn push_record(frame: &mut Vec<u8>, msg: &[u8], ids: &[CellId]) {
+/// Append one record to an open frame. `prev` is the frame's last id so
+/// far, 0 when it opened, and is left at this record's last.
+pub fn push_record(frame: &mut Vec<u8>, prev: &mut CellId, msg: &[u8], ids: &[CellId]) {
     put_varint(frame, msg.len() as u64);
     frame.extend_from_slice(msg);
     put_varint(frame, ids.len() as u64);
-    let mut prev = 0u64;
     for &id in ids {
-        put_zigzag(frame, id.wrapping_sub(prev));
+        put_zigzag(frame, id.wrapping_sub(*prev));
+        *prev = id;
+    }
+}
+
+/// Append an ascending id list.
+pub fn put_ids(out: &mut Vec<u8>, ids: &[CellId]) {
+    put_varint(out, ids.len() as u64);
+    let mut prev = 0;
+    for &id in ids {
+        debug_assert!(id >= prev, "an id list ascends");
+        put_varint(out, id - prev);
         prev = id;
     }
+}
+
+/// Read a whole id list [`put_ids`] wrote.
+pub fn read_ids(bytes: &[u8]) -> Result<Vec<CellId>, DecodeError> {
+    let mut r = Reader::new(bytes);
+    let n = r.varint()?;
+    let mut ids = Vec::with_capacity(r.count(n, 1)?);
+    let mut prev = 0u64;
+    for _ in 0..n {
+        prev = prev.checked_add(r.varint()?).ok_or(r.error())?;
+        ids.push(prev);
+    }
+    r.finish().map(|()| ids)
 }
 
 /// A decoded frame; message bytes borrow from it.
@@ -70,6 +96,7 @@ fn read(frame: &[u8]) -> Result<Run<'_>, DecodeError> {
         records: Vec::new(),
         ids: Vec::new(),
     };
+    let mut prev = 0u64;
     while !r.is_empty() {
         let msg_len = r.varint()?;
         let msg = r.take(r.count(msg_len, 1)?)?;
@@ -77,7 +104,6 @@ fn read(frame: &[u8]) -> Result<Run<'_>, DecodeError> {
         let n = r.varint()?;
         let n = r.count(n, 1)?;
         run.ids.reserve(n);
-        let mut prev = 0u64;
         for _ in 0..n {
             prev = prev.wrapping_add(r.zigzag()?);
             run.ids.push(prev);
@@ -95,7 +121,7 @@ mod tests {
     fn a_broadcast_record_costs_the_value_once_and_short_gaps() {
         let mut frame = Vec::new();
         start(&mut frame, 7);
-        push_record(&mut frame, &[0xAB; 8], &[1000, 1003, 1001, 1001]);
+        push_record(&mut frame, &mut 0, &[0xAB; 8], &[1000, 1003, 1001, 1001]);
         // 4 superstep + 1 len + 8 msg + 1 n + (2 + 1 + 1 + 1) gaps.
         assert_eq!(frame.len(), 19);
         let run = decode(&frame).unwrap();
@@ -109,18 +135,25 @@ mod tests {
         let ids = [u64::MAX, 0, u64::MAX - 1, 1 << 63, (1 << 63) - 1, 0, 0];
         let mut frame = Vec::new();
         start(&mut frame, u32::MAX);
-        push_record(&mut frame, b"", &ids);
-        push_record(&mut frame, b"x", &[]);
+        let mut prev = 0;
+        push_record(&mut frame, &mut prev, b"", &ids);
+        push_record(&mut frame, &mut prev, b"x", &[]);
+        push_record(&mut frame, &mut prev, b"y", &[7]);
         let run = decode(&frame).unwrap();
         let records: Vec<_> = run.records().collect();
-        assert_eq!(records, [(&b""[..], &ids[..]), (&b"x"[..], &[][..])]);
+        let want = [
+            (&b""[..], &ids[..]),
+            (&b"x"[..], &[][..]),
+            (&b"y"[..], &[7][..]),
+        ];
+        assert_eq!(records, want);
     }
 
     #[test]
     fn damaged_frames_are_refused_whole() {
         let mut frame = Vec::new();
         start(&mut frame, 1);
-        push_record(&mut frame, b"abcd", &[5, 9]);
+        push_record(&mut frame, &mut 0, b"abcd", &[5, 9]);
         assert!(decode(&frame).is_some());
         assert!(decode(&frame[..3]).is_none(), "shorter than the superstep");
         assert!(decode(&frame[..4]).is_some(), "an empty run is a run");
@@ -133,5 +166,54 @@ mod tests {
         // A count nothing backs, and a padded varint.
         assert!(decode(&[0, 0, 0, 0, 0, 0xFF, 0xFF, 0x03]).is_none());
         assert!(decode(&[0, 0, 0, 0, 0x80, 0x00, 0]).is_none());
+    }
+
+    #[test]
+    fn a_hub_frame_costs_eleven_bytes_an_id() {
+        // 8-byte messages to ascending ids: the first below 64, each less
+        // than 64 above the one before, so every gap is one byte.
+        for k in [1u64, 5, 300] {
+            let ids: Vec<CellId> = (0..k).map(|i| 63 * i + 63).collect();
+            let mut frame = Vec::new();
+            let mut prev = 0;
+            start(&mut frame, 2);
+            for &id in &ids {
+                push_record(&mut frame, &mut prev, &id.to_le_bytes(), &[id]);
+            }
+            assert_eq!(frame.len() as u64, 4 + 11 * k);
+            let run = decode(&frame).unwrap();
+            let got: Vec<CellId> = run.records().flat_map(|(_, ids)| ids.to_vec()).collect();
+            assert_eq!(got, ids);
+        }
+    }
+
+    #[test]
+    fn id_lists_keep_the_codec_laws() {
+        // Cut inside a varint, or followed by a byte: refused.
+        let mut list = Vec::new();
+        put_ids(&mut list, &[3, 300]);
+        assert_eq!(read_ids(&list), Ok(vec![3, 300]));
+        assert!(read_ids(&list[..list.len() - 1]).is_err());
+        assert!(read_ids(&[&list[..], &[0]].concat()).is_err());
+        // A gap past `u64::MAX` is refused, not wrapped.
+        let mut past = Vec::new();
+        put_ids(&mut past, &[u64::MAX, u64::MAX]);
+        *past.last_mut().unwrap() = 1;
+        assert!(read_ids(&past).is_err());
+        crate::codec_laws::check(
+            0x1d5,
+            |rng| {
+                let mut ids = rng.vec(12, |rng| rng.u64());
+                ids.sort_unstable();
+                ids
+            },
+            |ids| {
+                let mut out = Vec::new();
+                put_ids(&mut out, ids);
+                out
+            },
+            |bytes| read_ids(bytes).ok(),
+            true,
+        );
     }
 }

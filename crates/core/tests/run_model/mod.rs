@@ -5,14 +5,19 @@
 //! ```text
 //! frame:   superstep u32 LE | record…
 //! record:  varint msg_len | msg | varint n | n × varint zigzag(gap)
-//! gap:     id − previous id of the record (the first: − 0), mod 2^64,
-//!          read as a two's-complement i64
+//! gap:     id − the id before it in the frame, whatever record that was
+//!          in (the frame's first: − 0), mod 2^64, read as a
+//!          two's-complement i64
 //! zigzag:  0, −1, 1, −2, … ↦ 0, 1, 2, 3, …
 //! varint:  LEB128, minimal, at most 10 bytes, below 2^64 — the EXPAND
 //!          model's (`wire_model/`), writer twists included
 //! ```
 //!
 //! A frame ends with its last record; an empty run is a run.
+//!
+//! ```text
+//! id list: varint n | n × varint (id − previous id), ascending
+//! ```
 #![allow(dead_code)]
 
 #[path = "../wire_model/mod.rs"]
@@ -44,25 +49,37 @@ pub fn zigzag_gap(prev: u64, id: u64) -> u64 {
     }
 }
 
-/// Bytes one record occupies.
-pub fn record_len(msg_len: usize, ids: &[u64]) -> usize {
+/// Bytes one record occupies after a record that ended at id `prev`
+/// (0 for a frame's first); leaves `prev` at this record's last id.
+pub fn record_len(prev: &mut u64, msg_len: usize, ids: &[u64]) -> usize {
+    let gaps: usize = ids
+        .iter()
+        .map(|&id| varint_len(zigzag_gap(std::mem::replace(prev, id), id)))
+        .sum();
+    varint_len(msg_len as u64) + msg_len + varint_len(ids.len() as u64) + gaps
+}
+
+/// Bytes a `BSP_HUB_SETUP` id list takes: `varint n`, then each id of
+/// the ascending list minus the one before it (the first minus 0) as a
+/// varint.
+pub fn id_list_len(ids: &[u64]) -> usize {
     let mut prev = 0;
     let gaps: usize = ids
         .iter()
-        .map(|&id| varint_len(zigzag_gap(std::mem::replace(&mut prev, id), id)))
+        .map(|&id| varint_len(id - std::mem::replace(&mut prev, id)))
         .sum();
-    varint_len(msg_len as u64) + msg_len + varint_len(ids.len() as u64) + gaps
+    varint_len(ids.len() as u64) + gaps
 }
 
 /// The frame for `records`; `twist = (k, how)` spoils its k-th varint.
 pub fn forge(twist: Option<(usize, Twist)>, superstep: u32, records: &[Record]) -> Vec<u8> {
     let mut w = Writer::twisted(twist);
     w.out.extend_from_slice(&superstep.to_le_bytes());
+    let mut prev = 0;
     for r in records {
         w.varint(r.msg.len() as u64);
         w.out.extend_from_slice(&r.msg);
         w.varint(r.ids.len() as u64);
-        let mut prev = 0;
         for &id in &r.ids {
             w.varint(zigzag_gap(prev, id));
             prev = id;
@@ -79,6 +96,7 @@ pub fn decode(frame: &[u8]) -> Option<(u32, Vec<Record>)> {
     let superstep = u32::from_le_bytes(frame.get(..4)?.try_into().unwrap());
     let mut data = &frame[4..];
     let mut records = Vec::new();
+    let mut prev = 0i128;
     while !data.is_empty() {
         let msg_len = take_varint(&mut data)?;
         if msg_len > data.len() as u64 {
@@ -88,7 +106,6 @@ pub fn decode(frame: &[u8]) -> Option<(u32, Vec<Record>)> {
         data = rest;
         let n = take_varint(&mut data)?;
         let mut ids = Vec::new();
-        let mut prev = 0i128;
         for _ in 0..n {
             let zz = take_varint(&mut data)?;
             let gap = if zz % 2 == 0 {

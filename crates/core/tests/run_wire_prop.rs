@@ -2,8 +2,9 @@
 //! which shares no code with `trinity_core::bsp::runs`.
 //!
 //! * **Round trip**: any mix of records — empty messages, empty id lists,
-//!   ids at both ends of the `u64` range, descending and repeated ids —
-//!   encodes to exactly the model's bytes and decodes back to itself.
+//!   ids at both ends of the `u64` range, descending and repeated ids, gaps
+//!   that run on from the record before — encodes to exactly the model's
+//!   bytes and decodes back to itself.
 //! * **Hostile bytes**: anything at all handed to the decoder either is
 //!   refused (and the model refuses it too) or decodes to records that
 //!   re-encode to the same bytes; it never panics, and a count no bytes
@@ -20,8 +21,9 @@ use trinity_core::bsp::runs;
 fn engine_encode(superstep: u32, records: &[Record]) -> Vec<u8> {
     let mut frame = Vec::new();
     runs::start(&mut frame, superstep);
+    let mut prev = 0;
     for r in records {
-        runs::push_record(&mut frame, &r.msg, &r.ids);
+        runs::push_record(&mut frame, &mut prev, &r.msg, &r.ids);
     }
     frame
 }
@@ -106,7 +108,8 @@ proptest! {
     fn any_mix_of_records_round_trips(superstep in any::<u32>(), records in records()) {
         let bytes = engine_encode(superstep, &records);
         prop_assert_eq!(&bytes, &run_model::encode(superstep, &records));
-        let sized: usize = records.iter().map(|r| run_model::record_len(r.msg.len(), &r.ids)).sum();
+        let mut prev = 0;
+        let sized: usize = records.iter().map(|r| run_model::record_len(&mut prev, r.msg.len(), &r.ids)).sum();
         prop_assert_eq!(bytes.len(), 4 + sized);
         prop_assert_eq!(engine_decode(&bytes), Some((superstep, records.clone())));
         prop_assert_eq!(run_model::decode(&bytes), Some((superstep, records)));

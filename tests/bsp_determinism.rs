@@ -98,15 +98,18 @@ fn with_graph<R>(csr: &Csr, machines: usize, f: impl FnOnce(Arc<DistributedGraph
 }
 
 /// The config matrix every determinism test sweeps: plain packed,
-/// combining, hub buffering, and both at once.
+/// combining, hub buffering, both at once, and the default (every vertex
+/// a hub).
 fn config_matrix() -> Vec<BspConfig> {
     vec![
         BspConfig {
+            hub_threshold: None,
             max_supersteps: 256,
             ..BspConfig::default()
         },
         BspConfig {
             combine: true,
+            hub_threshold: None,
             max_supersteps: 256,
             ..BspConfig::default()
         },
@@ -118,6 +121,10 @@ fn config_matrix() -> Vec<BspConfig> {
         BspConfig {
             combine: true,
             hub_threshold: Some(8),
+            max_supersteps: 256,
+            ..BspConfig::default()
+        },
+        BspConfig {
             max_supersteps: 256,
             ..BspConfig::default()
         },

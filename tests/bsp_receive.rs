@@ -8,8 +8,9 @@
 //! and what it fixes: one `net.dispatch` span per run instead of one per
 //! vertex message, so a traced job keeps the spans it was traced for. The
 //! send side of the same path is held to its one-copy contract and to the
-//! exact bytes the run-frame format (DESIGN §14) predicts, and a hub whose
-//! setup call to one peer failed must still reach its neighbors there.
+//! exact bytes the run-frame format (DESIGN §14) predicts, with and without
+//! hubs, and a hub whose setup call to one peer failed must still reach its
+//! neighbors there.
 
 #[path = "../crates/core/tests/run_model/mod.rs"]
 mod run_model;
@@ -65,7 +66,7 @@ fn load_map_counts_every_delivery_once() {
     // the frames themselves are subtracted.
     let machines = 4;
     let csr = trinity::graphgen::social(900, 10, 29);
-    for hub_threshold in [None, Some(12)] {
+    for hub_threshold in [None, Some(12), Some(1)] {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
         let graph =
             Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
@@ -132,59 +133,96 @@ fn bsp_frames_are_copied_once() {
 fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
     // One PageRank iteration = one sending superstep, in which every
     // vertex broadcasts an 8-byte share. The format model (written
-    // independently of the engine's encoder) sizes that superstep from the
-    // graph and the addressing table alone: per sending machine and peer
-    // one run frame, per (vertex, peer) one record — the share once and
-    // the vertex's neighbors there as gaps in stored adjacency order.
+    // independently of the engine's encoder) sizes what each machine sends
+    // from the graph and the addressing table alone: per peer one run
+    // frame, per (vertex, peer it reaches) one record, gaps running on
+    // from the record before. Without hubs a record carries the vertex's
+    // neighbors there in stored adjacency order. By default every vertex
+    // is a hub: its record names only itself, after one setup call per
+    // peer carrying the machine's hub list, answered with the hubs the
+    // peer fans out.
     let machines = 4;
     let csr = trinity::graphgen::social(1_200, 10, 29);
-    let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
-    let table = cloud.node(0).table();
-    let owner = |v: u64| table.machine_of(v).0 as usize;
-    let (mut records, mut messages, mut widest) = (0u64, 0u64, 0usize);
-    let mut pair_bytes: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    for v in 0..csr.node_count() as u64 {
-        let mut groups: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        for &t in csr.neighbors(v) {
-            if owner(t) != owner(v) {
-                groups.entry(owner(t)).or_default().push(t);
+    for hub_threshold in [None, BspConfig::default().hub_threshold] {
+        let hubs_on = hub_threshold.is_some();
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+        let graph =
+            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+        let table = cloud.node(0).table();
+        let owner = |v: u64| table.machine_of(v).0 as usize;
+        let (mut records, mut messages, mut widest) = (0u64, 0u64, 0usize);
+        // (sender, peer) → the frame's bytes and its last id so far.
+        let mut frames: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
+        // Each machine's hub list, and per (sender, peer) the hubs it reaches there.
+        let mut hubs: Vec<Vec<u64>> = vec![Vec::new(); machines];
+        let mut reached: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
+        for v in 0..csr.node_count() as u64 {
+            if !csr.neighbors(v).is_empty() {
+                hubs[owner(v)].push(v);
+            }
+            let mut groups: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+            for &t in csr.neighbors(v) {
+                if owner(t) != owner(v) {
+                    groups.entry(owner(t)).or_default().push(t);
+                }
+            }
+            for (peer, mut ids) in groups {
+                records += 1;
+                messages += if hubs_on { 1 } else { ids.len() as u64 };
+                widest = widest.max(ids.len());
+                if hubs_on {
+                    reached.entry((owner(v), peer)).or_default().push(v);
+                    ids = vec![v];
+                }
+                let (bytes, prev) = frames.entry((owner(v), peer)).or_insert((4, 0));
+                *bytes += run_model::record_len(prev, 8, &ids) as u64;
             }
         }
-        for (peer, ids) in groups {
-            records += 1;
-            messages += ids.len() as u64;
-            widest = widest.max(ids.len());
-            *pair_bytes.entry((owner(v), peer)).or_insert(4) +=
-                run_model::record_len(8, &ids) as u64;
+        assert!(widest >= 3, "no vertex has several neighbors on one peer");
+        // Fences: two supersteps, 12 bytes to each peer.
+        let mut predicted = vec![2 * 12 * (machines as u64 - 1); machines];
+        for (&(from, _), &(bytes, _)) in &frames {
+            assert!(bytes < 16 << 10, "a frame this size ships in one piece");
+            predicted[from] += bytes;
         }
-    }
-    assert!(widest >= 3, "no vertex has several neighbors on one peer");
-    let fences = 2 * (machines * (machines - 1)) as u64 * 12;
+        for from in (0..machines).filter(|_| hubs_on) {
+            for peer in (0..machines).filter(|&p| p != from) {
+                let subset = reached.get(&(from, peer)).map_or(&[][..], Vec::as_slice);
+                predicted[from] += run_model::id_list_len(&hubs[from]) as u64;
+                predicted[peer] += run_model::id_list_len(subset) as u64;
+            }
+        }
 
-    let obs = cloud.fabric().obs();
-    let sum =
-        |name: &'static str| -> u64 { obs.scopes().iter().map(|s| s.counter(name).get()).sum() };
-    let payload0 = sum("net.frame_payload_bytes");
-    let cfg = BspConfig {
-        compute_threads: 1,
-        hub_threshold: None,
-        ..BspConfig::default()
-    };
-    let result = pagerank_distributed(graph, 1, cfg);
-    assert_eq!(result.supersteps(), 2);
-    assert_eq!(result.reports[0].remote_messages, messages);
-    assert_eq!(result.reports[1].remote_messages, 0);
-    assert_eq!(sum("bsp.frames.remote"), messages);
-    // A vertex with k neighbors on one peer is one record there, not k.
-    assert_eq!(sum("bsp.records.sent"), records);
-    assert_eq!(sum("bsp.frames.malformed"), 0);
-    assert_eq!(
-        sum("net.frame_payload_bytes") - payload0 - fences,
-        pair_bytes.values().sum::<u64>(),
-        "payload bytes of the sending superstep ({messages} messages in {records} records)"
-    );
-    cloud.shutdown();
+        let obs = cloud.fabric().obs();
+        let sum = |name: &'static str| -> u64 {
+            obs.scopes().iter().map(|s| s.counter(name).get()).sum()
+        };
+        let payload = |m: usize| obs.scope(m as u16).counter("net.frame_payload_bytes").get();
+        let payload0: Vec<u64> = (0..machines).map(payload).collect();
+        let cfg = BspConfig {
+            compute_threads: 1,
+            hub_threshold,
+            ..BspConfig::default()
+        };
+        let result = pagerank_distributed(graph, 1, cfg);
+        assert_eq!(result.supersteps(), 2);
+        assert_eq!(result.reports[0].remote_messages, messages);
+        assert_eq!(result.reports[1].remote_messages, 0);
+        assert_eq!(sum("bsp.frames.remote"), messages);
+        // A vertex with k neighbors on one peer is one record there, not k.
+        assert_eq!(sum("bsp.records.sent"), records);
+        assert_eq!(sum("bsp.hub.broadcasts"), if hubs_on { records } else { 0 });
+        assert_eq!(sum("bsp.frames.malformed"), 0);
+        for (m, want) in predicted.iter().enumerate() {
+            assert_eq!(
+                payload(m) - payload0[m],
+                *want,
+                "payload bytes machine {m} sent (hubs: {hub_threshold:?}; \
+                 {messages} messages in {records} records overall)"
+            );
+        }
+        cloud.shutdown();
+    }
 }
 
 #[test]
