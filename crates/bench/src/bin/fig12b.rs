@@ -27,7 +27,7 @@ fn main() {
         let n = scaled(1usize << scale_exp);
         let scale_bits = (n.next_power_of_two().trailing_zeros()).max(8);
         let directed = trinity_graphgen::rmat(scale_bits, 13, 7);
-        // Undirected view so hub buffering can subscribe (paper: in-links).
+        // Undirected view so hub records can fan out (paper: in-links).
         let csr = Csr::undirected_from_edges(
             directed.node_count(),
             &directed.arcs().collect::<Vec<_>>(),

@@ -79,7 +79,6 @@ fn ring(n: usize) -> Csr {
 fn bsp_cfg(limit: usize, compute_threads: usize) -> BspConfig {
     BspConfig {
         messaging: MessagingMode::Packed,
-        hub_threshold: None,
         combine: false,
         max_supersteps: limit,
         compute_threads,
@@ -194,6 +193,12 @@ impl ChaosWorkload for BspRingMax {
         };
         if !result.terminated {
             failures.push("BSP job did not terminate within its budget".into());
+        }
+        // The default threshold makes every vertex a hub: faults must hit
+        // hub records, not only the record path.
+        let counters = fabric.obs().snapshot().totals().counters;
+        if counters.get("bsp.hub.broadcasts").is_none_or(|&n| n == 0) {
+            failures.push("no broadcast left a machine as a hub record".into());
         }
         let mut states: Vec<(u64, u64)> = result.states.iter().map(|(k, v)| (*k, *v)).collect();
         states.sort_unstable();

@@ -60,7 +60,6 @@ use trinity_memcloud::CellId;
 use trinity_net::{current_deadline, DeadlineGuard, MachineId, StatsDelta};
 use trinity_obs::{next_trace_id, TraceGuard};
 
-use crate::proto;
 use path::{Inbox, MachineRt};
 use pool::{RoundAgg, WorkerState};
 
@@ -384,9 +383,9 @@ impl<P: VertexProgram> BspRunner<P> {
             resumed,
             superstep_offset,
             // One trace id for the whole job: every driver thread installs
-            // it, so all BSP traffic (run frames, fences, hub setup calls)
-            // is stamped with it and the job can be reconstructed from
-            // span rings across the cluster.
+            // it, so all BSP traffic (run frames and fences) is stamped
+            // with it and the job can be reconstructed from span rings
+            // across the cluster.
             trace: next_trace_id(),
             // A serving-tier deadline installed on the submitting thread is
             // inherited by every machine driver: the job aborts between
@@ -449,32 +448,26 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     // gets zero-copy access to each vertex's cell. On resume,
     // checkpointed states win; anything missing from the checkpoint
     // starts fresh.
-    let mut local: Vec<(CellId, usize, P::State)> = Vec::new(); // (id, out_degree, state)
+    let mut local: Vec<(CellId, P::State)> = Vec::new();
     handle.for_each_local_node(|id, view| {
         let state = resume
             .states
             .remove(&id)
             .unwrap_or_else(|| job.program.init(id, &view));
-        local.push((id, view.out_degree(), state));
+        local.push((id, state));
     });
-    local.sort_unstable_by_key(|&(id, ..)| id);
-    // Hub buffering needs the receiving machines to know which of their
-    // vertices are targets of a hub's broadcast, which requires reverse
-    // traversal (symmetric out-lists or stored in-links). On a directed
-    // graph loaded without in-links the optimization silently disables.
+    local.sort_unstable_by_key(|&(id, _)| id);
+    // A hub's record names only itself, so the receiving machine must
+    // find the hub's neighbors among its own vertices' in-neighbors: the
+    // graph must be reverse traversable (symmetric out-lists or stored
+    // in-links, which agree with the out-lists). On a directed graph
+    // loaded without in-links every broadcast ships as records.
     let hub_threshold = job
         .cfg
         .hub_threshold
         .filter(|_| job.graph.reverse_traversable());
-    let hubs: Vec<CellId> = local
-        .iter()
-        .filter(|&&(_, deg, _)| hub_threshold.is_some_and(|t| deg >= t))
-        .map(|&(id, ..)| id)
-        .collect();
 
     // --- Runtime: receive handlers (and the fan-out index) -------------
-    // No peer sends this job anything before every machine has installed
-    // its handlers: the barrier below.
     let node = job.graph.cloud().node(m);
     let table = node.table();
     let workers = resolve_compute_threads(
@@ -501,7 +494,7 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     let mut shards: Vec<WorkerState<P>> = (0..workers)
         .map(|w| WorkerState::new(w, machines, workers))
         .collect();
-    for (vseq, (id, _deg, state)) in local.into_iter().enumerate() {
+    for (vseq, (id, state)) in local.into_iter().enumerate() {
         let ws = &mut shards[rt.shard_of(id)];
         ws.ids.push(id);
         ws.vseq.push(vseq);
@@ -523,7 +516,6 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
         ws.inbox = Inbox::new(&ws.ids);
         ws.inbox.fill(r, P::msg_cmp);
         ws.active = vec![!job.resumed; ws.ids.len()];
-        ws.subscribed = vec![false; ws.ids.len() * machines];
     }
     for id in resume.active {
         let ws = &mut shards[rt.shard_of(id)];
@@ -533,31 +525,10 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
         }
     }
 
-    // --- Setup: hub discovery ------------------------------------------
-    // Each peer answers this machine's hub list with the hubs its
-    // read-only fan-out index covers. A peer whose call fails, or whose
-    // reply does not decode, gets this machine's hubs' messages as
-    // ordinary records; a reply naming an id this machine does not host
-    // subscribes nothing. Sending may start once this loop is done.
+    // No peer may send this job anything before every machine has
+    // installed its handlers and built its fan-out index.
     job.barrier.wait();
-    if !hubs.is_empty() {
-        let mut req = Vec::new();
-        runs::put_ids(&mut req, &hubs);
-        for peer in (0..machines).filter(|&p| p != m) {
-            let reply = rt
-                .endpoint
-                .call(MachineId(peer as u16), proto::BSP_HUB_SETUP, &req);
-            let subscribed = reply.ok().and_then(|r| runs::read_ids(&r).ok());
-            for hub in subscribed.into_iter().flatten() {
-                let ws = &mut shards[rt.shard_of(hub)];
-                if let Some(s) = ws.inbox.slots.get(hub) {
-                    ws.subscribed[s * machines + peer] = true;
-                }
-            }
-        }
-    }
-
-    pool::run(job, m, &rt, shards);
+    pool::run(job, m, &rt, hub_threshold, shards);
 }
 
 #[cfg(test)]
@@ -884,50 +855,6 @@ mod tests {
         )
         .run();
         assert_eq!(r.states[&0], (1..n).sum::<u64>());
-        cloud.shutdown();
-    }
-
-    #[test]
-    fn a_hub_setup_list_cut_inside_a_varint_or_with_a_trailing_byte_subscribes_nothing() {
-        // Vertex 300 is a hub with neighbors on both machines. Its list cut
-        // inside the id's varint, or followed by one more byte, is not an
-        // id list: the peer answers with the empty list instead of
-        // subscribing the hub.
-        let n = 400u64;
-        let edges: Vec<(u64, u64)> = (0..n).filter(|&v| v != 300).map(|v| (300, v)).collect();
-        let csr = Csr::undirected_from_edges(n as usize, &edges, true);
-        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
-        let graph = load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap();
-        let hub_machine = cloud.node(0).table().machine_of(300);
-        let peer = MachineId(1 - hub_machine.0);
-        let rt = Arc::new(MachineRt::<MaxValue>::new(
-            Arc::clone(cloud.node(peer.0 as usize).endpoint()),
-            2,
-            1,
-            cloud.node(0).table(),
-            Some(graph.handle(peer.0 as usize)),
-        ));
-        rt.register_handlers();
-        let caller = cloud.node(hub_machine.0 as usize).endpoint();
-        let setup = |req: &[u8]| {
-            let reply = caller.call(peer, proto::BSP_HUB_SETUP, req).unwrap();
-            runs::read_ids(&reply).unwrap()
-        };
-        let mut req = Vec::new();
-        runs::put_ids(&mut req, &[300]);
-        assert_eq!(req.len(), 3, "a count and a two-byte id");
-        assert_eq!(
-            setup(&req[..2]),
-            [],
-            "a list cut inside a varint subscribed a hub"
-        );
-        let trailing = [&req[..], &[0]].concat();
-        assert_eq!(
-            setup(&trailing),
-            [],
-            "a list with a trailing byte subscribed a hub"
-        );
-        assert_eq!(setup(&req), [300], "the whole list subscribes");
         cloud.shutdown();
     }
 

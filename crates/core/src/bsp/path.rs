@@ -54,7 +54,7 @@ pub(super) struct BspMetrics {
     records_sent: Arc<Counter>,
     /// Run frames refused and dropped whole (`bsp.frames.malformed`).
     frames_malformed: Arc<Counter>,
-    /// Hub broadcasts sent, one per subscribed machine (`bsp.hub.broadcasts`).
+    /// Hub broadcasts sent, one per machine reached (`bsp.hub.broadcasts`).
     pub(super) hub_broadcasts: Arc<Counter>,
     /// Vertices fanned out to by incoming hub broadcasts (`bsp.hub.fanout`).
     hub_fanout: Arc<Counter>,
@@ -139,13 +139,13 @@ impl<P: VertexProgram> MachineRt<P> {
             fanout: Fanout::default(),
         };
         if let Some(handle) = hubs {
-            rt.fanout = Fanout::build(handle, &rt);
+            rt.fanout = Fanout::build(handle, &rt.table, shard_workers);
         }
         rt
     }
 
     pub(super) fn shard_of(&self, id: CellId) -> usize {
-        (self.table.trunk_of(id) as usize) % self.shard_workers
+        shard_of(&self.table, self.shard_workers, id)
     }
 
     /// Hand deliveries staged by owning shard to the shard inboxes: each
@@ -229,7 +229,7 @@ impl<P: VertexProgram> MachineRt<P> {
         }
     }
 
-    /// Install this machine's four BSP protocol handlers.
+    /// Install this machine's three BSP protocol handlers.
     pub(super) fn register_handlers(self: &Arc<Self>) {
         // Vertex data messages: decode the run, then one lock per shard
         // inbox and one fence update for all of it. A malformed frame is
@@ -283,19 +283,12 @@ impl<P: VertexProgram> MachineRt<P> {
             rt.fence_cv.notify_all();
             None
         });
-        // Hub subscription discovery: reply with the ascending subset of
-        // a peer's ascending hub list this machine fans out. A list that
-        // does not decode subscribes nothing.
-        let rt = Arc::clone(self);
-        self.endpoint
-            .register(proto::BSP_HUB_SETUP, move |_src, data| {
-                let mut hubs = runs::read_ids(data).unwrap_or_default();
-                hubs.retain(|&hub| rt.fanout.get(hub).is_some());
-                let mut reply = Vec::new();
-                runs::put_ids(&mut reply, &hubs);
-                Some(reply)
-            });
     }
+}
+
+/// The pool worker among `shards` that owns `id`.
+fn shard_of(table: &AddressingTable, shards: usize, id: CellId) -> usize {
+    (table.trunk_of(id) as usize) % shards
 }
 
 /// A `BSP_FENCE` record, `superstep u32 | run frames sent u64`: the count.
@@ -364,7 +357,11 @@ impl Slots {
 
 /// One machine's fan-out index for a job: remote vertex → the local
 /// vertices that list it as an in-neighbor (once per listing), split by
-/// owning shard. Entry `e`'s targets in shard `w` are
+/// owning shard. It covers every remote in-neighbor, hub or not: a
+/// machine cannot see a remote vertex's out-degree. A hub's sender ships
+/// a record to every machine its out-list reaches, and on a reverse
+/// traversable graph the in-lists agree with the out-lists, so each hub
+/// record finds its entry. Entry `e`'s targets in shard `w` are
 /// `targets[off[e * shards + w]..off[e * shards + w + 1]]`.
 #[derive(Default)]
 struct Fanout {
@@ -377,15 +374,14 @@ struct Fanout {
 impl Fanout {
     /// One pass over the local adjacency, then a counting sort of its
     /// remote in-edges by (entry, shard).
-    fn build<P: VertexProgram>(handle: &GraphHandle, rt: &MachineRt<P>) -> Self {
-        let me = rt.endpoint.machine();
-        let shards = rt.shard_workers;
+    fn build(handle: &GraphHandle, table: &AddressingTable, shards: usize) -> Self {
+        let me = handle.machine();
         let mut slots = Slots::default();
         let mut edges: Vec<(usize, CellId)> = Vec::new();
         handle.for_each_local_node(|id, view| {
-            let shard = rt.shard_of(id);
+            let shard = shard_of(table, shards, id);
             let mut add = |src: CellId| {
-                if rt.table.machine_of(src) != me {
+                if table.machine_of(src) != me {
                     edges.push((slots.insert(src) * shards + shard, id));
                 }
             };
@@ -585,6 +581,8 @@ impl RunOutbox {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use trinity_graph::{load_graph, Csr, LoadOptions};
+    use trinity_memcloud::{CloudConfig, MemoryCloud};
 
     /// Ids a shard may be sent: small ones, the same with only high bytes
     /// changed, and `u64::MAX`.
@@ -676,6 +674,60 @@ mod tests {
                 let reversed: Vec<_> = arrivals.iter().rev().copied().collect();
                 check(&mut inbox, &hosted, &reversed, cmp)?;
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// What hub records rest on: a hub ships one to every peer its
+        /// out-list reaches, so every peer `p` must index a remote vertex
+        /// `u` exactly when `u` has an out-neighbor on `p`, and fan it out
+        /// to exactly those neighbors, repeats included, each in its
+        /// owning shard.
+        #[test]
+        fn the_fanout_index_is_every_remote_vertexs_out_neighbors_here(
+            machines in 2..6usize,
+            shards in 1..4usize,
+            directed in any::<bool>(),
+            arcs in proptest::collection::vec((0..40u64, 0..40u64), 0..160),
+        ) {
+            let n = 40;
+            let csr = if directed {
+                Csr::from_arcs(n, arcs, true, false)
+            } else {
+                Csr::undirected_from_edges(n, &arcs, false)
+            };
+            let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+            let opts = LoadOptions {
+                with_in_links: true,
+                attrs: None,
+            };
+            let graph = load_graph(Arc::clone(&cloud), &csr, &opts).unwrap();
+            let table = cloud.node(0).table();
+            let owner = |v: CellId| table.machine_of(v).0 as usize;
+            for p in 0..machines {
+                let fanout = Fanout::build(graph.handle(p), &table, shards);
+                for u in (0..n as CellId).filter(|&u| owner(u) != p) {
+                    let mut want = vec![Vec::new(); shards];
+                    for &v in csr.neighbors(u).iter().filter(|&&v| owner(v) == p) {
+                        want[shard_of(&table, shards, v)].push(v);
+                    }
+                    want.iter_mut().for_each(|t| t.sort_unstable());
+                    let want = want.iter().any(|t| !t.is_empty()).then_some(want);
+                    let got: Option<Vec<Vec<CellId>>> = fanout.get(u).map(|slices| {
+                        slices
+                            .map(|t| {
+                                let mut t = t.to_vec();
+                                t.sort_unstable();
+                                t
+                            })
+                            .collect()
+                    });
+                    prop_assert_eq!(got, want, "vertex {} on machine {}", u, p);
+                }
+            }
+            cloud.shutdown();
         }
     }
 }

@@ -48,9 +48,6 @@ pub(super) struct WorkerState<P: VertexProgram> {
     /// Slot-aligned: state and active flag.
     pub(super) states: Vec<P::State>,
     pub(super) active: Vec<bool>,
-    /// Whether machine `p` fans out slot `s`'s broadcasts, at
-    /// `s * machines + p`.
-    pub(super) subscribed: Vec<bool>,
     /// Resumed active ids without a slot, carried through unchanged.
     pub(super) stray_active: Vec<CellId>,
     /// The current superstep's messages, by slot.
@@ -81,7 +78,6 @@ impl<P: VertexProgram> WorkerState<P> {
             vseq: Vec::new(),
             states: Vec::new(),
             active: Vec::new(),
-            subscribed: Vec::new(),
             stray_active: Vec::new(),
             inbox: Inbox::new(&[]),
             tally: Vec::new(),
@@ -120,6 +116,9 @@ struct PoolCtx<'x, P: VertexProgram> {
     m: usize,
     machines: usize,
     rt: &'x MachineRt<P>,
+    /// Out-degree from which a broadcast ships as hub records; `None` on a
+    /// graph that is not reverse traversable or with hubs off.
+    hub_threshold: Option<usize>,
     handle: &'x GraphHandle,
     table: AddressingTable,
     cost: CostModel,
@@ -128,12 +127,14 @@ struct PoolCtx<'x, P: VertexProgram> {
 }
 
 /// Run the job's supersteps on machine `m` over `shards`, one worker
-/// each; worker 0 (the leader) runs on the calling thread and keeps the
+/// each, a vertex of out-degree `hub_threshold` or more broadcasting as a
+/// hub; worker 0 (the leader) runs on the calling thread and keeps the
 /// serial work: combine replay, fences, aggregation, the stop decision.
 pub(super) fn run<P: VertexProgram>(
     job: &Job<'_, P>,
     m: usize,
     rt: &MachineRt<P>,
+    hub_threshold: Option<usize>,
     shards: Vec<WorkerState<P>>,
 ) {
     let machines = job.graph.machines();
@@ -151,6 +152,7 @@ pub(super) fn run<P: VertexProgram>(
         m,
         machines,
         rt,
+        hub_threshold,
         handle: job.graph.handle(m),
         table: job.graph.cloud().node(m).table(),
         cost: job.graph.cloud().fabric().cost_model(),
@@ -287,11 +289,13 @@ fn compute_phase<P: VertexProgram>(
         let broadcast = vctx.broadcast.take();
         ws.active[s] = !vctx.halt;
         // Route the broadcast (restrictive model): each machine holding
-        // neighbors gets one record naming them — or, where it subscribed
-        // to this vertex as a hub (a per-peer fact: a failed setup call
-        // subscribed nobody), one hub record it fans out itself.
+        // neighbors gets one record naming them — or, from a hub, one hub
+        // record naming the hub, which that machine fans out to the
+        // neighbors its own in-edges list.
         if let Some(msg) = broadcast {
-            let hub_peer = &ws.subscribed[s * ctx.machines..][..ctx.machines];
+            let hub = ctx
+                .hub_threshold
+                .is_some_and(|t| ws.outs_scratch.len() >= t);
             // Encoded once, and only if a record leaves the machine.
             let payload = std::cell::OnceCell::new();
             let payload = || payload.get_or_init(|| P::encode_msg(&msg)).as_slice();
@@ -300,7 +304,7 @@ fn compute_phase<P: VertexProgram>(
                 if owner == ctx.m {
                     local_delivered += 1;
                     rt.push_local(&mut ws.local_buf, dst, msg.clone());
-                } else if hub_peer[owner] || !(ctx.job.cfg.combine || unpacked) {
+                } else if hub || !(ctx.job.cfg.combine || unpacked) {
                     ws.groups[owner].push(dst);
                 } else if ctx.job.cfg.combine {
                     ws.combine.push((vseq, dst, msg.clone()));
@@ -309,12 +313,9 @@ fn compute_phase<P: VertexProgram>(
                     ws.outbox[owner].push(rt, superstep, true, payload(), &[dst]);
                 }
             }
-            // A subscribed machine gets one hub record, and only if this
-            // superstep's adjacency reaches it (the index may be stale
-            // after updates).
             let groups = ws.groups.iter_mut().enumerate();
             for (owner, group) in groups.filter(|(_, g)| !g.is_empty()) {
-                if hub_peer[owner] {
+                if hub {
                     ws.hub_outbox[owner].push(rt, superstep, unpacked, payload(), &[id]);
                     rt.metrics.hub_broadcasts.inc();
                     sent += 1;

@@ -1,12 +1,10 @@
-//! The BSP data frame: a *run* of records (DESIGN §14), and the id list
-//! a `BSP_HUB_SETUP` call and its reply carry.
+//! The BSP data frame: a *run* of records (DESIGN §14).
 //!
 //! ```text
 //! frame:   superstep u32 LE | record…
 //! record:  varint msg_len | msg | varint n | n × varint zigzag(gap)
 //! gap:     id − previous id of the frame (its first: − 0), mod 2^64,
 //!          read as an i64
-//! id list: varint n | n × varint (id − previous id), ascending
 //! ```
 //!
 //! One record says "this message, to these `n` vertices": a broadcast
@@ -16,8 +14,7 @@
 //! destinations, about a byte an id. Gaps wrap, so every id sequence (any
 //! order, repeats included) has exactly one encoding. [`decode`] refuses
 //! a frame shorter than its superstep, a record cut short, and any varint
-//! or count the byte codec refuses (DESIGN "Byte formats"); [`read_ids`]
-//! also refuses an id past `u64::MAX` and trailing bytes.
+//! or count the byte codec refuses (DESIGN "Byte formats").
 
 use trinity_memcloud::CellId;
 use trinity_memstore::codec::{put_varint, put_zigzag, DecodeError, Reader};
@@ -38,30 +35,6 @@ pub fn push_record(frame: &mut Vec<u8>, prev: &mut CellId, msg: &[u8], ids: &[Ce
         put_zigzag(frame, id.wrapping_sub(*prev));
         *prev = id;
     }
-}
-
-/// Append an ascending id list.
-pub fn put_ids(out: &mut Vec<u8>, ids: &[CellId]) {
-    put_varint(out, ids.len() as u64);
-    let mut prev = 0;
-    for &id in ids {
-        debug_assert!(id >= prev, "an id list ascends");
-        put_varint(out, id - prev);
-        prev = id;
-    }
-}
-
-/// Read a whole id list [`put_ids`] wrote.
-pub fn read_ids(bytes: &[u8]) -> Result<Vec<CellId>, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let n = r.varint()?;
-    let mut ids = Vec::with_capacity(r.count(n, 1)?);
-    let mut prev = 0u64;
-    for _ in 0..n {
-        prev = prev.checked_add(r.varint()?).ok_or(r.error())?;
-        ids.push(prev);
-    }
-    r.finish().map(|()| ids)
 }
 
 /// A decoded frame; message bytes borrow from it.
@@ -185,35 +158,5 @@ mod tests {
             let got: Vec<CellId> = run.records().flat_map(|(_, ids)| ids.to_vec()).collect();
             assert_eq!(got, ids);
         }
-    }
-
-    #[test]
-    fn id_lists_keep_the_codec_laws() {
-        // Cut inside a varint, or followed by a byte: refused.
-        let mut list = Vec::new();
-        put_ids(&mut list, &[3, 300]);
-        assert_eq!(read_ids(&list), Ok(vec![3, 300]));
-        assert!(read_ids(&list[..list.len() - 1]).is_err());
-        assert!(read_ids(&[&list[..], &[0]].concat()).is_err());
-        // A gap past `u64::MAX` is refused, not wrapped.
-        let mut past = Vec::new();
-        put_ids(&mut past, &[u64::MAX, u64::MAX]);
-        *past.last_mut().unwrap() = 1;
-        assert!(read_ids(&past).is_err());
-        crate::codec_laws::check(
-            0x1d5,
-            |rng| {
-                let mut ids = rng.vec(12, |rng| rng.u64());
-                ids.sort_unstable();
-                ids
-            },
-            |ids| {
-                let mut out = Vec::new();
-                put_ids(&mut out, ids);
-                out
-            },
-            |bytes| read_ids(bytes).ok(),
-            true,
-        );
     }
 }

@@ -11,9 +11,9 @@
 //! * [`bsp`] — the vertex-centric offline runtime (§5.3) supporting both
 //!   the *general* (Pregel-style, message any vertex) and *restrictive*
 //!   (message a fixed set, usually neighbors) models;
-//! * [`hub`] — the §5.4 message-passing optimization: hub-vertex messages
-//!   are delivered once per machine per iteration and fanned out locally
-//!   through a subscriber index;
+//! * [`hub`] — the §5.4 coverage analysis: the share of message needs
+//!   that delivering hubs' broadcasts once per machine addresses (the
+//!   delivery itself is [`bsp`]'s hub records);
 //! * [`residency`] — the Type A / Type B memory-residency model of
 //!   Figure 10, including the paper's memory-savings formula;
 //! * [`prefetch`] — the bucket-schedule trunk prefetcher that pipelines
@@ -87,9 +87,7 @@ pub(crate) mod proto {
     pub const REPORT_FAILURE: ProtoId = BASE + 8;
     /// Online traversal: run a whole query at its start node's owner.
     pub const EXPLORE: ProtoId = BASE + 9;
-    // BASE + 10 is unassigned.
-    /// Hub optimization: hub-subscription discovery at job setup.
-    pub const BSP_HUB_SETUP: ProtoId = BASE + 11;
+    // BASE + 10 and BASE + 11 are unassigned.
     /// Mini-transactions: prepare (lock + validate + read).
     pub const MTX_PREPARE: ProtoId = BASE + 12;
     /// Mini-transactions: commit (apply writes, release locks).

@@ -14,10 +14,6 @@
 //! ```
 //!
 //! A frame ends with its last record; an empty run is a run.
-//!
-//! ```text
-//! id list: varint n | n × varint (id − previous id), ascending
-//! ```
 #![allow(dead_code)]
 
 #[path = "../wire_model/mod.rs"]
@@ -57,18 +53,6 @@ pub fn record_len(prev: &mut u64, msg_len: usize, ids: &[u64]) -> usize {
         .map(|&id| varint_len(zigzag_gap(std::mem::replace(prev, id), id)))
         .sum();
     varint_len(msg_len as u64) + msg_len + varint_len(ids.len() as u64) + gaps
-}
-
-/// Bytes a `BSP_HUB_SETUP` id list takes: `varint n`, then each id of
-/// the ascending list minus the one before it (the first minus 0) as a
-/// varint.
-pub fn id_list_len(ids: &[u64]) -> usize {
-    let mut prev = 0;
-    let gaps: usize = ids
-        .iter()
-        .map(|&id| varint_len(id - std::mem::replace(&mut prev, id)))
-        .sum();
-    varint_len(ids.len() as u64) + gaps
 }
 
 /// The frame for `records`; `twist = (k, how)` spoils its k-th varint.

@@ -76,7 +76,7 @@ impl DistributedGraph {
     /// Whether reverse-edge traversal is possible: the graph is
     /// undirected (out-lists are symmetric) or in-link lists were stored
     /// at load time. Gates optimizations that need to find a vertex's
-    /// in-neighbors, like hub-subscriber discovery.
+    /// in-neighbors, like the BSP hub records' fan-out.
     pub fn reverse_traversable(&self) -> bool {
         !self.directed || self.with_in_links
     }

@@ -24,7 +24,7 @@ fn main() {
     let iterations = 5;
 
     println!("generating R-MAT: 2^{scale} nodes, average degree {degree}...");
-    // Undirected so hub buffering has symmetric adjacency to subscribe on
+    // Undirected so hub records have symmetric adjacency to fan out on
     // (the paper's directed runs store in-links; see DESIGN.md).
     let directed = trinity::graphgen::rmat(scale, degree, 7);
     let csr = trinity::graph::Csr::undirected_from_edges(

@@ -9,8 +9,7 @@
 //! vertex message, so a traced job keeps the spans it was traced for. The
 //! send side of the same path is held to its one-copy contract and to the
 //! exact bytes the run-frame format (DESIGN §14) predicts, with and without
-//! hubs, and a hub whose setup call to one peer failed must still reach its
-//! neighbors there.
+//! hubs: one-way run frames and fences, and not one call.
 
 #[path = "../crates/core/tests/run_model/mod.rs"]
 mod run_model;
@@ -18,11 +17,10 @@ mod run_model;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use trinity::algos::{pagerank_distributed, pagerank_reference};
+use trinity::algos::pagerank_distributed;
 use trinity::core::BspConfig;
-use trinity::graph::{load_graph, Csr, LoadOptions};
+use trinity::graph::{load_graph, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
-use trinity::net::{FaultPlan, Partition};
 
 /// Span ring capacity per machine (`trinity_obs::SPAN_RING_CAPACITY`).
 const SPAN_RING: u64 = 4096;
@@ -61,7 +59,7 @@ fn traced_pagerank_keeps_every_superstep_span() {
 fn load_map_counts_every_delivery_once() {
     // `record_msgs` is batched per trunk per drain; the per-trunk totals
     // must still add up to exactly the deliveries the reports count. Hub
-    // broadcasts travel as one remote frame per subscribing machine and
+    // broadcasts travel as one remote frame per machine reached and
     // are counted as local deliveries where they fan out, so with hubs
     // the frames themselves are subtracted.
     let machines = 4;
@@ -138,9 +136,8 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
     // frame, per (vertex, peer it reaches) one record, gaps running on
     // from the record before. Without hubs a record carries the vertex's
     // neighbors there in stored adjacency order. By default every vertex
-    // is a hub: its record names only itself, after one setup call per
-    // peer carrying the machine's hub list, answered with the hubs the
-    // peer fans out.
+    // is a hub: its record names only itself. Either way the job sends
+    // run frames and fences only and makes no call.
     let machines = 4;
     let csr = trinity::graphgen::social(1_200, 10, 29);
     for hub_threshold in [None, BspConfig::default().hub_threshold] {
@@ -153,13 +150,7 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
         let (mut records, mut messages, mut widest) = (0u64, 0u64, 0usize);
         // (sender, peer) → the frame's bytes and its last id so far.
         let mut frames: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
-        // Each machine's hub list, and per (sender, peer) the hubs it reaches there.
-        let mut hubs: Vec<Vec<u64>> = vec![Vec::new(); machines];
-        let mut reached: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
         for v in 0..csr.node_count() as u64 {
-            if !csr.neighbors(v).is_empty() {
-                hubs[owner(v)].push(v);
-            }
             let mut groups: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
             for &t in csr.neighbors(v) {
                 if owner(t) != owner(v) {
@@ -171,7 +162,6 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
                 messages += if hubs_on { 1 } else { ids.len() as u64 };
                 widest = widest.max(ids.len());
                 if hubs_on {
-                    reached.entry((owner(v), peer)).or_default().push(v);
                     ids = vec![v];
                 }
                 let (bytes, prev) = frames.entry((owner(v), peer)).or_insert((4, 0));
@@ -185,13 +175,6 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
             assert!(bytes < 16 << 10, "a frame this size ships in one piece");
             predicted[from] += bytes;
         }
-        for from in (0..machines).filter(|_| hubs_on) {
-            for peer in (0..machines).filter(|&p| p != from) {
-                let subset = reached.get(&(from, peer)).map_or(&[][..], Vec::as_slice);
-                predicted[from] += run_model::id_list_len(&hubs[from]) as u64;
-                predicted[peer] += run_model::id_list_len(subset) as u64;
-            }
-        }
 
         let obs = cloud.fabric().obs();
         let sum = |name: &'static str| -> u64 {
@@ -199,6 +182,13 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
         };
         let payload = |m: usize| obs.scope(m as u16).counter("net.frame_payload_bytes").get();
         let payload0: Vec<u64> = (0..machines).map(payload).collect();
+        let calls = || -> u64 {
+            let scopes = obs.scopes().into_iter();
+            scopes
+                .map(|s| s.histogram("net.call.us").snapshot().count)
+                .sum()
+        };
+        let calls0 = calls();
         let cfg = BspConfig {
             compute_threads: 1,
             hub_threshold,
@@ -213,6 +203,11 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
         assert_eq!(sum("bsp.records.sent"), records);
         assert_eq!(sum("bsp.hub.broadcasts"), if hubs_on { records } else { 0 });
         assert_eq!(sum("bsp.frames.malformed"), 0);
+        assert_eq!(
+            calls(),
+            calls0,
+            "the job made calls (hubs: {hub_threshold:?})"
+        );
         for (m, want) in predicted.iter().enumerate() {
             assert_eq!(
                 payload(m) - payload0[m],
@@ -223,57 +218,4 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
         }
         cloud.shutdown();
     }
-}
-
-#[test]
-fn a_hub_reaches_its_neighbors_on_a_peer_whose_setup_call_failed() {
-    // Vertex 0 is a hub with neighbors on every machine. The first
-    // envelope its machine sends to one peer once chaos is armed — the
-    // `BSP_HUB_SETUP` request — is swallowed, so that peer never answers
-    // and is not subscribed, while the other peers are. The hub's
-    // neighbors on the silent peer must get its messages the ordinary way.
-    let machines = 4;
-    let n = 400u64;
-    let mut edges: Vec<(u64, u64)> = (1..n).map(|v| (0, v)).collect();
-    edges.extend((1..n).map(|v| (v, 1 + v % (n - 1))));
-    let csr = Csr::undirected_from_edges(n as usize, &edges, true);
-    let probe = MemoryCloud::new(CloudConfig::small(machines));
-    let hub_machine = probe.node(0).table().machine_of(0).0;
-    probe.shutdown();
-    let silent = (hub_machine + 1) % machines as u16;
-    let cloud = Arc::new(MemoryCloud::new(CloudConfig {
-        faults: Some(FaultPlan::new(0).with_partition(Partition {
-            from: hub_machine,
-            to: silent,
-            from_seq: 0,
-            to_seq: 1,
-        })),
-        call_timeout: std::time::Duration::from_millis(250),
-        ..CloudConfig::small(machines)
-    }));
-    cloud.fabric().chaos_arm(false);
-    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
-    cloud.fabric().chaos_arm(true);
-    let iterations = 4;
-    let cfg = BspConfig {
-        hub_threshold: Some(100),
-        ..BspConfig::default()
-    };
-    let result = pagerank_distributed(graph, iterations, cfg);
-    let obs = cloud.fabric().obs();
-    let totals = obs.snapshot().totals();
-    assert_eq!(totals.counters["chaos.partition_drops"], 1);
-    assert!(
-        totals.counters["bsp.hub.broadcasts"] > 0,
-        "the peers that did answer are still served as hub subscribers"
-    );
-    let reference = pagerank_reference(&csr, iterations);
-    for (id, want) in &reference {
-        let got = result.states[id].rank;
-        assert!(
-            (got - want).abs() < 1e-9,
-            "vertex {id}: rank {got}, reference {want}"
-        );
-    }
-    cloud.shutdown();
 }
