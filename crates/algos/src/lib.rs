@@ -7,7 +7,7 @@
 //! * [`bfs`] — BSP breadth-first search, the Graph 500 kernel
 //!   (Figures 12(c), 13), and the same search on the asynchronous
 //!   runtime (§5.3);
-//! * [`people_search`] — the "David problem": k-hop name search on a
+//! * [`people_search`](mod@people_search) — the "David problem": k-hop name search on a
 //!   social graph via online exploration (Figure 12(a), §5.1);
 //! * [`subgraph`] — index-free subgraph matching by parallel exploration
 //!   (Figure 8(a), Figure 14(a), §5.2);

@@ -1,7 +1,7 @@
 //! Multi-level graph partitioning (paper §5.3).
 //!
 //! "Trinity can partition billion-node graphs within a few hours using a
-//! multi-level partitioning algorithm, [with] quality comparable to the
+//! multi-level partitioning algorithm, \[with\] quality comparable to the
 //! best partitioning algorithm (e.g., METIS). To the best of our
 //! knowledge, billion-node graph partitioning is an unsolved problem on
 //! general-purpose graph platforms." Partitioning is the paper's example

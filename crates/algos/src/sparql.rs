@@ -2,7 +2,7 @@
 //!
 //! The paper's Figure 14(b) reports the parallel speedup of four SPARQL
 //! queries on a LUBM data set, executed by a distributed graph engine
-//! built on Trinity (the Trinity.RDF system of reference [36]): RDF is
+//! built on Trinity (the Trinity.RDF system of reference \[36\]): RDF is
 //! stored in its native graph form and queries run by graph exploration
 //! rather than relational joins.
 //!

@@ -9,7 +9,7 @@
 //! index.
 //!
 //! Following the paper's experimental setup (queries generated with the
-//! DFS and RANDOM methods of reference [32], query size 10), patterns are
+//! DFS and RANDOM methods of reference \[32\], query size 10), patterns are
 //! sampled from the data graph itself so every query has at least one
 //! embedding, and nodes carry small labels to make matching selective.
 
@@ -63,7 +63,7 @@ impl Pattern {
     }
 }
 
-/// How query patterns are sampled from the data graph (reference [32]).
+/// How query patterns are sampled from the data graph (reference \[32\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatternGen {
     /// Take the first `size` vertices of a depth-first walk.

@@ -1,7 +1,7 @@
 //! Figure 8(a): subgraph matching without any index.
 //!
 //! Paper setup: graph sizes 1 M–128 M nodes, average degree 16, query
-//! size 10, queries generated by the DFS and RANDOM methods of [32],
+//! size 10, queries generated by the DFS and RANDOM methods of \[32\],
 //! 8 machines. Paper result: ~1 s average query time, roughly flat in
 //! graph size — exploration cost follows the pattern's selectivity, not
 //! |V|.

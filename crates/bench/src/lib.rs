@@ -215,7 +215,7 @@ const BSP_COUNTERS: &[&str] = &[
 /// exporters write) and carry the top-level keys its kind promises:
 ///
 /// - `*.metrics.json` — a [`MetricsOut`] document: `"bench"` + `"sections"`,
-///   and every [`BSP_COUNTERS`] name if it reports a BSP job at all.
+///   and every `BSP_COUNTERS` name if it reports a BSP job at all.
 /// - `*.trace.json` — a Chrome trace-event export: `"traceEvents"`.
 /// - `*.flight.json` — a flight-recorder dump: kind `"trinity.flight"`,
 ///   `"windows"` and `"events"`.

@@ -1,7 +1,9 @@
 //! Seeded chaos testing for the Trinity memory cloud.
 //!
 //! The paper's recovery story (§6) is stated in terms of *mechanisms* —
-//! heartbeats, TFS backups, BSP checkpoints, detection-by-access. This
+//! heartbeats, TFS backups, BSP checkpoints, detection-by-access (here
+//! only the leader's `PING` probes detect a death; a failed access
+//! returns its error to the caller and reports nothing). This
 //! crate tests the *guarantees* those mechanisms are supposed to add up
 //! to, by running whole workloads (BSP jobs, online traversals, a serving
 //! slice) on a fabric whose interconnect misbehaves on a seeded schedule

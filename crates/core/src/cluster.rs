@@ -9,12 +9,13 @@
 //!
 //! In this reproduction all roles share one fabric: slaves occupy machine
 //! ids `[0, slaves)`, proxies `[slaves, slaves + proxies)`, and clients
-//! attach to dedicated endpoints after those.
+//! attach to dedicated endpoints after those; a client reaches the
+//! slaves through a proxy ([`TrinityClient::call_proxy`]).
 
 use std::sync::Arc;
 
 use trinity_graph::GraphHandle;
-use trinity_memcloud::{CloudConfig, CloudError, MemoryCloud};
+use trinity_memcloud::{CloudConfig, MemoryCloud};
 use trinity_net::{Endpoint, FrameBuf, MachineId, ProtoId};
 
 /// Cluster deployment shape.
@@ -90,7 +91,6 @@ impl TrinityCluster {
                 endpoint: cloud
                     .fabric()
                     .endpoint(MachineId((slaves + cfg.proxies + i) as u16)),
-                cloud: Arc::clone(&cloud),
                 slaves,
             })
             .collect();
@@ -190,7 +190,6 @@ impl TrinityProxy {
 /// Trinity library and reach the cluster through these APIs.
 pub struct TrinityClient {
     endpoint: Arc<Endpoint>,
-    cloud: Arc<MemoryCloud>,
     slaves: usize,
 }
 
@@ -218,45 +217,11 @@ impl TrinityClient {
         self.endpoint
             .call(MachineId((self.slaves + i) as u16), proto, payload)
     }
-
-    /// Read a cell through the slave tier (routed to the owner).
-    pub fn get_cell(&self, id: u64) -> Result<Option<FrameBuf>, CloudError> {
-        // Clients are not cloud nodes; route through the owner slave.
-        let owner = self.cloud.node(0).table().machine_of(id);
-        let raw = self
-            .endpoint
-            .call(owner, trinity_net::proto::FIRST_MEMCLOUD, &{
-                let mut req = Vec::with_capacity(8);
-                req.extend_from_slice(&id.to_le_bytes());
-                req
-            })
-            .map_err(CloudError::Net)?;
-        match raw.first() {
-            // OK replies carry the cell's 8-byte version stamp after the
-            // status; the client tier only wants the payload.
-            // Zero-copy: the payload is a subslice of the reply frame.
-            Some(0) if raw.len() >= 9 => Ok(Some(raw.slice(9..raw.len()))),
-            Some(1) => Ok(None),
-            _ => Err(CloudError::BadReply),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roles_come_up_and_client_reads_cells() {
-        let cluster = TrinityCluster::new(TrinityConfig::small(3));
-        let node = cluster.cloud().node(0);
-        let id = node.alloc_id();
-        node.put(id, b"visible to the client tier").unwrap();
-        let got = cluster.client(0).get_cell(id).unwrap();
-        assert_eq!(got.as_deref(), Some(&b"visible to the client tier"[..]));
-        assert_eq!(cluster.client(0).get_cell(0xABCDEF).unwrap(), None);
-        cluster.shutdown();
-    }
 
     #[test]
     fn proxy_aggregates_across_slaves() {

@@ -12,7 +12,7 @@
 //! * **Layered programs** (`mode() == Layered(k)`, e.g. PageRank): the
 //!   engine caches all `k+1` layers. After a batch, only vertices whose
 //!   layer-`l` inputs changed are re-evaluated at layer `l` — the
-//!   structurally dirty set ([`DirtySet`], in-neighborhood signature
+//!   structurally dirty set ([`DirtySet`](crate::streaming::DirtySet), in-neighborhood signature
 //!   rule) plus the value-propagation frontier (out-neighbors of
 //!   vertices whose previous-layer value changed, plus those vertices
 //!   themselves, since `prev` feeds the gather). Every skipped vertex
@@ -556,7 +556,7 @@ impl<P: GatherProgram> IncrementalBsp<P> {
 /// Pull-based PageRank: `rank(v) = (1-d)/n + d·Σ rank(u)/outdeg(u)`
 /// over in-neighbors in ascending id order (bit-reproducible float
 /// accumulation). Dangling mass is not redistributed — it leaks, as in
-/// [`trinity_algos`]'s push-based reference on dangling-free graphs.
+/// `trinity_algos`' push-based reference on dangling-free graphs.
 #[derive(Debug, Clone, Copy)]
 pub struct PageRankGather {
     pub iterations: usize,

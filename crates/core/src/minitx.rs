@@ -3,7 +3,7 @@
 //! "Trinity guarantees the atomicity of the operation on a single cell...
 //! For applications that need transaction support, we can implement
 //! light-weight atomic operation primitives that span multiple cells,
-//! such as MultiOp primitives [13] and Mini-transaction primitives [7],
+//! such as MultiOp primitives \[13\] and Mini-transaction primitives \[7\],
 //! on top of the atomic cell operation primitives."
 //!
 //! This module is that layer: Sinfonia-style mini-transactions. A

@@ -1,15 +1,18 @@
 //! Fault-tolerance orchestration (paper §6.2).
 //!
 //! Trinity keeps the primary addressing-table replica on a *leader*
-//! machine and persists it in TFS before committing any update. Failures
-//! are detected two ways — the leader's liveness probes, and
-//! detection-by-access (a machine whose call to a peer fails informs the
-//! leader). This module is the cluster's only failure detector;
-//! `trinity-net` just answers `PING`. On a confirmed failure the leader
-//! reloads the dead machine's trunks onto survivors (from their TFS
-//! backups), updates the primary table, and broadcasts it; a machine
-//! that misses the broadcast self-heals on its next failed access by
-//! syncing with the TFS primary. A recovered machine that answers a
+//! machine and persists it in TFS before committing any update. The paper
+//! detects failures two ways — the leader's liveness probes, and
+//! detection-by-access (a machine whose access to a peer fails informs
+//! the leader). Only the probes are wired here: a failed access in
+//! `trinity-memcloud` re-syncs its table from TFS and returns the error,
+//! and no access path calls [`report_failure`], so the leader learns of a
+//! death only from its `PING` probes. This module is the cluster's only
+//! failure detector; `trinity-net` just answers `PING`. On a confirmed
+//! failure the leader reloads the dead machine's trunks onto survivors
+//! (from their TFS backups), updates the primary table, and broadcasts
+//! it; a machine that misses the broadcast self-heals on its next failed
+//! access by syncing with the TFS primary. A recovered machine that answers a
 //! probe again (revived, possibly rejoined with trunks) is re-armed, so
 //! its next death is recovered too; a bounce shorter than one probe
 //! interval is not observed as a revival. If the leader itself dies, a
@@ -200,7 +203,8 @@ impl Drop for RecoveryAgents {
 }
 
 /// Report a failed access to the cluster (detection-by-access): "machine
-/// A will inform the leader machine of the failure of machine B".
+/// A will inform the leader machine of the failure of machine B". No
+/// access path calls it yet; only the recovery tests do.
 pub fn report_failure(node: &CloudNode, suspect: MachineId) {
     node.endpoint()
         .broadcast(proto::REPORT_FAILURE, &suspect.0.to_le_bytes());

@@ -1,4 +1,4 @@
-//! Safra's termination detection algorithm (paper §6.2, reference [16]).
+//! Safra's termination detection algorithm (paper §6.2, reference \[16\]).
 //!
 //! Asynchronous computation has no supersteps and therefore no natural
 //! barrier at which to declare the job finished or to cut a snapshot.

@@ -27,13 +27,11 @@
 //!   memory cloud.
 
 pub mod csr;
-pub mod external;
 pub mod handle;
 pub mod loader;
 pub mod record;
 
 pub use csr::Csr;
-pub use external::{ExternalStore, HybridHandle, SimRdbms};
 pub use handle::GraphHandle;
 pub use loader::{load_graph, DistributedGraph, LoadOptions};
 pub use record::{EdgeRecord, HyperEdgeRecord, NodeRecord, NodeView, RecordError};

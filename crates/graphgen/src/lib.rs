@@ -3,14 +3,14 @@
 //! Every experiment in the paper's §7 runs on one of four graph families,
 //! all reproduced here (deterministically, from a seed):
 //!
-//! * **R-MAT** ([`rmat`]) — the recursive matrix model of Chakrabarti et
-//!   al. (paper ref [12]); used by the PageRank, BFS, and PBGL/Giraph
+//! * **R-MAT** ([`rmat`](fn@rmat)) — the recursive matrix model of Chakrabarti et
+//!   al. (paper ref \[12\]); used by the PageRank, BFS, and PBGL/Giraph
 //!   comparison experiments.
 //! * **Power-law** ([`power_law`]) — degree distribution `P(k) ∝ c·k^-γ`
 //!   with the paper's §5.4 parameters `c = 1.16`, `γ = 2.16`; used by the
 //!   hub-vertex message-optimization analysis and the distance-oracle
 //!   experiment.
-//! * **Social** ([`social`]) — a Facebook-like graph with a configurable
+//! * **Social** ([`social`](fn@social)) — a Facebook-like graph with a configurable
 //!   average degree (the paper sweeps 10–200 for people search, with 130
 //!   called out as Facebook's average), plus a first-name attribute
 //!   generator ([`names`]) in which "David" is a popular name.

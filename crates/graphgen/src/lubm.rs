@@ -1,7 +1,7 @@
-//! LUBM-like RDF benchmark data (paper reference [20]).
+//! LUBM-like RDF benchmark data (paper reference \[20\]).
 //!
 //! The paper's Figure 14(b) runs four SPARQL queries over a LUBM data set
-//! (via the Trinity.RDF engine of reference [36]). This generator produces
+//! (via the Trinity.RDF engine of reference \[36\]). This generator produces
 //! the same *shape* of data: a university ontology — universities,
 //! departments, professors, students, courses — with the standard LUBM
 //! relationship edges, scaled by a university count. Node types are

@@ -1,4 +1,4 @@
-//! R-MAT recursive matrix graphs (paper reference [12]).
+//! R-MAT recursive matrix graphs (paper reference \[12\]).
 //!
 //! Each arc is placed by recursively descending into one of the four
 //! quadrants of the adjacency matrix with probabilities `(a, b, c, d)`;

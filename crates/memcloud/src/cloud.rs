@@ -35,8 +35,8 @@ pub struct CloudConfig {
     /// clients (paper Figure 1) attach here. They carry no trunks and no
     /// addressing-table slots.
     pub extra_machines: usize,
-    /// Synchronous-call timeout (doubles as the detection-by-access
-    /// horizon; recovery tests shorten it).
+    /// Synchronous-call timeout. It also bounds each of the recovery
+    /// leader's `PING` probes, which is why recovery tests shorten it.
     pub call_timeout: std::time::Duration,
     /// Standby slaves: fully provisioned machines that own no trunks
     /// until a join — `trinity-elastic`'s `MigrationEngine::join_machine`

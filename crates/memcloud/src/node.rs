@@ -9,8 +9,9 @@
 //! Staleness protocol (paper §6.2): when an access fails — the owner is
 //! unreachable, or it answers "not owner" — the node re-syncs its table
 //! replica from the TFS primary and retries once. If the table hasn't
-//! changed (no recovery happened yet), the error propagates to the caller,
-//! who is expected to inform the leader (see `trinity-core`'s recovery).
+//! changed (no recovery happened yet), the error propagates to the caller.
+//! Nobody informs the leader: it learns of a death only from its own
+//! `PING` probes (see `trinity-core`'s recovery).
 //!
 //! # Remote-read cache and coherence
 //!

@@ -130,16 +130,9 @@ impl Default for PackBuf {
 /// Cached metric handles for the fabric hot path — resolved once at
 /// endpoint construction so recording never performs a name lookup.
 struct NetMetrics {
-    env_sent: Arc<Counter>,
-    frames_sent: Arc<Counter>,
-    bytes_sent: Arc<Counter>,
     env_recv: Arc<Counter>,
     frames_recv: Arc<Counter>,
     bytes_recv: Arc<Counter>,
-    frames_local: Arc<Counter>,
-    frames_delivered: Arc<Counter>,
-    frames_dropped: Arc<Counter>,
-    frames_refused: Arc<Counter>,
     /// Requests refused (or calls aborted) because the query's deadline
     /// budget was exhausted.
     deadline_expired: Arc<Counter>,
@@ -170,16 +163,9 @@ struct NetMetrics {
 impl NetMetrics {
     fn new(obs: &MachineScope) -> Self {
         NetMetrics {
-            env_sent: obs.counter("net.env.sent"),
-            frames_sent: obs.counter("net.frames.sent"),
-            bytes_sent: obs.counter("net.bytes.sent"),
             env_recv: obs.counter("net.env.recv"),
             frames_recv: obs.counter("net.frames.recv"),
             bytes_recv: obs.counter("net.bytes.recv"),
-            frames_local: obs.counter("net.frames.local"),
-            frames_delivered: obs.counter("net.frames.delivered"),
-            frames_dropped: obs.counter("net.frames.dropped"),
-            frames_refused: obs.counter("net.frames.refused"),
             deadline_expired: obs.counter("net.deadline.expired"),
             modeled_tx_us: obs.counter("net.modeled_tx_us"),
             frame_copy_bytes: obs.counter("net.frame_copy_bytes"),
@@ -251,7 +237,7 @@ impl Endpoint {
             call_timeout,
             work_tx,
             workers,
-            stats: NetStats::default(),
+            stats: NetStats::new(&obs),
             cost,
             obs,
             metrics,
@@ -612,20 +598,15 @@ impl Endpoint {
             // Refused at the send site: the frames never enter the fabric,
             // so they are ledgered apart from in-flight drops.
             self.stats.record_refused(frames);
-            self.metrics.frames_refused.add(frames);
             return Err(NetError::Unreachable(env.dst));
         }
         // Payload bytes entering frames — denominator of the copy ratio.
         self.metrics.frame_payload_bytes.add(env.payload_bytes());
         if env.dst == env.src {
             self.stats.record_local(frames);
-            self.metrics.frames_local.add(frames);
         } else {
             let bytes = env.wire_bytes();
             self.stats.record_remote(frames, bytes);
-            self.metrics.env_sent.inc();
-            self.metrics.frames_sent.add(frames);
-            self.metrics.bytes_sent.add(bytes);
             self.metrics.env_bytes.record(bytes);
             self.metrics.env_frames.record(frames);
             // Charge the cost model as the transfer happens, so modeled
@@ -662,9 +643,7 @@ impl Endpoint {
             // A dead machine processes nothing, but the frames must still
             // be consumed from the ledger: they entered the fabric and
             // die here, at its door.
-            let frames = env.frames.len() as u64;
-            self.stats.record_dropped(frames);
-            self.metrics.frames_dropped.add(frames);
+            self.stats.record_dropped(env.frames.len() as u64);
             return;
         }
         if env.src != self.machine {
@@ -706,7 +685,7 @@ impl Endpoint {
             };
             match self.pending.lock().remove(&corr) {
                 Some(tx) => {
-                    self.count_delivered(1);
+                    self.stats.record_delivered(1);
                     let _ = tx.send(match frame.kind {
                         // The payload moves into the caller's hands as
                         // the same shared slice that crossed the wire.
@@ -717,7 +696,7 @@ impl Endpoint {
                 }
                 // An orphan response: its call already completed (timed
                 // out, or this is a duplicate delivery).
-                None => self.count_dropped(1),
+                None => self.stats.record_dropped(1),
             }
         }
         self.queue_run(env.src, env.trace, env.deadline, run);
@@ -736,7 +715,7 @@ impl Endpoint {
             let proto = frames[0].proto;
             let n = frames.iter().take_while(|f| f.proto == proto).count();
             let Some(handler) = self.handlers.read().get(&proto).cloned() else {
-                self.count_dropped(n as u64);
+                self.stats.record_dropped(n as u64);
                 frames.drain(..n);
                 continue;
             };
@@ -800,9 +779,9 @@ impl Endpoint {
                 })
                 .count(),
         };
-        self.count_dropped((frames.len() - handled) as u64);
+        self.stats.record_dropped((frames.len() - handled) as u64);
         if handled > 0 {
-            self.count_delivered(handled as u64);
+            self.stats.record_delivered(handled as u64);
             self.metrics
                 .handler_us
                 .record(self.obs.now_us().saturating_sub(start_us));
@@ -830,7 +809,7 @@ impl Endpoint {
             unreachable!("only requests are queued frame by frame")
         };
         if self.router.is_dead(self.machine) {
-            self.count_dropped(1);
+            self.stats.record_dropped(1);
             return;
         }
         let _guard = TraceGuard::enter(trace);
@@ -868,17 +847,7 @@ impl Endpoint {
         // The request leaves the ledger only once its reply is in it, so
         // a balanced ledger means no reply is still to be born — what a
         // chaos run waits for before it snapshots its fault log.
-        self.count_delivered(1);
-    }
-
-    fn count_delivered(&self, frames: u64) {
-        self.stats.record_delivered(frames);
-        self.metrics.frames_delivered.add(frames);
-    }
-
-    fn count_dropped(&self, frames: u64) {
-        self.stats.record_dropped(frames);
-        self.metrics.frames_dropped.add(frames);
+        self.stats.record_delivered(1);
     }
 
     /// Fabric shutdown, once marked closed: workers stop after what is

@@ -7,7 +7,9 @@ pub enum NetError {
     /// The destination machine is known dead (or died before responding).
     /// This is the paper's detection-by-access signal: "a machine A that
     /// attempts to access a data item on machine B which is down can
-    /// detect the failure of machine B" (§6.2).
+    /// detect the failure of machine B" (§6.2). Only the caller sees it:
+    /// nothing passes it to the recovery leader, which learns of a death
+    /// from its own `PING` probes.
     Unreachable(MachineId),
     /// No response arrived within the call timeout.
     Timeout(MachineId, ProtoId),

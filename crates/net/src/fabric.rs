@@ -80,8 +80,9 @@ pub struct FabricConfig {
     /// Byte threshold at which a destination's packed one-way buffer is
     /// shipped.
     pub pack_threshold_bytes: usize,
-    /// Timeout for synchronous calls (also the failure-detection horizon
-    /// for detection-by-access).
+    /// Timeout for synchronous calls: how long a caller waits on a silent
+    /// peer before it gets [`NetError::Timeout`]. The recovery leader's
+    /// `PING` probes are calls too, so it also bounds each probe.
     pub call_timeout: Duration,
     /// Price list used when converting measured traffic into modeled
     /// network seconds.
@@ -136,7 +137,7 @@ impl Fabric {
         let chaos = cfg
             .faults
             .clone()
-            .map(|plan| ChaosState::start(plan, cfg.machines, Arc::clone(&router), cfg.cost, &obs));
+            .map(|plan| ChaosState::start(plan, cfg.machines, Arc::clone(&router), &obs));
         let mut endpoints = Vec::with_capacity(cfg.machines);
         let mut handles = Vec::new();
         for m in 0..cfg.machines {
@@ -266,12 +267,6 @@ impl Fabric {
     /// released). `true` immediately for fault-free fabrics.
     pub fn chaos_quiesce(&self, timeout: Duration) -> bool {
         self.chaos.as_ref().is_none_or(|c| c.quiesce(timeout))
-    }
-
-    /// Modeled network seconds for the traffic measured so far, priced by
-    /// the configured cost model.
-    pub fn modeled_network_seconds(&self) -> f64 {
-        self.cfg.cost.transfer_seconds(&self.total_stats())
     }
 
     /// Stop all fabric threads. Pending calls fail with

@@ -4,7 +4,7 @@
 //! A [`FaultPlan`] describes how the interconnect should misbehave: drop,
 //! delay, duplicate, or reorder envelopes on individual links, partition
 //! pairs of machines asymmetrically, and crash/revive whole machines on a
-//! schedule keyed on envelope count, modeled wire time, or workload marks.
+//! schedule keyed on envelope count or workload marks.
 //! The plan is *seeded*: every per-envelope decision is a pure function of
 //! `(seed, src, dst, link sequence number)`, so the same plan applied to
 //! the same traffic injects the same faults — the property the chaos
@@ -36,7 +36,6 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use trinity_obs::{Counter, Registry};
 
-use crate::cost::CostModel;
 use crate::deadline::deadline_now_us;
 use crate::envelope::Envelope;
 use crate::fabric::Router;
@@ -47,8 +46,6 @@ use crate::MachineId;
 pub enum Trigger {
     /// After the fabric has transmitted this many remote envelopes.
     Envelopes(u64),
-    /// After the cost model has charged this much modeled wire time.
-    ModeledUs(u64),
     /// When the workload calls [`crate::Fabric::chaos_mark`] with this
     /// value (checkpoint boundaries, superstep fences, phase changes).
     Mark(u64),
@@ -295,97 +292,11 @@ impl FaultLog {
     }
 
     /// Records sorted by `(src, dst, seq, kind)` — the stable order used
-    /// for equality and for the encoded form.
+    /// for equality.
     pub fn canonical(&self) -> Vec<FaultRecord> {
         let mut v = self.records.clone();
         v.sort_by_key(|r| (r.src, r.dst, r.seq, kind_rank(&r.kind)));
         v
-    }
-
-    /// Serialize to the line-oriented seed/replay format (see DESIGN.md
-    /// §8): one fault per line, canonical order.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        for r in self.canonical() {
-            let line = match r.kind {
-                FaultKind::Drop => format!("drop {} {} {}", r.src, r.dst, r.seq),
-                FaultKind::Delay(us) => format!("delay {} {} {} {us}", r.src, r.dst, r.seq),
-                FaultKind::Duplicate => format!("dup {} {} {}", r.src, r.dst, r.seq),
-                FaultKind::Reorder => format!("reorder {} {} {}", r.src, r.dst, r.seq),
-                FaultKind::Partition => format!("part {} {} {}", r.src, r.dst, r.seq),
-                FaultKind::Crash(t) => format!("crash {} {} {}", r.src, r.seq, encode_trigger(t)),
-                FaultKind::Revive(t) => format!("revive {} {} {}", r.src, r.seq, encode_trigger(t)),
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the format produced by [`FaultLog::encode`]. Returns `None`
-    /// on any malformed line.
-    pub fn decode(text: &str) -> Option<FaultLog> {
-        let mut records = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let tag = it.next()?;
-            let rec = match tag {
-                "drop" | "dup" | "reorder" | "part" => {
-                    let src: u16 = it.next()?.parse().ok()?;
-                    let dst: u16 = it.next()?.parse().ok()?;
-                    let seq: u64 = it.next()?.parse().ok()?;
-                    let kind = match tag {
-                        "drop" => FaultKind::Drop,
-                        "dup" => FaultKind::Duplicate,
-                        "reorder" => FaultKind::Reorder,
-                        _ => FaultKind::Partition,
-                    };
-                    FaultRecord {
-                        src,
-                        dst,
-                        seq,
-                        kind,
-                    }
-                }
-                "delay" => {
-                    let src: u16 = it.next()?.parse().ok()?;
-                    let dst: u16 = it.next()?.parse().ok()?;
-                    let seq: u64 = it.next()?.parse().ok()?;
-                    let us: u64 = it.next()?.parse().ok()?;
-                    FaultRecord {
-                        src,
-                        dst,
-                        seq,
-                        kind: FaultKind::Delay(us),
-                    }
-                }
-                "crash" | "revive" => {
-                    let m: u16 = it.next()?.parse().ok()?;
-                    let seq: u64 = it.next()?.parse().ok()?;
-                    let trig = decode_trigger(it.next()?, it.next()?)?;
-                    FaultRecord {
-                        src: m,
-                        dst: m,
-                        seq,
-                        kind: if tag == "crash" {
-                            FaultKind::Crash(trig)
-                        } else {
-                            FaultKind::Revive(trig)
-                        },
-                    }
-                }
-                _ => return None,
-            };
-            if it.next().is_some() {
-                return None;
-            }
-            records.push(rec);
-        }
-        Some(FaultLog { records })
     }
 }
 
@@ -398,24 +309,6 @@ fn kind_rank(k: &FaultKind) -> u8 {
         FaultKind::Partition => 4,
         FaultKind::Crash(_) => 5,
         FaultKind::Revive(_) => 6,
-    }
-}
-
-fn encode_trigger(t: Trigger) -> String {
-    match t {
-        Trigger::Envelopes(n) => format!("env {n}"),
-        Trigger::ModeledUs(n) => format!("us {n}"),
-        Trigger::Mark(n) => format!("mark {n}"),
-    }
-}
-
-fn decode_trigger(tag: &str, val: &str) -> Option<Trigger> {
-    let n: u64 = val.parse().ok()?;
-    match tag {
-        "env" => Some(Trigger::Envelopes(n)),
-        "us" => Some(Trigger::ModeledUs(n)),
-        "mark" => Some(Trigger::Mark(n)),
-        _ => None,
     }
 }
 
@@ -544,12 +437,10 @@ pub struct ChaosState {
     /// `(src, dst, seq)` → fault, when replaying a recorded log.
     replay_map: Option<HashMap<(u16, u16, u64), FaultKind>>,
     router: Arc<Router>,
-    cost: CostModel,
     links: Mutex<HashMap<(u16, u16), SharedLink>>,
     log: Mutex<Vec<FaultRecord>>,
     schedule: Vec<ScheduledEvent>,
     sent_envelopes: AtomicU64,
-    modeled_us: AtomicU64,
     /// Frames swallowed by drop/partition decisions (they left the
     /// sender's counters but never reach a receiver).
     swallowed_frames: AtomicU64,
@@ -589,7 +480,6 @@ impl ChaosState {
         plan: FaultPlan,
         machines: usize,
         router: Arc<Router>,
-        cost: CostModel,
         obs: &Arc<Registry>,
     ) -> Arc<Self> {
         let replay_map = plan.replay.as_ref().map(|log| {
@@ -627,12 +517,10 @@ impl ChaosState {
             plan,
             replay_map,
             router,
-            cost,
             links: Mutex::new(HashMap::new()),
             log: Mutex::new(Vec::new()),
             schedule,
             sent_envelopes: AtomicU64::new(0),
-            modeled_us: AtomicU64::new(0),
             swallowed_frames: AtomicU64::new(0),
             dup_frames: AtomicU64::new(0),
             pending: AtomicU64::new(0),
@@ -729,9 +617,7 @@ impl ChaosState {
             return self.router.deliver(env);
         }
         let n = self.sent_envelopes.fetch_add(1, Ordering::Relaxed) + 1;
-        let wire_us = (self.cost.seconds(1, env.wire_bytes()) * 1e6) as u64;
-        let m = self.modeled_us.fetch_add(wire_us, Ordering::Relaxed) + wire_us;
-        self.check_schedule(n, m);
+        self.check_schedule(n);
 
         let key = (env.src.0, env.dst.0);
         let link_arc = {
@@ -906,14 +792,9 @@ impl ChaosState {
         });
     }
 
-    fn check_schedule(&self, envelopes: u64, modeled_us: u64) {
+    fn check_schedule(&self, envelopes: u64) {
         for ev in &self.schedule {
-            let due = match ev.trigger {
-                Trigger::Envelopes(n) => envelopes >= n,
-                Trigger::ModeledUs(n) => modeled_us >= n,
-                Trigger::Mark(_) => false,
-            };
-            if due {
+            if matches!(ev.trigger, Trigger::Envelopes(n) if envelopes >= n) {
                 self.fire_event(ev);
             }
         }
@@ -1046,27 +927,6 @@ mod tests {
             seq,
             kind,
         }
-    }
-
-    #[test]
-    fn log_codec_roundtrip() {
-        let log = FaultLog {
-            records: vec![
-                rec(2, 1, 9, FaultKind::Delay(1500)),
-                rec(0, 1, 3, FaultKind::Drop),
-                rec(1, 1, 0, FaultKind::Crash(Trigger::Mark(4))),
-                rec(0, 2, 7, FaultKind::Duplicate),
-                rec(1, 1, 1, FaultKind::Revive(Trigger::Envelopes(120))),
-                rec(3, 0, 2, FaultKind::Reorder),
-                rec(0, 3, 11, FaultKind::Partition),
-            ],
-        };
-        let decoded = FaultLog::decode(&log.encode()).expect("roundtrip");
-        assert_eq!(decoded, log);
-        assert_eq!(decoded.encode(), log.encode());
-        assert!(FaultLog::decode("drop 1 2\n").is_none(), "short line");
-        assert!(FaultLog::decode("bogus 1 2 3\n").is_none(), "bad tag");
-        assert!(FaultLog::decode("drop 1 2 3 4\n").is_none(), "long line");
     }
 
     #[test]

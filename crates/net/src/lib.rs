@@ -15,9 +15,10 @@
 //!   them in a single transfer, because "the total number of messages in
 //!   the system is huge although each message may be small";
 //! * **failure detection** is not here: every endpoint answers
-//!   [`proto::PING`] and a call to a dead machine fails
-//!   (detection-by-access); the one detector that probes and counts
-//!   misses is the leader loop in `trinity-core`'s `recovery` module.
+//!   [`proto::PING`], and a call to a dead machine fails with
+//!   [`NetError::Unreachable`] or times out, to its caller only. No caller
+//!   reports that failure on; the one detector is the leader loop in
+//!   `trinity-core`'s `recovery` module, which probes and counts misses.
 //!
 //! # The simulated interconnect
 //!

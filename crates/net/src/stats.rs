@@ -5,19 +5,31 @@
 //! algorithms run for real and produce real message volumes; the
 //! [`crate::CostModel`] prices them. Machine-local frames (src == dst) are
 //! tracked separately and never priced.
+//!
+//! The counters are the machine scope's own `net.*` counters, so the
+//! registry export and [`NetStats::snapshot`] read one ledger.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use trinity_obs::{Counter, MachineScope};
 
 /// Monotonic traffic counters for one endpoint.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NetStats {
-    pub(crate) remote_envelopes: AtomicU64,
-    pub(crate) remote_frames: AtomicU64,
-    pub(crate) remote_bytes: AtomicU64,
-    pub(crate) local_frames: AtomicU64,
-    pub(crate) delivered_frames: AtomicU64,
-    pub(crate) dropped_frames: AtomicU64,
-    pub(crate) refused_frames: AtomicU64,
+    remote_envelopes: Arc<Counter>,
+    remote_frames: Arc<Counter>,
+    remote_bytes: Arc<Counter>,
+    local_frames: Arc<Counter>,
+    delivered_frames: Arc<Counter>,
+    dropped_frames: Arc<Counter>,
+    refused_frames: Arc<Counter>,
+}
+
+impl Default for NetStats {
+    /// Counters in a scope no registry reads.
+    fn default() -> Self {
+        NetStats::new(&MachineScope::detached())
+    }
 }
 
 /// A point-in-time copy of [`NetStats`], or a difference of two snapshots.
@@ -45,39 +57,53 @@ pub struct StatsDelta {
 }
 
 impl NetStats {
+    /// The counters of machine scope `obs`, registered under their
+    /// exported `net.*` names.
+    pub(crate) fn new(obs: &MachineScope) -> Self {
+        NetStats {
+            remote_envelopes: obs.counter("net.env.sent"),
+            remote_frames: obs.counter("net.frames.sent"),
+            remote_bytes: obs.counter("net.bytes.sent"),
+            local_frames: obs.counter("net.frames.local"),
+            delivered_frames: obs.counter("net.frames.delivered"),
+            dropped_frames: obs.counter("net.frames.dropped"),
+            refused_frames: obs.counter("net.frames.refused"),
+        }
+    }
+
     /// Snapshot the counters.
     pub fn snapshot(&self) -> StatsDelta {
         StatsDelta {
-            remote_envelopes: self.remote_envelopes.load(Ordering::Relaxed),
-            remote_frames: self.remote_frames.load(Ordering::Relaxed),
-            remote_bytes: self.remote_bytes.load(Ordering::Relaxed),
-            local_frames: self.local_frames.load(Ordering::Relaxed),
-            delivered_frames: self.delivered_frames.load(Ordering::Relaxed),
-            dropped_frames: self.dropped_frames.load(Ordering::Relaxed),
-            refused_frames: self.refused_frames.load(Ordering::Relaxed),
+            remote_envelopes: self.remote_envelopes.get(),
+            remote_frames: self.remote_frames.get(),
+            remote_bytes: self.remote_bytes.get(),
+            local_frames: self.local_frames.get(),
+            delivered_frames: self.delivered_frames.get(),
+            dropped_frames: self.dropped_frames.get(),
+            refused_frames: self.refused_frames.get(),
         }
     }
 
     pub(crate) fn record_remote(&self, frames: u64, bytes: u64) {
-        self.remote_envelopes.fetch_add(1, Ordering::Relaxed);
-        self.remote_frames.fetch_add(frames, Ordering::Relaxed);
-        self.remote_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.remote_envelopes.inc();
+        self.remote_frames.add(frames);
+        self.remote_bytes.add(bytes);
     }
 
     pub(crate) fn record_local(&self, frames: u64) {
-        self.local_frames.fetch_add(frames, Ordering::Relaxed);
+        self.local_frames.add(frames);
     }
 
     pub(crate) fn record_delivered(&self, frames: u64) {
-        self.delivered_frames.fetch_add(frames, Ordering::Relaxed);
+        self.delivered_frames.add(frames);
     }
 
     pub(crate) fn record_dropped(&self, frames: u64) {
-        self.dropped_frames.fetch_add(frames, Ordering::Relaxed);
+        self.dropped_frames.add(frames);
     }
 
     pub(crate) fn record_refused(&self, frames: u64) {
-        self.refused_frames.fetch_add(frames, Ordering::Relaxed);
+        self.refused_frames.add(frames);
     }
 
     /// Traffic since a previous snapshot — the idiom every measurement

@@ -6,8 +6,9 @@
 //! send/flush interleaving; a delay-only plan preserves per-link FIFO and
 //! exactly-once delivery; a reorder-only plan gives up FIFO but not
 //! exactly-once; a lossy plan keeps the frame ledger balanced
-//! (entered == consumed + swallowed) after quiescence; and `call_many`
-//! answers what sequential calls answer under delays and duplicates.
+//! (entered == consumed + swallowed) after quiescence; `call_many`
+//! answers what sequential calls answer under delays and duplicates; and
+//! `Fabric::total_stats` reads the registry's own `net.*` counters.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -178,6 +179,89 @@ fn kill_revive_resend_does_not_double_count_frames() {
     // The handler ran once per delivered frame — a resend delivered twice
     // or a dropped frame also delivered would break this equality.
     assert_eq!(handled, total.delivered_frames);
+    fabric.shutdown();
+}
+
+/// `Endpoint::stats()` and the registry's `net.*` counters are one
+/// ledger: after traffic that moves every one of its seven counters — a
+/// call and its reply, packed one-way frames, a machine-local send,
+/// frames queued to a machine killed before it runs them, and sends
+/// refused by the dead machine — `Fabric::total_stats()` equals the
+/// registry totals field by field.
+#[test]
+fn total_stats_are_the_registrys_net_counters() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    let fabric = Fabric::new(FabricConfig {
+        workers_per_machine: 1,
+        call_timeout: Duration::from_secs(5),
+        ..FabricConfig::with_machines(2)
+    });
+    let handled = Arc::new(AtomicU64::new(0));
+    {
+        let handled = Arc::clone(&handled);
+        fabric.endpoint(MachineId(1)).register(30, move |_src, _p| {
+            std::thread::sleep(Duration::from_millis(5));
+            handled.fetch_add(1, Ordering::SeqCst);
+            None
+        });
+    }
+    fabric
+        .endpoint(MachineId(1))
+        .register(10, |_src, p| Some(p.to_vec()));
+    fabric.endpoint(MachineId(0)).register(30, |_src, _p| None);
+    let wait = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let balanced = || {
+        let t = fabric.total_stats();
+        t.entered_frames() == t.consumed_frames()
+    };
+
+    let sender = fabric.endpoint(MachineId(0));
+    assert_eq!(&*sender.call(MachineId(1), 10, b"ping").unwrap(), b"ping");
+    sender.send(MachineId(0), 30, b"local");
+    sender.flush();
+    for i in 0..20u32 {
+        sender.send(MachineId(1), 30, &i.to_le_bytes());
+    }
+    sender.flush();
+    wait("no deliveries", &|| handled.load(Ordering::SeqCst) >= 2);
+    fabric.kill(MachineId(1));
+    wait("the kill never drained the queue", &balanced);
+    for i in 0..5u32 {
+        sender.send(MachineId(1), 30, &i.to_le_bytes());
+    }
+    sender.flush();
+    wait("the ledger never balanced", &balanced);
+
+    let t = fabric.total_stats();
+    let c = fabric.obs().snapshot().totals().counters;
+    let registry = [
+        "net.env.sent",
+        "net.frames.sent",
+        "net.bytes.sent",
+        "net.frames.local",
+        "net.frames.delivered",
+        "net.frames.dropped",
+        "net.frames.refused",
+    ]
+    .map(|name| c.get(name).copied().unwrap_or(0));
+    let stats = [
+        t.remote_envelopes,
+        t.remote_frames,
+        t.remote_bytes,
+        t.local_frames,
+        t.delivered_frames,
+        t.dropped_frames,
+        t.refused_frames,
+    ];
+    assert!(stats.iter().all(|&v| v > 0), "a counter never moved: {t:?}");
+    assert_eq!(stats, registry);
     fabric.shutdown();
 }
 

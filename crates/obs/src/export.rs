@@ -1,4 +1,4 @@
-//! Exporters: aligned human-readable tables and JSON.
+//! JSON export.
 //!
 //! The build environment has no crates.io access, so JSON is emitted by a
 //! tiny hand-rolled value type rather than serde. [`Json`] covers exactly
@@ -6,7 +6,6 @@
 //! integers, floats) and escapes per RFC 8259.
 
 use std::fmt;
-use std::io::{self, Write};
 
 use crate::hist::HistSnapshot;
 use crate::load::TrunkLoad;
@@ -30,14 +29,6 @@ impl Json {
     /// Object constructor from key/value pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (impl Into<String>, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
-    /// Push a key onto an object; panics on non-objects (programmer error).
-    pub fn set(&mut self, key: impl Into<String>, value: Json) {
-        match self {
-            Json::Obj(pairs) => pairs.push((key.into(), value)),
-            _ => panic!("Json::set on a non-object"),
-        }
     }
 }
 
@@ -199,7 +190,7 @@ fn machine_json(m: &MachineSnapshot) -> Json {
     ])
 }
 
-/// One span as JSON (used by the JSON-lines exporter).
+/// One span as JSON.
 pub fn span_json(s: &SpanEvent) -> Json {
     Json::obj([
         ("trace", Json::U64(s.trace)),
@@ -228,101 +219,6 @@ pub fn snapshot_json(snap: &RegistrySnapshot) -> Json {
         ),
         ("totals", machine_json(&snap.totals())),
     ])
-}
-
-/// Write the snapshot as a single JSON document.
-pub fn write_json<W: Write>(w: &mut W, snap: &RegistrySnapshot) -> io::Result<()> {
-    writeln!(w, "{}", snapshot_json(snap))
-}
-
-/// Write the snapshot as JSON-lines: one object per machine per metric,
-/// grep- and `jq`-friendly.
-pub fn write_jsonl<W: Write>(w: &mut W, snap: &RegistrySnapshot) -> io::Result<()> {
-    for (machine, m) in &snap.machines {
-        let mach = Json::U64(*machine as u64);
-        for (name, v) in &m.counters {
-            let line = Json::obj([
-                ("machine", mach.clone()),
-                ("kind", Json::from("counter")),
-                ("name", Json::Str(name.clone())),
-                ("value", Json::U64(*v)),
-            ]);
-            writeln!(w, "{line}")?;
-        }
-        for (name, v) in &m.gauges {
-            let line = Json::obj([
-                ("machine", mach.clone()),
-                ("kind", Json::from("gauge")),
-                ("name", Json::Str(name.clone())),
-                ("value", Json::I64(*v)),
-            ]);
-            writeln!(w, "{line}")?;
-        }
-        for (name, h) in &m.hists {
-            let mut line = Json::obj([
-                ("machine", mach.clone()),
-                ("kind", Json::from("histogram")),
-                ("name", Json::Str(name.clone())),
-            ]);
-            line.set("value", hist_json(h));
-            writeln!(w, "{line}")?;
-        }
-    }
-    Ok(())
-}
-
-/// Render the snapshot as an aligned table, one row per machine+metric.
-pub fn render_table(snap: &RegistrySnapshot) -> String {
-    let mut rows: Vec<[String; 3]> = Vec::new();
-    for (machine, m) in &snap.machines {
-        for (name, v) in &m.counters {
-            rows.push([format!("m{machine}"), name.clone(), v.to_string()]);
-        }
-        for (name, v) in &m.gauges {
-            rows.push([format!("m{machine}"), name.clone(), v.to_string()]);
-        }
-        for (name, h) in &m.hists {
-            rows.push([
-                format!("m{machine}"),
-                name.clone(),
-                format!(
-                    "n={} mean={:.1} p50={} p95={} p99={} max={}",
-                    h.count,
-                    h.mean(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.max
-                ),
-            ]);
-        }
-    }
-    let mut widths = [7usize, 6, 5];
-    for row in &rows {
-        for (w, cell) in widths.iter_mut().zip(row.iter()) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<w0$}  {:<w1$}  {}\n",
-        "machine",
-        "metric",
-        "value",
-        w0 = widths[0],
-        w1 = widths[1]
-    ));
-    for row in &rows {
-        out.push_str(&format!(
-            "{:<w0$}  {:<w1$}  {}\n",
-            row[0],
-            row[1],
-            row[2],
-            w0 = widths[0],
-            w1 = widths[1]
-        ));
-    }
-    out
 }
 
 /// Minimal JSON well-formedness check used by tests (and available to
@@ -481,46 +377,10 @@ mod tests {
 
     #[test]
     fn snapshot_document_is_valid_json() {
-        let mut buf = Vec::new();
-        write_json(&mut buf, &sample()).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = snapshot_json(&sample()).to_string();
         assert_eq!(validate_json(&text).unwrap(), 1);
         assert!(text.contains("\"net.env.sent\":12"));
         assert!(text.contains("\"totals\""));
         assert!(text.contains("\"p99\""));
-    }
-
-    #[test]
-    fn jsonl_emits_one_valid_object_per_metric() {
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &sample()).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines.len(),
-            6,
-            "2 counters + 2 synthesized obs.spans_dropped + 1 gauge + 1 histogram"
-        );
-        for line in lines {
-            assert_eq!(
-                validate_json(line).unwrap(),
-                1,
-                "line not valid JSON: {line}"
-            );
-        }
-    }
-
-    #[test]
-    fn table_is_aligned() {
-        let table = render_table(&sample());
-        let lines: Vec<&str> = table.lines().collect();
-        assert!(lines.len() >= 4);
-        assert!(lines[0].starts_with("machine"));
-        let col = lines[1].find("net.env.sent").unwrap();
-        assert_eq!(
-            lines[4].find("net.env.bytes"),
-            Some(col),
-            "metric column must align"
-        );
     }
 }

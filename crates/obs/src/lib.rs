@@ -22,16 +22,16 @@
 //!   per-machine bounded [ring buffer](SpanRing) so one multi-hop query or
 //!   BSP superstep can be reconstructed across the whole simulated
 //!   cluster.
-//! * **Exporters** — an aligned human-readable table and JSON emitters
-//!   (single document and JSON-lines), all hand-rolled on `std` because
-//!   the build environment is offline.
+//! * **Export** — one JSON document per registry snapshot
+//!   ([`snapshot_json`]), hand-rolled on `std` because the build
+//!   environment is offline.
 //!
 //! Three analysis layers sit on top of that substrate:
 //!
 //! * **Per-trunk load accounting** ([`LoadMap`]) — every cell read/write,
 //!   MULTI_GET batch, BSP delivery, and traversal hop is attributed to the
-//!   owning trunk as EWMA-decayed windowed rates; `hottest(n)` and
-//!   `imbalance()` are the inputs trunk migration and tiering consume.
+//!   owning trunk as EWMA-decayed windowed rates; trunk migration and
+//!   tiering rank its [`LoadMap::snapshot`] by [`TrunkLoad::score`].
 //! * **Flight recorder** ([`FlightRecorder`]) — a bounded ring of
 //!   windowed [`RegistrySnapshot`] deltas plus an event log, dumped as one
 //!   postmortem JSON artifact when a chaos invariant fails or the serving
@@ -55,10 +55,7 @@ mod registry;
 mod timeline;
 mod trace;
 
-pub use export::{
-    render_table, snapshot_json, span_json, trunk_load_json, validate_json, write_json,
-    write_jsonl, Json,
-};
+pub use export::{snapshot_json, span_json, trunk_load_json, validate_json, Json};
 pub use hist::{HistSnapshot, Histogram};
 pub use load::{LoadMap, TrunkLoad, LOAD_DECAY_TAU_S, MAX_TRUNKS, MIN_ROLL_WINDOW_US};
 pub use metric::{Counter, Gauge};

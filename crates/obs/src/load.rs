@@ -18,8 +18,8 @@
 //!   for a few τ decays toward zero instead of being propped up forever
 //!   by its history.
 //!
-//! [`LoadMap::hottest`] and [`LoadMap::imbalance`] are the snapshot API
-//! trunk migration and tiering consume.
+//! [`LoadMap::snapshot`] is the API trunk migration and tiering consume:
+//! both rank trunks by [`TrunkLoad::score`].
 //!
 //! **Overflow behavior:** trunk ids at or above [`MAX_TRUNKS`] are
 //! silently dropped — the map is a dense vector indexed by trunk id, and
@@ -119,7 +119,7 @@ pub struct TrunkLoad {
 }
 
 impl TrunkLoad {
-    /// Scalar hotness used by [`LoadMap::hottest`] / [`LoadMap::imbalance`]:
+    /// Scalar hotness, the rank trunk migration and tiering use:
     /// operation rate regardless of kind.
     pub fn score(&self) -> f64 {
         self.reads_per_s + self.writes_per_s + self.msgs_per_s + self.hops_per_s
@@ -344,33 +344,6 @@ impl LoadMap {
             .map(|tr| tr.load.clone())
             .collect()
     }
-
-    /// The `n` hottest trunks by [`TrunkLoad::score`], hottest first; ties
-    /// break toward the lower trunk id so the ranking is deterministic.
-    pub fn hottest(&self, n: usize) -> Vec<TrunkLoad> {
-        let mut all = self.snapshot();
-        all.sort_by(|a, b| {
-            b.score()
-                .partial_cmp(&a.score())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.trunk.cmp(&b.trunk))
-        });
-        all.truncate(n);
-        all
-    }
-
-    /// Hotness skew: max score over mean score across active trunks.
-    /// `1.0` means perfectly balanced; `0.0` means no recorded load at all.
-    pub fn imbalance(&self) -> f64 {
-        let all = self.snapshot();
-        let scores: Vec<f64> = all.iter().map(|t| t.score()).collect();
-        let sum: f64 = scores.iter().sum();
-        if scores.is_empty() || sum <= 0.0 {
-            return 0.0;
-        }
-        let mean = sum / scores.len() as f64;
-        scores.iter().cloned().fold(0.0, f64::max) / mean
-    }
 }
 
 #[cfg(test)]
@@ -410,24 +383,6 @@ mod tests {
         lm.roll_at(51_000_000);
         let cold = lm.snapshot_rolled()[0].reads_per_s;
         assert!(cold < hot * 0.01, "rate must decay: {hot} -> {cold}");
-    }
-
-    #[test]
-    fn hottest_and_imbalance_rank_by_score() {
-        let lm = LoadMap::new();
-        for _ in 0..90 {
-            lm.record_read(1, 8);
-        }
-        for _ in 0..10 {
-            lm.record_read(2, 8);
-        }
-        lm.roll_at(1_000_000);
-        let top = lm.hottest(1);
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].trunk, 1);
-        // Two active trunks at 90/10: max/mean = 90/50 = 1.8.
-        let imb = lm.imbalance();
-        assert!((imb - 1.8).abs() < 1e-6, "imbalance {imb}");
     }
 
     #[test]

@@ -32,6 +32,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings denied)"
 cargo clippy --workspace --all-targets "${HERMETIC[@]}" "$@" -- -D warnings
 
+echo "==> cargo doc (warnings denied: a dangling intra-doc link fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${HERMETIC[@]}"
+
 echo "==> cargo test"
 cargo test --workspace -q "${HERMETIC[@]}" "$@"
 
