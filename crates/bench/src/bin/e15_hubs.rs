@@ -4,8 +4,8 @@
 //! sending messages to 80% of vertices. Even if we buffer messages from
 //! just 1% hub vertices, we have addressed 72.8% of message needs."
 //! This harness prints the analytic and empirical coverage curves, then
-//! measures the live effect: remote frames per PageRank superstep with
-//! hub buffering on and off.
+//! measures the live effect: remote frames and wire bytes per PageRank
+//! superstep with hub buffering on and off.
 
 use trinity_algos::pagerank_distributed;
 use trinity_bench::{cloud_with_graph, header, row, scaled, MetricsOut};
@@ -40,11 +40,12 @@ fn main() {
     println!("paper: 1% -> 72.8% of message needs, 20% -> 80% of vertices reached.");
 
     header(
-        "E15.2 — live ablation: PageRank remote frames per superstep (8 machines)",
+        "E15.2 — live ablation: PageRank per superstep (8 machines; transfers and KB: the busiest machine's)",
         &[
             "config",
             "remote frames",
             "bottleneck transfers",
+            "wire KB/superstep",
             "modeled s/iter",
         ],
     );
@@ -73,15 +74,14 @@ fn main() {
         let (cloud, graph) = cloud_with_graph(&csr, 8, &LoadOptions::default());
         let result = pagerank_distributed(graph, iterations, cfg);
         let frames: u64 = result.reports.iter().map(|r| r.remote_messages).sum();
-        let envs: u64 = result
-            .reports
-            .iter()
-            .map(|r| r.max_machine_net.remote_envelopes)
-            .sum();
+        let bottleneck = result.reports.iter().map(|r| &r.max_machine_net);
+        let envs: u64 = bottleneck.clone().map(|n| n.remote_envelopes).sum();
+        let bytes: u64 = bottleneck.map(|n| n.remote_bytes).sum();
         row(&[
             name.to_string(),
             format!("{}", frames / result.supersteps() as u64),
             format!("{}", envs / result.supersteps() as u64),
+            format!("{:.1}", bytes as f64 / result.supersteps() as f64 / 1e3),
             format!("{:.4}", result.modeled_seconds() / iterations as f64),
         ]);
         metrics.capture(name, &cloud);

@@ -862,7 +862,8 @@ mod tests {
     fn a_frame_with_an_undecodable_message_is_dropped_whole_and_counted() {
         /// Every vertex sends its id to vertex 0 in superstep 0; vertex 0
         /// sums what it received. The poison id goes out as a message no
-        /// `decode_msg` accepts.
+        /// `decode_msg` accepts, the reserved all-ones pattern, at the
+        /// width of every other message: it shares their frame.
         struct Poisoned(u64);
         impl VertexProgram for Poisoned {
             type State = u64;
@@ -884,12 +885,12 @@ mod tests {
                 ctx.vote_to_halt();
             }
             fn encode_msg(m: &(u64, bool)) -> Vec<u8> {
-                let mut bytes = m.0.to_le_bytes().to_vec();
-                bytes.truncate(if m.1 { 3 } else { 8 });
-                bytes
+                let v = if m.1 { u64::MAX } else { m.0 };
+                v.to_le_bytes().to_vec()
             }
             fn decode_msg(b: &[u8]) -> Option<(u64, bool)> {
-                Some((u64::from_le_bytes(b.try_into().ok()?), false))
+                let v = u64::from_le_bytes(b.try_into().ok()?);
+                (v != u64::MAX).then_some((v, false))
             }
             fn encode_state(s: &u64) -> Vec<u8> {
                 s.to_le_bytes().to_vec()
@@ -926,6 +927,87 @@ mod tests {
         assert_eq!(r.states[&0], survivors.sum::<u64>());
         let malformed = cloud.fabric().obs().snapshot().totals().counters["bsp.frames.malformed"];
         assert_eq!(malformed, 1);
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_message_of_another_width_ships_in_a_frame_of_its_own() {
+        /// Vertex 0 sends 8-, 3- and 8-byte values to three vertices of
+        /// one peer in superstep 0; every vertex sums what it received.
+        struct Widths([CellId; 3]);
+        const VALUES: [u64; 3] = [1 << 40, 5, 1 << 41];
+        impl VertexProgram for Widths {
+            type State = u64;
+            type Msg = u64;
+            fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) -> u64 {
+                0
+            }
+            fn compute(
+                &self,
+                ctx: &mut VertexContext<'_, u64>,
+                id: CellId,
+                state: &mut u64,
+                msgs: &[u64],
+            ) {
+                if ctx.superstep() == 0 && id == 0 {
+                    for (&dst, &v) in self.0.iter().zip(&VALUES) {
+                        ctx.send(dst, v);
+                    }
+                }
+                *state += msgs.iter().sum::<u64>();
+                ctx.vote_to_halt();
+            }
+            fn encode_msg(m: &u64) -> Vec<u8> {
+                let mut bytes = m.to_le_bytes().to_vec();
+                bytes.truncate(if *m < 1 << 24 { 3 } else { 8 });
+                bytes
+            }
+            fn decode_msg(b: &[u8]) -> Option<u64> {
+                if !matches!(b.len(), 3 | 8) {
+                    return None;
+                }
+                let mut bytes = [0; 8];
+                bytes[..b.len()].copy_from_slice(b);
+                Some(u64::from_le_bytes(bytes))
+            }
+            fn encode_state(s: &u64) -> Vec<u8> {
+                s.to_le_bytes().to_vec()
+            }
+            fn decode_state(b: &[u8]) -> Option<u64> {
+                Some(u64::from_le_bytes(b.try_into().ok()?))
+            }
+        }
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+        let graph =
+            Arc::new(load_graph(Arc::clone(&cloud), &ring(30), &LoadOptions::default()).unwrap());
+        let table = cloud.node(0).table();
+        let sender = table.machine_of(0);
+        let mut peer_ids = (1..30).filter(|&v| table.machine_of(v) != sender);
+        let targets = [(); 3].map(|()| peer_ids.next().unwrap());
+        let frames_sent = || {
+            cloud
+                .fabric()
+                .obs()
+                .scope(sender.0)
+                .counter("net.frames.sent")
+                .get()
+        };
+        let before = frames_sent();
+        let cfg = BspConfig {
+            compute_threads: 1,
+            ..BspConfig::default()
+        };
+        // The fence balances: the job ends instead of hanging.
+        let r = BspRunner::new(graph, Widths(targets), cfg).run();
+        assert!(r.terminated);
+        // One fence a superstep besides the three run frames.
+        assert_eq!(frames_sent() - before, 3 + r.supersteps() as u64);
+        for (t, v) in targets.iter().zip(VALUES) {
+            assert_eq!(r.states[t], v, "vertex {t}");
+        }
+        assert_eq!(r.states.values().sum::<u64>(), VALUES.iter().sum::<u64>());
+        let malformed = cloud.fabric().obs().snapshot().totals().counters["bsp.frames.malformed"];
+        assert_eq!(malformed, 0);
         cloud.shutdown();
     }
 }

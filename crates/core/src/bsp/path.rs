@@ -1,12 +1,12 @@
 //! The BSP message path, from a worker's send to the shard inbox its
 //! destination's owner drains. Sending: a [`RunOutbox`] per (worker,
 //! destination machine, protocol) builds [`super::runs`] frames and ships
-//! them by size. Receiving: the `BSP_MSG`/`BSP_HUB` batch handlers
-//! validate each frame whole, decode every record's message once, fan it
-//! out to the owning shards — a hub's through the machine's [`Fanout`]
-//! index — and credit the fence. Machine-local deliveries go straight to
-//! the inboxes. Draining: an [`Inbox`] sorts a shard's arrivals into
-//! per-slot runs.
+//! them by size or on a change of message width. Receiving: the
+//! `BSP_MSG`/`BSP_HUB` batch handlers validate each frame whole, decode
+//! every record's message once, fan it out to the owning shards — a hub's
+//! through the machine's [`Fanout`] index — and credit the fence.
+//! Machine-local deliveries go straight to the inboxes. Draining: an
+//! [`Inbox`] sorts a shard's arrivals into per-slot runs.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,11 +211,12 @@ impl<P: VertexProgram> MachineRt<P> {
         }
     }
 
-    /// Decode one run frame and hand `each` every record's message and
-    /// ids — after the whole frame, every message included, has decoded.
-    /// A frame that does not is dropped whole and counted.
-    fn for_each_record(&self, frame: &[u8], mut each: impl FnMut(&P::Msg, &[CellId])) {
-        let decoded = runs::decode(frame).and_then(|run| {
+    /// Decode one run frame of hub records (`hub`) or message records and
+    /// hand `each` every record's message and ids — after the whole frame,
+    /// every message included, has decoded. A frame that does not is
+    /// dropped whole and counted.
+    fn for_each_record(&self, frame: &[u8], hub: bool, mut each: impl FnMut(&P::Msg, &[CellId])) {
+        let decoded = runs::decode(frame, hub).and_then(|run| {
             let msgs: Option<Vec<P::Msg>> =
                 run.records().map(|(msg, _)| P::decode_msg(msg)).collect();
             Some((msgs?, run))
@@ -239,7 +240,7 @@ impl<P: VertexProgram> MachineRt<P> {
             .register_batch(proto::BSP_MSG, move |src, frames| {
                 let mut staged = vec![Vec::new(); rt.shard_workers];
                 for frame in frames {
-                    rt.for_each_record(&frame.payload, |msg, ids| {
+                    rt.for_each_record(&frame.payload, false, |msg, ids| {
                         for &dst in ids {
                             staged[rt.shard_of(dst)].push((dst, msg.clone()));
                         }
@@ -259,7 +260,7 @@ impl<P: VertexProgram> MachineRt<P> {
                 if !deadline_expired() {
                     let mut staged = vec![Vec::new(); rt.shard_workers];
                     for frame in frames {
-                        rt.for_each_record(&frame.payload, |msg, hubs| {
+                        rt.for_each_record(&frame.payload, true, |msg, hubs| {
                             for shards in hubs.iter().filter_map(|&hub| rt.fanout.get(hub)) {
                                 for (buf, targets) in staged.iter_mut().zip(shards) {
                                     buf.extend(targets.iter().map(|&t| (t, msg.clone())));
@@ -519,6 +520,8 @@ pub(super) struct RunOutbox {
     peer: MachineId,
     proto: ProtoId,
     frame: Vec<u8>,
+    /// The open frame's message width.
+    width: usize,
     /// The open frame's last id: the next record's gaps start from it.
     prev: CellId,
     /// Records in `frame`, added to `bsp.records.sent` when it ships.
@@ -533,13 +536,15 @@ impl RunOutbox {
             peer: MachineId(peer as u16),
             proto,
             frame: Vec::new(),
+            width: 0,
             prev: 0,
             records: 0,
             frames: 0,
         }
     }
 
-    /// Append the record "`msg` to `ids`". The frame ships once it reaches
+    /// Append the record "`msg` to `ids`", in a new frame if the open
+    /// one's width is not `msg`'s. The frame ships once it reaches
     /// [`RUN_FLUSH_BYTES`] — or, `unpacked`, at once and its envelope
     /// with it: the naive one-transfer-per-message baseline.
     pub(super) fn push<P: VertexProgram>(
@@ -550,11 +555,14 @@ impl RunOutbox {
         msg: &[u8],
         ids: &[CellId],
     ) {
-        if self.frame.is_empty() {
-            runs::start(&mut self.frame, superstep as u32);
+        if self.frame.is_empty() || msg.len() != self.width {
+            self.flush(rt);
+            runs::start(&mut self.frame, superstep as u32, msg.len());
+            self.width = msg.len();
             self.prev = 0;
         }
-        runs::push_record(&mut self.frame, &mut self.prev, msg, ids);
+        let hub = self.proto == proto::BSP_HUB;
+        runs::push_record(&mut self.frame, &mut self.prev, hub, msg, ids);
         self.records += 1;
         if unpacked {
             self.flush(rt);

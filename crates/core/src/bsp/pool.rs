@@ -135,7 +135,7 @@ pub(super) fn run<P: VertexProgram>(
     m: usize,
     rt: &MachineRt<P>,
     hub_threshold: Option<usize>,
-    shards: Vec<WorkerState<P>>,
+    mut shards: Vec<WorkerState<P>>,
 ) {
     let machines = job.graph.machines();
     let round = || WorkerRound {
@@ -160,17 +160,19 @@ pub(super) fn run<P: VertexProgram>(
         rounds: shards.iter().map(|_| Mutex::new(round())).collect(),
     };
     std::thread::scope(|scope| {
-        let mut shards = shards.into_iter();
-        let leader_shard = shards.next().expect("at least one worker");
-        for ws in shards {
-            scope.spawn(move || {
-                // Guards are thread-local: re-enter them on each pool worker.
-                let _tg = TraceGuard::enter(job.trace);
-                let _dg = DeadlineGuard::enter(job.deadline);
+        // Shard 0, the leader's, comes off last and runs here.
+        while let Some(ws) = shards.pop() {
+            if shards.is_empty() {
                 worker_main(ctx, ws);
-            });
+            } else {
+                scope.spawn(move || {
+                    // Guards are thread-local: re-enter them on each pool worker.
+                    let _tg = TraceGuard::enter(job.trace);
+                    let _dg = DeadlineGuard::enter(job.deadline);
+                    worker_main(ctx, ws);
+                });
+            }
         }
-        worker_main(ctx, leader_shard);
     });
 }
 
@@ -187,6 +189,7 @@ fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
     // Leader-only round state; idle copies on the other workers.
     let mut net_before = ctx.rt.endpoint.stats().snapshot();
     let mut wall_start_us = ctx.rt.endpoint.obs().now_us();
+    let mut totals = (0, 0, PoolTimes::default());
     loop {
         // Start-of-superstep hook (bucket prefetch): the leader runs it,
         // the barrier orders it before anyone computes. Gated on the
@@ -200,15 +203,14 @@ fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
         }
         compute_phase(ctx, &mut ws, superstep);
         ctx.barrier.wait();
-        let mut round_totals = None;
         if leader {
-            round_totals = Some(leader_post_compute(ctx, superstep));
+            totals = leader_post_compute(ctx, superstep);
         }
         ctx.barrier.wait();
         drain_phase(ctx, &mut ws);
         ctx.barrier.wait();
         if leader {
-            let (sent, computed, pool_times) = round_totals.expect("leader totals");
+            let (sent, computed, pool_times) = totals;
             leader_aggregate(
                 ctx,
                 superstep,

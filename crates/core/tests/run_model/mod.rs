@@ -3,8 +3,11 @@
 //! `#[path]`-included by the suites that forge or size BSP traffic:
 //!
 //! ```text
-//! frame:   superstep u32 LE | record…
-//! record:  varint msg_len | msg | varint n | n × varint zigzag(gap)
+//! frame:           superstep u32 LE | varint width | record…
+//! BSP_MSG record:  msg | varint n | n × varint zigzag(gap)
+//! BSP_HUB record:  msg | varint zigzag(gap)
+//! width:           the length of every msg of the frame; no more than the
+//!                  bytes after it, so an empty run states 0
 //! gap:     id − the id before it in the frame, whatever record that was
 //!          in (the frame's first: − 0), mod 2^64, read as a
 //!          two's-complement i64
@@ -13,7 +16,8 @@
 //!          model's (`wire_model/`), writer twists included
 //! ```
 //!
-//! A frame ends with its last record; an empty run is a run.
+//! A frame ends with its last record. Whether its records are hub records
+//! is the protocol's to say, not the frame's.
 #![allow(dead_code)]
 
 #[path = "../wire_model/mod.rs"]
@@ -45,25 +49,40 @@ pub fn zigzag_gap(prev: u64, id: u64) -> u64 {
     }
 }
 
+/// Bytes a frame of `width`-byte messages occupies before its records.
+pub fn header_len(width: usize) -> usize {
+    4 + varint_len(width as u64)
+}
+
 /// Bytes one record occupies after a record that ended at id `prev`
-/// (0 for a frame's first); leaves `prev` at this record's last id.
-pub fn record_len(prev: &mut u64, msg_len: usize, ids: &[u64]) -> usize {
+/// (0 for a frame's first); leaves `prev` at this record's last id. A hub
+/// record (`hub`) names one id and has no count.
+pub fn record_len(prev: &mut u64, hub: bool, msg_len: usize, ids: &[u64]) -> usize {
     let gaps: usize = ids
         .iter()
         .map(|&id| varint_len(zigzag_gap(std::mem::replace(prev, id), id)))
         .sum();
-    varint_len(msg_len as u64) + msg_len + varint_len(ids.len() as u64) + gaps
+    let count = if hub { 0 } else { varint_len(ids.len() as u64) };
+    msg_len + count + gaps
 }
 
-/// The frame for `records`; `twist = (k, how)` spoils its k-th varint.
-pub fn forge(twist: Option<(usize, Twist)>, superstep: u32, records: &[Record]) -> Vec<u8> {
+/// The frame for `records`, its width their first message's length;
+/// `twist = (k, how)` spoils its k-th varint.
+pub fn forge(
+    twist: Option<(usize, Twist)>,
+    hub: bool,
+    superstep: u32,
+    records: &[Record],
+) -> Vec<u8> {
     let mut w = Writer::twisted(twist);
     w.out.extend_from_slice(&superstep.to_le_bytes());
+    w.varint(records.first().map_or(0, |r| r.msg.len()) as u64);
     let mut prev = 0;
     for r in records {
-        w.varint(r.msg.len() as u64);
         w.out.extend_from_slice(&r.msg);
-        w.varint(r.ids.len() as u64);
+        if !hub {
+            w.varint(r.ids.len() as u64);
+        }
         for &id in &r.ids {
             w.varint(zigzag_gap(prev, id));
             prev = id;
@@ -72,23 +91,26 @@ pub fn forge(twist: Option<(usize, Twist)>, superstep: u32, records: &[Record]) 
     w.out
 }
 
-pub fn encode(superstep: u32, records: &[Record]) -> Vec<u8> {
-    forge(None, superstep, records)
+/// `records` all have one message width, and hub records one id each.
+pub fn encode(hub: bool, superstep: u32, records: &[Record]) -> Vec<u8> {
+    assert!(records.iter().all(|r| r.msg.len() == records[0].msg.len()));
+    assert!(!hub || records.iter().all(|r| r.ids.len() == 1));
+    forge(None, hub, superstep, records)
 }
 
-pub fn decode(frame: &[u8]) -> Option<(u32, Vec<Record>)> {
+pub fn decode(frame: &[u8], hub: bool) -> Option<(u32, Vec<Record>)> {
     let superstep = u32::from_le_bytes(frame.get(..4)?.try_into().unwrap());
     let mut data = &frame[4..];
+    let width = take_varint(&mut data)?;
+    if width > data.len() as u64 {
+        return None;
+    }
     let mut records = Vec::new();
     let mut prev = 0i128;
     while !data.is_empty() {
-        let msg_len = take_varint(&mut data)?;
-        if msg_len > data.len() as u64 {
-            return None;
-        }
-        let (msg, rest) = data.split_at(msg_len as usize);
-        data = rest;
-        let n = take_varint(&mut data)?;
+        let msg = data.get(..width as usize)?;
+        data = &data[width as usize..];
+        let n = if hub { 1 } else { take_varint(&mut data)? };
         let mut ids = Vec::new();
         for _ in 0..n {
             let zz = take_varint(&mut data)?;

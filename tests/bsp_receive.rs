@@ -134,9 +134,10 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
     // independently of the engine's encoder) sizes what each machine sends
     // from the graph and the addressing table alone: per peer one run
     // frame, per (vertex, peer it reaches) one record, gaps running on
-    // from the record before. Without hubs a record carries the vertex's
-    // neighbors there in stored adjacency order. By default every vertex
-    // is a hub: its record names only itself. Either way the job sends
+    // from the record before, the frame stating the 8-byte width once.
+    // Without hubs a record carries the vertex's neighbors there in stored
+    // adjacency order. By default every vertex is a hub: its record names
+    // only itself and states no count. Either way the job sends
     // run frames and fences only and makes no call.
     let machines = 4;
     let csr = trinity::graphgen::social(1_200, 10, 29);
@@ -164,8 +165,9 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
                 if hubs_on {
                     ids = vec![v];
                 }
-                let (bytes, prev) = frames.entry((owner(v), peer)).or_insert((4, 0));
-                *bytes += run_model::record_len(prev, 8, &ids) as u64;
+                let header = run_model::header_len(8) as u64;
+                let (bytes, prev) = frames.entry((owner(v), peer)).or_insert((header, 0));
+                *bytes += run_model::record_len(prev, hubs_on, 8, &ids) as u64;
             }
         }
         assert!(widest >= 3, "no vertex has several neighbors on one peer");
