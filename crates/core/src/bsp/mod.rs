@@ -60,7 +60,7 @@ use trinity_memcloud::CellId;
 use trinity_net::{current_deadline, DeadlineGuard, MachineId, StatsDelta};
 use trinity_obs::{next_trace_id, TraceGuard};
 
-use path::{Inbox, MachineRt};
+use path::{Inbox, MachineRt, Slots};
 use pool::{RoundAgg, WorkerState};
 
 /// How vertex messages travel between machines.
@@ -443,20 +443,6 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     let handle = job.graph.handle(m);
     let machines = job.graph.machines();
 
-    // --- Setup: local vertex census + state init -----------------------
-    // States are initialized during the census pass, where the program
-    // gets zero-copy access to each vertex's cell. On resume,
-    // checkpointed states win; anything missing from the checkpoint
-    // starts fresh.
-    let mut local: Vec<(CellId, P::State)> = Vec::new();
-    handle.for_each_local_node(|id, view| {
-        let state = resume
-            .states
-            .remove(&id)
-            .unwrap_or_else(|| job.program.init(id, &view));
-        local.push((id, state));
-    });
-    local.sort_unstable_by_key(|&(id, _)| id);
     // A hub's record names only itself, so the receiving machine must
     // find the hub's neighbors among its own vertices' in-neighbors: the
     // graph must be reverse traversable (symmetric out-lists or stored
@@ -466,22 +452,35 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
         .cfg
         .hub_threshold
         .filter(|_| job.graph.reverse_traversable());
-
-    // --- Runtime: receive handlers (and the fan-out index) -------------
     let node = job.graph.cloud().node(m);
     let table = node.table();
-    let workers = resolve_compute_threads(
-        job.cfg.compute_threads,
-        table.trunks_of(MachineId(m as u16)).len(),
-    );
-    let rt = Arc::new(MachineRt::<P>::new(
-        Arc::clone(node.endpoint()),
-        machines,
-        workers,
-        table,
-        hub_threshold.map(|_| handle),
-    ));
-    rt.register_handlers();
+
+    // --- Setup: local vertex census + state init -----------------------
+    // States are initialized during the census pass, where the program
+    // gets zero-copy access to each vertex's cell. On resume,
+    // checkpointed states win; anything missing from the checkpoint
+    // starts fresh. With hubs on, the pass also lists the other machines
+    // each vertex's out-list reaches: a hub ships one record to each.
+    let mut local: Vec<(CellId, P::State, std::ops::Range<usize>)> = Vec::new();
+    let mut peers: Vec<u16> = Vec::new();
+    let mut scratch: Vec<u16> = Vec::new();
+    handle.for_each_local_node(|id, view| {
+        let state = resume
+            .states
+            .remove(&id)
+            .unwrap_or_else(|| job.program.init(id, &view));
+        let start = peers.len();
+        if hub_threshold.is_some() {
+            scratch.clear();
+            let owners = view.outs().map(|v| table.machine_of(v).0);
+            scratch.extend(owners.filter(|&p| p as usize != m));
+            scratch.sort_unstable();
+            scratch.dedup();
+            peers.extend_from_slice(&scratch);
+        }
+        local.push((id, state, start..peers.len()));
+    });
+    local.sort_unstable_by_key(|&(id, _, _)| id);
 
     // --- Worker pool setup ---------------------------------------------
     // Shard every local vertex (and all resumed state) by
@@ -490,38 +489,58 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     // that owns its destination. `vseq` is the vertex's position in the
     // machine-wide sorted order; the combine replay keys on it to
     // reproduce the serial enqueue sequence exactly.
-    rt.metrics.pool_workers.add(workers as u64);
+    let workers = resolve_compute_threads(
+        job.cfg.compute_threads,
+        table.trunks_of(MachineId(m as u16)).len(),
+    );
+    let shard_of = |id| path::shard_of(&table, workers, id);
     let mut shards: Vec<WorkerState<P>> = (0..workers)
         .map(|w| WorkerState::new(w, machines, workers))
         .collect();
-    for (vseq, (id, state)) in local.into_iter().enumerate() {
-        let ws = &mut shards[rt.shard_of(id)];
+    for (vseq, (id, state, reach)) in local.into_iter().enumerate() {
+        let ws = &mut shards[shard_of(id)];
         ws.ids.push(id);
         ws.vseq.push(vseq);
         ws.states.push(state);
+        ws.peers.extend_from_slice(&peers[reach]);
+        ws.peer_off.push(ws.peers.len());
     }
     // Resumed states the census did not list take the slots after the
     // local vertices': carried through, never computed.
     for (id, state) in resume.states {
-        let ws = &mut shards[rt.shard_of(id)];
+        let ws = &mut shards[shard_of(id)];
         ws.ids.push(id);
         ws.states.push(state);
     }
+
+    // --- Runtime: slot tables, fan-out index, receive handlers ---------
+    let rt = Arc::new(MachineRt::<P>::new(
+        Arc::clone(node.endpoint()),
+        machines,
+        table,
+        shards.iter().map(|ws| Slots::new(&ws.ids)).collect(),
+        hub_threshold.map(|_| handle),
+    ));
+    rt.register_handlers();
+    rt.metrics.pool_workers.add(workers as u64);
+
     // Initial pending messages take the drain's path into the inboxes.
-    let mut raw: Vec<Vec<(CellId, P::Msg)>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut staged = rt.staging();
     for (id, msgs) in resume.pending {
-        raw[rt.shard_of(id)].extend(msgs.into_iter().map(|msg| (id, msg)));
+        for msg in msgs {
+            rt.stage_point(&mut staged, id, msg);
+        }
     }
-    for (ws, r) in shards.iter_mut().zip(raw) {
-        ws.inbox = Inbox::new(&ws.ids);
-        ws.inbox.fill(r, P::msg_cmp);
+    for (ws, arrivals) in shards.iter_mut().zip(staged) {
+        ws.inbox = Inbox::new(ws.ids.len());
+        ws.inbox.fill(arrivals, &rt.fanout.targets, P::msg_cmp);
         ws.active = vec![!job.resumed; ws.ids.len()];
     }
     for id in resume.active {
-        let ws = &mut shards[rt.shard_of(id)];
-        match ws.inbox.slots.get(id) {
-            Some(s) => ws.active[s] = true,
-            None => ws.stray_active.push(id),
+        let w = rt.shard_of(id);
+        match rt.slots[w].get(id) {
+            Some(s) => shards[w].active[s] = true,
+            None => shards[w].stray_active.push(id),
         }
     }
 
@@ -615,6 +634,106 @@ mod tests {
             "{} supersteps",
             r.supersteps()
         );
+    }
+
+    /// Every vertex broadcasts its id in superstep 0 and keeps what it
+    /// receives in superstep 1.
+    struct Inbound;
+
+    impl VertexProgram for Inbound {
+        type State = Vec<u64>;
+        type Msg = u64;
+        fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) -> Vec<u64> {
+            Vec::new()
+        }
+        fn compute(
+            &self,
+            ctx: &mut VertexContext<'_, u64>,
+            id: CellId,
+            state: &mut Vec<u64>,
+            msgs: &[u64],
+        ) {
+            if ctx.superstep() == 0 {
+                ctx.send_to_neighbors(id);
+            }
+            state.extend_from_slice(msgs);
+            ctx.vote_to_halt();
+        }
+        fn encode_msg(m: &u64) -> Vec<u8> {
+            m.to_le_bytes().to_vec()
+        }
+        fn decode_msg(b: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(b.try_into().ok()?))
+        }
+        fn encode_state(_s: &Vec<u64>) -> Vec<u8> {
+            Vec::new()
+        }
+        fn decode_state(_b: &[u8]) -> Option<Vec<u64>> {
+            Some(Vec::new())
+        }
+        fn msg_cmp(a: &u64, b: &u64) -> std::cmp::Ordering {
+            a.cmp(b)
+        }
+    }
+
+    #[test]
+    fn casts_and_records_deliver_the_same_multisets() {
+        let n = 24u64;
+        for directed in [false, true] {
+            let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+            let table = cloud.node(0).table();
+            let owner = |v: u64| table.machine_of(v);
+            let a = 0;
+            let near = (1..n).find(|&v| owner(v) == owner(a)).unwrap();
+            let far = (1..n).find(|&v| owner(v) != owner(a)).unwrap();
+            // A ring, a doubled self-loop, and edges repeated to a vertex
+            // on the sender's machine and from one on the other.
+            let mut edges: Vec<(u64, u64)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+            edges.extend([
+                (a, a),
+                (a, a),
+                (a, near),
+                (a, near),
+                (a, near),
+                (far, a),
+                (far, a),
+            ]);
+            let csr = if directed {
+                Csr::from_arcs(n as usize, edges, true, false)
+            } else {
+                Csr::undirected_from_edges(n as usize, &edges, false)
+            };
+            let mut want: HashMap<CellId, Vec<u64>> = (0..n).map(|v| (v, Vec::new())).collect();
+            for u in 0..n {
+                for &v in csr.neighbors(u) {
+                    want.get_mut(&v).unwrap().push(u);
+                }
+            }
+            want.values_mut().for_each(|m| m.sort_unstable());
+            assert!(want[&a].iter().filter(|&&u| u == a).count() >= 2);
+            assert!(want[&near].iter().filter(|&&u| u == a).count() >= 3);
+            assert!(want[&a].iter().filter(|&&u| u == far).count() >= 2);
+            let opts = LoadOptions {
+                with_in_links: directed,
+                attrs: None,
+            };
+            let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
+            for hub_threshold in [Some(1), None] {
+                for compute_threads in [1, 3] {
+                    let cfg = BspConfig {
+                        hub_threshold,
+                        compute_threads,
+                        ..BspConfig::default()
+                    };
+                    let r = BspRunner::new(Arc::clone(&graph), Inbound, cfg).run();
+                    assert_eq!(
+                        r.states, want,
+                        "directed {directed}, hubs {hub_threshold:?}, {compute_threads} threads"
+                    );
+                }
+            }
+            cloud.shutdown();
+        }
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! destination machine, protocol) builds [`super::runs`] frames and ships
 //! them by size or on a change of message width. Receiving: the
 //! `BSP_MSG`/`BSP_HUB` batch handlers validate each frame whole, decode
-//! every record's message once, fan it out to the owning shards — a hub's
-//! through the machine's [`Fanout`] index — and credit the fence.
-//! Machine-local deliveries go straight to the inboxes. Draining: an
-//! [`Inbox`] sorts a shard's arrivals into per-slot runs.
+//! every record's message once and stage it in the owning shards'
+//! [`Arrivals`] — a record's targets by slot, a hub's as one *cast* per
+//! shard, expanded later through the machine's [`Fanout`] index — and
+//! credit the fence. Machine-local deliveries and broadcasts take the same
+//! form. Draining: an [`Inbox`] places every arrival straight into its
+//! slot's run.
 
 use std::cmp::Ordering as CmpOrdering;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -88,90 +91,169 @@ impl BspMetrics {
     }
 }
 
-/// One worker's inbox: flattened `(dst, msg)` pairs under a single lock.
-type ShardInbox<M> = Mutex<Vec<(CellId, M)>>;
+/// One shard's arrivals for the next superstep, each already addressed
+/// where the drain reads it.
+pub(super) struct Arrivals<M> {
+    /// `(slot, msg)`: a point send, or one target of a `BSP_MSG` record.
+    points: Vec<(usize, M)>,
+    /// `(targets, msg)`: a broadcast, one per shard it reaches; the drain
+    /// expands it to the slots its fan-out entry lists for the shard, a
+    /// range of [`Fanout`]'s targets.
+    casts: Vec<(Range<usize>, M)>,
+    /// `(id, msg)` to an id the shard has no slot for.
+    strays: Vec<(CellId, M)>,
+}
+
+impl<M> Default for Arrivals<M> {
+    fn default() -> Self {
+        Arrivals {
+            points: Vec::new(),
+            casts: Vec::new(),
+            strays: Vec::new(),
+        }
+    }
+}
+
+impl<M> Arrivals<M> {
+    fn len(&self) -> usize {
+        self.points.len() + self.casts.len() + self.strays.len()
+    }
+
+    fn append(&mut self, other: &mut Self) {
+        self.points.append(&mut other.points);
+        self.casts.append(&mut other.casts);
+        self.strays.append(&mut other.strays);
+    }
+}
 
 /// One machine's receive-side state for a job.
 pub(super) struct MachineRt<P: VertexProgram> {
     pub(super) endpoint: Arc<Endpoint>,
     machines: usize,
-    /// Resolved pool size: sharding is `trunk_of(dst) % shard_workers`, a
-    /// pure function of the id, so receive handlers can route a message
-    /// to its owning worker's inbox without any setup handshake.
-    shard_workers: usize,
     table: AddressingTable,
-    /// Per-worker inboxes for the *next* superstep: flattened
-    /// `(dst, msg)` pairs in arrival order, which the owning worker
-    /// drains into an [`Inbox`].
-    pub(super) inboxes: Vec<ShardInbox<P::Msg>>,
+    /// Per shard, `id → slot`: sharding is `trunk_of(dst) % shards`, a
+    /// pure function of the id, so receive handlers can route a message
+    /// to its owning worker's slot without any setup handshake. Built
+    /// before the handlers are installed and read-only after.
+    pub(super) slots: Vec<Slots>,
+    /// Per-worker inboxes for the *next* superstep, which the owning
+    /// worker drains into an [`Inbox`].
+    pub(super) inboxes: Vec<Mutex<Arrivals<P::Msg>>>,
     pub(super) local_deliveries: AtomicU64,
     fence: Mutex<FenceState>,
     fence_cv: Condvar,
-    /// Remote vertex → the local vertices its broadcast reaches; built
-    /// before the handlers are installed and read-only after.
-    fanout: Fanout,
+    /// Vertex → the local vertices its broadcast reaches; built before
+    /// the handlers are installed and read-only after.
+    pub(super) fanout: Fanout,
     pub(super) metrics: BspMetrics,
 }
 
 impl<P: VertexProgram> MachineRt<P> {
-    /// A machine's runtime, with the fan-out index of `hubs`, its graph
-    /// handle when hub buffering is on.
+    /// A machine's runtime over one `id → slot` table per shard, with the
+    /// fan-out index of `hubs`, its graph handle when hub buffering is on.
     pub(super) fn new(
         endpoint: Arc<Endpoint>,
         machines: usize,
-        shard_workers: usize,
         table: AddressingTable,
+        slots: Vec<Slots>,
         hubs: Option<&GraphHandle>,
     ) -> Self {
-        let mut rt = MachineRt {
+        let fanout = hubs.map_or_else(Fanout::default, |h| Fanout::build(h, &table, &slots));
+        MachineRt {
             metrics: BspMetrics::new(&endpoint),
             endpoint,
             machines,
-            shard_workers,
+            inboxes: slots.iter().map(|_| Mutex::default()).collect(),
+            slots,
             table,
-            inboxes: (0..shard_workers).map(|_| Mutex::new(Vec::new())).collect(),
             local_deliveries: AtomicU64::new(0),
             fence: Mutex::new(FenceState {
                 expected: vec![None; machines],
                 got: vec![0; machines],
             }),
             fence_cv: Condvar::new(),
-            fanout: Fanout::default(),
-        };
-        if let Some(handle) = hubs {
-            rt.fanout = Fanout::build(handle, &rt.table, shard_workers);
+            fanout,
         }
-        rt
     }
 
     pub(super) fn shard_of(&self, id: CellId) -> usize {
-        shard_of(&self.table, self.shard_workers, id)
+        shard_of(&self.table, self.slots.len(), id)
     }
 
-    /// Hand deliveries staged by owning shard to the shard inboxes: each
-    /// inbox lock is taken once per call.
-    pub(super) fn deliver_sharded(&self, staged: &mut [Vec<(CellId, P::Msg)>]) {
+    /// Empty staging buffers, one per shard.
+    pub(super) fn staging(&self) -> Vec<Arrivals<P::Msg>> {
+        self.slots.iter().map(|_| Arrivals::default()).collect()
+    }
+
+    /// Stage `msg` to `dst` by its slot, or as a stray; returns the shard.
+    pub(super) fn stage_point(
+        &self,
+        staged: &mut [Arrivals<P::Msg>],
+        dst: CellId,
+        msg: P::Msg,
+    ) -> usize {
+        let shard = self.shard_of(dst);
+        let buf = &mut staged[shard];
+        match self.slots[shard].get(dst) {
+            Some(slot) => buf.points.push((slot, msg)),
+            None => buf.strays.push((dst, msg)),
+        }
+        shard
+    }
+
+    /// Stage the broadcast of fan-out entry `e` as one cast per shard
+    /// holding targets of it; returns the targets reached.
+    fn stage_cast(&self, staged: &mut [Arrivals<P::Msg>], e: usize, msg: &P::Msg) -> u64 {
+        let mut reached = 0;
         for (shard, buf) in staged.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                self.inboxes[shard].lock().append(buf);
+            let targets = self.fanout.range(e, shard);
+            if !targets.is_empty() {
+                reached += targets.len() as u64;
+                buf.casts.push((targets, msg.clone()));
             }
+        }
+        reached
+    }
+
+    /// Hand staged deliveries to the shard inboxes: each inbox lock is
+    /// taken once per call.
+    pub(super) fn deliver_sharded(&self, staged: &mut [Arrivals<P::Msg>]) {
+        for (shard, buf) in staged.iter_mut().enumerate() {
+            self.spill(buf, shard, 1);
+        }
+    }
+
+    /// Move `buf` into shard `shard`'s inbox once it holds `at` arrivals.
+    fn spill(&self, buf: &mut Arrivals<P::Msg>, shard: usize, at: usize) {
+        if buf.len() >= at {
+            self.inboxes[shard].lock().append(buf);
         }
     }
 
     /// Buffer one machine-local delivery, flushing the shard's buffer into
     /// its inbox once it fills.
-    pub(super) fn push_local(
+    pub(super) fn push_local(&self, local_buf: &mut [Arrivals<P::Msg>], dst: CellId, msg: P::Msg) {
+        let shard = self.stage_point(local_buf, dst, msg);
+        self.spill(&mut local_buf[shard], shard, LOCAL_CHUNK);
+    }
+
+    /// Buffer `src`'s broadcast to its local out-neighbors — the local
+    /// vertices whose in-edges list it — as casts; returns the neighbors
+    /// reached.
+    pub(super) fn cast_local(
         &self,
-        local_buf: &mut [Vec<(CellId, P::Msg)>],
-        dst: CellId,
-        msg: P::Msg,
-    ) {
-        let shard = self.shard_of(dst);
-        let buf = &mut local_buf[shard];
-        buf.push((dst, msg));
-        if buf.len() >= LOCAL_CHUNK {
-            self.inboxes[shard].lock().append(buf);
+        local_buf: &mut [Arrivals<P::Msg>],
+        src: CellId,
+        msg: &P::Msg,
+    ) -> u64 {
+        let Some(e) = self.fanout.entry(src) else {
+            return 0;
+        };
+        let reached = self.stage_cast(local_buf, e, msg);
+        for (shard, buf) in local_buf.iter_mut().enumerate() {
+            self.spill(buf, shard, LOCAL_CHUNK);
         }
+        reached
     }
 
     /// Credit `n` received run frames from `src` to the fence.
@@ -238,19 +320,19 @@ impl<P: VertexProgram> MachineRt<P> {
         let rt = Arc::clone(self);
         self.endpoint
             .register_batch(proto::BSP_MSG, move |src, frames| {
-                let mut staged = vec![Vec::new(); rt.shard_workers];
+                let mut staged = rt.staging();
                 for frame in frames {
                     rt.for_each_record(&frame.payload, false, |msg, ids| {
                         for &dst in ids {
-                            staged[rt.shard_of(dst)].push((dst, msg.clone()));
+                            rt.stage_point(&mut staged, dst, msg.clone());
                         }
                     });
                 }
                 rt.deliver_sharded(&mut staged);
                 rt.count_frames(src, frames.len());
             });
-        // Hub broadcasts: the same run, its ids naming hubs; fan each out
-        // through the fan-out index.
+        // Hub broadcasts: the same run, its ids naming hubs; each record
+        // is staged as one cast per shard its hub's fan-out entry reaches.
         let rt = Arc::clone(self);
         self.endpoint
             .register_batch(proto::BSP_HUB, move |src, frames| {
@@ -258,17 +340,15 @@ impl<P: VertexProgram> MachineRt<P> {
                 // frames are still counted: fences must balance or the
                 // superstep would hang instead of finishing early.
                 if !deadline_expired() {
-                    let mut staged = vec![Vec::new(); rt.shard_workers];
+                    let mut staged = rt.staging();
+                    let mut fanned = 0;
                     for frame in frames {
                         rt.for_each_record(&frame.payload, true, |msg, hubs| {
-                            for shards in hubs.iter().filter_map(|&hub| rt.fanout.get(hub)) {
-                                for (buf, targets) in staged.iter_mut().zip(shards) {
-                                    buf.extend(targets.iter().map(|&t| (t, msg.clone())));
-                                }
+                            for e in hubs.iter().filter_map(|&hub| rt.fanout.entry(hub)) {
+                                fanned += rt.stage_cast(&mut staged, e, msg);
                             }
                         });
                     }
-                    let fanned: u64 = staged.iter().map(|b| b.len() as u64).sum();
                     rt.local_deliveries.fetch_add(fanned, Ordering::Relaxed);
                     rt.metrics.hub_fanout.add(fanned);
                     rt.deliver_sharded(&mut staged);
@@ -288,7 +368,7 @@ impl<P: VertexProgram> MachineRt<P> {
 }
 
 /// The pool worker among `shards` that owns `id`.
-fn shard_of(table: &AddressingTable, shards: usize, id: CellId) -> usize {
+pub(super) fn shard_of(table: &AddressingTable, shards: usize, id: CellId) -> usize {
     (table.trunk_of(id) as usize) % shards
 }
 
@@ -320,6 +400,15 @@ impl Default for Slots {
 }
 
 impl Slots {
+    /// The table over distinct `ids`: `ids[s]` gets slot `s`.
+    pub(super) fn new(ids: &[CellId]) -> Self {
+        let mut slots = Slots::default();
+        for &id in ids {
+            slots.insert(id);
+        }
+        slots
+    }
+
     /// The entry holding `id`, or the empty one ending its probe.
     #[inline]
     fn probe(&self, id: CellId) -> usize {
@@ -335,6 +424,25 @@ impl Slots {
     #[inline]
     pub(super) fn get(&self, id: CellId) -> Option<usize> {
         Some(self.table[self.probe(id)].1).filter(|&s| s != NO_SLOT)
+    }
+
+    /// Renumber the slots in id order; returns each old slot's new one.
+    fn renumber_by_id(&mut self) -> Vec<usize> {
+        let mut order: Vec<(CellId, usize)> = self
+            .table
+            .iter()
+            .copied()
+            .filter(|e| e.1 != NO_SLOT)
+            .collect();
+        order.sort_unstable();
+        let mut rank = vec![0; self.len];
+        for (new, &(_, old)) in order.iter().enumerate() {
+            rank[old] = new;
+        }
+        for e in self.table.iter_mut().filter(|e| e.1 != NO_SLOT) {
+            e.1 = rank[e.1];
+        }
+        rank
     }
 
     /// The slot of `id`, giving it the next one if it has none.
@@ -356,36 +464,38 @@ impl Slots {
     }
 }
 
-/// One machine's fan-out index for a job: remote vertex → the local
-/// vertices that list it as an in-neighbor (once per listing), split by
-/// owning shard. It covers every remote in-neighbor, hub or not: a
-/// machine cannot see a remote vertex's out-degree. A hub's sender ships
-/// a record to every machine its out-list reaches, and on a reverse
-/// traversable graph the in-lists agree with the out-lists, so each hub
-/// record finds its entry. Entry `e`'s targets in shard `w` are
+/// One machine's fan-out index for a job: vertex → the local vertices
+/// that list it as an in-neighbor (once per listing), as slots of their
+/// owning shards. It covers every in-edge, local sources included: a
+/// broadcast reaches this machine as one cast, whether a hub record
+/// brought it or a local vertex sent it. A hub's sender ships a record to
+/// every machine its out-list reaches, and on a reverse traversable graph
+/// the in-lists agree with the out-lists, so each cast finds its entry.
+/// Entry `e`'s targets in shard `w` are
 /// `targets[off[e * shards + w]..off[e * shards + w + 1]]`.
 #[derive(Default)]
-struct Fanout {
-    slots: Slots,
+pub(super) struct Fanout {
+    entries: Slots,
     shards: usize,
     off: Vec<usize>,
-    targets: Vec<CellId>,
+    /// Slots; a shard holds fewer than 2^32.
+    pub(super) targets: Vec<u32>,
 }
 
 impl Fanout {
     /// One pass over the local adjacency, then a counting sort of its
-    /// remote in-edges by (entry, shard).
-    fn build(handle: &GraphHandle, table: &AddressingTable, shards: usize) -> Self {
-        let me = handle.machine();
-        let mut slots = Slots::default();
-        let mut edges: Vec<(usize, CellId)> = Vec::new();
+    /// in-edges by (entry, shard).
+    fn build(handle: &GraphHandle, table: &AddressingTable, slots: &[Slots]) -> Self {
+        let shards = slots.len();
+        let mut entries = Slots::default();
+        let mut edges: Vec<(usize, u32)> = Vec::new();
         handle.for_each_local_node(|id, view| {
             let shard = shard_of(table, shards, id);
-            let mut add = |src: CellId| {
-                if table.machine_of(src) != me {
-                    edges.push((slots.insert(src) * shards + shard, id));
-                }
+            let Some(slot) = slots[shard].get(id) else {
+                return;
             };
+            let mut add =
+                |src: CellId| edges.push((entries.insert(src) * shards + shard, slot as u32));
             // In-neighbors when stored; otherwise the graph is undirected
             // and out-neighbors are the same set.
             if view.has_ins() {
@@ -394,10 +504,16 @@ impl Fanout {
                 view.outs().for_each(&mut add);
             }
         });
+        // Entries in id order: a hub frame lists its senders ascending, so
+        // the casts it stages read `off` and `targets` front to back.
+        let rank = entries.renumber_by_id();
+        for (b, _) in &mut edges {
+            *b = rank[*b / shards] * shards + *b % shards;
+        }
         // Bucket `b` is counted at `off[b + 1]`; after the prefix sum
         // `off[b]` is its start, then its cursor, which ends at `b + 1`'s
         // start: one rotation puts the starts back.
-        let mut off = vec![0; slots.len * shards + 1];
+        let mut off = vec![0; entries.len * shards + 1];
         for &(b, _) in &edges {
             off[b + 1] += 1;
         }
@@ -412,95 +528,108 @@ impl Fanout {
         off.rotate_right(1);
         off[0] = 0;
         Fanout {
-            slots,
+            entries,
             shards,
             off,
             targets,
         }
     }
 
-    /// The local targets of `hub`, one slice per shard, if it has any.
+    /// `src`'s entry, if a local vertex lists it as an in-neighbor.
     #[inline]
-    fn get(&self, hub: CellId) -> Option<impl Iterator<Item = &[CellId]>> {
-        let e = self.slots.get(hub)?;
-        let off = &self.off[e * self.shards..=(e + 1) * self.shards];
-        Some(off.windows(2).map(|w| &self.targets[w[0]..w[1]]))
+    pub(super) fn entry(&self, src: CellId) -> Option<usize> {
+        self.entries.get(src)
+    }
+
+    /// Where entry `e`'s targets in shard `shard` lie in `targets`.
+    #[inline]
+    fn range(&self, e: usize, shard: usize) -> Range<usize> {
+        let b = e * self.shards + shard;
+        self.off[b]..self.off[b + 1]
     }
 }
 
 /// One superstep's drained shard inbox, by *slot*: an id's position in the
-/// list the inbox was built over. The messages to slot `s` are `run(s)`, in
+/// list the shard was built over. The messages to slot `s` are `run(s)`, in
 /// `msg_cmp` order, and those to ids without a slot are `strays`, in
 /// `(dst, msg_cmp)` order: each id gets what a stable `(dst, msg_cmp)`
 /// sort of the arrivals gives it, but only runs are comparison-sorted.
 pub(super) struct Inbox<M> {
-    /// `id → slot`, probed once per delivered message.
-    pub(super) slots: Slots,
     msgs: Vec<M>,
     /// `off[s]..off[s + 1]` delimits slot `s`'s run in `msgs`.
     off: Vec<usize>,
     pub(super) strays: Vec<(CellId, M)>,
-    /// Reusable scratch: each arrival's bucket, then its position.
-    dest: Vec<usize>,
 }
 
-impl<M> Inbox<M> {
-    /// An empty inbox over distinct `ids`: `ids[s]` gets slot `s`.
-    pub(super) fn new(ids: &[CellId]) -> Self {
-        let mut slots = Slots::default();
-        for &id in ids {
-            slots.insert(id);
-        }
+impl<M: Clone> Inbox<M> {
+    /// An empty inbox over `slots` slots.
+    pub(super) fn new(slots: usize) -> Self {
         Inbox {
-            slots,
             msgs: Vec::new(),
-            off: vec![0; ids.len() + 1],
+            off: vec![0; slots + 1],
             strays: Vec::new(),
-            dest: Vec::new(),
         }
     }
 
-    /// Replace the contents with the arrivals in `raw`: a stable counting
-    /// sort by slot, then a stable sort of each run, and of the strays, by
-    /// `cmp`.
-    pub(super) fn fill(&mut self, mut raw: Vec<(CellId, M)>, cmp: impl Fn(&M, &M) -> CmpOrdering) {
-        // Bucket `strays` follows every slot's. Counting bucket `b` at
-        // `off[b + 2]` leaves `off[b + 1]` at its start after the prefix
-        // sum, and at the next bucket's start once it has served as `b`'s
-        // cursor.
-        let strays = self.off.len() - 1;
+    /// Replace the contents with `arrivals`, a cast going to the slots its
+    /// range of `targets` lists: a counting sort by slot that moves each
+    /// point's message, and moves or clones each cast's, once into its
+    /// run; then a stable sort of each run, and of the strays, by `cmp`. A
+    /// run holds its casts' messages in arrival order, then its points'.
+    pub(super) fn fill(
+        &mut self,
+        arrivals: Arrivals<M>,
+        targets: &[u32],
+        cmp: impl Fn(&M, &M) -> CmpOrdering,
+    ) {
+        let Arrivals {
+            points,
+            casts,
+            mut strays,
+        } = arrivals;
+        // Counting slot `s` at `off[s + 2]` leaves `off[s + 1]` at its
+        // start after the prefix sum, and at the next slot's start once it
+        // has served as `s`'s cursor.
+        let slots = self.off.len() - 1;
         self.off.clear();
-        self.off.resize(strays + 3, 0);
-        self.dest.clear();
-        for &(dst, _) in raw.iter() {
-            let b = self.slots.get(dst).unwrap_or(strays);
-            self.dest.push(b);
-            self.off[b + 2] += 1;
-        }
-        for b in 2..self.off.len() {
-            self.off[b] += self.off[b - 1];
-        }
-        for d in &mut self.dest {
-            let b = *d;
-            *d = self.off[b + 1];
-            self.off[b + 1] += 1;
-        }
-        self.off.truncate(strays + 1);
-        // Move every arrival to its position along the permutation's
-        // cycles: swaps only, no message is cloned.
-        for i in 0..raw.len() {
-            while self.dest[i] != i {
-                let j = self.dest[i];
-                raw.swap(i, j);
-                self.dest.swap(i, j);
+        self.off.resize(slots + 2, 0);
+        for (range, _) in &casts {
+            for &t in &targets[range.clone()] {
+                self.off[t as usize + 2] += 1;
             }
         }
-        self.strays.clear();
-        self.strays.extend(raw.drain(self.off[strays]..));
-        self.strays
-            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
-        self.msgs.clear();
-        self.msgs.extend(raw.into_iter().map(|(_, msg)| msg));
+        for &(s, _) in &points {
+            self.off[s + 2] += 1;
+        }
+        for s in 2..self.off.len() {
+            self.off[s] += self.off[s - 1];
+        }
+        // Every position below `total` is written exactly once: a grown
+        // buffer is padded with the first message first.
+        let total = self.off[slots + 1];
+        self.msgs.truncate(total);
+        if let Some(pad) = casts.first().map(|c| &c.1).or(points.first().map(|p| &p.1)) {
+            self.msgs.resize(total, pad.clone());
+        }
+        let (off, msgs) = (&mut self.off, &mut self.msgs);
+        let mut place = |s: usize, msg: M| {
+            msgs[off[s + 1]] = msg;
+            off[s + 1] += 1;
+        };
+        for (range, msg) in casts {
+            if let Some((&last, rest)) = targets[range].split_last() {
+                for &t in rest {
+                    place(t as usize, msg.clone());
+                }
+                place(last as usize, msg);
+            }
+        }
+        for (s, msg) in points {
+            place(s, msg);
+        }
+        self.off.truncate(slots + 1);
+        strays.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
+        self.strays = strays;
         for run in self.off.windows(2) {
             if run[1] - run[0] > 1 {
                 self.msgs[run[0]..run[1]].sort_by(&cmp);
@@ -611,17 +740,57 @@ mod tests {
         msgs.iter().map(|&(v, i)| (v.to_bits(), i)).collect()
     }
 
-    /// Fill `inbox` with `arrivals` and hold every slot's run and the
-    /// strays to a stable `(dst, cmp)` sort of the arrivals.
+    /// A delivery as a test states it: a point send to `pool[d]`, or a
+    /// cast of entry `e`.
+    #[derive(Clone, Copy)]
+    enum Sent {
+        Point(usize),
+        Cast(usize),
+    }
+
+    /// Fill `inbox` from `sent` — points to hosted ids by slot, the rest
+    /// as strays, casts to the slots `fans[e]` lists, laid end to end as
+    /// one target vector — and hold every slot's run and the
+    /// strays to a stable `(dst, cmp)` sort of the pairs the deliveries
+    /// stand for, casts expanded first (the order `fill` documents).
     fn check(
         inbox: &mut Inbox<Msg>,
         hosted: &[CellId],
-        arrivals: &[(CellId, Msg)],
+        fans: &[Vec<u32>],
+        sent: &[(Sent, Msg)],
         cmp: fn(&Msg, &Msg) -> CmpOrdering,
     ) -> Result<(), String> {
-        let mut reference = arrivals.to_vec();
+        let pool = id_pool();
+        let slot_of = |id: CellId| hosted.iter().position(|&h| h == id);
+        let targets = fans.concat();
+        let starts: Vec<usize> = fans
+            .iter()
+            .scan(0, |at, f| Some(std::mem::replace(at, *at + f.len())))
+            .collect();
+        let mut arrivals = Arrivals::default();
+        let mut expanded: Vec<(CellId, Msg)> = Vec::new();
+        let mut pointed: Vec<(CellId, Msg)> = Vec::new();
+        for &(to, msg) in sent {
+            match to {
+                Sent::Point(d) => {
+                    match slot_of(pool[d]) {
+                        Some(s) => arrivals.points.push((s, msg)),
+                        None => arrivals.strays.push((pool[d], msg)),
+                    }
+                    pointed.push((pool[d], msg));
+                }
+                Sent::Cast(e) => {
+                    arrivals
+                        .casts
+                        .push((starts[e]..starts[e] + fans[e].len(), msg));
+                    expanded.extend(fans[e].iter().map(|&t| (hosted[t as usize], msg)));
+                }
+            }
+        }
+        let mut reference = expanded;
+        reference.extend(pointed);
         reference.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
-        inbox.fill(arrivals.to_vec(), cmp);
+        inbox.fill(arrivals, &targets, cmp);
         for (s, &id) in hosted.iter().enumerate() {
             let want: Vec<Msg> = reference
                 .iter()
@@ -657,7 +826,11 @@ mod tests {
         #[test]
         fn inbox_runs_equal_a_stable_dst_then_msg_cmp_sort(
             hosted_bits in any::<u64>(),
-            picks in proptest::collection::vec((0..29usize, 0..VALUES.len()), 0..300),
+            fan_picks in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..6),
+                0..5,
+            ),
+            picks in proptest::collection::vec((0..34usize, 0..VALUES.len()), 0..300),
             reorder in any::<u64>(),
         ) {
             let pool = id_pool();
@@ -668,19 +841,36 @@ mod tests {
                 .collect();
             let turn = reorder as usize % hosted.len().max(1);
             hosted.rotate_left(turn);
-            let arrivals: Vec<(CellId, Msg)> = picks
+            // Each entry's targets: hosted slots, repeats allowed, or none.
+            let fans: Vec<Vec<u32>> = fan_picks
+                .iter()
+                .map(|f| {
+                    f.iter()
+                        .filter(|_| !hosted.is_empty())
+                        .map(|&t| (t as usize % hosted.len()) as u32)
+                        .collect()
+                })
+                .collect();
+            // Picks past the id pool are casts, when there are entries.
+            let sent: Vec<(Sent, Msg)> = picks
                 .iter()
                 .enumerate()
-                .map(|(i, &(d, v))| (pool[d], (VALUES[v], i)))
+                .map(|(i, &(d, v))| {
+                    let to = match d.checked_sub(pool.len()) {
+                        Some(e) if !fans.is_empty() => Sent::Cast(e % fans.len()),
+                        _ => Sent::Point(d % pool.len()),
+                    };
+                    (to, (VALUES[v], i))
+                })
                 .collect();
             let total: fn(&Msg, &Msg) -> CmpOrdering = |a, b| a.0.total_cmp(&b.0);
             let equal: fn(&Msg, &Msg) -> CmpOrdering = |_, _| CmpOrdering::Equal;
             // One inbox, refilled: nothing of a drain survives into the next.
-            let mut inbox = Inbox::new(&hosted);
+            let mut inbox = Inbox::new(hosted.len());
             for cmp in [total, equal] {
-                check(&mut inbox, &hosted, &arrivals, cmp)?;
-                let reversed: Vec<_> = arrivals.iter().rev().copied().collect();
-                check(&mut inbox, &hosted, &reversed, cmp)?;
+                check(&mut inbox, &hosted, &fans, &sent, cmp)?;
+                let reversed: Vec<_> = sent.iter().rev().copied().collect();
+                check(&mut inbox, &hosted, &fans, &reversed, cmp)?;
             }
         }
     }
@@ -688,13 +878,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// What hub records rest on: a hub ships one to every peer its
-        /// out-list reaches, so every peer `p` must index a remote vertex
-        /// `u` exactly when `u` has an out-neighbor on `p`, and fan it out
-        /// to exactly those neighbors, repeats included, each in its
-        /// owning shard.
+        /// What casts rest on: a hub ships a record to every peer its
+        /// out-list reaches and casts to its own machine, so every machine
+        /// `p` must index a vertex `u`, local or remote, exactly when `u`
+        /// has an out-neighbor on `p`, and fan it out to exactly those
+        /// neighbors' slots, repeats included, each in its owning shard.
         #[test]
-        fn the_fanout_index_is_every_remote_vertexs_out_neighbors_here(
+        fn the_fanout_index_is_every_vertexs_out_neighbors_here(
             machines in 2..6usize,
             shards in 1..4usize,
             directed in any::<bool>(),
@@ -715,18 +905,28 @@ mod tests {
             let table = cloud.node(0).table();
             let owner = |v: CellId| table.machine_of(v).0 as usize;
             for p in 0..machines {
-                let fanout = Fanout::build(graph.handle(p), &table, shards);
-                for u in (0..n as CellId).filter(|&u| owner(u) != p) {
+                // The runner's census: local ids ascending, split by shard.
+                let mut ids = vec![Vec::new(); shards];
+                let mut local = Vec::new();
+                graph.handle(p).for_each_local_node(|id, _| local.push(id));
+                local.sort_unstable();
+                for id in local {
+                    ids[shard_of(&table, shards, id)].push(id);
+                }
+                let slots: Vec<Slots> = ids.iter().map(|ids| Slots::new(ids)).collect();
+                let fanout = Fanout::build(graph.handle(p), &table, &slots);
+                for u in 0..n as CellId {
                     let mut want = vec![Vec::new(); shards];
                     for &v in csr.neighbors(u).iter().filter(|&&v| owner(v) == p) {
-                        want[shard_of(&table, shards, v)].push(v);
+                        let w = shard_of(&table, shards, v);
+                        want[w].push(slots[w].get(v).unwrap() as u32);
                     }
                     want.iter_mut().for_each(|t| t.sort_unstable());
                     let want = want.iter().any(|t| !t.is_empty()).then_some(want);
-                    let got: Option<Vec<Vec<CellId>>> = fanout.get(u).map(|slices| {
-                        slices
-                            .map(|t| {
-                                let mut t = t.to_vec();
+                    let got: Option<Vec<Vec<u32>>> = fanout.entry(u).map(|e| {
+                        (0..shards)
+                            .map(|w| {
+                                let mut t = fanout.targets[fanout.range(e, w)].to_vec();
                                 t.sort_unstable();
                                 t
                             })

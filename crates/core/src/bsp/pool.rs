@@ -13,7 +13,7 @@ use trinity_memcloud::{AddressingTable, CellId};
 use trinity_net::{deadline_expired, CostModel, DeadlineGuard, StatsDelta};
 use trinity_obs::TraceGuard;
 
-use super::path::{Inbox, MachineRt, RunOutbox};
+use super::path::{Arrivals, Inbox, MachineRt, RunOutbox};
 use super::{Job, MessagingMode, SuperstepReport, VertexContext, VertexProgram};
 use crate::cputime::{PoolTimes, ThreadTimer};
 use crate::proto;
@@ -50,6 +50,10 @@ pub(super) struct WorkerState<P: VertexProgram> {
     pub(super) active: Vec<bool>,
     /// Resumed active ids without a slot, carried through unchanged.
     pub(super) stray_active: Vec<CellId>,
+    /// With hubs on, the other machines each local vertex's out-list
+    /// reaches, ascending: slot `s`'s are `peers[peer_off[s]..peer_off[s + 1]]`.
+    pub(super) peers: Vec<u16>,
+    pub(super) peer_off: Vec<usize>,
     /// The current superstep's messages, by slot.
     pub(super) inbox: Inbox<P::Msg>,
     /// Reusable per-trunk delivery counts of a drain.
@@ -58,14 +62,14 @@ pub(super) struct WorkerState<P: VertexProgram> {
     outs_scratch: Vec<CellId>,
     /// Reusable send-list scratch lent to the `VertexContext`.
     sends: Vec<(CellId, P::Msg)>,
-    /// The broadcasting vertex's remote neighbors by owning machine, in
+    /// A non-hub broadcaster's remote neighbors by owning machine, in
     /// adjacency order: one record each (reused).
     groups: Vec<Vec<CellId>>,
     /// Private per-destination run frames: messages, hub broadcasts.
     outbox: Vec<RunOutbox>,
     hub_outbox: Vec<RunOutbox>,
     /// Buffered machine-local deliveries per shard.
-    local_buf: Vec<Vec<(CellId, P::Msg)>>,
+    local_buf: Vec<Arrivals<P::Msg>>,
     /// Deferred combine-mode sends: `(vseq, dst, msg)`.
     combine: Vec<(usize, CellId, P::Msg)>,
 }
@@ -79,7 +83,9 @@ impl<P: VertexProgram> WorkerState<P> {
             states: Vec::new(),
             active: Vec::new(),
             stray_active: Vec::new(),
-            inbox: Inbox::new(&[]),
+            peers: Vec::new(),
+            peer_off: vec![0],
+            inbox: Inbox::new(0),
             tally: Vec::new(),
             outs_scratch: Vec::new(),
             sends: Vec::new(),
@@ -90,7 +96,7 @@ impl<P: VertexProgram> WorkerState<P> {
             hub_outbox: (0..machines)
                 .map(|p| RunOutbox::new(p, proto::BSP_HUB))
                 .collect(),
-            local_buf: (0..workers).map(|_| Vec::new()).collect(),
+            local_buf: (0..workers).map(|_| Arrivals::default()).collect(),
             combine: Vec::new(),
         }
     }
@@ -290,10 +296,11 @@ fn compute_phase<P: VertexProgram>(
             .compute(&mut vctx, id, &mut ws.states[s], msgs);
         let broadcast = vctx.broadcast.take();
         ws.active[s] = !vctx.halt;
-        // Route the broadcast (restrictive model): each machine holding
-        // neighbors gets one record naming them — or, from a hub, one hub
-        // record naming the hub, which that machine fans out to the
-        // neighbors its own in-edges list.
+        // Route the broadcast (restrictive model): from a hub, one hub
+        // record to each other machine its out-list reaches, which that
+        // machine fans out to the neighbors its own in-edges list, and one
+        // cast to this machine's; otherwise each machine holding neighbors
+        // gets one record naming them.
         if let Some(msg) = broadcast {
             let hub = ctx
                 .hub_threshold
@@ -301,31 +308,35 @@ fn compute_phase<P: VertexProgram>(
             // Encoded once, and only if a record leaves the machine.
             let payload = std::cell::OnceCell::new();
             let payload = || payload.get_or_init(|| P::encode_msg(&msg)).as_slice();
-            for &dst in &ws.outs_scratch {
-                let owner = ctx.table.machine_of(dst).0 as usize;
-                if owner == ctx.m {
-                    local_delivered += 1;
-                    rt.push_local(&mut ws.local_buf, dst, msg.clone());
-                } else if hub || !(ctx.job.cfg.combine || unpacked) {
-                    ws.groups[owner].push(dst);
-                } else if ctx.job.cfg.combine {
-                    ws.combine.push((vseq, dst, msg.clone()));
-                } else {
-                    sent += 1;
-                    ws.outbox[owner].push(rt, superstep, true, payload(), &[dst]);
+            if hub {
+                let peers = &ws.peers[ws.peer_off[s]..ws.peer_off[s + 1]];
+                for &owner in peers {
+                    ws.hub_outbox[owner as usize].push(rt, superstep, unpacked, payload(), &[id]);
                 }
-            }
-            let groups = ws.groups.iter_mut().enumerate();
-            for (owner, group) in groups.filter(|(_, g)| !g.is_empty()) {
-                if hub {
-                    ws.hub_outbox[owner].push(rt, superstep, unpacked, payload(), &[id]);
-                    rt.metrics.hub_broadcasts.inc();
-                    sent += 1;
-                } else {
+                rt.metrics.hub_broadcasts.add(peers.len() as u64);
+                sent += peers.len() as u64;
+                local_delivered += rt.cast_local(&mut ws.local_buf, id, &msg);
+            } else {
+                for &dst in &ws.outs_scratch {
+                    let owner = ctx.table.machine_of(dst).0 as usize;
+                    if owner == ctx.m {
+                        local_delivered += 1;
+                        rt.push_local(&mut ws.local_buf, dst, msg.clone());
+                    } else if !(ctx.job.cfg.combine || unpacked) {
+                        ws.groups[owner].push(dst);
+                    } else if ctx.job.cfg.combine {
+                        ws.combine.push((vseq, dst, msg.clone()));
+                    } else {
+                        sent += 1;
+                        ws.outbox[owner].push(rt, superstep, true, payload(), &[dst]);
+                    }
+                }
+                let groups = ws.groups.iter_mut().enumerate();
+                for (owner, group) in groups.filter(|(_, g)| !g.is_empty()) {
                     sent += group.len() as u64;
                     ws.outbox[owner].push(rt, superstep, false, payload(), group);
+                    group.clear();
                 }
-                group.clear();
             }
         }
         // Route point sends (general model): records of one destination.
@@ -440,16 +451,16 @@ fn leader_post_compute<P: VertexProgram>(
     (sent, computed, pool_times)
 }
 
-/// Drain this worker's shared inbox for the next superstep: take the
-/// flattened pairs into per-slot runs, reactivate the vertices that
+/// Drain this worker's shared inbox for the next superstep: place its
+/// arrivals into per-slot runs, reactivate the vertices that
 /// received messages, count distinct destinations, and attribute the
 /// deliveries to their trunks — one `LoadMap` update per trunk.
 fn drain_phase<P: VertexProgram>(ctx: &PoolCtx<'_, P>, ws: &mut WorkerState<P>) {
     // Taken, not swapped with a reused buffer: freeing it every superstep
     // keeps the allocator's peak down (with the buffer recycled, peak RSS
     // on pagerank_bsp measured 8–12 MB higher on a 2-vCPU host).
-    let raw = std::mem::take(&mut *ctx.rt.inboxes[ws.w].lock());
-    ws.inbox.fill(raw, P::msg_cmp);
+    let arrivals = std::mem::take(&mut *ctx.rt.inboxes[ws.w].lock());
+    ws.inbox.fill(arrivals, &ctx.rt.fanout.targets, P::msg_cmp);
     ws.tally.resize(ctx.table.trunk_count(), 0);
     let mut distinct = 0u64;
     for s in 0..ws.ids.len() {

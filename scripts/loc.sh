@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The size number ROADMAP tracks: Rust lines under crates/*/src and src/,
 # each file counted up to (not including) its first `#[cfg(test)]` line,
-# and, by the same rule, the `.unwrap()`/`.expect(` calls in those lines.
+# and, by the same rule, the `.unwrap()`/`.expect(` calls in those lines
+# and the `unsafe` blocks, fns, impls and traits.
 # A ledger, not a gate: prints a per-crate breakdown and the totals.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,10 +19,14 @@ find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
         n = gsub(/\.unwrap\(\)|\.expect\(/, "", line)
         unwraps[crate] += n
         unwrap_total += n
+        line = $0
+        n = gsub(/(^|[^A-Za-z0-9_])unsafe[ \t]*(\{|fn[ \t]|impl[ \t<]|trait[ \t]|extern[ \t])/, "", line)
+        unsafes[crate] += n
+        unsafe_total += n
     }
     END {
-        printf "%7s  %7s  %s\n", "lines", "unwraps", "crate"
-        for (c in lines) printf "%7d  %7d  %s\n", lines[c], unwraps[c], c | "sort -k3"
-        close("sort -k3")
-        printf "%7d  %7d  non-test Rust lines and unwrap()/expect( calls (crates/*/src + src/)\n", total, unwrap_total
+        printf "%7s  %7s  %7s  %s\n", "lines", "unwraps", "unsafe", "crate"
+        for (c in lines) printf "%7d  %7d  %7d  %s\n", lines[c], unwraps[c], unsafes[c], c | "sort -k4"
+        close("sort -k4")
+        printf "%7d  %7d  %7d  non-test Rust lines, unwrap()/expect( calls and unsafe sites (crates/*/src + src/)\n", total, unwrap_total, unsafe_total
     }'
