@@ -30,6 +30,8 @@
 //! durable point of a cell is the last trunk image in TFS (backup or
 //! spill), and a crash loses writes acknowledged after it.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod async_compute;
 pub mod bsp;
 pub mod checkpoint;

@@ -78,7 +78,6 @@ impl CloudConfig {
         CloudConfig {
             store: LocalStoreConfig {
                 trunk: TrunkConfig::small(),
-                ..LocalStoreConfig::default()
             },
             ..CloudConfig::new(machines)
         }

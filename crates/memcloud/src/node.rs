@@ -120,6 +120,12 @@ pub struct CloudNode {
     /// Trunk tiering books: per-trunk spill/fault state, pin counts, and
     /// the memory budget (DESIGN.md §15).
     tiering: Tiering,
+    /// Held across `install_table`. Two installs of one table (a
+    /// recovery's and a re-sync's) would otherwise both pass the epoch
+    /// check and reload a newly granted trunk: the second restore lands
+    /// in the first's half-filled trunk and fails, or evicts a trunk the
+    /// first install already opened to writes.
+    installing: Mutex<()>,
 }
 
 impl std::fmt::Debug for CloudNode {
@@ -165,6 +171,7 @@ impl CloudNode {
             obs,
             migration: MigrationState::default(),
             tiering,
+            installing: Mutex::new(()),
         });
         node.register_handlers();
         node
@@ -885,33 +892,26 @@ impl CloudNode {
         }
     }
 
-    fn handle_put(&self, src: MachineId, id: CellId, body: &[u8]) -> Vec<u8> {
+    /// The owner's side of every write: budget, sharer registration, load
+    /// accounting, the write gate, then the reply. `bytes` is the payload
+    /// size the load tracker charges; `caches_value` marks a writer that
+    /// caches the bytes it wrote, so it is a sharer too and registers
+    /// before the write for later writes to invalidate it.
+    fn mutate(
+        &self,
+        src: MachineId,
+        id: CellId,
+        bytes: usize,
+        caches_value: bool,
+        op: impl FnMut(&Trunk) -> trinity_memstore::Result<CellVersion>,
+    ) -> Vec<u8> {
         self.maybe_enforce_budget();
         let gid = self.table.read().trunk_of(id);
-        // The writer caches the bytes it wrote, so it is a sharer too;
-        // register before the write so later writes invalidate it.
-        self.record_sharer(gid, src);
-        self.obs.load().record_write(gid, body.len() as u64);
-        match self.gated_mutate(gid, id, |trunk| trunk.put(id, body)) {
-            Err(_) => vec![wire::STORE_ERR],
-            Ok(Gate::Moved { epoch }) => wire::reply_moved(epoch),
-            Ok(Gate::Done(Ok(version))) => {
-                self.invalidate_sharers(id, version, src);
-                wire::reply_ok(version, b"")
-            }
-            Ok(Gate::Done(Err(_))) => vec![wire::STORE_ERR],
+        if caches_value {
+            self.record_sharer(gid, src);
         }
-    }
-
-    fn handle_put_if(&self, src: MachineId, id: CellId, body: &[u8]) -> Vec<u8> {
-        let Ok((expected, payload)) = wire::decode_req(body) else {
-            return vec![wire::STORE_ERR];
-        };
-        self.maybe_enforce_budget();
-        let gid = self.table.read().trunk_of(id);
-        self.record_sharer(gid, src);
-        self.obs.load().record_write(gid, payload.len() as u64);
-        match self.gated_mutate(gid, id, |trunk| trunk.put_if_version(id, payload, expected)) {
+        self.obs.load().record_write(gid, bytes as u64);
+        match self.gated_mutate(gid, id, op) {
             Err(_) => vec![wire::STORE_ERR],
             Ok(Gate::Moved { epoch }) => wire::reply_moved(epoch),
             Ok(Gate::Done(Ok(version))) => {
@@ -928,36 +928,25 @@ impl CloudNode {
         }
     }
 
+    fn handle_put(&self, src: MachineId, id: CellId, body: &[u8]) -> Vec<u8> {
+        self.mutate(src, id, body.len(), true, |trunk| trunk.put(id, body))
+    }
+
+    fn handle_put_if(&self, src: MachineId, id: CellId, body: &[u8]) -> Vec<u8> {
+        let Ok((expected, payload)) = wire::decode_req(body) else {
+            return vec![wire::STORE_ERR];
+        };
+        self.mutate(src, id, payload.len(), true, |trunk| {
+            trunk.put_if_version(id, payload, expected)
+        })
+    }
+
     fn handle_remove(&self, src: MachineId, id: CellId, _body: &[u8]) -> Vec<u8> {
-        self.maybe_enforce_budget();
-        let gid = self.table.read().trunk_of(id);
-        self.obs.load().record_write(gid, 0);
-        match self.gated_mutate(gid, id, |trunk| trunk.remove(id)) {
-            Err(_) => vec![wire::STORE_ERR],
-            Ok(Gate::Moved { epoch }) => wire::reply_moved(epoch),
-            Ok(Gate::Done(Ok(version))) => {
-                self.invalidate_sharers(id, version, src);
-                wire::reply_ok(version, b"")
-            }
-            Ok(Gate::Done(Err(StoreError::NotFound(_)))) => vec![wire::NOT_FOUND],
-            Ok(Gate::Done(Err(_))) => vec![wire::STORE_ERR],
-        }
+        self.mutate(src, id, 0, false, |trunk| trunk.remove(id))
     }
 
     fn handle_append(&self, src: MachineId, id: CellId, body: &[u8]) -> Vec<u8> {
-        self.maybe_enforce_budget();
-        let gid = self.table.read().trunk_of(id);
-        self.obs.load().record_write(gid, body.len() as u64);
-        match self.gated_mutate(gid, id, |trunk| trunk.append(id, body)) {
-            Err(_) => vec![wire::STORE_ERR],
-            Ok(Gate::Moved { epoch }) => wire::reply_moved(epoch),
-            Ok(Gate::Done(Ok(version))) => {
-                self.invalidate_sharers(id, version, src);
-                wire::reply_ok(version, b"")
-            }
-            Ok(Gate::Done(Err(StoreError::NotFound(_)))) => vec![wire::NOT_FOUND],
-            Ok(Gate::Done(Err(_))) => vec![wire::STORE_ERR],
-        }
+        self.mutate(src, id, body.len(), false, |trunk| trunk.append(id, body))
     }
 
     fn handle_contains(&self, _src: MachineId, id: CellId, _body: &[u8]) -> Vec<u8> {
@@ -1431,7 +1420,7 @@ impl CloudNode {
     pub fn multi_get(&self, ids: &[CellId]) -> Result<Vec<Option<FrameBuf>>> {
         let mut out: Vec<Option<FrameBuf>> = vec![None; ids.len()];
         let mut by_owner: HashMap<MachineId, Vec<(usize, CellId)>> = HashMap::new();
-        let mut local: Vec<(usize, u64, CellId)> = Vec::new();
+        let mut local: Vec<(usize, CellId)> = Vec::new();
         {
             let table = self.table.read();
             for (i, &id) in ids.iter().enumerate() {
@@ -1442,7 +1431,7 @@ impl CloudNode {
                     // trunk may fault it in from TFS, which must not run
                     // under the table read lock (the fault's budget sweep
                     // re-reads the table).
-                    local.push((i, trunk, id));
+                    local.push((i, id));
                 } else if let Some(bytes) = self.cache.get(trunk, id) {
                     out[i] = Some(bytes);
                 } else {
@@ -1450,12 +1439,8 @@ impl CloudNode {
                 }
             }
         }
-        for (i, trunk, id) in local {
-            let got = self.resident_trunk(trunk)?.get_owned(id);
-            self.obs
-                .load()
-                .record_read(trunk, got.as_ref().map_or(0, |b| b.len() as u64));
-            out[i] = got.map(FrameBuf::from_vec);
+        for (i, id) in local {
+            out[i] = self.local_get(id)?;
         }
         let groups: Vec<_> = by_owner
             .into_iter()
@@ -1499,6 +1484,21 @@ impl CloudNode {
             }
         }
         Ok(out)
+    }
+
+    /// Read a cell `multi_get` routed here. The table read that routed it
+    /// is gone by now: if `install_table` handed the trunk away since, the
+    /// single-cell path re-syncs and reads it from its new owner, and no
+    /// empty trunk is re-created here.
+    fn local_get(&self, id: CellId) -> Result<Option<FrameBuf>> {
+        let Some(trunk) = self.local_trunk(id)? else {
+            return self.get(id);
+        };
+        let got = trunk.get_owned(id);
+        self.obs
+            .load()
+            .record_read(trunk.id(), got.as_ref().map_or(0, |b| b.len() as u64));
+        Ok(got.map(FrameBuf::from_vec))
     }
 
     /// Warm the cache for an upcoming batch of reads (e.g. the next
@@ -1592,6 +1592,7 @@ impl CloudNode {
     /// — because a dead machine missed invalidations for unmoved trunks
     /// too.)
     pub fn install_table(&self, new: AddressingTable) -> Result<()> {
+        let _installing = self.installing.lock();
         let old = {
             let cur = self.table.read();
             if new.epoch <= cur.epoch {
@@ -1798,6 +1799,34 @@ mod tests {
                 Some(&b"kept"[..])
             );
         }
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_late_multi_get_local_read_on_the_old_owner_reads_the_new_owner() {
+        // `multi_get` marks an id local under the table read lock and reads
+        // it after dropping the lock. If `install_table` hands the trunk
+        // away in between, that read used to re-create the trunk empty,
+        // answer "absent" for a cell that exists, and leave a phantom on a
+        // machine that does not own it. Calling the local read after the
+        // flip is that interleaving with the sleep taken out.
+        let cloud = MemoryCloud::new(CloudConfig::small(2));
+        let node = cloud.node(0);
+        let id = (0u64..).find(|&i| node.owns(i)).unwrap();
+        node.put(id, b"kept").unwrap();
+        cloud.backup_all().unwrap();
+        let mut table = node.table();
+        let gid = table.trunk_of(id);
+        table.reassign_one(gid, MachineId(1));
+        cloud.tfs().write(TFS_TABLE_PATH, &table.encode()).unwrap();
+        for m in [1, 0] {
+            cloud.node(m).install_table(table.clone()).unwrap();
+        }
+        assert_eq!(node.local_get(id).unwrap().as_deref(), Some(&b"kept"[..]));
+        assert!(
+            node.store().trunk(gid).is_none(),
+            "the read re-created the trunk"
+        );
         cloud.shutdown();
     }
 }

@@ -75,8 +75,6 @@ enum TierOp {
     Put(usize, Vec<u8>),
     Append(usize, Vec<u8>),
     Remove(usize),
-    /// Write one byte in place through `Trunk::get_mut`.
-    Poke(usize, u8),
     Backup,
     /// A foreign writer re-writes the backup file with the bytes it
     /// already has: contents equal, version stamp advanced.
@@ -95,8 +93,7 @@ fn tier_op() -> impl Strategy<Value = TierOp> {
     prop_oneof![
         3 => (key.clone(), bytes.clone()).prop_map(|(k, b)| TierOp::Put(k, b)),
         2 => (key.clone(), bytes).prop_map(|(k, b)| TierOp::Append(k, b)),
-        1 => key.clone().prop_map(TierOp::Remove),
-        1 => (key, any::<u8>()).prop_map(|(k, b)| TierOp::Poke(k, b)),
+        1 => key.prop_map(TierOp::Remove),
         1 => Just(TierOp::Backup),
         1 => Just(TierOp::ForeignTouch),
         5 => Just(TierOp::Spill),
@@ -150,10 +147,10 @@ fn spill_and_check(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random interleavings of cell writes, in-place pokes, backups and
-    /// foreign touches of the backup file with evictions, faults and
-    /// crashes, on one trunk, against an exact model of (a) the trunk's
-    /// cells and (b) whether TFS already holds them.
+    /// Random interleavings of cell writes, backups and foreign touches
+    /// of the backup file with evictions, faults and crashes, on one
+    /// trunk, against an exact model of (a) the trunk's cells and (b)
+    /// whether TFS already holds them.
     #[test]
     fn eviction_cost_tracks_change(ops in proptest::collection::vec(tier_op(), 1..60)) {
         let cloud = MemoryCloud::new(CloudConfig::small(2));
@@ -168,10 +165,10 @@ proptest! {
             // Every cell operation faults a spilled trunk in first.
             let touches_cells = matches!(
                 op,
-                TierOp::Put(..) | TierOp::Append(..) | TierOp::Remove(_) | TierOp::Poke(..) | TierOp::Fault
+                TierOp::Put(..) | TierOp::Append(..) | TierOp::Remove(_) | TierOp::Fault
             );
             if touches_cells && !resident {
-                if let TierOp::Poke(..) | TierOp::Fault = op {
+                if let TierOp::Fault = op {
                     node.resident_trunk(gid).unwrap();
                 }
                 (resident, dirty) = (true, false);
@@ -197,17 +194,6 @@ proptest! {
                     let applied = via.remove(keys[k]).unwrap();
                     prop_assert_eq!(applied, cells.remove(&keys[k]).is_some());
                     dirty |= applied;
-                }
-                TierOp::Poke(k, byte) => {
-                    let trunk = node.store().trunk(gid).unwrap();
-                    if let Some(mut cell) = trunk.get_mut(keys[k]) {
-                        // Handing the guard out counts, written or not.
-                        dirty = true;
-                        if let Some(first) = cell.first_mut() {
-                            *first = byte;
-                            cells.get_mut(&keys[k]).unwrap()[0] = byte;
-                        }
-                    };
                 }
                 TierOp::Backup => {
                     node.backup_trunk(gid).unwrap();
@@ -250,8 +236,7 @@ proptest! {
         }
         node.resident_trunk(gid).unwrap();
         assert_trunk_is(node, gid, &cells, "at the end");
-        // Pokes went around the owner's write path, so no invalidation
-        // told machine 1 about them.
+        // Read through to the owner, not machine 1's cache.
         cloud.node(1).clear_cache();
         for (k, v) in &cells {
             let got = cloud.node(1).get(*k).unwrap();

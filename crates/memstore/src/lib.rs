@@ -38,11 +38,13 @@
 //! let trunk = Trunk::new(0, TrunkConfig::small());
 //! trunk.put(42, b"hello graph").unwrap();
 //! assert_eq!(trunk.get(42).unwrap().as_ref(), b"hello graph");
-//! trunk.update(42, b"hello memory cloud").unwrap();
+//! trunk.put(42, b"hello memory cloud").unwrap();
 //! assert_eq!(trunk.get(42).unwrap().len(), 18);
 //! trunk.remove(42).unwrap();
 //! assert!(trunk.get(42).is_none());
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod error;
 mod meta;
@@ -59,7 +61,7 @@ pub use error::StoreError;
 pub use snapshot::{SnapshotError, TrunkSnapshot};
 pub use stats::TrunkStats;
 pub use store::{DefragDaemon, LocalStore, LocalStoreConfig};
-pub use trunk::{CellGuard, CellMutGuard, DefragReport, Trunk, TrunkConfig};
+pub use trunk::{CellGuard, DefragReport, Trunk, TrunkConfig};
 
 /// 64-bit globally unique cell identifier ("UID" in the paper).
 pub type CellId = u64;

@@ -22,26 +22,16 @@ use trinity_obs::MachineScope;
 use crate::stats::TrunkStats;
 use crate::trunk::{Trunk, TrunkConfig};
 
+/// Dead-byte ratio above which the defragmentation daemon compacts a trunk.
+const DEFRAG_DEAD_RATIO: f64 = 0.25;
+/// Sleep between daemon scans.
+const DEFRAG_INTERVAL: Duration = Duration::from_millis(50);
+
 /// Configuration for a machine's trunk collection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalStoreConfig {
     /// Configuration applied to every trunk this machine creates.
     pub trunk: TrunkConfig,
-    /// Dead-byte ratio above which the defragmentation daemon compacts a
-    /// trunk.
-    pub defrag_dead_ratio: f64,
-    /// Sleep between daemon scans.
-    pub defrag_interval: Duration,
-}
-
-impl Default for LocalStoreConfig {
-    fn default() -> Self {
-        LocalStoreConfig {
-            trunk: TrunkConfig::default(),
-            defrag_dead_ratio: 0.25,
-            defrag_interval: Duration::from_millis(50),
-        }
-    }
 }
 
 /// All memory trunks hosted by one machine.
@@ -139,17 +129,12 @@ impl LocalStore {
     pub fn defrag_sweep(&self) -> usize {
         let mut compacted = 0;
         for t in self.trunks() {
-            if t.stats().dead_ratio() > self.cfg.defrag_dead_ratio {
+            if t.stats().dead_ratio() > DEFRAG_DEAD_RATIO {
                 t.defragment();
                 compacted += 1;
             }
         }
         compacted
-    }
-
-    /// Configuration in effect.
-    pub fn config(&self) -> &LocalStoreConfig {
-        &self.cfg
     }
 }
 
@@ -167,13 +152,12 @@ impl DefragDaemon {
     pub fn spawn(store: Arc<LocalStore>) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
-        let interval = store.cfg.defrag_interval;
         let handle = std::thread::Builder::new()
             .name("trinity-defrag".into())
             .spawn(move || {
                 while !stop2.load(Ordering::Relaxed) {
                     store.defrag_sweep();
-                    std::thread::park_timeout(interval);
+                    std::thread::park_timeout(DEFRAG_INTERVAL);
                 }
             })
             .expect("spawn defrag daemon");
@@ -210,8 +194,6 @@ mod tests {
     fn small_cfg() -> LocalStoreConfig {
         LocalStoreConfig {
             trunk: TrunkConfig::small(),
-            defrag_dead_ratio: 0.1,
-            defrag_interval: Duration::from_millis(5),
         }
     }
 
@@ -250,7 +232,7 @@ mod tests {
         for i in 0..40u64 {
             t.remove(i).unwrap();
         }
-        assert!(t.stats().dead_ratio() > 0.1);
+        assert!(t.stats().dead_ratio() > DEFRAG_DEAD_RATIO);
         assert_eq!(s.defrag_sweep(), 1);
         assert_eq!(t.stats().dead_bytes, 0);
         // Clean trunk: nothing to do.

@@ -38,7 +38,10 @@
 //! # Locking protocol
 //!
 //! Three lock kinds exist: the trunk allocation mutex, the index `RwLock`,
-//! and per-cell spin locks. Deadlock freedom relies on these rules:
+//! and per-cell spin locks. A held cell lock is a `Pinned` guard: while it
+//! lives the cell is its holder's alone and cannot move (paper §3), and it
+//! unlocks on drop, so no exit path can leak the lock. Deadlock freedom
+//! relies on these rules:
 //!
 //! 1. A thread never *blocks* on a cell spin lock while holding an index
 //!    guard — cell locks are acquired with `try_lock` under the index read
@@ -51,6 +54,18 @@
 //!
 //! The resulting wait-for edges are `spin lock → alloc mutex → index` with
 //! no cycle.
+//!
+//! # Raw access
+//!
+//! Four helpers reach the buffer and the metadata slab through raw
+//! pointers, and nothing else in the trunk does. Each states its contract
+//! and checks its bounds in debug builds:
+//!
+//! * `word(off)`: a header word, always accessed atomically;
+//! * `payload(off, len)`: payload bytes of an entry the caller has pinned
+//!   or owns unpublished;
+//! * `write_payload(off, at, parts)`: copy into such an entry;
+//! * `meta(ptr)`: a slab record, valid for the trunk's lifetime.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -78,6 +93,12 @@ fn align8(n: usize) -> usize {
     (n + 7) & !7
 }
 
+/// Move a byte counter from `from` to `to`. The add wraps, as atomic adds
+/// do, so a shrink subtracts.
+#[inline]
+fn shift(counter: &AtomicUsize, from: usize, to: usize) {
+    counter.fetch_add(to.wrapping_sub(from), Ordering::Relaxed);
+}
 /// Configuration for a single memory trunk.
 #[derive(Debug, Clone)]
 pub struct TrunkConfig {
@@ -226,12 +247,15 @@ pub struct Trunk {
     metrics: TrunkMetrics,
 }
 
-// SAFETY: the raw buffer is only accessed under the locking protocol
-// described in the module docs — every byte of the buffer is reachable by at
-// most one writer at a time (the allocating thread before publication, a
-// cell-lock holder, or the defragmentation pass under the allocation mutex),
-// and readers always hold the owning cell's spin lock.
+// SAFETY: the trunk owns its buffer outright (allocated in `Trunk::new`,
+// freed only in `Drop`), and every other field is `Send`.
 unsafe impl Send for Trunk {}
+// SAFETY: threads reach the buffer only through the raw-access helpers,
+// under the locking protocol in the module docs. Header words are atomic.
+// A payload byte has at most one writer at a time — the allocating thread
+// before the entry is published, or the holder of the cell's `Pinned`
+// (the defragmentation pass takes one too) — and readers hold the
+// cell's `Pinned`, so no read overlaps a write.
 unsafe impl Sync for Trunk {}
 
 impl Drop for Trunk {
@@ -256,6 +280,39 @@ impl std::fmt::Debug for Trunk {
             .field("reserved", &self.reserved)
             .field("cells", &self.cell_count())
             .finish()
+    }
+}
+
+/// A held cell spin lock. While it lives, the cell is its holder's alone
+/// and the defragmentation pass cannot move it; dropping it unlocks.
+struct Pinned<'a> {
+    meta: &'a CellMeta,
+}
+
+impl<'a> Pinned<'a> {
+    /// Pin without spinning; `None` if another thread holds the lock.
+    fn try_new(meta: &'a CellMeta) -> Option<Self> {
+        // Lazily: a `Pinned` built for a failed try would unlock the
+        // holder's lock when dropped.
+        meta.try_lock().then(|| Pinned { meta })
+    }
+
+    /// Spin until pinned. Only for a cell no new thread can reach (see
+    /// [`Trunk::remove`]); elsewhere use `try_new` (module docs, rule 1).
+    fn wait(meta: &'a CellMeta) -> Self {
+        meta.lock();
+        Pinned { meta }
+    }
+
+    /// The cell's entry offset, stable while pinned.
+    fn offset(&self) -> usize {
+        self.meta.offset() as usize
+    }
+}
+
+impl Drop for Pinned<'_> {
+    fn drop(&mut self) {
+        self.meta.unlock();
     }
 }
 
@@ -323,12 +380,12 @@ impl Trunk {
         self.index.read().table.len()
     }
 
-    /// How many mutating calls (`put`, `insert_new`, `update`,
-    /// `put_if_version`, `append`, `remove`, `get_mut`) this trunk has
-    /// served. Monotone; defragmentation moves bytes without changing any
-    /// cell and does not count. Two equal readings with no mutating call
-    /// in flight between them mean the cell contents did not change —
-    /// tiering uses that to skip re-writing an image TFS already holds.
+    /// How many mutating calls (`put`, `insert_new`, `put_if_version`,
+    /// `append`, `remove`) this trunk has served. Monotone;
+    /// defragmentation moves bytes without changing any cell and does not
+    /// count. Two equal readings with no mutating call in flight between
+    /// them mean the cell contents did not change — tiering uses that to
+    /// skip re-writing an image TFS already holds.
     ///
     /// The counter is `Relaxed`: it publishes no data itself. A reader
     /// that needs the guarantee above must already be ordered after the
@@ -361,48 +418,94 @@ impl Trunk {
     }
 
     // ------------------------------------------------------------------
-    // Raw buffer helpers. All offsets are 8-aligned and in-bounds by
-    // construction (produced by `allocate` / header scans).
+    // Raw access: the only code that dereferences `buf` or a slab pointer.
+    // Entry offsets are 8-aligned and in bounds by construction (produced
+    // by `allocate` or by a header scan); debug builds check it.
     // ------------------------------------------------------------------
 
+    /// The header word at `off`. Header words are shared atomically: the
+    /// defragmentation scan reads headers that a cell's `Pinned` holder may
+    /// be rewriting in place (the size field).
     #[inline]
-    fn read_u64(&self, off: usize) -> u64 {
+    fn word(&self, off: usize) -> &AtomicU64 {
         debug_assert!(off + 8 <= self.reserved && off.is_multiple_of(8));
-        // SAFETY: in-bounds and 8-aligned. Header words are accessed
-        // atomically because the defragmentation scan reads headers that a
-        // cell-lock holder may be rewriting in place (the size field).
-        unsafe {
-            (*(self.buf.add(off) as *const std::sync::atomic::AtomicU64)).load(Ordering::Acquire)
-        }
-    }
-
-    #[inline]
-    fn write_u64(&self, off: usize, v: u64) {
-        debug_assert!(off + 8 <= self.reserved && off.is_multiple_of(8));
-        // SAFETY: as above; see read_u64 for why this is atomic.
-        unsafe {
-            (*(self.buf.add(off) as *const std::sync::atomic::AtomicU64))
-                .store(v, Ordering::Release)
-        }
+        // SAFETY: `buf` is 8-aligned and `reserved` bytes long, and `off` is
+        // 8-aligned with `off + 8 <= reserved`, so the word is in bounds and
+        // aligned for an `AtomicU64` for as long as `&self` lives. Every
+        // access to a header word goes through this atomic view; a range
+        // that held payload bytes before becomes a header only when the
+        // allocator hands it out again, under the allocation mutex, after
+        // the pass that reclaimed it read its tombstone with `Acquire`.
+        unsafe { &*(self.buf.add(off) as *const AtomicU64) }
     }
 
     #[inline]
     fn read_header(&self, off: usize) -> (u64, u32, u32) {
-        let uid = self.read_u64(off);
-        let capsz = self.read_u64(off + 8);
+        let uid = self.word(off).load(Ordering::Acquire);
+        let capsz = self.word(off + 8).load(Ordering::Acquire);
         (uid, capsz as u32, (capsz >> 32) as u32)
     }
 
     #[inline]
     fn write_header(&self, off: usize, uid: u64, cap: u32, size: u32) {
-        self.write_u64(off, uid);
-        self.write_u64(off + 8, (cap as u64) | ((size as u64) << 32));
+        self.word(off).store(uid, Ordering::Release);
+        self.word(off + 8)
+            .store((cap as u64) | ((size as u64) << 32), Ordering::Release);
     }
 
+    /// The first `len` payload bytes of the entry at `off`.
+    ///
+    /// Contract: for as long as the slice lives, the caller holds the
+    /// entry's `Pinned` or owns the entry unpublished, so no thread writes
+    /// these bytes meanwhile.
     #[inline]
-    fn payload_ptr(&self, off: usize) -> *mut u8 {
-        // SAFETY: in-bounds for any entry offset produced by `allocate`.
-        unsafe { self.buf.add(off + HEADER) }
+    fn payload(&self, off: usize, len: usize) -> &[u8] {
+        debug_assert!(off.is_multiple_of(8) && off + HEADER + len <= self.reserved);
+        debug_assert!(len <= self.read_header(off).1 as usize, "past capacity");
+        // SAFETY: in bounds (checked above in debug builds), initialised
+        // (the buffer is allocated zeroed), and by the contract no write
+        // overlaps the slice while it lives.
+        unsafe { std::slice::from_raw_parts(self.buf.add(off + HEADER), len) }
+    }
+
+    /// Copy `parts` back to back into the payload of the entry at `off`,
+    /// starting `at` bytes in.
+    ///
+    /// Contract: the caller holds the entry's `Pinned` or owns the entry
+    /// unpublished, its header already carries its capacity, and no
+    /// `payload` slice over the bytes written is alive. A part may be a
+    /// `payload` slice of another entry.
+    #[inline]
+    fn write_payload(&self, off: usize, at: usize, parts: &[&[u8]]) {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        debug_assert!(off.is_multiple_of(8) && off + HEADER + at + len <= self.reserved);
+        debug_assert!(
+            at + len <= self.read_header(off).1 as usize,
+            "past capacity"
+        );
+        let mut dst = off + HEADER + at;
+        for part in parts {
+            // SAFETY: the destination is in bounds (checked above in debug
+            // builds) and, by the contract, written by this thread alone
+            // and read by no one. A source is a caller's slice, either
+            // outside the buffer or another entry's payload, which the
+            // allocator never overlaps with this one.
+            unsafe { std::ptr::copy_nonoverlapping(part.as_ptr(), self.buf.add(dst), part.len()) }
+            dst += part.len();
+        }
+    }
+
+    /// The slab record behind `ptr`, for as long as the trunk lives.
+    #[inline]
+    fn meta(&self, ptr: *const CellMeta) -> &CellMeta {
+        debug_assert!(!ptr.is_null() && ptr.is_aligned());
+        // SAFETY: `ptr` came from this trunk's `MetaSlab::get_ptr`. The slab
+        // only ever adds boxed chunks and drops them with the trunk, so the
+        // record stays valid for `&self`. A recycled slot is still a valid
+        // `CellMeta`; whether it still holds the caller's cell is for the
+        // caller's lock and offset checks to decide. `CellMeta` is all
+        // atomics, so shared references to it may coexist freely.
+        unsafe { &*ptr }
     }
 
     #[inline]
@@ -418,11 +521,15 @@ impl Trunk {
     // Allocation
     // ------------------------------------------------------------------
 
-    /// Allocate `need` bytes (entry length, 8-aligned) from the circular
-    /// window, returning the entry offset. Writes a wrap filler if the
-    /// entry cannot fit contiguously before the reserved end.
-    fn allocate_locked(&self, st: &mut AllocState, need: usize) -> Result<usize> {
-        debug_assert_eq!(need % 8, 0);
+    /// Allocate an entry of capacity `cap` from the circular window and
+    /// write its header, returning the entry offset. Writes a wrap filler
+    /// if the entry cannot fit contiguously before the reserved end.
+    ///
+    /// The header is written before the allocation mutex is released: a
+    /// defragmentation pass walks every allocated entry, and must never
+    /// read the stale bytes of a reused region as a tombstone or filler.
+    fn allocate_locked(&self, st: &mut AllocState, uid: u64, cap: u32, size: u32) -> Result<usize> {
+        let need = Self::entry_len(cap);
         let r = self.reserved;
         let free = r - st.used;
         let (used0, committed0) = (st.used, st.committed);
@@ -455,7 +562,7 @@ impl Trunk {
                     });
                 }
                 if at_end > 0 {
-                    self.write_u64(st.head, WRAP);
+                    self.word(st.head).store(WRAP, Ordering::Release);
                 }
                 st.used += at_end;
                 off = 0;
@@ -487,11 +594,13 @@ impl Trunk {
         self.metrics
             .committed_bytes
             .add((st.committed - committed0) as i64);
+        self.write_header(off, uid, cap, size);
         Ok(off)
     }
 
     /// Allocate with one defragmentation retry on exhaustion.
-    fn allocate(&self, need: usize) -> Result<usize> {
+    fn allocate(&self, uid: u64, cap: u32, size: u32) -> Result<usize> {
+        let need = Self::entry_len(cap);
         if need > self.reserved {
             self.metrics.oom.inc();
             return Err(StoreError::OutOfMemory {
@@ -501,7 +610,7 @@ impl Trunk {
         }
         {
             let mut st = self.alloc.lock();
-            if let Ok(off) = self.allocate_locked(&mut st, need) {
+            if let Ok(off) = self.allocate_locked(&mut st, uid, cap, size) {
                 self.metrics.alloc.inc();
                 self.metrics.alloc_bytes.record(need as u64);
                 return Ok(off);
@@ -509,7 +618,7 @@ impl Trunk {
         }
         self.defragment();
         let mut st = self.alloc.lock();
-        match self.allocate_locked(&mut st, need) {
+        match self.allocate_locked(&mut st, uid, cap, size) {
             Ok(off) => {
                 self.metrics.alloc.inc();
                 self.metrics.alloc_bytes.record(need as u64);
@@ -526,21 +635,16 @@ impl Trunk {
     // Cell lock acquisition
     // ------------------------------------------------------------------
 
-    /// Find the cell and acquire its spin lock without ever blocking on the
-    /// lock while holding the index guard (see module docs, rule 1).
-    ///
-    /// Returns a raw pointer to the cell's metadata; the pointer stays valid
-    /// while the lock is held, because slot reclamation requires the lock.
-    fn lock_cell(&self, id: CellId) -> Option<*const CellMeta> {
+    /// Find the cell and pin it, without ever blocking on its lock while
+    /// holding the index guard (see module docs, rule 1). The record stays
+    /// the cell's while pinned, because slot reclamation needs the lock.
+    fn lock_cell(&self, id: CellId) -> Option<Pinned<'_>> {
         loop {
             {
                 let idx = self.index.read();
                 let slot = idx.table.get(id)?;
-                let meta = idx.slab.get_ptr(slot);
-                // SAFETY: `meta` points into the slab while we hold the
-                // index read guard; slab entries never move.
-                if unsafe { (*meta).try_lock() } {
-                    return Some(meta);
+                if let Some(pin) = Pinned::try_new(self.meta(idx.slab.get_ptr(slot))) {
+                    return Some(pin);
                 }
             }
             std::thread::yield_now();
@@ -554,13 +658,10 @@ impl Trunk {
     /// Insert or replace the cell `id` with `payload`, returning the
     /// cell's new version stamp.
     pub fn put(&self, id: CellId, payload: &[u8]) -> Result<CellVersion> {
-        if let Some(meta) = self.lock_cell(id) {
-            // SAFETY: lock held; released by `update_locked`'s caller below.
-            let res = self.update_locked(meta, payload, id);
-            unsafe { (*meta).unlock() };
-            return res;
+        match self.lock_cell(id) {
+            Some(pin) => self.rewrite(&pin, id, 0, payload),
+            None => self.insert_fresh(id, payload, false),
         }
-        self.insert_fresh(id, payload, false)
     }
 
     /// Insert a new cell, failing with [`StoreError::AlreadyExists`] if the
@@ -580,34 +681,22 @@ impl Trunk {
 
     fn insert_fresh(&self, id: CellId, payload: &[u8], must_be_new: bool) -> Result<CellVersion> {
         let size = self.check_len(payload.len())?;
+        let need = Self::entry_len(size);
         loop {
-            let cap = size;
-            let need = Self::entry_len(cap);
-            let off = self.allocate(need)?;
-            self.write_header(off, id, cap, size);
-            // SAFETY: the freshly allocated region is unpublished and
-            // exclusively ours.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    payload.as_ptr(),
-                    self.payload_ptr(off),
-                    payload.len(),
-                );
-            }
+            // The freshly allocated entry is unpublished and ours alone.
+            let off = self.allocate(id, size, size)?;
+            self.write_payload(off, 0, &[payload]);
             let mut idx = self.index.write();
             if idx.table.get(id).is_some() {
                 drop(idx);
                 // Raced with a concurrent insert of the same id: release our
-                // region and retry through the update path.
-                self.write_tombstone(off, cap);
+                // region and write through the existing cell.
+                self.write_tombstone(off, size);
                 if must_be_new {
                     return Err(StoreError::AlreadyExists(id));
                 }
-                if let Some(meta) = self.lock_cell(id) {
-                    let res = self.update_locked(meta, payload, id);
-                    // SAFETY: lock_cell acquired the lock.
-                    unsafe { (*meta).unlock() };
-                    return res;
+                if let Some(pin) = self.lock_cell(id) {
+                    return self.rewrite(&pin, id, 0, payload);
                 }
                 // It vanished again; retry the fresh insert.
                 continue;
@@ -623,110 +712,56 @@ impl Trunk {
             self.live_payload
                 .fetch_add(size as usize, Ordering::Relaxed);
             self.live_entry.fetch_add(need, Ordering::Relaxed);
-            self.live_tight
-                .fetch_add(Self::entry_len(size), Ordering::Relaxed);
+            self.live_tight.fetch_add(need, Ordering::Relaxed);
             return Ok(version);
         }
     }
 
-    /// Rewrite the payload of a locked cell, in place when it fits within
-    /// the cell's capacity, relocating with a short-lived reservation
-    /// otherwise. Caller holds the cell lock and is responsible for
-    /// releasing it.
-    fn update_locked(
+    /// Make a pinned cell's payload its first `keep` bytes followed by
+    /// `tail`, and stamp it. Writes in place when the result fits the
+    /// cell's capacity. Otherwise relocates the cell with a short-lived
+    /// reservation proportional to the growth, so a steadily growing cell
+    /// (a graph node gaining edges) is not copied on every append; the
+    /// next defrag pass reclaims the slack.
+    fn rewrite(
         &self,
-        meta: *const CellMeta,
-        payload: &[u8],
+        pin: &Pinned<'_>,
         id: CellId,
+        keep: usize,
+        tail: &[u8],
     ) -> Result<CellVersion> {
-        let new_size = self.check_len(payload.len())?;
+        let off = pin.offset();
+        let (uid, cap, size) = self.read_header(off);
+        debug_assert!(uid == id && keep <= size as usize);
+        let new_size = self.check_len(keep + tail.len())?;
         self.note_mutation();
-        // SAFETY: caller holds the cell lock, so `meta` is valid and the
-        // cell cannot move underneath us.
-        let meta = unsafe { &*meta };
-        let off = meta.offset() as usize;
-        let (uid, cap, old_size) = self.read_header(off);
-        debug_assert_eq!(uid, id);
         if new_size <= cap {
-            // In-place rewrite.
-            // SAFETY: we own the entry via its lock; region is in-bounds.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    payload.as_ptr(),
-                    self.payload_ptr(off),
-                    payload.len(),
-                );
-            }
+            self.write_payload(off, keep, &[tail]);
             self.write_header(off, id, cap, new_size);
-            self.fixup_size_counters(cap, old_size, cap, new_size);
-            let version = next_version();
-            meta.set_version(version);
-            return Ok(version);
-        }
-        // Relocation: grant reservation slack proportional to the growth so
-        // steadily growing cells (graph nodes gaining edges) are not copied
-        // on every append. The slack is reclaimed by the next defrag pass.
-        let growth = new_size as usize - cap as usize;
-        let slack = (growth as f64 * self.cfg.expansion_slack) as usize;
-        let new_cap = self
-            .check_len((new_size as usize + slack).min(u32::MAX as usize / 2))
-            .unwrap_or(new_size);
-        let need = Self::entry_len(new_cap);
-        let new_off = self.allocate(need)?;
-        self.metrics.realloc.inc();
-        self.write_header(new_off, id, new_cap, new_size);
-        // SAFETY: fresh unpublished region.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                payload.as_ptr(),
-                self.payload_ptr(new_off),
-                payload.len(),
-            );
-        }
-        // Tombstone the old entry and publish the new offset.
-        self.write_tombstone(off, cap);
-        meta.set_offset(new_off as u32);
-        self.live_entry.fetch_add(need, Ordering::Relaxed);
-        self.live_entry
-            .fetch_sub(Self::entry_len(cap), Ordering::Relaxed);
-        self.live_tight
-            .fetch_add(Self::entry_len(new_size), Ordering::Relaxed);
-        self.live_tight
-            .fetch_sub(Self::entry_len(old_size), Ordering::Relaxed);
-        self.live_payload
-            .fetch_add(new_size as usize, Ordering::Relaxed);
-        self.live_payload
-            .fetch_sub(old_size as usize, Ordering::Relaxed);
-        let version = next_version();
-        meta.set_version(version);
-        Ok(version)
-    }
-
-    fn fixup_size_counters(&self, _old_cap: u32, old_size: u32, _new_cap: u32, new_size: u32) {
-        if new_size >= old_size {
-            self.live_payload
-                .fetch_add((new_size - old_size) as usize, Ordering::Relaxed);
-            self.live_tight.fetch_add(
-                Self::entry_len(new_size) - Self::entry_len(old_size),
-                Ordering::Relaxed,
-            );
         } else {
-            self.live_payload
-                .fetch_sub((old_size - new_size) as usize, Ordering::Relaxed);
-            self.live_tight.fetch_sub(
-                Self::entry_len(old_size) - Self::entry_len(new_size),
-                Ordering::Relaxed,
-            );
+            let growth = new_size as usize - cap as usize;
+            let slack = (growth as f64 * self.cfg.expansion_slack) as usize;
+            let new_cap = self
+                .check_len((new_size as usize + slack).min(u32::MAX as usize / 2))
+                .unwrap_or(new_size);
+            let need = Self::entry_len(new_cap);
+            let new_off = self.allocate(id, new_cap, new_size)?;
+            self.metrics.realloc.inc();
+            self.write_payload(new_off, 0, &[self.payload(off, keep), tail]);
+            // Tombstone the old entry and publish the new offset.
+            self.write_tombstone(off, cap);
+            pin.meta.set_offset(new_off as u32);
+            shift(&self.live_entry, Self::entry_len(cap), need);
         }
-    }
-
-    /// Replace the payload of an existing cell, returning its new version.
-    pub fn update(&self, id: CellId, payload: &[u8]) -> Result<CellVersion> {
-        let meta = self.lock_cell(id).ok_or(StoreError::NotFound(id))?;
-        let res = self.update_locked(meta, payload, id);
-        // SAFETY: lock_cell acquired the lock.
-        unsafe { (*meta).unlock() };
-        res
+        shift(&self.live_payload, size as usize, new_size as usize);
+        shift(
+            &self.live_tight,
+            Self::entry_len(size),
+            Self::entry_len(new_size),
+        );
+        let version = next_version();
+        pin.meta.set_version(version);
+        Ok(version)
     }
 
     /// Replace the cell's payload only if its version still equals
@@ -742,63 +777,25 @@ impl Trunk {
         payload: &[u8],
         expected: CellVersion,
     ) -> Result<CellVersion> {
-        let meta = self.lock_cell(id).ok_or(StoreError::NotFound(id))?;
-        // SAFETY: lock_cell acquired the lock; held until the unlock below.
-        let found = unsafe { (*meta).version() };
-        let res = if found == expected {
-            self.update_locked(meta, payload, id)
-        } else {
-            Err(StoreError::VersionMismatch {
+        let pin = self.lock_cell(id).ok_or(StoreError::NotFound(id))?;
+        let found = pin.meta.version();
+        if found != expected {
+            return Err(StoreError::VersionMismatch {
                 id,
                 expected,
                 found,
-            })
-        };
-        unsafe { (*meta).unlock() };
-        res
+            });
+        }
+        self.rewrite(&pin, id, 0, payload)
     }
 
     /// Append `extra` to the cell's payload (the growing-cell fast path the
     /// short-lived reservations exist for — e.g. adding edges to a node).
     /// Returns the cell's new version.
     pub fn append(&self, id: CellId, extra: &[u8]) -> Result<CellVersion> {
-        let meta_ptr = self.lock_cell(id).ok_or(StoreError::NotFound(id))?;
-        // SAFETY: lock held until the explicit unlock below.
-        let meta = unsafe { &*meta_ptr };
-        let off = meta.offset() as usize;
-        let (_, cap, size) = self.read_header(off);
-        let new_size = size as usize + extra.len();
-        let res = if new_size <= cap as usize {
-            self.note_mutation();
-            // Entirely in place: copy only the appended suffix.
-            // SAFETY: we own the entry via its lock.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    extra.as_ptr(),
-                    self.payload_ptr(off).add(size as usize),
-                    extra.len(),
-                );
-            }
-            self.write_header(off, id, cap, new_size as u32);
-            self.fixup_size_counters(cap, size, cap, new_size as u32);
-            let version = next_version();
-            meta.set_version(version);
-            Ok(version)
-        } else {
-            // Build the grown payload and go through the relocating update.
-            let mut grown = Vec::with_capacity(new_size);
-            // SAFETY: reading our own locked entry.
-            unsafe {
-                grown.extend_from_slice(std::slice::from_raw_parts(
-                    self.payload_ptr(off),
-                    size as usize,
-                ));
-            }
-            grown.extend_from_slice(extra);
-            self.update_locked(meta_ptr, &grown, id)
-        };
-        meta.unlock();
-        res
+        let pin = self.lock_cell(id).ok_or(StoreError::NotFound(id))?;
+        let (_, _, size) = self.read_header(pin.offset());
+        self.rewrite(&pin, id, size as usize, extra)
     }
 
     /// Read a cell, returning a guard that pins it in place. `None` if the
@@ -811,16 +808,7 @@ impl Trunk {
     /// its spin lock. Hold guards only for the duration of a read — a
     /// pinned cell stalls defragmentation and any writer of that cell.
     pub fn get(&self, id: CellId) -> Option<CellGuard<'_>> {
-        let meta = self.lock_cell(id)?;
-        // SAFETY: lock held; guard releases it on drop.
-        let off = unsafe { (*meta).offset() } as usize;
-        let (_, _, size) = self.read_header(off);
-        Some(CellGuard {
-            trunk: self,
-            meta,
-            ptr: self.payload_ptr(off),
-            len: size as usize,
-        })
+        self.lock_cell(id).map(|pin| self.guard(pin))
     }
 
     /// Read a cell into an owned buffer.
@@ -832,19 +820,17 @@ impl Trunk {
     /// payload are taken under the same cell lock, so they are mutually
     /// consistent — the pair a remote read cache stores.
     pub fn get_versioned(&self, id: CellId) -> Option<(CellVersion, CellGuard<'_>)> {
-        let meta = self.lock_cell(id)?;
-        // SAFETY: lock held; guard releases it on drop.
-        let (off, version) = unsafe { ((*meta).offset() as usize, (*meta).version()) };
+        let pin = self.lock_cell(id)?;
+        Some((pin.meta.version(), self.guard(pin)))
+    }
+
+    fn guard<'a>(&'a self, pin: Pinned<'a>) -> CellGuard<'a> {
+        let off = pin.offset();
         let (_, _, size) = self.read_header(off);
-        Some((
-            version,
-            CellGuard {
-                trunk: self,
-                meta,
-                ptr: self.payload_ptr(off),
-                len: size as usize,
-            },
-        ))
+        CellGuard {
+            bytes: self.payload(off, size as usize),
+            _pin: pin,
+        }
     }
 
     /// The cell's current version stamp, if it exists. Lock-free: the
@@ -854,25 +840,6 @@ impl Trunk {
         let idx = self.index.read();
         let slot = idx.table.get(id)?;
         Some(idx.slab.get(slot).version())
-    }
-
-    /// Mutably access a cell's current payload in place (length cannot
-    /// change through the guard; use [`Trunk::update`] / [`Trunk::append`]
-    /// to resize).
-    pub fn get_mut(&self, id: CellId) -> Option<CellMutGuard<'_>> {
-        let meta = self.lock_cell(id)?;
-        // Counted when the guard is handed out: the caller may write
-        // through it at any point until it drops.
-        self.note_mutation();
-        // SAFETY: lock held; guard releases it on drop.
-        let off = unsafe { (*meta).offset() } as usize;
-        let (_, _, size) = self.read_header(off);
-        Some(CellMutGuard {
-            trunk: self,
-            meta,
-            ptr: self.payload_ptr(off),
-            len: size as usize,
-        })
     }
 
     /// Whether the cell exists.
@@ -887,19 +854,15 @@ impl Trunk {
         // Step 1: unpublish the mapping (keeping the slot allocated).
         let (slot, meta) = {
             let mut idx = self.index.write();
-            match idx.table.remove(id) {
-                Some(slot) => (slot, idx.slab.get_ptr(slot)),
-                None => return Err(StoreError::NotFound(id)),
-            }
+            let slot = idx.table.remove(id).ok_or(StoreError::NotFound(id))?;
+            (slot, self.meta(idx.slab.get_ptr(slot)))
         };
         // Step 2: wait for any guard holder to finish; after the mapping is
         // gone nobody new can reach the slot, so plain spin is deadlock-free
         // here (we hold no index guard).
-        // SAFETY: the slot stays allocated until we free it below.
-        let meta_ref = unsafe { &*meta };
-        meta_ref.lock();
+        let pin = Pinned::wait(meta);
         self.note_mutation();
-        let off = meta_ref.offset() as usize;
+        let off = pin.offset();
         let (_, cap, size) = self.read_header(off);
         self.write_tombstone(off, cap);
         self.live_payload
@@ -908,7 +871,7 @@ impl Trunk {
             .fetch_sub(Self::entry_len(cap), Ordering::Relaxed);
         self.live_tight
             .fetch_sub(Self::entry_len(size), Ordering::Relaxed);
-        meta_ref.unlock();
+        drop(pin);
         // Step 3: recycle the slot. No other thread can be addressing it.
         self.index.write().slab.free(slot);
         Ok(next_version())
@@ -955,8 +918,7 @@ impl Trunk {
             // Read the uid word alone first: a WRAP filler may be only 8
             // bytes long (when it sits 8 bytes from the reserved end), so
             // reading a full 16-byte header there would run off the end.
-            let uid = self.read_u64(pos);
-            if uid == WRAP {
+            if self.word(pos).load(Ordering::Acquire) == WRAP {
                 let len = self.reserved - pos;
                 remaining -= len;
                 st.used -= len;
@@ -966,7 +928,7 @@ impl Trunk {
                 report.reclaimed_bytes += len as u64;
                 continue;
             }
-            let (uid, cap, size) = self.read_header(pos);
+            let (uid, cap, _) = self.read_header(pos);
             let len = Self::entry_len(cap);
             if uid == TOMB {
                 remaining -= len;
@@ -981,72 +943,52 @@ impl Trunk {
             let meta = {
                 let idx = self.index.read();
                 match idx.table.get(uid) {
-                    Some(slot) => idx.slab.get_ptr(slot),
+                    Some(slot) => self.meta(idx.slab.get_ptr(slot)),
                     None => {
                         // A concurrent `remove` has unpublished the mapping
-                        // but not yet tombstoned the header; treat the cell
-                        // as pinned and let the next pass reclaim it.
+                        // but not yet tombstoned the header, or an insert
+                        // has not published it yet; treat the cell as
+                        // pinned and let a later pass deal with it.
                         report.completed = false;
                         break;
                     }
                 }
             };
-            // SAFETY: slot can't be freed while the uid is still indexed,
-            // and removal needs the cell lock which conflicts with ours.
-            let meta_ref = unsafe { &*meta };
-            if !meta_ref.try_lock() {
+            let Some(pin) = Pinned::try_new(meta) else {
                 // Pinned by a reader/writer: the tail cannot advance past it.
                 report.completed = false;
                 break;
-            }
-            if meta_ref.offset() as usize != pos {
-                // The entry at `pos` belongs to an older generation of this
-                // uid (a remove raced with a re-insert between our header
-                // read and the index lookup). Its tombstone write may still
-                // be in flight, so stop the pass; the next one reclaims it.
-                meta_ref.unlock();
-                let (uid2, cap2, _) = self.read_header(pos);
-                if uid2 == TOMB {
-                    let len2 = Self::entry_len(cap2);
-                    remaining -= len2;
-                    st.used -= len2;
-                    self.metrics.used_bytes.sub(len2 as i64);
-                    pos += len2;
-                    st.tail = pos % self.reserved;
-                    report.reclaimed_bytes += len2 as u64;
+            };
+            // Re-read under the pin: since the scan read the header, an
+            // in-place write may have resized the cell, or a remove may
+            // have tombstoned it and recycled its record.
+            let (now, _, size) = self.read_header(pos);
+            if pin.offset() != pos || now == TOMB {
+                // The entry at `pos` is not (or no longer) this record's
+                // cell: a remove tombstoned it, or a remove and a re-insert
+                // of the uid raced our header read and the lookup. A landed
+                // tombstone is reclaimed by the loop; one still in flight
+                // stops the pass, and the next one reclaims it.
+                drop(pin);
+                if now == TOMB {
                     continue;
                 }
                 report.completed = false;
                 break;
             }
             // Relocate: new capacity == size (reservation slack dropped).
-            let new_cap = size;
-            let need = Self::entry_len(new_cap);
-            let new_off = match self.allocate_locked(&mut st, need) {
-                Ok(o) => o,
-                Err(_) => {
-                    meta_ref.unlock();
-                    report.completed = false;
-                    break;
-                }
+            // The destination is fresh and unpublished; the source is
+            // pinned, and the allocator never hands out bytes inside the
+            // still-used window, so the two cannot overlap.
+            let need = Self::entry_len(size);
+            let Ok(new_off) = self.allocate_locked(&mut st, uid, size, size) else {
+                report.completed = false;
+                break;
             };
-            self.write_header(new_off, uid, new_cap, size);
-            // SAFETY: destination is fresh and unpublished; source is
-            // pinned by the cell lock we hold; regions cannot overlap
-            // because the allocator never hands out bytes inside the
-            // still-used window.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    self.payload_ptr(pos),
-                    self.payload_ptr(new_off),
-                    size as usize,
-                );
-            }
-            meta_ref.set_offset(new_off as u32);
-            meta_ref.unlock();
-            self.live_entry.fetch_add(need, Ordering::Relaxed);
-            self.live_entry
-                .fetch_sub(Self::entry_len(cap), Ordering::Relaxed);
+            self.write_payload(new_off, 0, &[self.payload(pos, size as usize)]);
+            pin.meta.set_offset(new_off as u32);
+            drop(pin);
+            shift(&self.live_entry, len, need);
             self.bytes_moved.fetch_add(size as usize, Ordering::Relaxed);
             report.moved_cells += 1;
             report.moved_bytes += size as u64;
@@ -1078,75 +1020,20 @@ impl Trunk {
 /// Shared read guard over one cell's payload. Holding the guard pins the
 /// cell: the defragmentation pass cannot move it and writers cannot touch it.
 pub struct CellGuard<'a> {
-    trunk: &'a Trunk,
-    meta: *const CellMeta,
-    ptr: *const u8,
-    len: usize,
+    bytes: &'a [u8],
+    _pin: Pinned<'a>,
 }
 
 impl std::ops::Deref for CellGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        // SAFETY: the cell lock is held for the guard's lifetime, so the
-        // payload is immovable and no writer can be active.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl Drop for CellGuard<'_> {
-    fn drop(&mut self) {
-        // SAFETY: we hold the lock acquired in `Trunk::get`.
-        unsafe { (*self.meta).unlock() }
+        self.bytes
     }
 }
 
 impl std::fmt::Debug for CellGuard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CellGuard({} bytes in trunk {})",
-            self.len, self.trunk.id
-        )
-    }
-}
-
-/// Exclusive in-place write guard over one cell's payload.
-pub struct CellMutGuard<'a> {
-    trunk: &'a Trunk,
-    meta: *const CellMeta,
-    ptr: *mut u8,
-    len: usize,
-}
-
-impl std::ops::Deref for CellMutGuard<'_> {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        // SAFETY: see CellGuard; additionally we are the only lock holder.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl std::ops::DerefMut for CellMutGuard<'_> {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        // SAFETY: exclusive access via the held cell lock.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
-    }
-}
-
-impl Drop for CellMutGuard<'_> {
-    fn drop(&mut self) {
-        // SAFETY: we hold the lock acquired in `Trunk::get_mut`.
-        unsafe { (*self.meta).unlock() }
-    }
-}
-
-impl std::fmt::Debug for CellMutGuard<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CellMutGuard({} bytes in trunk {})",
-            self.len, self.trunk.id
-        )
+        write!(f, "CellGuard({} bytes)", self.bytes.len())
     }
 }
 
@@ -1189,9 +1076,9 @@ mod tests {
     fn update_in_place_and_relocating() {
         let t = tiny();
         t.put(1, b"0123456789").unwrap();
-        t.update(1, b"abc").unwrap(); // shrink in place
+        t.put(1, b"abc").unwrap(); // shrink in place
         assert_eq!(t.get(1).unwrap().as_ref(), b"abc");
-        t.update(1, b"0123456789abcdef0123").unwrap(); // grow: relocates
+        t.put(1, b"0123456789abcdef0123").unwrap(); // grow: relocates
         assert_eq!(t.get(1).unwrap().as_ref(), b"0123456789abcdef0123");
     }
 
@@ -1438,8 +1325,8 @@ mod tests {
     fn versions_are_monotone_per_cell_across_all_mutations() {
         let t = tiny();
         let v0 = t.put(1, b"a").unwrap();
-        let v1 = t.update(1, b"bb").unwrap(); // in place
-        let v2 = t.update(1, &[b'c'; 100]).unwrap(); // relocating
+        let v1 = t.put(1, b"bb").unwrap(); // in place
+        let v2 = t.put(1, &[b'c'; 100]).unwrap(); // relocating
         let v3 = t.append(1, b"d").unwrap(); // in place (slack)
         let v4 = t.append(1, &[b'e'; 300]).unwrap(); // relocating
         let v5 = t.remove(1).unwrap();
@@ -1472,16 +1359,14 @@ mod tests {
         bumped(&t, "put (replace)");
         t.insert_new(2, b"c").unwrap();
         bumped(&t, "insert_new");
-        t.update(2, &[b'd'; 100]).unwrap();
-        bumped(&t, "update (relocating)");
+        t.put(2, &[b'd'; 100]).unwrap();
+        bumped(&t, "put (relocating)");
         t.append(2, b"e").unwrap();
         bumped(&t, "append (in place)");
         t.append(2, &[b'f'; 400]).unwrap();
         bumped(&t, "append (relocating)");
         t.put_if_version(1, b"g", v).unwrap();
         bumped(&t, "put_if_version");
-        drop(t.get_mut(1).unwrap());
-        bumped(&t, "get_mut");
         t.remove(2).unwrap();
         bumped(&t, "remove");
         // Reads, scans, statistics and defragmentation change no cell.
@@ -1560,7 +1445,7 @@ mod tests {
                 // slack-bearing entries.
                 if expect[i as usize].len() > 600 {
                     expect[i as usize] = vec![i as u8; 16];
-                    t.update(i, &expect[i as usize]).unwrap();
+                    t.put(i, &expect[i as usize]).unwrap();
                 }
             }
             let rep = t.defragment();

@@ -68,7 +68,10 @@ fn check_against_model(ops: Vec<Op>, slack: f64) {
                 Err(StoreError::NotFound(_)) => assert!(!model.contains_key(&k)),
                 Err(e) => panic!("unexpected append error: {e}"),
             },
-            Op::Update(k, b) => match trunk.update(k, &b) {
+            // A replace of an existing cell: a compare-and-swap at the
+            // cell's current stamp, so an absent key is still `NotFound`.
+            Op::Update(k, b) => match trunk.put_if_version(k, &b, trunk.version_of(k).unwrap_or(0))
+            {
                 Ok(_) => {
                     assert!(model.contains_key(&k), "trunk updated an absent key");
                     note_len(&mut max_need, b.len());
