@@ -60,7 +60,7 @@ use trinity_memcloud::CellId;
 use trinity_net::{current_deadline, DeadlineGuard, MachineId, StatsDelta};
 use trinity_obs::{next_trace_id, TraceGuard};
 
-use path::{Inbox, MachineRt, Slots};
+use path::{Fanout, Inbox, MachineRt, Slots};
 use pool::{RoundAgg, WorkerState};
 
 /// How vertex messages travel between machines.
@@ -77,7 +77,8 @@ pub enum MessagingMode {
 /// pool barrier orders the hook against the compute phase). The bucket
 /// prefetcher (`trinity-core::prefetch`) implements this to fault the
 /// scheduled bucket's trunks in and kick off a background load of the
-/// next bucket's — compute of bucket `i` overlaps the I/O of `i + 1`.
+/// next bucket's, for whatever reads cells while the job runs; the job's
+/// own compute reads none: its census copied the out-lists.
 pub trait SuperstepHook: Send + Sync {
     /// `superstep` is absolute (resume offsets included).
     fn superstep_start(&self, machine: usize, superstep: usize);
@@ -195,9 +196,10 @@ pub trait VertexProgram: Send + Sync + 'static {
     }
 }
 
-/// Per-vertex compute context. Borrows the worker's reusable scratch
-/// buffers (adjacency and send list) so the per-vertex hot loop performs
-/// no allocations of its own.
+/// Per-vertex compute context. Lends the vertex its out-list from the
+/// job's census copy and the worker's reusable send list, so the
+/// per-vertex hot loop reads no cell and performs no allocation of its
+/// own.
 pub struct VertexContext<'a, M> {
     superstep: usize,
     outs: &'a [CellId],
@@ -456,31 +458,29 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     let table = node.table();
 
     // --- Setup: local vertex census + state init -----------------------
-    // States are initialized during the census pass, where the program
-    // gets zero-copy access to each vertex's cell. On resume,
-    // checkpointed states win; anything missing from the checkpoint
-    // starts fresh. With hubs on, the pass also lists the other machines
-    // each vertex's out-list reaches: a hub ships one record to each.
-    let mut local: Vec<(CellId, P::State, std::ops::Range<usize>)> = Vec::new();
-    let mut peers: Vec<u16> = Vec::new();
-    let mut scratch: Vec<u16> = Vec::new();
+    // The job's one read of its topology. States are initialized where
+    // the program gets zero-copy access to each cell (on resume,
+    // checkpointed states win). Each out-list is copied to `adj`, and with
+    // hubs on each in-list: the out-list when none is stored (undirected).
+    let mut adj: Vec<CellId> = Vec::new();
+    let mut local = Vec::new();
     handle.for_each_local_node(|id, view| {
         let state = resume
             .states
             .remove(&id)
             .unwrap_or_else(|| job.program.init(id, &view));
-        let start = peers.len();
-        if hub_threshold.is_some() {
-            scratch.clear();
-            let owners = view.outs().map(|v| table.machine_of(v).0);
-            scratch.extend(owners.filter(|&p| p as usize != m));
-            scratch.sort_unstable();
-            scratch.dedup();
-            peers.extend_from_slice(&scratch);
-        }
-        local.push((id, state, start..peers.len()));
+        let start = adj.len();
+        adj.extend(view.outs());
+        let outs = start..adj.len();
+        let ins = if view.has_ins() && hub_threshold.is_some() {
+            adj.extend(view.ins());
+            outs.end..adj.len()
+        } else {
+            outs.clone()
+        };
+        local.push((id, state, outs, ins));
     });
-    local.sort_unstable_by_key(|&(id, _, _)| id);
+    local.sort_unstable_by_key(|v| v.0);
 
     // --- Worker pool setup ---------------------------------------------
     // Shard every local vertex (and all resumed state) by
@@ -497,13 +497,22 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     let mut shards: Vec<WorkerState<P>> = (0..workers)
         .map(|w| WorkerState::new(w, machines, workers))
         .collect();
-    for (vseq, (id, state, reach)) in local.into_iter().enumerate() {
-        let ws = &mut shards[shard_of(id)];
+    let (mut ins, mut peers) = (Vec::new(), Vec::new());
+    for (vseq, (id, state, outs, in_range)) in local.into_iter().enumerate() {
+        let (ws, outs) = (&mut shards[shard_of(id)], &adj[outs]);
         ws.ids.push(id);
         ws.vseq.push(vseq);
         ws.states.push(state);
-        ws.peers.extend_from_slice(&peers[reach]);
-        ws.peer_off.push(ws.peers.len());
+        ws.outs.push(outs);
+        peers.clear();
+        if hub_threshold.is_some() {
+            peers.extend(outs.iter().map(|&v| table.machine_of(v).0));
+            peers.retain(|&p| p as usize != m);
+            peers.sort_unstable();
+            peers.dedup();
+            ins.push((id, &adj[in_range]));
+        }
+        ws.peers.push(&peers);
     }
     // Resumed states the census did not list take the slots after the
     // local vertices': carried through, never computed.
@@ -514,12 +523,17 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     }
 
     // --- Runtime: slot tables, fan-out index, receive handlers ---------
+    let slots: Vec<Slots> = shards.iter().map(|ws| Slots::new(&ws.ids)).collect();
+    let fanout = Fanout::build(&ins, &table, &slots);
+    // The shards hold their own copies: free the census's.
+    drop(ins);
+    drop(adj);
     let rt = Arc::new(MachineRt::<P>::new(
         Arc::clone(node.endpoint()),
         machines,
         table,
-        shards.iter().map(|ws| Slots::new(&ws.ids)).collect(),
-        hub_threshold.map(|_| handle),
+        slots,
+        fanout,
     ));
     rt.register_handlers();
     rt.metrics.pool_workers.add(workers as u64);
@@ -734,6 +748,103 @@ mod tests {
             }
             cloud.shutdown();
         }
+    }
+
+    /// Supersteps in which [`OutLists`] reads its out-list and broadcasts.
+    const OUT_ROUNDS: usize = 4;
+
+    /// An order-sensitive hash of `list`, folded into `h`.
+    fn fold_list(h: u64, list: &[CellId]) -> u64 {
+        list.iter().fold(h ^ list.len() as u64, |h, &v| {
+            (h ^ v).wrapping_mul(0x0100_0000_01b3).rotate_left(23)
+        })
+    }
+
+    /// Folds `out_neighbors()` into its state's first half in each of the
+    /// first [`OUT_ROUNDS`] supersteps and broadcasts its id in each, then
+    /// halts; the second half sums what it receives.
+    struct OutLists;
+
+    impl VertexProgram for OutLists {
+        type State = (u64, u64);
+        type Msg = u64;
+        fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) -> (u64, u64) {
+            (0, 0)
+        }
+        fn compute(
+            &self,
+            ctx: &mut VertexContext<'_, u64>,
+            id: CellId,
+            state: &mut (u64, u64),
+            msgs: &[u64],
+        ) {
+            if ctx.superstep() < OUT_ROUNDS {
+                state.0 = fold_list(state.0, ctx.out_neighbors());
+                ctx.send_to_neighbors(id);
+            }
+            state.1 = msgs.iter().fold(state.1, |a, &m| a.wrapping_add(m));
+            if ctx.superstep() + 1 >= OUT_ROUNDS {
+                ctx.vote_to_halt();
+            }
+        }
+        fn encode_msg(m: &u64) -> Vec<u8> {
+            m.to_le_bytes().to_vec()
+        }
+        fn decode_msg(b: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(b.try_into().ok()?))
+        }
+        fn encode_state(_s: &(u64, u64)) -> Vec<u8> {
+            Vec::new()
+        }
+        fn decode_state(_b: &[u8]) -> Option<(u64, u64)> {
+            None
+        }
+    }
+
+    #[test]
+    fn a_resumed_job_lends_every_vertex_its_out_list() {
+        let n = 30u64;
+        // A ring, chords, a doubled self-loop and a repeated arc.
+        let mut arcs: Vec<(u64, u64)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        arcs.extend((0..n).step_by(3).map(|v| (v, (v * 7 + 2) % n)));
+        arcs.extend([(4, 4), (4, 4), (9, 2), (9, 2)]);
+        let csr = Csr::from_arcs(n as usize, arcs, true, false);
+        let mut want: HashMap<CellId, (u64, u64)> = (0..n)
+            .map(|u| {
+                let folded = (0..OUT_ROUNDS).fold(0, |h, _| fold_list(h, csr.neighbors(u)));
+                (u, (folded, 0))
+            })
+            .collect();
+        for u in 0..n {
+            for &v in csr.neighbors(u) {
+                want.get_mut(&v).unwrap().1 += u * OUT_ROUNDS as u64;
+            }
+        }
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+        let opts = LoadOptions {
+            with_in_links: true,
+            attrs: None,
+        };
+        let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
+        for hub_threshold in [Some(1), None] {
+            // Stop after `split` supersteps, then resume from there.
+            for split in 1..=OUT_ROUNDS {
+                let cfg = |max_supersteps| BspConfig {
+                    hub_threshold,
+                    compute_threads: 2,
+                    max_supersteps,
+                    ..BspConfig::default()
+                };
+                let runner = BspRunner::new(Arc::clone(&graph), OutLists, cfg(split));
+                let first = runner.run();
+                assert!(!first.terminated);
+                let runner = BspRunner::new(Arc::clone(&graph), OutLists, cfg(64));
+                let r = runner.run_resumed(Some(first.into_resume()), split);
+                assert!(r.terminated);
+                assert_eq!(r.states, want, "hubs {hub_threshold:?}, resumed at {split}");
+            }
+        }
+        cloud.shutdown();
     }
 
     #[test]

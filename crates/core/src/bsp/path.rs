@@ -17,7 +17,6 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use trinity_graph::GraphHandle;
 use trinity_memcloud::{AddressingTable, CellId};
 use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_memstore::hash::mix64;
@@ -149,16 +148,15 @@ pub(super) struct MachineRt<P: VertexProgram> {
 }
 
 impl<P: VertexProgram> MachineRt<P> {
-    /// A machine's runtime over one `id → slot` table per shard, with the
-    /// fan-out index of `hubs`, its graph handle when hub buffering is on.
+    /// A machine's runtime over one `id → slot` table per shard and its
+    /// fan-out index (empty with hub buffering off).
     pub(super) fn new(
         endpoint: Arc<Endpoint>,
         machines: usize,
         table: AddressingTable,
         slots: Vec<Slots>,
-        hubs: Option<&GraphHandle>,
+        fanout: Fanout,
     ) -> Self {
-        let fanout = hubs.map_or_else(Fanout::default, |h| Fanout::build(h, &table, &slots));
         MachineRt {
             metrics: BspMetrics::new(&endpoint),
             endpoint,
@@ -473,7 +471,6 @@ impl Slots {
 /// the in-lists agree with the out-lists, so each cast finds its entry.
 /// Entry `e`'s targets in shard `w` are
 /// `targets[off[e * shards + w]..off[e * shards + w + 1]]`.
-#[derive(Default)]
 pub(super) struct Fanout {
     entries: Slots,
     shards: usize,
@@ -483,27 +480,26 @@ pub(super) struct Fanout {
 }
 
 impl Fanout {
-    /// One pass over the local adjacency, then a counting sort of its
-    /// in-edges by (entry, shard).
-    fn build(handle: &GraphHandle, table: &AddressingTable, slots: &[Slots]) -> Self {
+    /// The index over `ins`, each local vertex with its in-neighbors as
+    /// the census read them: a counting sort of the in-edges by (entry,
+    /// shard).
+    pub(super) fn build(
+        ins: &[(CellId, &[CellId])],
+        table: &AddressingTable,
+        slots: &[Slots],
+    ) -> Self {
         let shards = slots.len();
         let mut entries = Slots::default();
         let mut edges: Vec<(usize, u32)> = Vec::new();
-        handle.for_each_local_node(|id, view| {
+        for &(id, srcs) in ins {
             let shard = shard_of(table, shards, id);
             let Some(slot) = slots[shard].get(id) else {
-                return;
+                continue;
             };
-            let mut add =
-                |src: CellId| edges.push((entries.insert(src) * shards + shard, slot as u32));
-            // In-neighbors when stored; otherwise the graph is undirected
-            // and out-neighbors are the same set.
-            if view.has_ins() {
-                view.ins().for_each(&mut add);
-            } else {
-                view.outs().for_each(&mut add);
+            for &src in srcs {
+                edges.push((entries.insert(src) * shards + shard, slot as u32));
             }
-        });
+        }
         // Entries in id order: a hub frame lists its senders ascending, so
         // the casts it stages read `off` and `targets` front to back.
         let rank = entries.renumber_by_id();
@@ -914,7 +910,18 @@ mod tests {
                     ids[shard_of(&table, shards, id)].push(id);
                 }
                 let slots: Vec<Slots> = ids.iter().map(|ids| Slots::new(ids)).collect();
-                let fanout = Fanout::build(graph.handle(p), &table, &slots);
+                let mut ins = Vec::new();
+                graph.handle(p).for_each_local_node(|id, view| {
+                    let srcs: Vec<CellId> = if view.has_ins() {
+                        view.ins().collect()
+                    } else {
+                        view.outs().collect()
+                    };
+                    ins.push((id, srcs));
+                });
+                let ins: Vec<(CellId, &[CellId])> =
+                    ins.iter().map(|(id, srcs)| (*id, srcs.as_slice())).collect();
+                let fanout = Fanout::build(&ins, &table, &slots);
                 for u in 0..n as CellId {
                     let mut want = vec![Vec::new(); shards];
                     for &v in csr.neighbors(u).iter().filter(|&&v| owner(v) == p) {

@@ -8,7 +8,6 @@ use std::sync::Barrier;
 
 use parking_lot::Mutex;
 
-use trinity_graph::GraphHandle;
 use trinity_memcloud::{AddressingTable, CellId};
 use trinity_net::{deadline_expired, CostModel, DeadlineGuard, StatsDelta};
 use trinity_obs::TraceGuard;
@@ -50,16 +49,16 @@ pub(super) struct WorkerState<P: VertexProgram> {
     pub(super) active: Vec<bool>,
     /// Resumed active ids without a slot, carried through unchanged.
     pub(super) stray_active: Vec<CellId>,
+    /// Each local vertex's out-list, copied once by the census: the job's
+    /// topology, which no superstep reads from the trunks again.
+    pub(super) outs: SlotLists<CellId>,
     /// With hubs on, the other machines each local vertex's out-list
-    /// reaches, ascending: slot `s`'s are `peers[peer_off[s]..peer_off[s + 1]]`.
-    pub(super) peers: Vec<u16>,
-    pub(super) peer_off: Vec<usize>,
+    /// reaches, ascending (else empty).
+    pub(super) peers: SlotLists<u16>,
     /// The current superstep's messages, by slot.
     pub(super) inbox: Inbox<P::Msg>,
     /// Reusable per-trunk delivery counts of a drain.
     tally: Vec<u64>,
-    /// Reusable adjacency scratch (replaces a per-vertex `Vec` collect).
-    outs_scratch: Vec<CellId>,
     /// Reusable send-list scratch lent to the `VertexContext`.
     sends: Vec<(CellId, P::Msg)>,
     /// A non-hub broadcaster's remote neighbors by owning machine, in
@@ -83,11 +82,10 @@ impl<P: VertexProgram> WorkerState<P> {
             states: Vec::new(),
             active: Vec::new(),
             stray_active: Vec::new(),
-            peers: Vec::new(),
-            peer_off: vec![0],
+            outs: SlotLists::default(),
+            peers: SlotLists::default(),
             inbox: Inbox::new(0),
             tally: Vec::new(),
-            outs_scratch: Vec::new(),
             sends: Vec::new(),
             groups: vec![Vec::new(); machines],
             outbox: (0..machines)
@@ -99,6 +97,30 @@ impl<P: VertexProgram> WorkerState<P> {
             local_buf: (0..workers).map(|_| Arrivals::default()).collect(),
             combine: Vec::new(),
         }
+    }
+}
+
+/// Per-slot lists laid end to end: slot `s`'s list runs from where slot
+/// `s - 1`'s ends to `ends[s]`.
+#[derive(Default)]
+pub(super) struct SlotLists<T> {
+    ends: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> SlotLists<T> {
+    /// Append the next slot's list.
+    pub(super) fn push(&mut self, list: &[T]) {
+        self.items.extend_from_slice(list);
+        let end = u32::try_from(self.items.len()).expect("a shard holds under 2^32 list items");
+        self.ends.push(end);
+    }
+
+    /// Slot `s`'s list.
+    #[inline]
+    pub(super) fn get(&self, s: usize) -> &[T] {
+        let start = s.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.items[start as usize..self.ends[s] as usize]
     }
 }
 
@@ -125,7 +147,6 @@ struct PoolCtx<'x, P: VertexProgram> {
     /// Out-degree from which a broadcast ships as hub records; `None` on a
     /// graph that is not reverse traversable or with hubs off.
     hub_threshold: Option<usize>,
-    handle: &'x GraphHandle,
     table: AddressingTable,
     cost: CostModel,
     barrier: Barrier,
@@ -159,7 +180,6 @@ pub(super) fn run<P: VertexProgram>(
         machines,
         rt,
         hub_threshold,
-        handle: job.graph.handle(m),
         table: job.graph.cloud().node(m).table(),
         cost: job.graph.cloud().fabric().cost_model(),
         barrier: Barrier::new(shards.len()),
@@ -277,16 +297,11 @@ fn compute_phase<P: VertexProgram>(
             continue;
         }
         computed += 1;
-        // Read the adjacency through a zero-copy view into the reusable
-        // scratch (no per-vertex allocation).
-        ws.outs_scratch.clear();
-        let _ = ctx.handle.with_node(id, |view| {
-            ws.outs_scratch.extend(view.outs());
-        });
+        let outs = ws.outs.get(s);
         ws.sends.clear();
         let mut vctx = VertexContext {
             superstep: ctx.job.superstep_offset + superstep,
-            outs: &ws.outs_scratch,
+            outs,
             sends: &mut ws.sends,
             broadcast: None,
             halt: false,
@@ -302,14 +317,12 @@ fn compute_phase<P: VertexProgram>(
         // cast to this machine's; otherwise each machine holding neighbors
         // gets one record naming them.
         if let Some(msg) = broadcast {
-            let hub = ctx
-                .hub_threshold
-                .is_some_and(|t| ws.outs_scratch.len() >= t);
+            let hub = ctx.hub_threshold.is_some_and(|t| outs.len() >= t);
             // Encoded once, and only if a record leaves the machine.
             let payload = std::cell::OnceCell::new();
             let payload = || payload.get_or_init(|| P::encode_msg(&msg)).as_slice();
             if hub {
-                let peers = &ws.peers[ws.peer_off[s]..ws.peer_off[s + 1]];
+                let peers = ws.peers.get(s);
                 for &owner in peers {
                     ws.hub_outbox[owner as usize].push(rt, superstep, unpacked, payload(), &[id]);
                 }
@@ -317,7 +330,7 @@ fn compute_phase<P: VertexProgram>(
                 sent += peers.len() as u64;
                 local_delivered += rt.cast_local(&mut ws.local_buf, id, &msg);
             } else {
-                for &dst in &ws.outs_scratch {
+                for &dst in outs {
                     let owner = ctx.table.machine_of(dst).0 as usize;
                     if owner == ctx.m {
                         local_delivered += 1;

@@ -39,7 +39,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
-use trinity_graph::DistributedGraph;
 use trinity_memcloud::CellId;
 use trinity_obs::MachineScope;
 
@@ -183,11 +182,6 @@ impl<P: GatherProgram> IncrementalBsp<P> {
         };
         engine.full_compute();
         engine
-    }
-
-    /// Build by scanning a loaded distributed graph.
-    pub fn from_graph(program: P, dg: &DistributedGraph, cfg: IncrementalConfig) -> Self {
-        Self::new(program, Topology::from_graph(dg), cfg)
     }
 
     /// Attach a metric scope (freshness lag, dirty fraction, refresh

@@ -21,9 +21,9 @@
 //!    joined by [`BucketPrefetcher::release`]: once `release` returns no
 //!    fetch is in flight or still to come.
 //!
-//! Type B state — message boxes, vertex runtime state — lives in the
-//! worker pool, not in cells, so it stays resident throughout; only the
-//! Type A trunk images cycle through TFS.
+//! Type B state — message boxes, vertex runtime state, a BSP job's copy
+//! of its out-lists — lives in the worker pool, not in cells, so it stays
+//! resident throughout; only the Type A trunk images cycle through TFS.
 //!
 //! [`BucketSchedule::round_robin`]: crate::residency::BucketSchedule::round_robin
 

@@ -47,7 +47,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use trinity_graph::NodeRecord;
-use trinity_memcloud::{AddressingTable, CellId, CloudError, MemoryCloud};
+use trinity_memcloud::{CellId, CloudError, MemoryCloud};
 use trinity_obs::MachineScope;
 
 use crate::minitx::{MiniTx, TxOutcome, TxService};
@@ -134,15 +134,6 @@ impl DirtySet {
     pub fn merge(mut a: DirtySet, b: &DirtySet) -> DirtySet {
         a.union(b);
         a
-    }
-
-    /// Group the dirty vertices by owning trunk (scheduling view).
-    pub fn by_trunk(&self, table: &AddressingTable) -> BTreeMap<u64, Vec<CellId>> {
-        let mut out: BTreeMap<u64, Vec<CellId>> = BTreeMap::new();
-        for &v in &self.vertices {
-            out.entry(table.trunk_of(v)).or_default().push(v);
-        }
-        out
     }
 }
 
@@ -365,22 +356,6 @@ impl Topology {
             }),
             |w| nodes.contains_key(&w),
         )
-    }
-
-    /// Build the topology by scanning a loaded distributed graph.
-    /// In-lists are derived from the out-lists, so graphs loaded without
-    /// stored in-links work too.
-    pub fn from_graph(dg: &trinity_graph::DistributedGraph) -> Self {
-        let mut topo = Topology::new();
-        for h in dg.handles() {
-            h.for_each_local_node(|id, view| {
-                topo.add_vertex(id);
-                for w in view.outs() {
-                    topo.add_edge(id, w);
-                }
-            });
-        }
-        topo
     }
 }
 

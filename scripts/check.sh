@@ -55,13 +55,15 @@ echo "==> metrics_check (observability gate: the exported artifact schema-valida
 cargo run --release -p trinity-bench --bin metrics_check "${HERMETIC[@]}" "$@" -- \
     "$OUT/e15_hubs.metrics.json"
 
-echo "==> bsp determinism suite, serial harness + stressed pool width"
+echo "==> bsp determinism and property suites, serial harness + stressed pool width"
 # RUST_TEST_THREADS=1 keeps the test harness from adding its own
 # parallelism so the worker pool is the only source of threading;
 # TRINITY_STRESS_THREADS=8 widens every pool past the trunk count to
-# stress the sharded inbox handoff.
+# stress the sharded inbox handoff and the per-shard out-lists.
 RUST_TEST_THREADS=1 TRINITY_STRESS_THREADS=8 \
     cargo test -q "${HERMETIC[@]}" "$@" --test bsp_determinism
+RUST_TEST_THREADS=1 TRINITY_STRESS_THREADS=8 \
+    cargo test -q "${HERMETIC[@]}" "$@" -p trinity-core --test bsp_prop
 
 echo "==> working tree unchanged by the gate"
 if [ "$(git status --porcelain)" != "$TREE_BEFORE" ]; then
