@@ -47,7 +47,7 @@ fn bfs_dist(csr: &Csr, src: u64) -> Vec<u32> {
 
 /// Approximate betweenness centrality (Brandes with sampled sources).
 /// Returns one score per vertex.
-pub fn approx_betweenness(csr: &Csr, samples: usize, seed: u64) -> Vec<f64> {
+fn approx_betweenness(csr: &Csr, samples: usize, seed: u64) -> Vec<f64> {
     let n = csr.node_count();
     let mut score = vec![0.0f64; n];
     if n == 0 {

@@ -15,29 +15,24 @@
 //!   largest-degree, local-betweenness, and global-betweenness selection
 //!   (Figure 8(b), §5.5);
 //! * [`sparql`] — typed structural patterns over LUBM-like RDF data
-//!   (Figure 14(b));
-//! * [`partition`] — multi-level graph partitioning (§5.3's "billion-node
-//!   graph partitioning on a general-purpose platform" claim).
+//!   (Figure 14(b)).
+//!
+//! No partitioner is kept: cells are placed by hash (§3), so nothing in
+//! the system could use a partition.
 
 pub mod bfs;
 pub mod landmarks;
 pub mod pagerank;
-pub mod partition;
 pub mod people_search;
 pub mod sparql;
 pub mod subgraph;
-pub mod wsssp;
 
 pub use bfs::{bfs_async, bfs_distributed, bfs_reference, AsyncSssp, BfsProgram};
-pub use landmarks::{approx_betweenness, estimate_accuracy, select_landmarks, LandmarkStrategy};
+pub use landmarks::{estimate_accuracy, select_landmarks, LandmarkStrategy};
 pub use pagerank::{pagerank_distributed, pagerank_reference, PageRankProgram};
-pub use partition::{edge_cut, multilevel_partition, random_partition, PartitionResult};
 pub use people_search::{people_search, PeopleSearchReport};
 pub use sparql::{load_lubm, run_sparql_query, SparqlQuery, SparqlReport};
 pub use subgraph::{
     assign_labels, generate_pattern, reference_match, subgraph_match, Pattern, PatternGen,
     SubgraphReport,
-};
-pub use wsssp::{
-    dijkstra_reference, load_weighted, wsssp_distributed, WeightedGraph, WssspProgram,
 };

@@ -6,7 +6,7 @@
 //! decisions), arms it for the measured phase, and captures the
 //! injector's accounting with [`ChaosRun::capture`] before shutdown.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,6 +34,18 @@ fn xorshift(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Sets a scope's reader `stop` flag when dropped. Made at the top of a
+/// `thread::scope` body, it stops the readers on a panic too: the scope
+/// joins them before it re-raises, so a body that only stored `stop` on
+/// its last line would wait on them for ever instead of failing.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
 
 /// Max-id propagation: the canonical deterministic BSP job. Every vertex
@@ -549,8 +561,6 @@ impl ChaosWorkload for CachedRemoteReads {
     }
 
     fn run(&self, faults: Option<FaultPlan>) -> ChaosRun {
-        use std::sync::atomic::AtomicBool;
-
         let cloud = Arc::new(MemoryCloud::new(CloudConfig {
             faults,
             call_timeout: Duration::from_millis(100),
@@ -569,6 +579,7 @@ impl ChaosWorkload for CachedRemoteReads {
         let stop = Arc::new(AtomicBool::new(false));
         let mut recovered = Vec::new();
         std::thread::scope(|scope| {
+            let _stop = StopOnDrop(&stop);
             // Readers on every machine: most cells are remote to each, so
             // the traffic is cache hits, misses, and invalidations under
             // drops. Errors and misses are expected mid-storm (timeouts,
@@ -635,7 +646,6 @@ impl ChaosWorkload for CachedRemoteReads {
                     recovered.push(m as u16);
                 }
             }
-            stop.store(true, Ordering::Relaxed);
         });
         let mut failures = Arc::try_unwrap(failures)
             .expect("reader threads joined")
@@ -908,7 +918,6 @@ impl ChaosWorkload for MigrationStorm {
 
     fn run(&self, faults: Option<FaultPlan>) -> ChaosRun {
         use std::collections::{BTreeSet, HashMap};
-        use std::sync::atomic::AtomicBool;
 
         use trinity_elastic::{MigrationConfig, MigrationEngine};
 
@@ -947,6 +956,7 @@ impl ChaosWorkload for MigrationStorm {
         let mut recovered = Vec::new();
         let mut mig_ok = false;
         std::thread::scope(|scope| {
+            let stop_readers = StopOnDrop(&stop);
             // Readers on every machine (standby included): errors and
             // misses are expected mid-storm; only invalid bytes fail.
             for r in 0..total {
@@ -1021,7 +1031,7 @@ impl ChaosWorkload for MigrationStorm {
                     recovered.push(m as u16);
                 }
             }
-            stop.store(true, Ordering::Relaxed);
+            drop(stop_readers);
             let _ = writer.join().expect("writer thread");
             match res {
                 Ok(report) => {
@@ -1426,5 +1436,32 @@ impl ChaosWorkload for MutationStorm {
 
     fn deterministic(&self) -> bool {
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_scope_body_stops_its_readers_and_fails() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let stop = AtomicBool::new(false);
+            let outcome = std::panic::catch_unwind(|| {
+                std::thread::scope(|scope| {
+                    let _stop = StopOnDrop(&stop);
+                    scope.spawn(|| {
+                        while !stop.load(Ordering::Relaxed) {
+                            std::thread::yield_now();
+                        }
+                    });
+                    panic!("body fails mid-storm");
+                })
+            });
+            let _ = done.send(outcome.is_err());
+        });
+        let panicked = finished.recv_timeout(Duration::from_secs(30));
+        assert_eq!(panicked, Ok(true), "the scope must re-raise, not hang");
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use trinity_memcloud::{CloudError, CloudNode};
 use trinity_net::MachineId;
 
-use crate::record::{EdgeRecord, HyperEdgeRecord, NodeRecord, NodeView};
+use crate::record::{NodeRecord, NodeView};
 use crate::CellId;
 
 /// Graph-typed operations bound to one machine.
@@ -34,16 +34,6 @@ impl GraphHandle {
     /// This handle's machine.
     pub fn machine(&self) -> MachineId {
         self.node.machine()
-    }
-
-    /// Create a StructEdge cell.
-    pub fn create_edge(&self, id: CellId, record: &EdgeRecord) -> Result<(), CloudError> {
-        self.node.put(id, &record.encode())
-    }
-
-    /// Create a HyperEdge cell.
-    pub fn create_hyperedge(&self, id: CellId, record: &HyperEdgeRecord) -> Result<(), CloudError> {
-        self.node.put(id, &record.encode())
     }
 
     /// Whether `id` is hosted on this machine under the current table.
@@ -126,26 +116,6 @@ impl GraphHandle {
             }
         }
         Ok(())
-    }
-
-    /// Fetch a StructEdge cell.
-    pub fn edge(&self, id: CellId) -> Result<Option<EdgeRecord>, CloudError> {
-        match self.node.get(id)? {
-            Some(bytes) => Ok(Some(
-                EdgeRecord::decode(&bytes).map_err(|_| CloudError::BadReply)?,
-            )),
-            None => Ok(None),
-        }
-    }
-
-    /// Fetch a HyperEdge cell.
-    pub fn hyperedge(&self, id: CellId) -> Result<Option<HyperEdgeRecord>, CloudError> {
-        match self.node.get(id)? {
-            Some(bytes) => Ok(Some(
-                HyperEdgeRecord::decode(&bytes).map_err(|_| CloudError::BadReply)?,
-            )),
-            None => Ok(None),
-        }
     }
 
     /// Visit every node cell hosted on this machine (zero-copy views).

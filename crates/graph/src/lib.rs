@@ -12,12 +12,16 @@
 //! * **HyperEdge** — edge cells whose member list names many node cells,
 //!   modeling hypergraphs.
 //!
+//! This crate stores SimpleEdge node cells. The other two kinds are TSL
+//! declarations (`[EdgeType: StructEdge]`, `[EdgeType: HyperEdge]`) whose
+//! edge cells are read through `trinity_tsl::CellAccessor`; the graph
+//! crate has no edge-record type of its own.
+//!
 //! The crate provides:
 //!
 //! * [`NodeRecord`] / [`NodeView`] — the packed node-cell encoding and its
 //!   zero-copy reader (the graph-layer specialization of the TSL cell
 //!   accessor);
-//! * [`EdgeRecord`] and [`HyperEdgeRecord`] for struct- and hyper-edges;
 //! * [`Csr`] — compressed sparse row adjacency, the in-memory interchange
 //!   format produced by the workload generators and consumed by the
 //!   loader and the baseline engines;
@@ -34,7 +38,7 @@ pub mod record;
 pub use csr::Csr;
 pub use handle::GraphHandle;
 pub use loader::{load_graph, DistributedGraph, LoadOptions};
-pub use record::{EdgeRecord, HyperEdgeRecord, NodeRecord, NodeView, RecordError};
+pub use record::{NodeRecord, NodeView, RecordError};
 
 pub use trinity_memcloud::CellId;
 

@@ -253,34 +253,4 @@ mod tests {
         assert_eq!(dg.handle(1).in_neighbors(0).unwrap().unwrap(), vec![2]);
         cloud.shutdown();
     }
-
-    #[test]
-    fn struct_and_hyper_edges_roundtrip_through_cloud() {
-        use crate::record::{EdgeRecord, HyperEdgeRecord};
-        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
-        let h = GraphHandle::new(Arc::clone(cloud.node(0)));
-        let eid = cloud.node(0).alloc_id();
-        h.create_edge(
-            eid,
-            &EdgeRecord {
-                src: 1,
-                dst: 2,
-                attrs: b"likes".to_vec(),
-            },
-        )
-        .unwrap();
-        assert_eq!(h.edge(eid).unwrap().unwrap().attrs, b"likes");
-        let hid = cloud.node(1).alloc_id();
-        h.create_hyperedge(
-            hid,
-            &HyperEdgeRecord {
-                members: vec![1, 2, 3],
-                attrs: vec![],
-            },
-        )
-        .unwrap();
-        assert_eq!(h.hyperedge(hid).unwrap().unwrap().members, vec![1, 2, 3]);
-        assert_eq!(h.edge(999_999).unwrap(), None);
-        cloud.shutdown();
-    }
 }

@@ -1,4 +1,4 @@
-//! Packed node- and edge-cell encodings with zero-copy readers.
+//! The packed node-cell encoding and its zero-copy reader.
 //!
 //! Node cells are the hot data structure of every experiment, so their
 //! layout is fixed and flat (this is what the TSL compiler emits for
@@ -174,63 +174,6 @@ impl<'a> NodeView<'a> {
     }
 }
 
-/// A StructEdge cell: rich data attached to one edge.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EdgeRecord {
-    pub src: CellId,
-    pub dst: CellId,
-    /// Application edge data (name, type, weight, ... — paper §4.1).
-    pub attrs: Vec<u8>,
-}
-
-impl EdgeRecord {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.attrs.len());
-        out.extend_from_slice(&self.src.to_le_bytes());
-        out.extend_from_slice(&self.dst.to_le_bytes());
-        out.extend_from_slice(&self.attrs);
-        out
-    }
-
-    pub fn decode(blob: &[u8]) -> Result<Self, RecordError> {
-        let mut r = Reader::new(blob);
-        Ok(EdgeRecord {
-            src: r.u64()?,
-            dst: r.u64()?,
-            attrs: r.rest().to_vec(),
-        })
-    }
-}
-
-/// A HyperEdge cell: an edge connecting any number of nodes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HyperEdgeRecord {
-    pub members: Vec<CellId>,
-    pub attrs: Vec<u8>,
-}
-
-impl HyperEdgeRecord {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 8 * self.members.len() + self.attrs.len());
-        out.extend_from_slice(&(self.members.len() as u32).to_le_bytes());
-        for m in &self.members {
-            out.extend_from_slice(&m.to_le_bytes());
-        }
-        out.extend_from_slice(&self.attrs);
-        out
-    }
-
-    pub fn decode(blob: &[u8]) -> Result<Self, RecordError> {
-        let mut r = Reader::new(blob);
-        let n = r.u32()?;
-        let members = r.chunks(n.into())?;
-        Ok(HyperEdgeRecord {
-            members: members.iter().map(|w| u64::from_le_bytes(*w)).collect(),
-            attrs: r.rest().to_vec(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,26 +219,9 @@ mod tests {
         assert!(NodeView::new(&blob).is_ok());
     }
 
-    #[test]
-    fn edge_and_hyperedge_roundtrip() {
-        let e = EdgeRecord {
-            src: 10,
-            dst: 20,
-            attrs: b"weight=3".to_vec(),
-        };
-        assert_eq!(EdgeRecord::decode(&e.encode()).unwrap(), e);
-        assert!(EdgeRecord::decode(&[0; 8]).is_err());
-        let h = HyperEdgeRecord {
-            members: vec![1, 2, 3, 4],
-            attrs: b"committee".to_vec(),
-        };
-        assert_eq!(HyperEdgeRecord::decode(&h.encode()).unwrap(), h);
-        assert!(HyperEdgeRecord::decode(&[9, 0, 0, 0]).is_err());
-    }
-
-    /// The codec harness's laws. A node record ignores the flag bits it
-    /// does not define and any bytes after its last list, so law 3 holds
-    /// for edges only.
+    /// The codec harness's laws 1 and 2. A node record ignores the flag
+    /// bits it does not define and any bytes after its last list, so it
+    /// has more than one encoding and law 3 does not hold.
     #[test]
     fn records_keep_the_codec_laws() {
         use crate::codec_laws::{check, Rng};
@@ -312,24 +238,6 @@ mod tests {
             |b| NodeRecord::decode(b).ok(),
             false,
         );
-        let edge = |rng: &mut Rng| EdgeRecord {
-            src: rng.u64(),
-            dst: rng.u64(),
-            attrs: rng.bytes(8),
-        };
-        check(
-            0xed6e,
-            edge,
-            EdgeRecord::encode,
-            |b| EdgeRecord::decode(b).ok(),
-            true,
-        );
-        let hyper = |rng: &mut Rng| HyperEdgeRecord {
-            members: ids(rng),
-            attrs: rng.bytes(8),
-        };
-        let decode = |b: &[u8]| HyperEdgeRecord::decode(b).ok();
-        check(0x4e6e, hyper, HyperEdgeRecord::encode, decode, true);
     }
 
     proptest! {

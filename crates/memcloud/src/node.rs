@@ -769,8 +769,9 @@ impl CloudNode {
         loop {
             // Fault the trunk in *before* taking migration locks: the
             // fault reads TFS and its budget sweep takes the donor write
-            // lock itself.
-            self.resident_trunk(gid)?;
+            // lock itself. Waiting creates nothing: a trunk this node has
+            // handed away must not come back as an empty phantom.
+            self.await_resident(gid)?;
             let donors = self.migration.donors_read();
             if self.tiering.blocks(gid) {
                 // A spill (or fault) slipped in between our fault-in and
@@ -782,17 +783,15 @@ impl CloudNode {
             // the caller routed: a handler descheduled across the flip
             // would otherwise find no entry, write into an empty
             // re-creation of the evicted trunk, and ack. (`install_table`
-            // swaps the table before it drops the entry.)
+            // swaps the table before it drops the entry.) Only an owned
+            // trunk is created — a fresh one on its first write.
             {
                 let table = self.table.read();
                 if table.machine_for(gid) != self.machine {
                     return Ok(Gate::Moved { epoch: table.epoch });
                 }
             }
-            let Some(trunk) = self.store.trunk(gid) else {
-                drop(donors);
-                continue;
-            };
+            let trunk = self.store.ensure_trunk(gid);
             let Some(entry) = donors.get(&gid).map(Arc::clone) else {
                 let out = op(&trunk);
                 return Ok(Gate::Done(out));
@@ -1789,9 +1788,13 @@ mod tests {
             node.store.trunk(gid).is_none(),
             "a read re-created the trunk"
         );
-        // A late write is refused too, but faults the trunk in on its way
-        // to the gate: whatever that leaves resident must not be adopted.
+        // A late write is refused too, and leaves nothing resident: the
+        // gate creates a trunk only once it knows this node owns it.
         node.handle_put(node.machine, id, b"late");
+        assert!(
+            node.store.trunk(gid).is_none(),
+            "a write re-created the trunk"
+        );
         flip(0);
         for m in [0, 1] {
             assert_eq!(

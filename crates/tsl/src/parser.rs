@@ -285,6 +285,18 @@ mod tests {
         assert_eq!(movie.fields[1].ty, TypeRef::List(Box::new(TypeRef::Long)));
         assert_eq!(movie.fields[1].edge_kind(), Some(EdgeKind::Simple));
         assert_eq!(movie.fields[1].referenced_cell(), Some("Actor"));
+        // §4.1's rich edges: a node lists StructEdge ids, each naming an
+        // `EdgeCell` that carries the edge's data.
+        let s = parse_script(
+            "[CellType: NodeCell] cell struct Person { string Name; \
+             [EdgeType: StructEdge, ReferencedCell: Knows] List<long> Links; } \
+             [CellType: EdgeCell] cell struct Knows { long Src; long Dst; double Weight; }",
+        )
+        .unwrap();
+        let (person, knows) = (&s.structs[0], &s.structs[1]);
+        assert_eq!(person.fields[1].edge_kind(), Some(EdgeKind::Struct));
+        assert_eq!(person.fields[1].referenced_cell(), Some("Knows"));
+        assert_eq!(knows.cell_kind(), Some(CellKind::Edge));
     }
 
     #[test]

@@ -25,6 +25,7 @@ mkdir -p "$OUT"
 echo "==> scripts parse (bash -n)"
 bash -n scripts/pairs.sh
 bash -n scripts/stress.sh
+bash -n scripts/orphans.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -74,5 +75,8 @@ fi
 
 echo "==> size ledger (scripts/loc.sh)"
 scripts/loc.sh
+
+echo "==> orphan ledger (scripts/orphans.sh; the full list is its output)"
+scripts/orphans.sh | tail -n 1
 
 echo "All checks passed."

@@ -16,10 +16,10 @@
 //! | [`tsl`] | the Trinity Specification Language and zero-copy cell accessors | §4.2, §4.3 |
 //! | [`memcloud`] | the 2^p-trunk memory cloud and its addressing table | §3 |
 //! | [`elastic`] | online trunk migration, load-driven rebalance, machine drain | §3 |
-//! | [`graph`] | node/edge cells, SimpleEdge/StructEdge/HyperEdge, CSR, loader | §4.1 |
+//! | [`graph`] | SimpleEdge node cells, CSR, loader (StructEdge/HyperEdge cells are declared in [`tsl`]) | §4.1 |
 //! | [`core`] | cluster roles, online traversal, BSP + hub optimization, Safra, checkpoints, recovery | §2, §5, §6.2 |
 //! | [`graphgen`] | R-MAT, power-law, social, LUBM-like generators | §7 |
-//! | [`algos`] | PageRank, BFS, people search, subgraph match, landmarks, SPARQL, partitioning | §5, §7 |
+//! | [`algos`] | PageRank, BFS, people search, subgraph match, landmarks, SPARQL | §5, §7 |
 //! | [`baselines`] | Giraph-like and PBGL-like comparator engines | §7 |
 //!
 //! # Quickstart

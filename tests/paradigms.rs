@@ -55,21 +55,3 @@ fn three_paradigms_agree_on_reachability_and_distance() {
     }
     cloud.shutdown();
 }
-
-#[test]
-fn partitioning_is_a_non_vertex_centric_job_on_the_same_data() {
-    // §5.3's point: multi-level partitioning doesn't fit vertex-centric
-    // computing, but Trinity runs it on the same graph data. Partition the
-    // graph, then verify the partition would reduce cross-machine traffic
-    // versus the default hash placement.
-    use trinity::algos::{edge_cut, multilevel_partition, random_partition};
-    let csr = trinity::graphgen::social(600, 10, 8);
-    let k = 4;
-    let smart = multilevel_partition(&csr, k, 1.15, 3);
-    let random_cut = edge_cut(&csr, &random_partition(csr.node_count(), k, 3));
-    assert!(
-        smart.cut < random_cut,
-        "multilevel cut {} must beat random {random_cut}",
-        smart.cut
-    );
-}
