@@ -14,9 +14,8 @@ use trinity_core::checkpoint::{resume_from_checkpoint, run_with_checkpoints, Che
 use trinity_core::online::{explore_via, ExploreOptions};
 use trinity_core::recovery::{RecoveryAgents, RecoveryConfig, RecoveryEvent};
 use trinity_core::{
-    BspConfig, BspRunner, Explorer, IncrementalBsp, IncrementalConfig, MessagingMode, Mutation,
-    MutationBatch, PageRankGather, StreamingIngest, Topology, TrinityCluster, TrinityConfig,
-    VertexContext, VertexProgram,
+    BspConfig, BspRunner, Explorer, MessagingMode, Mutation, MutationBatch, StreamingIngest,
+    Topology, TrinityCluster, TrinityConfig, VertexContext, VertexProgram,
 };
 use trinity_graph::{load_graph, Csr, LoadOptions};
 use trinity_memcloud::{CloudConfig, MemoryCloud};
@@ -1164,8 +1163,8 @@ impl ChaosWorkload for MigrationStorm {
 /// through the mini-transaction ingest while the fault plan crashes and
 /// revives machines mid-batch — the submitting machine, the owner of a
 /// touched trunk, or the leader (machine 0, which answers table syncs)
-/// at any `Trigger::Mark(batch_index)` point. An [`IncrementalBsp`]
-/// engine consumes every committed batch as it lands.
+/// at any `Trigger::Mark(batch_index)` point. The storm applies every
+/// batch it saw commit to its own [`Topology`] mirror.
 ///
 /// A crash here is a *network* death (the fabric stops routing; memory
 /// is frozen, not lost), so an acked batch must never be rolled back.
@@ -1174,13 +1173,10 @@ impl ChaosWorkload for MigrationStorm {
 ///
 /// Invariants, checked after a final disarmed batch:
 ///
-/// * the incremental engine's values are **bit-identical**, layer by
-///   layer, to a from-scratch recompute on the same topology — chaos
-///   delivery (aborts, duplicate no-op retries, crashes between
-///   batches) must never desynchronize incremental state;
-/// * the mutation log replayed over the seed graph equals the engine's
-///   topology mirror *and* the store read back cell by cell — every
-///   acked commit is durable and nothing half-applied is visible;
+/// * the mutation log replayed over the seed graph equals the storm's
+///   mirror *and* the store read back cell by cell, with every in-list
+///   the reverse of the out-lists — every acked commit is durable and
+///   logged, and nothing half-applied is visible;
 /// * a fault-free run commits every batch without reviving anyone.
 ///
 /// Timing makes the traffic nondeterministic, so no fault-log equality
@@ -1271,11 +1267,7 @@ impl ChaosWorkload for MutationStorm {
         cloud.backup_all().expect("backup trunks to TFS");
         let svc = TxService::install(Arc::clone(&cloud));
         let ingest = StreamingIngest::new(Arc::clone(&cloud), svc, self.writer as usize);
-        let mut engine = IncrementalBsp::new(
-            PageRankGather::default(),
-            seed_topo.clone(),
-            IncrementalConfig::default(),
-        );
+        let mut mirror = seed_topo.clone();
 
         let mut failures: Vec<String> = Vec::new();
         let mut revived: Vec<u16> = Vec::new();
@@ -1285,12 +1277,12 @@ impl ChaosWorkload for MutationStorm {
             fabric.chaos_mark(k);
             let batch = self.gen_batch(&mut rng);
             let mut attempts = 0usize;
-            let committed = loop {
+            loop {
                 let via = (0..total)
                     .map(|i| (self.writer as usize + i) % total)
                     .find(|&m| !fabric.is_dead(MachineId(m as u16)));
                 match via.map(|v| ingest.commit_batch(v, &batch)) {
-                    Some(Ok(c)) => break c,
+                    Some(Ok(())) => break,
                     Some(Err(e)) if attempts >= 400 => {
                         failures.push(format!("batch {k} never committed: {e}"));
                         break 'storm;
@@ -1310,8 +1302,10 @@ impl ChaosWorkload for MutationStorm {
                     }
                 }
                 std::thread::sleep(Duration::from_millis(2));
-            };
-            engine.apply_batch(&committed);
+            }
+            for m in &batch.mutations {
+                mirror.apply(m);
+            }
         }
         // Revive remaining casualties, then prove the pipeline is still
         // live with one disarmed batch.
@@ -1327,8 +1321,10 @@ impl ChaosWorkload for MutationStorm {
             Mutation::AddVertex(n + 7),
         ]);
         match ingest.commit_batch(self.writer as usize, &fin) {
-            Ok(c) => {
-                engine.apply_batch(&c);
+            Ok(()) => {
+                for m in &fin.mutations {
+                    mirror.apply(m);
+                }
             }
             Err(e) => failures.push(format!("disarmed final batch failed: {e}")),
         }
@@ -1336,82 +1332,33 @@ impl ChaosWorkload for MutationStorm {
             failures.push(format!("fault-free run revived machines {revived:?}"));
         }
 
-        // Incremental must equal a from-scratch recompute bit for bit,
-        // every layer.
-        let fresh = IncrementalBsp::new(
-            PageRankGather::default(),
-            engine.topology().clone(),
-            IncrementalConfig::default(),
-        );
-        if fresh.num_layers() != engine.num_layers() {
-            failures.push(format!(
-                "layer count diverged: incremental {} vs fresh {}",
-                engine.num_layers(),
-                fresh.num_layers()
-            ));
-        } else {
-            for l in 0..fresh.num_layers() {
-                let (a, b) = (
-                    engine.layer_values(l).expect("incremental layer"),
-                    fresh.layer_values(l).expect("fresh layer"),
-                );
-                if a.len() != b.len() || a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits()) {
-                    failures.push(format!(
-                        "incremental layer {l} diverges from full recompute"
-                    ));
-                }
-            }
-        }
-
         // Durability and atomicity: log replay over the seed equals the
-        // engine's mirror and the store read-back, cell by cell.
+        // mirror and the store read-back, cell by cell.
         let replayed = ingest.log().replay_onto(seed_topo);
-        if &replayed != engine.topology() {
-            failures.push("engine topology mirror != mutation-log replay".into());
+        if replayed != mirror {
+            failures.push("storm topology mirror != mutation-log replay".into());
         }
-        for m in 0..total {
-            cloud.node(m).clear_cache();
-        }
-        let mut store_topo = Topology::new();
-        for v in 0..n + 8 {
-            match cloud.node(0).get(v) {
-                Ok(Some(bytes)) => match NodeRecord::decode(&bytes) {
-                    Ok(rec) => {
-                        store_topo.add_vertex(v);
-                        for w in rec.outs {
-                            store_topo.add_edge(v, w);
-                        }
-                    }
-                    Err(e) => failures.push(format!("cell {v}: undecodable record: {e}")),
-                },
-                Ok(None) => {}
-                Err(e) => failures.push(format!("cell {v}: post-storm read failed: {e}")),
-            }
-        }
-        if store_topo != replayed {
-            failures.push(format!(
+        match Topology::read_back(&cloud, 0, 0..n + 8) {
+            Ok(store) if store != replayed => failures.push(format!(
                 "store read-back != log replay ({} vs {} vertices) — lost or split batch",
-                store_topo.len(),
+                store.len(),
                 replayed.len()
-            ));
+            )),
+            Ok(_) => {}
+            Err(e) => failures.push(format!("post-storm read-back: {e}")),
         }
 
-        // Outcome digest: the converged values and topology. The batch
-        // stream is deterministic and every batch must commit, so this
-        // matches the fault-free run even though timing does not.
+        // Outcome digest: the converged topology. The batch stream is
+        // deterministic and every batch must commit, so this matches the
+        // fault-free run even though timing does not.
         fn fnv(h: &mut u64, x: u64) {
             *h ^= x;
             *h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (id, v) in engine.values() {
-            fnv(&mut h, id);
-            fnv(&mut h, v.to_bits());
-        }
-        let ids: Vec<u64> = engine.topology().ids().collect();
-        for v in ids {
+        for v in mirror.ids() {
             fnv(&mut h, v);
-            for &w in engine.topology().outs(v) {
+            for &w in mirror.outs(v) {
                 fnv(&mut h, w);
             }
         }

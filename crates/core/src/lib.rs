@@ -38,7 +38,6 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod cputime;
 pub mod hub;
-pub mod incremental;
 pub mod minitx;
 pub mod online;
 pub mod prefetch;
@@ -52,18 +51,12 @@ pub use bsp::{
     SuperstepHook, SuperstepReport, VertexContext, VertexProgram,
 };
 pub use cluster::{TrinityClient, TrinityCluster, TrinityConfig, TrinityProxy};
-pub use incremental::{
-    GatherCtx, GatherMode, GatherProgram, InContribution, IncrementalBsp, IncrementalConfig,
-    MinLabel, PageRankGather, RefreshReport,
-};
 pub use online::{explore_via, CallHook, ExplorationResult, ExploreOptions, Explorer};
 pub use prefetch::BucketPrefetcher;
 /// The traversal protocol ids, for tests that forge their traffic.
 #[doc(hidden)]
 pub use proto::{EXPAND, EXPLORE};
-pub use streaming::{
-    CommittedBatch, DirtySet, Mutation, MutationBatch, MutationLog, StreamingIngest, Topology,
-};
+pub use streaming::{Mutation, MutationBatch, MutationLog, StreamingIngest, Topology};
 
 /// Runtime protocol ids (range reserved by `trinity_net::proto`).
 pub(crate) mod proto {

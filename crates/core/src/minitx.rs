@@ -480,13 +480,20 @@ impl TxService {
                     verdict = Some(Attempt::Busy);
                     break;
                 }
-                Ok(ST_COMPARE_FAILED) => {
-                    let failed = take_compare(&mut r).map_err(|_| CloudError::BadReply)?;
-                    verdict = Some(Attempt::Done(TxOutcome::Aborted {
-                        failed_compare: failed,
-                    }));
-                    break;
-                }
+                Ok(ST_COMPARE_FAILED) => match take_compare(&mut r) {
+                    // A participant can fail only a compare its share
+                    // carried; naming any other is a forged reply.
+                    Ok(failed) if shares[&p].compares.contains(&failed) => {
+                        verdict = Some(Attempt::Done(TxOutcome::Aborted {
+                            failed_compare: failed,
+                        }));
+                        break;
+                    }
+                    _ => {
+                        abort_prepared(&prepared);
+                        return Err(CloudError::BadReply);
+                    }
+                },
                 _ => {
                     abort_prepared(&prepared);
                     return Err(CloudError::BadReply);
@@ -604,6 +611,21 @@ fn prepare(node: &Arc<CloudNode>, participant: &TxParticipant, data: &[u8]) -> V
         put_entry(&mut out, r, node.get(r).ok().flatten().as_deref());
     }
     out
+}
+
+/// Make every participant answer `MTX_PREPARE` with a failure of
+/// `Absent(1)`, whatever its share carried.
+#[cfg(test)]
+pub(crate) fn forge_compare_failures(cloud: &MemoryCloud) {
+    let mut reply = vec![ST_COMPARE_FAILED];
+    put_compare(&mut reply, &Compare::Absent(1));
+    for m in 0..cloud.machines() {
+        let reply = reply.clone();
+        cloud
+            .node(m)
+            .endpoint()
+            .register(proto::MTX_PREPARE, move |_src, _data| Some(reply.clone()));
+    }
 }
 
 #[cfg(test)]
@@ -855,6 +877,32 @@ mod tests {
         let out = svc.execute(0, &tx).unwrap();
         assert!(out.committed(), "expired lease must be reclaimable");
         assert_eq!(cloud.node(0).get(1).unwrap().unwrap(), b"w");
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_forged_compare_failure_is_a_bad_reply() {
+        let (cloud, svc) = service(2);
+        cloud.node(0).put(1, b"v").unwrap();
+        forge_compare_failures(&cloud);
+        // A read-only transaction sends no compare, so no participant can
+        // fail one.
+        assert_eq!(
+            svc.execute(0, &MiniTx::new().read(1)),
+            Err(CloudError::BadReply)
+        );
+        // Nor may a reply name a compare other than the ones sent.
+        let tx = MiniTx::new().compare_exists(1).write(1, &b"w"[..]);
+        assert_eq!(svc.execute(0, &tx), Err(CloudError::BadReply));
+        // The failure the share did carry is an abort.
+        let tx = MiniTx::new().compare_absent(1).write(1, &b"w"[..]);
+        assert_eq!(
+            svc.execute(0, &tx),
+            Ok(TxOutcome::Aborted {
+                failed_compare: Compare::Absent(1)
+            })
+        );
+        assert_eq!(cloud.node(0).get(1).unwrap().unwrap(), b"v");
         cloud.shutdown();
     }
 

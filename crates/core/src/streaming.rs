@@ -7,42 +7,18 @@
 //!
 //! * [`Mutation`] — the four primitive graph deltas (add/remove vertex,
 //!   add/remove edge) with idempotent set semantics;
-//! * [`Topology`] — a single-threaded reference adjacency model used as
-//!   the differential oracle and as [`IncrementalBsp`]'s private mirror;
-//! * [`DirtySet`] — the per-batch set of vertices whose *inputs* changed
-//!   (exactly the in-neighborhood signature rule below), grouped by
-//!   trunk for scheduling;
+//! * [`Topology`] — a single-threaded reference adjacency model: the
+//!   differential oracle the store is checked against, and
+//!   [`Topology::read_back`], which reads the store into one;
 //! * [`StreamingIngest`] — commits batches through [`MiniTx`]
 //!   mini-transactions: a consistent locked read snapshot, compare
-//!   fences on every touched cell, all-or-nothing application, and a
-//!   [`CommittedBatch`] record appended to the [`MutationLog`].
+//!   fences on every touched cell, all-or-nothing application, and the
+//!   batch appended to the [`MutationLog`].
 //!
-//! # The dirty rule
-//!
-//! A surviving vertex `w` is **dirty** after a batch iff its
-//! in-neighborhood *signature* `{(u, outdeg(u)) : u ∈ ins(w)}` changed,
-//! or `w` itself was created. Pull-based gather programs
-//! ([`crate::incremental::GatherProgram`]) declare their value a pure
-//! function of that signature (plus the vertex's own previous value and
-//! the global vertex count), so this set is exactly what incremental
-//! recomputation must revisit — no more, no less. The set is computable
-//! from the pre/post images of the batch's touched cells alone:
-//!
-//! * `u`'s out-list changed → the symmetric difference of the old and
-//!   new out-lists is dirty (gained or lost an in-edge);
-//! * `u`'s out-degree changed → additionally all of `u`'s old and new
-//!   out-neighbors are dirty (their `(u, outdeg(u))` signature entry
-//!   changed even where the edge itself survived);
-//! * a vertex appeared → it is dirty; a vertex disappeared → it is
-//!   dropped from the set (nothing left to recompute).
-//!
-//! [`IncrementalBsp`]: crate::incremental::IncrementalBsp
 //! [`MiniTx`]: crate::minitx::MiniTx
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -80,114 +56,8 @@ impl MutationBatch {
     }
 }
 
-/// The per-batch dirty set: vertices whose inputs changed, per the
-/// module-level rule, restricted to vertices that survive the batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DirtySet {
-    /// Surviving vertices whose in-neighborhood signature changed (or
-    /// which were created by the batch).
-    pub vertices: BTreeSet<CellId>,
-    /// Whether the vertex *set* changed (any vertex added or removed) —
-    /// vertex-count-sensitive programs must fully recompute.
-    pub vertex_set_changed: bool,
-    /// Whether anything was removed (an edge or a vertex) — monotone
-    /// fixpoint programs can absorb additions incrementally but must
-    /// fully recompute after a removal.
-    pub removals: bool,
-}
-
-impl DirtySet {
-    pub fn len(&self) -> usize {
-        self.vertices.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty() && !self.vertex_set_changed && !self.removals
-    }
-
-    pub fn contains(&self, id: CellId) -> bool {
-        self.vertices.contains(&id)
-    }
-
-    /// Dirty fraction of a graph with `total` vertices.
-    pub fn fraction(&self, total: usize) -> f64 {
-        if total == 0 {
-            if self.vertices.is_empty() {
-                0.0
-            } else {
-                1.0
-            }
-        } else {
-            self.vertices.len() as f64 / total as f64
-        }
-    }
-
-    /// In-place union. Commutative, associative, and idempotent: the
-    /// merged set of any permutation of batches is identical.
-    pub fn union(&mut self, other: &DirtySet) {
-        self.vertices.extend(other.vertices.iter().copied());
-        self.vertex_set_changed |= other.vertex_set_changed;
-        self.removals |= other.removals;
-    }
-
-    /// Out-of-place union of two dirty sets.
-    pub fn merge(mut a: DirtySet, b: &DirtySet) -> DirtySet {
-        a.union(b);
-        a
-    }
-}
-
-/// Compute a batch's dirty set from the pre/post out-lists of its
-/// touched vertices. `entries` yields `(vertex, pre_outs, post_outs)`
-/// for every vertex whose record the batch may have changed (`None`
-/// means "does not exist"); `survives` answers whether a vertex exists
-/// after the batch (vertices never touched always survive).
-pub fn dirty_from_outs_diff<'a>(
-    entries: impl Iterator<Item = (CellId, Option<&'a [CellId]>, Option<&'a [CellId]>)>,
-    survives: impl Fn(CellId) -> bool,
-) -> DirtySet {
-    let mut dirty = DirtySet::default();
-    for (v, pre, post) in entries {
-        match (pre, post) {
-            (None, None) => continue,
-            (None, Some(_)) => {
-                dirty.vertex_set_changed = true;
-                dirty.vertices.insert(v);
-            }
-            (Some(_), None) => {
-                dirty.vertex_set_changed = true;
-                dirty.removals = true;
-            }
-            (Some(_), Some(_)) => {}
-        }
-        let pre_outs = pre.unwrap_or(&[]);
-        let post_outs = post.unwrap_or(&[]);
-        if pre_outs == post_outs {
-            continue;
-        }
-        let pre_set: BTreeSet<CellId> = pre_outs.iter().copied().collect();
-        let post_set: BTreeSet<CellId> = post_outs.iter().copied().collect();
-        for &w in pre_set.symmetric_difference(&post_set) {
-            dirty.vertices.insert(w);
-        }
-        if pre_set.difference(&post_set).next().is_some() {
-            dirty.removals = true;
-        }
-        if pre_outs.len() != post_outs.len() {
-            // Every surviving edge's (u, outdeg(u)) signature entry
-            // changed too.
-            for &w in pre_set.union(&post_set) {
-                dirty.vertices.insert(w);
-            }
-        }
-    }
-    dirty.vertices.retain(|&w| survives(w));
-    dirty
-}
-
 /// A single-threaded adjacency model: the differential-oracle reference
-/// graph and the incremental engine's private topology mirror. Both
-/// out- and in-lists are kept as sorted sets.
+/// graph. Both out- and in-lists are kept as sorted sets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     nodes: BTreeMap<CellId, Links>,
@@ -199,23 +69,15 @@ struct Links {
     ins: Vec<CellId>,
 }
 
-fn set_insert(list: &mut Vec<CellId>, id: CellId) -> bool {
-    match list.binary_search(&id) {
-        Ok(_) => false,
-        Err(at) => {
-            list.insert(at, id);
-            true
-        }
+fn set_insert(list: &mut Vec<CellId>, id: CellId) {
+    if let Err(at) = list.binary_search(&id) {
+        list.insert(at, id);
     }
 }
 
-fn set_remove(list: &mut Vec<CellId>, id: CellId) -> bool {
-    match list.binary_search(&id) {
-        Ok(at) => {
-            list.remove(at);
-            true
-        }
-        Err(_) => false,
+fn set_remove(list: &mut Vec<CellId>, id: CellId) {
+    if let Ok(at) = list.binary_search(&id) {
+        list.remove(at);
     }
 }
 
@@ -233,10 +95,6 @@ impl Topology {
         self.nodes.is_empty()
     }
 
-    pub fn contains(&self, id: CellId) -> bool {
-        self.nodes.contains_key(&id)
-    }
-
     /// Vertex ids in ascending order.
     pub fn ids(&self) -> impl Iterator<Item = CellId> + '_ {
         self.nodes.keys().copied()
@@ -247,30 +105,15 @@ impl Topology {
         self.nodes.get(&id).map_or(&[], |l| &l.outs)
     }
 
-    /// Sorted in-neighbors (empty for unknown vertices).
-    pub fn ins(&self, id: CellId) -> &[CellId] {
-        self.nodes.get(&id).map_or(&[], |l| &l.ins)
-    }
-
-    pub fn out_degree(&self, id: CellId) -> usize {
-        self.outs(id).len()
-    }
-
     /// Insert a vertex (and its link lists) if absent.
-    pub fn add_vertex(&mut self, id: CellId) -> bool {
-        match self.nodes.entry(id) {
-            std::collections::btree_map::Entry::Occupied(_) => false,
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Links::default());
-                true
-            }
-        }
+    fn add_vertex(&mut self, id: CellId) {
+        self.nodes.entry(id).or_default();
     }
 
     /// Remove a vertex and every incident edge.
-    pub fn remove_vertex(&mut self, id: CellId) -> bool {
+    fn remove_vertex(&mut self, id: CellId) {
         let Some(links) = self.nodes.remove(&id) else {
-            return false;
+            return;
         };
         for u in links.ins {
             if let Some(l) = self.nodes.get_mut(&u) {
@@ -282,32 +125,26 @@ impl Topology {
                 set_remove(&mut l.ins, id);
             }
         }
-        true
     }
 
     /// Insert the directed edge `from → to`, creating missing endpoints.
-    pub fn add_edge(&mut self, from: CellId, to: CellId) -> bool {
-        self.add_vertex(from);
-        self.add_vertex(to);
-        let a = set_insert(&mut self.nodes.get_mut(&from).unwrap().outs, to);
-        let b = set_insert(&mut self.nodes.get_mut(&to).unwrap().ins, from);
-        a | b
+    pub fn add_edge(&mut self, from: CellId, to: CellId) {
+        set_insert(&mut self.nodes.entry(from).or_default().outs, to);
+        set_insert(&mut self.nodes.entry(to).or_default().ins, from);
     }
 
     /// Remove the directed edge `from → to` if present.
-    pub fn remove_edge(&mut self, from: CellId, to: CellId) -> bool {
-        let mut changed = false;
+    fn remove_edge(&mut self, from: CellId, to: CellId) {
         if let Some(l) = self.nodes.get_mut(&from) {
-            changed |= set_remove(&mut l.outs, to);
+            set_remove(&mut l.outs, to);
         }
         if let Some(l) = self.nodes.get_mut(&to) {
-            changed |= set_remove(&mut l.ins, from);
+            set_remove(&mut l.ins, from);
         }
-        changed
     }
 
-    /// Apply one mutation (idempotent). Returns whether anything changed.
-    pub fn apply(&mut self, m: &Mutation) -> bool {
+    /// Apply one mutation (idempotent).
+    pub fn apply(&mut self, m: &Mutation) {
         match *m {
             Mutation::AddVertex(v) => self.add_vertex(v),
             Mutation::RemoveVertex(v) => self.remove_vertex(v),
@@ -316,107 +153,80 @@ impl Topology {
         }
     }
 
-    /// Apply a whole batch and return its dirty set (module-level rule).
-    pub fn apply_batch(&mut self, mutations: &[Mutation]) -> DirtySet {
-        // Lazily snapshot the pre-image out-list of every vertex a
-        // mutation is about to touch, at the moment it is first touched.
-        let mut pre: BTreeMap<CellId, Option<Vec<CellId>>> = BTreeMap::new();
-        let snap = |pre: &mut BTreeMap<CellId, Option<Vec<CellId>>>,
-                    nodes: &BTreeMap<CellId, Links>,
-                    v: CellId| {
-            pre.entry(v)
-                .or_insert_with(|| nodes.get(&v).map(|l| l.outs.clone()));
-        };
-        for m in mutations {
-            match *m {
-                Mutation::AddVertex(v) => snap(&mut pre, &self.nodes, v),
-                Mutation::RemoveVertex(v) => {
-                    snap(&mut pre, &self.nodes, v);
-                    if let Some(l) = self.nodes.get(&v) {
-                        for &u in l.ins.iter().chain(l.outs.iter()) {
-                            snap(&mut pre, &self.nodes, u);
-                        }
-                    }
-                }
-                Mutation::AddEdge(u, v) | Mutation::RemoveEdge(u, v) => {
-                    snap(&mut pre, &self.nodes, u);
-                    snap(&mut pre, &self.nodes, v);
-                }
+    /// Read vertices `ids` back from the store through machine `via`,
+    /// its read cache cleared first; absent cells are absent from the
+    /// result. Every record must carry an in-list (the ingest keeps
+    /// them), and each one must be exactly the reverse of the out-lists
+    /// read: a batch half applied leaves an edge on one side only.
+    pub fn read_back(
+        cloud: &MemoryCloud,
+        via: usize,
+        ids: impl IntoIterator<Item = CellId>,
+    ) -> Result<Topology, String> {
+        let node = cloud.node(via);
+        node.clear_cache();
+        let mut store = Topology::new();
+        let mut ins = BTreeMap::new();
+        for v in ids {
+            let bytes = match node.get(v) {
+                Ok(Some(bytes)) => bytes,
+                Ok(None) => continue,
+                Err(e) => return Err(format!("cell {v}: read failed: {e}")),
+            };
+            let rec = NodeRecord::decode(&bytes)
+                .map_err(|e| format!("cell {v}: undecodable record: {e}"))?;
+            let mut rec_ins = rec.ins.ok_or_else(|| format!("cell {v}: no in-list"))?;
+            rec_ins.sort_unstable();
+            ins.insert(v, rec_ins);
+            store.add_vertex(v);
+            for w in rec.outs {
+                store.add_edge(v, w);
             }
-            self.apply(m);
         }
-        let nodes = &self.nodes;
-        dirty_from_outs_diff(
-            pre.iter().map(|(&v, pre_outs)| {
-                (
-                    v,
-                    pre_outs.as_deref(),
-                    nodes.get(&v).map(|l| l.outs.as_slice()),
-                )
-            }),
-            |w| nodes.contains_key(&w),
-        )
+        for (v, got) in ins {
+            let reverse = &store.nodes[&v].ins;
+            if &got != reverse {
+                return Err(format!(
+                    "vertex {v}: in-list {got:?} is not the reverse {reverse:?} of the out-lists"
+                ));
+            }
+        }
+        Ok(store)
     }
-}
-
-/// A batch that committed: its sequence number, contents, dirty set,
-/// and commit timing — the unit the incremental engine consumes and the
-/// differential oracle replays.
-#[derive(Debug, Clone)]
-pub struct CommittedBatch {
-    /// Monotone per-ingest sequence number (1-based).
-    pub seq: u64,
-    pub mutations: Vec<Mutation>,
-    pub dirty: DirtySet,
-    /// Wall-clock cost of the commit itself (read snapshot + 2PC).
-    pub commit_us: u64,
-    /// When the commit was acknowledged — freshness lag is measured
-    /// from here to the analytics refresh that absorbs the batch.
-    pub committed_at: Instant,
 }
 
 /// An append-only in-process log of committed batches. The differential
-/// oracle replays it against a [`Topology`] to recover the exact graph
-/// every committed batch produced.
+/// oracle replays it against a [`Topology`] to recover the graph the
+/// committed batches produced.
+///
+/// A batch takes its place under the log's lock as it is pushed, and
+/// replay applies every entry in that order. It is push order, not
+/// commit order: if batch A commits, then batch B commits over a cell A
+/// wrote and is pushed before A's thread pushes A, replay applies B
+/// first (DESIGN §13).
 #[derive(Debug, Default)]
 pub struct MutationLog {
-    entries: Mutex<Vec<CommittedBatch>>,
+    batches: Mutex<Vec<Vec<Mutation>>>,
 }
 
 impl MutationLog {
-    pub fn new() -> Self {
-        MutationLog::default()
-    }
-
-    pub fn push(&self, batch: CommittedBatch) {
-        self.entries.lock().push(batch);
+    fn push(&self, mutations: Vec<Mutation>) {
+        self.batches.lock().push(mutations);
     }
 
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.batches.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.batches.lock().is_empty()
     }
 
-    /// Snapshot of all committed batches in commit order.
-    pub fn snapshot(&self) -> Vec<CommittedBatch> {
-        self.entries.lock().clone()
-    }
-
-    /// Replay every logged batch (in order, deduplicated by sequence
-    /// number) onto `base` and return the resulting graph.
+    /// Replay every logged batch, in log order, onto `base` and return
+    /// the resulting graph.
     pub fn replay_onto(&self, mut base: Topology) -> Topology {
-        let mut last = 0u64;
-        for b in self.entries.lock().iter() {
-            if b.seq <= last {
-                continue;
-            }
-            last = b.seq;
-            for m in &b.mutations {
-                base.apply(m);
-            }
+        for m in self.batches.lock().iter().flatten() {
+            base.apply(m);
         }
         base
     }
@@ -432,7 +242,7 @@ enum Simulated {
 }
 
 /// The streaming write path: commits mutation batches atomically via
-/// mini-transactions and emits per-batch dirty sets.
+/// mini-transactions and logs each committed batch.
 ///
 /// Each attempt takes a *consistent* locked read snapshot of every
 /// touched cell (a read-only mini-transaction, so stale client caches
@@ -442,10 +252,8 @@ enum Simulated {
 /// interleaved writer aborts the commit and the attempt retries from a
 /// fresh snapshot.
 pub struct StreamingIngest {
-    cloud: Arc<MemoryCloud>,
     svc: Arc<TxService>,
-    log: Arc<MutationLog>,
-    next_seq: AtomicU64,
+    log: MutationLog,
     obs: MachineScope,
 }
 
@@ -463,30 +271,23 @@ impl StreamingIngest {
     pub fn new(cloud: Arc<MemoryCloud>, svc: Arc<TxService>, home: usize) -> Self {
         let obs = cloud.node(home).endpoint().obs().clone();
         StreamingIngest {
-            cloud,
             svc,
-            log: Arc::new(MutationLog::new()),
-            next_seq: AtomicU64::new(1),
+            log: MutationLog::default(),
             obs,
         }
     }
 
     /// The committed-batch log.
-    pub fn log(&self) -> &Arc<MutationLog> {
+    pub fn log(&self) -> &MutationLog {
         &self.log
     }
 
-    /// Commit one batch through machine `via`. Returns the committed
-    /// batch (with its dirty set) or the transport error that stopped
-    /// it; on `Err` the batch may or may not have committed — re-submit
-    /// through another machine, the set semantics make replays no-ops
-    /// and the compare fences make half-application impossible.
-    pub fn commit_batch(
-        &self,
-        via: usize,
-        batch: &MutationBatch,
-    ) -> Result<CommittedBatch, CloudError> {
-        let start = Instant::now();
+    /// Commit one batch through machine `via` and log it. Returns the
+    /// transport error that stopped it, if any; on `Err` the batch may
+    /// or may not have committed — re-submit through another machine,
+    /// the set semantics make replays no-ops and the compare fences make
+    /// half-application impossible.
+    pub fn commit_batch(&self, via: usize, batch: &MutationBatch) -> Result<(), CloudError> {
         let mut touched: BTreeSet<CellId> = BTreeSet::new();
         for m in &batch.mutations {
             match *m {
@@ -508,7 +309,9 @@ impl StreamingIngest {
             }
             let raw = match self.svc.execute(via, &read_tx)? {
                 TxOutcome::Committed { reads } => reads,
-                TxOutcome::Aborted { .. } => unreachable!("read-only tx cannot fail a compare"),
+                // A read-only transaction has no compare to fail: only a
+                // forged or corrupt reply says otherwise.
+                TxOutcome::Aborted { .. } => return Err(CloudError::BadReply),
             };
             let mut pre: BTreeMap<CellId, Option<NodeRecord>> = BTreeMap::new();
             for (&id, bytes) in &raw {
@@ -548,69 +351,28 @@ impl StreamingIngest {
                     None => tx.remove(id),
                 };
             }
-            if !changed {
-                // No cell changed (a lost-ack replay, or a batch of
-                // no-ops): the locked read snapshot was already a
-                // linearization point, so there is nothing to commit.
-                return Ok(self.seal(batch, &pre, &post, start));
-            }
-            match self.svc.execute(via, &tx)? {
-                TxOutcome::Committed { .. } => {
-                    return Ok(self.seal(batch, &pre, &post, start));
-                }
-                TxOutcome::Aborted { .. } => {
+            if changed {
+                if let TxOutcome::Aborted { .. } = self.svc.execute(via, &tx)? {
                     self.obs.counter("stream.tx_aborts").inc();
                     let jitter = ((attempt as u64).wrapping_mul(0x9e3779b9) % 5) + 1;
                     std::thread::sleep(std::time::Duration::from_micros(20 * jitter));
+                    continue;
                 }
             }
+            // Committed, or no cell changed (a lost-ack replay, or a
+            // batch of no-ops): then the locked read snapshot was already
+            // a linearization point, and there was nothing to commit.
+            self.obs.counter("stream.batches").inc();
+            self.obs
+                .counter("stream.mutations")
+                .add(batch.mutations.len() as u64);
+            self.log.push(batch.mutations.clone());
+            return Ok(());
         }
         Err(CloudError::Net(trinity_net::NetError::Timeout(
             trinity_net::MachineId(via as u16),
             crate::proto::MTX_PREPARE,
         )))
-    }
-
-    fn seal(
-        &self,
-        batch: &MutationBatch,
-        pre: &BTreeMap<CellId, Option<NodeRecord>>,
-        post: &BTreeMap<CellId, Option<NodeRecord>>,
-        start: Instant,
-    ) -> CommittedBatch {
-        let dirty = dirty_from_outs_diff(
-            pre.iter().map(|(&id, rec)| {
-                (
-                    id,
-                    rec.as_ref().map(|r| r.outs.as_slice()),
-                    post.get(&id)
-                        .and_then(|r| r.as_ref())
-                        .map(|r| r.outs.as_slice()),
-                )
-            }),
-            |w| post.get(&w).is_none_or(|r| r.is_some()),
-        );
-        let committed = CommittedBatch {
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-            mutations: batch.mutations.clone(),
-            dirty,
-            commit_us: start.elapsed().as_micros() as u64,
-            committed_at: Instant::now(),
-        };
-        self.obs.counter("stream.batches").inc();
-        self.obs
-            .counter("stream.mutations")
-            .add(batch.mutations.len() as u64);
-        self.obs
-            .counter("stream.dirty_vertices")
-            .add(committed.dirty.len() as u64);
-        self.log.push(committed.clone());
-        committed
-    }
-
-    /// The cloud this ingest writes into.
-    pub fn cloud(&self) -> &Arc<MemoryCloud> {
-        &self.cloud
     }
 }
 
@@ -726,68 +488,20 @@ mod tests {
     #[test]
     fn topology_set_semantics_and_vertex_removal() {
         let mut t = topo_of(&[(1, 2), (2, 3), (3, 1)]);
-        assert!(!t.add_edge(1, 2), "duplicate edge is a no-op");
-        assert_eq!(t.outs(1), &[2]);
-        assert_eq!(t.ins(1), &[3]);
-        assert!(t.remove_vertex(2));
-        assert!(!t.contains(2));
+        t.add_edge(1, 2);
+        assert_eq!(t.outs(1), &[2], "duplicate edge is a no-op");
+        assert_eq!(t.nodes[&1].ins, &[3]);
+        t.remove_vertex(2);
+        assert!(!t.nodes.contains_key(&2));
         assert_eq!(t.outs(1), &[] as &[u64]);
-        assert_eq!(t.ins(3), &[] as &[u64]);
-        assert!(!t.remove_vertex(2), "already gone");
+        assert_eq!(t.nodes[&3].ins, &[] as &[u64]);
+        let gone = t.clone();
+        t.remove_vertex(2);
+        assert_eq!(t, gone, "already gone");
     }
 
     #[test]
-    fn dirty_rule_exact_cases() {
-        // Removing 1→2 dirties 2 (lost an in-edge) and 3 (1's outdeg
-        // changed, so its surviving out-neighbor's signature changed).
-        let mut t = topo_of(&[(1, 2), (1, 3), (4, 1)]);
-        let d = t.apply_batch(&[Mutation::RemoveEdge(1, 2)]);
-        assert_eq!(
-            d.vertices.iter().copied().collect::<Vec<_>>(),
-            vec![2, 3],
-            "1 itself is clean: its in-neighborhood did not change"
-        );
-        assert!(d.removals);
-        assert!(!d.vertex_set_changed);
-
-        // Swapping an edge at constant out-degree dirties only the two
-        // endpoints of the symmetric difference.
-        let mut t = topo_of(&[(1, 2), (1, 3)]);
-        let d = t.apply_batch(&[Mutation::RemoveEdge(1, 2), Mutation::AddEdge(1, 4)]);
-        assert_eq!(d.vertices.iter().copied().collect::<Vec<_>>(), vec![2, 4]);
-        assert!(
-            !d.vertices.contains(&3),
-            "kept edge at constant outdeg stays clean"
-        );
-        assert!(d.vertex_set_changed, "vertex 4 was created");
-    }
-
-    #[test]
-    fn batch_dirty_matches_sequential_union() {
-        let base = topo_of(&[(1, 2), (2, 3), (3, 4), (4, 1), (2, 5)]);
-        let muts = [
-            Mutation::AddEdge(5, 1),
-            Mutation::RemoveEdge(2, 3),
-            Mutation::RemoveVertex(4),
-            Mutation::AddVertex(9),
-        ];
-        let mut whole = base.clone();
-        let d_whole = whole.apply_batch(&muts);
-        // Apply the same mutations one at a time and union the dirty
-        // sets: the union must cover the batch set (per-step sets can
-        // transiently include vertices later removed).
-        let mut steps = base.clone();
-        let mut acc = DirtySet::default();
-        for m in &muts {
-            acc.union(&steps.apply_batch(std::slice::from_ref(m)));
-        }
-        acc.vertices.retain(|&v| whole.contains(v));
-        assert!(acc.vertices.is_superset(&d_whole.vertices));
-        assert_eq!(whole, steps, "same final graph either way");
-    }
-
-    #[test]
-    fn ingest_commits_batches_and_emits_dirty_sets() {
+    fn ingest_commits_batches_and_logs_them() {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
         let svc = TxService::install(Arc::clone(&cloud));
         // Seed: ring of 4 with in-links.
@@ -800,26 +514,19 @@ mod tests {
             cloud.node(0).put(v, &rec.encode()).unwrap();
         }
         let ingest = StreamingIngest::new(Arc::clone(&cloud), svc, 0);
-        let b = ingest
+        ingest
             .commit_batch(1, &MutationBatch::new(vec![Mutation::AddEdge(0, 2)]))
             .unwrap();
-        assert_eq!(b.seq, 1);
-        // 2 gained an in-edge; 1 sees 0's outdeg change.
-        assert_eq!(
-            b.dirty.vertices.iter().copied().collect::<Vec<_>>(),
-            vec![1, 2]
-        );
         let rec = NodeRecord::decode(&cloud.node(2).get(0).unwrap().unwrap()).unwrap();
         assert_eq!(rec.outs, vec![1, 2]);
         let rec2 = NodeRecord::decode(&cloud.node(1).get(2).unwrap().unwrap()).unwrap();
         assert_eq!(rec2.ins, Some(vec![0, 1]));
 
         // RemoveVertex closes over neighbors (snapshot extension).
-        let b = ingest
+        ingest
             .commit_batch(2, &MutationBatch::new(vec![Mutation::RemoveVertex(2)]))
             .unwrap();
-        assert_eq!(b.seq, 2);
-        assert!(b.dirty.vertex_set_changed && b.dirty.removals);
+        assert_eq!(ingest.log().len(), 2);
         assert_eq!(cloud.node(0).get(2).unwrap(), None);
         let rec = NodeRecord::decode(&cloud.node(0).get(1).unwrap().unwrap()).unwrap();
         assert_eq!(rec.outs, &[] as &[u64], "1→2 stripped");
@@ -829,17 +536,7 @@ mod tests {
             seed.add_edge(v, (v + 1) % 4);
         }
         let replayed = ingest.log().replay_onto(seed);
-        let mut store_topo = Topology::new();
-        for v in 0u64..4 {
-            if let Some(bytes) = cloud.node(0).get(v).unwrap() {
-                let rec = NodeRecord::decode(&bytes).unwrap();
-                store_topo.add_vertex(v);
-                for w in rec.outs {
-                    store_topo.add_edge(v, w);
-                }
-            }
-        }
-        assert_eq!(replayed, store_topo);
+        assert_eq!(Topology::read_back(&cloud, 0, 0..4), Ok(replayed));
         cloud.shutdown();
     }
 
@@ -853,16 +550,59 @@ mod tests {
             Mutation::AddEdge(11, 12),
             Mutation::RemoveEdge(10, 11),
         ]);
-        let first = ingest.commit_batch(0, &batch).unwrap();
+        ingest.commit_batch(0, &batch).unwrap();
         let before: Vec<_> = (10u64..13).map(|v| cloud.node(0).get(v).unwrap()).collect();
-        // A duplicate submission (lost-ack retry) commits but changes
-        // nothing and dirties nothing.
-        let second = ingest.commit_batch(1, &batch).unwrap();
-        assert!(second.seq > first.seq);
-        assert!(second.dirty.vertices.is_empty());
-        assert!(!second.dirty.vertex_set_changed);
+        // A duplicate submission (lost-ack retry) commits and is logged
+        // but changes nothing.
+        ingest.commit_batch(1, &batch).unwrap();
+        assert_eq!(ingest.log().len(), 2);
         let after: Vec<_> = (10u64..13).map(|v| cloud.node(0).get(v).unwrap()).collect();
         assert_eq!(before, after);
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_batch_pushed_after_a_later_one_is_replayed() {
+        // Two seals race: the batch that committed first reaches the log
+        // second. Replay applies both, in log order.
+        let log = MutationLog::default();
+        log.push(vec![Mutation::AddEdge(3, 4)]);
+        log.push(vec![Mutation::AddEdge(1, 2), Mutation::RemoveEdge(3, 4)]);
+        let t = log.replay_onto(Topology::new());
+        assert_eq!(t.outs(1), &[2]);
+        assert_eq!(t.outs(3), &[] as &[u64]);
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn a_forged_compare_failure_is_an_error_not_a_panic() {
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+        let svc = TxService::install(Arc::clone(&cloud));
+        let ingest = StreamingIngest::new(Arc::clone(&cloud), svc, 0);
+        crate::minitx::forge_compare_failures(&cloud);
+        let batch = MutationBatch::new(vec![Mutation::AddEdge(1, 2)]);
+        assert_eq!(ingest.commit_batch(0, &batch), Err(CloudError::BadReply));
+        assert!(ingest.log().is_empty());
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn read_back_refuses_a_split_pair() {
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+        let rec = |outs: Vec<u64>, ins: Vec<u64>| {
+            NodeRecord {
+                attrs: Vec::new(),
+                outs,
+                ins: Some(ins),
+            }
+            .encode()
+        };
+        // 1 → 2 is in 1's out-list but missing from 2's in-list.
+        cloud.node(0).put(1, &rec(vec![2], vec![])).unwrap();
+        cloud.node(0).put(2, &rec(vec![], vec![])).unwrap();
+        assert!(Topology::read_back(&cloud, 1, 0..4).is_err());
+        cloud.node(0).put(2, &rec(vec![], vec![1])).unwrap();
+        assert_eq!(Topology::read_back(&cloud, 1, 0..4), Ok(topo_of(&[(1, 2)])));
         cloud.shutdown();
     }
 }

@@ -20,15 +20,10 @@
 //! count so the pool, not the test harness, provides the parallelism).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use trinity::algos::pagerank_distributed;
 use trinity::chaos::{BspRingMax, ChaosRunner};
-use trinity::core::{
-    BspConfig, BspResult, BspRunner, CommittedBatch, GatherProgram, IncrementalBsp,
-    IncrementalConfig, MessagingMode, MinLabel, Mutation, PageRankGather, Topology, VertexContext,
-    VertexProgram,
-};
+use trinity::core::{BspConfig, BspResult, BspRunner, MessagingMode, VertexContext, VertexProgram};
 use trinity::graph::{load_graph, Csr, DistributedGraph, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
 use trinity::net::FaultPlan;
@@ -281,142 +276,6 @@ fn chaos_fault_injection_replays_under_threaded_driver() {
     let replayed = runner.replay(&first.faulty.log);
     assert!(replayed.passed(), "replay failed: {:?}", replayed.failures);
     assert_eq!(replayed.faulty.outcome, first.faulty.outcome);
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// A deterministic committed-batch stream over a seed ring: mostly edge
-/// additions, with removals and one oversized batch so the refresh walks
-/// the incremental path, the removal fallback, and the dirty-fraction
-/// fallback.
-fn incremental_stream(n: u64) -> (Topology, Vec<CommittedBatch>, Vec<Topology>) {
-    let mut seed = Topology::new();
-    for v in 0..n {
-        seed.add_edge(v, (v + 1) % n);
-    }
-    let mut shadow = seed.clone();
-    let mut rng = 0x1C4E_517Au64;
-    let mut batches = Vec::new();
-    let mut boundaries = Vec::new();
-    for k in 0u64..12 {
-        let muts: Vec<Mutation> = if k == 7 {
-            // One oversized rewire to force the dirty-fraction fallback.
-            (0..n / 2).map(|v| Mutation::AddEdge(v, v + 3)).collect()
-        } else {
-            (0..4)
-                .map(|_| {
-                    let a = xorshift(&mut rng) % (n + 4);
-                    let b = xorshift(&mut rng) % (n + 4);
-                    match xorshift(&mut rng) % 8 {
-                        0 => Mutation::RemoveVertex(a),
-                        1 | 2 => Mutation::RemoveEdge(a, b),
-                        3 => Mutation::AddVertex(n + a % 4),
-                        _ => Mutation::AddEdge(a, b),
-                    }
-                })
-                .collect()
-        };
-        let dirty = shadow.apply_batch(&muts);
-        batches.push(CommittedBatch {
-            seq: k + 1,
-            mutations: muts,
-            dirty,
-            commit_us: 0,
-            committed_at: Instant::now(),
-        });
-        boundaries.push(shadow.clone());
-    }
-    (seed, batches, boundaries)
-}
-
-/// Per-boundary, per-layer value bits of an engine.
-fn layer_bits<P, F>(engine: &IncrementalBsp<P>, bits: &F) -> Vec<Vec<u64>>
-where
-    P: GatherProgram,
-    F: Fn(&P::Value) -> u64,
-{
-    (0..engine.num_layers())
-        .map(|l| engine.layer_values(l).unwrap().iter().map(bits).collect())
-        .collect()
-}
-
-/// The matrix body for one gather program: at every batch boundary,
-/// both paths — the incrementally-maintained engine and a from-scratch
-/// recompute on the boundary topology — must be bit-identical to the
-/// single-threaded incremental baseline, for every pool width in the
-/// sweep and at every layer.
-fn incremental_matrix<P, F>(program: P, bits: F)
-where
-    P: GatherProgram + Clone,
-    F: Fn(&P::Value) -> u64,
-{
-    let (seed, batches, boundaries) = incremental_stream(48);
-    let cfg = |threads: usize| IncrementalConfig {
-        compute_threads: threads,
-        ..IncrementalConfig::default()
-    };
-    // Incremental path: apply batches one at a time, snapshotting every
-    // layer at every boundary.
-    let incremental = |threads: usize| -> Vec<Vec<Vec<u64>>> {
-        let mut engine = IncrementalBsp::new(program.clone(), seed.clone(), cfg(threads));
-        batches
-            .iter()
-            .map(|b| {
-                engine.apply_batch(b);
-                layer_bits(&engine, &bits)
-            })
-            .collect()
-    };
-    // Full-recompute path: a fresh engine on each boundary topology.
-    let full = |threads: usize| -> Vec<Vec<Vec<u64>>> {
-        boundaries
-            .iter()
-            .map(|t| {
-                layer_bits(
-                    &IncrementalBsp::new(program.clone(), t.clone(), cfg(threads)),
-                    &bits,
-                )
-            })
-            .collect()
-    };
-    let baseline = incremental(1);
-    assert_eq!(
-        full(1),
-        baseline,
-        "serial full recompute diverged from serial incremental"
-    );
-    for threads in thread_sweep() {
-        assert_eq!(
-            incremental(threads),
-            baseline,
-            "incremental path diverged at {threads} threads"
-        );
-        assert_eq!(
-            full(threads),
-            baseline,
-            "full-recompute path diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn incremental_pagerank_bit_identical_across_threads_and_paths() {
-    // f64 gather sums: bit-identity across pool widths only holds
-    // because layer evaluation chunks contiguously over the sorted id
-    // array and each vertex folds its sorted in-list serially.
-    incremental_matrix(PageRankGather::default(), |v: &f64| v.to_bits());
-}
-
-#[test]
-fn incremental_minlabel_bit_identical_across_threads_and_paths() {
-    incremental_matrix(MinLabel::default(), |v: &u64| *v);
 }
 
 #[test]

@@ -38,40 +38,13 @@ fn seed_ring(cloud: &MemoryCloud, n: u64) -> Topology {
     topo
 }
 
-/// Read every vertex record back through `via` (cache cleared) and
-/// check it against `expect`: same edge set, and every in-list is the
-/// exact reverse of the out-lists. A batch split across the flip would
-/// leave an edge present on one side only.
+/// Read every vertex record back through `via` and check it against
+/// `expect`: same edge set, and every in-list is the exact reverse of
+/// the out-lists. A batch split across the flip would leave an edge
+/// present on one side only.
 fn assert_store_matches(cloud: &MemoryCloud, via: usize, n: u64, expect: &Topology) {
-    cloud.node(via).clear_cache();
-    let mut store = Topology::new();
-    let mut recs = Vec::new();
-    for v in 0..n {
-        if let Some(bytes) = cloud.node(via).get(v).unwrap() {
-            let rec = NodeRecord::decode(&bytes).unwrap();
-            store.add_vertex(v);
-            for &w in &rec.outs {
-                store.add_edge(v, w);
-            }
-            recs.push((v, rec));
-        }
-    }
+    let store = Topology::read_back(cloud, via, 0..n).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(&store, expect, "store read-back != log replay");
-    for (v, rec) in &recs {
-        let ins = rec.ins.as_ref().expect("in-links are maintained");
-        let mut reverse: Vec<u64> = recs
-            .iter()
-            .filter(|(_, r)| r.outs.contains(v))
-            .map(|(u, _)| *u)
-            .collect();
-        reverse.sort_unstable();
-        let mut got = ins.clone();
-        got.sort_unstable();
-        assert_eq!(
-            &got, &reverse,
-            "vertex {v}: in-list is not the reverse of the out-lists — a pair split"
-        );
-    }
 }
 
 /// Commit `batch`, re-submitting through the next machine on transport

@@ -1,20 +1,18 @@
 //! Pinned-seed chaos drills for the streaming-mutation path.
 //!
 //! Each test runs [`MutationStorm`] — a deterministic batch stream
-//! committed through mini-transactions while an [`IncrementalBsp`]
-//! engine consumes the dirty sets — under a seeded fault plan that
+//! committed through mini-transactions — under a seeded fault plan that
 //! crashes and revives a specific protocol role mid-batch:
 //!
 //! * the **writer** (the machine batches are submitted through),
 //! * a **trunk owner** (a machine holding cells the batches touch),
 //! * the **leader** (machine 0, the table-sync authority).
 //!
-//! The workload's own invariants do the heavy lifting: incremental
-//! values bit-identical to full recompute, log replay equal to the
-//! store read-back (an acked batch fully lands or cleanly aborts —
-//! never splits), and outcome equality with the fault-free run.
-//!
-//! [`IncrementalBsp`]: trinity::core::IncrementalBsp
+//! The workload's own invariants do the heavy lifting: the storm's
+//! mirror of every batch it saw commit, the mutation log's replay and
+//! the store read-back are all equal, with in-lists the reverse of the
+//! out-lists (an acked batch fully lands or cleanly aborts — never
+//! splits), and the outcome equals the fault-free run's.
 
 use trinity::chaos::{ChaosRunner, MutationStorm};
 use trinity::net::{FaultPlan, NodeEvent, Trigger};

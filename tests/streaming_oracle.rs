@@ -1,25 +1,16 @@
 //! The differential oracle for streaming mutations.
 //!
 //! Every mutation batch committed through [`StreamingIngest`] is
-//! replayed against a single-threaded reference graph ([`Topology`]),
-//! and at **every batch boundary** the incremental engine's values must
-//! be bit-identical to a from-scratch recompute on the reference — for
-//! the layered program (PageRank) and the monotone-fixpoint program
-//! (min-label), across the fallback paths (removals, vertex-set
-//! changes, dirty fractions over the threshold).
-//!
-//! The oracle also pins the storage story: after the stream, the
-//! mutation log replayed over the seed equals the reference *and* the
-//! store read back cell by cell.
+//! applied to a single-threaded reference graph ([`Topology`]), and at
+//! **every batch boundary** three graphs must be equal: the reference,
+//! the mutation log replayed over the seed, and the store read back
+//! cell by cell through a rotating machine, with every in-list the
+//! exact reverse of the out-lists ([`Topology::read_back`]).
 
 use std::sync::Arc;
 
-use trinity::core::incremental::GatherProgram;
 use trinity::core::minitx::TxService;
-use trinity::core::{
-    IncrementalBsp, IncrementalConfig, MinLabel, Mutation, MutationBatch, PageRankGather,
-    StreamingIngest, Topology,
-};
+use trinity::core::{Mutation, MutationBatch, StreamingIngest, Topology};
 use trinity::graph::NodeRecord;
 use trinity::memcloud::{CloudConfig, MemoryCloud};
 
@@ -66,216 +57,80 @@ fn gen_batch(rng: &mut u64, n: u64, size: usize) -> MutationBatch {
     MutationBatch::new(muts)
 }
 
-/// Bit-identity of the incremental engine against a from-scratch
-/// recompute on the same (reference) topology, every layer.
-fn assert_bit_identical<P>(engine: &IncrementalBsp<P>, reference: &Topology, at: &str)
-where
-    P: GatherProgram + Clone,
-    P::Value: BitEq,
-{
-    assert_eq!(
-        engine.topology(),
-        reference,
-        "{at}: engine mirror diverged from the reference graph"
-    );
-    let fresh = IncrementalBsp::new(
-        engine.program().clone(),
-        reference.clone(),
-        IncrementalConfig::default(),
-    );
-    assert_eq!(engine.num_layers(), fresh.num_layers(), "{at}: layer count");
-    for l in 0..fresh.num_layers() {
-        let (a, b) = (
-            engine.layer_values(l).unwrap(),
-            fresh.layer_values(l).unwrap(),
-        );
-        assert_eq!(a.len(), b.len(), "{at}: layer {l} width");
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!(
-                x.bit_eq(y),
-                "{at}: layer {l} slot {i}: incremental {x:?} != fresh {y:?}"
-            );
-        }
-    }
-}
-
-/// Exact (bitwise) equality — the oracle tolerates no accumulation
-/// reordering at all.
-trait BitEq: std::fmt::Debug {
-    fn bit_eq(&self, other: &Self) -> bool;
-}
-impl BitEq for f64 {
-    fn bit_eq(&self, other: &Self) -> bool {
-        self.to_bits() == other.to_bits()
-    }
-}
-impl BitEq for u64 {
-    fn bit_eq(&self, other: &Self) -> bool {
-        self == other
-    }
-}
-
-/// Drive `batches` random batches through the ingest, checking the
-/// oracle for `program` at every commit, then pin log-vs-store.
-fn run_oracle<P>(program: P, seed: u64, batches: usize)
-where
-    P: GatherProgram + Clone,
-    P::Value: BitEq,
-{
+/// Drive `batches` random batches through the ingest, submitting and
+/// reading back through a different machine each time, and check the
+/// reference, the log replay and the store at every commit.
+fn run_oracle(seed: u64, batches: usize) {
     let n = 10u64;
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+    let machines = cloud.machines();
     let svc = TxService::install(Arc::clone(&cloud));
     let seed_topo = seed_ring(&cloud, n);
     let ingest = StreamingIngest::new(Arc::clone(&cloud), svc, 0);
 
     let mut reference = seed_topo.clone();
-    let mut engine = IncrementalBsp::new(program, seed_topo.clone(), IncrementalConfig::default());
-    assert_bit_identical(&engine, &reference, "seed");
-
     let mut rng = seed | 1;
     for k in 0..batches {
         let batch = gen_batch(&mut rng, n, 4);
-        let committed = ingest
-            .commit_batch(k % cloud.machines(), &batch)
+        ingest
+            .commit_batch(k % machines, &batch)
             .expect("commit batch");
-        // The single-threaded reference applies the same mutations.
-        reference.apply_batch(&committed.mutations);
-        engine.apply_batch(&committed);
-        assert_bit_identical(&engine, &reference, &format!("batch {k}"));
-    }
-
-    // Storage story: log replay over the seed equals the reference and
-    // the store, cell by cell.
-    let replayed = ingest.log().replay_onto(seed_topo);
-    assert_eq!(replayed, reference, "log replay != reference");
-    let mut store = Topology::new();
-    for v in 0..n + 8 {
-        if let Some(bytes) = cloud.node(1).get(v).unwrap() {
-            let rec = NodeRecord::decode(&bytes).unwrap();
-            store.add_vertex(v);
-            for w in rec.outs {
-                store.add_edge(v, w);
-            }
+        for m in &batch.mutations {
+            reference.apply(m);
         }
+        let at = format!("batch {k}");
+        let replayed = ingest.log().replay_onto(seed_topo.clone());
+        assert_eq!(replayed, reference, "{at}: log replay != reference");
+        let store = Topology::read_back(&cloud, (k + 1) % machines, 0..n + 8)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(store, reference, "{at}: store read-back != reference");
     }
-    assert_eq!(store, reference, "store read-back != reference");
     cloud.shutdown();
 }
 
 #[test]
-fn pagerank_oracle_seed_101() {
-    run_oracle(PageRankGather::default(), 0x101, 24);
+fn ingest_oracle_seed_101() {
+    run_oracle(0x101, 24);
 }
 
 #[test]
-fn pagerank_oracle_seed_7e57() {
-    run_oracle(PageRankGather::default(), 0x7E57, 24);
+fn ingest_oracle_seed_7e57() {
+    run_oracle(0x7E57, 24);
 }
 
+/// Two threads commit through one ingest, each growing its own star of
+/// fresh vertices, so every batch leaves a mark no other batch erases.
+/// The log must hold every batch either thread saw commit: replay over
+/// the empty seed equals the store.
 #[test]
-fn minlabel_oracle_seed_101() {
-    run_oracle(MinLabel::default(), 0x101, 24);
-}
-
-#[test]
-fn minlabel_oracle_seed_7e57() {
-    run_oracle(MinLabel::default(), 0x7E57, 24);
-}
-
-/// A crafted stream that walks every incremental path in order: pure
-/// additions (in-place refresh), an over-threshold batch (dirty-fraction
-/// fallback), a removal (fixpoint full-recompute fallback), and a
-/// duplicate batch (no-op replay) — each boundary oracle-checked above;
-/// this test pins the *reports* so the fast paths are actually taken.
-#[test]
-fn refresh_reports_walk_every_path() {
-    let n = 32u64;
-    let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
-    let svc = TxService::install(Arc::clone(&cloud));
-    let seed_topo = seed_ring(&cloud, n);
-    let ingest = StreamingIngest::new(Arc::clone(&cloud), svc, 0);
-    let mut reference = seed_topo.clone();
-    let mut engine = IncrementalBsp::new(
-        PageRankGather::default(),
-        seed_topo,
-        IncrementalConfig::default(),
-    );
-
-    // One edge between far-apart ring vertices: small dirty set, no
-    // vertex-set change → incremental path.
-    let b1 = ingest
-        .commit_batch(0, &MutationBatch::new(vec![Mutation::AddEdge(2, 9)]))
-        .unwrap();
-    reference.apply_batch(&b1.mutations);
-    let r1 = engine.apply_batch(&b1);
-    assert!(!r1.full_recompute, "small additive batch stays incremental");
-    assert!(r1.dirty_fraction < 0.2, "{}", r1.dirty_fraction);
-    assert_bit_identical(&engine, &reference, "additive");
-
-    // Rewire a third of the ring at once: dirty fraction over the 0.2
-    // threshold → full-recompute fallback.
-    let big: Vec<Mutation> = (0..n / 3).map(|v| Mutation::AddEdge(v, v + 2)).collect();
-    let b2 = ingest.commit_batch(0, &MutationBatch::new(big)).unwrap();
-    reference.apply_batch(&b2.mutations);
-    let r2 = engine.apply_batch(&b2);
-    assert!(r2.full_recompute, "over-threshold batch must fall back");
-    assert_bit_identical(&engine, &reference, "over-threshold");
-
-    // A duplicate submission commits as a no-op: nothing dirty, no work.
-    let b3 = ingest
-        .commit_batch(0, &MutationBatch::new(vec![Mutation::AddEdge(2, 9)]))
-        .unwrap();
-    reference.apply_batch(&b3.mutations);
-    let r3 = engine.apply_batch(&b3);
-    assert_eq!(r3.dirty_vertices, 0, "duplicate batch dirties nothing");
-    assert_eq!(r3.evaluations, 0, "duplicate batch evaluates nothing");
-    assert_bit_identical(&engine, &reference, "duplicate");
-
-    // A stale redelivery of an old batch (same seq) is skipped outright.
-    let r4 = engine.apply_batch(&b1);
-    assert_eq!(r4.evaluations, 0, "stale seq must be skipped");
-    assert_bit_identical(&engine, &reference, "stale redelivery");
-    cloud.shutdown();
-}
-
-/// The dirty-set scheduler's reason to exist, as a count: a single-edge
-/// batch on a 400-vertex ring dirties under 5 % of the graph, stays on
-/// the incremental path and runs strictly fewer gather evaluations than
-/// a from-scratch build of the same graph — while landing on the same
-/// bits.
-#[test]
-fn single_edge_refresh_evaluates_less_than_a_from_scratch_build() {
-    let n = 400u64;
+fn two_writers_through_one_ingest_lose_no_batch() {
+    const PER_WRITER: u64 = 400;
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+    let machines = cloud.machines();
     let svc = TxService::install(Arc::clone(&cloud));
-    let seed_topo = seed_ring(&cloud, n);
     let ingest = StreamingIngest::new(Arc::clone(&cloud), svc, 0);
-    let mut reference = seed_topo.clone();
-    let mut engine = IncrementalBsp::new(
-        PageRankGather::default(),
-        seed_topo,
-        IncrementalConfig::default(),
-    );
-    for rep in 0..5u64 {
-        let a = rep * 37 % n;
-        let batch = MutationBatch::new(vec![Mutation::AddEdge(a, (a + n / 3) % n)]);
-        let committed = ingest.commit_batch(0, &batch).unwrap();
-        reference.apply_batch(&committed.mutations);
-        let report = engine.apply_batch(&committed);
-        assert!(!report.full_recompute, "rep {rep} fell back to a rebuild");
-        assert!(report.dirty_fraction < 0.05, "{}", report.dirty_fraction);
-        let (full_evals, _) = IncrementalBsp::new(
-            PageRankGather::default(),
-            reference.clone(),
-            IncrementalConfig::default(),
-        )
-        .full_compute();
-        assert!(
-            report.evaluations > 0 && report.evaluations < full_evals,
-            "rep {rep}: {} incremental evaluations, {full_evals} from scratch",
-            report.evaluations
-        );
-        assert_bit_identical(&engine, &reference, "single edge");
-    }
+    // Writer `w` owns ids `w * span..(w + 1) * span`: 8 hubs, then one
+    // fresh vertex per batch.
+    let span = 8 + PER_WRITER;
+    std::thread::scope(|s| {
+        for w in 0..2u64 {
+            let ingest = &ingest;
+            s.spawn(move || {
+                let base = w * span;
+                for k in 0..PER_WRITER {
+                    let batch =
+                        MutationBatch::new(vec![Mutation::AddEdge(base + k % 8, base + 8 + k)]);
+                    ingest
+                        .commit_batch((w + k) as usize % machines, &batch)
+                        .expect("commit batch");
+                }
+            });
+        }
+    });
+    assert_eq!(ingest.log().len() as u64, 2 * PER_WRITER);
+    let replayed = ingest.log().replay_onto(Topology::new());
+    assert_eq!(replayed.len() as u64, 2 * span);
+    let store = Topology::read_back(&cloud, 1, 0..2 * span).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(store, replayed, "store read-back != log replay");
     cloud.shutdown();
 }
