@@ -436,7 +436,6 @@ impl CloudNode {
                 restored += 1;
             }
         }
-        self.update_resident_gauge();
         let _ = self.enforce_budget();
         Ok(restored)
     }
@@ -452,7 +451,9 @@ impl CloudNode {
     /// empty trunk, the `reload_trunk` durability contract. A damaged
     /// image restores nothing — serving part of it would silently lose
     /// cells. The restored trunk is recorded as equal to the image
-    /// *before* `finish_fault` lets waiting writers at it.
+    /// *before* `finish_fault` lets waiting writers at it. Either way out
+    /// leaves `tier.resident_bytes` at what the store holds, with or
+    /// without a budget.
     fn restore_image(
         &self,
         gid: u64,
@@ -475,12 +476,14 @@ impl CloudNode {
             if let Err(e) = TrunkSnapshot::restore_image(&bytes, &trunk) {
                 self.store.evict(gid);
                 self.tiering.fail_fault(gid, claimed);
+                self.update_resident_gauge();
                 return Err(image_error(gid, e));
             }
             self.tiering.record_clean(gid, &trunk, version);
             bytes_in = bytes.len() as u64;
         }
         self.tiering.finish_fault(gid);
+        self.update_resident_gauge();
         self.tiering.metrics.faults.inc();
         self.tiering.metrics.fault_bytes.add(bytes_in);
         self.tiering

@@ -528,6 +528,41 @@ fn budget_sweep_spills_cold_trunks_and_reads_fault_back() {
     cloud.shutdown();
 }
 
+/// `tier.resident_bytes` is the bytes actually resident after every way
+/// a trunk comes back, budget or no budget: the blocking fault-in and
+/// the bulk one both leave it equal to the store's sum.
+#[test]
+fn resident_gauge_follows_every_fault_in() {
+    let cloud = MemoryCloud::new(CloudConfig::small(2));
+    for k in 0u64..256 {
+        cloud.node(0).put(k, &[k as u8; 40]).unwrap();
+    }
+    let node = cloud.node(0);
+    let resident = || -> i64 {
+        let trunks = node.store().trunks().into_iter();
+        trunks.map(|t| t.stats().used_bytes as i64).sum()
+    };
+    let owned = node.table().trunks_of(node.machine());
+    for &gid in &owned {
+        assert!(node.spill_trunk(gid).unwrap());
+    }
+    assert_eq!(node.tier_stats().resident_bytes, resident());
+    node.resident_trunk(owned[0]).unwrap();
+    assert!(resident() > 0);
+    assert_eq!(
+        node.tier_stats().resident_bytes,
+        resident(),
+        "after a blocking fault-in"
+    );
+    assert_eq!(node.fault_in_many(&owned[1..]).unwrap(), owned.len() - 1);
+    assert_eq!(
+        node.tier_stats().resident_bytes,
+        resident(),
+        "after a bulk fault-in"
+    );
+    cloud.shutdown();
+}
+
 /// Writes targeting a spilled trunk fault it in first and land — the
 /// gated-mutation path re-checks the tier state, so no mutation applies
 /// to a trunk that is mid-spill or absent.

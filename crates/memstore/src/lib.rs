@@ -86,7 +86,13 @@ static VERSION_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 /// protocol needs, and a global counter provides it even when a cell
 /// migrates between trunks during recovery.
 pub fn next_version() -> CellVersion {
-    VERSION_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    next_versions(1)
+}
+
+/// Allocate `n` consecutive stamps at once and return the first: a bulk
+/// load stamps its cells in order with one counter step.
+pub(crate) fn next_versions(n: u64) -> CellVersion {
+    VERSION_COUNTER.fetch_add(n, std::sync::atomic::Ordering::Relaxed)
 }
 
 #[cfg(test)]

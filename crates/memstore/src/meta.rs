@@ -128,8 +128,7 @@ impl MetaSlab {
             None => {
                 let s = self.len as u32;
                 if self.len == self.chunks.len() * CHUNK {
-                    let chunk: Vec<CellMeta> = (0..CHUNK).map(|_| CellMeta::new()).collect();
-                    self.chunks.push(chunk.into_boxed_slice());
+                    self.chunks.push(Self::chunk());
                 }
                 self.len += 1;
                 s
@@ -138,6 +137,19 @@ impl MetaSlab {
         let meta = self.get(slot);
         meta.offset.store(offset, Ordering::Release);
         slot
+    }
+
+    /// Make room for `additional` more records without adding a chunk in
+    /// `alloc`.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let want = self.len + additional.saturating_sub(self.free.len());
+        while self.chunks.len() < want.div_ceil(CHUNK) {
+            self.chunks.push(Self::chunk());
+        }
+    }
+
+    fn chunk() -> Box<[CellMeta]> {
+        (0..CHUNK).map(|_| CellMeta::new()).collect()
     }
 
     /// Return a slot to the free list.

@@ -45,9 +45,12 @@
 //!
 //! Both directions stream: [`TrunkSnapshot::capture`] encodes each pinned
 //! cell straight into the image buffer, and
-//! [`TrunkSnapshot::restore_image`] decodes and inserts cell by cell, a
-//! verbatim payload borrowed from the image and a list payload rebuilt in
-//! one scratch buffer. Neither allocates per cell.
+//! [`TrunkSnapshot::restore_image`] decodes the image into one bulk load of
+//! the empty trunk, a verbatim payload borrowed from the image and a list
+//! payload rebuilt in one scratch buffer. The load takes the trunk's
+//! allocation and index locks once, sizes the index and draws the cells'
+//! version stamps once for the header's count, and lands every cell where
+//! a per-cell insert would have. Neither direction allocates per cell.
 
 use crate::codec::{put_varint, put_zigzag, varint_len, DecodeError, Reader};
 use crate::hash::mix64;
@@ -147,15 +150,11 @@ fn put_payload(image: &mut Vec<u8>, payload: &[u8]) {
     image.extend_from_slice(payload);
 }
 
-/// Verify `image` and hand each cell to `visit` in stored order, its
-/// payload borrowed from the image when stored verbatim and rebuilt in a
-/// scratch buffer otherwise. Nothing is visited unless the magic and the
-/// trailer check out; a structural fault stops the walk where it is
-/// found. Returns the trunk id and the cell count.
-fn walk(
-    image: &[u8],
-    mut visit: impl FnMut(CellId, &[u8]) -> Result<(), SnapshotError>,
-) -> Result<(u64, u64), SnapshotError> {
+/// Verify `image`'s magic and trailer and read its header: the trunk id,
+/// the cell count and a reader at the first cell. A count the body could
+/// not hold is refused here, before anyone reserves room for it: every
+/// cell takes at least an id byte and a head byte.
+fn open(image: &[u8]) -> Result<(u64, usize, Reader<'_>), SnapshotError> {
     if !image.starts_with(MAGIC) {
         return Err(SnapshotError::BadMagic);
     }
@@ -170,6 +169,19 @@ fn walk(
     let mut r = Reader::new(body);
     r.take(MAGIC.len())?;
     let (trunk_id, count) = (r.u64()?, r.u64()?);
+    let count = r.count(count, 2)?;
+    Ok((trunk_id, count, r))
+}
+
+/// Hand the `count` cells behind `r` to `visit` in stored order, each
+/// payload borrowed from the image when stored verbatim and rebuilt in a
+/// scratch buffer otherwise. A structural fault stops the walk where it
+/// is found.
+fn walk(
+    mut r: Reader<'_>,
+    count: usize,
+    mut visit: impl FnMut(CellId, &[u8]) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
     let mut scratch = Vec::new();
     let mut prev: Option<CellId> = None;
     for _ in 0..count {
@@ -205,7 +217,7 @@ fn walk(
         visit(id, &scratch)?;
     }
     r.finish()?;
-    Ok((trunk_id, count))
+    Ok(())
 }
 
 /// A well-formed trunk image: construction ([`capture`](Self::capture) or
@@ -267,10 +279,11 @@ impl TrunkSnapshot {
 
     /// Decode from the flat byte format, checking every cell.
     pub fn decode(data: &[u8]) -> Result<Self, SnapshotError> {
-        let (trunk_id, cell_count) = walk(data, |_, _| Ok(()))?;
+        let (trunk_id, count, cells) = open(data)?;
+        walk(cells, count, |_, _| Ok(()))?;
         Ok(TrunkSnapshot {
             trunk_id,
-            cell_count,
+            cell_count: count as u64,
             image: data.to_vec(),
         })
     }
@@ -293,21 +306,25 @@ impl TrunkSnapshot {
     }
 
     /// Load the cells of an undecoded `image` into the empty `trunk`,
-    /// decoding and inserting in one pass. The magic and the trailer are
-    /// checked before the first cell is written, so an image damaged in
-    /// storage fails without touching the trunk. An image whose checksum
-    /// holds but whose cells break the format (only a faulty writer makes
-    /// one), or a cell the trunk has no room for, fails where it is found
-    /// and can leave the cells before it in place: discard the trunk on
-    /// any error.
+    /// decoding and inserting in one pass. The magic, the trailer and the
+    /// header's cell count are checked before the first cell is written,
+    /// so an image damaged in storage fails without touching the trunk. An
+    /// image whose checksum holds but whose cells break the format (only a
+    /// faulty writer makes one), or a cell the trunk has no room for,
+    /// fails where it is found and can leave the cells before it in place:
+    /// discard the trunk on any error.
+    ///
+    /// The load is one bulk fill that holds the trunk's index for its
+    /// whole length, so a concurrent reader of `trunk` sees either none
+    /// of the image's cells or all of them that loaded, never a part.
     pub fn restore_image(image: &[u8], trunk: &Trunk) -> Result<(), SnapshotError> {
-        walk(image, |id, payload| {
-            trunk
-                .insert_new(id, payload)
-                .map(drop)
+        let (_, count, cells) = open(image)?;
+        let mut loader = trunk.loader(count);
+        walk(cells, count, |id, payload| {
+            loader
+                .insert(id, payload)
                 .map_err(|e| SnapshotError::Load(id, e))
         })
-        .map(drop)
     }
 }
 
@@ -512,6 +529,57 @@ mod tests {
                 "{what}"
             );
         }
+        // A header that claims 2^40 cells behind a good trailer is refused
+        // before the load reserves index room or stamps for them (a
+        // reservation that size would abort the process), and the trunk
+        // stays empty.
+        let huge = sealed(&[7, 2, b'a', 2, 2, b'b'], 1 << 40);
+        let t = Trunk::new(5, TrunkConfig::small());
+        assert_eq!(TrunkSnapshot::decode(&huge), Err(SnapshotError::Malformed));
+        assert_eq!(
+            TrunkSnapshot::restore_image(&huge, &t),
+            Err(SnapshotError::Malformed)
+        );
+        assert_eq!((t.cell_count(), t.mutation_count()), (0, 0));
+        assert_eq!(t.stats(), Trunk::new(5, TrunkConfig::small()).stats());
+    }
+
+    /// The restore holds the trunk's index for its whole length: a reader
+    /// polling the trunk meanwhile sees no cell of the image or all of
+    /// them, and never the last cell before the count says all.
+    #[test]
+    fn a_concurrent_reader_sees_no_cell_or_every_cell() {
+        const CELLS: u64 = 20_000;
+        let source = Trunk::new(4, TrunkConfig::default());
+        for id in 0..CELLS {
+            source.put(id, &id.to_le_bytes()).unwrap();
+        }
+        let image = TrunkSnapshot::capture(&source).encode();
+        let last = CELLS - 1;
+        let target = Trunk::new(4, TrunkConfig::default());
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                start.wait();
+                loop {
+                    let seen = target.cell_count();
+                    assert!(seen == 0 || seen == CELLS as usize, "saw {seen} cells");
+                    let cell = target.get_owned(last);
+                    if let Some(cell) = &cell {
+                        assert_eq!(cell[..], last.to_le_bytes());
+                        assert_eq!(target.cell_count(), CELLS as usize);
+                    }
+                    if seen != 0 {
+                        assert!(cell.is_some(), "all cells counted, the last absent");
+                        return;
+                    }
+                }
+            });
+            start.wait();
+            TrunkSnapshot::restore_image(&image, &target).unwrap();
+            reader.join().unwrap();
+        });
+        assert_eq!(target.cell_count(), CELLS as usize);
     }
 
     #[test]

@@ -135,8 +135,20 @@ impl IdTable {
             .map(|(k, v)| (*k, *v))
     }
 
+    /// Make room for `additional` more keys without growing: the
+    /// capacity inserting them one by one would end at.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        let cap = (additional.saturating_add(self.len) * 4 / 3 + 1).next_power_of_two();
+        if cap > self.mask + 1 {
+            self.rehash(cap);
+        }
+    }
+
     fn grow(&mut self) {
-        let new_cap = (self.mask + 1) * 2;
+        self.rehash((self.mask + 1) * 2);
+    }
+
+    fn rehash(&mut self, new_cap: usize) {
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap].into_boxed_slice());
         let old_vals = std::mem::replace(&mut self.vals, vec![0; new_cap].into_boxed_slice());
         self.mask = new_cap - 1;

@@ -51,6 +51,11 @@
 //! 3. The defragmentation pass (which holds the allocation mutex) only
 //!    `try_lock`s cell locks; a held lock means the cell is pinned in place
 //!    and the pass stops at it.
+//! 4. A bulk load (`Loader`, an image restore) takes the allocation mutex
+//!    and then the index write guard, the order the defragmentation pass
+//!    takes them in, and holds both until it drops. It touches no cell
+//!    lock: the cells it writes are unpublished until the index guard is
+//!    released, and every other thread waits for the index.
 //!
 //! The resulting wait-for edges are `spin lock → alloc mutex → index` with
 //! no cycle.
@@ -71,14 +76,14 @@ use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use trinity_obs::{Counter, Gauge, Histogram, MachineScope};
 
 use crate::error::StoreError;
 use crate::meta::{CellMeta, MetaSlab};
 use crate::stats::TrunkStats;
 use crate::table::IdTable;
-use crate::{next_version, CellId, CellVersion, Result};
+use crate::{next_version, next_versions, CellId, CellVersion, Result};
 
 /// Entry header size: uid (8) + capacity (4) + size (4).
 pub(crate) const HEADER: usize = 16;
@@ -528,11 +533,12 @@ impl Trunk {
     /// The header is written before the allocation mutex is released: a
     /// defragmentation pass walks every allocated entry, and must never
     /// read the stale bytes of a reused region as a tombstone or filler.
+    /// The caller [`publish`](Self::publish)es the window's growth before
+    /// it releases the mutex; a failed allocation changes nothing.
     fn allocate_locked(&self, st: &mut AllocState, uid: u64, cap: u32, size: u32) -> Result<usize> {
         let need = Self::entry_len(cap);
         let r = self.reserved;
         let free = r - st.used;
-        let (used0, committed0) = (st.used, st.committed);
         if need > free {
             return Err(StoreError::OutOfMemory {
                 requested: need,
@@ -590,12 +596,21 @@ impl Trunk {
             .committed
             .max(st.used.next_multiple_of(self.cfg.page_bytes))
             .min(r);
-        self.metrics.used_bytes.add((st.used - used0) as i64);
-        self.metrics
-            .committed_bytes
-            .add((st.committed - committed0) as i64);
         self.write_header(off, uid, cap, size);
         Ok(off)
+    }
+
+    /// Move the machine's `store.used_bytes` and `store.committed_bytes`
+    /// gauges by how far `st` moved since `before`, its `(used,
+    /// committed)` earlier in the same hold of the allocation mutex. One
+    /// hold publishes once, however many entries it allocates or
+    /// reclaims.
+    fn publish(&self, st: &AllocState, before: (usize, usize)) {
+        let (used, committed) = before;
+        self.metrics.used_bytes.add(st.used as i64 - used as i64);
+        self.metrics
+            .committed_bytes
+            .add(st.committed as i64 - committed as i64);
     }
 
     /// Allocate with one defragmentation retry on exhaustion.
@@ -608,17 +623,17 @@ impl Trunk {
                 reserved: self.reserved,
             });
         }
-        {
+        let attempt = || {
             let mut st = self.alloc.lock();
-            if let Ok(off) = self.allocate_locked(&mut st, uid, cap, size) {
-                self.metrics.alloc.inc();
-                self.metrics.alloc_bytes.record(need as u64);
-                return Ok(off);
-            }
-        }
-        self.defragment();
-        let mut st = self.alloc.lock();
-        match self.allocate_locked(&mut st, uid, cap, size) {
+            let before = (st.used, st.committed);
+            let off = self.allocate_locked(&mut st, uid, cap, size)?;
+            self.publish(&st, before);
+            Ok(off)
+        };
+        match attempt().or_else(|_| {
+            self.defragment();
+            attempt()
+        }) {
             Ok(off) => {
                 self.metrics.alloc.inc();
                 self.metrics.alloc_bytes.record(need as u64);
@@ -628,6 +643,32 @@ impl Trunk {
                 self.metrics.oom.inc();
                 Err(e)
             }
+        }
+    }
+
+    /// Begin a bulk load of at most `count` cells into this trunk, which
+    /// must be empty: the load allocates with no defragmentation retry,
+    /// since an empty trunk has nothing to reclaim. The loader holds the
+    /// allocation mutex and the index write guard until it drops (module
+    /// docs, rule 4), so other threads see none of its cells until then
+    /// and all of them after. Room in the index and one block of `count`
+    /// version stamps are reserved up front; `count` must be bounded by
+    /// the input it comes from.
+    pub(crate) fn loader(&self, count: usize) -> Loader<'_> {
+        let st = self.alloc.lock();
+        let mut idx = self.index.write();
+        idx.table.reserve(count);
+        idx.slab.reserve(count);
+        Loader {
+            trunk: self,
+            before: (st.used, st.committed),
+            st,
+            idx,
+            first: next_versions(count as u64),
+            count: count as u64,
+            cells: 0,
+            payload: 0,
+            entry: 0,
         }
     }
 
@@ -909,6 +950,7 @@ impl Trunk {
             ..DefragReport::default()
         };
         let mut st = self.alloc.lock();
+        let before = (st.used, st.committed);
         let mut remaining = st.used;
         let mut pos = st.tail;
         while remaining > 0 {
@@ -922,7 +964,6 @@ impl Trunk {
                 let len = self.reserved - pos;
                 remaining -= len;
                 st.used -= len;
-                self.metrics.used_bytes.sub(len as i64);
                 pos = 0;
                 st.tail = 0;
                 report.reclaimed_bytes += len as u64;
@@ -933,7 +974,6 @@ impl Trunk {
             if uid == TOMB {
                 remaining -= len;
                 st.used -= len;
-                self.metrics.used_bytes.sub(len as i64);
                 pos += len;
                 st.tail = pos % self.reserved;
                 report.reclaimed_bytes += len as u64;
@@ -995,25 +1035,83 @@ impl Trunk {
             report.reclaimed_bytes += (len - need) as u64;
             remaining -= len;
             st.used -= len;
-            self.metrics.used_bytes.sub(len as i64);
             pos += len;
             st.tail = pos % self.reserved;
         }
         // Release freed pages: the committed window shrinks back to the
         // page-rounded live window.
-        let committed0 = st.committed;
         st.committed = st
             .used
             .next_multiple_of(self.cfg.page_bytes)
             .min(self.reserved);
-        self.metrics
-            .committed_bytes
-            .add(st.committed as i64 - committed0 as i64);
+        self.publish(&st, before);
         st.defrag_passes += 1;
         self.metrics.defrag_passes.inc();
         self.metrics.defrag_moved.add(report.moved_bytes);
         self.metrics.defrag_reclaimed.add(report.reclaimed_bytes);
         report
+    }
+}
+
+/// A bulk load in progress ([`Trunk::loader`]). Each [`insert`] does
+/// what [`Trunk::insert_new`] does for a cell, in the same allocation
+/// order, so the trunk ends byte for byte as per-cell inserts would
+/// leave it. The per-trunk counters, `store.alloc` and the window gauges
+/// move once, on drop, while both locks are still held.
+///
+/// [`insert`]: Loader::insert
+pub(crate) struct Loader<'a> {
+    trunk: &'a Trunk,
+    st: MutexGuard<'a, AllocState>,
+    /// `st`'s `(used, committed)` when the load began.
+    before: (usize, usize),
+    idx: RwLockWriteGuard<'a, Index>,
+    /// The reserved block of stamps: `count` of them from `first`.
+    first: CellVersion,
+    count: u64,
+    /// Cells, live payload bytes and entry bytes loaded so far.
+    cells: u64,
+    payload: usize,
+    entry: usize,
+}
+
+impl Loader<'_> {
+    /// Add the cell `id` with `payload`, as [`Trunk::insert_new`] would.
+    pub(crate) fn insert(&mut self, id: CellId, payload: &[u8]) -> Result<()> {
+        assert!(self.cells < self.count, "more cells than the loader took");
+        let t = self.trunk;
+        let size = t.check_len(payload.len())?;
+        if self.idx.table.get(id).is_some() {
+            return Err(StoreError::AlreadyExists(id));
+        }
+        let need = Trunk::entry_len(size);
+        let off = t
+            .allocate_locked(&mut self.st, id, size, size)
+            .inspect_err(|_| {
+                t.metrics.oom.inc();
+            })?;
+        t.metrics.alloc_bytes.record(need as u64);
+        // Unpublished until the index guard drops.
+        t.write_payload(off, 0, &[payload]);
+        let slot = self.idx.slab.alloc(off as u32);
+        self.idx.slab.get(slot).set_version(self.first + self.cells);
+        self.idx.table.insert(id, slot);
+        self.cells += 1;
+        self.payload += size as usize;
+        self.entry += need;
+        Ok(())
+    }
+}
+
+impl Drop for Loader<'_> {
+    fn drop(&mut self) {
+        let t = self.trunk;
+        t.mutations.fetch_add(self.cells, Ordering::Relaxed);
+        t.live_payload.fetch_add(self.payload, Ordering::Relaxed);
+        t.live_entry.fetch_add(self.entry, Ordering::Relaxed);
+        t.live_tight.fetch_add(self.entry, Ordering::Relaxed);
+        t.metrics.alloc.add(self.cells);
+        t.publish(&self.st, self.before);
     }
 }
 

@@ -6,8 +6,11 @@
 //! and compaction are all invisible at the key-value level.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
-use trinity_memstore::{StoreError, Trunk, TrunkConfig, TrunkSnapshot};
+use std::collections::{BTreeMap, HashMap};
+use trinity_memstore::{
+    next_version, SnapshotError, StoreError, Trunk, TrunkConfig, TrunkSnapshot,
+};
+use trinity_obs::MachineScope;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -31,13 +34,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn check_against_model(ops: Vec<Op>, slack: f64) {
-    let trunk = Trunk::new(
+    let obs = MachineScope::detached();
+    let trunk = Trunk::with_obs(
         0,
         TrunkConfig {
             reserved_bytes: 64 << 10,
             page_bytes: 1 << 10,
             expansion_slack: slack,
         },
+        obs.clone(),
     );
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
     // Upper bound on any single allocation the trunk may have made: a cell
@@ -120,6 +125,10 @@ fn check_against_model(ops: Vec<Op>, slack: f64) {
         );
         assert!(stats.used_bytes <= stats.reserved_bytes);
         assert!(stats.committed_bytes <= stats.reserved_bytes);
+        // The machine gauges follow the window exactly.
+        let gauge = |name: &str| obs.snapshot().gauges.get(name).copied().unwrap_or(0);
+        assert_eq!(gauge("store.used_bytes"), stats.used_bytes as i64);
+        assert_eq!(gauge("store.committed_bytes"), stats.committed_bytes as i64);
     }
     // Final full readback.
     for (k, v) in &model {
@@ -217,6 +226,96 @@ proptest! {
             prop_assert_eq!(restored.get_owned(*k), Some(v.clone()), "cell {}", k);
         }
         prop_assert_eq!(TrunkSnapshot::capture(&restored).encode(), image);
+    }
+}
+
+/// The trunk a bulk load is compared in: its largest cell, `check_len`'s
+/// limit, leaves a page of room, and a page holds every small cell a
+/// case draws, so no case runs out of room.
+fn bulk_target(obs: &MachineScope) -> Trunk {
+    let cfg = TrunkConfig {
+        reserved_bytes: 64 << 10,
+        page_bytes: 16 << 10,
+        expansion_slack: 1.0,
+    };
+    Trunk::with_obs(3, cfg, obs.clone())
+}
+
+/// The largest payload [`bulk_target`] accepts.
+const BULK_LIMIT: usize = (64 << 10) - (16 << 10) - 16;
+
+/// A cell set for the bulk-load property: small cells of every shape,
+/// empty ones among them, and perhaps one within a few bytes of
+/// [`BULK_LIMIT`] on either side.
+fn bulk_cells() -> impl Strategy<Value = BTreeMap<u64, Vec<u8>>> {
+    let small = prop_oneof![1 => Just(Vec::new()), 4 => payload()];
+    let big = proptest::option::of((cell_id(), 0usize..16, any::<u8>()));
+    let small = proptest::collection::vec((cell_id(), small), 0..24);
+    (small, big).prop_map(|(small, big)| {
+        let mut cells: BTreeMap<_, _> = small.into_iter().collect();
+        if let Some((id, d, fill)) = big {
+            cells.insert(id, vec![fill; BULK_LIMIT + 8 - d]);
+        }
+        cells
+    })
+}
+
+/// Everything a caller can observe of `trunk` but its version stamps.
+fn observed(trunk: &Trunk, obs: &MachineScope) -> impl PartialEq + std::fmt::Debug {
+    let mut ids = trunk.cell_ids();
+    ids.sort_unstable();
+    let cells: Vec<_> = ids.iter().map(|&id| (id, trunk.get_owned(id))).collect();
+    let metrics = obs.snapshot();
+    let state = (
+        cells,
+        trunk.stats(),
+        trunk.mutation_count(),
+        metrics.counters,
+        metrics.gauges,
+        metrics.hists,
+    );
+    // Equal layouts defragment alike.
+    (state, trunk.defragment())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `restore_image` is one bulk load, and it must leave the trunk as
+    /// `insert_new` of each cell in id order would: the same cells, the
+    /// same statistics and layout, the same mutation count and `store.*`
+    /// metrics, and the same error at the same cell when one does not
+    /// fit. Its stamps are one ascending block drawn after the call began.
+    #[test]
+    fn bulk_load_equals_per_cell_inserts(cells in bulk_cells()) {
+        let source = Trunk::new(3, TrunkConfig { reserved_bytes: 1 << 20, ..TrunkConfig::small() });
+        for (&id, payload) in &cells {
+            source.put(id, payload).unwrap();
+        }
+        let image = TrunkSnapshot::capture(&source).encode();
+
+        let each_obs = MachineScope::detached();
+        let each = bulk_target(&each_obs);
+        let mut each_result = Ok(());
+        for (&id, payload) in &cells {
+            if let Err(e) = each.insert_new(id, payload) {
+                each_result = Err(SnapshotError::Load(id, e));
+                break;
+            }
+        }
+
+        let bulk_obs = MachineScope::detached();
+        let bulk = bulk_target(&bulk_obs);
+        let before = next_version();
+        let bulk_result = TrunkSnapshot::restore_image(&image, &bulk);
+        prop_assert_eq!(&bulk_result, &each_result);
+        let mut last = before;
+        for &id in cells.keys().filter(|&&id| bulk.contains(id)) {
+            let version = bulk.version_of(id).unwrap();
+            prop_assert!(version > last, "cell {} stamped {} after {}", id, version, last);
+            last = version;
+        }
+        prop_assert_eq!(observed(&bulk, &bulk_obs), observed(&each, &each_obs));
     }
 }
 
