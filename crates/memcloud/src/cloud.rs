@@ -155,6 +155,7 @@ impl MemoryCloud {
             total.spill_bytes += s.spill_bytes;
             total.clean_evictions += s.clean_evictions;
             total.faults += s.faults;
+            total.region_reuses += s.region_reuses;
             total.fault_bytes += s.fault_bytes;
             total.prefetch_hits += s.prefetch_hits;
             total.prefetch_misses += s.prefetch_misses;

@@ -46,8 +46,8 @@ use parking_lot::{Mutex, RwLock};
 
 use trinity_memstore::codec::Reader;
 use trinity_memstore::{
-    CellVersion, LocalStore, LocalStoreConfig, SnapshotError, StoreError, Trunk, TrunkSnapshot,
-    TrunkStats,
+    CellVersion, LocalStore, LocalStoreConfig, Region, SnapshotError, StoreError, Trunk,
+    TrunkSnapshot, TrunkStats,
 };
 use trinity_net::{Endpoint, FrameBuf, MachineId, NetError};
 use trinity_obs::MachineScope;
@@ -57,7 +57,7 @@ use crate::cache::{CacheStats, RemoteCache};
 use crate::migration::{self, BeginOutcome, MigEntry, MigrationState, SEAL_TIMEOUT};
 use crate::proto;
 use crate::table::{AddressingTable, TFS_TABLE_PATH};
-use crate::tiering::{FaultTurn, TierStats, Tiering};
+use crate::tiering::{FaultClaim, FaultTurn, TierStats, Tiering};
 use crate::wire;
 use crate::{CellId, CloudError, Result};
 
@@ -348,7 +348,14 @@ impl CloudNode {
     /// then answers `MOVED`/`NOT_OWNER` as the write gate does — not
     /// `NOT_FOUND` out of an empty re-creation of a trunk that moved away.
     fn local_trunk(&self, id: CellId) -> Result<Option<Arc<Trunk>>> {
+        // Its own statement: the table guard must be gone before the
+        // resolution, which re-reads the table and may fault in.
         let gid = self.table.read().trunk_of(id);
+        self.owned_trunk(gid)
+    }
+
+    /// [`local_trunk`](Self::local_trunk) by trunk id.
+    fn owned_trunk(&self, gid: u64) -> Result<Option<Arc<Trunk>>> {
         loop {
             self.await_resident(gid)?;
             let trunk = self.store.trunk(gid);
@@ -369,14 +376,18 @@ impl CloudNode {
     // ------------------------------------------------------------------
 
     /// The trunk, faulted back in from TFS first if tiering spilled it.
+    /// Nothing is created: a trunk this machine does not own (or is
+    /// handing away right now) is [`CloudError::WrongOwner`].
     ///
     /// Fast path — tiering inactive or the trunk resident — is one
     /// relaxed atomic load on top of the store lookup. For a spilled
     /// trunk exactly one caller wins the fault-in turn; the rest block on
     /// the tier condvar until the image is restored.
     pub fn resident_trunk(&self, gid: u64) -> Result<Arc<Trunk>> {
-        self.await_resident(gid)?;
-        Ok(self.store.ensure_trunk(gid))
+        self.owned_trunk(gid)?.ok_or(CloudError::WrongOwner {
+            trunk: gid,
+            asked: self.machine,
+        })
     }
 
     /// Return once trunk `gid` has no tier entry, restoring it from TFS
@@ -388,17 +399,20 @@ impl CloudNode {
                 // Loop after the restore: a racing spill may have taken
                 // the trunk out again, in which case we queue for the
                 // next fault turn rather than hand out a dead Arc.
-                FaultTurn::Fault { version } => self.fault_in(gid, version)?,
+                FaultTurn::Fault(claim) => self.fault_in(gid, claim)?,
             }
         }
         Ok(())
     }
 
-    /// Restore a spilled trunk from its TFS image, then bring the store
-    /// back under budget.
-    fn fault_in(&self, gid: u64, version: u64) -> Result<()> {
+    /// Restore a spilled trunk from its TFS image: make room for it
+    /// first, restore it into the region of a trunk that sweep pushed out
+    /// when there is one, then sweep again as a safety net.
+    fn fault_in(&self, gid: u64, claim: FaultClaim) -> Result<()> {
+        let mut regions = Vec::new();
+        let _ = self.sweep(claim.used_bytes, 1, &mut regions);
         let image = self.tfs.read_versioned(&trunk_backup_path(gid));
-        self.restore_image(gid, version, image)?;
+        self.restore_image(gid, claim, image, regions.pop())?;
         // The freshly faulted trunk must not be the sweep's next victim —
         // its EWMA score is stale-cold. Pin it across the enforcement.
         self.tiering.pin(gid);
@@ -411,28 +425,32 @@ impl CloudNode {
     /// ([`Tfs::read_versioned_many`]) — the pipelined-prefetch path.
     /// Trunks that are resident, mid-spill, or already faulting are
     /// skipped (the compute path's blocking fault turn resolves those).
-    /// Returns how many trunks were restored. Runs a budget sweep at the
-    /// end: the caller is expected to have pinned the trunks it wants
-    /// kept, so the sweep pushes out older buckets, not the prefetched
-    /// ones.
+    /// Returns how many trunks were restored. Like a blocking fault-in,
+    /// it runs a budget sweep sized for every claimed trunk first, hands
+    /// the victims' regions to the restores, and sweeps again at the end.
+    /// The caller is expected to have pinned the trunks it wants kept, so
+    /// the sweeps push out older buckets, not the prefetched ones.
     ///
     /// [`Tfs::read_versioned_many`]: trinity_tfs::Tfs::read_versioned_many
     pub fn fault_in_many(&self, gids: &[u64]) -> Result<usize> {
-        let claims: Vec<(u64, u64)> = gids
+        let claims: Vec<(u64, FaultClaim)> = gids
             .iter()
             .filter_map(|&gid| Some((gid, self.tiering.try_begin_fault(gid)?)))
             .collect();
         if claims.is_empty() {
             return Ok(0);
         }
+        let incoming = claims.iter().map(|(_, claim)| claim.used_bytes).sum();
+        let mut regions = Vec::new();
+        let _ = self.sweep(incoming, claims.len(), &mut regions);
         let paths: Vec<String> = claims
             .iter()
             .map(|&(gid, _)| trunk_backup_path(gid))
             .collect();
         let images = self.tfs.read_versioned_many(&paths);
         let mut restored = 0usize;
-        for ((gid, version), image) in claims.into_iter().zip(images) {
-            if self.restore_image(gid, version, image).is_ok() {
+        for ((gid, claim), image) in claims.into_iter().zip(images) {
+            if self.restore_image(gid, claim, image, regions.pop()).is_ok() {
                 restored += 1;
             }
         }
@@ -440,10 +458,11 @@ impl CloudNode {
         Ok(restored)
     }
 
-    /// The one way out of `FaultingIn`, for the turn claimed at
-    /// `claimed`: make trunk `gid` exactly what `image` (the outcome of
-    /// reading its backup path) says, or put the entry back to `Spilled`
-    /// so a later access retries.
+    /// The one way out of `FaultingIn`, for the turn `claim`ed: make
+    /// trunk `gid` exactly what `image` (the outcome of reading its backup
+    /// path) says, or put the entry back to `Spilled` so a later access
+    /// retries. The trunk is created in `region` when the caller's sweep
+    /// freed one (`tier.region_reuses`); a failed restore frees it.
     ///
     /// Whatever is resident under `gid` first goes: a remnant (e.g. a
     /// staging reload that raced the spill) would keep cells the image
@@ -457,25 +476,27 @@ impl CloudNode {
     fn restore_image(
         &self,
         gid: u64,
-        claimed: u64,
+        claim: FaultClaim,
         image: std::result::Result<(u64, Blob), TfsError>,
+        region: Option<Region>,
     ) -> Result<()> {
         let started = Instant::now();
         let image = match image {
             Ok(found) => Some(found),
             Err(TfsError::NotFound(_)) => None,
             Err(e) => {
-                self.tiering.fail_fault(gid, claimed);
+                self.tiering.fail_fault(gid, claim);
                 return Err(e.into());
             }
         };
+        let reused = region.is_some();
         self.store.evict(gid);
-        let trunk = self.store.ensure_trunk(gid);
+        let trunk = self.store.ensure_trunk_in(gid, region);
         let mut bytes_in = 0u64;
         if let Some((version, bytes)) = image {
             if let Err(e) = TrunkSnapshot::restore_image(&bytes, &trunk) {
                 self.store.evict(gid);
-                self.tiering.fail_fault(gid, claimed);
+                self.tiering.fail_fault(gid, claim);
                 self.update_resident_gauge();
                 return Err(image_error(gid, e));
             }
@@ -485,6 +506,9 @@ impl CloudNode {
         self.tiering.finish_fault(gid);
         self.update_resident_gauge();
         self.tiering.metrics.faults.inc();
+        if reused {
+            self.tiering.metrics.region_reuses.inc();
+        }
         self.tiering.metrics.fault_bytes.add(bytes_in);
         self.tiering
             .metrics
@@ -514,12 +538,19 @@ impl CloudNode {
     /// or the new one — never a torn file — and recovery's `reload_trunk`
     /// reads whichever committed.
     pub fn spill_trunk(&self, gid: u64) -> Result<bool> {
+        Ok(self.spill(gid)?.is_some())
+    }
+
+    /// [`spill_trunk`](Self::spill_trunk), handing back the trunk that
+    /// left memory (`None` when skipped): once the caller's is its last
+    /// reference, its region can take a restore.
+    fn spill(&self, gid: u64) -> Result<Option<Arc<Trunk>>> {
         if self.table.read().machine_for(gid) != self.machine
             || self.tiering.pinned(gid)
             || self.store.trunk(gid).is_none()
             || !self.tiering.try_begin_spill(gid)
         {
-            return Ok(false);
+            return Ok(None);
         }
         {
             // Write-barrier + migration check: a trunk that is donating
@@ -529,12 +560,12 @@ impl CloudNode {
             if donors.contains_key(&gid) || self.migration.has_incoming(gid) {
                 drop(donors);
                 self.tiering.abort_spill(gid);
-                return Ok(false);
+                return Ok(None);
             }
         }
         let Some(trunk) = self.store.trunk(gid) else {
             self.tiering.abort_spill(gid);
-            return Ok(false);
+            return Ok(None);
         };
         let path = trunk_backup_path(gid);
         let held = self
@@ -564,10 +595,13 @@ impl CloudNode {
                 }
             }
         };
+        // Behind the seal the size is final: it is what the fault-in
+        // makes room for.
+        let used_bytes = trunk.stats().used_bytes as u64;
         self.store.evict(gid);
-        self.tiering.commit_spill(gid, version);
+        self.tiering.commit_spill(gid, version, used_bytes);
         self.update_resident_gauge();
-        Ok(true)
+        Ok(Some(trunk))
     }
 
     /// Replace the file at `path` with `image` by compare-and-swap on
@@ -594,6 +628,16 @@ impl CloudNode {
     /// trunks busy migrating are never selected. Returns how many trunks
     /// were spilled.
     pub fn enforce_budget(&self) -> Result<usize> {
+        self.sweep(0, 0, &mut Vec::new())
+    }
+
+    /// The budget sweep: [`enforce_budget`](Self::enforce_budget), but
+    /// until resident bytes plus `incoming` fit, so a fault-in makes room
+    /// for what it is about to restore. Each victim nobody else holds
+    /// gives its region up to `regions` while that holds fewer than
+    /// `wanted`; the rest are freed. Regions taken before an error stay
+    /// in `regions`.
+    fn sweep(&self, incoming: u64, wanted: usize, regions: &mut Vec<Region>) -> Result<usize> {
         let budget = self.tiering.budget();
         if budget == 0 {
             return Ok(0);
@@ -606,7 +650,7 @@ impl CloudNode {
             .collect();
         let mut total: u64 = resident.iter().map(|&(_, b)| b).sum();
         self.tiering.metrics.resident_bytes.set(total as i64);
-        if total <= budget {
+        if total + incoming <= budget {
             return Ok(0);
         }
         let scores: HashMap<u64, f64> = self
@@ -628,12 +672,16 @@ impl CloudNode {
         });
         let mut spilled = 0usize;
         for (gid, bytes) in resident {
-            if total <= budget {
+            if total + incoming <= budget {
                 break;
             }
-            if self.spill_trunk(gid)? {
-                total = total.saturating_sub(bytes);
-                spilled += 1;
+            let Some(trunk) = self.spill(gid)? else {
+                continue;
+            };
+            total = total.saturating_sub(bytes);
+            spilled += 1;
+            if regions.len() < wanted {
+                regions.extend(Arc::into_inner(trunk).map(Trunk::into_region));
             }
         }
         self.tiering.metrics.resident_bytes.set(total as i64);

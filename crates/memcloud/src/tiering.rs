@@ -11,7 +11,7 @@
 //! ```text
 //!                              ┌──clean: TFS already holds it──┐
 //!                              │                               ▼
-//! resident ──spill──▶ Spilling ┴──dirty: CAS write──▶ Spilled{version}
+//! resident ──spill──▶ Spilling ┴──dirty: CAS write──▶ Spilled{version, used_bytes}
 //!    ▲                                                     │ access
 //!    └──────────── FaultingIn ◀────────────────────────────┘
 //! ```
@@ -25,12 +25,16 @@
 //!   is *clean* — unchanged since it was restored from a TFS image that
 //!   TFS still holds at the same version ([`Tiering::clean_version`]) —
 //!   is simply dropped; any other trunk is captured and CAS-written.
-//! * **Spilled{version}**: the image lives only in TFS, at that file
-//!   version. The first accessor transitions to FaultingIn; everyone else
-//!   waits.
-//! * **FaultingIn**: exactly one thread reads + decodes + restores the
-//!   image, then clears the entry and wakes the waiters. A failed fault
-//!   (TFS unreachable) falls back to Spilled so a later access retries.
+//! * **Spilled{version, used_bytes}**: the image lives only in TFS, at
+//!   that file version; the trunk held `used_bytes` when it left, which
+//!   is what it needs back. The first accessor transitions to
+//!   FaultingIn; everyone else waits.
+//! * **FaultingIn**: exactly one thread makes room for the trunk (a
+//!   budget sweep sized by its `used_bytes`), reads + decodes + restores
+//!   the image — into the region of a trunk the sweep pushed out when
+//!   there is one — then clears the entry and wakes the waiters. A failed
+//!   fault (TFS unreachable) falls back to Spilled so a later access
+//!   retries.
 //!
 //! Pinning ([`Tiering::pin`]) is how the BSP bucket prefetcher protects
 //! the scheduled (and next-scheduled) trunks: eviction never selects a
@@ -56,9 +60,21 @@ pub enum TierState {
     Spilled {
         /// TFS file version of the spilled image (the CAS stamp).
         version: u64,
+        /// The trunk's `used_bytes` when it spilled: the room its fault-in
+        /// makes before it restores.
+        used_bytes: u64,
     },
     /// Exactly one accessor is restoring the image; the rest wait.
     FaultingIn,
+}
+
+/// A won Spilled → FaultingIn transition: what the spill recorded.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FaultClaim {
+    /// TFS version of the image the trunk spilled at.
+    pub(crate) version: u64,
+    /// The trunk's `used_bytes` when it spilled.
+    pub(crate) used_bytes: u64,
 }
 
 /// What a tier-aware accessor should do about trunk residency.
@@ -66,8 +82,8 @@ pub(crate) enum FaultTurn {
     /// No tier entry: the trunk is (or may be created) resident.
     Resident,
     /// This thread won the FaultingIn transition and must restore the
-    /// image spilled at `version`.
-    Fault { version: u64 },
+    /// image the claim names.
+    Fault(FaultClaim),
 }
 
 /// Aggregated tiering counters for one machine. The same values are
@@ -83,6 +99,9 @@ pub struct TierStats {
     pub clean_evictions: u64,
     /// Trunks faulted back in from TFS.
     pub faults: u64,
+    /// Fault-ins that landed in the reserved region of a trunk their
+    /// budget sweep pushed out, instead of a fresh one.
+    pub region_reuses: u64,
     /// Encoded image bytes read by fault-ins.
     pub fault_bytes: u64,
     /// Bucket-prefetch checks that found the trunk already resident.
@@ -105,6 +124,7 @@ pub(crate) struct TierMetrics {
     /// Wall time of one trunk restore: from the image in hand to the
     /// trunk resident (`tier.fault_in_us`).
     pub(crate) fault_in_us: Arc<Histogram>,
+    pub(crate) region_reuses: Arc<Counter>,
     pub(crate) prefetch_hits: Arc<Counter>,
     pub(crate) prefetch_misses: Arc<Counter>,
     pub(crate) resident_bytes: Arc<Gauge>,
@@ -119,6 +139,7 @@ impl TierMetrics {
             faults: obs.counter("tier.faults"),
             fault_bytes: obs.counter("tier.fault_bytes"),
             fault_in_us: obs.histogram("tier.fault_in_us"),
+            region_reuses: obs.counter("tier.region_reuses"),
             prefetch_hits: obs.counter("tier.prefetch_hits"),
             prefetch_misses: obs.counter("tier.prefetch_misses"),
             resident_bytes: obs.gauge("tier.resident_bytes"),
@@ -159,8 +180,8 @@ pub(crate) struct Tiering {
     pub(crate) metrics: TierMetrics,
 }
 
-/// Budget sweeps trigger every this many mutations (plus after every
-/// fault-in), so a write-heavy phase cannot overrun the budget by more
+/// Budget sweeps trigger every this many mutations (plus before and after
+/// every fault-in), so a write-heavy phase cannot overrun the budget by more
 /// than a bounded amount between sweeps.
 const WRITES_PER_SWEEP: u64 = 128;
 
@@ -284,12 +305,19 @@ impl Tiering {
             .then_some(rec.version)
     }
 
-    /// Commit a spill: TFS holds the trunk's image at `version` and the
-    /// caller evicted the trunk. Waiters wake and fault it back in.
-    pub(crate) fn commit_spill(&self, gid: u64, version: u64) {
+    /// Commit a spill: TFS holds the trunk's image at `version`, and the
+    /// caller evicted the trunk, which held `used_bytes`. Waiters wake and
+    /// fault it back in.
+    pub(crate) fn commit_spill(&self, gid: u64, version: u64, used_bytes: u64) {
         self.clean.lock().remove(&gid);
         let mut states = self.states.lock();
-        states.insert(gid, TierState::Spilled { version });
+        states.insert(
+            gid,
+            TierState::Spilled {
+                version,
+                used_bytes,
+            },
+        );
         drop(states);
         self.cv.notify_all();
     }
@@ -300,12 +328,18 @@ impl Tiering {
     /// the compute path's blocking turn resolves those.
     ///
     /// [`await_fault_turn`]: Self::await_fault_turn
-    pub(crate) fn try_begin_fault(&self, gid: u64) -> Option<u64> {
+    pub(crate) fn try_begin_fault(&self, gid: u64) -> Option<FaultClaim> {
         let mut states = self.states.lock();
         match states.get(&gid).copied() {
-            Some(TierState::Spilled { version }) => {
+            Some(TierState::Spilled {
+                version,
+                used_bytes,
+            }) => {
                 states.insert(gid, TierState::FaultingIn);
-                Some(version)
+                Some(FaultClaim {
+                    version,
+                    used_bytes,
+                })
             }
             _ => None,
         }
@@ -318,9 +352,15 @@ impl Tiering {
         loop {
             match states.get(&gid).copied() {
                 None => return FaultTurn::Resident,
-                Some(TierState::Spilled { version }) => {
+                Some(TierState::Spilled {
+                    version,
+                    used_bytes,
+                }) => {
                     states.insert(gid, TierState::FaultingIn);
-                    return FaultTurn::Fault { version };
+                    return FaultTurn::Fault(FaultClaim {
+                        version,
+                        used_bytes,
+                    });
                 }
                 Some(TierState::Spilling) | Some(TierState::FaultingIn) => {
                     self.cv.wait(&mut states);
@@ -339,9 +379,15 @@ impl Tiering {
 
     /// Fault-in failed (TFS unreachable): fall back to Spilled so a later
     /// access retries the restore.
-    pub(crate) fn fail_fault(&self, gid: u64, version: u64) {
+    pub(crate) fn fail_fault(&self, gid: u64, claim: FaultClaim) {
         let mut states = self.states.lock();
-        states.insert(gid, TierState::Spilled { version });
+        states.insert(
+            gid,
+            TierState::Spilled {
+                version: claim.version,
+                used_bytes: claim.used_bytes,
+            },
+        );
         drop(states);
         self.cv.notify_all();
     }
@@ -374,7 +420,7 @@ impl Tiering {
             .lock()
             .iter()
             .filter_map(|(&gid, &st)| match st {
-                TierState::Spilled { version } => Some((gid, version)),
+                TierState::Spilled { version, .. } => Some((gid, version)),
                 _ => None,
             })
             .collect()
@@ -400,6 +446,7 @@ impl Tiering {
             spill_bytes: self.metrics.spill_bytes.get(),
             clean_evictions: self.metrics.clean_evictions.get(),
             faults: self.metrics.faults.get(),
+            region_reuses: self.metrics.region_reuses.get(),
             fault_bytes: self.metrics.fault_bytes.get(),
             prefetch_hits: self.metrics.prefetch_hits.get(),
             prefetch_misses: self.metrics.prefetch_misses.get(),

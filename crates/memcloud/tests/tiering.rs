@@ -17,7 +17,8 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use trinity_graph::{load_graph, LoadOptions};
 use trinity_memcloud::{trunk_backup_path, CloudConfig, CloudError, CloudNode, MemoryCloud};
@@ -732,5 +733,167 @@ fn graph_trunk_images_shrink_and_fault_back_bit_identical() {
         }
     }
     assert_eq!(seen, before.len());
+    cloud.shutdown();
+}
+
+/// `resident_trunk` finds a trunk and never creates one: on a trunk this
+/// machine does not own it is `WrongOwner`, and the store still has no
+/// trunk under that id afterwards.
+#[test]
+fn resident_trunk_on_a_trunk_owned_elsewhere_creates_nothing() {
+    let cloud = MemoryCloud::new(CloudConfig::small(2));
+    let node = cloud.node(0);
+    let table = node.table();
+    let gid = table.trunks_of(cloud.node(1).machine())[0];
+    assert!(node.store().trunk(gid).is_none());
+    assert_eq!(
+        node.resident_trunk(gid).err(),
+        Some(CloudError::WrongOwner {
+            trunk: gid,
+            asked: node.machine()
+        })
+    );
+    assert!(
+        node.store().trunk(gid).is_none(),
+        "resident_trunk left a phantom trunk behind"
+    );
+    cloud.shutdown();
+}
+
+/// Machine 0's owned trunks, each filled with `cells` cells of 48 bytes,
+/// and what each holds.
+fn filled_trunks(cloud: &MemoryCloud, cells: usize) -> Vec<(u64, BTreeMap<u64, Vec<u8>>)> {
+    let node = cloud.node(0);
+    let table = node.table();
+    table
+        .trunks_of(node.machine())
+        .into_iter()
+        .map(|gid| {
+            let keys = (0u64..).filter(|&k| table.trunk_of(k) == gid).take(cells);
+            let model: BTreeMap<u64, Vec<u8>> =
+                keys.map(|k| (k, vec![(k % 251) as u8; 48])).collect();
+            for (k, v) in &model {
+                node.put(*k, v).unwrap();
+            }
+            (gid, model)
+        })
+        .collect()
+}
+
+/// A region is handed to a restore only when nobody else holds the
+/// trunk that gave it up. A reader keeps an `Arc` of the one resident
+/// trunk while a fault-in of another pushes it out: the reader goes on
+/// reading every cell right, and the restore takes a fresh region. Once
+/// the reader lets go, the next fault-in lands in a pushed-out region.
+#[test]
+fn a_held_trunk_keeps_its_region_and_its_cells() {
+    let cloud = MemoryCloud::new(CloudConfig::small(2));
+    let trunks = filled_trunks(&cloud, 64);
+    let node = cloud.node(0);
+    let ((held_gid, held_cells), (other_gid, _)) = (&trunks[0], &trunks[1]);
+    for (gid, _) in &trunks[1..] {
+        assert!(node.spill_trunk(*gid).unwrap());
+    }
+    let held = node.resident_trunk(*held_gid).unwrap();
+    node.set_memory_budget(held.stats().used_bytes as u64)
+        .unwrap();
+    assert!(
+        node.trunk_resident(*held_gid),
+        "the budget fits the one trunk"
+    );
+    let before = node.tier_stats();
+    // The reader is reading before the fault-in starts and stops only
+    // after it returned.
+    let (started, reading) = (Barrier::new(2), AtomicBool::new(true));
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            started.wait();
+            let mut rounds = 0u64;
+            while reading.load(Ordering::Relaxed) || rounds == 0 {
+                for (k, v) in held_cells {
+                    assert_eq!(held.get_owned(*k).as_ref(), Some(v), "cell {k}");
+                }
+                rounds += 1;
+            }
+            rounds
+        });
+        started.wait();
+        node.resident_trunk(*other_gid).unwrap();
+        reading.store(false, Ordering::Relaxed);
+        assert!(reader.join().unwrap() > 0);
+    });
+    assert!(
+        node.store().trunk(*held_gid).is_none(),
+        "the sweep pushed the held trunk out"
+    );
+    let after = node.tier_stats();
+    assert_eq!(after.faults, before.faults + 1);
+    assert_eq!(
+        after.region_reuses, before.region_reuses,
+        "a held trunk's region was reused"
+    );
+    for (k, v) in held_cells {
+        assert_eq!(held.get_owned(*k).as_ref(), Some(v), "cell {k} after");
+    }
+    drop(held);
+    node.resident_trunk(*held_gid).unwrap();
+    let last = node.tier_stats();
+    assert_eq!(last.faults, after.faults + 1);
+    assert_eq!(last.region_reuses, after.region_reuses + 1);
+    assert_trunk_is(node, *held_gid, held_cells, "after the reuse");
+    cloud.shutdown();
+}
+
+/// In a steady bucket rotation under a budget every fault-in after the
+/// first rotation lands in the region of a trunk its sweep pushed out,
+/// resident bytes never exceed the budget once a fault-in returns, and
+/// every trunk reads back exactly.
+#[test]
+fn a_steady_bucket_rotation_reuses_every_region() {
+    const BUCKETS: usize = 4;
+    let cloud = MemoryCloud::new(CloudConfig::small(2));
+    let trunks = filled_trunks(&cloud, 48);
+    let node = cloud.node(0);
+    let largest = trunks
+        .iter()
+        .map(|(gid, _)| node.store().trunk(*gid).unwrap().stats().used_bytes as u64)
+        .max()
+        .unwrap();
+    let buckets: Vec<Vec<usize>> = (0..BUCKETS)
+        .map(|b| (b..trunks.len()).step_by(BUCKETS).collect())
+        .collect();
+    let per_bucket = buckets.iter().map(Vec::len).max().unwrap() as u64;
+    // Two buckets fit, a third does not.
+    let budget = 2 * per_bucket * largest + largest / 2;
+    node.set_memory_budget(budget).unwrap();
+    let resident = || -> u64 {
+        let trunks = node.store().trunks().into_iter();
+        trunks.map(|t| t.stats().used_bytes as u64).sum()
+    };
+    let mut after_first = None;
+    for step in 0..6 * BUCKETS {
+        if step == BUCKETS {
+            after_first = Some(node.tier_stats());
+        }
+        let bucket: Vec<u64> = buckets[step % BUCKETS]
+            .iter()
+            .map(|&i| trunks[i].0)
+            .collect();
+        node.fault_in_many(&bucket).unwrap();
+        assert!(resident() <= budget, "step {step}: over budget");
+        for &i in &buckets[step % BUCKETS] {
+            let (gid, cells) = &trunks[i];
+            node.resident_trunk(*gid).unwrap();
+            assert_trunk_is(node, *gid, cells, &format!("step {step}"));
+        }
+    }
+    let (first, last) = (after_first.unwrap(), node.tier_stats());
+    let faults = last.faults - first.faults;
+    assert!(faults as usize >= 5 * BUCKETS, "every step faulted");
+    assert_eq!(
+        last.region_reuses - first.region_reuses,
+        faults,
+        "a fault-in took a fresh region"
+    );
     cloud.shutdown();
 }

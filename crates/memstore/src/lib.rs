@@ -61,7 +61,7 @@ pub use error::StoreError;
 pub use snapshot::{SnapshotError, TrunkSnapshot};
 pub use stats::TrunkStats;
 pub use store::{DefragDaemon, LocalStore, LocalStoreConfig};
-pub use trunk::{CellGuard, DefragReport, Trunk, TrunkConfig};
+pub use trunk::{CellGuard, DefragReport, Region, Trunk, TrunkConfig};
 
 /// 64-bit globally unique cell identifier ("UID" in the paper).
 pub type CellId = u64;

@@ -20,7 +20,7 @@ use parking_lot::RwLock;
 use trinity_obs::MachineScope;
 
 use crate::stats::TrunkStats;
-use crate::trunk::{Trunk, TrunkConfig};
+use crate::trunk::{Region, Trunk, TrunkConfig};
 
 /// Dead-byte ratio above which the defragmentation daemon compacts a trunk.
 const DEFRAG_DEAD_RATIO: f64 = 0.25;
@@ -66,16 +66,25 @@ impl LocalStore {
 
     /// Create (or return) the trunk with global id `gid`.
     pub fn ensure_trunk(&self, gid: u64) -> Arc<Trunk> {
+        self.ensure_trunk_in(gid, None)
+    }
+
+    /// Like [`ensure_trunk`](Self::ensure_trunk), but a trunk this call
+    /// creates lands in `region` when one is handed over — the region of a
+    /// trunk of this store that was just given up ([`Trunk::into_region`])
+    /// — and in a fresh one otherwise. A region the call does not use is
+    /// freed.
+    pub fn ensure_trunk_in(&self, gid: u64, region: Option<Region>) -> Arc<Trunk> {
         if let Some(t) = self.trunks.read().get(&gid) {
             return Arc::clone(t);
         }
         let mut w = self.trunks.write();
         Arc::clone(w.entry(gid).or_insert_with(|| {
-            Arc::new(Trunk::with_obs(
-                gid,
-                self.cfg.trunk.clone(),
-                self.obs.clone(),
-            ))
+            let (cfg, obs) = (self.cfg.trunk.clone(), self.obs.clone());
+            Arc::new(match region {
+                Some(region) => Trunk::in_region(gid, cfg, obs, region),
+                None => Trunk::with_obs(gid, cfg, obs),
+            })
         }))
     }
 

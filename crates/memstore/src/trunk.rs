@@ -71,8 +71,18 @@
 //!   or owns unpublished;
 //! * `write_payload(off, at, parts)`: copy into such an entry;
 //! * `meta(ptr)`: a slab record, valid for the trunk's lifetime.
+//!
+//! # Regions
+//!
+//! The buffer is a [`Region`]: a zeroed, 8-aligned block the size of the
+//! reservation, whose pages the OS backs only once they are written. A
+//! trunk that is done with its region can give it up
+//! ([`Trunk::into_region`]), zeroing the prefix it ever wrote, and a new
+//! trunk can be created in it ([`Trunk::in_region`]): the pages the first
+//! trunk touched are then already backed, so the second one does not
+//! fault them in again. A fault-in lands in the region of the trunk its
+//! budget sweep pushed out this way.
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -156,6 +166,9 @@ struct AllocState {
     committed: usize,
     /// Number of completed defragmentation passes.
     defrag_passes: u64,
+    /// End of the longest prefix of the region this trunk has written:
+    /// everything from here on still reads zero.
+    touched: usize,
 }
 
 /// Index protected by the trunk's `RwLock`: id → metadata slot, plus the
@@ -226,6 +239,30 @@ impl TrunkMetrics {
     }
 }
 
+/// A trunk's reserved memory region, zeroed throughout (module docs,
+/// "Regions"). It is only ever held between the trunk that gave it up
+/// and the trunk created in it; dropping it frees the memory.
+pub struct Region(Box<[u64]>);
+
+impl Region {
+    /// A fresh region of `bytes` (a multiple of 8). It costs no physical
+    /// memory until written.
+    fn zeroed(bytes: usize) -> Self {
+        Region(vec![0u64; bytes / 8].into_boxed_slice())
+    }
+
+    /// Size in bytes.
+    fn bytes(&self) -> usize {
+        self.0.len() * 8
+    }
+
+    /// Whether every byte reads zero, as it does in a fresh region and in
+    /// one a trunk gave up. Reads the whole region.
+    pub fn is_zeroed(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+}
+
 /// One memory trunk: a circularly managed slab of cells plus its hash
 /// table. All methods take `&self`; the trunk is internally synchronized
 /// and may be shared across threads (`Arc<Trunk>`).
@@ -233,8 +270,11 @@ pub struct Trunk {
     /// Global trunk id within the memory cloud (slot in the addressing table).
     id: u64,
     cfg: TrunkConfig,
+    /// The region's words as `Box::into_raw` left them; `take_region` is
+    /// the only way back to a box.
+    region: *mut [u64],
+    /// The region's first byte; every buffer access derives from it.
     buf: *mut u8,
-    layout: Layout,
     reserved: usize,
     alloc: Mutex<AllocState>,
     index: RwLock<Index>,
@@ -252,8 +292,8 @@ pub struct Trunk {
     metrics: TrunkMetrics,
 }
 
-// SAFETY: the trunk owns its buffer outright (allocated in `Trunk::new`,
-// freed only in `Drop`), and every other field is `Send`.
+// SAFETY: the trunk owns its region outright (boxed in `Trunk::in_region`,
+// taken back only by `take_region`), and every other field is `Send`.
 unsafe impl Send for Trunk {}
 // SAFETY: threads reach the buffer only through the raw-access helpers,
 // under the locking protocol in the module docs. Header words are atomic.
@@ -273,8 +313,7 @@ impl Drop for Trunk {
             self.metrics.used_bytes.sub(st.used as i64);
             self.metrics.committed_bytes.sub(st.committed as i64);
         }
-        // SAFETY: `buf` was allocated with exactly `layout` in `Trunk::new`.
-        unsafe { dealloc(self.buf, self.layout) }
+        drop(self.take_region());
     }
 }
 
@@ -324,10 +363,10 @@ impl Drop for Pinned<'_> {
 impl Trunk {
     /// Create an empty trunk with the given global id.
     ///
-    /// The full reserved region is allocated zeroed up front; like the
-    /// paper's reserve/commit split, untouched pages cost no physical
-    /// memory (the OS backs them lazily), while the `committed` statistic
-    /// models the explicit page commits the paper performs.
+    /// A fresh zeroed region of the full reserved size is taken up front;
+    /// like the paper's reserve/commit split, its untouched pages cost no
+    /// physical memory (the OS backs them lazily), while the `committed`
+    /// statistic models the explicit page commits the paper performs.
     pub fn new(id: u64, cfg: TrunkConfig) -> Self {
         Self::with_obs(id, cfg, MachineScope::detached())
     }
@@ -336,24 +375,31 @@ impl Trunk {
     /// machine scope instead of a detached one. All trunks hosted by a
     /// machine share its scope; gauge updates are deltas so they aggregate.
     pub fn with_obs(id: u64, cfg: TrunkConfig, obs: MachineScope) -> Self {
-        let page = cfg.page_bytes.max(8).next_power_of_two();
-        let reserved = align8(cfg.reserved_bytes.max(2 * page)).next_multiple_of(page);
-        let layout = Layout::from_size_align(reserved, 8).expect("valid trunk layout");
-        // SAFETY: layout has nonzero size.
-        let buf = unsafe { alloc_zeroed(layout) };
-        assert!(
-            !buf.is_null(),
-            "trunk allocation of {reserved} bytes failed"
-        );
+        let reserved = Self::reserved_for(&cfg);
+        Self::in_region(id, cfg, obs, Region::zeroed(reserved))
+    }
+
+    /// Like [`Trunk::with_obs`], but in `region`, which another trunk gave
+    /// up ([`Trunk::into_region`]), instead of a fresh one. The region must
+    /// be the size `cfg` reserves, as every region of a trunk with the same
+    /// configuration is; any other is freed and a fresh one taken.
+    pub fn in_region(id: u64, cfg: TrunkConfig, obs: MachineScope, region: Region) -> Self {
+        let reserved = Self::reserved_for(&cfg);
+        let region = if region.bytes() == reserved {
+            region
+        } else {
+            Region::zeroed(reserved)
+        };
+        let region = Box::into_raw(region.0);
         Trunk {
             id,
             cfg: TrunkConfig {
-                page_bytes: page,
+                page_bytes: cfg.page_bytes.max(8).next_power_of_two(),
                 reserved_bytes: reserved,
                 ..cfg
             },
-            buf,
-            layout,
+            region,
+            buf: region.cast::<u8>(),
             reserved,
             alloc: Mutex::new(AllocState {
                 head: 0,
@@ -361,6 +407,7 @@ impl Trunk {
                 used: 0,
                 committed: 0,
                 defrag_passes: 0,
+                touched: 0,
             }),
             index: RwLock::new(Index {
                 table: IdTable::new(),
@@ -373,6 +420,37 @@ impl Trunk {
             mutations: AtomicU64::new(0),
             metrics: TrunkMetrics::new(&obs),
         }
+    }
+
+    /// The region size `cfg` reserves: at least two pages, rounded up to
+    /// whole pages.
+    fn reserved_for(cfg: &TrunkConfig) -> usize {
+        let page = cfg.page_bytes.max(8).next_power_of_two();
+        align8(cfg.reserved_bytes.max(2 * page)).next_multiple_of(page)
+    }
+
+    /// Give up the trunk's region for another trunk to be created in
+    /// ([`Trunk::in_region`]), zeroed over the prefix this trunk ever
+    /// wrote, so it reads as a fresh one does. Only the pages this trunk
+    /// touched are written again.
+    pub fn into_region(mut self) -> Region {
+        let touched = self.alloc.get_mut().touched;
+        let mut region = self.take_region();
+        region.0[..touched.div_ceil(8)].fill(0);
+        region
+    }
+
+    /// Take the region back out of the trunk, leaving an empty one in its
+    /// place, so a second call (the `Drop` after `into_region`) takes that.
+    fn take_region(&mut self) -> Region {
+        let empty: Box<[u64]> = Box::default();
+        let region = std::mem::replace(&mut self.region, Box::into_raw(empty));
+        // SAFETY: `region` came from `Box::into_raw`, in `in_region` or in
+        // the swap above, and the swap means no other call rebuilds the
+        // same box. The trunk is borrowed mutably, so no access through
+        // `buf` is in flight, and none follows: `into_region` consumes the
+        // trunk and `Drop` runs last.
+        Region(unsafe { Box::from_raw(region) })
     }
 
     /// Global trunk id (the addressing-table slot this trunk occupies).
@@ -468,7 +546,7 @@ impl Trunk {
         debug_assert!(off.is_multiple_of(8) && off + HEADER + len <= self.reserved);
         debug_assert!(len <= self.read_header(off).1 as usize, "past capacity");
         // SAFETY: in bounds (checked above in debug builds), initialised
-        // (the buffer is allocated zeroed), and by the contract no write
+        // (a region is zeroed when it is made), and by the contract no write
         // overlaps the slice while it lives.
         unsafe { std::slice::from_raw_parts(self.buf.add(off + HEADER), len) }
     }
@@ -569,6 +647,7 @@ impl Trunk {
                 }
                 if at_end > 0 {
                     self.word(st.head).store(WRAP, Ordering::Release);
+                    st.touched = st.touched.max(st.head + 8);
                 }
                 st.used += at_end;
                 off = 0;
@@ -592,6 +671,7 @@ impl Trunk {
         if st.head == r {
             st.head = 0;
         }
+        st.touched = st.touched.max(off + need);
         st.committed = st
             .committed
             .max(st.used.next_multiple_of(self.cfg.page_bytes))

@@ -319,6 +319,79 @@ proptest! {
     }
 }
 
+/// The configuration of the recycled-region property: a window small
+/// enough that a few hundred random ops, and the forced wrap after them,
+/// cross the reserved end.
+fn recycled_cfg(slack: f64) -> TrunkConfig {
+    TrunkConfig {
+        reserved_bytes: 32 << 10,
+        page_bytes: 1 << 10,
+        expansion_slack: slack,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A region a trunk gave up is indistinguishable from a fresh one. The
+    /// first trunk runs random ops (relocating appends, removes and
+    /// defragmentation passes among them), and then keeps one cell while
+    /// enough passes move it around the window to wrap it past the
+    /// reserved end. The region it gives up reads zero throughout, so
+    /// every byte past the head of the trunk restored into it does too,
+    /// and that trunk equals a restore of the same image into a fresh
+    /// region: cells, statistics, mutation count, every `store.*` metric
+    /// and the report of a follow-up defragmentation pass.
+    #[test]
+    fn a_recycled_region_restores_like_a_fresh_one(
+        ops in proptest::collection::vec(op_strategy(), 0..300),
+        slack in prop_oneof![1 => Just(0.0), 1 => Just(1.0), 1 => Just(4.0)],
+    ) {
+        let first_obs = MachineScope::detached();
+        let first = Trunk::with_obs(1, recycled_cfg(slack), first_obs.clone());
+        for op in ops {
+            // Only what the ops leave in the region matters here: a write
+            // the window has no room for is skipped.
+            let _ = match op {
+                Op::Put(k, b) => first.put(k, &b).map(drop),
+                Op::Append(k, b) => first.append(k, &b).map(drop),
+                Op::Update(k, b) => first.put_if_version(k, &b, first.version_of(k).unwrap_or(0)).map(drop),
+                Op::Remove(k) => first.remove(k).map(drop),
+                Op::Defrag => {
+                    first.defragment();
+                    Ok(())
+                }
+            };
+        }
+        let image = TrunkSnapshot::capture(&first).encode();
+        for id in first.cell_ids() {
+            first.remove(id).unwrap();
+        }
+        first.put(1_000, &[7; 200]).unwrap();
+        // Each pass re-appends the live cell at the head.
+        for _ in 0..(32 << 10) / 216 + 2 {
+            prop_assert!(first.defragment().completed);
+        }
+        let region = first.into_region();
+        prop_assert!(region.is_zeroed(), "a given-up region kept a written byte");
+        let gauges = first_obs.snapshot().gauges;
+        prop_assert!(gauges.values().all(|&g| g == 0), "{:?}", gauges);
+
+        let recycled_obs = MachineScope::detached();
+        let recycled = Trunk::in_region(2, recycled_cfg(slack), recycled_obs.clone(), region);
+        let fresh_obs = MachineScope::detached();
+        let fresh = Trunk::with_obs(2, recycled_cfg(slack), fresh_obs.clone());
+        prop_assert_eq!(
+            TrunkSnapshot::restore_image(&image, &recycled),
+            TrunkSnapshot::restore_image(&image, &fresh)
+        );
+        prop_assert_eq!(observed(&recycled, &recycled_obs), observed(&fresh, &fresh_obs));
+        // What the recycled trunk wrote is zeroed again on the way out,
+        // and nothing else was ever written.
+        prop_assert!(recycled.into_region().is_zeroed());
+    }
+}
+
 /// `prefix | u32 n | n × u64 LE`, the list tail the image codec stores as
 /// gaps.
 fn with_list(mut prefix: Vec<u8>, ids: &[u64]) -> Vec<u8> {

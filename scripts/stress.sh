@@ -8,7 +8,8 @@
 # (round-robin, so every suite sees the whole session's load). A suite is
 # a root integration test (`chaos`) or `<package>` / `<package>:<test>`
 # for a crate's own tests (`trinity-net`, `trinity-net:fault_prop`); the
-# default is `chaos tiering_chaos mutation_storm migration_fence`. Each
+# default is `chaos tiering_chaos trinity-memcloud:tiering mutation_storm
+# migration_fence`. Each
 # run is cut off after 300 seconds: a hang is a counted failure with the
 # signature `timeout`, not a stalled loop. A failing run's output is kept
 # and reduced to a signature — the failed tests and their panic messages
@@ -20,7 +21,7 @@ SIBLINGS="${1:-3}"
 RUNS="${2:-50}"
 shift $(($# < 2 ? $# : 2))
 SUITES=("$@")
-[ ${#SUITES[@]} -gt 0 ] || SUITES=(chaos tiering_chaos mutation_storm migration_fence)
+[ ${#SUITES[@]} -gt 0 ] || SUITES=(chaos tiering_chaos trinity-memcloud:tiering mutation_storm migration_fence)
 TIMEOUT=300
 cd "$(dirname "$0")/.."
 OUT="$PWD/target/stress"
