@@ -29,6 +29,7 @@ use std::sync::Arc;
 use trinity_graph::GraphHandle;
 use trinity_memcloud::{AddressingTable, CellId, MemoryCloud};
 use trinity_memstore::codec::{put_varint, DecodeError, Reader};
+use trinity_memstore::hash::IdBuildHasher;
 use trinity_net::{
     current_deadline, deadline_expired, deadline_now_us, remaining_us, CancelToken, DeadlineGuard,
     Endpoint, FrameBuf, MachineId, NetError, ProtoId, NO_DEADLINE,
@@ -413,7 +414,9 @@ fn run_query(
     let reply_bytes_total = obs.counter("explore.reply_bytes");
     let ids_received = obs.counter("explore.ids_received");
     let ids_new = obs.counter("explore.ids_new");
-    let mut visited: HashSet<CellId> = HashSet::new();
+    // Hashed as the cloud routes an id (`mix64`), not with SipHash. The set
+    // is never iterated, so its hasher cannot change what enters a level.
+    let mut visited: HashSet<CellId, IdBuildHasher> = HashSet::default();
     visited.insert(start);
     let mut result = ExplorationResult {
         per_hop: vec![1],
@@ -452,8 +455,8 @@ fn run_query(
         result.batches += hop_batches;
         batches_sent.add(hop_batches as u64);
         let mut reply_bytes = 0u64;
-        let mut next = Vec::new();
         let mut replies = replies.into_iter();
+        let mut answers = Vec::with_capacity(hop_batches);
         for _ in 0..hop_batches {
             let decoded = match replies.next() {
                 Some(Ok(reply)) => {
@@ -470,14 +473,25 @@ fn run_query(
             };
             // A batch lost to a dead owner or a damaged reply leaves a hole
             // in the frontier: say so instead of looking complete.
-            let Some((truncated, matches, neighbors)) = decoded else {
+            let Some(answer) = decoded else {
                 result.failed_batches += 1;
                 continue;
             };
+            answers.push(answer);
+        }
+        let carried: usize = answers.iter().map(|(_, _, n)| n.len()).sum();
+        ids_received.add(carried as u64);
+        // At most every carried id is new: room for them once, not a
+        // doubling of the set and the level as they arrive.
+        let mut next = Vec::new();
+        if want_neighbors {
+            visited.reserve(carried);
+            next.reserve(carried);
+        }
+        for (truncated, matches, neighbors) in answers {
             // A truncated reply covers a prefix of its batch: a partial answer.
             result.deadline_exceeded |= truncated;
             result.matches.extend(matches);
-            ids_received.add(neighbors.len() as u64);
             if want_neighbors {
                 next.extend(neighbors.into_iter().filter(|&n| visited.insert(n)));
             }
@@ -582,12 +596,16 @@ fn scan_ids(handle: &GraphHandle, want_neighbors: bool, pattern: &[u8], ids: &[C
     // `trunk_of` hash per id and the shared LoadMap one update per trunk.
     let table = handle.cloud().table();
     let mut hops: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut read_errors = 0;
     for (i, &id) in ids.iter().enumerate() {
         if i % 64 == 63 && deadline_expired() {
             scan.truncated = true;
             break;
         }
-        let _ = handle.with_node(id, |view| {
+        // A node that could not be read (a dead straggler owner, a trunk
+        // that moved mid-read, a record that does not decode) is not a node
+        // without neighbors: the reply cannot say which, but the count can.
+        let read = handle.with_node(id, |view| {
             // Attribute patterns are short names: a byte-substring check.
             if !pattern.is_empty() && view.attrs().windows(pattern.len()).any(|w| w == pattern) {
                 scan.matches.push(id);
@@ -596,9 +614,14 @@ fn scan_ids(handle: &GraphHandle, want_neighbors: bool, pattern: &[u8], ids: &[C
                 scan.neighbors.extend(view.outs());
             }
         });
+        read_errors += u64::from(read.is_err());
         *hops.entry(table.trunk_of(id)).or_insert(0) += 1;
     }
-    let load = handle.cloud().endpoint().obs().load();
+    let obs = handle.cloud().endpoint().obs();
+    if read_errors > 0 {
+        obs.counter("explore.read_errors").add(read_errors);
+    }
+    let load = obs.load();
     for (trunk, n) in hops {
         load.record_hops(trunk, n);
     }
@@ -940,6 +963,31 @@ mod tests {
             assert!(truncated, "workers={workers}");
             assert!(neighbors.len() < ids.len(), "workers={workers}");
         }
+        cloud.shutdown();
+    }
+
+    #[test]
+    fn a_node_whose_owner_is_dead_counts_as_a_read_error() {
+        let n = 30u64;
+        let (cloud, _ex) = cloud_with(&path_graph(n as usize), 3, None);
+        let handle = GraphHandle::new(Arc::clone(cloud.node(0)));
+        let table = cloud.node(0).table();
+        let mine = (0..n).find(|&id| table.machine_of(id).0 == 0).unwrap();
+        let dead = (0..n).find(|&id| table.machine_of(id).0 == 1).unwrap();
+        cloud.kill_machine(1);
+        // A stale batch: machine 0 is asked about a straggler of machine 1.
+        let mut ids = vec![mine, dead];
+        ids.sort_unstable();
+        let reply = expand_local(&handle, &encode_request(true, b"", &ids), 1).unwrap();
+        let (truncated, _, neighbors) = decode_reply(&reply).expect("the reply decodes");
+        assert!(!truncated);
+        let want: Vec<CellId> = [mine.checked_sub(1), Some(mine + 1).filter(|&v| v < n)]
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(neighbors, want, "only the readable node's neighbors");
+        let obs = cloud.node(0).endpoint().obs();
+        assert_eq!(obs.counter("explore.read_errors").get(), 1);
         cloud.shutdown();
     }
 

@@ -38,7 +38,7 @@ impl GraphHandle {
 
     /// Whether `id` is hosted on this machine under the current table.
     pub fn is_local(&self, id: CellId) -> bool {
-        self.node.table().machine_of(id) == self.node.machine()
+        self.node.route(id).1 == self.node.machine()
     }
 
     /// Warm the remote-cell read cache for an upcoming batch of node
@@ -57,11 +57,11 @@ impl GraphHandle {
         id: CellId,
         f: impl FnOnce(NodeView<'_>) -> R,
     ) -> Result<Option<R>, CloudError> {
-        let table = self.node.table();
-        if table.machine_of(id) == self.node.machine() {
+        let (trunk, owner) = self.node.route(id);
+        if owner == self.node.machine() {
             // Tier-aware resolution: a spilled trunk faults back in from
             // TFS here; resident trunks pay one atomic load extra.
-            let trunk = self.node.resident_trunk(table.trunk_of(id))?;
+            let trunk = self.node.resident_trunk(trunk)?;
             let guard = trunk.get(id);
             let result = match &guard {
                 Some(guard) => {
@@ -134,5 +134,59 @@ impl GraphHandle {
                 }
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{load_graph, Csr, LoadOptions};
+    use trinity_memcloud::{CloudConfig, MemoryCloud, TFS_TABLE_PATH};
+
+    #[test]
+    fn a_handle_routes_by_the_live_table() {
+        let n = 60u64;
+        let edges: Vec<(u64, u64)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+        let graph = load_graph(
+            Arc::clone(&cloud),
+            &Csr::undirected_from_edges(n as usize, &edges, true),
+            &LoadOptions::default(),
+        )
+        .unwrap();
+        cloud.backup_all().unwrap();
+        let (old, new) = (graph.handle(0), graph.handle(1));
+        let mut table = cloud.node(0).table();
+        let id = (0..n).find(|&id| old.is_local(id)).unwrap();
+        let gid = table.trunk_of(id);
+        let moved: Vec<CellId> = (0..n).filter(|&v| table.trunk_of(v) == gid).collect();
+        let outs: Vec<Vec<CellId>> = moved
+            .iter()
+            .map(|&v| old.out_neighbors(v).unwrap().unwrap())
+            .collect();
+        assert!(moved.iter().all(|&v| old.is_local(v) && !new.is_local(v)));
+        // Move that one trunk to machine 1 on every node.
+        table.reassign_one(gid, MachineId(1));
+        cloud.tfs().write(TFS_TABLE_PATH, &table.encode()).unwrap();
+        for m in [1, 0] {
+            cloud.node(m).install_table(table.clone()).unwrap();
+        }
+        let sent = || {
+            old.cloud()
+                .endpoint()
+                .obs()
+                .counter("net.frames.sent")
+                .get()
+        };
+        let before = sent();
+        for (&v, want) in moved.iter().zip(&outs) {
+            assert!(!old.is_local(v), "{v} still local to its old owner");
+            assert!(new.is_local(v), "{v} not local to its new owner");
+            // The old owner reads it through the remote path now.
+            assert_eq!(old.out_neighbors(v).unwrap().as_ref(), Some(want));
+            assert_eq!(new.out_neighbors(v).unwrap().as_ref(), Some(want));
+        }
+        assert!(sent() > before, "no remote read from the old owner");
+        cloud.shutdown();
     }
 }

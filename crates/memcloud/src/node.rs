@@ -258,7 +258,8 @@ impl CloudNode {
         &self.store
     }
 
-    /// A copy of the current addressing-table replica.
+    /// A copy of the current addressing-table replica (a heap copy of every
+    /// slot: take it once per query or job, and [`Self::route`] per id).
     pub fn table(&self) -> AddressingTable {
         self.table.read().clone()
     }
@@ -275,7 +276,11 @@ impl CloudNode {
         t.machine_of(id) == self.machine
     }
 
-    fn route(&self, id: CellId) -> (u64, MachineId) {
+    /// Route `id` under the current table: its trunk and that trunk's
+    /// owner. Reads under the table's read guard and copies nothing, so a
+    /// per-id caller should prefer it to [`Self::table`].
+    #[inline]
+    pub fn route(&self, id: CellId) -> (u64, MachineId) {
         let t = self.table.read();
         let trunk = t.trunk_of(id);
         (trunk, t.machine_for(trunk))

@@ -12,6 +12,11 @@
 //! integer keys, and — importantly for the addressing table — deterministic
 //! across machines, so every replica of the addressing table routes a given
 //! id identically.
+//!
+//! [`IdBuildHasher`] puts the same finalizer under a `std` hash set or map
+//! keyed by cell ids, in place of the default SipHash.
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Avalanche-mix a 64-bit cell id into a 64-bit hash.
 ///
@@ -43,9 +48,44 @@ pub fn trunk_of(id: u64, p: u32) -> u64 {
     mix64(id) >> (64 - p)
 }
 
+/// A [`Hasher`] that hashes a cell id with [`mix64`]: a `u64` key hashes to
+/// `mix64(id)`. Any other input is folded in eight bytes at a time through
+/// the same mix (a short tail zero-padded), so it is a correct hasher for
+/// every `Hash` type, and `write(&id.to_ne_bytes())` agrees with
+/// `write_u64(id)`. Not keyed: meant for ids the cloud minted, not for
+/// adversarial keys.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix64(self.0 ^ x);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_ne_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`BuildHasher`](std::hash::BuildHasher) of a set or map keyed by cell
+/// ids: each key hashes with [`IdHasher`].
+pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeSet, HashSet};
 
     #[test]
     fn mix_is_deterministic_and_avalanches() {
@@ -84,6 +124,42 @@ mod tests {
                 (500..=2000).contains(&c),
                 "skewed trunk distribution: {counts:?}"
             );
+        }
+    }
+
+    /// Ids with duplicates: a small range, ids under `CloudNode::alloc_id`'s
+    /// machine prefix (top 16 bits), ids near `u64::MAX`, and any `u64`.
+    fn ids() -> impl Strategy<Value = Vec<u64>> {
+        let id = prop_oneof![
+            1 => 0u64..64,
+            1 => (0u64..4, 0u64..64).prop_map(|(m, n)| (m << 48) | n),
+            1 => (0u64..64).prop_map(|n| u64::MAX - n),
+            1 => any::<u64>(),
+        ];
+        proptest::collection::vec(id, 0..600)
+    }
+
+    proptest! {
+        /// A set hashed by `IdHasher` answers every insert as an ordered set
+        /// does, whether the id goes in as a `u64` (`write_u64`) or as its
+        /// bytes (`write`), and both paths hash an id to `mix64(id)`.
+        #[test]
+        fn id_hasher_is_a_set_hasher_for_any_id(ids in ids()) {
+            let mut want = BTreeSet::new();
+            let mut words: HashSet<u64, IdBuildHasher> = HashSet::default();
+            let mut bytes: HashSet<[u8; 8], IdBuildHasher> = HashSet::default();
+            for id in ids {
+                let fresh = want.insert(id);
+                prop_assert_eq!(words.insert(id), fresh, "id {:#x}", id);
+                prop_assert_eq!(bytes.insert(id.to_ne_bytes()), fresh, "bytes of {:#x}", id);
+                let (mut word, mut raw) = (IdHasher::default(), IdHasher::default());
+                word.write_u64(id);
+                raw.write(&id.to_ne_bytes());
+                prop_assert_eq!(word.finish(), mix64(id));
+                prop_assert_eq!(raw.finish(), mix64(id));
+            }
+            prop_assert_eq!(words.len(), want.len());
+            prop_assert_eq!(bytes.len(), want.len());
         }
     }
 }
