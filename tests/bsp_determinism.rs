@@ -209,6 +209,21 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
+/// One configuration's ranks on `csr` as `(id, rank bits)` words, in id order.
+fn rank_words(csr: &Csr, cfg: BspConfig) -> Vec<u64> {
+    let r = with_graph(csr, 4, |g| pagerank_distributed(g, 5, cfg));
+    let ranks: std::collections::BTreeMap<u64, u64> = r
+        .states
+        .iter()
+        .map(|(&id, s)| (id, s.rank.to_bits()))
+        .collect();
+    assert_eq!(ranks.len(), 300);
+    ranks
+        .into_iter()
+        .flat_map(|(id, bits)| [id, bits])
+        .collect()
+}
+
 #[test]
 fn pagerank_rank_bits_match_the_pinned_digest() {
     // "Bit-identical to before" as a test: every rank of every
@@ -218,8 +233,28 @@ fn pagerank_rank_bits_match_the_pinned_digest() {
     // ranks; a change that moves this digest changed what vertices
     // compute, not how messages travel.
     const PINNED: u64 = 0xfb9b_da67_5201_8545;
+    // The same ranks hashed one configuration at a time, so a moved bit
+    // names its configuration, in loop order (hub x combine x messaging
+    // x threads); then `BspConfig::default()` (hubs `Some(1)`, the
+    // configuration every non-test caller runs) at 1 and 3 threads.
+    // Messaging and threads never reach the ranks; without combining
+    // neither do hubs, while a combiner's sum order follows the routes.
+    const PLAIN: u64 = 0x3c04_f6c8_2e1e_e45a;
+    const COMBINED: u64 = 0x2b39_2dc0_959e_f1e9;
+    const COMBINED_HUBS_8: u64 = 0x9479_28dd_a675_9b41;
+    // One row per (hub, combine) pair; a row's four entries are its
+    // messaging x threads configurations.
+    const PER_CONFIG: [[u64; 4]; 4] = [
+        [PLAIN; 4],           // None, combine off
+        [COMBINED; 4],        // None, combine on
+        [PLAIN; 4],           // Some(8), combine off
+        [COMBINED_HUBS_8; 4], // Some(8), combine on
+    ];
+    const DEFAULT: [(usize, u64); 2] = [(1, PLAIN), (3, PLAIN)];
     let csr = trinity::graphgen::social(300, 8, 5);
     let mut words = Vec::new();
+    let mut moved = Vec::new();
+    let mut pinned = PER_CONFIG.iter().flatten();
     for hub_threshold in [None, Some(8)] {
         for combine in [false, true] {
             for messaging in [MessagingMode::Packed, MessagingMode::Unpacked] {
@@ -231,18 +266,29 @@ fn pagerank_rank_bits_match_the_pinned_digest() {
                         compute_threads,
                         ..BspConfig::default()
                     };
-                    let r = with_graph(&csr, 4, |g| pagerank_distributed(g, 5, cfg));
-                    let ranks: std::collections::BTreeMap<u64, u64> = r
-                        .states
-                        .iter()
-                        .map(|(&id, s)| (id, s.rank.to_bits()))
-                        .collect();
-                    assert_eq!(ranks.len(), 300);
-                    words.extend(ranks.into_iter().flat_map(|(id, bits)| [id, bits]));
+                    let label =
+                        format!("{hub_threshold:?} {combine} {messaging:?} {compute_threads}");
+                    let config_words = rank_words(&csr, cfg);
+                    let digest = fnv1a(config_words.iter().copied());
+                    if Some(&digest) != pinned.next() {
+                        moved.push(format!("{label}: {digest:#018x}"));
+                    }
+                    words.extend(config_words);
                 }
             }
         }
     }
+    for (compute_threads, pinned) in DEFAULT {
+        let cfg = BspConfig {
+            compute_threads,
+            ..BspConfig::default()
+        };
+        let digest = fnv1a(rank_words(&csr, cfg));
+        if digest != pinned {
+            moved.push(format!("default {compute_threads}: {digest:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "PageRank rank bits moved in: {moved:#?}");
     assert_eq!(
         fnv1a(words),
         PINNED,
