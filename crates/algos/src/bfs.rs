@@ -1,25 +1,20 @@
-//! Breadth-first search on the BSP runtime (paper Figures 12(c), 13)
-//! and, as its twin, on the asynchronous runtime (§5.3).
+//! Breadth-first search on the BSP runtime (paper Figures 12(c), 13).
 //!
 //! "Breadth-first search is a fundamental graph computation operation.
 //! Many graph algorithms are built on BFS. Graph 500 adopts BFS as one of
 //! its two computation kernels." The BSP formulation is the textbook one:
 //! the frontier expands one level per superstep; unreached vertices halt
-//! until a message arrives. The asynchronous one has no levels: a vertex
-//! relaxes its distance whenever a smaller one arrives, in whatever order
-//! messages land, and Safra's algorithm detects the end. Both answer to
-//! [`bfs_reference`].
+//! until a message arrives. It answers to [`bfs_reference`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use trinity_core::async_compute::{self, AsyncContext, AsyncResult, AsyncVertexProgram};
 use trinity_core::{BspConfig, BspResult, BspRunner, VertexContext, VertexProgram};
 use trinity_graph::{Csr, DistributedGraph};
 use trinity_memcloud::CellId;
 
 /// Distance marker for unreached vertices.
-pub const UNREACHED: u64 = u64::MAX;
+const UNREACHED: u64 = u64::MAX;
 
 /// BSP breadth-first search from a single source.
 pub struct BfsProgram {
@@ -80,49 +75,6 @@ pub fn bfs_distributed(
     BspRunner::new(graph, BfsProgram { source }, cfg).run()
 }
 
-/// Asynchronous BFS/SSSP by message relaxation: a vertex that hears a
-/// distance smaller than its own adopts it and offers `d + 1` to every
-/// out-neighbor.
-pub struct AsyncSssp;
-
-impl AsyncVertexProgram for AsyncSssp {
-    type State = u64; // distance
-    type Msg = u64;
-
-    fn init(&self, _id: CellId, _out_degree: usize) -> u64 {
-        UNREACHED
-    }
-
-    fn on_message(&self, ctx: &mut AsyncContext<'_, u64>, _id: CellId, state: &mut u64, msg: &u64) {
-        if *msg < *state {
-            *state = *msg;
-            ctx.send_to_neighbors(msg + 1);
-        }
-    }
-
-    fn encode_msg(m: &u64) -> Vec<u8> {
-        m.to_le_bytes().to_vec()
-    }
-
-    fn decode_msg(b: &[u8]) -> Option<u64> {
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-
-    fn encode_state(s: &u64) -> Vec<u8> {
-        s.to_le_bytes().to_vec()
-    }
-
-    fn decode_state(b: &[u8]) -> Option<u64> {
-        Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-}
-
-/// Run BFS on the asynchronous runtime; returns depths once Safra's
-/// token proves the cluster quiet.
-pub fn bfs_async(graph: Arc<DistributedGraph>, source: CellId) -> AsyncResult<u64> {
-    async_compute::spawn(graph, AsyncSssp, "bfs-async", vec![(source, 0)]).join()
-}
-
 /// Single-process reference BFS.
 pub fn bfs_reference(csr: &Csr, source: CellId) -> HashMap<CellId, u64> {
     let mut dist: HashMap<CellId, u64> = (0..csr.node_count() as u64)
@@ -154,18 +106,6 @@ mod tests {
         let r = bfs_distributed(graph, source, cfg);
         cloud.shutdown();
         r.states
-    }
-
-    #[test]
-    fn async_bfs_matches_reference_on_rmat() {
-        let csr = trinity_graphgen::rmat(8, 8, 21);
-        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(4)));
-        let graph =
-            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
-        let got = bfs_async(graph, 0);
-        cloud.shutdown();
-        assert!(got.messages_processed > 0);
-        assert_eq!(got.states, bfs_reference(&csr, 0));
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //!
 //! * [`pagerank`] — synchronous vertex-centric PageRank (Figure 12(b));
 //! * [`bfs`] — BSP breadth-first search, the Graph 500 kernel
-//!   (Figures 12(c), 13), and the same search on the asynchronous
-//!   runtime (§5.3);
+//!   (Figures 12(c), 13);
 //! * [`people_search`](mod@people_search) — the "David problem": k-hop name search on a
 //!   social graph via online exploration (Figure 12(a), §5.1);
 //! * [`subgraph`] — index-free subgraph matching by parallel exploration
@@ -27,7 +26,7 @@ pub mod people_search;
 pub mod sparql;
 pub mod subgraph;
 
-pub use bfs::{bfs_async, bfs_distributed, bfs_reference, AsyncSssp, BfsProgram};
+pub use bfs::{bfs_distributed, bfs_reference, BfsProgram};
 pub use landmarks::{estimate_accuracy, select_landmarks, LandmarkStrategy};
 pub use pagerank::{pagerank_distributed, pagerank_reference, PageRankProgram};
 pub use people_search::{people_search, PeopleSearchReport};

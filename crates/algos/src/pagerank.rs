@@ -15,7 +15,7 @@ use trinity_graph::{Csr, DistributedGraph};
 use trinity_memcloud::CellId;
 
 /// Damping factor used throughout (the standard 0.85).
-pub const DAMPING: f64 = 0.85;
+const DAMPING: f64 = 0.85;
 
 /// The vertex program: state is the current rank; messages carry
 /// `rank / out_degree` shares.

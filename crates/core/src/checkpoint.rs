@@ -68,15 +68,12 @@ fn ckpt_path(job: &str) -> String {
 }
 
 /// `len: u32 | bytes`: one encoded state or message.
-pub(crate) fn put_value(out: &mut Vec<u8>, bytes: &[u8]) {
+fn put_value(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
 }
 
-pub(crate) fn take_value<T>(
-    r: &mut Reader,
-    decode: impl Fn(&[u8]) -> Option<T>,
-) -> Result<T, DecodeError> {
+fn take_value<T>(r: &mut Reader, decode: impl Fn(&[u8]) -> Option<T>) -> Result<T, DecodeError> {
     let len = r.u32()?;
     decode(r.take(len as usize)?).ok_or_else(|| r.error())
 }
@@ -84,11 +81,7 @@ pub(crate) fn take_value<T>(
 /// `n: u64 | n × (id: u64 | entry)` in ascending id order: the states,
 /// pending messages and active set of a checkpoint, and the states of an
 /// asynchronous snapshot.
-pub(crate) fn put_by_id<V>(
-    out: &mut Vec<u8>,
-    mut entries: Vec<(CellId, V)>,
-    put: impl Fn(&mut Vec<u8>, V),
-) {
+fn put_by_id<V>(out: &mut Vec<u8>, mut entries: Vec<(CellId, V)>, put: impl Fn(&mut Vec<u8>, V)) {
     entries.sort_unstable_by_key(|e| e.0);
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for (id, v) in entries {
@@ -99,7 +92,7 @@ pub(crate) fn put_by_id<V>(
 
 /// The section [`put_by_id`] writes, each entry at least `min_bytes`
 /// long. Ids must ascend strictly, so each map has one encoding.
-pub(crate) fn take_by_id<V>(
+fn take_by_id<V>(
     r: &mut Reader,
     min_bytes: usize,
     mut take: impl FnMut(&mut Reader) -> Result<V, DecodeError>,

@@ -18,9 +18,6 @@
 //!   Figure 10, including the paper's memory-savings formula;
 //! * [`prefetch`] — the bucket-schedule trunk prefetcher that pipelines
 //!   TFS fault-ins against compute when trunks are tiered out-of-core;
-//! * [`safra`] — Safra's termination-detection algorithm (§6.2);
-//! * [`async_compute`] — asynchronous (superstep-free) vertex computation
-//!   with periodic-interruption snapshots;
 //! * [`checkpoint`] — BSP checkpointing to TFS and restart;
 //! * [`recovery`] — leader election over the TFS flag, the cluster's one
 //!   failure detector (the leader's `PING` probe loop plus reported
@@ -28,11 +25,12 @@
 //!
 //! §6.2's buffered logging for online updates is not implemented: the
 //! durable point of a cell is the last trunk image in TFS (backup or
-//! spill), and a crash loses writes acknowledged after it.
+//! spill), and a crash loses writes acknowledged after it. Neither is
+//! §6.2's asynchronous (superstep-free) computation with Safra's
+//! termination detection: offline work runs on [`bsp`] only.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod async_compute;
 pub mod bsp;
 pub mod checkpoint;
 pub mod cluster;
@@ -43,7 +41,6 @@ pub mod online;
 pub mod prefetch;
 pub mod recovery;
 pub mod residency;
-pub mod safra;
 pub mod streaming;
 
 pub use bsp::{
@@ -70,12 +67,7 @@ pub(crate) mod proto {
     pub const BSP_FENCE: ProtoId = BASE + 2;
     /// Hub optimization: a run frame of hub broadcasts (ids name hubs).
     pub const BSP_HUB: ProtoId = BASE + 3;
-    /// Async compute: a vertex message.
-    pub const ASYNC_MSG: ProtoId = BASE + 4;
-    /// Safra: the termination-detection token.
-    pub const SAFRA_TOKEN: ProtoId = BASE + 5;
-    /// Async compute: pause/resume interruption signal.
-    pub const ASYNC_INTERRUPT: ProtoId = BASE + 6;
+    // BASE + 4 through BASE + 6 are unassigned.
     /// Recovery: leader announces a new addressing table epoch.
     pub const TABLE_BCAST: ProtoId = BASE + 7;
     /// Recovery: a machine reports a peer failure to the leader.

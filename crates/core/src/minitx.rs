@@ -82,12 +82,6 @@ impl MiniTx {
         self
     }
 
-    /// Require the cell to exist.
-    pub fn compare_exists(mut self, cell: CellId) -> Self {
-        self.compares.push(Compare::Exists(cell));
-        self
-    }
-
     /// Require the cell to be absent.
     pub fn compare_absent(mut self, cell: CellId) -> Self {
         self.compares.push(Compare::Absent(cell));
@@ -687,12 +681,10 @@ mod tests {
         let out = svc
             .execute(
                 0,
-                &MiniTx::new()
-                    .compare_exists(10)
-                    .compare_absent(11)
-                    .read(10)
-                    .read(11)
-                    .write(11, &b"eleven"[..]),
+                &MiniTx {
+                    compares: vec![Compare::Exists(10), Compare::Absent(11)],
+                    ..MiniTx::new().read(10).read(11).write(11, &b"eleven"[..])
+                },
             )
             .unwrap();
         match out {
@@ -892,7 +884,10 @@ mod tests {
             Err(CloudError::BadReply)
         );
         // Nor may a reply name a compare other than the ones sent.
-        let tx = MiniTx::new().compare_exists(1).write(1, &b"w"[..]);
+        let tx = MiniTx {
+            compares: vec![Compare::Exists(1)],
+            ..MiniTx::new().write(1, &b"w"[..])
+        };
         assert_eq!(svc.execute(0, &tx), Err(CloudError::BadReply));
         // The failure the share did carry is an abort.
         let tx = MiniTx::new().compare_absent(1).write(1, &b"w"[..]);

@@ -116,11 +116,6 @@ impl BucketPrefetcher {
         })
     }
 
-    /// Number of buckets in the schedule.
-    pub fn nbuckets(&self) -> usize {
-        self.nbuckets
-    }
-
     /// The trunks machine `m` computes over in superstep `s`.
     pub fn bucket(&self, m: usize, superstep: usize) -> &[u64] {
         &self.buckets[m][superstep % self.nbuckets]

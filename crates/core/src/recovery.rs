@@ -39,7 +39,7 @@ use trinity_net::{proto as netproto, MachineId};
 use crate::proto;
 
 /// TFS flag name claimed by the elected leader.
-pub const LEADER_FLAG: &str = "trinity/leader";
+const LEADER_FLAG: &str = "trinity/leader";
 
 /// Agent cadence parameters.
 #[derive(Debug, Clone, Copy)]

@@ -153,11 +153,6 @@ impl<'a> NodeView<'a> {
         self.outs.len()
     }
 
-    /// In-degree (0 when no in-list is stored).
-    pub fn in_degree(&self) -> usize {
-        self.ins.len()
-    }
-
     /// Outgoing neighbor `i`; panics unless `i < out_degree()`.
     pub fn out(&self, i: usize) -> CellId {
         u64::from_le_bytes(self.outs[i])
@@ -187,7 +182,6 @@ mod tests {
         assert_eq!(v.attrs(), b"alice");
         assert_eq!(v.out_degree(), 3);
         assert!(!v.has_ins());
-        assert_eq!(v.in_degree(), 0);
         assert_eq!(v.outs().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(v.out(1), 2);
         assert_eq!(NodeRecord::decode(&blob).unwrap(), r);

@@ -22,20 +22,6 @@ pub enum NodeType {
     Course = 4,
 }
 
-impl NodeType {
-    /// Decode from the attribute byte.
-    pub fn from_byte(b: u8) -> Option<NodeType> {
-        Some(match b {
-            0 => NodeType::University,
-            1 => NodeType::Department,
-            2 => NodeType::Professor,
-            3 => NodeType::Student,
-            4 => NodeType::Course,
-            _ => return None,
-        })
-    }
-}
-
 /// A generated LUBM-like graph: typed nodes plus directed edges with
 /// in-links (RDF queries traverse both directions).
 #[derive(Debug, Clone)]
@@ -166,20 +152,6 @@ mod tests {
                 "student {s} takes {courses} courses"
             );
         }
-    }
-
-    #[test]
-    fn type_bytes_roundtrip() {
-        for t in [
-            NodeType::University,
-            NodeType::Department,
-            NodeType::Professor,
-            NodeType::Student,
-            NodeType::Course,
-        ] {
-            assert_eq!(NodeType::from_byte(t as u8), Some(t));
-        }
-        assert_eq!(NodeType::from_byte(9), None);
     }
 
     #[test]

@@ -83,15 +83,6 @@ pub fn name_for(seed: u64, id: u64) -> String {
     unreachable!("weights exhausted")
 }
 
-/// Expected share of people named `name` under this distribution.
-pub fn expected_share(name: &str) -> f64 {
-    let total: u32 = NAMES.iter().map(|(_, w)| w).sum();
-    NAMES
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or(0.0, |(_, w)| *w as f64 / total as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +97,9 @@ mod tests {
         let n = 50_000u64;
         let davids = (0..n).filter(|&i| name_for(7, i) == "David").count();
         let share = davids as f64 / n as f64;
-        let expect = expected_share("David");
+        let total: u32 = NAMES.iter().map(|(_, w)| w).sum();
+        let david = NAMES.iter().find(|(n, _)| *n == "David").unwrap().1;
+        let expect = david as f64 / total as f64;
         assert!(
             (share - expect).abs() < 0.005,
             "David share {share:.4}, expected ~{expect:.4}"

@@ -12,10 +12,10 @@ use trinity_graph::Csr;
 /// R-MAT quadrant probabilities. The defaults are the Graph500/Kronecker
 /// standard `(0.57, 0.19, 0.19, 0.05)`.
 #[derive(Debug, Clone, Copy)]
-pub struct RmatParams {
-    pub a: f64,
-    pub b: f64,
-    pub c: f64,
+struct RmatParams {
+    a: f64,
+    b: f64,
+    c: f64,
 }
 
 impl Default for RmatParams {
@@ -35,7 +35,7 @@ pub fn rmat(scale: u32, avg_degree: usize, seed: u64) -> Csr {
 }
 
 /// Generate with explicit quadrant probabilities.
-pub fn rmat_with(scale: u32, avg_degree: usize, seed: u64, p: RmatParams) -> Csr {
+fn rmat_with(scale: u32, avg_degree: usize, seed: u64, p: RmatParams) -> Csr {
     let n = 1usize << scale;
     let arcs_wanted = n * avg_degree;
     let mut rng = crate::rng(seed);

@@ -49,7 +49,7 @@ pub use cloud::{CloudConfig, MemoryCloud};
 pub use error::CloudError;
 pub use node::{trunk_backup_path, CloudNode};
 pub use table::{AddressingTable, TFS_TABLE_PATH};
-pub use tiering::{TierState, TierStats};
+pub use tiering::TierStats;
 
 pub use trinity_memstore::{CellId, CellVersion};
 

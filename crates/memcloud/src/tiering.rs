@@ -52,7 +52,7 @@ use trinity_obs::{Counter, Gauge, Histogram, MachineScope};
 
 /// Per-trunk tiering state. Absence from the map means *resident*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierState {
+pub(crate) enum TierState {
     /// Eviction in progress behind the write seal — the image is being
     /// captured and written unless TFS already holds it; accessors wait.
     Spilling,

@@ -288,11 +288,6 @@ impl TrunkSnapshot {
         })
     }
 
-    /// Global id of the captured trunk.
-    pub fn trunk_id(&self) -> u64 {
-        self.trunk_id
-    }
-
     /// Number of cells in the image.
     pub fn cell_count(&self) -> u64 {
         self.cell_count
@@ -340,7 +335,7 @@ mod tests {
         }
         t.remove(9).unwrap();
         let snap = TrunkSnapshot::capture(&t);
-        assert_eq!(snap.trunk_id(), 7);
+        assert_eq!(snap.trunk_id, 7);
         assert_eq!(snap.cell_count(), 49);
         let bytes = snap.encode();
         let decoded = TrunkSnapshot::decode(&bytes).unwrap();

@@ -93,11 +93,6 @@ impl LocalStore {
         self.trunks.read().get(&gid).cloned()
     }
 
-    /// Take ownership of an existing trunk (relocation onto this machine).
-    pub fn adopt(&self, trunk: Arc<Trunk>) {
-        self.trunks.write().insert(trunk.id(), trunk);
-    }
-
     /// Release a trunk (relocation off this machine). Returns the trunk so
     /// the caller can hand it to another machine or snapshot it.
     pub fn evict(&self, gid: u64) -> Option<Arc<Trunk>> {
@@ -217,18 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn adopt_and_evict_move_trunks() {
+    fn evict_hands_the_trunk_out() {
         let a = LocalStore::new(small_cfg());
-        let b = LocalStore::new(small_cfg());
         let t = a.ensure_trunk(5);
         t.put(1, b"migrating cell").unwrap();
         let t = a.evict(5).expect("trunk present");
         assert_eq!(a.trunk_count(), 0);
-        b.adopt(t);
-        assert_eq!(
-            b.trunk(5).unwrap().get(1).unwrap().as_ref(),
-            b"migrating cell"
-        );
+        assert_eq!(t.get(1).unwrap().as_ref(), b"migrating cell");
     }
 
     #[test]

@@ -63,12 +63,12 @@ use crate::{proto, MachineId, ProtoId, Result};
 /// payload; returns the response payload (ignored for one-way frames).
 /// The payload slice borrows the received frame directly — no copy sits
 /// between the wire and the handler.
-pub type Handler = Arc<dyn Fn(MachineId, &[u8]) -> Option<Vec<u8>> + Send + Sync>;
+type Handler = Arc<dyn Fn(MachineId, &[u8]) -> Option<Vec<u8>> + Send + Sync>;
 
 /// A batch handler for a one-way protocol: receives the source machine
 /// and a run of the protocol's frames — consecutive in one envelope, in
 /// envelope order — as one slice.
-pub type BatchHandler = Arc<dyn Fn(MachineId, &[Frame]) + Send + Sync>;
+type BatchHandler = Arc<dyn Fn(MachineId, &[Frame]) + Send + Sync>;
 
 #[derive(Clone)]
 pub(crate) enum Registered {
@@ -255,7 +255,7 @@ impl Endpoint {
     }
 
     /// Number of machines on the fabric.
-    pub fn machine_count(&self) -> usize {
+    fn machine_count(&self) -> usize {
         self.pack_bufs.len()
     }
 
@@ -747,9 +747,8 @@ impl Endpoint {
     /// span are paid once per run, not per frame; the ledger still counts
     /// every frame, and a machine killed mid-run handles no further frame
     /// of it. One-way frames dispatch even past
-    /// their deadline: asynchronous protocols (BSP fences, Safra tokens)
-    /// rely on every message being counted, and their handlers check the
-    /// deadline themselves.
+    /// their deadline: BSP run frames and fences rely on every message
+    /// being counted, and their handlers check the deadline themselves.
     pub(crate) fn dispatch_run(
         &self,
         src: MachineId,

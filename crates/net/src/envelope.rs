@@ -16,30 +16,30 @@ use crate::{MachineId, ProtoId};
 /// The wire layout, defined once. `wire_bytes` accounting, the cost
 /// model, and the frame-ledger conservation tests all derive from these
 /// constants — they can't drift apart.
-pub mod layout {
+pub(crate) mod layout {
     /// Per-frame header fields.
-    pub const FRAME_PROTO_BYTES: u64 = 2;
-    pub const FRAME_KIND_BYTES: u64 = 1;
-    pub const FRAME_CORR_BYTES: u64 = 8;
-    pub const FRAME_LEN_BYTES: u64 = 4;
-    pub const FRAME_PAD_BYTES: u64 = 1;
+    pub(super) const FRAME_PROTO_BYTES: u64 = 2;
+    pub(super) const FRAME_KIND_BYTES: u64 = 1;
+    pub(super) const FRAME_CORR_BYTES: u64 = 8;
+    pub(super) const FRAME_LEN_BYTES: u64 = 4;
+    pub(super) const FRAME_PAD_BYTES: u64 = 1;
     /// Total per-frame overhead: proto id, kind tag, correlation id,
     /// payload length prefix, alignment pad.
-    pub const FRAME_HEADER_BYTES: u64 =
+    pub(crate) const FRAME_HEADER_BYTES: u64 =
         FRAME_PROTO_BYTES + FRAME_KIND_BYTES + FRAME_CORR_BYTES + FRAME_LEN_BYTES + FRAME_PAD_BYTES;
 
     /// Per-envelope header fields.
-    pub const ENV_SRC_BYTES: u64 = 2;
-    pub const ENV_DST_BYTES: u64 = 2;
-    pub const ENV_LEN_BYTES: u64 = 4;
-    pub const ENV_CHECKSUM_BYTES: u64 = 8;
-    pub const ENV_TRACE_BYTES: u64 = 8;
-    pub const ENV_DEADLINE_BYTES: u64 = 8;
-    pub const ENV_FRAME_COUNT_BYTES: u64 = 4;
-    pub const ENV_MAGIC_BYTES: u64 = 4;
+    pub(super) const ENV_SRC_BYTES: u64 = 2;
+    pub(super) const ENV_DST_BYTES: u64 = 2;
+    pub(super) const ENV_LEN_BYTES: u64 = 4;
+    pub(super) const ENV_CHECKSUM_BYTES: u64 = 8;
+    pub(super) const ENV_TRACE_BYTES: u64 = 8;
+    pub(super) const ENV_DEADLINE_BYTES: u64 = 8;
+    pub(super) const ENV_FRAME_COUNT_BYTES: u64 = 4;
+    pub(super) const ENV_MAGIC_BYTES: u64 = 4;
     /// Total per-envelope overhead: src, dst, length, checksum, trace id,
     /// deadline, frame count, magic.
-    pub const ENV_HEADER_BYTES: u64 = ENV_SRC_BYTES
+    pub(crate) const ENV_HEADER_BYTES: u64 = ENV_SRC_BYTES
         + ENV_DST_BYTES
         + ENV_LEN_BYTES
         + ENV_CHECKSUM_BYTES
@@ -75,7 +75,7 @@ pub struct Frame {
 
 impl Frame {
     /// Bytes this frame contributes to a transfer: payload plus the frame
-    /// header ([`layout::FRAME_HEADER_BYTES`]).
+    /// header (`layout::FRAME_HEADER_BYTES`).
     pub fn wire_bytes(&self) -> u64 {
         self.payload.len() as u64 + layout::FRAME_HEADER_BYTES
     }
@@ -101,7 +101,7 @@ pub struct Envelope {
 
 impl Envelope {
     /// Total bytes on the wire: frames plus the envelope header
-    /// ([`layout::ENV_HEADER_BYTES`]).
+    /// (`layout::ENV_HEADER_BYTES`).
     pub fn wire_bytes(&self) -> u64 {
         self.frames.iter().map(Frame::wire_bytes).sum::<u64>() + layout::ENV_HEADER_BYTES
     }

@@ -184,11 +184,6 @@ impl Fabric {
         Arc::clone(&self.endpoints[m.0 as usize])
     }
 
-    /// All endpoints in machine order.
-    pub fn endpoints(&self) -> &[Arc<Endpoint>] {
-        &self.endpoints
-    }
-
     /// Number of machines.
     pub fn machines(&self) -> usize {
         self.cfg.machines

@@ -62,24 +62,24 @@ pub enum NodeEvent {
 
 /// Per-envelope delay policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayPolicy {
+struct DelayPolicy {
     /// Probability an envelope is delayed.
-    pub prob: f64,
+    prob: f64,
     /// Fixed delay component, microseconds.
-    pub base_us: u64,
+    base_us: u64,
     /// Seeded uniform jitter in `[0, jitter_us]` added to the base.
-    pub jitter_us: u64,
+    jitter_us: u64,
 }
 
 /// Per-envelope bounded-reordering policy: a selected envelope is held
 /// until the *next* envelope on the same link passes it (or `hold_us`
 /// elapses), swapping adjacent deliveries.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReorderPolicy {
+struct ReorderPolicy {
     /// Probability an envelope is held for reordering.
-    pub prob: f64,
+    prob: f64,
     /// Maximum hold before the envelope is released anyway.
-    pub hold_us: u64,
+    hold_us: u64,
 }
 
 /// An asymmetric one-way partition of a single link: envelopes from
@@ -109,15 +109,15 @@ pub struct FaultPlan {
     /// Seed for every per-envelope decision.
     pub seed: u64,
     /// Probability an envelope is dropped.
-    pub drop: f64,
+    drop: f64,
     /// Delay policy.
-    pub delay: DelayPolicy,
+    delay: DelayPolicy,
     /// Probability an envelope is duplicated (delivered twice).
-    pub duplicate: f64,
+    duplicate: f64,
     /// Bounded reordering policy.
-    pub reorder: ReorderPolicy,
+    reorder: ReorderPolicy,
     /// Link partition windows.
-    pub partitions: Vec<Partition>,
+    partitions: Vec<Partition>,
     /// Crash/revive schedule.
     pub schedule: Vec<(Trigger, NodeEvent)>,
     /// When set, the plan ignores the seeded policies and re-applies

@@ -34,7 +34,7 @@ use crate::ProtoId;
 const MAX_SPARES: usize = 32;
 /// Largest buffer capacity worth recycling — oversized one-off transfers
 /// should not pin their high-water mark forever.
-pub const MAX_RECYCLED_CAPACITY: usize = 1 << 20;
+const MAX_RECYCLED_CAPACITY: usize = 1 << 20;
 /// Default capacity for a fresh arena when the pool has no spare.
 const DEFAULT_ARENA_CAPACITY: usize = 4096;
 
@@ -207,11 +207,6 @@ impl FrameBuf {
             }
         }
         self.as_slice().to_vec()
-    }
-
-    /// Number of live views sharing this buffer's chunk (tests).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.chunk)
     }
 }
 
@@ -391,11 +386,11 @@ mod tests {
         let trinity = buf.slice(6..13);
         assert_eq!(hello, b"hello");
         assert_eq!(trinity, b"trinity");
-        assert_eq!(buf.ref_count(), 3);
+        assert_eq!(Arc::strong_count(&buf.chunk), 3);
         let c = trinity.clone();
-        assert_eq!(buf.ref_count(), 4);
+        assert_eq!(Arc::strong_count(&buf.chunk), 4);
         drop((hello, trinity, c));
-        assert_eq!(buf.ref_count(), 1);
+        assert_eq!(Arc::strong_count(&buf.chunk), 1);
     }
 
     #[test]

@@ -61,15 +61,14 @@ pub use deadline::{
     current_deadline, deadline_expired, deadline_now_us, remaining_us, CancelToken, DeadlineGuard,
     NO_DEADLINE,
 };
-pub use endpoint::{BatchHandler, Endpoint, Handler};
-pub use envelope::{layout, Envelope, Frame, FrameKind};
+pub use endpoint::Endpoint;
+pub use envelope::{Envelope, Frame, FrameKind};
 pub use error::NetError;
 pub use fabric::{Fabric, FabricConfig};
 pub use fault::{
-    ChaosState, DelayPolicy, FaultKind, FaultLog, FaultPlan, FaultRecord, NodeEvent, Partition,
-    ReorderPolicy, Trigger,
+    ChaosState, FaultKind, FaultLog, FaultPlan, FaultRecord, NodeEvent, Partition, Trigger,
 };
-pub use framebuf::{FrameBuf, FramePool, PackArena, MAX_RECYCLED_CAPACITY};
+pub use framebuf::{FrameBuf, FramePool, PackArena};
 pub use stats::{NetStats, StatsDelta};
 
 /// Identifier of a machine in the cluster (a Trinity slave, proxy, or

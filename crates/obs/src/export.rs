@@ -128,7 +128,7 @@ fn hist_json(h: &HistSnapshot) -> Json {
 }
 
 /// One trunk's load as JSON (lifetime totals plus EWMA rates).
-pub fn trunk_load_json(t: &TrunkLoad) -> Json {
+fn trunk_load_json(t: &TrunkLoad) -> Json {
     Json::obj([
         ("reads", Json::U64(t.reads)),
         ("writes", Json::U64(t.writes)),

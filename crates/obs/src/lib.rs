@@ -38,8 +38,7 @@
 //!   tier sheds a storm.
 //! * **Trace timelines** ([`Timeline`]) — spans for one trace id stitched
 //!   across machines (all rings share their registry's epoch) with
-//!   per-label breakdown, critical-path extraction, and Chrome
-//!   trace-event export.
+//!   critical-path extraction and Chrome trace-event export.
 //!
 //! Everything is cheap when idle: relaxed atomics on the hot paths, metric
 //! handles are `Arc`s cached by the instrumented layer (no name lookup per
@@ -55,13 +54,13 @@ mod registry;
 mod timeline;
 mod trace;
 
-pub use export::{snapshot_json, span_json, trunk_load_json, validate_json, Json};
+pub use export::{snapshot_json, span_json, validate_json, Json};
 pub use hist::{HistSnapshot, Histogram};
-pub use load::{LoadMap, TrunkLoad, LOAD_DECAY_TAU_S, MAX_TRUNKS, MIN_ROLL_WINDOW_US};
+pub use load::{LoadMap, TrunkLoad, MIN_ROLL_WINDOW_US};
 pub use metric::{Counter, Gauge};
-pub use recorder::{FlightRecorder, FlightWindow, FLIGHT_EVENTS, FLIGHT_SPANS, FLIGHT_WINDOWS};
+pub use recorder::FlightRecorder;
 pub use registry::{MachineScope, MachineSnapshot, Registry, RegistrySnapshot};
-pub use timeline::{LabelStat, Timeline};
+pub use timeline::Timeline;
 pub use trace::{
     current_trace, next_trace_id, SpanEvent, SpanRing, TraceGuard, NO_TRACE, SPAN_RING_CAPACITY,
 };

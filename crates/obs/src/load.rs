@@ -33,14 +33,14 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 /// EWMA time constant for the windowed rates, in seconds.
-pub const LOAD_DECAY_TAU_S: f64 = 10.0;
+const LOAD_DECAY_TAU_S: f64 = 10.0;
 
 /// Rolls closer together than this are ignored (window too small to
 /// produce a meaningful rate).
 pub const MIN_ROLL_WINDOW_US: u64 = 1_000;
 
 /// Trunk ids `>= MAX_TRUNKS` are dropped rather than grown toward.
-pub const MAX_TRUNKS: u64 = 1 << 20;
+const MAX_TRUNKS: u64 = 1 << 20;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
@@ -268,7 +268,7 @@ impl LoadMap {
     /// Fold totals accumulated since the previous roll into the EWMA rates,
     /// at an explicit timestamp (µs since this map's epoch). Exposed so
     /// tests can drive deterministic windows; production callers use
-    /// [`LoadMap::roll`] / [`LoadMap::snapshot`].
+    /// [`LoadMap::snapshot`], which rolls at the wall clock.
     pub fn roll_at(&self, now_us: u64) {
         let mut st = lock(&self.roll);
         let dt_us = now_us.saturating_sub(st.last_us);
@@ -323,7 +323,7 @@ impl LoadMap {
     }
 
     /// Roll using the wall clock.
-    pub fn roll(&self) {
+    fn roll(&self) {
         self.roll_at(self.now_us());
     }
 

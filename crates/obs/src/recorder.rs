@@ -26,13 +26,13 @@ use crate::registry::RegistrySnapshot;
 use crate::trace::SpanEvent;
 
 /// Windows retained; older windows fall off the ring.
-pub const FLIGHT_WINDOWS: usize = 16;
+const FLIGHT_WINDOWS: usize = 16;
 
 /// Freeform events retained.
-pub const FLIGHT_EVENTS: usize = 256;
+const FLIGHT_EVENTS: usize = 256;
 
 /// Recent spans included in a dump, newest last.
-pub const FLIGHT_SPANS: usize = 512;
+const FLIGHT_SPANS: usize = 512;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
@@ -43,14 +43,14 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// One recorded window: activity between two consecutive ticks.
 #[derive(Debug, Clone)]
-pub struct FlightWindow {
+struct FlightWindow {
     /// Monotonic window number (first window is 1).
-    pub seq: u64,
+    seq: u64,
     /// Window bounds, µs since the owning registry's epoch.
-    pub start_us: u64,
-    pub end_us: u64,
+    start_us: u64,
+    end_us: u64,
     /// Metric deltas over the window.
-    pub delta: RegistrySnapshot,
+    delta: RegistrySnapshot,
 }
 
 #[derive(Debug, Default)]
@@ -75,7 +75,7 @@ impl FlightRecorder {
 
     /// Close the current window at `now_us` with registry state `snap`.
     /// The first tick only establishes the baseline; each later tick
-    /// appends one [`FlightWindow`] holding the delta since the previous.
+    /// appends one `FlightWindow` holding the delta since the previous.
     pub fn tick(&self, now_us: u64, snap: RegistrySnapshot) {
         let mut st = lock(&self.inner);
         if let Some(prev) = st.last.take() {
@@ -104,19 +104,9 @@ impl FlightRecorder {
         }
     }
 
-    /// Windows currently buffered, oldest first.
-    pub fn windows(&self) -> Vec<FlightWindow> {
-        lock(&self.inner).windows.iter().cloned().collect()
-    }
-
-    /// Number of events currently buffered.
-    pub fn event_count(&self) -> usize {
-        lock(&self.inner).events.len()
-    }
-
     /// Serialize the buffered windows, events, and `spans` (the caller
     /// passes the registry's recent spans; only the newest
-    /// [`FLIGHT_SPANS`] are kept) into one postmortem document.
+    /// `FLIGHT_SPANS` are kept) into one postmortem document.
     pub fn dump_json(&self, reason: &str, now_us: u64, spans: &[SpanEvent]) -> Json {
         let st = lock(&self.inner);
         let windows: Vec<Json> = st
@@ -164,7 +154,7 @@ mod tests {
         rec.tick(1_000, reg.snapshot()); // baseline only
         reg.scope(0).counter("x").add(5);
         rec.tick(2_000, reg.snapshot());
-        let ws = rec.windows();
+        let ws = lock(&rec.inner).windows.clone();
         assert_eq!(ws.len(), 1);
         assert_eq!(ws[0].seq, 1);
         assert_eq!((ws[0].start_us, ws[0].end_us), (1_000, 2_000));
@@ -178,13 +168,13 @@ mod tests {
         for i in 0..(FLIGHT_WINDOWS as u64 + 5) {
             rec.tick(i * 1_000, reg.snapshot());
         }
-        let ws = rec.windows();
+        let ws = lock(&rec.inner).windows.clone();
         assert_eq!(ws.len(), FLIGHT_WINDOWS);
         assert_eq!(ws[0].seq, 5, "oldest windows fall off");
         for i in 0..(FLIGHT_EVENTS + 9) {
             rec.event(i as u64, format!("e{i}"));
         }
-        assert_eq!(rec.event_count(), FLIGHT_EVENTS);
+        assert_eq!(lock(&rec.inner).events.len(), FLIGHT_EVENTS);
     }
 
     #[test]

@@ -7,32 +7,16 @@
 //! * spans are ordered by start time on a **shared clock** — every span
 //!   ring created by one [`crate::Registry`] shares the registry's epoch,
 //!   so cross-machine timestamps are directly comparable;
-//! * [`Timeline::breakdown`] aggregates per label (`net.send` = wire,
-//!   `net.deliver` = receive/queue, `net.dispatch` = handler compute,
-//!   `explore.hop` / `query.hop` = per-hop totals), giving the
-//!   queue/network/compute split for each hop of a query;
-//! * [`Timeline::critical_path`] extracts a greedy longest chain of
-//!   overlapping spans — the sequence of work that actually bounded the
-//!   query's latency — and [`Timeline::critical_us`] is the wall time that
-//!   chain covers (gaps between disjoint spans are not counted);
+//! * [`Timeline::critical_us`] is the wall time covered by a greedy
+//!   longest chain of overlapping spans — the sequence of work that
+//!   actually bounded the query's latency (gaps between disjoint spans are
+//!   not counted);
 //! * [`Timeline::chrome_trace_json`] exports the Chrome trace-event
 //!   format (`chrome://tracing`, Perfetto) with one track per machine.
 
 use crate::export::Json;
 use crate::registry::Registry;
 use crate::trace::SpanEvent;
-
-/// Per-label aggregate over one timeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LabelStat {
-    pub label: &'static str,
-    pub count: u64,
-    /// Summed span durations, µs (overlapping spans double-count here —
-    /// this is total work, not wall time).
-    pub total_us: u64,
-    pub bytes: u64,
-    pub frames: u64,
-}
 
 /// The spans of one trace, stitched across machines and sorted by start.
 #[derive(Debug, Clone)]
@@ -55,56 +39,12 @@ impl Timeline {
         Timeline::build(trace, reg.spans_for_trace(trace))
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Earliest span start, µs since the registry epoch.
-    pub fn start_us(&self) -> u64 {
-        self.spans.iter().map(|s| s.start_us).min().unwrap_or(0)
-    }
-
-    /// Latest span end.
-    pub fn end_us(&self) -> u64 {
-        self.spans.iter().map(|s| s.end_us).max().unwrap_or(0)
-    }
-
-    /// End-to-end makespan (last end minus first start).
-    pub fn makespan_us(&self) -> u64 {
-        self.end_us().saturating_sub(self.start_us())
-    }
-
-    /// Per-label totals, ordered by descending total time.
-    pub fn breakdown(&self) -> Vec<LabelStat> {
-        let mut stats: Vec<LabelStat> = Vec::new();
-        for s in &self.spans {
-            let dur = s.end_us.saturating_sub(s.start_us);
-            match stats.iter_mut().find(|st| st.label == s.label) {
-                Some(st) => {
-                    st.count += 1;
-                    st.total_us += dur;
-                    st.bytes += s.bytes;
-                    st.frames += s.frames as u64;
-                }
-                None => stats.push(LabelStat {
-                    label: s.label,
-                    count: 1,
-                    total_us: dur,
-                    bytes: s.bytes,
-                    frames: s.frames as u64,
-                }),
-            }
-        }
-        stats.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.label.cmp(b.label)));
-        stats
-    }
-
     /// Greedy critical path: starting from the earliest span, repeatedly
     /// take — among spans overlapping the chain's current end — the one
     /// reaching furthest; when none overlaps, jump across the gap to the
     /// next span to start. The result is a minimal chain of spans whose
     /// union spans the whole timeline.
-    pub fn critical_path(&self) -> Vec<SpanEvent> {
+    fn critical_path(&self) -> Vec<SpanEvent> {
         let mut chain = Vec::new();
         let Some(first) = self.spans.first() else {
             return chain;
@@ -214,7 +154,7 @@ mod tests {
         let tl = Timeline::build(9, vec![span(1, "b", 50, 80), other, span(0, "a", 10, 60)]);
         assert_eq!(tl.spans.len(), 2);
         assert_eq!(tl.spans[0].label, "a");
-        assert_eq!((tl.start_us(), tl.end_us(), tl.makespan_us()), (10, 80, 70));
+        assert_eq!(tl.spans[1].label, "b");
     }
 
     #[test]
@@ -233,24 +173,6 @@ mod tests {
         assert_eq!(path, vec!["a", "b", "c"]);
         // Covered: [0,200) ∪ [300,350) = 250; gap of 100 excluded.
         assert_eq!(tl.critical_us(), 250);
-        assert_eq!(tl.makespan_us(), 350);
-    }
-
-    #[test]
-    fn breakdown_aggregates_per_label() {
-        let tl = Timeline::build(
-            9,
-            vec![
-                span(0, "hop", 0, 10),
-                span(1, "hop", 10, 30),
-                span(0, "net", 2, 5),
-            ],
-        );
-        let b = tl.breakdown();
-        assert_eq!(b[0].label, "hop");
-        assert_eq!(b[0].count, 2);
-        assert_eq!(b[0].total_us, 30);
-        assert_eq!(b[0].bytes, 20);
     }
 
     #[test]

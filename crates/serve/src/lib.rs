@@ -31,7 +31,7 @@ mod runtime;
 
 pub use coalesce::Coalescer;
 pub use error::ServeError;
-pub use queue::{BoundedQueue, Priority, CLASSES};
+pub use queue::{BoundedQueue, Priority};
 pub use runtime::{QueryCtx, ServeConfig, ServeCounts, ServeRuntime, Ticket};
 
 pub use trinity_core::online::CallHook;

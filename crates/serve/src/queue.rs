@@ -28,14 +28,6 @@ pub enum Priority {
     Batch = 3,
 }
 
-/// All priority classes, drain order.
-pub const CLASSES: [Priority; 4] = [
-    Priority::Interactive,
-    Priority::Normal,
-    Priority::Mutation,
-    Priority::Batch,
-];
-
 impl Priority {
     /// Index into per-class arrays.
     pub fn idx(self) -> usize {

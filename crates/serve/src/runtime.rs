@@ -87,11 +87,6 @@ impl<R> Ticket<R> {
         self.rx.recv().unwrap_or(Err(ServeError::Closed))
     }
 
-    /// Non-blocking poll; `None` while the query is still in flight.
-    pub fn poll(&self) -> Option<Result<R, ServeError>> {
-        self.rx.try_recv().ok()
-    }
-
     /// Request cooperative cancellation of this query.
     pub fn cancel(&self) {
         self.cancel.cancel();

@@ -338,15 +338,6 @@ impl Tfs {
         }
     }
 
-    /// Revive a storage node. Its copies may be stale; reads prefer higher
-    /// versions and [`Tfs::heal`] refreshes them.
-    pub fn revive_node(&self, idx: usize) {
-        let mut inner = self.inner.lock();
-        if idx < inner.nodes.len() {
-            inner.nodes[idx].alive = true;
-        }
-    }
-
     /// Re-replicate: copy the freshest version of every file onto every
     /// live replica node that is missing it or holds a stale copy.
     /// Returns the number of replica copies refreshed.
@@ -407,17 +398,6 @@ impl Tfs {
         }
     }
 
-    /// Release the flag if held by `owner`.
-    pub fn release_flag(&self, flag: &str, owner: &str) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.flags.get(flag).map(|s| s.as_str()) == Some(owner) {
-            inner.flags.remove(flag);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Current owner of the flag.
     pub fn flag_owner(&self, flag: &str) -> Option<String> {
         self.inner.lock().flags.get(flag).cloned()
@@ -443,6 +423,11 @@ fn fnv1a(s: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bring a killed storage node back with whatever copies it held.
+    fn revive(tfs: &Tfs, idx: usize) {
+        tfs.inner.lock().nodes[idx].alive = true;
+    }
 
     #[test]
     fn write_read_delete_roundtrip() {
@@ -505,7 +490,7 @@ mod tests {
         tfs.write("f", b"v1").unwrap();
         tfs.kill_node(0);
         tfs.write("f", b"v2").unwrap(); // only node 1 gets v2
-        tfs.revive_node(0);
+        revive(&tfs, 0);
         // Freshest-copy read must return v2 even though node 0 has v1.
         assert_eq!(*tfs.read("f").unwrap(), b"v2");
         let refreshed = tfs.heal();
@@ -593,7 +578,7 @@ mod tests {
         assert!(v2 > v1);
         // Only the stale replica left alive: the stat reports what a read
         // would now return.
-        tfs.revive_node(0);
+        revive(&tfs, 0);
         tfs.kill_node(1);
         assert_eq!(tfs.version_of("f"), Ok(v1));
         tfs.kill_node(0);
@@ -624,11 +609,9 @@ mod tests {
         );
         assert!(!tfs.try_acquire_flag("leader", "m2"));
         assert_eq!(tfs.flag_owner("leader").as_deref(), Some("m1"));
-        assert!(!tfs.release_flag("leader", "m2"));
-        assert!(tfs.release_flag("leader", "m1"));
-        assert!(tfs.try_acquire_flag("leader", "m2"));
         tfs.break_flag("leader");
         assert_eq!(tfs.flag_owner("leader"), None);
+        assert!(tfs.try_acquire_flag("leader", "m2"));
     }
 
     #[test]

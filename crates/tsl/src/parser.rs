@@ -37,7 +37,7 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, TslError> {
+    fn expect_token(&mut self, kind: TokenKind) -> Result<Token, TslError> {
         if self.peek().kind == kind {
             Ok(self.next())
         } else {
@@ -102,11 +102,11 @@ impl Parser {
 
     /// `[Key: Value, Key: Value, ...]`
     fn attribute(&mut self) -> Result<Attribute, TslError> {
-        self.expect(TokenKind::LBracket)?;
+        self.expect_token(TokenKind::LBracket)?;
         let mut entries = Vec::new();
         loop {
             let key = self.ident()?;
-            self.expect(TokenKind::Colon)?;
+            self.expect_token(TokenKind::Colon)?;
             let value = self.ident()?;
             entries.push((key, value));
             match self.peek().kind {
@@ -117,7 +117,7 @@ impl Parser {
                 _ => return self.err("expected `,` or `]` in attribute"),
             }
         }
-        self.expect(TokenKind::RBracket)?;
+        self.expect_token(TokenKind::RBracket)?;
         Ok(Attribute { entries })
     }
 
@@ -127,7 +127,7 @@ impl Parser {
         attributes: Vec<Attribute>,
     ) -> Result<StructDef, TslError> {
         let name = self.ident()?;
-        self.expect(TokenKind::LBrace)?;
+        self.expect_token(TokenKind::LBrace)?;
         let mut fields = Vec::new();
         while self.peek().kind != TokenKind::RBrace {
             let mut field_attrs = Vec::new();
@@ -136,14 +136,14 @@ impl Parser {
             }
             let ty = self.type_ref()?;
             let fname = self.ident()?;
-            self.expect(TokenKind::Semicolon)?;
+            self.expect_token(TokenKind::Semicolon)?;
             fields.push(FieldDef {
                 name: fname,
                 ty,
                 attributes: field_attrs,
             });
         }
-        self.expect(TokenKind::RBrace)?;
+        self.expect_token(TokenKind::RBrace)?;
         Ok(StructDef {
             name,
             is_cell,
@@ -164,15 +164,15 @@ impl Parser {
             "string" => TypeRef::String,
             "BitArray" => TypeRef::BitArray,
             "List" => {
-                self.expect(TokenKind::LAngle)?;
+                self.expect_token(TokenKind::LAngle)?;
                 let inner = self.type_ref()?;
-                self.expect(TokenKind::RAngle)?;
+                self.expect_token(TokenKind::RAngle)?;
                 TypeRef::List(Box::new(inner))
             }
             "Array" => {
-                self.expect(TokenKind::LAngle)?;
+                self.expect_token(TokenKind::LAngle)?;
                 let inner = self.type_ref()?;
-                self.expect(TokenKind::Comma)?;
+                self.expect_token(TokenKind::Comma)?;
                 let len = match self.next().kind {
                     TokenKind::Int(n) if n >= 1 => n as usize,
                     other => {
@@ -181,7 +181,7 @@ impl Parser {
                         ))
                     }
                 };
-                self.expect(TokenKind::RAngle)?;
+                self.expect_token(TokenKind::RAngle)?;
                 TypeRef::Array(Box::new(inner), len)
             }
             _ => TypeRef::Struct(name),
@@ -191,15 +191,15 @@ impl Parser {
     /// `protocol Name { Type: Syn; Request: M; Response: M; }`
     fn protocol_body(&mut self) -> Result<ProtocolDef, TslError> {
         let name = self.ident()?;
-        self.expect(TokenKind::LBrace)?;
+        self.expect_token(TokenKind::LBrace)?;
         let mut kind = None;
         let mut request = None;
         let mut response = None;
         while self.peek().kind != TokenKind::RBrace {
             let key = self.ident()?;
-            self.expect(TokenKind::Colon)?;
+            self.expect_token(TokenKind::Colon)?;
             let value = self.ident()?;
-            self.expect(TokenKind::Semicolon)?;
+            self.expect_token(TokenKind::Semicolon)?;
             match key.as_str() {
                 "Type" => {
                     kind = Some(match value.as_str() {
@@ -217,7 +217,7 @@ impl Parser {
                 other => return self.err(format!("unknown protocol clause `{other}`")),
             }
         }
-        self.expect(TokenKind::RBrace)?;
+        self.expect_token(TokenKind::RBrace)?;
         let kind =
             kind.ok_or_else(|| TslError::Validate(format!("protocol {name} is missing `Type`")))?;
         let request = request

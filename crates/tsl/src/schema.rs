@@ -166,15 +166,6 @@ impl Schema {
         &self.struct_order
     }
 
-    /// Names of `cell struct`s (storable cells) in declaration order.
-    pub fn cell_struct_names(&self) -> Vec<&str> {
-        self.struct_order
-            .iter()
-            .filter(|n| self.structs[*n].cell_kind.is_some())
-            .map(String::as_str)
-            .collect()
-    }
-
     /// Descriptor of the protocol named `name`.
     pub fn protocol(&self, name: &str) -> Result<&ProtocolInfo, TslError> {
         self.protocols
@@ -272,7 +263,6 @@ mod tests {
         .unwrap();
         let schema = compile(&script).unwrap();
         assert_eq!(schema.struct_names(), &["Movie", "Actor"]);
-        assert_eq!(schema.cell_struct_names(), vec!["Movie", "Actor"]);
         let movie = schema.struct_layout("Movie").unwrap();
         let actors = movie.field("Actors").unwrap();
         assert_eq!(actors.referenced_cell.as_deref(), Some("Actor"));

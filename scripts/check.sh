@@ -12,6 +12,7 @@ cd "$(dirname "$0")/.."
 
 HERMETIC=(--offline --locked)
 UNSAFE_MAX=8
+ORPHANS_MAX=102
 
 # The gate must leave the working tree exactly as it found it: nothing it
 # builds or runs may touch a tracked file or drop an unignored one.
@@ -34,6 +35,15 @@ echo "==> unsafe ceiling (scripts/loc.sh's total unsafe sites may not exceed $UN
 UNSAFE=$(scripts/loc.sh | awk '/non-test Rust lines/ { print $3 }')
 if [ "$UNSAFE" -gt "$UNSAFE_MAX" ]; then
     echo "scripts/loc.sh counts $UNSAFE unsafe sites, more than $UNSAFE_MAX" >&2
+    exit 1
+fi
+
+echo "==> orphan ceiling (scripts/orphans.sh may list at most $ORPHANS_MAX pub items)"
+# Every listed item is kept for a reason EXPERIMENTS.md records; a new
+# one is deleted, made private, or added there with this number.
+ORPHANS=$(scripts/orphans.sh | tail -n 1 | awk '{ print $1 }')
+if [ "$ORPHANS" -gt "$ORPHANS_MAX" ]; then
+    echo "scripts/orphans.sh lists $ORPHANS pub items, more than $ORPHANS_MAX" >&2
     exit 1
 fi
 

@@ -5,8 +5,9 @@
 # each file read up to (not including) its first `#[cfg(test)]` line (the
 # rule of scripts/loc.sh). Comments do not name anything, and neither does
 # a `pub use` re-export, so an item only a crate root re-exports is listed.
-# An entry is dead or public for no reason. A ledger, not a gate: TSL's
-# accessor getters are public API by design.
+# An entry is dead or public for no reason, unless EXPERIMENTS.md keeps it
+# with one (TSL's accessor getters are public API by design).
+# scripts/check.sh fails when the count exceeds its ORPHANS_MAX.
 # Prints `file:line kind name` per entry, then the count line.
 set -euo pipefail
 cd "$(dirname "$0")/.."

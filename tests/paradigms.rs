@@ -1,17 +1,16 @@
 //! Cross-paradigm consistency: the paper's point that Trinity is "not
 //! constrained by any computation model" — the same question answered by
-//! online exploration, synchronous BSP, and asynchronous computation must
-//! give the same answer.
+//! online exploration and by synchronous BSP must give the same answer.
 
 use std::sync::Arc;
 
-use trinity::algos::{bfs_async, bfs_distributed};
+use trinity::algos::bfs_distributed;
 use trinity::core::{BspConfig, Explorer};
 use trinity::graph::{load_graph, Csr, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
 
 #[test]
-fn three_paradigms_agree_on_reachability_and_distance() {
+fn exploration_hop_counts_match_bsp_distances() {
     let csr: Csr = trinity::graphgen::social(500, 8, 21);
     let source = 3u64;
     let machines = 3;
@@ -28,17 +27,8 @@ fn three_paradigms_agree_on_reachability_and_distance() {
         },
     );
 
-    // Paradigm 2: asynchronous message-driven relaxation.
-    let async_result = bfs_async(Arc::clone(&graph), source);
-
-    // Paradigm 3: online traversal, hop by hop.
+    // Paradigm 2: online traversal, hop by hop.
     let explorer = Explorer::install(Arc::clone(&cloud));
-
-    // BSP and async agree exactly on every distance.
-    assert_eq!(bsp.states.len(), async_result.states.len());
-    for (id, d) in &bsp.states {
-        assert_eq!(async_result.states[id], *d, "vertex {id}: BSP vs async");
-    }
 
     // Online exploration's per-hop counts equal the distance histogram.
     let max_d = bsp
