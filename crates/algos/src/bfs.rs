@@ -59,11 +59,6 @@ impl VertexProgram for BfsProgram {
     fn decode_state(b: &[u8]) -> Option<u64> {
         Some(u64::from_le_bytes(b.try_into().ok()?))
     }
-
-    fn combine(a: &mut u64, b: &u64) -> bool {
-        *a = (*a).min(*b);
-        true
-    }
 }
 
 /// Run BFS on a distributed graph; returns depths and the run report.

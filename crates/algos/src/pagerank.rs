@@ -82,11 +82,6 @@ impl VertexProgram for PageRankProgram {
         })
     }
 
-    fn combine(a: &mut f64, b: &f64) -> bool {
-        *a += *b;
-        true
-    }
-
     fn msg_cmp(a: &f64, b: &f64) -> std::cmp::Ordering {
         // Rank shares are summed and f64 addition is not associative:
         // give the runtime a total order so every inbox run is absorbed
@@ -141,14 +136,28 @@ mod tests {
     use trinity_graph::{load_graph, LoadOptions};
     use trinity_memcloud::{CloudConfig, MemoryCloud};
 
+    /// PageRank over `csr` loaded for the hub route (`hubs`: in-links
+    /// stored, so reverse traversable) or the grouped one (directed, no
+    /// in-links).
     fn distributed_ranks(
         csr: &Csr,
         machines: usize,
         iters: usize,
-        cfg: BspConfig,
+        hubs: bool,
+        compute_threads: usize,
     ) -> HashMap<CellId, f64> {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &LoadOptions::default()).unwrap());
+        let mut csr = csr.clone();
+        csr.directed |= !hubs;
+        let opts = LoadOptions {
+            with_in_links: hubs,
+            attrs: None,
+        };
+        let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
+        let cfg = BspConfig {
+            compute_threads,
+            ..BspConfig::default()
+        };
         let result = pagerank_distributed(graph, iters, cfg);
         cloud.shutdown();
         result
@@ -162,28 +171,21 @@ mod tests {
     fn distributed_matches_reference() {
         let csr = trinity_graphgen::rmat(8, 6, 11);
         let expect = pagerank_reference(&csr, 5);
-        let got = distributed_ranks(
-            &csr,
-            3,
-            5,
-            BspConfig {
-                hub_threshold: None,
-                ..BspConfig::default()
-            },
-        );
-        assert_eq!(got.len(), expect.len());
-        for (id, r) in &expect {
-            let g = got[id];
-            assert!((g - r).abs() < 1e-9, "vertex {id}: {g} vs {r}");
+        for hubs in [true, false] {
+            let got = distributed_ranks(&csr, 3, 5, hubs, 0);
+            assert_eq!(got.len(), expect.len());
+            for (id, r) in &expect {
+                let g = got[id];
+                assert!((g - r).abs() < 1e-9, "vertex {id}, hubs {hubs}: {g} vs {r}");
+            }
         }
     }
 
     #[test]
-    fn hub_buffering_and_combining_preserve_ranks() {
+    fn the_two_routes_give_the_same_rank_bits() {
         // Fan-out changes how a share travels, not which shares a vertex
-        // sums or in what order: the rank bits of every hub setting — the
-        // default makes every vertex a hub — equal the hub-free run's.
-        // Combining folds shares before they travel, so it is only close.
+        // sums or in what order: the hub route's rank bits equal the
+        // grouped route's.
         let bits = |ranks: HashMap<CellId, f64>| -> HashMap<CellId, u64> {
             ranks.into_iter().map(|(id, r)| (id, r.to_bits())).collect()
         };
@@ -192,21 +194,9 @@ mod tests {
             trinity_graphgen::social(2_000, 16, 5),
         ] {
             for compute_threads in [1, 3] {
-                let cfg = |hub_threshold, combine| BspConfig {
-                    hub_threshold,
-                    combine,
-                    compute_threads,
-                    ..BspConfig::default()
-                };
-                let base = distributed_ranks(&csr, 3, 4, cfg(None, false));
-                for hubs in [Some(16), BspConfig::default().hub_threshold] {
-                    let got = distributed_ranks(&csr, 3, 4, cfg(hubs, false));
-                    assert_eq!(bits(got), bits(base.clone()), "hubs {hubs:?}");
-                }
-                let combined = distributed_ranks(&csr, 3, 4, cfg(None, true));
-                for (id, r) in &base {
-                    assert!((combined[id] - r).abs() < 1e-9, "vertex {id}");
-                }
+                let hubbed = distributed_ranks(&csr, 3, 4, true, compute_threads);
+                let grouped = distributed_ranks(&csr, 3, 4, false, compute_threads);
+                assert_eq!(bits(hubbed), bits(grouped), "{compute_threads} threads");
             }
         }
     }

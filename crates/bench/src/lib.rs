@@ -6,6 +6,8 @@
 //! plus the experiment's headline claim so EXPERIMENTS.md can record
 //! paper-vs-measured side by side.
 
+pub mod route_model;
+
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;

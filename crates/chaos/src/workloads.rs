@@ -14,8 +14,8 @@ use trinity_core::checkpoint::{resume_from_checkpoint, run_with_checkpoints, Che
 use trinity_core::online::{explore_via, ExploreOptions};
 use trinity_core::recovery::{RecoveryAgents, RecoveryConfig, RecoveryEvent};
 use trinity_core::{
-    BspConfig, BspRunner, Explorer, MessagingMode, Mutation, MutationBatch, StreamingIngest,
-    Topology, TrinityCluster, TrinityConfig, VertexContext, VertexProgram,
+    BspConfig, BspRunner, Explorer, Mutation, MutationBatch, StreamingIngest, Topology,
+    TrinityCluster, TrinityConfig, VertexContext, VertexProgram,
 };
 use trinity_graph::{load_graph, Csr, LoadOptions};
 use trinity_memcloud::{CloudConfig, MemoryCloud};
@@ -89,8 +89,6 @@ fn ring(n: usize) -> Csr {
 
 fn bsp_cfg(limit: usize, compute_threads: usize) -> BspConfig {
     BspConfig {
-        messaging: MessagingMode::Packed,
-        combine: false,
         max_supersteps: limit,
         compute_threads,
         ..BspConfig::default()

@@ -5,36 +5,17 @@
 //! sent to it in the previous superstep, computes, sends messages, and may
 //! vote to halt (a halted vertex is reawakened by an incoming message).
 //!
-//! Two models are supported, mirroring the paper's comparison:
-//!
-//! * the **general model** (Pregel): a vertex may message *any* vertex —
-//!   use [`VertexContext::send`];
-//! * the **restrictive model** (Trinity): a vertex messages a fixed set,
-//!   usually its neighbors — use [`VertexContext::send_to_neighbors`].
-//!   The fixed, predictable communication pattern is what enables the
-//!   §5.4 optimizations.
-//!
-//! Vertex messages cross machines as *run frames* ([`runs`], DESIGN §14):
-//! a broadcast costs each destination machine one record — the value once
-//! and a gap-coded list of the neighbors there; a point send is the same
-//! record with one destination. On top of that (all measurable, all
-//! switchable for the ablation benchmarks):
-//!
-//! * **transparent packing** ([`MessagingMode::Packed`]): run frames ride
-//!   the fabric's per-destination pack buffers; `Unpacked` ships every
-//!   message as its own record, frame and transfer — the naive cost the
-//!   paper's packing exists to avoid;
-//! * **hub buffering** ([`BspConfig::hub_threshold`], by default every
-//!   vertex with a neighbor): a vertex broadcasting the same value to its
-//!   neighbors sends *one* record per remote machine per iteration with
-//!   one id, its own, and no destination list; the receiving machine
-//!   fans it out locally through a fan-out index it builds at job setup
-//!   from its own in-edges (Distributed GraphLab's ghosts do the same for
-//!   every boundary vertex; the paper's §5.4 for the hubs of a power-law
-//!   graph);
-//! * **sender-side combining** ([`BspConfig::combine`]): commutative
-//!   messages to the same destination vertex are merged before leaving
-//!   the machine (Pregel's combiner).
+//! The model is the paper's restrictive one: a vertex sends one message,
+//! to all its out-neighbors ([`VertexContext::send_to_neighbors`]). That
+//! fixed pattern is what makes §5.4's hub buffering possible; Pregel's
+//! general model and sender-side combiners are not offered (DESIGN §10).
+//! Messages cross machines as *run frames* ([`runs`], DESIGN §14) in the
+//! fabric's per-destination pack buffers (§4.2), by the one route the
+//! graph allows: on a reverse traversable graph a broadcast is one
+//! `BSP_HUB` record per other machine its out-list reaches, naming only
+//! the sender, which that machine fans out through an index of its own
+//! in-edges; on a directed graph loaded without in-links it is one
+//! `BSP_MSG` record per machine holding neighbors, naming them.
 //!
 //! Superstep synchronization uses message fences: after computing, each
 //! machine tells every peer how many run frames it sent; a machine enters
@@ -60,17 +41,9 @@ use trinity_memcloud::CellId;
 use trinity_net::{current_deadline, DeadlineGuard, MachineId, StatsDelta};
 use trinity_obs::{next_trace_id, TraceGuard};
 
+use crate::proto;
 use path::{Fanout, Inbox, MachineRt, Slots};
 use pool::{RoundAgg, WorkerState};
-
-/// How vertex messages travel between machines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MessagingMode {
-    /// Small messages are transparently packed per destination (§4.2).
-    Packed,
-    /// Every message is its own transfer — the naive baseline.
-    Unpacked,
-}
 
 /// Per-machine callback fired at the start of every superstep, by the
 /// machine's pool leader, before any worker computes that superstep (a
@@ -87,13 +60,6 @@ pub trait SuperstepHook: Send + Sync {
 /// BSP job configuration.
 #[derive(Clone)]
 pub struct BspConfig {
-    pub messaging: MessagingMode,
-    /// Out-degree at or above which a broadcasting vertex is treated as a
-    /// hub (None disables hub buffering). The default, 1, makes every
-    /// vertex with a neighbor one.
-    pub hub_threshold: Option<usize>,
-    /// Merge combinable messages sender-side.
-    pub combine: bool,
     /// Hard superstep limit.
     pub max_supersteps: usize,
     /// Compute workers per simulated machine. `0` means trunk-aligned:
@@ -108,25 +74,9 @@ pub struct BspConfig {
     pub superstep_hook: Option<Arc<dyn SuperstepHook>>,
 }
 
-impl std::fmt::Debug for BspConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BspConfig")
-            .field("messaging", &self.messaging)
-            .field("hub_threshold", &self.hub_threshold)
-            .field("combine", &self.combine)
-            .field("max_supersteps", &self.max_supersteps)
-            .field("compute_threads", &self.compute_threads)
-            .field("superstep_hook", &self.superstep_hook.is_some())
-            .finish()
-    }
-}
-
 impl Default for BspConfig {
     fn default() -> Self {
         BspConfig {
-            messaging: MessagingMode::Packed,
-            hub_threshold: Some(1),
-            combine: false,
             max_supersteps: 64,
             compute_threads: 0,
             superstep_hook: None,
@@ -177,12 +127,6 @@ pub trait VertexProgram: Send + Sync + 'static {
     /// Deserialize a vertex state.
     fn decode_state(bytes: &[u8]) -> Option<Self::State>;
 
-    /// Merge `b` into `a` when messages to the same vertex are combinable
-    /// (return false to keep them separate). Default: not combinable.
-    fn combine(_a: &mut Self::Msg, _b: &Self::Msg) -> bool {
-        false
-    }
-
     /// Canonical ordering for messages bound to the same vertex. The
     /// driver stably sorts each vertex's inbox with this before `compute`,
     /// so the `msgs` slice a vertex sees does not depend on arrival
@@ -197,13 +141,10 @@ pub trait VertexProgram: Send + Sync + 'static {
 }
 
 /// Per-vertex compute context. Lends the vertex its out-list from the
-/// job's census copy and the worker's reusable send list, so the
-/// per-vertex hot loop reads no cell and performs no allocation of its
-/// own.
+/// job's census copy, so the per-vertex hot loop reads no cell.
 pub struct VertexContext<'a, M> {
     superstep: usize,
     outs: &'a [CellId],
-    sends: &'a mut Vec<(CellId, M)>,
     broadcast: Option<M>,
     halt: bool,
 }
@@ -219,13 +160,8 @@ impl<'a, M> VertexContext<'a, M> {
         self.outs
     }
 
-    /// General model: message any vertex.
-    pub fn send(&mut self, dst: CellId, msg: M) {
-        self.sends.push((dst, msg));
-    }
-
-    /// Restrictive model: send the same message to every out-neighbor.
-    /// Eligible for hub buffering.
+    /// Send `msg` to every out-neighbor (a later call in the same
+    /// superstep replaces it).
     pub fn send_to_neighbors(&mut self, msg: M) {
         self.broadcast = Some(msg);
     }
@@ -299,28 +235,23 @@ pub struct SuperstepReport {
     pub computed: usize,
     /// Vertices still active after the superstep.
     pub active_after: usize,
-    /// Remote deliveries sent: one per (destination vertex, message)
-    /// carried by a `BSP_MSG` record, plus one per hub broadcast (which
-    /// the receiving machine fans out as local deliveries).
+    /// Remote deliveries sent: on the hub route one per broadcast and
+    /// machine it reaches (which fans it out as local deliveries), on the
+    /// grouped route one per remote neighbor a record names.
     pub remote_messages: u64,
     /// Machine-local message deliveries (free).
     pub local_messages: u64,
     /// Critical-path compute seconds, max over machines: per machine, the
-    /// slowest pool worker's CPU time plus the driver's serial section
-    /// (combine replay). This is the superstep latency a real cluster
-    /// with that many cores per machine could not beat. With one compute
-    /// thread it reduces to the old single-thread CPU reading.
+    /// slowest pool worker's CPU time. This is the superstep latency a
+    /// real cluster with that many cores per machine could not beat.
     pub compute_seconds: f64,
     /// Aggregate compute CPU seconds across every machine and worker.
     pub compute_cpu_seconds: f64,
-    /// Aggregate compute work divided by the machine count — the compute
-    /// time an actual cluster (one real CPU per machine) would take,
-    /// assuming even progress.
-    pub compute_parallel_seconds: f64,
     /// Network traffic delta, max over machines (the bottleneck link).
     pub max_machine_net: StatsDelta,
-    /// Modeled cluster seconds: parallel compute + priced bottleneck
-    /// traffic + barrier.
+    /// Modeled cluster seconds: the aggregate compute divided by the
+    /// machine count (even progress, one CPU per machine) + priced
+    /// bottleneck traffic + barrier.
     pub modeled_seconds: f64,
 }
 
@@ -449,19 +380,17 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     // find the hub's neighbors among its own vertices' in-neighbors: the
     // graph must be reverse traversable (symmetric out-lists or stored
     // in-links, which agree with the out-lists). On a directed graph
-    // loaded without in-links every broadcast ships as records.
-    let hub_threshold = job
-        .cfg
-        .hub_threshold
-        .filter(|_| job.graph.reverse_traversable());
+    // loaded without in-links every broadcast ships as grouped records.
+    let hubs = job.graph.reverse_traversable();
     let node = job.graph.cloud().node(m);
     let table = node.table();
 
     // --- Setup: local vertex census + state init -----------------------
     // The job's one read of its topology. States are initialized where
     // the program gets zero-copy access to each cell (on resume,
-    // checkpointed states win). Each out-list is copied to `adj`, and with
-    // hubs on each in-list: the out-list when none is stored (undirected).
+    // checkpointed states win). Each out-list is copied to `adj`, and on
+    // the hub route each in-list: the out-list when none is stored
+    // (undirected).
     let mut adj: Vec<CellId> = Vec::new();
     let mut local = Vec::new();
     handle.for_each_local_node(|id, view| {
@@ -472,7 +401,7 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
         let start = adj.len();
         adj.extend(view.outs());
         let outs = start..adj.len();
-        let ins = if view.has_ins() && hub_threshold.is_some() {
+        let ins = if view.has_ins() && hubs {
             adj.extend(view.ins());
             outs.end..adj.len()
         } else {
@@ -486,26 +415,24 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     // Shard every local vertex (and all resumed state) by
     // `trunk_of(id) % workers` — the same pure routing the receive
     // handlers use, so a message lands in exactly the inbox of the worker
-    // that owns its destination. `vseq` is the vertex's position in the
-    // machine-wide sorted order; the combine replay keys on it to
-    // reproduce the serial enqueue sequence exactly.
+    // that owns its destination.
     let workers = resolve_compute_threads(
         job.cfg.compute_threads,
         table.trunks_of(MachineId(m as u16)).len(),
     );
     let shard_of = |id| path::shard_of(&table, workers, id);
+    let proto = if hubs { proto::BSP_HUB } else { proto::BSP_MSG };
     let mut shards: Vec<WorkerState<P>> = (0..workers)
-        .map(|w| WorkerState::new(w, machines, workers))
+        .map(|w| WorkerState::new(w, machines, workers, proto))
         .collect();
     let (mut ins, mut peers) = (Vec::new(), Vec::new());
-    for (vseq, (id, state, outs, in_range)) in local.into_iter().enumerate() {
+    for (id, state, outs, in_range) in local {
         let (ws, outs) = (&mut shards[shard_of(id)], &adj[outs]);
         ws.ids.push(id);
-        ws.vseq.push(vseq);
         ws.states.push(state);
         ws.outs.push(outs);
         peers.clear();
-        if hub_threshold.is_some() {
+        if hubs {
             peers.extend(outs.iter().map(|&v| table.machine_of(v).0));
             peers.retain(|&p| p as usize != m);
             peers.sort_unstable();
@@ -561,7 +488,7 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     // No peer may send this job anything before every machine has
     // installed its handlers and built its fan-out index.
     job.barrier.wait();
-    pool::run(job, m, &rt, hub_threshold, shards);
+    pool::run(job, m, &rt, hubs, shards);
 }
 
 #[cfg(test)]
@@ -569,6 +496,19 @@ mod tests {
     use super::*;
     use trinity_graph::{load_graph, Csr, LoadOptions};
     use trinity_memcloud::{CloudConfig, MemoryCloud};
+
+    /// `csr` loaded into `cloud` for the hub route (`hubs`: in-links
+    /// stored, so reverse traversable) or the grouped route (directed,
+    /// no in-links), replacing what `cloud` held.
+    fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, hubs: bool) -> Arc<DistributedGraph> {
+        let mut csr = csr.clone();
+        csr.directed |= !hubs;
+        let opts = LoadOptions {
+            with_in_links: hubs,
+            attrs: None,
+        };
+        Arc::new(load_graph(Arc::clone(cloud), &csr, &opts).unwrap())
+    }
 
     /// Classic Pregel example: propagate the maximum vertex id.
     struct MaxValue;
@@ -613,17 +553,14 @@ mod tests {
         fn decode_state(b: &[u8]) -> Option<u64> {
             Some(u64::from_le_bytes(b.try_into().ok()?))
         }
-
-        fn combine(a: &mut u64, b: &u64) -> bool {
-            *a = (*a).max(*b);
-            true
-        }
     }
 
-    fn run_max(csr: &Csr, machines: usize, cfg: BspConfig) -> BspResult<MaxValue> {
+    /// [`MaxValue`] on `csr` over `machines` machines, on the hub route or
+    /// the grouped one.
+    fn run_max(csr: &Csr, machines: usize, hubs: bool) -> BspResult<MaxValue> {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &LoadOptions::default()).unwrap());
-        let result = BspRunner::new(graph, MaxValue, cfg).run();
+        let graph = load_for(&cloud, csr, hubs);
+        let result = BspRunner::new(graph, MaxValue, BspConfig::default()).run();
         cloud.shutdown();
         result
     }
@@ -636,7 +573,7 @@ mod tests {
     #[test]
     fn max_propagation_converges_on_a_ring() {
         let n = 40;
-        let r = run_max(&ring(n), 3, BspConfig::default());
+        let r = run_max(&ring(n), 3, true);
         assert_eq!(r.states.len(), n);
         assert!(
             r.states.values().all(|&v| v == (n - 1) as u64),
@@ -727,22 +664,17 @@ mod tests {
             assert!(want[&a].iter().filter(|&&u| u == a).count() >= 2);
             assert!(want[&near].iter().filter(|&&u| u == a).count() >= 3);
             assert!(want[&a].iter().filter(|&&u| u == far).count() >= 2);
-            let opts = LoadOptions {
-                with_in_links: directed,
-                attrs: None,
-            };
-            let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
-            for hub_threshold in [Some(1), None] {
+            for hubs in [true, false] {
+                let graph = load_for(&cloud, &csr, hubs);
                 for compute_threads in [1, 3] {
                     let cfg = BspConfig {
-                        hub_threshold,
                         compute_threads,
                         ..BspConfig::default()
                     };
                     let r = BspRunner::new(Arc::clone(&graph), Inbound, cfg).run();
                     assert_eq!(
                         r.states, want,
-                        "directed {directed}, hubs {hub_threshold:?}, {compute_threads} threads"
+                        "directed {directed}, hubs {hubs}, {compute_threads} threads"
                     );
                 }
             }
@@ -821,16 +753,11 @@ mod tests {
             }
         }
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
-        let opts = LoadOptions {
-            with_in_links: true,
-            attrs: None,
-        };
-        let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
-        for hub_threshold in [Some(1), None] {
+        for hubs in [true, false] {
+            let graph = load_for(&cloud, &csr, hubs);
             // Stop after `split` supersteps, then resume from there.
             for split in 1..=OUT_ROUNDS {
                 let cfg = |max_supersteps| BspConfig {
-                    hub_threshold,
                     compute_threads: 2,
                     max_supersteps,
                     ..BspConfig::default()
@@ -841,7 +768,7 @@ mod tests {
                 let runner = BspRunner::new(Arc::clone(&graph), OutLists, cfg(64));
                 let r = runner.run_resumed(Some(first.into_resume()), split);
                 assert!(r.terminated);
-                assert_eq!(r.states, want, "hubs {hub_threshold:?}, resumed at {split}");
+                assert_eq!(r.states, want, "hubs {hubs}, resumed at {split}");
             }
         }
         cloud.shutdown();
@@ -885,215 +812,53 @@ mod tests {
     }
 
     #[test]
-    fn all_messaging_modes_agree() {
+    fn the_two_routes_agree() {
         let csr = trinity_graphgen::social(200, 10, 3);
-        let base = run_max(
-            &csr,
-            3,
-            BspConfig {
-                hub_threshold: None,
-                ..BspConfig::default()
-            },
-        );
-        for cfg in [
-            BspConfig {
-                messaging: MessagingMode::Unpacked,
-                hub_threshold: None,
-                ..BspConfig::default()
-            },
-            BspConfig {
-                hub_threshold: Some(8),
-                ..BspConfig::default()
-            },
-            BspConfig {
-                combine: true,
-                hub_threshold: None,
-                ..BspConfig::default()
-            },
-            BspConfig {
-                combine: true,
-                hub_threshold: Some(4),
-                ..BspConfig::default()
-            },
-        ] {
-            let r = run_max(&csr, 3, cfg.clone());
-            assert_eq!(r.states, base.states, "config {cfg:?} changed the results");
-        }
+        let hubbed = run_max(&csr, 3, true);
+        let grouped = run_max(&csr, 3, false);
+        assert_eq!(hubbed.states, grouped.states);
     }
 
     #[test]
     fn hub_buffering_reduces_remote_messages_on_power_law() {
         let csr = trinity_graphgen::power_law(2_000, 2.16, 1, 400, 5);
-        let plain = run_max(
-            &csr,
-            4,
-            BspConfig {
-                hub_threshold: None,
-                combine: false,
-                ..BspConfig::default()
-            },
-        );
-        let hubbed = run_max(
-            &csr,
-            4,
-            BspConfig {
-                hub_threshold: Some(8),
-                combine: false,
-                ..BspConfig::default()
-            },
-        );
-        assert_eq!(plain.states, hubbed.states);
-        let plain_msgs: u64 = plain.reports.iter().map(|r| r.remote_messages).sum();
+        let grouped = run_max(&csr, 4, false);
+        let hubbed = run_max(&csr, 4, true);
+        assert_eq!(grouped.states, hubbed.states);
+        let grouped_msgs: u64 = grouped.reports.iter().map(|r| r.remote_messages).sum();
         let hub_msgs: u64 = hubbed.reports.iter().map(|r| r.remote_messages).sum();
         assert!(
-            (hub_msgs as f64) < 0.75 * plain_msgs as f64,
-            "hub buffering should cut remote frames by >25%: {hub_msgs} vs {plain_msgs}"
+            (hub_msgs as f64) < 0.75 * grouped_msgs as f64,
+            "hub buffering should cut remote deliveries by >25%: {hub_msgs} vs {grouped_msgs}"
         );
     }
 
     #[test]
     fn hub_buffering_collapses_star_broadcasts() {
         // A star: node 0 connects to everyone. Broadcasting from the hub
-        // should cost one frame per machine instead of one per neighbor.
+        // should cost one delivery per machine instead of one per neighbor.
         let n = 800;
         let edges: Vec<(u64, u64)> = (1..n as u64).map(|v| (0, v)).collect();
         let csr = Csr::undirected_from_edges(n, &edges, true);
-        let plain = run_max(
-            &csr,
-            4,
-            BspConfig {
-                hub_threshold: None,
-                combine: false,
-                ..BspConfig::default()
-            },
-        );
-        let hubbed = run_max(
-            &csr,
-            4,
-            BspConfig {
-                hub_threshold: Some(100),
-                combine: false,
-                ..BspConfig::default()
-            },
-        );
-        assert_eq!(plain.states, hubbed.states);
-        // Superstep 0: the hub alone sends ~600 remote frames plain,
-        // but only <= 3 hub frames when buffered (leaves send to node 0
-        // either way).
-        let plain_msgs: u64 = plain.reports.iter().map(|r| r.remote_messages).sum();
+        let grouped = run_max(&csr, 4, false);
+        let hubbed = run_max(&csr, 4, true);
+        assert_eq!(grouped.states, hubbed.states);
+        // Superstep 0: the hub alone sends ~600 remote deliveries grouped,
+        // but only <= 3 hub records (leaves send to node 0 either way).
+        let grouped_msgs: u64 = grouped.reports.iter().map(|r| r.remote_messages).sum();
         let hub_msgs: u64 = hubbed.reports.iter().map(|r| r.remote_messages).sum();
         assert!(
-            hub_msgs * 3 < plain_msgs * 2,
-            "star hub should collapse broadcasts: {hub_msgs} vs {plain_msgs}"
+            hub_msgs * 3 < grouped_msgs * 2,
+            "star hub should collapse broadcasts: {hub_msgs} vs {grouped_msgs}"
         );
-    }
-
-    #[test]
-    fn packing_reduces_envelopes_not_frames() {
-        let csr = trinity_graphgen::social(400, 16, 8);
-        let packed = run_max(
-            &csr,
-            3,
-            BspConfig {
-                hub_threshold: None,
-                ..BspConfig::default()
-            },
-        );
-        let unpacked = run_max(
-            &csr,
-            3,
-            BspConfig {
-                messaging: MessagingMode::Unpacked,
-                hub_threshold: None,
-                ..BspConfig::default()
-            },
-        );
-        assert_eq!(packed.states, unpacked.states);
-        let env_packed: u64 = packed
-            .reports
-            .iter()
-            .map(|r| r.max_machine_net.remote_envelopes)
-            .sum();
-        let env_unpacked: u64 = unpacked
-            .reports
-            .iter()
-            .map(|r| r.max_machine_net.remote_envelopes)
-            .sum();
-        assert!(
-            env_packed * 3 < env_unpacked,
-            "packing should collapse envelopes: {env_packed} vs {env_unpacked}"
-        );
-        assert!(packed.modeled_seconds() < unpacked.modeled_seconds());
-    }
-
-    #[test]
-    fn general_model_point_sends_reach_arbitrary_vertices() {
-        /// Every vertex sends its id to vertex 0 in superstep 0; vertex 0
-        /// sums what it received.
-        struct SendToZero;
-        impl VertexProgram for SendToZero {
-            type State = u64;
-            type Msg = u64;
-            fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) -> u64 {
-                0
-            }
-            fn compute(
-                &self,
-                ctx: &mut VertexContext<'_, u64>,
-                id: CellId,
-                state: &mut u64,
-                msgs: &[u64],
-            ) {
-                if ctx.superstep() == 0 && id != 0 {
-                    ctx.send(0, id);
-                }
-                for &m in msgs {
-                    *state += m;
-                }
-                ctx.vote_to_halt();
-            }
-            fn encode_msg(m: &u64) -> Vec<u8> {
-                m.to_le_bytes().to_vec()
-            }
-            fn decode_msg(b: &[u8]) -> Option<u64> {
-                Some(u64::from_le_bytes(b.try_into().ok()?))
-            }
-            fn encode_state(s: &u64) -> Vec<u8> {
-                s.to_le_bytes().to_vec()
-            }
-            fn decode_state(b: &[u8]) -> Option<u64> {
-                Some(u64::from_le_bytes(b.try_into().ok()?))
-            }
-        }
-        let n = 30u64;
-        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
-        let graph = Arc::new(
-            load_graph(
-                Arc::clone(&cloud),
-                &ring(n as usize),
-                &LoadOptions::default(),
-            )
-            .unwrap(),
-        );
-        let r = BspRunner::new(
-            graph,
-            SendToZero,
-            BspConfig {
-                hub_threshold: None,
-                ..BspConfig::default()
-            },
-        )
-        .run();
-        assert_eq!(r.states[&0], (1..n).sum::<u64>());
-        cloud.shutdown();
     }
 
     #[test]
     fn a_frame_with_an_undecodable_message_is_dropped_whole_and_counted() {
-        /// Every vertex sends its id to vertex 0 in superstep 0; vertex 0
-        /// sums what it received. The poison id goes out as a message no
-        /// `decode_msg` accepts, the reserved all-ones pattern, at the
-        /// width of every other message: it shares their frame.
+        /// Every vertex broadcasts its id in superstep 0 and sums what it
+        /// received. The poison id goes out as a message no `decode_msg`
+        /// accepts, the reserved all-ones pattern, at the width of every
+        /// other message: it shares their frames.
         struct Poisoned(u64);
         impl VertexProgram for Poisoned {
             type State = u64;
@@ -1108,8 +873,8 @@ mod tests {
                 state: &mut u64,
                 msgs: &[(u64, bool)],
             ) {
-                if ctx.superstep() == 0 && id != 0 {
-                    ctx.send(0, (id, id == self.0));
+                if ctx.superstep() == 0 {
+                    ctx.send_to_neighbors((id, id == self.0));
                 }
                 *state += msgs.iter().map(|m| m.0).sum::<u64>();
                 ctx.vote_to_halt();
@@ -1130,40 +895,49 @@ mod tests {
             }
         }
         let n = 30u64;
-        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
-        let graph = Arc::new(
-            load_graph(
-                Arc::clone(&cloud),
-                &ring(n as usize),
-                &LoadOptions::default(),
-            )
-            .unwrap(),
-        );
-        let table = cloud.node(0).table();
-        let poison = (1..n)
-            .find(|&v| table.machine_of(v) != table.machine_of(0))
-            .unwrap();
-        let cfg = BspConfig {
-            hub_threshold: None,
-            compute_threads: 1,
-            ..BspConfig::default()
-        };
-        // The fence still balances: the job ends instead of hanging.
-        let r = BspRunner::new(graph, Poisoned(poison), cfg).run();
-        assert!(r.terminated);
-        // One worker per machine ships one frame per peer: everything the
-        // poisoned machine sent vertex 0 is gone with it, nothing else is.
-        let survivors = (1..n).filter(|&v| table.machine_of(v) != table.machine_of(poison));
-        assert_eq!(r.states[&0], survivors.sum::<u64>());
-        let malformed = cloud.fabric().obs().snapshot().totals().counters["bsp.frames.malformed"];
-        assert_eq!(malformed, 1);
-        cloud.shutdown();
+        let csr = ring(n as usize);
+        for hubs in [true, false] {
+            let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+            let graph = load_for(&cloud, &csr, hubs);
+            let table = cloud.node(0).table();
+            let owner = |v: u64| table.machine_of(v);
+            let poison = 7;
+            // One worker per machine ships one frame per peer: every
+            // machine the poison's broadcast reaches loses everything its
+            // machine sent there, and nothing else.
+            let poisoned: Vec<_> = csr.neighbors(poison).iter().map(|&v| owner(v)).collect();
+            let lost = |u: u64, v: u64| {
+                owner(u) == owner(poison) && owner(v) != owner(u) && poisoned.contains(&owner(v))
+            };
+            let want: HashMap<CellId, u64> = (0..n)
+                .map(|v| {
+                    let kept = csr.neighbors(v).iter().filter(|&&u| !lost(u, v));
+                    (v, kept.sum())
+                })
+                .collect();
+            let mut peers: Vec<_> = poisoned.iter().filter(|&&p| p != owner(poison)).collect();
+            peers.sort_unstable();
+            peers.dedup();
+            assert!(!peers.is_empty(), "the poison reaches another machine");
+            let cfg = BspConfig {
+                compute_threads: 1,
+                ..BspConfig::default()
+            };
+            // The fence still balances: the job ends instead of hanging.
+            let r = BspRunner::new(graph, Poisoned(poison), cfg).run();
+            assert!(r.terminated);
+            assert_eq!(r.states, want, "hubs {hubs}");
+            let counters = cloud.fabric().obs().snapshot().totals().counters;
+            assert_eq!(counters["bsp.frames.malformed"], peers.len() as u64);
+            cloud.shutdown();
+        }
     }
 
     #[test]
     fn a_message_of_another_width_ships_in_a_frame_of_its_own() {
-        /// Vertex 0 sends 8-, 3- and 8-byte values to three vertices of
-        /// one peer in superstep 0; every vertex sums what it received.
+        /// Three vertices of one machine broadcast 8-, 3- and 8-byte
+        /// values, in id order, to one neighbor each on the other machine
+        /// in superstep 0; every vertex sums what it received.
         struct Widths([CellId; 3]);
         const VALUES: [u64; 3] = [1 << 40, 5, 1 << 41];
         impl VertexProgram for Widths {
@@ -1179,10 +953,9 @@ mod tests {
                 state: &mut u64,
                 msgs: &[u64],
             ) {
-                if ctx.superstep() == 0 && id == 0 {
-                    for (&dst, &v) in self.0.iter().zip(&VALUES) {
-                        ctx.send(dst, v);
-                    }
+                let sender = self.0.iter().position(|&s| s == id);
+                if let Some(i) = sender.filter(|_| ctx.superstep() == 0) {
+                    ctx.send_to_neighbors(VALUES[i]);
                 }
                 *state += msgs.iter().sum::<u64>();
                 ctx.vote_to_halt();
@@ -1207,37 +980,51 @@ mod tests {
                 Some(u64::from_le_bytes(b.try_into().ok()?))
             }
         }
-        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
-        let graph =
-            Arc::new(load_graph(Arc::clone(&cloud), &ring(30), &LoadOptions::default()).unwrap());
-        let table = cloud.node(0).table();
-        let sender = table.machine_of(0);
-        let mut peer_ids = (1..30).filter(|&v| table.machine_of(v) != sender);
-        let targets = [(); 3].map(|()| peer_ids.next().unwrap());
-        let frames_sent = || {
-            cloud
-                .fabric()
-                .obs()
-                .scope(sender.0)
-                .counter("net.frames.sent")
-                .get()
-        };
-        let before = frames_sent();
-        let cfg = BspConfig {
-            compute_threads: 1,
-            ..BspConfig::default()
-        };
-        // The fence balances: the job ends instead of hanging.
-        let r = BspRunner::new(graph, Widths(targets), cfg).run();
-        assert!(r.terminated);
-        // One fence a superstep besides the three run frames.
-        assert_eq!(frames_sent() - before, 3 + r.supersteps() as u64);
-        for (t, v) in targets.iter().zip(VALUES) {
-            assert_eq!(r.states[t], v, "vertex {t}");
+        let n = 30;
+        for hubs in [true, false] {
+            let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+            let table = cloud.node(0).table();
+            let sender = table.machine_of(0);
+            let (here, there): (Vec<CellId>, Vec<CellId>) =
+                (0..n as u64).partition(|&v| table.machine_of(v) == sender);
+            let (senders, targets) = (&here[..3], &there[..3]);
+            let edges: Vec<(u64, u64)> = senders
+                .iter()
+                .copied()
+                .zip(targets.iter().copied())
+                .collect();
+            let csr = Csr::undirected_from_edges(n, &edges, true);
+            let graph = load_for(&cloud, &csr, hubs);
+            let frames_sent = || {
+                cloud
+                    .fabric()
+                    .obs()
+                    .scope(sender.0)
+                    .counter("net.frames.sent")
+                    .get()
+            };
+            let before = frames_sent();
+            let cfg = BspConfig {
+                compute_threads: 1,
+                ..BspConfig::default()
+            };
+            // The fence balances: the job ends instead of hanging.
+            let r = BspRunner::new(graph, Widths([senders[0], senders[1], senders[2]]), cfg).run();
+            assert!(r.terminated);
+            // One fence a superstep besides the three run frames.
+            assert_eq!(
+                frames_sent() - before,
+                3 + r.supersteps() as u64,
+                "hubs {hubs}"
+            );
+            for (t, v) in targets.iter().zip(VALUES) {
+                assert_eq!(r.states[t], v, "vertex {t}, hubs {hubs}");
+            }
+            assert_eq!(r.states.values().sum::<u64>(), VALUES.iter().sum::<u64>());
+            let malformed =
+                cloud.fabric().obs().snapshot().totals().counters["bsp.frames.malformed"];
+            assert_eq!(malformed, 0);
+            cloud.shutdown();
         }
-        assert_eq!(r.states.values().sum::<u64>(), VALUES.iter().sum::<u64>());
-        let malformed = cloud.fabric().obs().snapshot().totals().counters["bsp.frames.malformed"];
-        assert_eq!(malformed, 0);
-        cloud.shutdown();
     }
 }

@@ -1,14 +1,11 @@
 //! The BSP message path, from a worker's send to the shard inbox its
 //! destination's owner drains. Sending: a [`RunOutbox`] per (worker,
-//! destination machine, protocol) builds [`super::runs`] frames and ships
-//! them by size or on a change of message width. Receiving: the
-//! `BSP_MSG`/`BSP_HUB` batch handlers validate each frame whole, decode
-//! every record's message once and stage it in the owning shards'
-//! [`Arrivals`] — a record's targets by slot, a hub's as one *cast* per
-//! shard, expanded later through the machine's [`Fanout`] index — and
-//! credit the fence. Machine-local deliveries and broadcasts take the same
-//! form. Draining: an [`Inbox`] places every arrival straight into its
-//! slot's run.
+//! destination machine) builds [`super::runs`] frames. Receiving: a batch
+//! handler validates each frame whole, decodes every record's message
+//! once and stages it in the owning shards' [`Arrivals`] — a `BSP_MSG`
+//! record's targets by slot, a `BSP_HUB` record as one *cast* per shard,
+//! expanded later through the machine's [`Fanout`] index — and credits
+//! the fence. Draining: an [`Inbox`] places every arrival in its slot's run.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
@@ -93,7 +90,8 @@ impl BspMetrics {
 /// One shard's arrivals for the next superstep, each already addressed
 /// where the drain reads it.
 pub(super) struct Arrivals<M> {
-    /// `(slot, msg)`: a point send, or one target of a `BSP_MSG` record.
+    /// `(slot, msg)`: a resumed pending message, a machine-local delivery
+    /// on the grouped route, or one target of a `BSP_MSG` record.
     points: Vec<(usize, M)>,
     /// `(targets, msg)`: a broadcast, one per shard it reaches; the drain
     /// expands it to the slots its fan-out entry lists for the shard, a
@@ -128,7 +126,6 @@ impl<M> Arrivals<M> {
 /// One machine's receive-side state for a job.
 pub(super) struct MachineRt<P: VertexProgram> {
     pub(super) endpoint: Arc<Endpoint>,
-    machines: usize,
     table: AddressingTable,
     /// Per shard, `id → slot`: sharding is `trunk_of(dst) % shards`, a
     /// pure function of the id, so receive handlers can route a message
@@ -160,7 +157,6 @@ impl<P: VertexProgram> MachineRt<P> {
         MachineRt {
             metrics: BspMetrics::new(&endpoint),
             endpoint,
-            machines,
             inboxes: slots.iter().map(|_| Mutex::default()).collect(),
             slots,
             table,
@@ -277,14 +273,12 @@ impl<P: VertexProgram> MachineRt<P> {
         self.endpoint.flush();
         let mut f = self.fence.lock();
         loop {
-            let done = (0..self.machines)
+            let done = (0..frames_to.len())
                 .all(|p| p == self_machine || matches!(f.expected[p], Some(e) if f.got[p] >= e));
             if done {
                 // Reset for the next superstep.
-                for p in 0..self.machines {
-                    f.expected[p] = None;
-                    f.got[p] = 0;
-                }
+                f.expected.fill(None);
+                f.got.fill(0);
                 return;
             }
             self.fence_cv.wait(&mut f);
@@ -312,38 +306,27 @@ impl<P: VertexProgram> MachineRt<P> {
 
     /// Install this machine's three BSP protocol handlers.
     pub(super) fn register_handlers(self: &Arc<Self>) {
-        // Vertex data messages: decode the run, then one lock per shard
-        // inbox and one fence update for all of it. A malformed frame is
-        // still credited: fences must balance.
-        let rt = Arc::clone(self);
-        self.endpoint
-            .register_batch(proto::BSP_MSG, move |src, frames| {
-                let mut staged = rt.staging();
-                for frame in frames {
-                    rt.for_each_record(&frame.payload, false, |msg, ids| {
-                        for &dst in ids {
-                            rt.stage_point(&mut staged, dst, msg.clone());
-                        }
-                    });
-                }
-                rt.deliver_sharded(&mut staged);
-                rt.count_frames(src, frames.len());
-            });
-        // Hub broadcasts: the same run, its ids naming hubs; each record
-        // is staged as one cast per shard its hub's fan-out entry reaches.
-        let rt = Arc::clone(self);
-        self.endpoint
-            .register_batch(proto::BSP_HUB, move |src, frames| {
-                // On a lapsed deadline the fan-out is skipped but the
-                // frames are still counted: fences must balance or the
-                // superstep would hang instead of finishing early.
-                if !deadline_expired() {
+        // Run frames: decode the run, then one lock per shard inbox and
+        // one fence update for all of it. A `BSP_MSG` record's ids are its
+        // destinations; a `BSP_HUB` record's id is its hub, staged as one
+        // cast per shard the hub's fan-out entry reaches. A malformed
+        // frame is still credited, and so, on a lapsed deadline, is a hub
+        // frame whose fan-out is skipped: fences must balance or the
+        // superstep would hang instead of finishing early.
+        for proto in [proto::BSP_MSG, proto::BSP_HUB] {
+            let (rt, hub) = (Arc::clone(self), proto == proto::BSP_HUB);
+            self.endpoint.register_batch(proto, move |src, frames| {
+                if !(hub && deadline_expired()) {
                     let mut staged = rt.staging();
                     let mut fanned = 0;
                     for frame in frames {
-                        rt.for_each_record(&frame.payload, true, |msg, hubs| {
-                            for e in hubs.iter().filter_map(|&hub| rt.fanout.entry(hub)) {
-                                fanned += rt.stage_cast(&mut staged, e, msg);
+                        rt.for_each_record(&frame.payload, hub, |msg, ids| {
+                            for &id in ids {
+                                if !hub {
+                                    rt.stage_point(&mut staged, id, msg.clone());
+                                } else if let Some(e) = rt.fanout.entry(id) {
+                                    fanned += rt.stage_cast(&mut staged, e, msg);
+                                }
                             }
                         });
                     }
@@ -353,6 +336,7 @@ impl<P: VertexProgram> MachineRt<P> {
                 }
                 rt.count_frames(src, frames.len());
             });
+        }
         // Fences.
         let rt = Arc::clone(self);
         self.endpoint.register(proto::BSP_FENCE, move |src, data| {
@@ -639,8 +623,9 @@ impl<M: Clone> Inbox<M> {
     }
 }
 
-/// One destination's run frame under construction, for one protocol
-/// (`BSP_MSG`: ids are destination vertices; `BSP_HUB`: ids are hubs).
+/// One destination's run frame under construction, for the job's one
+/// protocol (`BSP_MSG`: ids are destination vertices; `BSP_HUB`: ids are
+/// hubs).
 pub(super) struct RunOutbox {
     peer: MachineId,
     proto: ProtoId,
@@ -670,13 +655,11 @@ impl RunOutbox {
 
     /// Append the record "`msg` to `ids`", in a new frame if the open
     /// one's width is not `msg`'s. The frame ships once it reaches
-    /// [`RUN_FLUSH_BYTES`] — or, `unpacked`, at once and its envelope
-    /// with it: the naive one-transfer-per-message baseline.
+    /// [`RUN_FLUSH_BYTES`].
     pub(super) fn push<P: VertexProgram>(
         &mut self,
         rt: &MachineRt<P>,
         superstep: usize,
-        unpacked: bool,
         msg: &[u8],
         ids: &[CellId],
     ) {
@@ -689,10 +672,7 @@ impl RunOutbox {
         let hub = self.proto == proto::BSP_HUB;
         runs::push_record(&mut self.frame, &mut self.prev, hub, msg, ids);
         self.records += 1;
-        if unpacked {
-            self.flush(rt);
-            rt.endpoint.flush_to(self.peer);
-        } else if self.frame.len() >= RUN_FLUSH_BYTES {
+        if self.frame.len() >= RUN_FLUSH_BYTES {
             self.flush(rt);
         }
     }
@@ -736,7 +716,7 @@ mod tests {
         msgs.iter().map(|&(v, i)| (v.to_bits(), i)).collect()
     }
 
-    /// A delivery as a test states it: a point send to `pool[d]`, or a
+    /// A delivery as a test states it: a point to `pool[d]`, or a
     /// cast of entry `e`.
     #[derive(Clone, Copy)]
     enum Sent {

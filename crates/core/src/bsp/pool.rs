@@ -1,20 +1,19 @@
 //! One machine's worker pool: the superstep loop every worker runs, the
 //! per-worker shard of the job's state, and the leader's serial sections
-//! (combine replay, fence, aggregation, stop decision).
+//! (fence, aggregation, stop decision).
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Barrier;
 
 use parking_lot::Mutex;
 
 use trinity_memcloud::{AddressingTable, CellId};
-use trinity_net::{deadline_expired, CostModel, DeadlineGuard, StatsDelta};
+use trinity_net::{deadline_expired, CostModel, DeadlineGuard, ProtoId, StatsDelta};
 use trinity_obs::TraceGuard;
 
 use super::path::{Arrivals, Inbox, MachineRt, RunOutbox};
-use super::{Job, MessagingMode, SuperstepReport, VertexContext, VertexProgram};
-use crate::cputime::{PoolTimes, ThreadTimer};
+use super::{Job, SuperstepReport, VertexContext, VertexProgram};
+use crate::cputime::ThreadTimer;
 use crate::proto;
 
 /// One superstep's cross-machine aggregate, filled by every machine's
@@ -32,53 +31,45 @@ pub(super) struct RoundAgg {
 }
 
 /// One worker's owned shard of a machine's BSP state, addressed by
-/// *slot*: an id's position in `ids`. All buffers are reused across
-/// supersteps: retained capacity is what "pre-sizes outboxes from the
-/// previous superstep's send counts".
+/// *slot*: an id's position in `ids`. Its buffers are reused across
+/// supersteps.
 pub(super) struct WorkerState<P: VertexProgram> {
     w: usize,
     /// Every id the shard holds a state for: its local vertices in id
     /// order, then any resumed states the census did not list (carried
     /// through unchanged, never computed).
     pub(super) ids: Vec<CellId>,
-    /// Each local vertex's position in the *machine-wide* sorted order —
-    /// the combine replay key. Slots `0..vseq.len()` are computed.
-    pub(super) vseq: Vec<usize>,
     /// Slot-aligned: state and active flag.
     pub(super) states: Vec<P::State>,
     pub(super) active: Vec<bool>,
     /// Resumed active ids without a slot, carried through unchanged.
     pub(super) stray_active: Vec<CellId>,
     /// Each local vertex's out-list, copied once by the census: the job's
-    /// topology, which no superstep reads from the trunks again.
+    /// topology, which no superstep reads from the trunks again. Slots
+    /// `0..outs.len()` are the local vertices, the ones computed.
     pub(super) outs: SlotLists<CellId>,
-    /// With hubs on, the other machines each local vertex's out-list
+    /// On the hub route, the other machines each local vertex's out-list
     /// reaches, ascending (else empty).
     pub(super) peers: SlotLists<u16>,
     /// The current superstep's messages, by slot.
     pub(super) inbox: Inbox<P::Msg>,
     /// Reusable per-trunk delivery counts of a drain.
     tally: Vec<u64>,
-    /// Reusable send-list scratch lent to the `VertexContext`.
-    sends: Vec<(CellId, P::Msg)>,
-    /// A non-hub broadcaster's remote neighbors by owning machine, in
-    /// adjacency order: one record each (reused).
+    /// On the grouped route, a broadcaster's remote neighbors by owning
+    /// machine, in adjacency order: one record each (reused).
     groups: Vec<Vec<CellId>>,
-    /// Private per-destination run frames: messages, hub broadcasts.
+    /// Private per-destination run frames of the job's record kind.
     outbox: Vec<RunOutbox>,
-    hub_outbox: Vec<RunOutbox>,
     /// Buffered machine-local deliveries per shard.
     local_buf: Vec<Arrivals<P::Msg>>,
-    /// Deferred combine-mode sends: `(vseq, dst, msg)`.
-    combine: Vec<(usize, CellId, P::Msg)>,
 }
 
 impl<P: VertexProgram> WorkerState<P> {
-    pub(super) fn new(w: usize, machines: usize, workers: usize) -> Self {
+    /// Worker `w` of `workers`, shipping `proto` records to `machines`.
+    pub(super) fn new(w: usize, machines: usize, workers: usize, proto: ProtoId) -> Self {
         WorkerState {
             w,
             ids: Vec::new(),
-            vseq: Vec::new(),
             states: Vec::new(),
             active: Vec::new(),
             stray_active: Vec::new(),
@@ -86,16 +77,9 @@ impl<P: VertexProgram> WorkerState<P> {
             peers: SlotLists::default(),
             inbox: Inbox::new(0),
             tally: Vec::new(),
-            sends: Vec::new(),
             groups: vec![Vec::new(); machines],
-            outbox: (0..machines)
-                .map(|p| RunOutbox::new(p, proto::BSP_MSG))
-                .collect(),
-            hub_outbox: (0..machines)
-                .map(|p| RunOutbox::new(p, proto::BSP_HUB))
-                .collect(),
+            outbox: (0..machines).map(|p| RunOutbox::new(p, proto)).collect(),
             local_buf: (0..workers).map(|_| Arrivals::default()).collect(),
-            combine: Vec::new(),
         }
     }
 }
@@ -116,6 +100,11 @@ impl<T: Copy> SlotLists<T> {
         self.ends.push(end);
     }
 
+    /// Slots pushed.
+    pub(super) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
     /// Slot `s`'s list.
     #[inline]
     pub(super) fn get(&self, s: usize) -> &[T] {
@@ -127,11 +116,11 @@ impl<T: Copy> SlotLists<T> {
 /// Per-round results a worker hands to the leader (worker 0) at the
 /// phase barriers. Written by its owner during a phase, read by the
 /// leader strictly after the phase barrier, so the mutexes never contend.
-struct WorkerRound<P: VertexProgram> {
+#[derive(Default)]
+struct WorkerRound {
     /// Run frames shipped per destination machine (the fence's unit).
     frames_to: Vec<u64>,
     sent: u64,
-    combine: Vec<(usize, CellId, P::Msg)>,
     computed: usize,
     cpu_seconds: f64,
     active_after: usize,
@@ -144,46 +133,35 @@ struct PoolCtx<'x, P: VertexProgram> {
     m: usize,
     machines: usize,
     rt: &'x MachineRt<P>,
-    /// Out-degree from which a broadcast ships as hub records; `None` on a
-    /// graph that is not reverse traversable or with hubs off.
-    hub_threshold: Option<usize>,
+    /// Broadcasts ship as hub records (else as grouped records).
+    hubs: bool,
     table: AddressingTable,
     cost: CostModel,
     barrier: Barrier,
-    rounds: Vec<Mutex<WorkerRound<P>>>,
+    rounds: Vec<Mutex<WorkerRound>>,
 }
 
 /// Run the job's supersteps on machine `m` over `shards`, one worker
-/// each, a vertex of out-degree `hub_threshold` or more broadcasting as a
-/// hub; worker 0 (the leader) runs on the calling thread and keeps the
-/// serial work: combine replay, fences, aggregation, the stop decision.
+/// each, broadcasting on the hub route (`hubs`) or the grouped one;
+/// worker 0 (the leader) runs on the calling thread and keeps the serial
+/// work: fences, aggregation, the stop decision.
 pub(super) fn run<P: VertexProgram>(
     job: &Job<'_, P>,
     m: usize,
     rt: &MachineRt<P>,
-    hub_threshold: Option<usize>,
+    hubs: bool,
     mut shards: Vec<WorkerState<P>>,
 ) {
-    let machines = job.graph.machines();
-    let round = || WorkerRound {
-        frames_to: vec![0; machines],
-        sent: 0,
-        combine: Vec::new(),
-        computed: 0,
-        cpu_seconds: 0.0,
-        active_after: 0,
-        distinct_dsts: 0,
-    };
     let ctx = &PoolCtx {
         job,
         m,
-        machines,
+        machines: job.graph.machines(),
         rt,
-        hub_threshold,
+        hubs,
         table: job.graph.cloud().node(m).table(),
         cost: job.graph.cloud().fabric().cost_model(),
         barrier: Barrier::new(shards.len()),
-        rounds: shards.iter().map(|_| Mutex::new(round())).collect(),
+        rounds: shards.iter().map(|_| Mutex::default()).collect(),
     };
     std::thread::scope(|scope| {
         // Shard 0, the leader's, comes off last and runs here.
@@ -206,7 +184,7 @@ pub(super) fn run<P: VertexProgram>(
 /// separate the phases:
 ///
 /// 1. parallel compute over this worker's shard (+ shard flush);
-/// 2. leader: combine replay, fences, quiescence wait, global barrier;
+/// 2. leader: fences, quiescence wait, global barrier;
 /// 3. parallel inbox drain (runs by slot, reactivate, count, load tally);
 /// 4. leader: round aggregation, reports, stop decision.
 fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
@@ -215,7 +193,6 @@ fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
     // Leader-only round state; idle copies on the other workers.
     let mut net_before = ctx.rt.endpoint.stats().snapshot();
     let mut wall_start_us = ctx.rt.endpoint.obs().now_us();
-    let mut totals = (0, 0, PoolTimes::default());
     loop {
         // Start-of-superstep hook (bucket prefetch): the leader runs it,
         // the barrier orders it before anyone computes. Gated on the
@@ -230,22 +207,13 @@ fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
         compute_phase(ctx, &mut ws, superstep);
         ctx.barrier.wait();
         if leader {
-            totals = leader_post_compute(ctx, superstep);
+            leader_fence(ctx, superstep);
         }
         ctx.barrier.wait();
         drain_phase(ctx, &mut ws);
         ctx.barrier.wait();
         if leader {
-            let (sent, computed, pool_times) = totals;
-            leader_aggregate(
-                ctx,
-                superstep,
-                sent,
-                computed,
-                &pool_times,
-                &net_before,
-                wall_start_us,
-            );
+            leader_aggregate(ctx, superstep, &net_before, wall_start_us);
             // Next round's deltas start here — after the stop-decision
             // barrier, exactly where the serial driver snapshotted.
             net_before = ctx.rt.endpoint.stats().snapshot();
@@ -276,7 +244,7 @@ fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
 }
 
 /// Compute every vertex of this worker's shard for one superstep,
-/// routing sends into the private run frames and local buffers and
+/// routing broadcasts into the private run frames and local buffers and
 /// flushing them at shard end.
 fn compute_phase<P: VertexProgram>(
     ctx: &PoolCtx<'_, P>,
@@ -285,12 +253,11 @@ fn compute_phase<P: VertexProgram>(
 ) {
     let rt = ctx.rt;
     let timer = ThreadTimer::start();
-    let unpacked = ctx.job.cfg.messaging == MessagingMode::Unpacked;
     // Remote deliveries sent (the reports' unit) and vertices computed.
     let mut sent = 0u64;
     let mut computed = 0usize;
     let mut local_delivered = 0u64;
-    for (s, &vseq) in ws.vseq.iter().enumerate() {
+    for s in 0..ws.outs.len() {
         let id = ws.ids[s];
         let msgs = ws.inbox.run(s);
         if msgs.is_empty() && !ws.active[s] {
@@ -298,83 +265,62 @@ fn compute_phase<P: VertexProgram>(
         }
         computed += 1;
         let outs = ws.outs.get(s);
-        ws.sends.clear();
         let mut vctx = VertexContext {
             superstep: ctx.job.superstep_offset + superstep,
             outs,
-            sends: &mut ws.sends,
             broadcast: None,
             halt: false,
         };
         ctx.job
             .program
             .compute(&mut vctx, id, &mut ws.states[s], msgs);
-        let broadcast = vctx.broadcast.take();
         ws.active[s] = !vctx.halt;
-        // Route the broadcast (restrictive model): from a hub, one hub
-        // record to each other machine its out-list reaches, which that
-        // machine fans out to the neighbors its own in-edges list, and one
-        // cast to this machine's; otherwise each machine holding neighbors
-        // gets one record naming them.
-        if let Some(msg) = broadcast {
-            let hub = ctx.hub_threshold.is_some_and(|t| outs.len() >= t);
-            // Encoded once, and only if a record leaves the machine.
-            let payload = std::cell::OnceCell::new();
-            let payload = || payload.get_or_init(|| P::encode_msg(&msg)).as_slice();
-            if hub {
-                let peers = ws.peers.get(s);
-                for &owner in peers {
-                    ws.hub_outbox[owner as usize].push(rt, superstep, unpacked, payload(), &[id]);
-                }
-                rt.metrics.hub_broadcasts.add(peers.len() as u64);
-                sent += peers.len() as u64;
-                local_delivered += rt.cast_local(&mut ws.local_buf, id, &msg);
-            } else {
-                for &dst in outs {
-                    let owner = ctx.table.machine_of(dst).0 as usize;
-                    if owner == ctx.m {
-                        local_delivered += 1;
-                        rt.push_local(&mut ws.local_buf, dst, msg.clone());
-                    } else if !(ctx.job.cfg.combine || unpacked) {
-                        ws.groups[owner].push(dst);
-                    } else if ctx.job.cfg.combine {
-                        ws.combine.push((vseq, dst, msg.clone()));
-                    } else {
-                        sent += 1;
-                        ws.outbox[owner].push(rt, superstep, true, payload(), &[dst]);
-                    }
-                }
-                let groups = ws.groups.iter_mut().enumerate();
-                for (owner, group) in groups.filter(|(_, g)| !g.is_empty()) {
-                    sent += group.len() as u64;
-                    ws.outbox[owner].push(rt, superstep, false, payload(), group);
-                    group.clear();
-                }
+        let Some(msg) = vctx.broadcast else {
+            continue;
+        };
+        // Encoded once, and only if a record leaves the machine.
+        let payload = std::cell::OnceCell::new();
+        let payload = || payload.get_or_init(|| P::encode_msg(&msg)).as_slice();
+        if ctx.hubs {
+            // One hub record to each other machine the out-list reaches,
+            // which that machine fans out to the neighbors its own
+            // in-edges list, and one cast to this machine's.
+            let peers = ws.peers.get(s);
+            for &owner in peers {
+                ws.outbox[owner as usize].push(rt, superstep, payload(), &[id]);
             }
+            rt.metrics.hub_broadcasts.add(peers.len() as u64);
+            sent += peers.len() as u64;
+            local_delivered += rt.cast_local(&mut ws.local_buf, id, &msg);
+            continue;
         }
-        // Route point sends (general model): records of one destination.
-        for (dst, msg) in ws.sends.drain(..) {
+        // Each other machine holding neighbors gets one record naming them.
+        for &dst in outs {
             let owner = ctx.table.machine_of(dst).0 as usize;
             if owner == ctx.m {
                 local_delivered += 1;
-                rt.push_local(&mut ws.local_buf, dst, msg);
-            } else if ctx.job.cfg.combine {
-                ws.combine.push((vseq, dst, msg));
+                rt.push_local(&mut ws.local_buf, dst, msg.clone());
             } else {
-                sent += 1;
-                ws.outbox[owner].push(rt, superstep, unpacked, &P::encode_msg(&msg), &[dst]);
+                ws.groups[owner].push(dst);
             }
+        }
+        let groups = ws.groups.iter_mut().enumerate();
+        for (owner, group) in groups.filter(|(_, g)| !g.is_empty()) {
+            sent += group.len() as u64;
+            ws.outbox[owner].push(rt, superstep, payload(), group);
+            group.clear();
         }
     }
     // Shard flush: hand the open run frames to the endpoint's pack
     // buffers and buffered local deliveries to their shard inboxes.
     let mut round = ctx.rounds[ws.w].lock();
-    for (owner, frames) in round.frames_to.iter_mut().enumerate() {
-        ws.outbox[owner].flush(rt);
-        ws.hub_outbox[owner].flush(rt);
-        *frames = std::mem::take(&mut ws.outbox[owner].frames)
-            + std::mem::take(&mut ws.hub_outbox[owner].frames);
-    }
+    let outboxes = ws.outbox.iter_mut();
+    round.frames_to = outboxes
+        .map(|outbox| {
+            outbox.flush(rt);
+            std::mem::take(&mut outbox.frames)
+        })
+        .collect();
     rt.deliver_sharded(&mut ws.local_buf);
     rt.local_deliveries
         .fetch_add(local_delivered, Ordering::Relaxed);
@@ -383,85 +329,22 @@ fn compute_phase<P: VertexProgram>(
     round.computed = computed;
     round.cpu_seconds = cpu_seconds;
     round.sent = sent;
-    round.combine.clear();
-    std::mem::swap(&mut round.combine, &mut ws.combine);
 }
 
-/// Leader work after the parallel compute phase: total the per-worker
-/// rounds, replay deferred combine-mode sends in global vertex order
-/// (byte-for-byte the serial combiner), then fence and wait for
-/// quiescence. Returns the machine's remote deliveries, vertices
-/// computed and pool CPU times.
-fn leader_post_compute<P: VertexProgram>(
-    ctx: &PoolCtx<'_, P>,
-    superstep: usize,
-) -> (u64, usize, PoolTimes) {
-    let timer = ThreadTimer::start();
-    let mut pool_times = PoolTimes::default();
+/// Leader work after the parallel compute phase: tell every peer how
+/// many run frames the pool sent it, then wait for quiescence.
+fn leader_fence<P: VertexProgram>(ctx: &PoolCtx<'_, P>, superstep: usize) {
     let mut frames_to: Vec<u64> = vec![0; ctx.machines];
-    let mut sent = 0u64;
-    let mut computed = 0usize;
-    let mut deferred: Vec<(usize, CellId, P::Msg)> = Vec::new();
     for slot in &ctx.rounds {
-        let mut r = slot.lock();
-        for (total, &f) in frames_to.iter_mut().zip(&r.frames_to) {
+        for (total, &f) in frames_to.iter_mut().zip(&slot.lock().frames_to) {
             *total += f;
         }
-        sent += r.sent;
-        computed += r.computed;
-        pool_times.record_worker(r.cpu_seconds);
-        deferred.append(&mut r.combine);
     }
-    if ctx.job.cfg.combine && !deferred.is_empty() {
-        // Stable sort restores the machine-wide vertex order the serial
-        // driver enqueued in; ties (sends from one vertex) keep their
-        // program order because each vertex lives in exactly one worker.
-        deferred.sort_by_key(|&(vseq, _, _)| vseq);
-        let unpacked = ctx.job.cfg.messaging == MessagingMode::Unpacked;
-        let mut outbox: Vec<RunOutbox> = (0..ctx.machines)
-            .map(|p| RunOutbox::new(p, proto::BSP_MSG))
-            .collect();
-        let mut ship = |owner: usize, dst: CellId, msg: &P::Msg| {
-            sent += 1;
-            outbox[owner].push(ctx.rt, superstep, unpacked, &P::encode_msg(msg), &[dst]);
-        };
-        let mut outgoing: Vec<HashMap<CellId, P::Msg>> =
-            (0..ctx.machines).map(|_| HashMap::new()).collect();
-        for (_, dst, msg) in deferred {
-            let owner = ctx.table.machine_of(dst).0 as usize;
-            match outgoing[owner].entry(dst) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if !P::combine(e.get_mut(), &msg) {
-                        // Not combinable after all: ship the buffered one
-                        // and keep the newcomer.
-                        ship(owner, dst, &e.insert(msg));
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(msg);
-                }
-            }
-        }
-        for (owner, buf) in outgoing.iter_mut().enumerate() {
-            for (dst, msg) in buf.drain() {
-                ship(owner, dst, &msg);
-            }
-        }
-        for (total, ob) in frames_to.iter_mut().zip(&mut outbox) {
-            ob.flush(ctx.rt);
-            *total += ob.frames;
-        }
-    }
-    // The serial section ends where the serial driver's compute clock
-    // stopped: after the combine flush, before the fence.
-    pool_times.add_serial(timer.elapsed_seconds());
-
     ctx.rt.fence(ctx.m, superstep, &frames_to);
     // After this barrier no machine is still computing superstep `s`, so
     // the workers' inbox drain (next phase) cannot race new deliveries:
     // anything arriving now belongs to `s + 1` and lands after the swap.
     ctx.job.barrier.wait();
-    (sent, computed, pool_times)
 }
 
 /// Drain this worker's shared inbox for the next superstep: place its
@@ -500,35 +383,35 @@ fn drain_phase<P: VertexProgram>(ctx: &PoolCtx<'_, P>, ws: &mut WorkerState<P>) 
     round.distinct_dsts = distinct;
 }
 
-/// Leader work after the drain phase: publish the machine's round into
-/// the cross-machine aggregate, and (as global leader) emit the report
-/// and the stop decision.
+/// Leader work after the drain phase: total the workers' rounds, publish
+/// the machine's into the cross-machine aggregate, and (as global leader)
+/// emit the report and the stop decision. A machine's compute CPU is its
+/// workers' sum, its critical path the slowest worker's.
 fn leader_aggregate<P: VertexProgram>(
     ctx: &PoolCtx<'_, P>,
     superstep: usize,
-    sent: u64,
-    computed: usize,
-    pool_times: &PoolTimes,
     net_before: &StatsDelta,
     wall_start_us: u64,
 ) {
     let rt = ctx.rt;
     let net_delta = rt.endpoint.stats().delta(net_before);
     let local_delivered = rt.local_deliveries.swap(0, Ordering::Relaxed);
-    let mut active_after = 0usize;
-    let mut deliveries = 0u64;
+    let (mut active_after, mut computed, mut deliveries, mut sent) = (0, 0, 0, 0);
+    let (mut cpu_sum, mut cpu_max) = (0.0, 0.0f64);
     for slot in &ctx.rounds {
         let r = slot.lock();
         active_after += r.active_after;
+        computed += r.computed;
         deliveries += r.distinct_dsts;
+        sent += r.sent;
+        cpu_sum += r.cpu_seconds;
+        cpu_max = cpu_max.max(r.cpu_seconds);
     }
     rt.metrics.supersteps.inc();
     rt.metrics.computed.add(computed as u64);
     rt.metrics.frames_remote.add(sent);
     rt.metrics.frames_local.add(local_delivered);
-    rt.metrics
-        .compute_us
-        .record((pool_times.critical_path_seconds() * 1e6) as u64);
+    rt.metrics.compute_us.record((cpu_max * 1e6) as u64);
     rt.metrics
         .superstep_us
         .record(rt.endpoint.obs().now_us().saturating_sub(wall_start_us));
@@ -546,8 +429,8 @@ fn leader_aggregate<P: VertexProgram>(
         a.deliveries += deliveries;
         a.remote_messages += sent;
         a.local_messages += local_delivered;
-        a.compute_max = a.compute_max.max(pool_times.critical_path_seconds());
-        a.compute_sum += pool_times.cpu_seconds();
+        a.compute_max = a.compute_max.max(cpu_max);
+        a.compute_sum += cpu_sum;
         if ctx.cost.transfer_seconds(&net_delta) > ctx.cost.transfer_seconds(&a.net_max) {
             a.net_max = net_delta;
         }
@@ -571,7 +454,6 @@ fn leader_aggregate<P: VertexProgram>(
             local_messages: a.local_messages,
             compute_seconds: a.compute_max,
             compute_cpu_seconds: a.compute_sum,
-            compute_parallel_seconds: compute_parallel,
             max_machine_net: a.net_max,
             modeled_seconds: modeled,
         });

@@ -10,9 +10,8 @@
 //!
 //! One record says "this message, to these `n` vertices": a broadcast
 //! crosses the wire once per destination machine, its destinations
-//! gap-coded in stored adjacency order. A point send is a record with
-//! `n = 1`; a `BSP_HUB` record names one hub, so it is the value and one
-//! gap. A frame states its message width once. Gaps wrap, so every id
+//! gap-coded in stored adjacency order. A `BSP_HUB` record names one hub,
+//! so it is the value and one gap. A frame states its message width once. Gaps wrap, so every id
 //! sequence (any order, repeats included) has exactly one encoding.
 //! [`decode`] refuses a frame shorter than its header, a width the rest
 //! cannot hold, a record cut short, and any varint or count the byte

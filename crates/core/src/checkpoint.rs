@@ -240,7 +240,7 @@ fn continue_job<P: VertexProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsp::{MessagingMode, VertexContext};
+    use crate::bsp::VertexContext;
     use std::sync::Arc;
     use trinity_graph::{load_graph, Csr, LoadOptions};
     use trinity_memcloud::{CloudConfig, MemoryCloud};
@@ -288,31 +288,38 @@ mod tests {
         Csr::undirected_from_edges(n, &edges, true)
     }
 
+    /// A ring of `n` over `machines` machines, loaded for the hub route
+    /// (`hubs`) or the grouped one (directed, no in-links).
     fn setup(
         n: usize,
         machines: usize,
+        hubs: bool,
     ) -> (Arc<MemoryCloud>, Arc<trinity_graph::DistributedGraph>) {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+        let mut csr = ring(n);
+        csr.directed = !hubs;
         let graph =
-            Arc::new(load_graph(Arc::clone(&cloud), &ring(n), &LoadOptions::default()).unwrap());
+            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
         (cloud, graph)
     }
 
     fn segment_cfg(limit: usize) -> BspConfig {
         BspConfig {
-            messaging: MessagingMode::Packed,
-            hub_threshold: None,
-            combine: false,
             max_supersteps: limit,
-            compute_threads: 0,
             ..BspConfig::default()
         }
     }
 
     #[test]
     fn checkpointed_run_matches_straight_run() {
+        for hubs in [true, false] {
+            checkpointed_run_matches_straight_run_on(hubs);
+        }
+    }
+
+    fn checkpointed_run_matches_straight_run_on(hubs: bool) {
         let n = 30;
-        let (cloud, graph) = setup(n, 3);
+        let (cloud, graph) = setup(n, 3, hubs);
         let straight = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(64)).run();
         // Checkpoint every 4 supersteps: runner segments are 4 long.
         let runner = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(4));
@@ -334,8 +341,14 @@ mod tests {
 
     #[test]
     fn crash_and_resume_recovers_exact_results() {
+        for hubs in [true, false] {
+            crash_and_resume_recovers_exact_results_on(hubs);
+        }
+    }
+
+    fn crash_and_resume_recovers_exact_results_on(hubs: bool) {
         let n = 40;
-        let (cloud, graph) = setup(n, 3);
+        let (cloud, graph) = setup(n, 3, hubs);
         let expected = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(64)).run();
         // "Crash": run only 2 segments (8 supersteps), writing checkpoints.
         let runner = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(4));
@@ -355,7 +368,7 @@ mod tests {
 
     #[test]
     fn resume_without_checkpoint_reports_not_found() {
-        let (cloud, graph) = setup(10, 2);
+        let (cloud, graph) = setup(10, 2, true);
         let runner = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(4));
         let ckpt = CheckpointConfig::new(4, "nonexistent");
         assert!(matches!(

@@ -84,69 +84,9 @@ impl ThreadTimer {
     }
 }
 
-/// CPU accounting for a machine's worker pool plus its coordinator's
-/// serial section.
-///
-/// Two readings matter for scaling figures:
-///
-/// * the **sum** — aggregate CPU work across all workers (what the
-///   machine burned, regardless of how it was spread);
-/// * the **critical path** — the slowest worker plus the serial section:
-///   the superstep latency a machine with that many real cores could not
-///   beat, however the shards were balanced.
-///
-/// With one worker the two readings coincide and equal the old
-/// single-thread [`ThreadTimer`] measurement.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PoolTimes {
-    sum: f64,
-    max_worker: f64,
-    serial: f64,
-}
-
-impl PoolTimes {
-    /// Fold in one worker's CPU seconds for the parallel phase.
-    pub fn record_worker(&mut self, seconds: f64) {
-        self.sum += seconds;
-        self.max_worker = self.max_worker.max(seconds);
-    }
-
-    /// Add CPU seconds spent in the coordinator's serial section (runs
-    /// after the parallel phase, so it extends both readings).
-    pub fn add_serial(&mut self, seconds: f64) {
-        self.serial += seconds;
-    }
-
-    /// Aggregate CPU seconds: every worker plus the serial section.
-    pub fn cpu_seconds(&self) -> f64 {
-        self.sum + self.serial
-    }
-
-    /// Critical-path seconds: the slowest worker plus the serial section.
-    pub fn critical_path_seconds(&self) -> f64 {
-        self.max_worker + self.serial
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_times_aggregate_sum_and_critical_path() {
-        let mut p = PoolTimes::default();
-        p.record_worker(0.2);
-        p.record_worker(0.5);
-        p.record_worker(0.1);
-        p.add_serial(0.05);
-        assert!((p.cpu_seconds() - 0.85).abs() < 1e-12);
-        assert!((p.critical_path_seconds() - 0.55).abs() < 1e-12);
-        // One worker: both readings collapse to worker + serial.
-        let mut single = PoolTimes::default();
-        single.record_worker(0.3);
-        single.add_serial(0.02);
-        assert!((single.cpu_seconds() - single.critical_path_seconds()).abs() < 1e-12);
-    }
 
     #[test]
     fn timer_reports_nonnegative_and_grows_with_work() {

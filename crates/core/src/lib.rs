@@ -44,8 +44,8 @@ pub mod residency;
 pub mod streaming;
 
 pub use bsp::{
-    resolve_compute_threads, BspConfig, BspResult, BspRunner, MessagingMode, ResumePoint,
-    SuperstepHook, SuperstepReport, VertexContext, VertexProgram,
+    resolve_compute_threads, BspConfig, BspResult, BspRunner, ResumePoint, SuperstepHook,
+    SuperstepReport, VertexContext, VertexProgram,
 };
 pub use cluster::{TrinityClient, TrinityCluster, TrinityConfig, TrinityProxy};
 pub use online::{explore_via, CallHook, ExplorationResult, ExploreOptions, Explorer};

@@ -1,9 +1,10 @@
-//! Property tests for the BSP runtime: on arbitrary random graphs, every
-//! optimization configuration (packing, hub buffering, combiners) and
-//! every machine count must produce the same vertex states as a
-//! single-process reference — max-id propagation converges to each
-//! connected component's maximum id, and every vertex is lent exactly its
-//! out-list, at every pool width.
+//! Property tests for the BSP runtime: on arbitrary random graphs, both
+//! routes a broadcast can take (hub records on a reverse traversable
+//! graph, grouped records on a directed one without in-links) and every
+//! machine count must produce the same vertex states as a single-process
+//! reference — max-id propagation converges to each connected
+//! component's maximum id, and every vertex is lent exactly its out-list,
+//! at every pool width.
 //!
 //! `TRINITY_STRESS_THREADS` adds a pool width to the sweep (see
 //! `scripts/check.sh`, which runs this suite with `RUST_TEST_THREADS=1`
@@ -13,8 +14,8 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use trinity_core::{BspConfig, BspRunner, MessagingMode, VertexContext, VertexProgram};
-use trinity_graph::{load_graph, Csr, LoadOptions};
+use trinity_core::{BspConfig, BspRunner, VertexContext, VertexProgram};
+use trinity_graph::{load_graph, Csr, DistributedGraph, LoadOptions};
 use trinity_memcloud::{CloudConfig, MemoryCloud};
 
 struct MaxValue;
@@ -45,10 +46,6 @@ impl VertexProgram for MaxValue {
     }
     fn decode_state(b: &[u8]) -> Option<u64> {
         Some(u64::from_le_bytes(b.try_into().ok()?))
-    }
-    fn combine(a: &mut u64, b: &u64) -> bool {
-        *a = (*a).max(*b);
-        true
     }
 }
 
@@ -100,8 +97,8 @@ fn fold_list(h: u64, list: &[u64]) -> u64 {
 
 /// Folds `out_neighbors()` into its state's first half in each of the
 /// first [`ROUNDS`] supersteps and broadcasts its id in each, then halts;
-/// the second half sums what it receives. The hub degree test and
-/// non-hub routing read the same list the program is lent.
+/// the second half sums what it receives. Both routes send along the
+/// same list the program is lent.
 struct OutLists;
 impl VertexProgram for OutLists {
     type State = (u64, u64);
@@ -140,10 +137,6 @@ impl VertexProgram for OutLists {
             u64::from_le_bytes(a.try_into().ok()?),
             u64::from_le_bytes(b.try_into().ok()?),
         ))
-    }
-    fn combine(a: &mut u64, b: &u64) -> bool {
-        *a = a.wrapping_add(*b);
-        true
     }
 }
 
@@ -184,50 +177,32 @@ fn thread_sweep() -> Vec<usize> {
     sweep
 }
 
-/// The configurations both properties run: packing, hub buffering and
-/// combining.
-fn config_matrix() -> [BspConfig; 4] {
-    [
-        BspConfig {
-            messaging: MessagingMode::Packed,
-            hub_threshold: None,
-            combine: false,
-            max_supersteps: 256,
-            compute_threads: 0,
-            ..BspConfig::default()
-        },
-        BspConfig {
-            messaging: MessagingMode::Unpacked,
-            hub_threshold: None,
-            combine: false,
-            max_supersteps: 256,
-            compute_threads: 0,
-            ..BspConfig::default()
-        },
-        BspConfig {
-            messaging: MessagingMode::Packed,
-            hub_threshold: Some(4),
-            combine: false,
-            max_supersteps: 256,
-            compute_threads: 0,
-            ..BspConfig::default()
-        },
-        BspConfig {
-            messaging: MessagingMode::Packed,
-            hub_threshold: Some(4),
-            combine: true,
-            max_supersteps: 256,
-            compute_threads: 0,
-            ..BspConfig::default()
-        },
-    ]
+/// `csr` loaded into `cloud` for the hub route (`hubs`: in-links stored,
+/// so reverse traversable) or the grouped route (directed, no in-links),
+/// replacing what `cloud` held.
+fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, hubs: bool) -> Arc<DistributedGraph> {
+    let mut csr = csr.clone();
+    csr.directed |= !hubs;
+    let opts = LoadOptions {
+        with_in_links: hubs,
+        attrs: None,
+    };
+    Arc::new(load_graph(Arc::clone(cloud), &csr, &opts).unwrap())
+}
+
+fn cfg(compute_threads: usize) -> BspConfig {
+    BspConfig {
+        max_supersteps: 256,
+        compute_threads,
+        ..BspConfig::default()
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn every_config_matches_the_component_reference(
+    fn both_routes_match_the_component_reference(
         n in 4usize..60,
         edge_seeds in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..150),
         machines in 1usize..5,
@@ -240,13 +215,13 @@ proptest! {
         let csr = random_graph(n, &edges);
         let expect = component_max(&csr);
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
-        for cfg in config_matrix() {
-            let result = BspRunner::new(Arc::clone(&graph), MaxValue, cfg.clone()).run();
-            prop_assert!(result.terminated, "must reach quiescence under {cfg:?}");
+        for hubs in [true, false] {
+            let graph = load_for(&cloud, &csr, hubs);
+            let result = BspRunner::new(graph, MaxValue, cfg(0)).run();
+            prop_assert!(result.terminated, "must reach quiescence (hubs {})", hubs);
             prop_assert_eq!(result.states.len(), n);
             for (id, state) in &result.states {
-                prop_assert_eq!(*state, expect[id], "vertex {} under {:?}", id, cfg);
+                prop_assert_eq!(*state, expect[id], "vertex {} (hubs {})", id, hubs);
             }
         }
         cloud.shutdown();
@@ -271,14 +246,15 @@ proptest! {
         };
         let expect = out_lists_reference(&csr);
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let opts = LoadOptions { with_in_links: directed, attrs: None };
-        let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
-        for cfg in config_matrix() {
+        for hubs in [true, false] {
+            let graph = load_for(&cloud, &csr, hubs);
             for compute_threads in thread_sweep() {
-                let cfg = BspConfig { compute_threads, ..cfg.clone() };
-                let result = BspRunner::new(Arc::clone(&graph), OutLists, cfg.clone()).run();
-                prop_assert!(result.terminated, "must reach quiescence under {cfg:?}");
-                prop_assert_eq!(&result.states, &expect, "directed {} under {:?}", directed, cfg);
+                let result = BspRunner::new(Arc::clone(&graph), OutLists, cfg(compute_threads)).run();
+                prop_assert!(result.terminated, "must reach quiescence (hubs {})", hubs);
+                prop_assert_eq!(
+                    &result.states, &expect,
+                    "directed {}, hubs {}, {} threads", directed, hubs, compute_threads
+                );
             }
         }
         cloud.shutdown();

@@ -1,9 +1,10 @@
 //! Offline analytics: PageRank over an R-MAT web graph (paper §5.3–5.4).
 //!
-//! Runs the same PageRank job three ways — naive (unpacked messages),
-//! packed, and packed + hub buffering — and prints the per-superstep
-//! message counts and modeled cluster times, showing why the paper's
-//! message-passing optimizations matter.
+//! Runs the same PageRank job on both routes a broadcast can take — hub
+//! records on a reverse traversable graph, grouped neighbor records on a
+//! directed one loaded without in-links — and prints the per-superstep
+//! message counts and modeled cluster times, showing what §5.4's hub
+//! buffering saves over packing alone.
 //!
 //! ```text
 //! cargo run --release --example pagerank_analytics [scale] [degree]
@@ -12,7 +13,7 @@
 use std::sync::Arc;
 
 use trinity::algos::pagerank_distributed;
-use trinity::core::{BspConfig, MessagingMode};
+use trinity::core::BspConfig;
 use trinity::graph::{load_graph, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
 
@@ -32,48 +33,18 @@ fn main() {
         &directed.arcs().collect::<Vec<_>>(),
         true,
     );
+    // The same out-lists marked directed: no machine can find a sender's
+    // neighbors among its in-edges, so every broadcast ships grouped.
+    let mut marked = csr.clone();
+    marked.directed = true;
 
-    let configs: [(&str, BspConfig); 3] = [
-        (
-            "naive (one transfer per message)",
-            BspConfig {
-                messaging: MessagingMode::Unpacked,
-                hub_threshold: None,
-                combine: false,
-                max_supersteps: 64,
-                compute_threads: 0,
-                ..BspConfig::default()
-            },
-        ),
-        (
-            "packed",
-            BspConfig {
-                messaging: MessagingMode::Packed,
-                hub_threshold: None,
-                combine: false,
-                max_supersteps: 64,
-                compute_threads: 0,
-                ..BspConfig::default()
-            },
-        ),
-        (
-            "packed + hub buffering",
-            BspConfig {
-                messaging: MessagingMode::Packed,
-                hub_threshold: Some(64),
-                combine: false,
-                max_supersteps: 64,
-                compute_threads: 0,
-                ..BspConfig::default()
-            },
-        ),
-    ];
-
-    for (name, cfg) in configs {
+    for (name, csr) in [
+        ("hub records (reverse traversable graph)", &csr),
+        ("grouped records (directed, no in-links)", &marked),
+    ] {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph =
-            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
-        let result = pagerank_distributed(graph, iterations, cfg);
+        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &LoadOptions::default()).unwrap());
+        let result = pagerank_distributed(graph, iterations, BspConfig::default());
         let frames: u64 = result.reports.iter().map(|r| r.remote_messages).sum();
         let envelopes: u64 = result
             .reports

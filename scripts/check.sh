@@ -68,9 +68,16 @@ cargo test "${HERMETIC[@]}" --manifest-path benchmark/Cargo.toml
 echo "==> e13_residency (tiering model: residency table + schedule peak-bytes check)"
 cargo run --release -p trinity-bench --bin e13_residency "${HERMETIC[@]}" "$@"
 
-echo "==> e15_hubs at 1/10 scale (BSP message ablation; exports the bsp.* counters metrics_check requires of a BSP job)"
+echo "==> e15_hubs at 1/10 scale (BSP routes; exports the bsp.* counters metrics_check requires of a BSP job)"
+# Its last line is `shape: PASS` only when each live row equals the route
+# model's count for the same route (crates/bench/src/route_model.rs);
+# `shape: FAIL` fails the gate.
 TRINITY_BENCH_SCALE=0.1 cargo run --release -p trinity-bench --bin e15_hubs "${HERMETIC[@]}" "$@" -- \
-    --metrics-out "$OUT/e15_hubs.metrics.json"
+    --metrics-out "$OUT/e15_hubs.metrics.json" | tee "$OUT/e15_hubs.txt"
+if ! grep -q '^shape: PASS' "$OUT/e15_hubs.txt"; then
+    echo "e15_hubs: a live row differs from the route model (see $OUT/e15_hubs.txt)" >&2
+    exit 1
+fi
 
 echo "==> metrics_check (observability gate: the exported artifact schema-validates)"
 cargo run --release -p trinity-bench --bin metrics_check "${HERMETIC[@]}" "$@" -- \

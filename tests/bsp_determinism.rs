@@ -2,14 +2,14 @@
 //! compute threads a machine runs.
 //!
 //! The sharded driver routes each message to the inbox of the worker
-//! owning its destination, defers combine-mode sends for a serial replay
-//! in vertex order, and sorts every inbox run into a canonical
+//! owning its destination and sorts every inbox run into a canonical
 //! `(dst, msg_cmp)` order before compute — so `compute_threads` is a pure
 //! performance knob. These tests pin that contract:
 //!
 //! * final states are **bit-identical** across `compute_threads` in
-//!   `{1, 2, 4}` (f64 ranks compared via `to_bits`), including with
-//!   sender-side combining and hub buffering enabled;
+//!   `{1, 2, 4}` (f64 ranks compared via `to_bits`), on both routes a
+//!   broadcast can take: hub records on a reverse traversable graph,
+//!   grouped records on a directed one loaded without in-links;
 //! * superstep counts and aggregate message counts are identical;
 //! * a seeded chaos workload still replays its fault log under the
 //!   threaded driver;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use trinity::algos::pagerank_distributed;
 use trinity::chaos::{BspRingMax, ChaosRunner};
-use trinity::core::{BspConfig, BspResult, BspRunner, MessagingMode, VertexContext, VertexProgram};
+use trinity::core::{BspConfig, BspResult, BspRunner, VertexContext, VertexProgram};
 use trinity::graph::{load_graph, Csr, DistributedGraph, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
 use trinity::net::FaultPlan;
@@ -78,52 +78,35 @@ impl VertexProgram for MaxValue {
     fn decode_state(b: &[u8]) -> Option<u64> {
         Some(u64::from_le_bytes(b.try_into().ok()?))
     }
-    fn combine(a: &mut u64, b: &u64) -> bool {
-        *a = (*a).max(*b);
-        true
-    }
 }
 
-fn with_graph<R>(csr: &Csr, machines: usize, f: impl FnOnce(Arc<DistributedGraph>) -> R) -> R {
+/// Run `f` over `csr` loaded for the hub route (`hubs`: in-links stored,
+/// so reverse traversable) or the grouped one (directed, no in-links).
+fn with_graph<R>(
+    csr: &Csr,
+    machines: usize,
+    hubs: bool,
+    f: impl FnOnce(Arc<DistributedGraph>) -> R,
+) -> R {
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-    let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &LoadOptions::default()).unwrap());
+    let mut csr = csr.clone();
+    csr.directed |= !hubs;
+    let opts = LoadOptions {
+        with_in_links: hubs,
+        attrs: None,
+    };
+    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
     let out = f(graph);
     cloud.shutdown();
     out
 }
 
-/// The config matrix every determinism test sweeps: plain packed,
-/// combining, hub buffering, both at once, and the default (every vertex
-/// a hub).
-fn config_matrix() -> Vec<BspConfig> {
-    vec![
-        BspConfig {
-            hub_threshold: None,
-            max_supersteps: 256,
-            ..BspConfig::default()
-        },
-        BspConfig {
-            combine: true,
-            hub_threshold: None,
-            max_supersteps: 256,
-            ..BspConfig::default()
-        },
-        BspConfig {
-            hub_threshold: Some(8),
-            max_supersteps: 256,
-            ..BspConfig::default()
-        },
-        BspConfig {
-            combine: true,
-            hub_threshold: Some(8),
-            max_supersteps: 256,
-            ..BspConfig::default()
-        },
-        BspConfig {
-            max_supersteps: 256,
-            ..BspConfig::default()
-        },
-    ]
+fn cfg(compute_threads: usize) -> BspConfig {
+    BspConfig {
+        compute_threads,
+        max_supersteps: 256,
+        ..BspConfig::default()
+    }
 }
 
 /// (supersteps, per-superstep remote and local message counts).
@@ -140,22 +123,25 @@ fn message_profile<P: VertexProgram>(r: &BspResult<P>) -> (usize, Vec<(u64, u64)
 #[test]
 fn maxvalue_identical_across_thread_counts() {
     let csr = trinity::graphgen::social(600, 10, 17);
-    for mut cfg in config_matrix() {
-        cfg.compute_threads = 1;
-        let serial = with_graph(&csr, 4, |g| BspRunner::new(g, MaxValue, cfg.clone()).run());
+    for hubs in [true, false] {
+        let run = |threads| {
+            with_graph(&csr, 4, hubs, |g| {
+                BspRunner::new(g, MaxValue, cfg(threads)).run()
+            })
+        };
+        let serial = run(1);
         assert!(serial.terminated);
         let serial_profile = message_profile(&serial);
         for threads in thread_sweep() {
-            cfg.compute_threads = threads;
-            let threaded = with_graph(&csr, 4, |g| BspRunner::new(g, MaxValue, cfg.clone()).run());
+            let threaded = run(threads);
             assert_eq!(
                 threaded.states, serial.states,
-                "states diverged at {threads} threads under {cfg:?}"
+                "states diverged at {threads} threads (hubs {hubs})"
             );
             assert_eq!(
                 message_profile(&threaded),
                 serial_profile,
-                "superstep/message profile diverged at {threads} threads under {cfg:?}"
+                "superstep/message profile diverged at {threads} threads (hubs {hubs})"
             );
         }
     }
@@ -164,15 +150,16 @@ fn maxvalue_identical_across_thread_counts() {
 #[test]
 fn pagerank_bit_identical_across_thread_counts() {
     // f64 addition is not associative: bit-identity across pool widths
-    // only holds because inbox runs are sorted by `msg_cmp` (total_cmp)
-    // and combine-mode sends replay serially in vertex order.
+    // only holds because inbox runs are sorted by `msg_cmp` (total_cmp).
     let csr = trinity::graphgen::rmat(9, 8, 23);
     let iterations = 5;
-    for mut cfg in config_matrix() {
-        cfg.compute_threads = 1;
-        let serial = with_graph(&csr, 4, |g| {
-            pagerank_distributed(g, iterations, cfg.clone())
-        });
+    for hubs in [true, false] {
+        let run = |threads| {
+            with_graph(&csr, 4, hubs, |g| {
+                pagerank_distributed(g, iterations, cfg(threads))
+            })
+        };
+        let serial = run(1);
         let serial_bits: std::collections::BTreeMap<u64, u64> = serial
             .states
             .iter()
@@ -180,10 +167,7 @@ fn pagerank_bit_identical_across_thread_counts() {
             .collect();
         let serial_profile = message_profile(&serial);
         for threads in thread_sweep() {
-            cfg.compute_threads = threads;
-            let threaded = with_graph(&csr, 4, |g| {
-                pagerank_distributed(g, iterations, cfg.clone())
-            });
+            let threaded = run(threads);
             let bits: std::collections::BTreeMap<u64, u64> = threaded
                 .states
                 .iter()
@@ -191,7 +175,7 @@ fn pagerank_bit_identical_across_thread_counts() {
                 .collect();
             assert_eq!(
                 bits, serial_bits,
-                "ranks not bit-identical at {threads} threads under {cfg:?}"
+                "ranks not bit-identical at {threads} threads (hubs {hubs})"
             );
             assert_eq!(message_profile(&threaded), serial_profile);
         }
@@ -209,9 +193,12 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// One configuration's ranks on `csr` as `(id, rank bits)` words, in id order.
-fn rank_words(csr: &Csr, cfg: BspConfig) -> Vec<u64> {
-    let r = with_graph(csr, 4, |g| pagerank_distributed(g, 5, cfg));
+/// One route's ranks on `csr` at `compute_threads` as `(id, rank bits)`
+/// words, in id order.
+fn rank_words(csr: &Csr, hubs: bool, compute_threads: usize) -> Vec<u64> {
+    let r = with_graph(csr, 4, hubs, |g| {
+        pagerank_distributed(g, 5, cfg(compute_threads))
+    });
     let ranks: std::collections::BTreeMap<u64, u64> = r
         .states
         .iter()
@@ -226,74 +213,28 @@ fn rank_words(csr: &Csr, cfg: BspConfig) -> Vec<u64> {
 
 #[test]
 fn pagerank_rank_bits_match_the_pinned_digest() {
-    // "Bit-identical to before" as a test: every rank of every
-    // configuration, hashed to a constant computed at the commit *before*
-    // the BSP wire format became grouped run frames (PR 21). How messages
-    // are framed, grouped or batched on the way must never reach the
+    // "Bit-identical to before" as a test: every rank, hashed to a
+    // constant computed before the BSP wire format became grouped run
+    // frames and since pinned per configuration. How messages
+    // are framed, grouped or fanned out on the way must never reach the
     // ranks; a change that moves this digest changed what vertices
-    // compute, not how messages travel.
-    const PINNED: u64 = 0xfb9b_da67_5201_8545;
-    // The same ranks hashed one configuration at a time, so a moved bit
-    // names its configuration, in loop order (hub x combine x messaging
-    // x threads); then `BspConfig::default()` (hubs `Some(1)`, the
-    // configuration every non-test caller runs) at 1 and 3 threads.
-    // Messaging and threads never reach the ranks; without combining
-    // neither do hubs, while a combiner's sum order follows the routes.
+    // compute, not how messages travel. Each route at 1 and 3 threads:
+    // `BspConfig::default()` on the undirected graph runs hub records,
+    // on the same out-lists marked directed (no in-links) grouped ones.
     const PLAIN: u64 = 0x3c04_f6c8_2e1e_e45a;
-    const COMBINED: u64 = 0x2b39_2dc0_959e_f1e9;
-    const COMBINED_HUBS_8: u64 = 0x9479_28dd_a675_9b41;
-    // One row per (hub, combine) pair; a row's four entries are its
-    // messaging x threads configurations.
-    const PER_CONFIG: [[u64; 4]; 4] = [
-        [PLAIN; 4],           // None, combine off
-        [COMBINED; 4],        // None, combine on
-        [PLAIN; 4],           // Some(8), combine off
-        [COMBINED_HUBS_8; 4], // Some(8), combine on
-    ];
-    const DEFAULT: [(usize, u64); 2] = [(1, PLAIN), (3, PLAIN)];
     let csr = trinity::graphgen::social(300, 8, 5);
-    let mut words = Vec::new();
     let mut moved = Vec::new();
-    let mut pinned = PER_CONFIG.iter().flatten();
-    for hub_threshold in [None, Some(8)] {
-        for combine in [false, true] {
-            for messaging in [MessagingMode::Packed, MessagingMode::Unpacked] {
-                for compute_threads in [1, 3] {
-                    let cfg = BspConfig {
-                        hub_threshold,
-                        combine,
-                        messaging,
-                        compute_threads,
-                        ..BspConfig::default()
-                    };
-                    let label =
-                        format!("{hub_threshold:?} {combine} {messaging:?} {compute_threads}");
-                    let config_words = rank_words(&csr, cfg);
-                    let digest = fnv1a(config_words.iter().copied());
-                    if Some(&digest) != pinned.next() {
-                        moved.push(format!("{label}: {digest:#018x}"));
-                    }
-                    words.extend(config_words);
-                }
+    for hubs in [true, false] {
+        for compute_threads in [1, 3] {
+            let digest = fnv1a(rank_words(&csr, hubs, compute_threads));
+            if digest != PLAIN {
+                moved.push(format!(
+                    "hubs {hubs}, {compute_threads} threads: {digest:#018x}"
+                ));
             }
         }
     }
-    for (compute_threads, pinned) in DEFAULT {
-        let cfg = BspConfig {
-            compute_threads,
-            ..BspConfig::default()
-        };
-        let digest = fnv1a(rank_words(&csr, cfg));
-        if digest != pinned {
-            moved.push(format!("default {compute_threads}: {digest:#018x}"));
-        }
-    }
     assert!(moved.is_empty(), "PageRank rank bits moved in: {moved:#?}");
-    assert_eq!(
-        fnv1a(words),
-        PINNED,
-        "PageRank rank bits moved: hub x combine x messaging x threads"
-    );
 }
 
 #[test]
@@ -335,14 +276,11 @@ fn sharded_inbox_handoff_race_smoke() {
     let edges: Vec<(u64, u64)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
     let csr = Csr::undirected_from_edges(n as usize, &edges, true);
     let threads = stress_threads().unwrap_or(4);
-    let cfg = BspConfig {
-        compute_threads: threads,
-        max_supersteps: 256,
-        ..BspConfig::default()
-    };
     let mut baseline: Option<(std::collections::HashMap<u64, u64>, usize)> = None;
     for rep in 0..20 {
-        let r = with_graph(&csr, 3, |g| BspRunner::new(g, MaxValue, cfg.clone()).run());
+        let r = with_graph(&csr, 3, true, |g| {
+            BspRunner::new(g, MaxValue, cfg(threads)).run()
+        });
         assert!(r.terminated, "rep {rep} did not terminate");
         match &baseline {
             None => {
@@ -372,41 +310,37 @@ fn checkpointed_pagerank_is_bit_identical_to_a_straight_run() {
             .map(|(&id, s)| (id, s.rank.to_bits()))
             .collect()
     };
-    for hub_threshold in [None, Some(8)] {
-        for combine in [false, true] {
-            for compute_threads in [1, 3] {
-                let cfg = BspConfig {
-                    hub_threshold,
-                    combine,
-                    compute_threads,
-                    max_supersteps: iterations + 2,
-                    ..BspConfig::default()
+    for hubs in [true, false] {
+        for compute_threads in [1, 3] {
+            let cfg = BspConfig {
+                compute_threads,
+                max_supersteps: iterations + 2,
+                ..BspConfig::default()
+            };
+            with_graph(&csr, 4, hubs, |g| {
+                let straight = pagerank_distributed(Arc::clone(&g), iterations, cfg.clone());
+                let program = PageRankProgram {
+                    n: g.node_count(),
+                    iterations,
                 };
-                with_graph(&csr, 4, |g| {
-                    let straight = pagerank_distributed(Arc::clone(&g), iterations, cfg.clone());
-                    let program = PageRankProgram {
-                        n: g.node_count(),
-                        iterations,
-                    };
-                    let segment = BspConfig {
-                        max_supersteps: 2,
-                        ..cfg.clone()
-                    };
-                    let runner = BspRunner::new(g, program, segment);
-                    let first = runner.run();
-                    assert!(!first.terminated && !first.pending.is_empty());
-                    let job = format!("pagerank-{hub_threshold:?}-{combine}-{compute_threads}");
-                    let ckpt = CheckpointConfig::new(2, job);
-                    let resumed = run_with_checkpoints(&runner, &cfg, &ckpt).unwrap();
-                    assert!(resumed.terminated);
-                    assert_eq!(resumed.supersteps(), straight.supersteps());
-                    assert_eq!(
-                        rank_bits(&resumed),
-                        rank_bits(&straight),
-                        "checkpointed ranks not bit-identical under {cfg:?}"
-                    );
-                });
-            }
+                let segment = BspConfig {
+                    max_supersteps: 2,
+                    ..cfg.clone()
+                };
+                let runner = BspRunner::new(g, program, segment);
+                let first = runner.run();
+                assert!(!first.terminated && !first.pending.is_empty());
+                let job = format!("pagerank-{hubs}-{compute_threads}");
+                let ckpt = CheckpointConfig::new(2, job);
+                let resumed = run_with_checkpoints(&runner, &cfg, &ckpt).unwrap();
+                assert!(resumed.terminated);
+                assert_eq!(resumed.supersteps(), straight.supersteps());
+                assert_eq!(
+                    rank_bits(&resumed),
+                    rank_bits(&straight),
+                    "checkpointed ranks not bit-identical (hubs {hubs}, {compute_threads} threads)"
+                );
+            });
         }
     }
 }

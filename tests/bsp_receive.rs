@@ -19,8 +19,16 @@ use std::sync::Arc;
 
 use trinity::algos::pagerank_distributed;
 use trinity::core::BspConfig;
-use trinity::graph::{load_graph, LoadOptions};
+use trinity::graph::{load_graph, Csr, DistributedGraph, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
+
+/// `csr` (undirected) loaded into `cloud` for the hub route (`hubs`) or
+/// the grouped one (the same out-lists marked directed, no in-links).
+fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, hubs: bool) -> Arc<DistributedGraph> {
+    let mut csr = csr.clone();
+    csr.directed = !hubs;
+    Arc::new(load_graph(Arc::clone(cloud), &csr, &LoadOptions::default()).unwrap())
+}
 
 /// Span ring capacity per machine (`trinity_obs::SPAN_RING_CAPACITY`).
 const SPAN_RING: u64 = 4096;
@@ -60,19 +68,14 @@ fn load_map_counts_every_delivery_once() {
     // `record_msgs` is batched per trunk per drain; the per-trunk totals
     // must still add up to exactly the deliveries the reports count. Hub
     // broadcasts travel as one remote frame per machine reached and
-    // are counted as local deliveries where they fan out, so with hubs
-    // the frames themselves are subtracted.
+    // are counted as local deliveries where they fan out, so on the hub
+    // route the frames themselves are subtracted.
     let machines = 4;
     let csr = trinity::graphgen::social(900, 10, 29);
-    for hub_threshold in [None, Some(12), Some(1)] {
+    for hubs in [false, true] {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph =
-            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
-        let cfg = BspConfig {
-            hub_threshold,
-            ..BspConfig::default()
-        };
-        let result = pagerank_distributed(graph, 5, cfg);
+        let graph = load_for(&cloud, &csr, hubs);
+        let result = pagerank_distributed(graph, 5, BspConfig::default());
         let reported: u64 = result
             .reports
             .iter()
@@ -80,7 +83,7 @@ fn load_map_counts_every_delivery_once() {
             .sum();
         let obs = cloud.fabric().obs();
         let hub_frames = obs.snapshot().totals().counters["bsp.hub.broadcasts"];
-        assert_eq!(hub_frames > 0, hub_threshold.is_some());
+        assert_eq!(hub_frames > 0, hubs);
         // A roll shorter than a millisecond is skipped; outwait it.
         std::thread::sleep(std::time::Duration::from_millis(2));
         let attributed: u64 = (0..machines as u16)
@@ -90,7 +93,7 @@ fn load_map_counts_every_delivery_once() {
         assert_eq!(
             attributed,
             reported - hub_frames,
-            "LoadMap message total (hubs: {hub_threshold:?})"
+            "LoadMap message total (hubs: {hubs})"
         );
         cloud.shutdown();
     }
@@ -135,17 +138,15 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
     // from the graph and the addressing table alone: per peer one run
     // frame, per (vertex, peer it reaches) one record, gaps running on
     // from the record before, the frame stating the 8-byte width once.
-    // Without hubs a record carries the vertex's neighbors there in stored
-    // adjacency order. By default every vertex is a hub: its record names
-    // only itself and states no count. Either way the job sends
-    // run frames and fences only and makes no call.
+    // On the grouped route a record carries the vertex's neighbors there
+    // in stored adjacency order. On the hub route every vertex is a hub:
+    // its record names only itself and states no count. Either way the
+    // job sends run frames and fences only and makes no call.
     let machines = 4;
     let csr = trinity::graphgen::social(1_200, 10, 29);
-    for hub_threshold in [None, BspConfig::default().hub_threshold] {
-        let hubs_on = hub_threshold.is_some();
+    for hubs_on in [false, true] {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph =
-            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+        let graph = load_for(&cloud, &csr, hubs_on);
         let table = cloud.node(0).table();
         let owner = |v: u64| table.machine_of(v).0 as usize;
         let (mut records, mut messages, mut widest) = (0u64, 0u64, 0usize);
@@ -193,7 +194,6 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
         let calls0 = calls();
         let cfg = BspConfig {
             compute_threads: 1,
-            hub_threshold,
             ..BspConfig::default()
         };
         let result = pagerank_distributed(graph, 1, cfg);
@@ -205,16 +205,12 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
         assert_eq!(sum("bsp.records.sent"), records);
         assert_eq!(sum("bsp.hub.broadcasts"), if hubs_on { records } else { 0 });
         assert_eq!(sum("bsp.frames.malformed"), 0);
-        assert_eq!(
-            calls(),
-            calls0,
-            "the job made calls (hubs: {hub_threshold:?})"
-        );
+        assert_eq!(calls(), calls0, "the job made calls (hubs: {hubs_on})");
         for (m, want) in predicted.iter().enumerate() {
             assert_eq!(
                 payload(m) - payload0[m],
                 *want,
-                "payload bytes machine {m} sent (hubs: {hub_threshold:?}; \
+                "payload bytes machine {m} sent (hubs: {hubs_on}; \
                  {messages} messages in {records} records overall)"
             );
         }

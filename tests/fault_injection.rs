@@ -5,8 +5,8 @@ use std::time::Duration;
 
 use trinity::core::checkpoint::{resume_from_checkpoint, run_with_checkpoints, CheckpointConfig};
 use trinity::core::recovery::{RecoveryAgents, RecoveryConfig, RecoveryEvent};
-use trinity::core::{BspConfig, BspRunner, MessagingMode, VertexContext, VertexProgram};
-use trinity::graph::{load_graph, Csr, LoadOptions};
+use trinity::core::{BspConfig, BspRunner, VertexContext, VertexProgram};
+use trinity::graph::{load_graph, Csr, DistributedGraph, LoadOptions};
 use trinity::memcloud::{CloudConfig, MemoryCloud};
 use trinity::net::MachineId;
 
@@ -42,28 +42,33 @@ impl VertexProgram for MaxValue {
     }
 }
 
-fn ring(n: usize) -> Csr {
+/// A ring of `n` loaded into `cloud` for the hub route (`hubs`) or the
+/// grouped one (marked directed, no in-links).
+fn ring_graph(cloud: &Arc<MemoryCloud>, n: usize, hubs: bool) -> Arc<DistributedGraph> {
     let edges: Vec<(u64, u64)> = (0..n as u64).map(|v| (v, (v + 1) % n as u64)).collect();
-    Csr::undirected_from_edges(n, &edges, true)
+    let mut csr = Csr::undirected_from_edges(n, &edges, true);
+    csr.directed = !hubs;
+    Arc::new(load_graph(Arc::clone(cloud), &csr, &LoadOptions::default()).unwrap())
 }
 
 fn cfg(limit: usize) -> BspConfig {
     BspConfig {
-        messaging: MessagingMode::Packed,
-        hub_threshold: None,
-        combine: false,
         max_supersteps: limit,
-        compute_threads: 0,
         ..BspConfig::default()
     }
 }
 
 #[test]
 fn bsp_job_interrupted_and_resumed_from_tfs_checkpoint() {
+    for hubs in [true, false] {
+        interrupted_and_resumed(hubs);
+    }
+}
+
+fn interrupted_and_resumed(hubs: bool) {
     let n = 36;
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
-    let graph =
-        Arc::new(load_graph(Arc::clone(&cloud), &ring(n), &LoadOptions::default()).unwrap());
+    let graph = ring_graph(&cloud, n, hubs);
     let expected = BspRunner::new(Arc::clone(&graph), MaxValue, cfg(128)).run();
     // Run 6 supersteps (1.5 checkpoint intervals), then "crash".
     let ckpt = CheckpointConfig::new(4, "interrupted");
@@ -86,10 +91,15 @@ fn machine_failure_mid_bsp_job_recovers_through_cloud_and_checkpoint() {
     // a machine dies between segments; the memory cloud reloads its
     // trunks onto survivors; the job resumes from the checkpoint over the
     // recovered data and finishes with exact results.
+    for hubs in [true, false] {
+        recovers_through_cloud_and_checkpoint(hubs);
+    }
+}
+
+fn recovers_through_cloud_and_checkpoint(hubs: bool) {
     let n = 40;
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(4)));
-    let graph =
-        Arc::new(load_graph(Arc::clone(&cloud), &ring(n), &LoadOptions::default()).unwrap());
+    let graph = ring_graph(&cloud, n, hubs);
     let expected = BspRunner::new(Arc::clone(&graph), MaxValue, cfg(128)).run();
     cloud.backup_all().unwrap();
 
