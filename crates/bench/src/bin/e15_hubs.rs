@@ -102,7 +102,7 @@ fn main() {
             format!("{:.1}", sum(|s| s.bytes) as f64 / steps.len() as f64 / 1e3),
         ]);
     }
-    println!("\nmodel rows: exact counts of routes the engine no longer runs (route_model.rs); the combiner's records in ascending destination order.");
+    println!("\nmodel rows: exact counts of routes the engine no longer runs (route_model.rs), their hub records in today's delta format; the combiner's records in ascending destination order.");
     println!("paper shape: packing collapses transfers; hub buffering removes most remaining per-edge frames; each message is delivered once.");
     metrics.finish();
     if mismatches.is_empty() {

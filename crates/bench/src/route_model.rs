@@ -1,8 +1,10 @@
 //! An exact count model of the wire traffic of a PageRank job (E15.2),
-//! on the engine's two routes and on four it no longer has. Per machine
-//! and pool worker (vertices split by `trunk_of(id) % workers`, computed
-//! in id order) it encodes, with [`runs`], the records a superstep's
-//! broadcasts produce; fills run frames, shipped at `RUN_FLUSH_BYTES`
+//! on the engine's two routes and on four it no longer has. It computes
+//! each sending superstep's shares as the engine's PageRank does; per
+//! machine and pool worker (vertices split by `trunk_of(id) % workers`,
+//! computed in id order) it encodes, with [`runs`], the records a
+//! superstep's broadcasts produce, a hub record XORed against its
+//! vertex's last share; fills run frames, shipped at `RUN_FLUSH_BYTES`
 //! and at shard end, `BSP_MSG` before `BSP_HUB` per peer; has a
 //! combiner's leader ship one point record per destination after the
 //! workers, ascending; and seals envelopes at `PACK_THRESHOLD_BYTES`,
@@ -27,8 +29,8 @@ const ENVELOPE_HEADER_BYTES: u64 = 40;
 const PACK_THRESHOLD_BYTES: u64 = 64 << 10;
 /// A fence's payload: superstep u32, run frames sent u64.
 const FENCE_BYTES: usize = 12;
-/// A PageRank message: one `f64`.
-const MSG: [u8; 8] = [0; 8];
+/// PageRank's damping factor (`trinity_algos::pagerank`).
+const DAMPING: f64 = 0.85;
 
 /// How broadcasts travel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,12 +95,17 @@ impl Link {
 struct Outbox(Vec<u8>, u64);
 
 impl Outbox {
-    fn push(&mut self, link: &mut Link, route: Route, hub: bool, ids: &[u64]) {
+    /// Push the record "`msg` to `ids`", or with `hub = Some(base)` the
+    /// hub record of `msg` from `ids[0]`, XORed against `base`.
+    fn push(&mut self, link: &mut Link, route: Route, hub: Option<u64>, msg: &[u8], ids: &[u64]) {
         if self.0.is_empty() {
-            runs::start(&mut self.0, 0, MSG.len());
+            runs::start(&mut self.0, 0, msg.len());
             self.1 = 0;
         }
-        runs::push_record(&mut self.0, &mut self.1, hub, &MSG, ids);
+        match hub {
+            Some(base) => runs::push_hub(&mut self.0, &mut self.1, base, msg, ids[0]),
+            None => runs::push_record(&mut self.0, &mut self.1, msg, ids),
+        }
         if route == Route::Unpacked {
             self.flush(link);
             link.seal();
@@ -147,20 +154,59 @@ pub fn pagerank_traffic(
             bytes,
         }
     };
-    let (links, deliveries) = broadcast(csr, table, compute_threads, route);
-    let mut steps = vec![busiest(links, deliveries); iterations];
+    // Each vertex's last share, as a hub record's base.
+    let mut bases = vec![0; csr.node_count()];
+    let mut steps: Vec<Step> = shares(csr, iterations)
+        .iter()
+        .map(|share| {
+            let (links, deliveries) =
+                broadcast(csr, table, compute_threads, route, share, &mut bases);
+            busiest(links, deliveries)
+        })
+        .collect();
     steps.push(busiest(vec![vec![Link::default(); machines]; machines], 0));
     steps
 }
 
-/// One superstep in which every vertex with an out-neighbor broadcasts:
-/// each machine's links to its peers before the fence, and the remote
-/// deliveries.
+/// Each sending superstep's share per vertex, computed as
+/// `PageRankProgram` does: rank `1/n`, then `(1 − d)/n + d · Σ` of the
+/// shares its in-edges bring, summed in `total_cmp` order; a share is the
+/// rank over the out-degree (unused for a vertex without out-neighbors).
+fn shares(csr: &Csr, iterations: usize) -> Vec<Vec<f64>> {
+    let n = csr.node_count();
+    let degree = |v: usize| csr.neighbors(v as u64).len() as f64;
+    let mut rank = vec![1.0 / n as f64; n];
+    let mut all: Vec<Vec<f64>> = Vec::with_capacity(iterations);
+    for _ in 0..iterations {
+        if let Some(last) = all.last() {
+            let mut inbox = vec![Vec::new(); n];
+            for (v, &share) in last.iter().enumerate() {
+                for &t in csr.neighbors(v as u64) {
+                    inbox[t as usize].push(share);
+                }
+            }
+            for (r, mut msgs) in rank.iter_mut().zip(inbox) {
+                msgs.sort_by(f64::total_cmp);
+                let sum: f64 = msgs.iter().sum();
+                *r = (1.0 - DAMPING) / n as f64 + DAMPING * sum;
+            }
+        }
+        all.push((0..n).map(|v| rank[v] / degree(v)).collect());
+    }
+    all
+}
+
+/// One superstep in which every vertex with an out-neighbor broadcasts
+/// its `share`: each machine's links to its peers before the fence, and
+/// the remote deliveries. A hub record is XORed against its vertex's
+/// entry in `bases`, which then holds the new share.
 fn broadcast(
     csr: &Csr,
     table: &AddressingTable,
     compute_threads: usize,
     route: Route,
+    share: &[f64],
+    bases: &mut [u64],
 ) -> (Vec<Vec<Link>>, u64) {
     let machines = table.machines().len();
     let owner = |v: u64| table.machine_of(v).0 as usize;
@@ -177,7 +223,7 @@ fn broadcast(
         let workers = resolve_compute_threads(compute_threads, trunks);
         let mut deferred = vec![Vec::new(); machines];
         for w in 0..workers {
-            let mut msg = vec![Outbox::default(); machines];
+            let mut out = vec![Outbox::default(); machines];
             let mut hub = vec![Outbox::default(); machines];
             let mut groups = vec![Vec::new(); machines];
             let shard = (0..csr.node_count() as u64)
@@ -187,14 +233,17 @@ fn broadcast(
                 if outs.is_empty() {
                     continue;
                 }
+                let msg = share[v as usize].to_le_bytes();
                 if outs.len() >= hub_from {
                     let mut peers: Vec<usize> = outs.iter().map(|&u| owner(u)).collect();
                     peers.retain(|&p| p != m);
                     peers.sort_unstable();
                     peers.dedup();
+                    let base = &mut bases[v as usize];
                     for &p in &peers {
-                        hub[p].push(&mut links[p], route, true, &[v]);
+                        hub[p].push(&mut links[p], route, Some(*base), &msg, &[v]);
                     }
+                    *base = runs::base(&msg);
                     deliveries += peers.len() as u64;
                     continue;
                 }
@@ -204,19 +253,19 @@ fn broadcast(
                         deferred[p].push(u);
                     } else if route == Route::Unpacked {
                         deliveries += 1;
-                        msg[p].push(&mut links[p], route, false, &[u]);
+                        out[p].push(&mut links[p], route, None, &msg, &[u]);
                     } else {
                         groups[p].push(u);
                     }
                 }
                 for (p, group) in groups.iter_mut().enumerate().filter(|(_, g)| !g.is_empty()) {
                     deliveries += group.len() as u64;
-                    msg[p].push(&mut links[p], route, false, group);
+                    out[p].push(&mut links[p], route, None, &msg, group);
                     group.clear();
                 }
             }
             for (p, link) in links.iter_mut().enumerate() {
-                msg[p].flush(link);
+                out[p].flush(link);
                 hub[p].flush(link);
             }
         }
@@ -226,7 +275,7 @@ fn broadcast(
             deliveries += dsts.len() as u64;
             let mut leader = Outbox::default();
             for &u in &dsts {
-                leader.push(&mut links[p], route, false, &[u]);
+                leader.push(&mut links[p], route, None, &[0; 8], &[u]);
             }
             leader.flush(&mut links[p]);
         }
@@ -257,15 +306,17 @@ mod tests {
     /// What the engine shipped on each removed route before it was
     /// deleted (commit `4869ecb`), per graph and `compute_threads`:
     /// remote deliveries, bottleneck transfers and wire bytes summed over
-    /// the job's four supersteps.
+    /// the job's four supersteps. Where a row carries hub records its
+    /// bytes are the model's with today's hub record, a delta against the
+    /// vertex's last share; the engine shipped 9-byte ones then.
     const LIVE: [(&str, usize, [[u64; 3]; 4]); 6] = [
         (
             "e15",
             1,
             [
                 [259_380, 36_976, 2_689_025],
-                [192_684, 28, 223_835],
-                [161_262, 28, 211_787],
+                [192_684, 28, 223_968],
+                [161_262, 28, 212_377],
                 [99_906, 28, 147_272],
             ],
         ),
@@ -274,8 +325,8 @@ mod tests {
             3,
             [
                 [259_380, 36_975, 2_688_985],
-                [192_684, 28, 225_440],
-                [161_262, 28, 213_617],
+                [192_684, 28, 225_573],
+                [161_262, 28, 214_267],
                 [99_906, 28, 148_279],
             ],
         ),
@@ -285,7 +336,7 @@ mod tests {
             [
                 [81_636, 21_078, 1_517_142],
                 [81_636, 12, 102_498],
-                [74_838, 12, 97_848],
+                [74_838, 12, 97_913],
                 [27_345, 12, 76_182],
             ],
         ),
@@ -295,7 +346,7 @@ mod tests {
             [
                 [81_636, 21_072, 1_516_902],
                 [81_636, 12, 102_828],
-                [74_838, 12, 98_817],
+                [74_838, 12, 98_945],
                 [27_345, 12, 76_745],
             ],
         ),
@@ -304,8 +355,8 @@ mod tests {
             1,
             [
                 [39_081, 9_502, 681_953],
-                [21_189, 16, 27_035],
-                [12_966, 16, 22_781],
+                [21_189, 16, 27_027],
+                [12_966, 16, 22_831],
                 [7_134, 16, 17_440],
             ],
         ),
@@ -314,17 +365,18 @@ mod tests {
             3,
             [
                 [39_081, 9_501, 681_913],
-                [21_189, 16, 28_094],
-                [12_966, 16, 23_909],
+                [21_189, 16, 28_146],
+                [12_966, 16, 24_150],
                 [7_134, 16, 18_059],
             ],
         ),
     ];
 
-    /// The model's combiner bytes, in [`LIVE`]'s order. The engine shipped
-    /// combined records in hash-map order, so its gap bytes followed the
-    /// hash seed; the model's ascending order gaps shorter.
-    const COMBINER_MODEL_BYTES: [u64; 6] = [134_354, 135_455, 70_134, 70_692, 16_751, 17_375];
+    /// The model's combiner bytes, in [`LIVE`]'s order, hub records
+    /// priced as in [`LIVE`]. The engine shipped combined records in
+    /// hash-map order, so its gap bytes followed the hash seed; the
+    /// model's ascending order gaps shorter.
+    const COMBINER_MODEL_BYTES: [u64; 6] = [135_021, 136_122, 70_191, 70_794, 16_765, 17_602];
 
     /// E15.2's graph and two more, each with its machine count and
     /// whether it is stored with in-links (the hub route's condition on a

@@ -13,9 +13,11 @@
 //! fabric's per-destination pack buffers (§4.2), by the one route the
 //! graph allows: on a reverse traversable graph a broadcast is one
 //! `BSP_HUB` record per other machine its out-list reaches, naming only
-//! the sender, which that machine fans out through an index of its own
-//! in-edges; on a directed graph loaded without in-links it is one
-//! `BSP_MSG` record per machine holding neighbors, naming them.
+//! the sender and shipping its value XORed with the sender's last (both
+//! ends keep that base, zeroed when a job segment starts), which that
+//! machine rebuilds and fans out through an index of its own in-edges;
+//! on a directed graph loaded without in-links it is one `BSP_MSG`
+//! record per machine holding neighbors, naming them.
 //!
 //! Superstep synchronization uses message fences: after computing, each
 //! machine tells every peer how many run frames it sent; a machine enters
@@ -476,6 +478,7 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
         ws.inbox = Inbox::new(ws.ids.len());
         ws.inbox.fill(arrivals, &rt.fanout.targets, P::msg_cmp);
         ws.active = vec![!job.resumed; ws.ids.len()];
+        ws.bases = vec![0; ws.outs.len()];
     }
     for id in resume.active {
         let w = rt.shard_of(id);
@@ -585,6 +588,32 @@ mod tests {
             "{} supersteps",
             r.supersteps()
         );
+    }
+
+    #[test]
+    fn a_finished_job_frees_its_runtime() {
+        // Each machine's runtime holds its endpoint; the handlers it
+        // installs there must not keep it alive once `run` returns. A
+        // handler still finishing the last fence may hold it a moment
+        // longer, so the count is awaited, not read once.
+        let machines = 3;
+        for hubs in [true, false] {
+            let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+            let graph = load_for(&cloud, &ring(40), hubs);
+            let held = || -> Vec<usize> {
+                let nodes = cloud.nodes().iter();
+                nodes.map(|n| Arc::strong_count(n.endpoint())).collect()
+            };
+            let before = held();
+            let r = BspRunner::new(graph, MaxValue, BspConfig::default()).run();
+            assert!(r.terminated);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while held() != before && std::time::Instant::now() < deadline {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert_eq!(held(), before, "hubs {hubs}");
+            cloud.shutdown();
+        }
     }
 
     /// Every vertex broadcasts its id in superstep 0 and keeps what it
@@ -855,29 +884,41 @@ mod tests {
 
     #[test]
     fn a_frame_with_an_undecodable_message_is_dropped_whole_and_counted() {
-        /// Every vertex broadcasts its id in superstep 0 and sums what it
-        /// received. The poison id goes out as a message no `decode_msg`
-        /// accepts, the reserved all-ones pattern, at the width of every
-        /// other message: it shares their frames.
+        /// Every vertex broadcasts its id in supersteps 0 and 1 and sums
+        /// what each brought. The poison id goes out in superstep 0 as a
+        /// message no `decode_msg` accepts, the reserved all-ones pattern,
+        /// at the width of every other message: it shares their frames.
+        /// On the hub route the dropped frame's bases still move, as its
+        /// sender's did, so superstep 1's records, most of them repeats
+        /// shipped as a head byte alone, rebuild to the right values.
         struct Poisoned(u64);
         impl VertexProgram for Poisoned {
-            type State = u64;
+            type State = (u64, u64);
             type Msg = (u64, bool);
-            fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) -> u64 {
-                0
+            fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) -> (u64, u64) {
+                (0, 0)
             }
             fn compute(
                 &self,
                 ctx: &mut VertexContext<'_, (u64, bool)>,
                 id: CellId,
-                state: &mut u64,
+                state: &mut (u64, u64),
                 msgs: &[(u64, bool)],
             ) {
-                if ctx.superstep() == 0 {
-                    ctx.send_to_neighbors((id, id == self.0));
+                // Wrapping: a wrongly rebuilt value must fail the test's
+                // assertion, not overflow the sum.
+                let sum = msgs.iter().fold(0, |sum, m| m.0.wrapping_add(sum));
+                match ctx.superstep() {
+                    0 => ctx.send_to_neighbors((id, id == self.0)),
+                    1 => {
+                        ctx.send_to_neighbors((id, false));
+                        state.0 = sum;
+                    }
+                    _ => {
+                        state.1 = sum;
+                        ctx.vote_to_halt();
+                    }
                 }
-                *state += msgs.iter().map(|m| m.0).sum::<u64>();
-                ctx.vote_to_halt();
             }
             fn encode_msg(m: &(u64, bool)) -> Vec<u8> {
                 let v = if m.1 { u64::MAX } else { m.0 };
@@ -887,11 +928,15 @@ mod tests {
                 let v = u64::from_le_bytes(b.try_into().ok()?);
                 (v != u64::MAX).then_some((v, false))
             }
-            fn encode_state(s: &u64) -> Vec<u8> {
-                s.to_le_bytes().to_vec()
+            fn encode_state(s: &(u64, u64)) -> Vec<u8> {
+                [s.0, s.1].iter().flat_map(|v| v.to_le_bytes()).collect()
             }
-            fn decode_state(b: &[u8]) -> Option<u64> {
-                Some(u64::from_le_bytes(b.try_into().ok()?))
+            fn decode_state(b: &[u8]) -> Option<(u64, u64)> {
+                let (a, b) = b.split_at_checked(8)?;
+                Some((
+                    u64::from_le_bytes(a.try_into().ok()?),
+                    u64::from_le_bytes(b.try_into().ok()?),
+                ))
             }
         }
         let n = 30u64;
@@ -909,10 +954,10 @@ mod tests {
             let lost = |u: u64, v: u64| {
                 owner(u) == owner(poison) && owner(v) != owner(u) && poisoned.contains(&owner(v))
             };
-            let want: HashMap<CellId, u64> = (0..n)
+            let want: HashMap<CellId, (u64, u64)> = (0..n)
                 .map(|v| {
                     let kept = csr.neighbors(v).iter().filter(|&&u| !lost(u, v));
-                    (v, kept.sum())
+                    (v, (kept.sum(), csr.neighbors(v).iter().sum()))
                 })
                 .collect();
             let mut peers: Vec<_> = poisoned.iter().filter(|&&p| p != owner(poison)).collect();

@@ -1,11 +1,12 @@
 //! The BSP message path, from a worker's send to the shard inbox its
 //! destination's owner drains. Sending: a [`RunOutbox`] per (worker,
 //! destination machine) builds [`super::runs`] frames. Receiving: a batch
-//! handler validates each frame whole, decodes every record's message
-//! once and stages it in the owning shards' [`Arrivals`] — a `BSP_MSG`
-//! record's targets by slot, a `BSP_HUB` record as one *cast* per shard,
-//! expanded later through the machine's [`Fanout`] index — and credits
-//! the fence. Draining: an [`Inbox`] places every arrival in its slot's run.
+//! handler validates each frame whole, decodes (a hub's: rebuilds) every
+//! record's message once and stages it in the owning shards' [`Arrivals`]
+//! — a `BSP_MSG` record's targets by slot, a `BSP_HUB` record as one
+//! *cast* per shard, expanded later through the machine's [`Fanout`]
+//! index — and credits the fence. Draining: an [`Inbox`] places every
+//! arrival in its slot's run.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
@@ -141,6 +142,11 @@ pub(super) struct MachineRt<P: VertexProgram> {
     /// Vertex → the local vertices its broadcast reaches; built before
     /// the handlers are installed and read-only after.
     pub(super) fanout: Fanout,
+    /// Per fan-out entry, the [`runs::base`] of its hub's last record. An
+    /// entry gets at most one record a superstep, and the fence (its lock,
+    /// then the job barrier) orders every frame of a superstep before any
+    /// of the next: that, not the atomics, publishes a base, so relaxed.
+    bases: Vec<AtomicU64>,
     pub(super) metrics: BspMetrics,
 }
 
@@ -166,6 +172,7 @@ impl<P: VertexProgram> MachineRt<P> {
                 got: vec![0; machines],
             }),
             fence_cv: Condvar::new(),
+            bases: (0..fanout.entries.len).map(|_| AtomicU64::new(0)).collect(),
             fanout,
         }
     }
@@ -286,60 +293,88 @@ impl<P: VertexProgram> MachineRt<P> {
     }
 
     /// Decode one run frame of hub records (`hub`) or message records and
-    /// hand `each` every record's message and ids — after the whole frame,
-    /// every message included, has decoded. A frame that does not is
-    /// dropped whole and counted.
-    fn for_each_record(&self, frame: &[u8], hub: bool, mut each: impl FnMut(&P::Msg, &[CellId])) {
-        let decoded = runs::decode(frame, hub).and_then(|run| {
-            let msgs: Option<Vec<P::Msg>> =
-                run.records().map(|(msg, _)| P::decode_msg(msg)).collect();
-            Some((msgs?, run))
-        });
-        let Some((msgs, run)) = decoded else {
+    /// hand `each` every record's message, ids and hub entry — after the
+    /// whole frame, every message included, has decoded; else drop it
+    /// whole and count it. A hub record is rebuilt from its entry's base,
+    /// which moves unless the codec refuses the frame (the sender's moved);
+    /// one whose hub no local in-edge lists reaches no one and is skipped.
+    fn for_each_record(
+        &self,
+        frame: &[u8],
+        hub: bool,
+        mut each: impl FnMut(&P::Msg, &[CellId], Option<usize>),
+    ) {
+        let Some(run) = runs::decode(frame, hub) else {
             self.metrics.frames_malformed.inc();
             return;
         };
-        for (msg, (_, ids)) in msgs.iter().zip(run.records()) {
-            each(msg, ids);
+        let (mut msgs, mut rebuilt, mut refused) = (Vec::new(), Vec::new(), false);
+        for (bytes, ids) in run.records() {
+            let (bytes, entry) = if !hub {
+                (bytes, None)
+            } else if let Some(e) = self.fanout.entry(ids[0]) {
+                let base = &self.bases[e];
+                let last = base.load(Ordering::Relaxed);
+                base.store(run.rebuild(bytes, last, &mut rebuilt), Ordering::Relaxed);
+                (&rebuilt[..], Some(e))
+            } else {
+                continue;
+            };
+            match P::decode_msg(bytes) {
+                Some(msg) => msgs.push((msg, ids, entry)),
+                None => refused = true,
+            }
+        }
+        if refused {
+            self.metrics.frames_malformed.inc();
+            return;
+        }
+        for (msg, ids, entry) in &msgs {
+            each(msg, ids, *entry);
         }
     }
 
-    /// Install this machine's three BSP protocol handlers.
+    /// Install this machine's three BSP protocol handlers, which hold the
+    /// runtime weakly: they drop what arrives once its job has ended.
     pub(super) fn register_handlers(self: &Arc<Self>) {
         // Run frames: decode the run, then one lock per shard inbox and
         // one fence update for all of it. A `BSP_MSG` record's ids are its
         // destinations; a `BSP_HUB` record's id is its hub, staged as one
         // cast per shard the hub's fan-out entry reaches. A malformed
         // frame is still credited, and so, on a lapsed deadline, is a hub
-        // frame whose fan-out is skipped: fences must balance or the
-        // superstep would hang instead of finishing early.
+        // frame whose fan-out is skipped (its bases still move): fences
+        // must balance or the superstep would hang instead of finishing
+        // early.
         for proto in [proto::BSP_MSG, proto::BSP_HUB] {
-            let (rt, hub) = (Arc::clone(self), proto == proto::BSP_HUB);
+            let (rt, hub) = (Arc::downgrade(self), proto == proto::BSP_HUB);
             self.endpoint.register_batch(proto, move |src, frames| {
-                if !(hub && deadline_expired()) {
-                    let mut staged = rt.staging();
-                    let mut fanned = 0;
-                    for frame in frames {
-                        rt.for_each_record(&frame.payload, hub, |msg, ids| {
+                let Some(rt) = rt.upgrade() else {
+                    return;
+                };
+                let fan_out = !(hub && deadline_expired());
+                let mut staged = rt.staging();
+                let mut fanned = 0;
+                for frame in frames {
+                    rt.for_each_record(&frame.payload, hub, |msg, ids, entry| match entry {
+                        _ if !fan_out => {}
+                        Some(e) => fanned += rt.stage_cast(&mut staged, e, msg),
+                        None => {
                             for &id in ids {
-                                if !hub {
-                                    rt.stage_point(&mut staged, id, msg.clone());
-                                } else if let Some(e) = rt.fanout.entry(id) {
-                                    fanned += rt.stage_cast(&mut staged, e, msg);
-                                }
+                                rt.stage_point(&mut staged, id, msg.clone());
                             }
-                        });
-                    }
-                    rt.local_deliveries.fetch_add(fanned, Ordering::Relaxed);
-                    rt.metrics.hub_fanout.add(fanned);
-                    rt.deliver_sharded(&mut staged);
+                        }
+                    });
                 }
+                rt.local_deliveries.fetch_add(fanned, Ordering::Relaxed);
+                rt.metrics.hub_fanout.add(fanned);
+                rt.deliver_sharded(&mut staged);
                 rt.count_frames(src, frames.len());
             });
         }
         // Fences.
-        let rt = Arc::clone(self);
+        let rt = Arc::downgrade(self);
         self.endpoint.register(proto::BSP_FENCE, move |src, data| {
+            let rt = rt.upgrade()?;
             let count = decode_fence(data).ok()?;
             let mut f = rt.fence.lock();
             *f.expected.get_mut(src.0 as usize)? = Some(count);
@@ -653,15 +688,17 @@ impl RunOutbox {
         }
     }
 
-    /// Append the record "`msg` to `ids`", in a new frame if the open
-    /// one's width is not `msg`'s. The frame ships once it reaches
-    /// [`RUN_FLUSH_BYTES`].
+    /// Append the record "`msg` to `ids`" — a hub record names its hub
+    /// and ships `msg` XORed against `base`, the hub's last — in a new
+    /// frame if the open one's width is not `msg`'s. The frame ships once
+    /// it reaches [`RUN_FLUSH_BYTES`].
     pub(super) fn push<P: VertexProgram>(
         &mut self,
         rt: &MachineRt<P>,
         superstep: usize,
         msg: &[u8],
         ids: &[CellId],
+        base: u64,
     ) {
         if self.frame.is_empty() || msg.len() != self.width {
             self.flush(rt);
@@ -669,8 +706,11 @@ impl RunOutbox {
             self.width = msg.len();
             self.prev = 0;
         }
-        let hub = self.proto == proto::BSP_HUB;
-        runs::push_record(&mut self.frame, &mut self.prev, hub, msg, ids);
+        if self.proto == proto::BSP_HUB {
+            runs::push_hub(&mut self.frame, &mut self.prev, base, msg, ids[0]);
+        } else {
+            runs::push_record(&mut self.frame, &mut self.prev, msg, ids);
+        }
         self.records += 1;
         if self.frame.len() >= RUN_FLUSH_BYTES {
             self.flush(rt);
@@ -784,6 +824,82 @@ mod tests {
         };
         prop_assert_eq!(stray_bits(&inbox.strays), stray_bits(&strays));
         Ok(())
+    }
+
+    /// `u64` messages; the all-ones pattern is refused.
+    struct Values;
+
+    impl VertexProgram for Values {
+        type State = ();
+        type Msg = u64;
+        fn init(&self, _id: CellId, _view: &trinity_graph::NodeView<'_>) {}
+        fn compute(
+            &self,
+            _: &mut super::super::VertexContext<'_, u64>,
+            _: CellId,
+            _: &mut (),
+            _: &[u64],
+        ) {
+        }
+        fn encode_msg(m: &u64) -> Vec<u8> {
+            m.to_le_bytes().to_vec()
+        }
+        fn decode_msg(b: &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(b.try_into().ok()?)).filter(|&v| v != u64::MAX)
+        }
+        fn encode_state(_: &()) -> Vec<u8> {
+            Vec::new()
+        }
+        fn decode_state(_: &[u8]) -> Option<()> {
+            Some(())
+        }
+    }
+
+    #[test]
+    fn a_hub_frame_moves_its_bases_unless_the_codec_refuses_it() {
+        // One local vertex, 5, lists one hub, 3.
+        let cloud = MemoryCloud::new(CloudConfig::small(2));
+        let table = cloud.node(0).table();
+        let slots = vec![Slots::new(&[5])];
+        let fanout = Fanout::build(&[(5, &[3][..])], &table, &slots);
+        let endpoint = Arc::clone(cloud.node(0).endpoint());
+        let rt = MachineRt::<Values>::new(endpoint, 2, table, slots, fanout);
+        // Hub 3's frame of one record, `value` against `base`.
+        let frame = |base: u64, value: u64| {
+            let mut frame = Vec::new();
+            runs::start(&mut frame, 0, 8);
+            runs::push_hub(&mut frame, &mut 0, base, &value.to_le_bytes(), 3);
+            frame
+        };
+        let got = |frame: &[u8]| {
+            let mut got = Vec::new();
+            rt.for_each_record(frame, true, |&msg, ids, _| got.push((msg, ids.to_vec())));
+            got
+        };
+        let malformed = || rt.metrics.frames_malformed.get();
+        assert_eq!(got(&frame(0, 7)), [(7, vec![3])]);
+        // A frame the codec refuses moves no base: the record against 7
+        // that follows rebuilds.
+        let next = frame(7, 8);
+        assert!(got(&next[..next.len() - 1]).is_empty());
+        assert_eq!(malformed(), 1);
+        assert_eq!(got(&next), [(8, vec![3])]);
+        // One whose message `decode_msg` refuses is dropped and counted,
+        // but moves its base, as its sender's moved.
+        assert!(got(&frame(8, u64::MAX)).is_empty());
+        assert_eq!(malformed(), 2);
+        assert_eq!(got(&frame(u64::MAX, 3)), [(3, vec![3])]);
+        // A repeated value is the head byte alone (hub 3's gap fits it).
+        let repeat = frame(3, 3);
+        assert_eq!(repeat.len(), 4 + 1 + 1);
+        assert_eq!(got(&repeat), [(3, vec![3])]);
+        // A hub no local vertex lists reaches no one here.
+        let mut stray = Vec::new();
+        runs::start(&mut stray, 0, 8);
+        runs::push_hub(&mut stray, &mut 0, 0, &4u64.to_le_bytes(), 6);
+        assert!(got(&stray).is_empty());
+        assert_eq!(malformed(), 2);
+        cloud.shutdown();
     }
 
     #[test]

@@ -12,7 +12,7 @@ use trinity_net::{deadline_expired, CostModel, DeadlineGuard, ProtoId, StatsDelt
 use trinity_obs::TraceGuard;
 
 use super::path::{Arrivals, Inbox, MachineRt, RunOutbox};
-use super::{Job, SuperstepReport, VertexContext, VertexProgram};
+use super::{runs, Job, SuperstepReport, VertexContext, VertexProgram};
 use crate::cputime::ThreadTimer;
 use crate::proto;
 
@@ -51,6 +51,9 @@ pub(super) struct WorkerState<P: VertexProgram> {
     /// On the hub route, the other machines each local vertex's out-list
     /// reaches, ascending (else empty).
     pub(super) peers: SlotLists<u16>,
+    /// The [`runs::base`] of each local vertex's last broadcast, which
+    /// every peer got and keeps too: its next hub records' XOR base.
+    pub(super) bases: Vec<u64>,
     /// The current superstep's messages, by slot.
     pub(super) inbox: Inbox<P::Msg>,
     /// Reusable per-trunk delivery counts of a drain.
@@ -75,6 +78,7 @@ impl<P: VertexProgram> WorkerState<P> {
             stray_active: Vec::new(),
             outs: SlotLists::default(),
             peers: SlotLists::default(),
+            bases: Vec::new(),
             inbox: Inbox::new(0),
             tally: Vec::new(),
             groups: vec![Vec::new(); machines],
@@ -287,7 +291,10 @@ fn compute_phase<P: VertexProgram>(
             // in-edges list, and one cast to this machine's.
             let peers = ws.peers.get(s);
             for &owner in peers {
-                ws.outbox[owner as usize].push(rt, superstep, payload(), &[id]);
+                ws.outbox[owner as usize].push(rt, superstep, payload(), &[id], ws.bases[s]);
+            }
+            if !peers.is_empty() {
+                ws.bases[s] = runs::base(payload());
             }
             rt.metrics.hub_broadcasts.add(peers.len() as u64);
             sent += peers.len() as u64;
@@ -307,7 +314,7 @@ fn compute_phase<P: VertexProgram>(
         let groups = ws.groups.iter_mut().enumerate();
         for (owner, group) in groups.filter(|(_, g)| !g.is_empty()) {
             sent += group.len() as u64;
-            ws.outbox[owner].push(rt, superstep, payload(), group);
+            ws.outbox[owner].push(rt, superstep, payload(), group, 0);
             group.clear();
         }
     }

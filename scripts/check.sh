@@ -88,8 +88,13 @@ echo "==> bsp determinism and property suites, serial harness + stressed pool wi
 # parallelism so the worker pool is the only source of threading;
 # TRINITY_STRESS_THREADS=8 widens every pool past the trunk count to
 # stress the sharded inbox handoff and the per-shard out-lists.
+# bsp_receive runs here too, with nothing else on the host's cores: its
+# exact byte predictions rest on the hub bases, which need one record per
+# fan-out entry per superstep while the fabric's handlers run
+# concurrently (it sets its own pool widths, so the variable does not
+# widen them).
 RUST_TEST_THREADS=1 TRINITY_STRESS_THREADS=8 \
-    cargo test -q "${HERMETIC[@]}" "$@" --test bsp_determinism
+    cargo test -q "${HERMETIC[@]}" "$@" --test bsp_determinism --test bsp_receive
 RUST_TEST_THREADS=1 TRINITY_STRESS_THREADS=8 \
     cargo test -q "${HERMETIC[@]}" "$@" -p trinity-core --test bsp_prop
 

@@ -9,7 +9,9 @@
 //! vertex message, so a traced job keeps the spans it was traced for. The
 //! send side of the same path is held to its one-copy contract and to the
 //! exact bytes the run-frame format (DESIGN §14) predicts, with and without
-//! hubs: one-way run frames and fences, and not one call.
+//! hubs, in the first sending superstep and in later ones, where a hub
+//! record ships its change since the vertex's last: one-way run frames and
+//! fences, and not one call.
 
 #[path = "../crates/core/tests/run_model/mod.rs"]
 mod run_model;
@@ -20,7 +22,7 @@ use std::sync::Arc;
 use trinity::algos::pagerank_distributed;
 use trinity::core::BspConfig;
 use trinity::graph::{load_graph, Csr, DistributedGraph, LoadOptions};
-use trinity::memcloud::{CloudConfig, MemoryCloud};
+use trinity::memcloud::{AddressingTable, CloudConfig, MemoryCloud};
 
 /// `csr` (undirected) loaded into `cloud` for the hub route (`hubs`) or
 /// the grouped one (the same out-lists marked directed, no in-links).
@@ -130,26 +132,32 @@ fn bsp_frames_are_copied_once() {
     cloud.shutdown();
 }
 
-#[test]
-fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
-    // One PageRank iteration = one sending superstep, in which every
-    // vertex broadcasts an 8-byte share. The format model (written
-    // independently of the engine's encoder) sizes what each machine sends
-    // from the graph and the addressing table alone: per peer one run
-    // frame, per (vertex, peer it reaches) one record, gaps running on
-    // from the record before, the frame stating the 8-byte width once.
-    // On the grouped route a record carries the vertex's neighbors there
-    // in stored adjacency order. On the hub route every vertex is a hub:
-    // its record names only itself and states no count. Either way the
-    // job sends run frames and fences only and makes no call.
-    let machines = 4;
-    let csr = trinity::graphgen::social(1_200, 10, 29);
-    for hubs_on in [false, true] {
-        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = load_for(&cloud, &csr, hubs_on);
-        let table = cloud.node(0).table();
-        let owner = |v: u64| table.machine_of(v).0 as usize;
-        let (mut records, mut messages, mut widest) = (0u64, 0u64, 0usize);
+/// What the run format (the test's own model) predicts a PageRank job
+/// over `csr` sends, one worker a machine, when its sending supersteps
+/// broadcast `shares` (per superstep, per vertex): each machine's payload
+/// bytes, fences included, and the records and messages of a superstep.
+struct Predicted {
+    bytes: Vec<u64>,
+    records: u64,
+    messages: u64,
+    widest: usize,
+}
+
+fn predict(csr: &Csr, table: &AddressingTable, hubs: bool, shares: &[Vec<f64>]) -> Predicted {
+    let machines = table.machines().len();
+    let owner = |v: u64| table.machine_of(v).0 as usize;
+    // A superstep's fence: 12 bytes to each peer, the last one's too.
+    let fences = 12 * (machines as u64 - 1) * (shares.len() as u64 + 1);
+    let mut p = Predicted {
+        bytes: vec![fences; machines],
+        records: 0,
+        messages: 0,
+        widest: 0,
+    };
+    // Each receiving machine's hub bases, kept across supersteps.
+    let mut bases: Vec<run_model::Bases> = vec![Default::default(); machines];
+    for share in shares {
+        let (mut records, mut messages) = (0, 0);
         // (sender, peer) → the frame's bytes and its last id so far.
         let mut frames: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
         for v in 0..csr.node_count() as u64 {
@@ -159,61 +167,138 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
                     groups.entry(owner(t)).or_default().push(t);
                 }
             }
-            for (peer, mut ids) in groups {
+            let msg = share[v as usize].to_le_bytes();
+            for (peer, ids) in groups {
                 records += 1;
-                messages += if hubs_on { 1 } else { ids.len() as u64 };
-                widest = widest.max(ids.len());
-                if hubs_on {
-                    ids = vec![v];
-                }
+                messages += if hubs { 1 } else { ids.len() as u64 };
+                p.widest = p.widest.max(ids.len());
                 let header = run_model::header_len(8) as u64;
                 let (bytes, prev) = frames.entry((owner(v), peer)).or_insert((header, 0));
-                *bytes += run_model::record_len(prev, hubs_on, 8, &ids) as u64;
+                *bytes += if hubs {
+                    run_model::hub_record_len(prev, &mut bases[peer], &msg, v)
+                } else {
+                    run_model::record_len(prev, 8, &ids)
+                } as u64;
             }
         }
-        assert!(widest >= 3, "no vertex has several neighbors on one peer");
-        // Fences: two supersteps, 12 bytes to each peer.
-        let mut predicted = vec![2 * 12 * (machines as u64 - 1); machines];
         for (&(from, _), &(bytes, _)) in &frames {
             assert!(bytes < 16 << 10, "a frame this size ships in one piece");
-            predicted[from] += bytes;
+            p.bytes[from] += bytes;
         }
-
-        let obs = cloud.fabric().obs();
-        let sum = |name: &'static str| -> u64 {
-            obs.scopes().iter().map(|s| s.counter(name).get()).sum()
-        };
-        let payload = |m: usize| obs.scope(m as u16).counter("net.frame_payload_bytes").get();
-        let payload0: Vec<u64> = (0..machines).map(payload).collect();
-        let calls = || -> u64 {
-            let scopes = obs.scopes().into_iter();
-            scopes
-                .map(|s| s.histogram("net.call.us").snapshot().count)
-                .sum()
-        };
-        let calls0 = calls();
-        let cfg = BspConfig {
-            compute_threads: 1,
-            ..BspConfig::default()
-        };
-        let result = pagerank_distributed(graph, 1, cfg);
-        assert_eq!(result.supersteps(), 2);
-        assert_eq!(result.reports[0].remote_messages, messages);
-        assert_eq!(result.reports[1].remote_messages, 0);
-        assert_eq!(sum("bsp.frames.remote"), messages);
-        // A vertex with k neighbors on one peer is one record there, not k.
-        assert_eq!(sum("bsp.records.sent"), records);
-        assert_eq!(sum("bsp.hub.broadcasts"), if hubs_on { records } else { 0 });
-        assert_eq!(sum("bsp.frames.malformed"), 0);
-        assert_eq!(calls(), calls0, "the job made calls (hubs: {hubs_on})");
-        for (m, want) in predicted.iter().enumerate() {
-            assert_eq!(
-                payload(m) - payload0[m],
-                *want,
-                "payload bytes machine {m} sent (hubs: {hubs_on}; \
-                 {messages} messages in {records} records overall)"
-            );
-        }
-        cloud.shutdown();
+        (p.records, p.messages) = (records, messages);
     }
+    p
+}
+
+/// Each sending superstep's share per vertex, as `PageRankProgram`
+/// computes it: rank `1/n`, then `0.15/n + 0.85 · Σ` of the shares its
+/// in-edges bring, summed in `total_cmp` order; a share is the rank over
+/// the out-degree.
+fn pagerank_shares(csr: &Csr, iterations: usize) -> Vec<Vec<f64>> {
+    let n = csr.node_count();
+    let degree = |v: usize| csr.neighbors(v as u64).len() as f64;
+    let mut rank = vec![1.0 / n as f64; n];
+    let mut shares: Vec<Vec<f64>> = Vec::new();
+    for _ in 0..iterations {
+        if let Some(last) = shares.last() {
+            let mut inbox = vec![Vec::new(); n];
+            for (v, &share) in last.iter().enumerate() {
+                for &t in csr.neighbors(v as u64) {
+                    inbox[t as usize].push(share);
+                }
+            }
+            for (r, mut msgs) in rank.iter_mut().zip(inbox) {
+                msgs.sort_by(f64::total_cmp);
+                let sum: f64 = msgs.iter().sum();
+                *r = (1.0 - 0.85) / n as f64 + 0.85 * sum;
+            }
+        }
+        shares.push((0..n).map(|v| rank[v] / degree(v)).collect());
+    }
+    shares
+}
+
+/// Run `iterations` of PageRank over `csr` on the route `hubs` picks, one
+/// worker a machine, and hold each machine's payload bytes, the records
+/// and the messages to [`predict`]'s; the job sends run frames and fences
+/// only and makes no call.
+fn ships_what_the_run_format_predicts(csr: &Csr, iterations: usize, hubs: bool) {
+    let machines = 4;
+    let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
+    let graph = load_for(&cloud, csr, hubs);
+    let table = cloud.node(0).table();
+    let want = predict(csr, &table, hubs, &pagerank_shares(csr, iterations));
+    assert!(
+        want.widest >= 3,
+        "no vertex has several neighbors on one peer"
+    );
+
+    let obs = cloud.fabric().obs();
+    let sum =
+        |name: &'static str| -> u64 { obs.scopes().iter().map(|s| s.counter(name).get()).sum() };
+    let payload = |m: usize| obs.scope(m as u16).counter("net.frame_payload_bytes").get();
+    let payload0: Vec<u64> = (0..machines).map(payload).collect();
+    let calls = || -> u64 {
+        let scopes = obs.scopes().into_iter();
+        scopes
+            .map(|s| s.histogram("net.call.us").snapshot().count)
+            .sum()
+    };
+    let calls0 = calls();
+    let cfg = BspConfig {
+        compute_threads: 1,
+        ..BspConfig::default()
+    };
+    let result = pagerank_distributed(graph, iterations, cfg);
+    assert_eq!(result.supersteps(), iterations + 1);
+    for (s, report) in result.reports.iter().enumerate() {
+        let sent = if s < iterations { want.messages } else { 0 };
+        assert_eq!(report.remote_messages, sent, "superstep {s}");
+    }
+    let iterations = iterations as u64;
+    assert_eq!(sum("bsp.frames.remote"), iterations * want.messages);
+    // A vertex with k neighbors on one peer is one record there, not k.
+    assert_eq!(sum("bsp.records.sent"), iterations * want.records);
+    let hub_records = if hubs { want.records } else { 0 };
+    assert_eq!(sum("bsp.hub.broadcasts"), iterations * hub_records);
+    assert_eq!(sum("bsp.frames.malformed"), 0);
+    assert_eq!(calls(), calls0, "the job made calls (hubs: {hubs})");
+    for (m, want) in want.bytes.iter().enumerate() {
+        assert_eq!(
+            payload(m) - payload0[m],
+            *want,
+            "payload bytes machine {m} sent (hubs: {hubs}, {iterations} sending supersteps)"
+        );
+    }
+    cloud.shutdown();
+}
+
+#[test]
+fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
+    // One PageRank iteration = one sending superstep, in which every
+    // vertex broadcasts an 8-byte share. The format model (written
+    // independently of the engine's encoder) sizes what each machine sends
+    // from the graph, the addressing table and the shares alone: per peer
+    // one run frame, per (vertex, peer it reaches) one record, gaps
+    // running on from the record before, the frame stating the 8-byte
+    // width once. On the grouped route a record carries the vertex's
+    // neighbors there in stored adjacency order. On the hub route every
+    // vertex is a hub: its record names only itself, states no count and
+    // ships its share against a zero base, this being its first.
+    let csr = trinity::graphgen::social(1_200, 10, 29);
+    for hubs in [false, true] {
+        ships_what_the_run_format_predicts(&csr, 1, hubs);
+    }
+}
+
+#[test]
+fn later_supersteps_ship_exactly_the_deltas_the_run_format_predicts() {
+    // Two and three sending supersteps: from the second on, each hub
+    // record ships its share XORed against the vertex's last one, which
+    // its peer kept as the base, and cuts the zero bytes that leaves.
+    let csr = trinity::graphgen::social(1_200, 10, 29);
+    for iterations in [2, 3] {
+        ships_what_the_run_format_predicts(&csr, iterations, true);
+    }
+    ships_what_the_run_format_predicts(&csr, 2, false);
 }
