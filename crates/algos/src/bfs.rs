@@ -95,9 +95,14 @@ mod tests {
     use trinity_graph::{load_graph, LoadOptions};
     use trinity_memcloud::{CloudConfig, MemoryCloud};
 
+    /// BFS over `csr`, loaded with its in-links when it is directed.
     fn run(csr: &Csr, machines: usize, source: u64, cfg: BspConfig) -> HashMap<CellId, u64> {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &LoadOptions::default()).unwrap());
+        let opts = LoadOptions {
+            with_in_links: csr.directed,
+            attrs: None,
+        };
+        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &opts).unwrap());
         let r = bfs_distributed(graph, source, cfg);
         cloud.shutdown();
         r.states

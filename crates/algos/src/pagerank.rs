@@ -136,21 +136,21 @@ mod tests {
     use trinity_graph::{load_graph, LoadOptions};
     use trinity_memcloud::{CloudConfig, MemoryCloud};
 
-    /// PageRank over `csr` loaded for the hub route (`hubs`: in-links
-    /// stored, so reverse traversable) or the grouped one (directed, no
-    /// in-links).
+    /// PageRank over `csr` loaded undirected as it is, or (`directed`,
+    /// or `csr` directed) its out-lists marked directed with in-links
+    /// stored.
     fn distributed_ranks(
         csr: &Csr,
         machines: usize,
         iters: usize,
-        hubs: bool,
+        directed: bool,
         compute_threads: usize,
     ) -> HashMap<CellId, f64> {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
         let mut csr = csr.clone();
-        csr.directed |= !hubs;
+        csr.directed |= directed;
         let opts = LoadOptions {
-            with_in_links: hubs,
+            with_in_links: csr.directed,
             attrs: None,
         };
         let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
@@ -171,21 +171,19 @@ mod tests {
     fn distributed_matches_reference() {
         let csr = trinity_graphgen::rmat(8, 6, 11);
         let expect = pagerank_reference(&csr, 5);
-        for hubs in [true, false] {
-            let got = distributed_ranks(&csr, 3, 5, hubs, 0);
-            assert_eq!(got.len(), expect.len());
-            for (id, r) in &expect {
-                let g = got[id];
-                assert!((g - r).abs() < 1e-9, "vertex {id}, hubs {hubs}: {g} vs {r}");
-            }
+        let got = distributed_ranks(&csr, 3, 5, true, 0);
+        assert_eq!(got.len(), expect.len());
+        for (id, r) in &expect {
+            let g = got[id];
+            assert!((g - r).abs() < 1e-9, "vertex {id}: {g} vs {r}");
         }
     }
 
     #[test]
-    fn the_two_routes_give_the_same_rank_bits() {
-        // Fan-out changes how a share travels, not which shares a vertex
-        // sums or in what order: the hub route's rank bits equal the
-        // grouped route's.
+    fn the_two_graph_kinds_give_the_same_rank_bits() {
+        // Undirected or directed with in-links, the same out-lists give
+        // every vertex the same shares to sum, in the same order: the
+        // same rank bits.
         let bits = |ranks: HashMap<CellId, f64>| -> HashMap<CellId, u64> {
             ranks.into_iter().map(|(id, r)| (id, r.to_bits())).collect()
         };
@@ -194,9 +192,13 @@ mod tests {
             trinity_graphgen::social(2_000, 16, 5),
         ] {
             for compute_threads in [1, 3] {
-                let hubbed = distributed_ranks(&csr, 3, 4, true, compute_threads);
-                let grouped = distributed_ranks(&csr, 3, 4, false, compute_threads);
-                assert_eq!(bits(hubbed), bits(grouped), "{compute_threads} threads");
+                let undirected = distributed_ranks(&csr, 3, 4, false, compute_threads);
+                let directed = distributed_ranks(&csr, 3, 4, true, compute_threads);
+                assert_eq!(
+                    bits(undirected),
+                    bits(directed),
+                    "{compute_threads} threads"
+                );
             }
         }
     }

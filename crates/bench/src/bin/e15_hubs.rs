@@ -5,11 +5,11 @@
 //! just 1% hub vertices, we have addressed 72.8% of message needs."
 //! This harness prints the analytic and empirical coverage curves, then
 //! the wire cost of a PageRank superstep on six routes. The engine runs
-//! two live (hub records on the undirected power-law graph, grouped
-//! records on the same out-lists marked directed); `route_model`, an
-//! exact count model of the engine that ran them, prices the other four,
-//! and every live row too: the last line reads `shape: PASS` when each
-//! live row equals its model run, else `shape: FAIL` and the exit is 1.
+//! one live, its only route (hub records for every vertex, on the
+//! undirected power-law graph); `route_model`, an exact count model of
+//! the engine that ran them, prices the other five, and the live row
+//! too: the last line reads `shape: PASS` when the live row equals its
+//! model run, else `shape: FAIL` and the exit is 1.
 
 use trinity_algos::pagerank_distributed;
 use trinity_bench::route_model::{pagerank_traffic, Route, Step};
@@ -72,14 +72,10 @@ fn main() {
         ("packing + hubs (every vertex, default)", Route::Hubs(1)),
         ("packing + hubs + combiner", Route::Combined(16)),
     ] {
-        // The engine's two routes run live, the others only in the model.
-        let live = matches!(route, Route::Grouped | Route::Hubs(1));
+        // The engine's route runs live, the others only in the model.
+        let live = route == Route::Hubs(1);
         let modeled = model(route);
         let steps = if live {
-            // The grouped route is the engine's on a directed graph loaded
-            // without in-links: the same out-lists, marked directed.
-            let mut csr = csr.clone();
-            csr.directed = route == Route::Grouped;
             let (cloud, graph) = cloud_with_graph(&csr, machines, &LoadOptions::default());
             let result = pagerank_distributed(graph, iterations, BspConfig::default());
             metrics.capture(name, &cloud);
@@ -102,11 +98,11 @@ fn main() {
             format!("{:.1}", sum(|s| s.bytes) as f64 / steps.len() as f64 / 1e3),
         ]);
     }
-    println!("\nmodel rows: exact counts of routes the engine no longer runs (route_model.rs), their hub records in today's delta format; the combiner's records in ascending destination order.");
+    println!("\nmodel rows: exact counts of routes the engine no longer runs (route_model.rs), their hub records in today's format (delta, unsigned gap); the combiner's records in ascending destination order.");
     println!("paper shape: packing collapses transfers; hub buffering removes most remaining per-edge frames; each message is delivered once.");
     metrics.finish();
     if mismatches.is_empty() {
-        println!("shape: PASS (each live row equals the model run of its route)");
+        println!("shape: PASS (the live row equals the model run of its route)");
     } else {
         println!("shape: FAIL: {}", mismatches.join("; "));
         std::process::exit(1);

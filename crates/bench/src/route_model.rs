@@ -1,14 +1,15 @@
 //! An exact count model of the wire traffic of a PageRank job (E15.2),
-//! on the engine's two routes and on four it no longer has. It computes
-//! each sending superstep's shares as the engine's PageRank does; per
-//! machine and pool worker (vertices split by `trunk_of(id) % workers`,
-//! computed in id order) it encodes, with [`runs`], the records a
-//! superstep's broadcasts produce, a hub record XORed against its
-//! vertex's last share; fills run frames, shipped at `RUN_FLUSH_BYTES`
-//! and at shard end, `BSP_MSG` before `BSP_HUB` per peer; has a
-//! combiner's leader ship one point record per destination after the
-//! workers, ascending; and seals envelopes at `PACK_THRESHOLD_BYTES`,
-//! the fence's frame closing the last. The bottleneck is the machine the
+//! on the engine's route and on five it no longer has. It computes each
+//! sending superstep's shares as the engine's PageRank does; per machine
+//! and pool worker (vertices split by `trunk_of(id) % workers`, computed
+//! in id order) it encodes the records a superstep's broadcasts produce:
+//! a hub record with [`runs`], XORed against its vertex's last share, a
+//! removed route's neighbor record with `push_record`. It fills run
+//! frames, shipped at `RUN_FLUSH_BYTES` and at shard end, neighbor
+//! records before hub records per peer; has a combiner's leader ship one
+//! point record per destination after the workers, ascending; and seals
+//! envelopes at `PACK_THRESHOLD_BYTES`, the fence's frame closing the
+//! last. The bottleneck is the machine the
 //! cost model prices highest. Taking the concurrent workers' frames
 //! worker by worker fixes the envelope count whenever no peer's traffic
 //! reaches the pack threshold within a superstep.
@@ -17,6 +18,7 @@ use trinity_core::bsp::runs;
 use trinity_core::{resolve_compute_threads, SuperstepReport};
 use trinity_graph::Csr;
 use trinity_memcloud::AddressingTable;
+use trinity_memstore::codec::{put_varint, put_zigzag};
 use trinity_net::{CostModel, MachineId};
 
 /// A worker ships its open run frame once it holds this many bytes.
@@ -37,11 +39,10 @@ const DAMPING: f64 = 0.85;
 pub enum Route {
     /// One record per remote neighbor, in a frame and envelope of its own.
     Unpacked,
-    /// One record per machine holding neighbors, naming them: the engine's
-    /// route on a directed graph loaded without in-links.
+    /// One record per machine holding neighbors, naming them.
     Grouped,
     /// Hub records from this out-degree up, grouped records below; the
-    /// engine's route on a reverse traversable graph is `Hubs(1)`.
+    /// engine's one route is `Hubs(1)`.
     Hubs(usize),
     /// Hub records from this out-degree up; below it, remote deliveries
     /// combined by the machine's leader into one record per destination.
@@ -90,6 +91,19 @@ impl Link {
     }
 }
 
+/// Append the record "`msg` to `ids`" of a removed route to an open
+/// frame: `msg | varint n | n × varint zigzag(gap)`, a gap the wrapped
+/// difference from the frame's last id so far, `prev`, which is left at
+/// this record's last.
+fn push_record(frame: &mut Vec<u8>, prev: &mut u64, msg: &[u8], ids: &[u64]) {
+    frame.extend_from_slice(msg);
+    put_varint(frame, ids.len() as u64);
+    for &id in ids {
+        put_zigzag(frame, id.wrapping_sub(*prev));
+        *prev = id;
+    }
+}
+
 /// One open run frame, and the last id it names.
 #[derive(Clone, Default)]
 struct Outbox(Vec<u8>, u64);
@@ -104,7 +118,7 @@ impl Outbox {
         }
         match hub {
             Some(base) => runs::push_hub(&mut self.0, &mut self.1, base, msg, ids[0]),
-            None => runs::push_record(&mut self.0, &mut self.1, msg, ids),
+            None => push_record(&mut self.0, &mut self.1, msg, ids),
         }
         if route == Route::Unpacked {
             self.flush(link);
@@ -296,27 +310,30 @@ mod tests {
     const ITERATIONS: usize = 3;
 
     /// The routes the engine no longer runs, in [`LIVE`]'s order.
-    const REMOVED: [Route; 4] = [
+    const REMOVED: [Route; 5] = [
         Route::Unpacked,
+        Route::Grouped,
         Route::Hubs(64),
         Route::Hubs(16),
         Route::Combined(16),
     ];
 
     /// What the engine shipped on each removed route before it was
-    /// deleted (commit `4869ecb`), per graph and `compute_threads`:
-    /// remote deliveries, bottleneck transfers and wire bytes summed over
-    /// the job's four supersteps. Where a row carries hub records its
-    /// bytes are the model's with today's hub record, a delta against the
-    /// vertex's last share; the engine shipped 9-byte ones then.
-    const LIVE: [(&str, usize, [[u64; 3]; 4]); 6] = [
+    /// deleted (commit `4869ecb`; the grouped route, `4082dac`), per graph
+    /// and `compute_threads`: remote deliveries, bottleneck transfers and
+    /// wire bytes summed over the job's four supersteps. Where a row
+    /// carries hub records its bytes are the model's with today's hub
+    /// record, a delta against the vertex's last share after an unsigned
+    /// gap; the engine shipped 9-byte ones then.
+    const LIVE: [(&str, usize, [[u64; 3]; 5]); 6] = [
         (
             "e15",
             1,
             [
                 [259_380, 36_976, 2_689_025],
+                [259_380, 28, 246_734],
                 [192_684, 28, 223_968],
-                [161_262, 28, 212_377],
+                [161_262, 28, 212_077],
                 [99_906, 28, 147_272],
             ],
         ),
@@ -325,8 +342,9 @@ mod tests {
             3,
             [
                 [259_380, 36_975, 2_688_985],
-                [192_684, 28, 225_573],
-                [161_262, 28, 214_267],
+                [259_380, 28, 247_751],
+                [192_684, 28, 225_510],
+                [161_262, 28, 214_168],
                 [99_906, 28, 148_279],
             ],
         ),
@@ -336,7 +354,8 @@ mod tests {
             [
                 [81_636, 21_078, 1_517_142],
                 [81_636, 12, 102_498],
-                [74_838, 12, 97_913],
+                [81_636, 12, 102_498],
+                [74_838, 12, 97_751],
                 [27_345, 12, 76_182],
             ],
         ),
@@ -346,7 +365,8 @@ mod tests {
             [
                 [81_636, 21_072, 1_516_902],
                 [81_636, 12, 102_828],
-                [74_838, 12, 98_945],
+                [81_636, 12, 102_828],
+                [74_838, 12, 98_711],
                 [27_345, 12, 76_745],
             ],
         ),
@@ -355,8 +375,9 @@ mod tests {
             1,
             [
                 [39_081, 9_502, 681_953],
+                [39_081, 16, 32_630],
                 [21_189, 16, 27_027],
-                [12_966, 16, 22_831],
+                [12_966, 16, 22_720],
                 [7_134, 16, 17_440],
             ],
         ),
@@ -365,8 +386,9 @@ mod tests {
             3,
             [
                 [39_081, 9_501, 681_913],
-                [21_189, 16, 28_146],
-                [12_966, 16, 24_150],
+                [39_081, 16, 33_125],
+                [21_189, 16, 28_098],
+                [12_966, 16, 24_015],
                 [7_134, 16, 18_059],
             ],
         ),
@@ -376,20 +398,15 @@ mod tests {
     /// priced as in [`LIVE`]. The engine shipped combined records in
     /// hash-map order, so its gap bytes followed the hash seed; the
     /// model's ascending order gaps shorter.
-    const COMBINER_MODEL_BYTES: [u64; 6] = [135_021, 136_122, 70_191, 70_794, 16_765, 17_602];
+    const COMBINER_MODEL_BYTES: [u64; 6] = [134_601, 135_939, 69_993, 70_641, 16_681, 17_458];
 
-    /// E15.2's graph and two more, each with its machine count and
-    /// whether it is stored with in-links (the hub route's condition on a
-    /// directed graph).
-    fn graph(name: &str) -> (Csr, usize, bool) {
+    /// E15.2's graph and two more, each with its machine count; R-MAT is
+    /// directed.
+    fn graph(name: &str) -> (Csr, usize) {
         match name {
-            "e15" => (
-                trinity_graphgen::power_law(30_000, 2.16, 1, 3_000, 7),
-                8,
-                false,
-            ),
-            "social" => (trinity_graphgen::social(3_000, 12, 9), 4, false),
-            _ => (trinity_graphgen::rmat(11, 8, 4), 5, true),
+            "e15" => (trinity_graphgen::power_law(30_000, 2.16, 1, 3_000, 7), 8),
+            "social" => (trinity_graphgen::social(3_000, 12, 9), 4),
+            _ => (trinity_graphgen::rmat(11, 8, 4), 5),
         }
     }
 
@@ -401,8 +418,9 @@ mod tests {
 
     #[test]
     fn the_model_reproduces_what_the_removed_routes_shipped() {
+        let mut moved = Vec::new();
         for (i, &(name, threads, live)) in LIVE.iter().enumerate() {
-            let (csr, machines, _) = graph(name);
+            let (csr, machines) = graph(name);
             let cloud = MemoryCloud::new(bench_cloud_config(machines));
             let (table, cost) = (cloud.node(0).table(), cloud.fabric().cost_model());
             cloud.shutdown();
@@ -413,11 +431,9 @@ mod tests {
                 assert_eq!(steps.len(), ITERATIONS + 1);
                 assert_eq!(deliveries, live[0], "{at}");
                 if let Route::Combined(_) = route {
-                    assert_eq!(
-                        [envelopes, bytes],
-                        [live[1], COMBINER_MODEL_BYTES[i]],
-                        "{at}"
-                    );
+                    if [envelopes, bytes] != [live[1], COMBINER_MODEL_BYTES[i]] {
+                        moved.push(format!("{at}: {envelopes} {bytes}"));
+                    }
                 } else if *route == Route::Unpacked && threads > 1 {
                     // Two workers could meet in one pack buffer between
                     // one's send and its flush, sharing an envelope: the
@@ -426,37 +442,39 @@ mod tests {
                     let merged = envelopes - live[1];
                     assert!(merged <= 10, "{at}: {merged} envelopes merged");
                     assert_eq!(bytes - live[2], merged * ENVELOPE_HEADER_BYTES, "{at}");
-                } else {
-                    assert_eq!([envelopes, bytes], [live[1], live[2]], "{at}");
+                } else if [envelopes, bytes] != [live[1], live[2]] {
+                    moved.push(format!("{at}: {envelopes} {bytes}"));
                 }
             }
         }
+        assert!(moved.is_empty(), "{moved:#?}");
     }
 
     #[test]
-    fn the_model_equals_the_live_engine_on_both_routes() {
-        for name in ["social", "rmat"] {
-            let (csr, machines, in_links) = graph(name);
-            for (route, directed) in [(Route::Hubs(1), csr.directed), (Route::Grouped, true)] {
-                let mut csr = csr.clone();
-                csr.directed = directed;
-                let opts = LoadOptions {
-                    with_in_links: in_links && route == Route::Hubs(1),
-                    attrs: None,
+    fn the_model_equals_the_live_engine_on_both_graph_kinds() {
+        for (name, directed) in [("social", false), ("social", true), ("rmat", true)] {
+            let (mut csr, machines) = graph(name);
+            csr.directed = directed;
+            let opts = LoadOptions {
+                with_in_links: directed,
+                attrs: None,
+            };
+            for threads in [1, 3] {
+                let (cloud, graph) = cloud_with_graph(&csr, machines, &opts);
+                let (table, cost) = (cloud.node(0).table(), cloud.fabric().cost_model());
+                let cfg = BspConfig {
+                    compute_threads: threads,
+                    ..BspConfig::default()
                 };
-                for threads in [1, 3] {
-                    let (cloud, graph) = cloud_with_graph(&csr, machines, &opts);
-                    let (table, cost) = (cloud.node(0).table(), cloud.fabric().cost_model());
-                    let cfg = BspConfig {
-                        compute_threads: threads,
-                        ..BspConfig::default()
-                    };
-                    let result = pagerank_distributed(graph, ITERATIONS, cfg);
-                    cloud.shutdown();
-                    let live: Vec<Step> = result.reports.iter().map(Step::of).collect();
-                    let model = pagerank_traffic(&csr, &table, threads, route, ITERATIONS, &cost);
-                    assert_eq!(live, model, "{name}, {threads} threads, {route:?}");
-                }
+                let result = pagerank_distributed(graph, ITERATIONS, cfg);
+                cloud.shutdown();
+                let live: Vec<Step> = result.reports.iter().map(Step::of).collect();
+                let model =
+                    pagerank_traffic(&csr, &table, threads, Route::Hubs(1), ITERATIONS, &cost);
+                assert_eq!(
+                    live, model,
+                    "{name}, directed {directed}, {threads} threads"
+                );
             }
         }
     }

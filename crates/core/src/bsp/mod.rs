@@ -9,15 +9,16 @@
 //! to all its out-neighbors ([`VertexContext::send_to_neighbors`]). That
 //! fixed pattern is what makes §5.4's hub buffering possible; Pregel's
 //! general model and sender-side combiners are not offered (DESIGN §10).
-//! Messages cross machines as *run frames* ([`runs`], DESIGN §14) in the
-//! fabric's per-destination pack buffers (§4.2), by the one route the
-//! graph allows: on a reverse traversable graph a broadcast is one
-//! `BSP_HUB` record per other machine its out-list reaches, naming only
-//! the sender and shipping its value XORed with the sender's last (both
-//! ends keep that base, zeroed when a job segment starts), which that
-//! machine rebuilds and fans out through an index of its own in-edges;
-//! on a directed graph loaded without in-links it is one `BSP_MSG`
-//! record per machine holding neighbors, naming them.
+//! Every broadcast ships as §5.4's hub records: one per other machine its
+//! out-list reaches, naming only the sender and shipping its value XORed
+//! with the sender's last (both ends keep that base, zeroed when a job
+//! segment starts). That machine rebuilds the value and fans it out
+//! through an index of its own vertices' in-edges, as the sender's own
+//! machine does with no record at all. Records travel in *run frames*
+//! ([`runs`], DESIGN §14) in the fabric's per-destination pack buffers
+//! (§4.2). The in-edges are the paper's `GetInlinks()` (§4.1): an
+//! undirected graph's out-lists, or a directed graph's stored in-links,
+//! so a job needs a [`DistributedGraph::reverse_traversable`] graph.
 //!
 //! Superstep synchronization uses message fences: after computing, each
 //! machine tells every peer how many run frames it sent; a machine enters
@@ -32,6 +33,7 @@ mod path;
 mod pool;
 pub mod runs;
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Barrier};
@@ -43,8 +45,7 @@ use trinity_memcloud::CellId;
 use trinity_net::{current_deadline, DeadlineGuard, MachineId, StatsDelta};
 use trinity_obs::{next_trace_id, TraceGuard};
 
-use crate::proto;
-use path::{Fanout, Inbox, MachineRt, Slots};
+use path::{Arrivals, Fanout, Inbox, MachineRt, Slots};
 use pool::{RoundAgg, WorkerState};
 
 /// Per-machine callback fired at the start of every superstep, by the
@@ -237,9 +238,8 @@ pub struct SuperstepReport {
     pub computed: usize,
     /// Vertices still active after the superstep.
     pub active_after: usize,
-    /// Remote deliveries sent: on the hub route one per broadcast and
-    /// machine it reaches (which fans it out as local deliveries), on the
-    /// grouped route one per remote neighbor a record names.
+    /// Remote deliveries sent: one per broadcast and other machine it
+    /// reaches, which fans it out as local deliveries.
     pub remote_messages: u64,
     /// Machine-local message deliveries (free).
     pub local_messages: u64,
@@ -266,7 +266,17 @@ pub struct BspRunner<P: VertexProgram> {
 
 impl<P: VertexProgram> BspRunner<P> {
     /// Prepare a job over `graph`.
+    ///
+    /// # Panics
+    ///
+    /// If `graph` is directed and was loaded without in-links: a machine
+    /// fans a broadcast out through its vertices' in-edges, and such a
+    /// graph has none to read.
     pub fn new(graph: Arc<DistributedGraph>, program: P, cfg: BspConfig) -> Self {
+        assert!(
+            graph.reverse_traversable(),
+            "a BSP job on a directed graph needs its in-links: load it with `with_in_links`"
+        );
         BspRunner {
             graph,
             program,
@@ -282,12 +292,21 @@ impl<P: VertexProgram> BspRunner<P> {
     /// Execute to termination (all vertices halted and no messages in
     /// flight) or to the superstep limit. Returns final vertex states and
     /// per-superstep measurements.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of the program's `compute` or
+    /// `encode_msg`, once every machine has stopped at the end of that
+    /// superstep.
     pub fn run(&self) -> BspResult<P> {
         self.run_resumed(None, 0)
     }
 
     /// Execute starting from a resume point (checkpoint restart), with
     /// superstep numbering offset by `superstep_offset` in the reports.
+    /// What the resume point names that the graph has no vertex for —
+    /// states, pending messages, active ids — comes back in the result
+    /// unchanged. Panics as [`BspRunner::run`] does.
     pub fn run_resumed(
         &self,
         resume: Option<ResumePoint<P>>,
@@ -330,6 +349,7 @@ impl<P: VertexProgram> BspRunner<P> {
             agg: Mutex::default(),
             stop: AtomicBool::new(false),
             terminated: AtomicBool::new(false),
+            panic: Mutex::default(),
             reports: Mutex::default(),
             finals: Mutex::default(),
         };
@@ -339,6 +359,9 @@ impl<P: VertexProgram> BspRunner<P> {
                 scope.spawn(move || machine_driver(job, m, resume));
             }
         });
+        if let Some(panic) = job.panic.into_inner() {
+            std::panic::resume_unwind(panic);
+        }
         let finals = job.finals.into_inner();
         BspResult {
             states: finals.states,
@@ -365,6 +388,9 @@ struct Job<'x, P: VertexProgram> {
     agg: Mutex<RoundAgg>,
     stop: AtomicBool,
     terminated: AtomicBool,
+    /// The program's first panic, which stops the job at the end of its
+    /// superstep and which `run` re-raises.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     reports: Mutex<Vec<SuperstepReport>>,
     /// Merged exit state of all drivers.
     finals: Mutex<ResumePoint<P>>,
@@ -378,21 +404,14 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     let handle = job.graph.handle(m);
     let machines = job.graph.machines();
 
-    // A hub's record names only itself, so the receiving machine must
-    // find the hub's neighbors among its own vertices' in-neighbors: the
-    // graph must be reverse traversable (symmetric out-lists or stored
-    // in-links, which agree with the out-lists). On a directed graph
-    // loaded without in-links every broadcast ships as grouped records.
-    let hubs = job.graph.reverse_traversable();
     let node = job.graph.cloud().node(m);
     let table = node.table();
 
     // --- Setup: local vertex census + state init -----------------------
     // The job's one read of its topology. States are initialized where
     // the program gets zero-copy access to each cell (on resume,
-    // checkpointed states win). Each out-list is copied to `adj`, and on
-    // the hub route each in-list: the out-list when none is stored
-    // (undirected).
+    // checkpointed states win). Each out-list is copied to `adj`, and
+    // each in-list: the out-list when none is stored (undirected).
     let mut adj: Vec<CellId> = Vec::new();
     let mut local = Vec::new();
     handle.for_each_local_node(|id, view| {
@@ -403,7 +422,7 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
         let start = adj.len();
         adj.extend(view.outs());
         let outs = start..adj.len();
-        let ins = if view.has_ins() && hubs {
+        let ins = if view.has_ins() {
             adj.extend(view.ins());
             outs.end..adj.len()
         } else {
@@ -414,41 +433,32 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     local.sort_unstable_by_key(|v| v.0);
 
     // --- Worker pool setup ---------------------------------------------
-    // Shard every local vertex (and all resumed state) by
-    // `trunk_of(id) % workers` — the same pure routing the receive
-    // handlers use, so a message lands in exactly the inbox of the worker
-    // that owns its destination.
+    // Shard every local vertex by `trunk_of(id) % workers` — the same
+    // pure routing the receive handlers use, so a message lands in
+    // exactly the inbox of the worker that owns its destination.
     let workers = resolve_compute_threads(
         job.cfg.compute_threads,
         table.trunks_of(MachineId(m as u16)).len(),
     );
     let shard_of = |id| path::shard_of(&table, workers, id);
-    let proto = if hubs { proto::BSP_HUB } else { proto::BSP_MSG };
     let mut shards: Vec<WorkerState<P>> = (0..workers)
-        .map(|w| WorkerState::new(w, machines, workers, proto))
+        .map(|w| WorkerState::new(w, machines, workers))
         .collect();
     let (mut ins, mut peers) = (Vec::new(), Vec::new());
     for (id, state, outs, in_range) in local {
         let (ws, outs) = (&mut shards[shard_of(id)], &adj[outs]);
         ws.ids.push(id);
         ws.states.push(state);
+        ws.active.push(!job.resumed);
+        ws.bases.push(0);
         ws.outs.push(outs);
         peers.clear();
-        if hubs {
-            peers.extend(outs.iter().map(|&v| table.machine_of(v).0));
-            peers.retain(|&p| p as usize != m);
-            peers.sort_unstable();
-            peers.dedup();
-            ins.push((id, &adj[in_range]));
-        }
+        peers.extend(outs.iter().map(|&v| table.machine_of(v).0));
+        peers.retain(|&p| p as usize != m);
+        peers.sort_unstable();
+        peers.dedup();
         ws.peers.push(&peers);
-    }
-    // Resumed states the census did not list take the slots after the
-    // local vertices': carried through, never computed.
-    for (id, state) in resume.states {
-        let ws = &mut shards[shard_of(id)];
-        ws.ids.push(id);
-        ws.states.push(state);
+        ins.push((id, &adj[in_range]));
     }
 
     // --- Runtime: slot tables, fan-out index, receive handlers ---------
@@ -457,41 +467,49 @@ fn machine_driver<P: VertexProgram>(job: &Job<'_, P>, m: usize, mut resume: Resu
     // The shards hold their own copies: free the census's.
     drop(ins);
     drop(adj);
+
+    // What the resume point names that this machine hosts no vertex for
+    // passes straight into the job's result. Pending messages fill the
+    // first inbox as one-target casts, slot `s`'s to `s..s + 1` of the
+    // identity target list, through the drain's own `Inbox::fill`.
+    let mut staged: Vec<Arrivals<P::Msg>> = shards.iter().map(|_| Arrivals::new()).collect();
+    {
+        let mut finals = job.finals.lock();
+        finals.states.extend(resume.states);
+        for (id, msgs) in resume.pending {
+            let w = shard_of(id);
+            match slots[w].get(id) {
+                Some(s) => staged[w].extend(msgs.into_iter().map(|msg| (s..s + 1, msg))),
+                None => finals.pending.entry(id).or_default().extend(msgs),
+            }
+        }
+        for id in resume.active {
+            let w = shard_of(id);
+            match slots[w].get(id) {
+                Some(s) => shards[w].active[s] = true,
+                None => _ = finals.active.insert(id),
+            }
+        }
+    }
+    for (ws, arrivals) in shards.iter_mut().zip(staged) {
+        let n = ws.ids.len();
+        let identity: Vec<u32> = (0..n as u32).collect();
+        ws.inbox = Inbox::new(n);
+        ws.inbox.fill(arrivals, &identity, P::msg_cmp);
+    }
     let rt = Arc::new(MachineRt::<P>::new(
         Arc::clone(node.endpoint()),
         machines,
-        table,
         slots,
         fanout,
     ));
     rt.register_handlers();
     rt.metrics.pool_workers.add(workers as u64);
 
-    // Initial pending messages take the drain's path into the inboxes.
-    let mut staged = rt.staging();
-    for (id, msgs) in resume.pending {
-        for msg in msgs {
-            rt.stage_point(&mut staged, id, msg);
-        }
-    }
-    for (ws, arrivals) in shards.iter_mut().zip(staged) {
-        ws.inbox = Inbox::new(ws.ids.len());
-        ws.inbox.fill(arrivals, &rt.fanout.targets, P::msg_cmp);
-        ws.active = vec![!job.resumed; ws.ids.len()];
-        ws.bases = vec![0; ws.outs.len()];
-    }
-    for id in resume.active {
-        let w = rt.shard_of(id);
-        match rt.slots[w].get(id) {
-            Some(s) => shards[w].active[s] = true,
-            None => shards[w].stray_active.push(id),
-        }
-    }
-
     // No peer may send this job anything before every machine has
     // installed its handlers and built its fan-out index.
     job.barrier.wait();
-    pool::run(job, m, &rt, hubs, shards);
+    pool::run(job, m, &rt, shards);
 }
 
 #[cfg(test)]
@@ -500,14 +518,15 @@ mod tests {
     use trinity_graph::{load_graph, Csr, LoadOptions};
     use trinity_memcloud::{CloudConfig, MemoryCloud};
 
-    /// `csr` loaded into `cloud` for the hub route (`hubs`: in-links
-    /// stored, so reverse traversable) or the grouped route (directed,
-    /// no in-links), replacing what `cloud` held.
-    fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, hubs: bool) -> Arc<DistributedGraph> {
+    /// `csr` loaded into `cloud` as one of the two graph kinds a job runs
+    /// on: undirected as it is, or (`directed`, or `csr` directed) its
+    /// out-lists marked directed with in-links stored; replacing what
+    /// `cloud` held.
+    fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, directed: bool) -> Arc<DistributedGraph> {
         let mut csr = csr.clone();
-        csr.directed |= !hubs;
+        csr.directed |= directed;
         let opts = LoadOptions {
-            with_in_links: hubs,
+            with_in_links: csr.directed,
             attrs: None,
         };
         Arc::new(load_graph(Arc::clone(cloud), &csr, &opts).unwrap())
@@ -558,11 +577,11 @@ mod tests {
         }
     }
 
-    /// [`MaxValue`] on `csr` over `machines` machines, on the hub route or
-    /// the grouped one.
-    fn run_max(csr: &Csr, machines: usize, hubs: bool) -> BspResult<MaxValue> {
+    /// [`MaxValue`] on `csr` over `machines` machines, as loaded by
+    /// [`load_for`].
+    fn run_max(csr: &Csr, machines: usize, directed: bool) -> BspResult<MaxValue> {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = load_for(&cloud, csr, hubs);
+        let graph = load_for(&cloud, csr, directed);
         let result = BspRunner::new(graph, MaxValue, BspConfig::default()).run();
         cloud.shutdown();
         result
@@ -576,7 +595,7 @@ mod tests {
     #[test]
     fn max_propagation_converges_on_a_ring() {
         let n = 40;
-        let r = run_max(&ring(n), 3, true);
+        let r = run_max(&ring(n), 3, false);
         assert_eq!(r.states.len(), n);
         assert!(
             r.states.values().all(|&v| v == (n - 1) as u64),
@@ -597,9 +616,9 @@ mod tests {
         // handler still finishing the last fence may hold it a moment
         // longer, so the count is awaited, not read once.
         let machines = 3;
-        for hubs in [true, false] {
+        for directed in [false, true] {
             let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-            let graph = load_for(&cloud, &ring(40), hubs);
+            let graph = load_for(&cloud, &ring(40), directed);
             let held = || -> Vec<usize> {
                 let nodes = cloud.nodes().iter();
                 nodes.map(|n| Arc::strong_count(n.endpoint())).collect()
@@ -611,7 +630,7 @@ mod tests {
             while held() != before && std::time::Instant::now() < deadline {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            assert_eq!(held(), before, "hubs {hubs}");
+            assert_eq!(held(), before, "directed {directed}");
             cloud.shutdown();
         }
     }
@@ -657,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn casts_and_records_deliver_the_same_multisets() {
+    fn casts_deliver_one_message_per_arc() {
         let n = 24u64;
         for directed in [false, true] {
             let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
@@ -693,19 +712,17 @@ mod tests {
             assert!(want[&a].iter().filter(|&&u| u == a).count() >= 2);
             assert!(want[&near].iter().filter(|&&u| u == a).count() >= 3);
             assert!(want[&a].iter().filter(|&&u| u == far).count() >= 2);
-            for hubs in [true, false] {
-                let graph = load_for(&cloud, &csr, hubs);
-                for compute_threads in [1, 3] {
-                    let cfg = BspConfig {
-                        compute_threads,
-                        ..BspConfig::default()
-                    };
-                    let r = BspRunner::new(Arc::clone(&graph), Inbound, cfg).run();
-                    assert_eq!(
-                        r.states, want,
-                        "directed {directed}, hubs {hubs}, {compute_threads} threads"
-                    );
-                }
+            let graph = load_for(&cloud, &csr, directed);
+            for compute_threads in [1, 3] {
+                let cfg = BspConfig {
+                    compute_threads,
+                    ..BspConfig::default()
+                };
+                let r = BspRunner::new(Arc::clone(&graph), Inbound, cfg).run();
+                assert_eq!(
+                    r.states, want,
+                    "directed {directed}, {compute_threads} threads"
+                );
             }
             cloud.shutdown();
         }
@@ -782,23 +799,21 @@ mod tests {
             }
         }
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
-        for hubs in [true, false] {
-            let graph = load_for(&cloud, &csr, hubs);
-            // Stop after `split` supersteps, then resume from there.
-            for split in 1..=OUT_ROUNDS {
-                let cfg = |max_supersteps| BspConfig {
-                    compute_threads: 2,
-                    max_supersteps,
-                    ..BspConfig::default()
-                };
-                let runner = BspRunner::new(Arc::clone(&graph), OutLists, cfg(split));
-                let first = runner.run();
-                assert!(!first.terminated);
-                let runner = BspRunner::new(Arc::clone(&graph), OutLists, cfg(64));
-                let r = runner.run_resumed(Some(first.into_resume()), split);
-                assert!(r.terminated);
-                assert_eq!(r.states, want, "hubs {hubs}, resumed at {split}");
-            }
+        let graph = load_for(&cloud, &csr, true);
+        // Stop after `split` supersteps, then resume from there.
+        for split in 1..=OUT_ROUNDS {
+            let cfg = |max_supersteps| BspConfig {
+                compute_threads: 2,
+                max_supersteps,
+                ..BspConfig::default()
+            };
+            let runner = BspRunner::new(Arc::clone(&graph), OutLists, cfg(split));
+            let first = runner.run();
+            assert!(!first.terminated);
+            let runner = BspRunner::new(Arc::clone(&graph), OutLists, cfg(64));
+            let r = runner.run_resumed(Some(first.into_resume()), split);
+            assert!(r.terminated);
+            assert_eq!(r.states, want, "resumed at {split}");
         }
         cloud.shutdown();
     }
@@ -841,45 +856,202 @@ mod tests {
     }
 
     #[test]
-    fn the_two_routes_agree() {
+    fn the_two_graph_kinds_agree() {
+        // The same out-lists, undirected or directed with in-links: the
+        // same in-edges to fan out through, so the same job.
         let csr = trinity_graphgen::social(200, 10, 3);
-        let hubbed = run_max(&csr, 3, true);
-        let grouped = run_max(&csr, 3, false);
-        assert_eq!(hubbed.states, grouped.states);
+        let undirected = run_max(&csr, 3, false);
+        let directed = run_max(&csr, 3, true);
+        assert_eq!(undirected.states, directed.states);
+        let counts = |r: &BspResult<MaxValue>| -> Vec<(u64, u64)> {
+            let reports = r.reports.iter();
+            reports
+                .map(|r| (r.remote_messages, r.local_messages))
+                .collect()
+        };
+        assert_eq!(counts(&undirected), counts(&directed));
+    }
+
+    /// Superstep 0 of [`MaxValue`] over `csr` placed by `cloud`'s table,
+    /// where every vertex broadcasts: the hub records it ships, one per
+    /// (vertex, other machine its out-list reaches), and the remote arcs
+    /// those records stand for.
+    fn first_broadcasts(cloud: &MemoryCloud, csr: &Csr) -> (u64, u64) {
+        let table = cloud.node(0).table();
+        let owner = |v: CellId| table.machine_of(v);
+        let (mut records, mut arcs) = (0, 0);
+        for v in 0..csr.node_count() as CellId {
+            let mut peers: Vec<_> = csr.neighbors(v).iter().map(|&u| owner(u)).collect();
+            peers.retain(|&p| p != owner(v));
+            arcs += peers.len() as u64;
+            peers.sort_unstable();
+            peers.dedup();
+            records += peers.len() as u64;
+        }
+        (records, arcs)
     }
 
     #[test]
-    fn hub_buffering_reduces_remote_messages_on_power_law() {
+    fn hub_records_cut_remote_messages_on_power_law() {
         let csr = trinity_graphgen::power_law(2_000, 2.16, 1, 400, 5);
-        let grouped = run_max(&csr, 4, false);
-        let hubbed = run_max(&csr, 4, true);
-        assert_eq!(grouped.states, hubbed.states);
-        let grouped_msgs: u64 = grouped.reports.iter().map(|r| r.remote_messages).sum();
-        let hub_msgs: u64 = hubbed.reports.iter().map(|r| r.remote_messages).sum();
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(4)));
+        let (records, arcs) = first_broadcasts(&cloud, &csr);
+        let graph = load_for(&cloud, &csr, false);
+        let r = BspRunner::new(graph, MaxValue, BspConfig::default()).run();
+        cloud.shutdown();
+        assert_eq!(r.reports[0].remote_messages, records);
         assert!(
-            (hub_msgs as f64) < 0.75 * grouped_msgs as f64,
-            "hub buffering should cut remote deliveries by >25%: {hub_msgs} vs {grouped_msgs}"
+            (records as f64) < 0.75 * arcs as f64,
+            "a record per machine should cut remote deliveries by >25%: {records} vs {arcs}"
         );
     }
 
     #[test]
-    fn hub_buffering_collapses_star_broadcasts() {
-        // A star: node 0 connects to everyone. Broadcasting from the hub
-        // should cost one delivery per machine instead of one per neighbor.
+    fn hub_records_collapse_star_broadcasts() {
+        // A star: node 0 connects to everyone. Its broadcast costs one
+        // record per other machine instead of one per remote neighbor;
+        // each leaf's costs one when node 0 is elsewhere.
         let n = 800;
         let edges: Vec<(u64, u64)> = (1..n as u64).map(|v| (0, v)).collect();
         let csr = Csr::undirected_from_edges(n, &edges, true);
-        let grouped = run_max(&csr, 4, false);
-        let hubbed = run_max(&csr, 4, true);
-        assert_eq!(grouped.states, hubbed.states);
-        // Superstep 0: the hub alone sends ~600 remote deliveries grouped,
-        // but only <= 3 hub records (leaves send to node 0 either way).
-        let grouped_msgs: u64 = grouped.reports.iter().map(|r| r.remote_messages).sum();
-        let hub_msgs: u64 = hubbed.reports.iter().map(|r| r.remote_messages).sum();
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(4)));
+        let (records, arcs) = first_broadcasts(&cloud, &csr);
+        let table = cloud.node(0).table();
+        let far_leaves = (1..n as u64).filter(|&v| table.machine_of(v) != table.machine_of(0));
+        assert_eq!(records, 3 + far_leaves.count() as u64);
+        let graph = load_for(&cloud, &csr, false);
+        let r = BspRunner::new(graph, MaxValue, BspConfig::default()).run();
+        cloud.shutdown();
+        assert_eq!(r.reports[0].remote_messages, records);
         assert!(
-            hub_msgs * 3 < grouped_msgs * 2,
-            "star hub should collapse broadcasts: {hub_msgs} vs {grouped_msgs}"
+            records * 3 < arcs * 2,
+            "the star's broadcast should collapse: {records} vs {arcs}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "load it with `with_in_links`")]
+    fn a_directed_graph_without_in_links_is_refused() {
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
+        let mut csr = ring(10);
+        csr.directed = true;
+        let graph = load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap();
+        cloud.shutdown();
+        BspRunner::new(Arc::new(graph), MaxValue, BspConfig::default());
+    }
+
+    #[test]
+    fn what_a_resume_point_names_beyond_the_graph_comes_back_unchanged() {
+        let n = 10;
+        let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+        let graph = load_for(&cloud, &ring(n), false);
+        // The ring from its start, plus states, pending messages and
+        // active ids for vertices it lacks, on every machine.
+        let lacking: Vec<CellId> = (1_000..1_012).collect();
+        let mut point = ResumePoint::<MaxValue> {
+            states: (0..n as CellId).map(|v| (v, v)).collect(),
+            active: (0..n as CellId).collect(),
+            ..ResumePoint::default()
+        };
+        for (i, &id) in lacking.iter().enumerate() {
+            match i % 3 {
+                0 => _ = point.states.insert(id, id * 7),
+                1 => _ = point.pending.insert(id, vec![id, 3, id]),
+                _ => _ = point.active.insert(id),
+            }
+        }
+        let runner = BspRunner::new(graph, MaxValue, BspConfig::default());
+        let r = runner.run_resumed(Some(point), 0);
+        cloud.shutdown();
+        assert!(r.terminated);
+        for (i, &id) in lacking.iter().enumerate() {
+            match i % 3 {
+                0 => assert_eq!(r.states.get(&id), Some(&(id * 7))),
+                1 => assert_eq!(r.pending.get(&id), Some(&vec![id, 3, id])),
+                _ => assert!(r.active.contains(&id)),
+            }
+        }
+        assert_eq!(r.states.len(), n + 4);
+        assert_eq!((r.pending.len(), r.active.len()), (4, 4));
+        assert!((0..n as CellId).all(|v| r.states[&v] == n as u64 - 1));
+    }
+
+    /// [`MaxValue`], but vertex `self.0` panics in superstep 1: in
+    /// `compute`, or (`self.1`) in `encode_msg`, which refuses the value
+    /// that vertex then broadcasts.
+    struct PanicsAt(CellId, bool);
+
+    impl VertexProgram for PanicsAt {
+        type State = u64;
+        type Msg = u64;
+        fn init(&self, id: CellId, view: &trinity_graph::NodeView<'_>) -> u64 {
+            MaxValue.init(id, view)
+        }
+        fn compute(
+            &self,
+            ctx: &mut VertexContext<'_, u64>,
+            id: CellId,
+            state: &mut u64,
+            msgs: &[u64],
+        ) {
+            if (id, ctx.superstep()) != (self.0, 1) {
+                MaxValue.compute(ctx, id, state, msgs);
+            } else if self.1 {
+                ctx.send_to_neighbors(u64::MAX);
+            } else {
+                panic!("vertex {id} panicked in compute");
+            }
+        }
+        fn encode_msg(m: &u64) -> Vec<u8> {
+            assert_ne!(*m, u64::MAX, "encode_msg refused the value");
+            MaxValue::encode_msg(m)
+        }
+        fn decode_msg(b: &[u8]) -> Option<u64> {
+            MaxValue::decode_msg(b)
+        }
+        fn encode_state(s: &u64) -> Vec<u8> {
+            MaxValue::encode_state(s)
+        }
+        fn decode_state(b: &[u8]) -> Option<u64> {
+            MaxValue::decode_state(b)
+        }
+    }
+
+    #[test]
+    fn a_panicking_program_fails_the_job_instead_of_hanging_it() {
+        for in_encode in [false, true] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let job = std::thread::spawn(move || {
+                let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
+                let graph = load_for(&cloud, &ring(40), false);
+                // A vertex with its next neighbor elsewhere: its
+                // broadcast leaves the machine, so it is encoded.
+                let table = cloud.node(0).table();
+                let owner = |v: CellId| table.machine_of(v % 40);
+                let v = (0..40).find(|&v| owner(v + 1) != owner(v)).unwrap();
+                let cfg = BspConfig {
+                    compute_threads: 2,
+                    ..BspConfig::default()
+                };
+                let runner = BspRunner::new(graph, PanicsAt(v, in_encode), cfg);
+                let run = std::panic::AssertUnwindSafe(|| runner.run());
+                let message = std::panic::catch_unwind(run)
+                    .err()
+                    .and_then(|p| p.downcast::<String>().ok());
+                cloud.shutdown();
+                tx.send((v, message)).unwrap();
+            });
+            let (v, message) = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("the job hung");
+            job.join().unwrap();
+            let message = message.expect("run returned instead of panicking");
+            let want = match in_encode {
+                false => format!("vertex {v} panicked in compute"),
+                true => "encode_msg refused the value".to_string(),
+            };
+            assert!(message.contains(&want), "{message}");
+        }
     }
 
     #[test]
@@ -888,9 +1060,9 @@ mod tests {
         /// what each brought. The poison id goes out in superstep 0 as a
         /// message no `decode_msg` accepts, the reserved all-ones pattern,
         /// at the width of every other message: it shares their frames.
-        /// On the hub route the dropped frame's bases still move, as its
-        /// sender's did, so superstep 1's records, most of them repeats
-        /// shipped as a head byte alone, rebuild to the right values.
+        /// The dropped frame's bases still move, as its sender's did, so
+        /// superstep 1's records, most of them repeats shipped as a head
+        /// byte alone, rebuild to the right values.
         struct Poisoned(u64);
         impl VertexProgram for Poisoned {
             type State = (u64, u64);
@@ -941,9 +1113,9 @@ mod tests {
         }
         let n = 30u64;
         let csr = ring(n as usize);
-        for hubs in [true, false] {
+        for directed in [false, true] {
             let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
-            let graph = load_for(&cloud, &csr, hubs);
+            let graph = load_for(&cloud, &csr, directed);
             let table = cloud.node(0).table();
             let owner = |v: u64| table.machine_of(v);
             let poison = 7;
@@ -971,7 +1143,7 @@ mod tests {
             // The fence still balances: the job ends instead of hanging.
             let r = BspRunner::new(graph, Poisoned(poison), cfg).run();
             assert!(r.terminated);
-            assert_eq!(r.states, want, "hubs {hubs}");
+            assert_eq!(r.states, want, "directed {directed}");
             let counters = cloud.fabric().obs().snapshot().totals().counters;
             assert_eq!(counters["bsp.frames.malformed"], peers.len() as u64);
             cloud.shutdown();
@@ -1026,7 +1198,7 @@ mod tests {
             }
         }
         let n = 30;
-        for hubs in [true, false] {
+        for directed in [false, true] {
             let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(2)));
             let table = cloud.node(0).table();
             let sender = table.machine_of(0);
@@ -1039,7 +1211,7 @@ mod tests {
                 .zip(targets.iter().copied())
                 .collect();
             let csr = Csr::undirected_from_edges(n, &edges, true);
-            let graph = load_for(&cloud, &csr, hubs);
+            let graph = load_for(&cloud, &csr, directed);
             let frames_sent = || {
                 cloud
                     .fabric()
@@ -1060,10 +1232,10 @@ mod tests {
             assert_eq!(
                 frames_sent() - before,
                 3 + r.supersteps() as u64,
-                "hubs {hubs}"
+                "directed {directed}"
             );
             for (t, v) in targets.iter().zip(VALUES) {
-                assert_eq!(r.states[t], v, "vertex {t}, hubs {hubs}");
+                assert_eq!(r.states[t], v, "vertex {t}, directed {directed}");
             }
             assert_eq!(r.states.values().sum::<u64>(), VALUES.iter().sum::<u64>());
             let malformed =

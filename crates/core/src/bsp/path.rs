@@ -1,12 +1,12 @@
-//! The BSP message path, from a worker's send to the shard inbox its
-//! destination's owner drains. Sending: a [`RunOutbox`] per (worker,
-//! destination machine) builds [`super::runs`] frames. Receiving: a batch
-//! handler validates each frame whole, decodes (a hub's: rebuilds) every
-//! record's message once and stages it in the owning shards' [`Arrivals`]
-//! — a `BSP_MSG` record's targets by slot, a `BSP_HUB` record as one
-//! *cast* per shard, expanded later through the machine's [`Fanout`]
-//! index — and credits the fence. Draining: an [`Inbox`] places every
-//! arrival in its slot's run.
+//! The BSP message path, from a worker's broadcast to the shard inboxes
+//! its neighbors' owners drain. Sending: a [`RunOutbox`] per (worker,
+//! destination machine) builds [`super::runs`] frames of hub records, and
+//! the sender's own machine gets the broadcast as local *casts*.
+//! Receiving: a batch handler validates each frame whole, rebuilds and
+//! decodes every record's message once, stages it as one cast per shard
+//! its hub's entry in the machine's [`Fanout`] index reaches, and credits
+//! the fence. Draining: an [`Inbox`] expands every cast into the runs of
+//! the slots it targets.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
@@ -18,7 +18,7 @@ use parking_lot::{Condvar, Mutex};
 use trinity_memcloud::{AddressingTable, CellId};
 use trinity_memstore::codec::{DecodeError, Reader};
 use trinity_memstore::hash::mix64;
-use trinity_net::{deadline_expired, Endpoint, MachineId, ProtoId};
+use trinity_net::{deadline_expired, Endpoint, MachineId};
 use trinity_obs::{Counter, Histogram};
 
 use super::{runs, VertexProgram};
@@ -50,7 +50,7 @@ pub(super) struct BspMetrics {
     pub(super) frames_remote: Arc<Counter>,
     /// Machine-local deliveries (`bsp.frames.local`).
     pub(super) frames_local: Arc<Counter>,
-    /// Run records sent, `BSP_MSG` and `BSP_HUB` (`bsp.records.sent`).
+    /// Hub records sent (`bsp.records.sent`).
     records_sent: Arc<Counter>,
     /// Run frames refused and dropped whole (`bsp.frames.malformed`).
     frames_malformed: Arc<Counter>,
@@ -88,46 +88,15 @@ impl BspMetrics {
     }
 }
 
-/// One shard's arrivals for the next superstep, each already addressed
-/// where the drain reads it.
-pub(super) struct Arrivals<M> {
-    /// `(slot, msg)`: a resumed pending message, a machine-local delivery
-    /// on the grouped route, or one target of a `BSP_MSG` record.
-    points: Vec<(usize, M)>,
-    /// `(targets, msg)`: a broadcast, one per shard it reaches; the drain
-    /// expands it to the slots its fan-out entry lists for the shard, a
-    /// range of [`Fanout`]'s targets.
-    casts: Vec<(Range<usize>, M)>,
-    /// `(id, msg)` to an id the shard has no slot for.
-    strays: Vec<(CellId, M)>,
-}
-
-impl<M> Default for Arrivals<M> {
-    fn default() -> Self {
-        Arrivals {
-            points: Vec::new(),
-            casts: Vec::new(),
-            strays: Vec::new(),
-        }
-    }
-}
-
-impl<M> Arrivals<M> {
-    fn len(&self) -> usize {
-        self.points.len() + self.casts.len() + self.strays.len()
-    }
-
-    fn append(&mut self, other: &mut Self) {
-        self.points.append(&mut other.points);
-        self.casts.append(&mut other.casts);
-        self.strays.append(&mut other.strays);
-    }
-}
+/// One shard's arrivals for the next superstep: *casts* `(targets, msg)`,
+/// a broadcast once per shard it reaches, which the drain expands to the
+/// slots a range of a target list names (the fan-out index's; a resumed
+/// job's first inbox uses its own).
+pub(super) type Arrivals<M> = Vec<(Range<usize>, M)>;
 
 /// One machine's receive-side state for a job.
 pub(super) struct MachineRt<P: VertexProgram> {
     pub(super) endpoint: Arc<Endpoint>,
-    table: AddressingTable,
     /// Per shard, `id → slot`: sharding is `trunk_of(dst) % shards`, a
     /// pure function of the id, so receive handlers can route a message
     /// to its owning worker's slot without any setup handshake. Built
@@ -152,11 +121,10 @@ pub(super) struct MachineRt<P: VertexProgram> {
 
 impl<P: VertexProgram> MachineRt<P> {
     /// A machine's runtime over one `id → slot` table per shard and its
-    /// fan-out index (empty with hub buffering off).
+    /// fan-out index.
     pub(super) fn new(
         endpoint: Arc<Endpoint>,
         machines: usize,
-        table: AddressingTable,
         slots: Vec<Slots>,
         fanout: Fanout,
     ) -> Self {
@@ -165,7 +133,6 @@ impl<P: VertexProgram> MachineRt<P> {
             endpoint,
             inboxes: slots.iter().map(|_| Mutex::default()).collect(),
             slots,
-            table,
             local_deliveries: AtomicU64::new(0),
             fence: Mutex::new(FenceState {
                 expected: vec![None; machines],
@@ -177,29 +144,9 @@ impl<P: VertexProgram> MachineRt<P> {
         }
     }
 
-    pub(super) fn shard_of(&self, id: CellId) -> usize {
-        shard_of(&self.table, self.slots.len(), id)
-    }
-
     /// Empty staging buffers, one per shard.
     pub(super) fn staging(&self) -> Vec<Arrivals<P::Msg>> {
-        self.slots.iter().map(|_| Arrivals::default()).collect()
-    }
-
-    /// Stage `msg` to `dst` by its slot, or as a stray; returns the shard.
-    pub(super) fn stage_point(
-        &self,
-        staged: &mut [Arrivals<P::Msg>],
-        dst: CellId,
-        msg: P::Msg,
-    ) -> usize {
-        let shard = self.shard_of(dst);
-        let buf = &mut staged[shard];
-        match self.slots[shard].get(dst) {
-            Some(slot) => buf.points.push((slot, msg)),
-            None => buf.strays.push((dst, msg)),
-        }
-        shard
+        self.slots.iter().map(|_| Arrivals::new()).collect()
     }
 
     /// Stage the broadcast of fan-out entry `e` as one cast per shard
@@ -210,7 +157,7 @@ impl<P: VertexProgram> MachineRt<P> {
             let targets = self.fanout.range(e, shard);
             if !targets.is_empty() {
                 reached += targets.len() as u64;
-                buf.casts.push((targets, msg.clone()));
+                buf.push((targets, msg.clone()));
             }
         }
         reached
@@ -229,13 +176,6 @@ impl<P: VertexProgram> MachineRt<P> {
         if buf.len() >= at {
             self.inboxes[shard].lock().append(buf);
         }
-    }
-
-    /// Buffer one machine-local delivery, flushing the shard's buffer into
-    /// its inbox once it fills.
-    pub(super) fn push_local(&self, local_buf: &mut [Arrivals<P::Msg>], dst: CellId, msg: P::Msg) {
-        let shard = self.stage_point(local_buf, dst, msg);
-        self.spill(&mut local_buf[shard], shard, LOCAL_CHUNK);
     }
 
     /// Buffer `src`'s broadcast to its local out-neighbors — the local
@@ -292,36 +232,27 @@ impl<P: VertexProgram> MachineRt<P> {
         }
     }
 
-    /// Decode one run frame of hub records (`hub`) or message records and
-    /// hand `each` every record's message, ids and hub entry — after the
-    /// whole frame, every message included, has decoded; else drop it
-    /// whole and count it. A hub record is rebuilt from its entry's base,
-    /// which moves unless the codec refuses the frame (the sender's moved);
-    /// one whose hub no local in-edge lists reaches no one and is skipped.
-    fn for_each_record(
-        &self,
-        frame: &[u8],
-        hub: bool,
-        mut each: impl FnMut(&P::Msg, &[CellId], Option<usize>),
-    ) {
-        let Some(run) = runs::decode(frame, hub) else {
+    /// Decode one run frame and hand `each` every record's message and
+    /// its hub's fan-out entry — after the whole frame, every message
+    /// included, has decoded; else drop it whole and count it. A record is
+    /// rebuilt from its entry's base, which moves unless the codec refuses
+    /// the frame (the sender's moved); one whose hub no local in-edge
+    /// lists reaches no one and is skipped.
+    fn for_each_record(&self, frame: &[u8], mut each: impl FnMut(&P::Msg, usize)) {
+        let Some(run) = runs::decode(frame) else {
             self.metrics.frames_malformed.inc();
             return;
         };
         let (mut msgs, mut rebuilt, mut refused) = (Vec::new(), Vec::new(), false);
-        for (bytes, ids) in run.records() {
-            let (bytes, entry) = if !hub {
-                (bytes, None)
-            } else if let Some(e) = self.fanout.entry(ids[0]) {
-                let base = &self.bases[e];
-                let last = base.load(Ordering::Relaxed);
-                base.store(run.rebuild(bytes, last, &mut rebuilt), Ordering::Relaxed);
-                (&rebuilt[..], Some(e))
-            } else {
+        for &(delta, hub) in &run.records {
+            let Some(e) = self.fanout.entry(hub) else {
                 continue;
             };
-            match P::decode_msg(bytes) {
-                Some(msg) => msgs.push((msg, ids, entry)),
+            let base = &self.bases[e];
+            let last = base.load(Ordering::Relaxed);
+            base.store(run.rebuild(delta, last, &mut rebuilt), Ordering::Relaxed);
+            match P::decode_msg(&rebuilt) {
+                Some(msg) => msgs.push((msg, e)),
                 None => refused = true,
             }
         }
@@ -329,39 +260,33 @@ impl<P: VertexProgram> MachineRt<P> {
             self.metrics.frames_malformed.inc();
             return;
         }
-        for (msg, ids, entry) in &msgs {
-            each(msg, ids, *entry);
+        for (msg, e) in &msgs {
+            each(msg, *e);
         }
     }
 
-    /// Install this machine's three BSP protocol handlers, which hold the
+    /// Install this machine's two BSP protocol handlers, which hold the
     /// runtime weakly: they drop what arrives once its job has ended.
     pub(super) fn register_handlers(self: &Arc<Self>) {
-        // Run frames: decode the run, then one lock per shard inbox and
-        // one fence update for all of it. A `BSP_MSG` record's ids are its
-        // destinations; a `BSP_HUB` record's id is its hub, staged as one
-        // cast per shard the hub's fan-out entry reaches. A malformed
-        // frame is still credited, and so, on a lapsed deadline, is a hub
-        // frame whose fan-out is skipped (its bases still move): fences
-        // must balance or the superstep would hang instead of finishing
-        // early.
-        for proto in [proto::BSP_MSG, proto::BSP_HUB] {
-            let (rt, hub) = (Arc::downgrade(self), proto == proto::BSP_HUB);
-            self.endpoint.register_batch(proto, move |src, frames| {
+        // Run frames: decode the run, stage each record as one cast per
+        // shard its hub's fan-out entry reaches, then one lock per shard
+        // inbox and one fence update for all of it. A malformed frame is
+        // still credited, and so, on a lapsed deadline, is a frame whose
+        // fan-out is skipped (its bases still move): fences must balance
+        // or the superstep would hang instead of finishing early.
+        let rt = Arc::downgrade(self);
+        self.endpoint
+            .register_batch(proto::BSP_HUB, move |src, frames| {
                 let Some(rt) = rt.upgrade() else {
                     return;
                 };
-                let fan_out = !(hub && deadline_expired());
+                let fan_out = !deadline_expired();
                 let mut staged = rt.staging();
                 let mut fanned = 0;
                 for frame in frames {
-                    rt.for_each_record(&frame.payload, hub, |msg, ids, entry| match entry {
-                        _ if !fan_out => {}
-                        Some(e) => fanned += rt.stage_cast(&mut staged, e, msg),
-                        None => {
-                            for &id in ids {
-                                rt.stage_point(&mut staged, id, msg.clone());
-                            }
+                    rt.for_each_record(&frame.payload, |msg, e| {
+                        if fan_out {
+                            fanned += rt.stage_cast(&mut staged, e, msg);
                         }
                     });
                 }
@@ -370,7 +295,6 @@ impl<P: VertexProgram> MachineRt<P> {
                 rt.deliver_sharded(&mut staged);
                 rt.count_frames(src, frames.len());
             });
-        }
         // Fences.
         let rt = Arc::downgrade(self);
         self.endpoint.register(proto::BSP_FENCE, move |src, data| {
@@ -566,14 +490,12 @@ impl Fanout {
 
 /// One superstep's drained shard inbox, by *slot*: an id's position in the
 /// list the shard was built over. The messages to slot `s` are `run(s)`, in
-/// `msg_cmp` order, and those to ids without a slot are `strays`, in
-/// `(dst, msg_cmp)` order: each id gets what a stable `(dst, msg_cmp)`
-/// sort of the arrivals gives it, but only runs are comparison-sorted.
+/// `msg_cmp` order: each slot gets what a stable `(dst, msg_cmp)` sort of
+/// the expanded arrivals gives it, but only runs are comparison-sorted.
 pub(super) struct Inbox<M> {
     msgs: Vec<M>,
     /// `off[s]..off[s + 1]` delimits slot `s`'s run in `msgs`.
     off: Vec<usize>,
-    pub(super) strays: Vec<(CellId, M)>,
 }
 
 impl<M: Clone> Inbox<M> {
@@ -582,26 +504,19 @@ impl<M: Clone> Inbox<M> {
         Inbox {
             msgs: Vec::new(),
             off: vec![0; slots + 1],
-            strays: Vec::new(),
         }
     }
 
-    /// Replace the contents with `arrivals`, a cast going to the slots its
-    /// range of `targets` lists: a counting sort by slot that moves each
-    /// point's message, and moves or clones each cast's, once into its
-    /// run; then a stable sort of each run, and of the strays, by `cmp`. A
-    /// run holds its casts' messages in arrival order, then its points'.
+    /// Replace the contents with `casts`, each going to the slots its
+    /// range of `targets` lists: a counting sort by slot that moves or
+    /// clones each cast's message once into its run, then a stable sort of
+    /// each run by `cmp`. A run holds its casts' messages in arrival order.
     pub(super) fn fill(
         &mut self,
-        arrivals: Arrivals<M>,
+        casts: Arrivals<M>,
         targets: &[u32],
         cmp: impl Fn(&M, &M) -> CmpOrdering,
     ) {
-        let Arrivals {
-            points,
-            casts,
-            mut strays,
-        } = arrivals;
         // Counting slot `s` at `off[s + 2]` leaves `off[s + 1]` at its
         // start after the prefix sum, and at the next slot's start once it
         // has served as `s`'s cursor.
@@ -613,9 +528,6 @@ impl<M: Clone> Inbox<M> {
                 self.off[t as usize + 2] += 1;
             }
         }
-        for &(s, _) in &points {
-            self.off[s + 2] += 1;
-        }
         for s in 2..self.off.len() {
             self.off[s] += self.off[s - 1];
         }
@@ -623,7 +535,7 @@ impl<M: Clone> Inbox<M> {
         // buffer is padded with the first message first.
         let total = self.off[slots + 1];
         self.msgs.truncate(total);
-        if let Some(pad) = casts.first().map(|c| &c.1).or(points.first().map(|p| &p.1)) {
+        if let Some((_, pad)) = casts.first() {
             self.msgs.resize(total, pad.clone());
         }
         let (off, msgs) = (&mut self.off, &mut self.msgs);
@@ -639,12 +551,7 @@ impl<M: Clone> Inbox<M> {
                 place(last as usize, msg);
             }
         }
-        for (s, msg) in points {
-            place(s, msg);
-        }
         self.off.truncate(slots + 1);
-        strays.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
-        self.strays = strays;
         for run in self.off.windows(2) {
             if run[1] - run[0] > 1 {
                 self.msgs[run[0]..run[1]].sort_by(&cmp);
@@ -658,12 +565,9 @@ impl<M: Clone> Inbox<M> {
     }
 }
 
-/// One destination's run frame under construction, for the job's one
-/// protocol (`BSP_MSG`: ids are destination vertices; `BSP_HUB`: ids are
-/// hubs).
+/// One destination's run frame under construction.
 pub(super) struct RunOutbox {
     peer: MachineId,
-    proto: ProtoId,
     frame: Vec<u8>,
     /// The open frame's message width.
     width: usize,
@@ -676,10 +580,9 @@ pub(super) struct RunOutbox {
 }
 
 impl RunOutbox {
-    pub(super) fn new(peer: usize, proto: ProtoId) -> Self {
+    pub(super) fn new(peer: usize) -> Self {
         RunOutbox {
             peer: MachineId(peer as u16),
-            proto,
             frame: Vec::new(),
             width: 0,
             prev: 0,
@@ -688,16 +591,15 @@ impl RunOutbox {
         }
     }
 
-    /// Append the record "`msg` to `ids`" — a hub record names its hub
-    /// and ships `msg` XORed against `base`, the hub's last — in a new
-    /// frame if the open one's width is not `msg`'s. The frame ships once
-    /// it reaches [`RUN_FLUSH_BYTES`].
+    /// Append hub `id`'s record of `msg`, XORed against `base`, the
+    /// hub's last, in a new frame if the open one's width is not `msg`'s.
+    /// The frame ships once it reaches [`RUN_FLUSH_BYTES`].
     pub(super) fn push<P: VertexProgram>(
         &mut self,
         rt: &MachineRt<P>,
         superstep: usize,
         msg: &[u8],
-        ids: &[CellId],
+        id: CellId,
         base: u64,
     ) {
         if self.frame.is_empty() || msg.len() != self.width {
@@ -706,11 +608,7 @@ impl RunOutbox {
             self.width = msg.len();
             self.prev = 0;
         }
-        if self.proto == proto::BSP_HUB {
-            runs::push_hub(&mut self.frame, &mut self.prev, base, msg, ids[0]);
-        } else {
-            runs::push_record(&mut self.frame, &mut self.prev, msg, ids);
-        }
+        runs::push_hub(&mut self.frame, &mut self.prev, base, msg, id);
         self.records += 1;
         if self.frame.len() >= RUN_FLUSH_BYTES {
             self.flush(rt);
@@ -720,7 +618,7 @@ impl RunOutbox {
     /// Hand the open frame, if any, to the fabric's pack buffer.
     pub(super) fn flush<P: VertexProgram>(&mut self, rt: &MachineRt<P>) {
         if !self.frame.is_empty() {
-            rt.endpoint.send(self.peer, self.proto, &self.frame);
+            rt.endpoint.send(self.peer, proto::BSP_HUB, &self.frame);
             rt.metrics
                 .records_sent
                 .add(std::mem::take(&mut self.records));
@@ -737,92 +635,46 @@ mod tests {
     use trinity_graph::{load_graph, Csr, LoadOptions};
     use trinity_memcloud::{CloudConfig, MemoryCloud};
 
-    /// Ids a shard may be sent: small ones, the same with only high bytes
-    /// changed, and `u64::MAX`.
-    fn id_pool() -> Vec<CellId> {
-        let small = 0..12u64;
-        let high = (0..12u64).map(|v| v | 0xab << 56);
-        let mid = (0..4u64).map(|v| v | 1 << 40);
-        small.chain(high).chain(mid).chain([u64::MAX]).collect()
-    }
-
     const VALUES: [f64; 6] = [0.0, -0.0, 1.5, -2.25, f64::NAN, f64::INFINITY];
 
-    /// A message is a value and its arrival index; compared by bits so
-    /// NaN and the zero signs count.
+    /// A message is a value and its sender; compared by bits so NaN and
+    /// the zero signs count.
     type Msg = (f64, usize);
 
     fn bits(msgs: &[Msg]) -> Vec<(u64, usize)> {
         msgs.iter().map(|&(v, i)| (v.to_bits(), i)).collect()
     }
 
-    /// A delivery as a test states it: a point to `pool[d]`, or a
-    /// cast of entry `e`.
-    #[derive(Clone, Copy)]
-    enum Sent {
-        Point(usize),
-        Cast(usize),
-    }
-
-    /// Fill `inbox` from `sent` — points to hosted ids by slot, the rest
-    /// as strays, casts to the slots `fans[e]` lists, laid end to end as
-    /// one target vector — and hold every slot's run and the
-    /// strays to a stable `(dst, cmp)` sort of the pairs the deliveries
-    /// stand for, casts expanded first (the order `fill` documents).
+    /// Fill `inbox` over `slots` slots from `sent`, casts of entry `e` to
+    /// the slots `fans[e]` lists, laid end to end as one target vector,
+    /// and hold every slot's run to a stable `cmp` sort of the messages
+    /// the casts bring it, in arrival order.
     fn check(
         inbox: &mut Inbox<Msg>,
-        hosted: &[CellId],
+        slots: usize,
         fans: &[Vec<u32>],
-        sent: &[(Sent, Msg)],
+        sent: &[(usize, Msg)],
         cmp: fn(&Msg, &Msg) -> CmpOrdering,
     ) -> Result<(), String> {
-        let pool = id_pool();
-        let slot_of = |id: CellId| hosted.iter().position(|&h| h == id);
         let targets = fans.concat();
         let starts: Vec<usize> = fans
             .iter()
             .scan(0, |at, f| Some(std::mem::replace(at, *at + f.len())))
             .collect();
-        let mut arrivals = Arrivals::default();
-        let mut expanded: Vec<(CellId, Msg)> = Vec::new();
-        let mut pointed: Vec<(CellId, Msg)> = Vec::new();
-        for &(to, msg) in sent {
-            match to {
-                Sent::Point(d) => {
-                    match slot_of(pool[d]) {
-                        Some(s) => arrivals.points.push((s, msg)),
-                        None => arrivals.strays.push((pool[d], msg)),
-                    }
-                    pointed.push((pool[d], msg));
-                }
-                Sent::Cast(e) => {
-                    arrivals
-                        .casts
-                        .push((starts[e]..starts[e] + fans[e].len(), msg));
-                    expanded.extend(fans[e].iter().map(|&t| (hosted[t as usize], msg)));
-                }
-            }
-        }
-        let mut reference = expanded;
-        reference.extend(pointed);
-        reference.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp(&a.1, &b.1)));
-        inbox.fill(arrivals, &targets, cmp);
-        for (s, &id) in hosted.iter().enumerate() {
-            let want: Vec<Msg> = reference
-                .iter()
-                .filter(|m| m.0 == id)
-                .map(|m| m.1)
-                .collect();
-            prop_assert_eq!(bits(inbox.run(s)), bits(&want), "slot {} (id {:#x})", s, id);
-        }
-        let strays: Vec<(CellId, Msg)> = reference
-            .into_iter()
-            .filter(|m| !hosted.contains(&m.0))
+        let casts = sent
+            .iter()
+            .map(|&(e, msg)| (starts[e]..starts[e] + fans[e].len(), msg))
             .collect();
-        let stray_bits = |v: &[(CellId, Msg)]| -> Vec<(CellId, (u64, usize))> {
-            v.iter().map(|&(d, (x, i))| (d, (x.to_bits(), i))).collect()
-        };
-        prop_assert_eq!(stray_bits(&inbox.strays), stray_bits(&strays));
+        inbox.fill(casts, &targets, cmp);
+        for s in 0..slots {
+            let mut want: Vec<Msg> = Vec::new();
+            for &(e, msg) in sent {
+                let hits = fans[e].iter().filter(|&&t| t as usize == s).count();
+                want.extend(std::iter::repeat_n(msg, hits));
+            }
+            want.sort_by(cmp);
+            prop_assert_eq!(bits(inbox.run(s)), bits(&want), "slot {}", s);
+        }
         Ok(())
     }
 
@@ -863,7 +715,7 @@ mod tests {
         let slots = vec![Slots::new(&[5])];
         let fanout = Fanout::build(&[(5, &[3][..])], &table, &slots);
         let endpoint = Arc::clone(cloud.node(0).endpoint());
-        let rt = MachineRt::<Values>::new(endpoint, 2, table, slots, fanout);
+        let rt = MachineRt::<Values>::new(endpoint, 2, slots, fanout);
         // Hub 3's frame of one record, `value` against `base`.
         let frame = |base: u64, value: u64| {
             let mut frame = Vec::new();
@@ -873,31 +725,32 @@ mod tests {
         };
         let got = |frame: &[u8]| {
             let mut got = Vec::new();
-            rt.for_each_record(frame, true, |&msg, ids, _| got.push((msg, ids.to_vec())));
+            rt.for_each_record(frame, |&msg, e| got.push((msg, e)));
             got
         };
         let malformed = || rt.metrics.frames_malformed.get();
-        assert_eq!(got(&frame(0, 7)), [(7, vec![3])]);
+        // Hub 3 is the fan-out's one entry, 0.
+        assert_eq!(got(&frame(0, 7)), [(7, 0)]);
         // A frame the codec refuses moves no base: the record against 7
         // that follows rebuilds.
         let next = frame(7, 8);
         assert!(got(&next[..next.len() - 1]).is_empty());
         assert_eq!(malformed(), 1);
-        assert_eq!(got(&next), [(8, vec![3])]);
+        assert_eq!(got(&next), [(8, 0)]);
         // One whose message `decode_msg` refuses is dropped and counted,
         // but moves its base, as its sender's moved.
         assert!(got(&frame(8, u64::MAX)).is_empty());
         assert_eq!(malformed(), 2);
-        assert_eq!(got(&frame(u64::MAX, 3)), [(3, vec![3])]);
+        assert_eq!(got(&frame(u64::MAX, 3)), [(3, 0)]);
         // A repeated value is the head byte alone (hub 3's gap fits it).
         let repeat = frame(3, 3);
         assert_eq!(repeat.len(), 4 + 1 + 1);
-        assert_eq!(got(&repeat), [(3, vec![3])]);
+        assert_eq!(got(&repeat), [(3, 0)]);
         // A hub no local vertex lists reaches no one here.
-        let mut stray = Vec::new();
-        runs::start(&mut stray, 0, 8);
-        runs::push_hub(&mut stray, &mut 0, 0, &4u64.to_le_bytes(), 6);
-        assert!(got(&stray).is_empty());
+        let mut unlisted = Vec::new();
+        runs::start(&mut unlisted, 0, 8);
+        runs::push_hub(&mut unlisted, &mut 0, 0, &4u64.to_le_bytes(), 6);
+        assert!(got(&unlisted).is_empty());
         assert_eq!(malformed(), 2);
         cloud.shutdown();
     }
@@ -917,52 +770,40 @@ mod tests {
 
         #[test]
         fn inbox_runs_equal_a_stable_dst_then_msg_cmp_sort(
-            hosted_bits in any::<u64>(),
+            slots in 0..20usize,
             fan_picks in proptest::collection::vec(
                 proptest::collection::vec(any::<u8>(), 0..6),
-                0..5,
+                1..5,
             ),
-            picks in proptest::collection::vec((0..34usize, 0..VALUES.len()), 0..300),
-            reorder in any::<u64>(),
+            picks in proptest::collection::vec((0..8usize, 0..VALUES.len(), 1..4usize), 0..120),
         ) {
-            let pool = id_pool();
-            // Slot order need not be id order: extra slots follow the census.
-            let mut hosted: Vec<CellId> = (0..pool.len())
-                .filter(|i| hosted_bits >> i & 1 == 1)
-                .map(|i| pool[i])
-                .collect();
-            let turn = reorder as usize % hosted.len().max(1);
-            hosted.rotate_left(turn);
-            // Each entry's targets: hosted slots, repeats allowed, or none.
+            // Each entry's targets: slots, repeats allowed, or none.
             let fans: Vec<Vec<u32>> = fan_picks
                 .iter()
                 .map(|f| {
                     f.iter()
-                        .filter(|_| !hosted.is_empty())
-                        .map(|&t| (t as usize % hosted.len()) as u32)
+                        .filter(|_| slots > 0)
+                        .map(|&t| (t as usize % slots) as u32)
                         .collect()
                 })
                 .collect();
-            // Picks past the id pool are casts, when there are entries.
-            let sent: Vec<(Sent, Msg)> = picks
-                .iter()
-                .enumerate()
-                .map(|(i, &(d, v))| {
-                    let to = match d.checked_sub(pool.len()) {
-                        Some(e) if !fans.is_empty() => Sent::Cast(e % fans.len()),
-                        _ => Sent::Point(d % pool.len()),
-                    };
-                    (to, (VALUES[v], i))
-                })
-                .collect();
+            // Each pick is one value cast by `senders` senders in a row:
+            // equal values, told apart only by the sender.
+            let mut sent: Vec<(usize, Msg)> = Vec::new();
+            for &(e, v, senders) in &picks {
+                for k in 0..senders {
+                    let sender = sent.len();
+                    sent.push(((e + k) % fans.len(), (VALUES[v], sender)));
+                }
+            }
             let total: fn(&Msg, &Msg) -> CmpOrdering = |a, b| a.0.total_cmp(&b.0);
             let equal: fn(&Msg, &Msg) -> CmpOrdering = |_, _| CmpOrdering::Equal;
             // One inbox, refilled: nothing of a drain survives into the next.
-            let mut inbox = Inbox::new(hosted.len());
+            let mut inbox = Inbox::new(slots);
             for cmp in [total, equal] {
-                check(&mut inbox, &hosted, &fans, &sent, cmp)?;
+                check(&mut inbox, slots, &fans, &sent, cmp)?;
                 let reversed: Vec<_> = sent.iter().rev().copied().collect();
-                check(&mut inbox, &hosted, &fans, &reversed, cmp)?;
+                check(&mut inbox, slots, &fans, &reversed, cmp)?;
             }
         }
     }

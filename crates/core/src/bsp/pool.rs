@@ -8,7 +8,7 @@ use std::sync::Barrier;
 use parking_lot::Mutex;
 
 use trinity_memcloud::{AddressingTable, CellId};
-use trinity_net::{deadline_expired, CostModel, DeadlineGuard, ProtoId, StatsDelta};
+use trinity_net::{deadline_expired, CostModel, DeadlineGuard, StatsDelta};
 use trinity_obs::TraceGuard;
 
 use super::path::{Arrivals, Inbox, MachineRt, RunOutbox};
@@ -35,21 +35,15 @@ pub(super) struct RoundAgg {
 /// supersteps.
 pub(super) struct WorkerState<P: VertexProgram> {
     w: usize,
-    /// Every id the shard holds a state for: its local vertices in id
-    /// order, then any resumed states the census did not list (carried
-    /// through unchanged, never computed).
+    /// The shard's local vertices, in id order.
     pub(super) ids: Vec<CellId>,
     /// Slot-aligned: state and active flag.
     pub(super) states: Vec<P::State>,
     pub(super) active: Vec<bool>,
-    /// Resumed active ids without a slot, carried through unchanged.
-    pub(super) stray_active: Vec<CellId>,
     /// Each local vertex's out-list, copied once by the census: the job's
-    /// topology, which no superstep reads from the trunks again. Slots
-    /// `0..outs.len()` are the local vertices, the ones computed.
+    /// topology, which no superstep reads from the trunks again.
     pub(super) outs: SlotLists<CellId>,
-    /// On the hub route, the other machines each local vertex's out-list
-    /// reaches, ascending (else empty).
+    /// The other machines each local vertex's out-list reaches, ascending.
     pub(super) peers: SlotLists<u16>,
     /// The [`runs::base`] of each local vertex's last broadcast, which
     /// every peer got and keeps too: its next hub records' XOR base.
@@ -58,32 +52,27 @@ pub(super) struct WorkerState<P: VertexProgram> {
     pub(super) inbox: Inbox<P::Msg>,
     /// Reusable per-trunk delivery counts of a drain.
     tally: Vec<u64>,
-    /// On the grouped route, a broadcaster's remote neighbors by owning
-    /// machine, in adjacency order: one record each (reused).
-    groups: Vec<Vec<CellId>>,
-    /// Private per-destination run frames of the job's record kind.
+    /// Private per-destination run frames.
     outbox: Vec<RunOutbox>,
     /// Buffered machine-local deliveries per shard.
     local_buf: Vec<Arrivals<P::Msg>>,
 }
 
 impl<P: VertexProgram> WorkerState<P> {
-    /// Worker `w` of `workers`, shipping `proto` records to `machines`.
-    pub(super) fn new(w: usize, machines: usize, workers: usize, proto: ProtoId) -> Self {
+    /// Worker `w` of `workers`, shipping to `machines`.
+    pub(super) fn new(w: usize, machines: usize, workers: usize) -> Self {
         WorkerState {
             w,
             ids: Vec::new(),
             states: Vec::new(),
             active: Vec::new(),
-            stray_active: Vec::new(),
             outs: SlotLists::default(),
             peers: SlotLists::default(),
             bases: Vec::new(),
             inbox: Inbox::new(0),
             tally: Vec::new(),
-            groups: vec![Vec::new(); machines],
-            outbox: (0..machines).map(|p| RunOutbox::new(p, proto)).collect(),
-            local_buf: (0..workers).map(|_| Arrivals::default()).collect(),
+            outbox: (0..machines).map(RunOutbox::new).collect(),
+            local_buf: (0..workers).map(|_| Arrivals::new()).collect(),
         }
     }
 }
@@ -102,11 +91,6 @@ impl<T: Copy> SlotLists<T> {
         self.items.extend_from_slice(list);
         let end = u32::try_from(self.items.len()).expect("a shard holds under 2^32 list items");
         self.ends.push(end);
-    }
-
-    /// Slots pushed.
-    pub(super) fn len(&self) -> usize {
-        self.ends.len()
     }
 
     /// Slot `s`'s list.
@@ -137,8 +121,6 @@ struct PoolCtx<'x, P: VertexProgram> {
     m: usize,
     machines: usize,
     rt: &'x MachineRt<P>,
-    /// Broadcasts ship as hub records (else as grouped records).
-    hubs: bool,
     table: AddressingTable,
     cost: CostModel,
     barrier: Barrier,
@@ -146,14 +128,12 @@ struct PoolCtx<'x, P: VertexProgram> {
 }
 
 /// Run the job's supersteps on machine `m` over `shards`, one worker
-/// each, broadcasting on the hub route (`hubs`) or the grouped one;
-/// worker 0 (the leader) runs on the calling thread and keeps the serial
-/// work: fences, aggregation, the stop decision.
+/// each; worker 0 (the leader) runs on the calling thread and keeps the
+/// serial work: fences, aggregation, the stop decision.
 pub(super) fn run<P: VertexProgram>(
     job: &Job<'_, P>,
     m: usize,
     rt: &MachineRt<P>,
-    hubs: bool,
     mut shards: Vec<WorkerState<P>>,
 ) {
     let ctx = &PoolCtx {
@@ -161,7 +141,6 @@ pub(super) fn run<P: VertexProgram>(
         m,
         machines: job.graph.machines(),
         rt,
-        hubs,
         table: job.graph.cloud().node(m).table(),
         cost: job.graph.cloud().fabric().cost_model(),
         barrier: Barrier::new(shards.len()),
@@ -241,15 +220,14 @@ fn worker_main<P: VertexProgram>(ctx: &PoolCtx<'_, P>, mut ws: WorkerState<P>) {
             f.pending.entry(id).or_default().extend_from_slice(run);
         }
     }
-    f.active.extend(ws.stray_active);
-    for (id, msg) in ws.inbox.strays {
-        f.pending.entry(id).or_default().push(msg);
-    }
 }
 
 /// Compute every vertex of this worker's shard for one superstep,
 /// routing broadcasts into the private run frames and local buffers and
-/// flushing them at shard end.
+/// flushing them at shard end. A panic in the program (`compute`,
+/// `encode_msg`) stops the loop and is kept for the job to re-raise; the
+/// flush still runs, so the fences balance and every worker reaches the
+/// barriers it waits at.
 fn compute_phase<P: VertexProgram>(
     ctx: &PoolCtx<'_, P>,
     ws: &mut WorkerState<P>,
@@ -261,62 +239,46 @@ fn compute_phase<P: VertexProgram>(
     let mut sent = 0u64;
     let mut computed = 0usize;
     let mut local_delivered = 0u64;
-    for s in 0..ws.outs.len() {
-        let id = ws.ids[s];
-        let msgs = ws.inbox.run(s);
-        if msgs.is_empty() && !ws.active[s] {
-            continue;
-        }
-        computed += 1;
-        let outs = ws.outs.get(s);
-        let mut vctx = VertexContext {
-            superstep: ctx.job.superstep_offset + superstep,
-            outs,
-            broadcast: None,
-            halt: false,
-        };
-        ctx.job
-            .program
-            .compute(&mut vctx, id, &mut ws.states[s], msgs);
-        ws.active[s] = !vctx.halt;
-        let Some(msg) = vctx.broadcast else {
-            continue;
-        };
-        // Encoded once, and only if a record leaves the machine.
-        let payload = std::cell::OnceCell::new();
-        let payload = || payload.get_or_init(|| P::encode_msg(&msg)).as_slice();
-        if ctx.hubs {
+    let vertices = std::panic::AssertUnwindSafe(|| {
+        for s in 0..ws.ids.len() {
+            let id = ws.ids[s];
+            let msgs = ws.inbox.run(s);
+            if msgs.is_empty() && !ws.active[s] {
+                continue;
+            }
+            computed += 1;
+            let mut vctx = VertexContext {
+                superstep: ctx.job.superstep_offset + superstep,
+                outs: ws.outs.get(s),
+                broadcast: None,
+                halt: false,
+            };
+            ctx.job
+                .program
+                .compute(&mut vctx, id, &mut ws.states[s], msgs);
+            ws.active[s] = !vctx.halt;
+            let Some(msg) = vctx.broadcast else {
+                continue;
+            };
             // One hub record to each other machine the out-list reaches,
             // which that machine fans out to the neighbors its own
-            // in-edges list, and one cast to this machine's.
+            // in-edges list, and one cast to this machine's. Encoded once,
+            // and only if a record leaves the machine.
             let peers = ws.peers.get(s);
-            for &owner in peers {
-                ws.outbox[owner as usize].push(rt, superstep, payload(), &[id], ws.bases[s]);
-            }
             if !peers.is_empty() {
-                ws.bases[s] = runs::base(payload());
+                let payload = P::encode_msg(&msg);
+                for &owner in peers {
+                    ws.outbox[owner as usize].push(rt, superstep, &payload, id, ws.bases[s]);
+                }
+                ws.bases[s] = runs::base(&payload);
             }
             rt.metrics.hub_broadcasts.add(peers.len() as u64);
             sent += peers.len() as u64;
             local_delivered += rt.cast_local(&mut ws.local_buf, id, &msg);
-            continue;
         }
-        // Each other machine holding neighbors gets one record naming them.
-        for &dst in outs {
-            let owner = ctx.table.machine_of(dst).0 as usize;
-            if owner == ctx.m {
-                local_delivered += 1;
-                rt.push_local(&mut ws.local_buf, dst, msg.clone());
-            } else {
-                ws.groups[owner].push(dst);
-            }
-        }
-        let groups = ws.groups.iter_mut().enumerate();
-        for (owner, group) in groups.filter(|(_, g)| !g.is_empty()) {
-            sent += group.len() as u64;
-            ws.outbox[owner].push(rt, superstep, payload(), group, 0);
-            group.clear();
-        }
+    });
+    if let Err(panic) = std::panic::catch_unwind(vertices) {
+        ctx.job.panic.lock().get_or_insert(panic);
     }
     // Shard flush: hand the open run frames to the endpoint's pack
     // buffers and buffered local deliveries to their shard inboxes.
@@ -375,10 +337,6 @@ fn drain_phase<P: VertexProgram>(ctx: &PoolCtx<'_, P>, ws: &mut WorkerState<P>) 
             ws.tally[ctx.table.trunk_of(ws.ids[s]) as usize] += n as u64;
         }
     }
-    for run in ws.inbox.strays.chunk_by(|a, b| a.0 == b.0) {
-        distinct += 1;
-        ws.tally[ctx.table.trunk_of(run[0].0) as usize] += run.len() as u64;
-    }
     let load = ctx.rt.endpoint.obs().load();
     for (trunk, n) in ws.tally.iter_mut().enumerate() {
         if *n > 0 {
@@ -386,7 +344,7 @@ fn drain_phase<P: VertexProgram>(ctx: &PoolCtx<'_, P>, ws: &mut WorkerState<P>) 
         }
     }
     let mut round = ctx.rounds[ws.w].lock();
-    round.active_after = ws.active.iter().filter(|&&a| a).count() + ws.stray_active.len();
+    round.active_after = ws.active.iter().filter(|&&a| a).count();
     round.distinct_dsts = distinct;
 }
 
@@ -424,7 +382,7 @@ fn leader_aggregate<P: VertexProgram>(
         .record(rt.endpoint.obs().now_us().saturating_sub(wall_start_us));
     rt.endpoint.obs().span(
         "bsp.superstep",
-        proto::BSP_MSG,
+        proto::BSP_HUB,
         net_delta.remote_bytes,
         sent.min(u32::MAX as u64) as u32,
         wall_start_us,
@@ -446,9 +404,13 @@ fn leader_aggregate<P: VertexProgram>(
     if leader {
         let mut a = ctx.job.agg.lock();
         let quiet = a.deliveries == 0 && a.active == 0;
-        // Stop on quiescence, the superstep cap, or a lapsed serving
-        // deadline (the job ends un-terminated with partial state).
-        let stop = quiet || superstep + 1 >= ctx.job.cfg.max_supersteps || deadline_expired();
+        // Stop on quiescence, the superstep cap, a lapsed serving
+        // deadline (the job ends un-terminated with partial state), or a
+        // panicked program (the job re-raises it).
+        let stop = quiet
+            || superstep + 1 >= ctx.job.cfg.max_supersteps
+            || deadline_expired()
+            || ctx.job.panic.lock().is_some();
         let compute_parallel = a.compute_sum / ctx.machines as f64;
         let modeled = compute_parallel
             + ctx.cost.transfer_seconds(&a.net_max)

@@ -288,18 +288,21 @@ mod tests {
         Csr::undirected_from_edges(n, &edges, true)
     }
 
-    /// A ring of `n` over `machines` machines, loaded for the hub route
-    /// (`hubs`) or the grouped one (directed, no in-links).
+    /// A ring of `n` over `machines` machines, undirected or (`directed`)
+    /// marked directed with in-links stored.
     fn setup(
         n: usize,
         machines: usize,
-        hubs: bool,
+        directed: bool,
     ) -> (Arc<MemoryCloud>, Arc<trinity_graph::DistributedGraph>) {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
         let mut csr = ring(n);
-        csr.directed = !hubs;
-        let graph =
-            Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+        csr.directed = directed;
+        let opts = LoadOptions {
+            with_in_links: directed,
+            attrs: None,
+        };
+        let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
         (cloud, graph)
     }
 
@@ -312,14 +315,14 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_straight_run() {
-        for hubs in [true, false] {
-            checkpointed_run_matches_straight_run_on(hubs);
+        for directed in [false, true] {
+            checkpointed_run_matches_straight_run_on(directed);
         }
     }
 
-    fn checkpointed_run_matches_straight_run_on(hubs: bool) {
+    fn checkpointed_run_matches_straight_run_on(directed: bool) {
         let n = 30;
-        let (cloud, graph) = setup(n, 3, hubs);
+        let (cloud, graph) = setup(n, 3, directed);
         let straight = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(64)).run();
         // Checkpoint every 4 supersteps: runner segments are 4 long.
         let runner = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(4));
@@ -341,14 +344,14 @@ mod tests {
 
     #[test]
     fn crash_and_resume_recovers_exact_results() {
-        for hubs in [true, false] {
-            crash_and_resume_recovers_exact_results_on(hubs);
+        for directed in [false, true] {
+            crash_and_resume_recovers_exact_results_on(directed);
         }
     }
 
-    fn crash_and_resume_recovers_exact_results_on(hubs: bool) {
+    fn crash_and_resume_recovers_exact_results_on(directed: bool) {
         let n = 40;
-        let (cloud, graph) = setup(n, 3, hubs);
+        let (cloud, graph) = setup(n, 3, directed);
         let expected = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(64)).run();
         // "Crash": run only 2 segments (8 supersteps), writing checkpoints.
         let runner = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(4));
@@ -368,7 +371,7 @@ mod tests {
 
     #[test]
     fn resume_without_checkpoint_reports_not_found() {
-        let (cloud, graph) = setup(10, 2, true);
+        let (cloud, graph) = setup(10, 2, false);
         let runner = BspRunner::new(Arc::clone(&graph), MaxValue, segment_cfg(4));
         let ckpt = CheckpointConfig::new(4, "nonexistent");
         assert!(matches!(

@@ -8,9 +8,9 @@
 //! * [`online`] — traversal-based online query processing (§5.1): batched
 //!   multi-hop exploration with per-machine fan-out, the engine under
 //!   people search and subgraph matching;
-//! * [`bsp`] — the vertex-centric offline runtime (§5.3) supporting both
-//!   the *general* (Pregel-style, message any vertex) and *restrictive*
-//!   (message a fixed set, usually neighbors) models;
+//! * [`bsp`] — the vertex-centric offline runtime (§5.3) in the paper's
+//!   *restrictive* model (a vertex messages its out-neighbors), every
+//!   broadcast shipped once per machine as §5.4's hub records;
 //! * [`hub`] — the §5.4 coverage analysis: the share of message needs
 //!   that delivering hubs' broadcasts once per machine addresses (the
 //!   delivery itself is [`bsp`]'s hub records);
@@ -61,11 +61,10 @@ pub(crate) mod proto {
     const BASE: ProtoId = trinity_net::proto::FIRST_RUNTIME;
     /// Online traversal: expand a batch of frontier nodes.
     pub const EXPAND: ProtoId = BASE;
-    /// BSP: a run frame of vertex-message records (`bsp::runs`).
-    pub const BSP_MSG: ProtoId = BASE + 1;
+    // BASE + 1 is unassigned.
     /// BSP: end-of-superstep control record (run-frame counts).
     pub const BSP_FENCE: ProtoId = BASE + 2;
-    /// Hub optimization: a run frame of hub broadcasts (ids name hubs).
+    /// BSP: a run frame of hub records (`bsp::runs`).
     pub const BSP_HUB: ProtoId = BASE + 3;
     // BASE + 4 through BASE + 6 are unassigned.
     /// Recovery: leader announces a new addressing table epoch.

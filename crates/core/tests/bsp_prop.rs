@@ -1,8 +1,7 @@
 //! Property tests for the BSP runtime: on arbitrary random graphs, both
-//! routes a broadcast can take (hub records on a reverse traversable
-//! graph, grouped records on a directed one without in-links) and every
-//! machine count must produce the same vertex states as a single-process
-//! reference — max-id propagation converges to each connected
+//! graph kinds a job runs on (undirected, and the same out-lists marked
+//! directed with in-links stored) and every machine count must produce
+//! the same vertex states as a single-process reference — max-id propagation converges to each connected
 //! component's maximum id, and every vertex is lent exactly its out-list,
 //! at every pool width.
 //!
@@ -97,7 +96,7 @@ fn fold_list(h: u64, list: &[u64]) -> u64 {
 
 /// Folds `out_neighbors()` into its state's first half in each of the
 /// first [`ROUNDS`] supersteps and broadcasts its id in each, then halts;
-/// the second half sums what it receives. Both routes send along the
+/// the second half sums what it receives. A broadcast goes along the
 /// same list the program is lent.
 struct OutLists;
 impl VertexProgram for OutLists {
@@ -177,14 +176,14 @@ fn thread_sweep() -> Vec<usize> {
     sweep
 }
 
-/// `csr` loaded into `cloud` for the hub route (`hubs`: in-links stored,
-/// so reverse traversable) or the grouped route (directed, no in-links),
+/// `csr` loaded into `cloud` undirected as it is, or (`directed`, or
+/// `csr` directed) its out-lists marked directed with in-links stored;
 /// replacing what `cloud` held.
-fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, hubs: bool) -> Arc<DistributedGraph> {
+fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, directed: bool) -> Arc<DistributedGraph> {
     let mut csr = csr.clone();
-    csr.directed |= !hubs;
+    csr.directed |= directed;
     let opts = LoadOptions {
-        with_in_links: hubs,
+        with_in_links: csr.directed,
         attrs: None,
     };
     Arc::new(load_graph(Arc::clone(cloud), &csr, &opts).unwrap())
@@ -202,7 +201,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn both_routes_match_the_component_reference(
+    fn both_graph_kinds_match_the_component_reference(
         n in 4usize..60,
         edge_seeds in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..150),
         machines in 1usize..5,
@@ -215,13 +214,13 @@ proptest! {
         let csr = random_graph(n, &edges);
         let expect = component_max(&csr);
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        for hubs in [true, false] {
-            let graph = load_for(&cloud, &csr, hubs);
+        for directed in [false, true] {
+            let graph = load_for(&cloud, &csr, directed);
             let result = BspRunner::new(graph, MaxValue, cfg(0)).run();
-            prop_assert!(result.terminated, "must reach quiescence (hubs {})", hubs);
+            prop_assert!(result.terminated, "must reach quiescence (directed {})", directed);
             prop_assert_eq!(result.states.len(), n);
             for (id, state) in &result.states {
-                prop_assert_eq!(*state, expect[id], "vertex {} (hubs {})", id, hubs);
+                prop_assert_eq!(*state, expect[id], "vertex {} (directed {})", id, directed);
             }
         }
         cloud.shutdown();
@@ -246,16 +245,14 @@ proptest! {
         };
         let expect = out_lists_reference(&csr);
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        for hubs in [true, false] {
-            let graph = load_for(&cloud, &csr, hubs);
-            for compute_threads in thread_sweep() {
-                let result = BspRunner::new(Arc::clone(&graph), OutLists, cfg(compute_threads)).run();
-                prop_assert!(result.terminated, "must reach quiescence (hubs {})", hubs);
-                prop_assert_eq!(
-                    &result.states, &expect,
-                    "directed {}, hubs {}, {} threads", directed, hubs, compute_threads
-                );
-            }
+        let graph = load_for(&cloud, &csr, directed);
+        for compute_threads in thread_sweep() {
+            let result = BspRunner::new(Arc::clone(&graph), OutLists, cfg(compute_threads)).run();
+            prop_assert!(result.terminated, "must reach quiescence (directed {})", directed);
+            prop_assert_eq!(
+                &result.states, &expect,
+                "directed {}, {} threads", directed, compute_threads
+            );
         }
         cloud.shutdown();
     }

@@ -1,24 +1,23 @@
 //! The BSP run-frame codec against the format model in `run_model/`,
-//! which shares no code with `trinity_core::bsp::runs`, for both record
-//! shapes: `BSP_MSG` records (message, count, gaps) and `BSP_HUB` records
+//! which shares no code with `trinity_core::bsp::runs`: hub records
 //! (head, gap, the message's change since its hub's last).
 //!
-//! * **Round trip**: any mix of records of one width — width 0 to 20,
-//!   empty id lists, ids at both ends of the `u64` range, descending and
-//!   repeated ids, gaps that run on from the record before — encodes to
-//!   exactly the model's bytes and decodes back to itself; and so does a
-//!   sequence of hub frames sharing their hubs' bases, each frame of its
-//!   own width, with NaN payloads, both zeros, repeated and barely changed
-//!   values, bit for bit, the two ends' bases agreeing after every frame.
-//! * **Hostile bytes**: anything at all handed to either decoder — noise,
-//!   damaged frames of either shape, a width larger than the frame, hub
-//!   records built loosely (cutting too few zero bytes, or more than the
-//!   width, or escaping a short gap) — either is
-//!   refused (and the model refuses it too) and moves no base, or decodes
-//!   to records that re-encode, against the bases it started from, to the
-//!   same bytes: every record has exactly one encoding. It never panics,
-//!   and a count or width no bytes back never sizes an allocation. A
-//!   `BSP_MSG` frame read as a hub frame is one such input.
+//! * **Round trip**: any frame of one width — width 0 to 20, hubs
+//!   strictly ascending from anywhere in the `u64` range, gaps inline or
+//!   escaped — encodes to exactly the model's bytes and decodes back to
+//!   itself; and so does a sequence of frames sharing their hubs' bases,
+//!   each frame of its own width, with NaN payloads, both zeros, repeated
+//!   and barely changed values, bit for bit, the two ends' bases agreeing
+//!   after every frame.
+//! * **Hostile bytes**: anything at all handed to the decoder — noise,
+//!   damaged frames, a width larger than the frame, hubs repeated or out
+//!   of order (a zero gap, or one past `u64::MAX`), records built loosely
+//!   (cutting too few zero bytes, or more than the width, or escaping a
+//!   short gap) — either is refused (and the model refuses it too) and
+//!   moves no base, or decodes to records that re-encode, against the
+//!   bases it started from, to the same bytes: every record has exactly
+//!   one encoding. It never panics, and a width no bytes back never sizes
+//!   an allocation.
 
 #[path = "run_model/mod.rs"]
 mod run_model;
@@ -33,47 +32,34 @@ use trinity_core::bsp::runs;
 /// The engine's bases: each hub's [`runs::base`], by id.
 type EngineBases = HashMap<u64, u64>;
 
-/// The frame the engine's sender ships for `records`: hub records when
-/// `hub` holds the bases, which it moves.
-fn engine_encode(mut hub: Option<&mut EngineBases>, superstep: u32, records: &[Record]) -> Vec<u8> {
+/// The frame the engine's sender ships for `records`, against `bases`,
+/// which it moves.
+fn engine_encode(bases: &mut EngineBases, superstep: u32, records: &[Record]) -> Vec<u8> {
     let mut frame = Vec::new();
-    runs::start(
-        &mut frame,
-        superstep,
-        records.first().map_or(0, |r| r.msg.len()),
-    );
+    let width = records.first().map_or(0, |r| r.msg.len());
+    runs::start(&mut frame, superstep, width);
     let mut prev = 0;
     for r in records {
-        match hub.as_deref_mut() {
-            Some(bases) => {
-                let base = bases.insert(r.ids[0], runs::base(&r.msg)).unwrap_or(0);
-                runs::push_hub(&mut frame, &mut prev, base, &r.msg, r.ids[0]);
-            }
-            None => runs::push_record(&mut frame, &mut prev, &r.msg, &r.ids),
-        }
+        let base = bases.insert(r.id, runs::base(&r.msg)).unwrap_or(0);
+        runs::push_hub(&mut frame, &mut prev, base, &r.msg, r.id);
     }
     frame
 }
 
-/// What the engine's receiver makes of `frame`: hub records rebuilt from
-/// `hub`'s bases, which move only when the whole frame decodes.
-fn engine_decode(frame: &[u8], hub: Option<&mut EngineBases>) -> Option<(u32, Vec<Record>)> {
-    let run = runs::decode(frame, hub.is_some())?;
-    let mut bases = hub;
+/// What the engine's receiver makes of `frame`: records rebuilt from
+/// `bases`, which move only when the whole frame decodes.
+fn engine_decode(frame: &[u8], bases: &mut EngineBases) -> Option<(u32, Vec<Record>)> {
+    let run = runs::decode(frame)?;
     let records = run
-        .records()
-        .map(|(bytes, ids)| {
-            let mut msg = bytes.to_vec();
-            if let Some(bases) = bases.as_deref_mut() {
-                let base = bases.get(&ids[0]).copied().unwrap_or(0);
-                let next = run.rebuild(bytes, base, &mut msg);
-                assert_eq!(next, runs::base(&msg));
-                bases.insert(ids[0], next);
-            }
-            Record {
-                msg,
-                ids: ids.to_vec(),
-            }
+        .records
+        .iter()
+        .map(|&(delta, id)| {
+            let mut msg = Vec::new();
+            let base = bases.get(&id).copied().unwrap_or(0);
+            let next = run.rebuild(delta, base, &mut msg);
+            assert_eq!(next, runs::base(&msg));
+            bases.insert(id, next);
+            Record { msg, id }
         })
         .collect();
     Some((run.superstep, records))
@@ -97,35 +83,27 @@ fn some_id() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// Records of one width, each with one id when `hub` says so.
-fn records() -> impl Strategy<Value = (bool, Vec<Record>)> {
-    let ids = prop_oneof![
-        // Ascending like a stored adjacency list, or any order at all.
-        3 => proptest::collection::vec(some_id(), 0..12).prop_map(|mut ids| { ids.sort(); ids }),
-        2 => proptest::collection::vec(some_id(), 0..12),
-        1 => (some_id(), 1usize..6).prop_map(|(id, n)| vec![id; n]),
-    ];
-    let record = (
-        proptest::collection::vec(any::<u8>(), 20..21),
-        ids,
-        some_id(),
-    );
+/// Records of one width in any order, hubs repeated or not: the order a
+/// frame lists them in is `ascending`'s to make.
+fn records() -> impl Strategy<Value = Vec<Record>> {
+    let record = (proptest::collection::vec(any::<u8>(), 20..21), some_id());
     let width = prop_oneof![1 => Just(0usize), 1 => Just(8usize), 2 => 1usize..=20];
-    (
-        any::<bool>(),
-        width,
-        proptest::collection::vec(record, 0..8),
-    )
-        .prop_map(|(hub, width, raw)| {
-            let records = raw
-                .into_iter()
-                .map(|(msg, ids, hub_id)| Record {
-                    msg: msg[..width].to_vec(),
-                    ids: if hub { vec![hub_id] } else { ids },
-                })
-                .collect();
-            (hub, records)
-        })
+    (width, proptest::collection::vec(record, 0..8)).prop_map(|(width, raw)| {
+        raw.into_iter()
+            .map(|(msg, id)| Record {
+                msg: msg[..width].to_vec(),
+                id,
+            })
+            .collect()
+    })
+}
+
+/// `records` as a frame lists them: hubs strictly ascending, each hub's
+/// first record kept.
+fn ascending(mut records: Vec<Record>) -> Vec<Record> {
+    records.sort_by_key(|r| r.id);
+    records.dedup_by_key(|r| r.id);
+    records
 }
 
 /// An 8-byte value a hub may send: the shapes a float broadcast takes.
@@ -183,14 +161,15 @@ fn bases() -> impl Strategy<Value = Bases> {
     proptest::collection::vec(base, 0..6).prop_map(|v| v.into_iter().collect())
 }
 
-/// Raw noise, or a well-formed frame of either shape (a hub frame against
-/// some bases) that is then (maybe) spoiled: one varint twisted (the
-/// width is the first), a byte flipped, the tail cut, a byte appended, or
-/// its width raised past the frame's end.
+/// Raw noise, or a frame of records in any order (so hubs repeat or
+/// descend, or not) against some bases, that is then (maybe) spoiled:
+/// one varint twisted (the width is the first), a byte flipped, the tail
+/// cut, a byte appended, or its width raised past the frame's end.
 fn hostile() -> impl Strategy<Value = Vec<u8>> {
     let forged = (
         any::<u32>(),
         records(),
+        any::<bool>(),
         bases(),
         twist(),
         0u8..6,
@@ -198,9 +177,9 @@ fn hostile() -> impl Strategy<Value = Vec<u8>> {
         any::<u8>(),
     )
         .prop_map(
-            |(superstep, (hub, records), mut bases, twist, damage, at, byte)| {
-                let hub = hub.then_some(&mut bases);
-                let mut bytes = run_model::forge(twist, hub, superstep, &records);
+            |(superstep, records, sorted, mut bases, twist, damage, at, byte)| {
+                let records = if sorted { ascending(records) } else { records };
+                let mut bytes = run_model::forge(twist, &mut bases, superstep, &records);
                 let at = at % bytes.len();
                 match damage {
                     0 => bytes[at] ^= byte | 1,
@@ -256,26 +235,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
     #[test]
-    fn any_mix_of_records_round_trips(superstep in any::<u32>(), (hub, records) in records()) {
-        // A hub frame here is each hub's first: every base is zero.
+    fn ascending_hubs_round_trip(superstep in any::<u32>(), records in records()) {
+        // Each hub's first record: every base is zero.
+        let records = ascending(records);
         let (mut engine, mut model) = (EngineBases::new(), Bases::new());
-        let bytes = engine_encode(hub.then_some(&mut engine), superstep, &records);
-        let want = run_model::encode(hub.then_some(&mut model), superstep, &records);
+        let bytes = engine_encode(&mut engine, superstep, &records);
+        let want = run_model::encode(&mut model, superstep, &records);
         prop_assert_eq!(&bytes, &want);
         let width = records.first().map_or(0, |r| r.msg.len());
         let (mut prev, mut sizer) = (0, Bases::new());
         let sized: usize = records
             .iter()
-            .map(|r| match hub {
-                true => run_model::hub_record_len(&mut prev, &mut sizer, &r.msg, r.ids[0]),
-                false => run_model::record_len(&mut prev, r.msg.len(), &r.ids),
-            })
+            .map(|r| run_model::hub_record_len(&mut prev, &mut sizer, &r.msg, r.id))
             .sum();
         prop_assert_eq!(bytes.len(), run_model::header_len(width) + sized);
         let (mut engine, mut model) = (EngineBases::new(), Bases::new());
-        let got = engine_decode(&bytes, hub.then_some(&mut engine));
+        let got = engine_decode(&bytes, &mut engine);
         prop_assert_eq!(got, Some((superstep, records.clone())));
-        let got = run_model::decode(&bytes, hub.then_some(&mut model));
+        let got = run_model::decode(&bytes, &mut model);
         prop_assert_eq!(got, Some((superstep, records)));
         prop_assert!(same_bases(&engine, &model));
     }
@@ -287,8 +264,10 @@ proptest! {
         let (mut tx, mut rx) = (EngineBases::new(), EngineBases::new());
         let (mut model_tx, mut model_rx, mut sizer) = (Bases::new(), Bases::new(), Bases::new());
         let mut last: HashMap<u64, Vec<u8>> = HashMap::new();
-        for (superstep, (width, picks)) in frames.into_iter().enumerate() {
+        for (superstep, (width, mut picks)) in frames.into_iter().enumerate() {
             let superstep = superstep as u32;
+            picks.sort_by_key(|p| p.0);
+            picks.dedup_by_key(|p| p.0);
             let records: Vec<Record> = picks
                 .into_iter()
                 .map(|(id, raw, value)| {
@@ -308,21 +287,21 @@ proptest! {
                         _ => raw[..width].to_vec(),
                     };
                     last.insert(id, msg.clone());
-                    Record { msg, ids: vec![id] }
+                    Record { msg, id }
                 })
                 .collect();
             let width = records.first().map_or(0, |r| r.msg.len());
-            let bytes = engine_encode(Some(&mut tx), superstep, &records);
-            prop_assert_eq!(&bytes, &run_model::encode(Some(&mut model_tx), superstep, &records));
+            let bytes = engine_encode(&mut tx, superstep, &records);
+            prop_assert_eq!(&bytes, &run_model::encode(&mut model_tx, superstep, &records));
             let mut prev = 0;
             let sized: usize = records
                 .iter()
-                .map(|r| run_model::hub_record_len(&mut prev, &mut sizer, &r.msg, r.ids[0]))
+                .map(|r| run_model::hub_record_len(&mut prev, &mut sizer, &r.msg, r.id))
                 .sum();
             prop_assert_eq!(bytes.len(), run_model::header_len(width) + sized);
-            let got = engine_decode(&bytes, Some(&mut rx));
+            let got = engine_decode(&bytes, &mut rx);
             prop_assert_eq!(got, Some((superstep, records.clone())));
-            let got = run_model::decode(&bytes, Some(&mut model_rx));
+            let got = run_model::decode(&bytes, &mut model_rx);
             prop_assert_eq!(got, Some((superstep, records)));
             prop_assert!(same_bases(&rx, &model_rx) && same_bases(&tx, &model_rx));
         }
@@ -331,22 +310,21 @@ proptest! {
     #[test]
     fn arbitrary_bytes_decode_to_themselves_or_are_refused(
         bytes in hostile(),
-        hub in any::<bool>(),
         start in bases(),
     ) {
         let mut model = start.clone();
         let mut engine: EngineBases =
             start.iter().map(|(&id, b)| (id, u64::from_le_bytes(*b))).collect();
         let before = engine.clone();
-        let got = engine_decode(&bytes, hub.then_some(&mut engine));
-        let want = run_model::decode(&bytes, hub.then_some(&mut model));
+        let got = engine_decode(&bytes, &mut engine);
+        let want = run_model::decode(&bytes, &mut model);
         prop_assert_eq!(&got, &want, "{:?}", bytes);
         prop_assert!(same_bases(&engine, &model));
         match got {
             None => prop_assert!(engine == before && model == start, "a refused frame moved a base"),
             Some((superstep, records)) => {
                 let mut again = before;
-                prop_assert_eq!(engine_encode(hub.then_some(&mut again), superstep, &records), bytes);
+                prop_assert_eq!(engine_encode(&mut again, superstep, &records), bytes);
             }
         }
     }

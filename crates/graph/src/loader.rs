@@ -20,8 +20,11 @@ use crate::CellId;
 /// Options controlling how a CSR is materialized as cells.
 #[derive(Clone, Default)]
 pub struct LoadOptions {
-    /// Also store in-neighbor lists (directed graphs that need reverse
-    /// traversal, e.g. subgraph matching).
+    /// Also store in-neighbor lists (the paper's `GetInlinks()`, §4.1):
+    /// a directed graph needs them for reverse traversal, e.g. subgraph
+    /// matching, and for any BSP job, which fans a broadcast out through
+    /// the receiving machine's in-edges. An undirected graph's out-lists
+    /// serve as its in-lists, and nothing more is stored.
     pub with_in_links: bool,
     /// Attribute bytes per node, produced on demand (e.g. a person's name
     /// for people search). `None` loads empty attributes.
@@ -75,8 +78,8 @@ impl DistributedGraph {
 
     /// Whether reverse-edge traversal is possible: the graph is
     /// undirected (out-lists are symmetric) or in-link lists were stored
-    /// at load time. Gates optimizations that need to find a vertex's
-    /// in-neighbors, like the BSP hub records' fan-out.
+    /// at load time. A BSP job needs it: its hub records fan out through
+    /// a vertex's in-neighbors.
     pub fn reverse_traversable(&self) -> bool {
         !self.directed || self.with_in_links
     }

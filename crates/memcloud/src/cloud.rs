@@ -302,6 +302,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn a_dropped_cloud_frees_its_nodes() {
+        // Each node's handlers hold the node, which holds its endpoint:
+        // shutting the fabric down must let the nodes go.
+        let cloud = MemoryCloud::new(CloudConfig::small(4));
+        for i in 0..2_000u64 {
+            cloud.node(i as usize % 4).put(i, b"cell").unwrap();
+        }
+        let nodes: Vec<_> = cloud.nodes().iter().map(Arc::downgrade).collect();
+        cloud.shutdown();
+        drop(cloud);
+        let alive = nodes.iter().filter(|n| n.upgrade().is_some()).count();
+        assert_eq!(alive, 0, "nodes still alive after the cloud was dropped");
+    }
+
+    #[test]
     fn put_on_one_machine_get_on_another() {
         let cloud = MemoryCloud::new(CloudConfig::small(4));
         let id = cloud.node(0).alloc_id();

@@ -859,6 +859,12 @@ impl Endpoint {
             let _ = tx.send(Err(NetError::Closed));
         }
     }
+
+    /// Drop every handler, once the endpoint's threads have joined: a
+    /// handler may hold its owner, which holds this endpoint.
+    pub(crate) fn drop_handlers(&self) {
+        self.handlers.write().clear();
+    }
 }
 
 pub(crate) fn worker_loop(ep: Arc<Endpoint>, rx: Receiver<Work>) {

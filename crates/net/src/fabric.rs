@@ -284,6 +284,11 @@ impl Fabric {
         for h in handles {
             let _ = h.join();
         }
+        // No handler runs again: break the handler → owner → endpoint
+        // cycles, so a dropped cloud frees its nodes.
+        for ep in &self.endpoints {
+            ep.drop_handlers();
+        }
     }
 }
 

@@ -1,10 +1,11 @@
 //! Offline analytics: PageRank over an R-MAT web graph (paper §5.3–5.4).
 //!
-//! Runs the same PageRank job on both routes a broadcast can take — hub
-//! records on a reverse traversable graph, grouped neighbor records on a
-//! directed one loaded without in-links — and prints the per-superstep
-//! message counts and modeled cluster times, showing what §5.4's hub
-//! buffering saves over packing alone.
+//! Runs PageRank on both graph kinds the engine takes — the R-MAT graph
+//! made undirected, and the directed R-MAT graph loaded with its in-links
+//! (the paper's `GetInlinks()`, §4.1) — and prints the message counts and
+//! modeled cluster times. Every broadcast ships as §5.4's hub records: one
+//! per other machine its out-list reaches, fanned out there through that
+//! machine's in-edges.
 //!
 //! ```text
 //! cargo run --release --example pagerank_analytics [scale] [degree]
@@ -25,25 +26,24 @@ fn main() {
     let iterations = 5;
 
     println!("generating R-MAT: 2^{scale} nodes, average degree {degree}...");
-    // Undirected so hub records have symmetric adjacency to fan out on
-    // (the paper's directed runs store in-links; see DESIGN.md).
     let directed = trinity::graphgen::rmat(scale, degree, 7);
-    let csr = trinity::graph::Csr::undirected_from_edges(
+    // An undirected graph's out-lists are its in-lists too.
+    let undirected = trinity::graph::Csr::undirected_from_edges(
         directed.node_count(),
         &directed.arcs().collect::<Vec<_>>(),
         true,
     );
-    // The same out-lists marked directed: no machine can find a sender's
-    // neighbors among its in-edges, so every broadcast ships grouped.
-    let mut marked = csr.clone();
-    marked.directed = true;
 
     for (name, csr) in [
-        ("hub records (reverse traversable graph)", &csr),
-        ("grouped records (directed, no in-links)", &marked),
+        ("undirected", &undirected),
+        ("directed, in-links stored", &directed),
     ] {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &LoadOptions::default()).unwrap());
+        let opts = LoadOptions {
+            with_in_links: csr.directed,
+            attrs: None,
+        };
+        let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &opts).unwrap());
         let result = pagerank_distributed(graph, iterations, BspConfig::default());
         let frames: u64 = result.reports.iter().map(|r| r.remote_messages).sum();
         let envelopes: u64 = result
@@ -53,7 +53,7 @@ fn main() {
             .sum();
         println!("\n== {name}");
         println!(
-            "   {} supersteps, {} remote messages, {} bottleneck-link transfers",
+            "   {} supersteps, {} hub records, {} bottleneck-link transfers",
             result.supersteps(),
             frames,
             envelopes

@@ -59,6 +59,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "${HERMETIC[@]}"
 echo "==> cargo test"
 cargo test --workspace -q "${HERMETIC[@]}" "$@"
 
+echo "==> AddressSanitizer on memstore and memcloud (LeakSanitizer fails a test binary that leaks)"
+# Nightly ships the ASan runtime, so this works offline. Doc-tests do not
+# link under it, hence --lib --tests; its own target directory keeps the
+# instrumented build apart from the others.
+RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+    cargo +nightly test -q "${HERMETIC[@]}" --target x86_64-unknown-linux-gnu \
+    -p trinity-memstore -p trinity-memcloud --lib --tests
+
 echo "==> benchmark/ still builds against crates/ and its oracles pass (its own workspace, so the steps above never compile it)"
 # --locked: a crates/ manifest change that would rewrite
 # benchmark/Cargo.lock fails here instead of dirtying a file PRs may not touch.
@@ -69,7 +77,7 @@ echo "==> e13_residency (tiering model: residency table + schedule peak-bytes ch
 cargo run --release -p trinity-bench --bin e13_residency "${HERMETIC[@]}" "$@"
 
 echo "==> e15_hubs at 1/10 scale (BSP routes; exports the bsp.* counters metrics_check requires of a BSP job)"
-# Its last line is `shape: PASS` only when each live row equals the route
+# Its last line is `shape: PASS` only when the live row equals the route
 # model's count for the same route (crates/bench/src/route_model.rs);
 # `shape: FAIL` fails the gate.
 TRINITY_BENCH_SCALE=0.1 cargo run --release -p trinity-bench --bin e15_hubs "${HERMETIC[@]}" "$@" -- \

@@ -7,9 +7,8 @@
 //! performance knob. These tests pin that contract:
 //!
 //! * final states are **bit-identical** across `compute_threads` in
-//!   `{1, 2, 4}` (f64 ranks compared via `to_bits`), on both routes a
-//!   broadcast can take: hub records on a reverse traversable graph,
-//!   grouped records on a directed one loaded without in-links;
+//!   `{1, 2, 4}` (f64 ranks compared via `to_bits`), on both graph kinds
+//!   a job runs on: undirected, and directed with in-links stored;
 //! * superstep counts and aggregate message counts are identical;
 //! * a seeded chaos workload still replays its fault log under the
 //!   threaded driver;
@@ -80,22 +79,28 @@ impl VertexProgram for MaxValue {
     }
 }
 
-/// Run `f` over `csr` loaded for the hub route (`hubs`: in-links stored,
-/// so reverse traversable) or the grouped one (directed, no in-links).
-fn with_graph<R>(
-    csr: &Csr,
-    machines: usize,
-    hubs: bool,
-    f: impl FnOnce(Arc<DistributedGraph>) -> R,
-) -> R {
+/// The two graph kinds a job runs on, from `csr`'s out-lists: undirected
+/// (a directed `csr` symmetrized), and marked directed.
+fn kinds(csr: &Csr) -> [Csr; 2] {
+    let undirected = match csr.directed {
+        true => {
+            Csr::undirected_from_edges(csr.node_count(), &csr.arcs().collect::<Vec<_>>(), false)
+        }
+        false => csr.clone(),
+    };
+    let mut directed = csr.clone();
+    directed.directed = true;
+    [undirected, directed]
+}
+
+/// Run `f` over `csr`, loaded with its in-links when it is directed.
+fn with_graph<R>(csr: &Csr, machines: usize, f: impl FnOnce(Arc<DistributedGraph>) -> R) -> R {
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-    let mut csr = csr.clone();
-    csr.directed |= !hubs;
     let opts = LoadOptions {
-        with_in_links: hubs,
+        with_in_links: csr.directed,
         attrs: None,
     };
-    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &opts).unwrap());
+    let graph = Arc::new(load_graph(Arc::clone(&cloud), csr, &opts).unwrap());
     let out = f(graph);
     cloud.shutdown();
     out
@@ -122,13 +127,10 @@ fn message_profile<P: VertexProgram>(r: &BspResult<P>) -> (usize, Vec<(u64, u64)
 
 #[test]
 fn maxvalue_identical_across_thread_counts() {
-    let csr = trinity::graphgen::social(600, 10, 17);
-    for hubs in [true, false] {
-        let run = |threads| {
-            with_graph(&csr, 4, hubs, |g| {
-                BspRunner::new(g, MaxValue, cfg(threads)).run()
-            })
-        };
+    for csr in kinds(&trinity::graphgen::social(600, 10, 17)) {
+        let directed = csr.directed;
+        let run =
+            |threads| with_graph(&csr, 4, |g| BspRunner::new(g, MaxValue, cfg(threads)).run());
         let serial = run(1);
         assert!(serial.terminated);
         let serial_profile = message_profile(&serial);
@@ -136,12 +138,12 @@ fn maxvalue_identical_across_thread_counts() {
             let threaded = run(threads);
             assert_eq!(
                 threaded.states, serial.states,
-                "states diverged at {threads} threads (hubs {hubs})"
+                "states diverged at {threads} threads (directed {directed})"
             );
             assert_eq!(
                 message_profile(&threaded),
                 serial_profile,
-                "superstep/message profile diverged at {threads} threads (hubs {hubs})"
+                "superstep/message profile diverged at {threads} threads (directed {directed})"
             );
         }
     }
@@ -151,11 +153,11 @@ fn maxvalue_identical_across_thread_counts() {
 fn pagerank_bit_identical_across_thread_counts() {
     // f64 addition is not associative: bit-identity across pool widths
     // only holds because inbox runs are sorted by `msg_cmp` (total_cmp).
-    let csr = trinity::graphgen::rmat(9, 8, 23);
     let iterations = 5;
-    for hubs in [true, false] {
+    for csr in kinds(&trinity::graphgen::rmat(9, 8, 23)) {
+        let directed = csr.directed;
         let run = |threads| {
-            with_graph(&csr, 4, hubs, |g| {
+            with_graph(&csr, 4, |g| {
                 pagerank_distributed(g, iterations, cfg(threads))
             })
         };
@@ -175,7 +177,7 @@ fn pagerank_bit_identical_across_thread_counts() {
                 .collect();
             assert_eq!(
                 bits, serial_bits,
-                "ranks not bit-identical at {threads} threads (hubs {hubs})"
+                "ranks not bit-identical at {threads} threads (directed {directed})"
             );
             assert_eq!(message_profile(&threaded), serial_profile);
         }
@@ -193,12 +195,10 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// One route's ranks on `csr` at `compute_threads` as `(id, rank bits)`
-/// words, in id order.
-fn rank_words(csr: &Csr, hubs: bool, compute_threads: usize) -> Vec<u64> {
-    let r = with_graph(csr, 4, hubs, |g| {
-        pagerank_distributed(g, 5, cfg(compute_threads))
-    });
+/// The ranks on `csr` at `compute_threads` as `(id, rank bits)` words,
+/// in id order.
+fn rank_words(csr: &Csr, compute_threads: usize) -> Vec<u64> {
+    let r = with_graph(csr, 4, |g| pagerank_distributed(g, 5, cfg(compute_threads)));
     let ranks: std::collections::BTreeMap<u64, u64> = r
         .states
         .iter()
@@ -218,18 +218,18 @@ fn pagerank_rank_bits_match_the_pinned_digest() {
     // frames and since pinned per configuration. How messages
     // are framed, grouped or fanned out on the way must never reach the
     // ranks; a change that moves this digest changed what vertices
-    // compute, not how messages travel. Each route at 1 and 3 threads:
-    // `BspConfig::default()` on the undirected graph runs hub records,
-    // on the same out-lists marked directed (no in-links) grouped ones.
+    // compute, not how messages travel. Each graph kind at 1 and 3
+    // threads: the undirected graph, and the same out-lists marked
+    // directed with their in-links stored.
     const PLAIN: u64 = 0x3c04_f6c8_2e1e_e45a;
-    let csr = trinity::graphgen::social(300, 8, 5);
     let mut moved = Vec::new();
-    for hubs in [true, false] {
+    for csr in kinds(&trinity::graphgen::social(300, 8, 5)) {
         for compute_threads in [1, 3] {
-            let digest = fnv1a(rank_words(&csr, hubs, compute_threads));
+            let digest = fnv1a(rank_words(&csr, compute_threads));
             if digest != PLAIN {
+                let directed = csr.directed;
                 moved.push(format!(
-                    "hubs {hubs}, {compute_threads} threads: {digest:#018x}"
+                    "directed {directed}, {compute_threads} threads: {digest:#018x}"
                 ));
             }
         }
@@ -278,9 +278,7 @@ fn sharded_inbox_handoff_race_smoke() {
     let threads = stress_threads().unwrap_or(4);
     let mut baseline: Option<(std::collections::HashMap<u64, u64>, usize)> = None;
     for rep in 0..20 {
-        let r = with_graph(&csr, 3, true, |g| {
-            BspRunner::new(g, MaxValue, cfg(threads)).run()
-        });
+        let r = with_graph(&csr, 3, |g| BspRunner::new(g, MaxValue, cfg(threads)).run());
         assert!(r.terminated, "rep {rep} did not terminate");
         match &baseline {
             None => {
@@ -302,7 +300,6 @@ fn checkpointed_pagerank_is_bit_identical_to_a_straight_run() {
     // must be in exactly the order a straight run's drain gives it.
     use trinity::algos::PageRankProgram;
     use trinity::core::checkpoint::{run_with_checkpoints, CheckpointConfig};
-    let csr = trinity::graphgen::social(300, 8, 5);
     let iterations = 5;
     let rank_bits = |r: &BspResult<PageRankProgram>| -> std::collections::BTreeMap<u64, u64> {
         r.states
@@ -310,14 +307,15 @@ fn checkpointed_pagerank_is_bit_identical_to_a_straight_run() {
             .map(|(&id, s)| (id, s.rank.to_bits()))
             .collect()
     };
-    for hubs in [true, false] {
+    for csr in kinds(&trinity::graphgen::social(300, 8, 5)) {
+        let directed = csr.directed;
         for compute_threads in [1, 3] {
             let cfg = BspConfig {
                 compute_threads,
                 max_supersteps: iterations + 2,
                 ..BspConfig::default()
             };
-            with_graph(&csr, 4, hubs, |g| {
+            with_graph(&csr, 4, |g| {
                 let straight = pagerank_distributed(Arc::clone(&g), iterations, cfg.clone());
                 let program = PageRankProgram {
                     n: g.node_count(),
@@ -330,7 +328,7 @@ fn checkpointed_pagerank_is_bit_identical_to_a_straight_run() {
                 let runner = BspRunner::new(g, program, segment);
                 let first = runner.run();
                 assert!(!first.terminated && !first.pending.is_empty());
-                let job = format!("pagerank-{hubs}-{compute_threads}");
+                let job = format!("pagerank-{directed}-{compute_threads}");
                 let ckpt = CheckpointConfig::new(2, job);
                 let resumed = run_with_checkpoints(&runner, &cfg, &ckpt).unwrap();
                 assert!(resumed.terminated);
@@ -338,7 +336,7 @@ fn checkpointed_pagerank_is_bit_identical_to_a_straight_run() {
                 assert_eq!(
                     rank_bits(&resumed),
                     rank_bits(&straight),
-                    "checkpointed ranks not bit-identical (hubs {hubs}, {compute_threads} threads)"
+                    "checkpointed ranks not bit-identical (directed {directed}, {compute_threads} threads)"
                 );
             });
         }

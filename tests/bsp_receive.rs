@@ -1,15 +1,15 @@
 //! The BSP receive path delivers packed envelopes as runs.
 //!
-//! `BSP_MSG` and `BSP_HUB` are batch protocols: a worker decodes a whole
-//! run, takes each shard inbox lock once and bumps the fence once; the
-//! `LoadMap` is updated once per trunk when a shard drains its inbox.
+//! `BSP_HUB` is a batch protocol: a worker decodes a whole run, takes
+//! each shard inbox lock once and bumps the fence once; the `LoadMap` is
+//! updated once per trunk when a shard drains its inbox.
 //! These tests pin what that batching
 //! must not change — every delivery is still attributed exactly once —
 //! and what it fixes: one `net.dispatch` span per run instead of one per
 //! vertex message, so a traced job keeps the spans it was traced for. The
 //! send side of the same path is held to its one-copy contract and to the
-//! exact bytes the run-frame format (DESIGN §14) predicts, with and without
-//! hubs, in the first sending superstep and in later ones, where a hub
+//! exact bytes the run-frame format (DESIGN §14) predicts, on both graph
+//! kinds, in the first sending superstep and in later ones, where a hub
 //! record ships its change since the vertex's last: one-way run frames and
 //! fences, and not one call.
 
@@ -24,12 +24,16 @@ use trinity::core::BspConfig;
 use trinity::graph::{load_graph, Csr, DistributedGraph, LoadOptions};
 use trinity::memcloud::{AddressingTable, CloudConfig, MemoryCloud};
 
-/// `csr` (undirected) loaded into `cloud` for the hub route (`hubs`) or
-/// the grouped one (the same out-lists marked directed, no in-links).
-fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, hubs: bool) -> Arc<DistributedGraph> {
+/// `csr` loaded into `cloud` undirected as it is, or (`directed`, or
+/// `csr` directed) its out-lists marked directed with in-links stored.
+fn load_for(cloud: &Arc<MemoryCloud>, csr: &Csr, directed: bool) -> Arc<DistributedGraph> {
     let mut csr = csr.clone();
-    csr.directed = !hubs;
-    Arc::new(load_graph(Arc::clone(cloud), &csr, &LoadOptions::default()).unwrap())
+    csr.directed |= directed;
+    let opts = LoadOptions {
+        with_in_links: csr.directed,
+        attrs: None,
+    };
+    Arc::new(load_graph(Arc::clone(cloud), &csr, &opts).unwrap())
 }
 
 /// Span ring capacity per machine (`trinity_obs::SPAN_RING_CAPACITY`).
@@ -37,13 +41,15 @@ const SPAN_RING: u64 = 4096;
 
 #[test]
 fn traced_pagerank_keeps_every_superstep_span() {
-    // ~8k remote messages per machine per superstep: twice the span ring.
-    // One `net.dispatch` span per message (the parent) overwrites every
-    // `bsp.superstep` span but the last; one per run leaves room to spare.
+    // More remote messages per machine per superstep than the span ring
+    // holds. One `net.dispatch` span per message (the parent) overwrites
+    // every `bsp.superstep` span but the last; one per run leaves room to
+    // spare.
     let machines = 2;
-    let csr = trinity::graphgen::rmat(12, 8, 41);
-    let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-    let graph = Arc::new(load_graph(Arc::clone(&cloud), &csr, &LoadOptions::default()).unwrap());
+    let csr = trinity::graphgen::rmat(15, 8, 41);
+    // Full-size trunks: the graph and its in-links outgrow small ones.
+    let cloud = Arc::new(MemoryCloud::new(CloudConfig::new(machines)));
+    let graph = load_for(&cloud, &csr, true);
     let result = pagerank_distributed(graph, 4, BspConfig::default());
     let busiest = result.reports.iter().map(|r| r.remote_messages).max();
     assert!(
@@ -68,16 +74,19 @@ fn traced_pagerank_keeps_every_superstep_span() {
 #[test]
 fn load_map_counts_every_delivery_once() {
     // `record_msgs` is batched per trunk per drain; the per-trunk totals
-    // must still add up to exactly the deliveries the reports count. Hub
-    // broadcasts travel as one remote frame per machine reached and
-    // are counted as local deliveries where they fan out, so on the hub
-    // route the frames themselves are subtracted.
+    // must still add up to exactly the deliveries the reports count. A
+    // broadcast travels as one hub record per other machine it reaches
+    // and is counted as local deliveries where it fans out, so the
+    // records themselves are subtracted.
     let machines = 4;
+    let iterations = 5;
     let csr = trinity::graphgen::social(900, 10, 29);
-    for hubs in [false, true] {
+    for directed in [false, true] {
         let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-        let graph = load_for(&cloud, &csr, hubs);
-        let result = pagerank_distributed(graph, 5, BspConfig::default());
+        let graph = load_for(&cloud, &csr, directed);
+        let table = cloud.node(0).table();
+        let records = predict(&csr, &table, &pagerank_shares(&csr, 1)).records;
+        let result = pagerank_distributed(graph, iterations, BspConfig::default());
         let reported: u64 = result
             .reports
             .iter()
@@ -85,7 +94,7 @@ fn load_map_counts_every_delivery_once() {
             .sum();
         let obs = cloud.fabric().obs();
         let hub_frames = obs.snapshot().totals().counters["bsp.hub.broadcasts"];
-        assert_eq!(hub_frames > 0, hubs);
+        assert_eq!(hub_frames, iterations as u64 * records);
         // A roll shorter than a millisecond is skipped; outwait it.
         std::thread::sleep(std::time::Duration::from_millis(2));
         let attributed: u64 = (0..machines as u16)
@@ -95,7 +104,7 @@ fn load_map_counts_every_delivery_once() {
         assert_eq!(
             attributed,
             reported - hub_frames,
-            "LoadMap message total (hubs: {hubs})"
+            "LoadMap message total (directed: {directed})"
         );
         cloud.shutdown();
     }
@@ -135,15 +144,15 @@ fn bsp_frames_are_copied_once() {
 /// What the run format (the test's own model) predicts a PageRank job
 /// over `csr` sends, one worker a machine, when its sending supersteps
 /// broadcast `shares` (per superstep, per vertex): each machine's payload
-/// bytes, fences included, and the records and messages of a superstep.
+/// bytes, fences included, the hub records of a superstep, and the most
+/// neighbors one record stands for.
 struct Predicted {
     bytes: Vec<u64>,
     records: u64,
-    messages: u64,
     widest: usize,
 }
 
-fn predict(csr: &Csr, table: &AddressingTable, hubs: bool, shares: &[Vec<f64>]) -> Predicted {
+fn predict(csr: &Csr, table: &AddressingTable, shares: &[Vec<f64>]) -> Predicted {
     let machines = table.machines().len();
     let owner = |v: u64| table.machine_of(v).0 as usize;
     // A superstep's fence: 12 bytes to each peer, the last one's too.
@@ -151,13 +160,12 @@ fn predict(csr: &Csr, table: &AddressingTable, hubs: bool, shares: &[Vec<f64>]) 
     let mut p = Predicted {
         bytes: vec![fences; machines],
         records: 0,
-        messages: 0,
         widest: 0,
     };
     // Each receiving machine's hub bases, kept across supersteps.
     let mut bases: Vec<run_model::Bases> = vec![Default::default(); machines];
     for share in shares {
-        let (mut records, mut messages) = (0, 0);
+        let mut records = 0;
         // (sender, peer) → the frame's bytes and its last id so far.
         let mut frames: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
         for v in 0..csr.node_count() as u64 {
@@ -170,22 +178,17 @@ fn predict(csr: &Csr, table: &AddressingTable, hubs: bool, shares: &[Vec<f64>]) 
             let msg = share[v as usize].to_le_bytes();
             for (peer, ids) in groups {
                 records += 1;
-                messages += if hubs { 1 } else { ids.len() as u64 };
                 p.widest = p.widest.max(ids.len());
                 let header = run_model::header_len(8) as u64;
                 let (bytes, prev) = frames.entry((owner(v), peer)).or_insert((header, 0));
-                *bytes += if hubs {
-                    run_model::hub_record_len(prev, &mut bases[peer], &msg, v)
-                } else {
-                    run_model::record_len(prev, 8, &ids)
-                } as u64;
+                *bytes += run_model::hub_record_len(prev, &mut bases[peer], &msg, v) as u64;
             }
         }
         for (&(from, _), &(bytes, _)) in &frames {
             assert!(bytes < 16 << 10, "a frame this size ships in one piece");
             p.bytes[from] += bytes;
         }
-        (p.records, p.messages) = (records, messages);
+        p.records = records;
     }
     p
 }
@@ -218,16 +221,16 @@ fn pagerank_shares(csr: &Csr, iterations: usize) -> Vec<Vec<f64>> {
     shares
 }
 
-/// Run `iterations` of PageRank over `csr` on the route `hubs` picks, one
-/// worker a machine, and hold each machine's payload bytes, the records
-/// and the messages to [`predict`]'s; the job sends run frames and fences
-/// only and makes no call.
-fn ships_what_the_run_format_predicts(csr: &Csr, iterations: usize, hubs: bool) {
+/// Run `iterations` of PageRank over `csr` loaded by [`load_for`], one
+/// worker a machine, and hold each machine's payload bytes and the
+/// records to [`predict`]'s; the job sends run frames and fences only and
+/// makes no call.
+fn ships_what_the_run_format_predicts(csr: &Csr, iterations: usize, directed: bool) {
     let machines = 4;
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(machines)));
-    let graph = load_for(&cloud, csr, hubs);
+    let graph = load_for(&cloud, csr, directed);
     let table = cloud.node(0).table();
-    let want = predict(csr, &table, hubs, &pagerank_shares(csr, iterations));
+    let want = predict(csr, &table, &pagerank_shares(csr, iterations));
     assert!(
         want.widest >= 3,
         "no vertex has several neighbors on one peer"
@@ -252,22 +255,21 @@ fn ships_what_the_run_format_predicts(csr: &Csr, iterations: usize, hubs: bool) 
     let result = pagerank_distributed(graph, iterations, cfg);
     assert_eq!(result.supersteps(), iterations + 1);
     for (s, report) in result.reports.iter().enumerate() {
-        let sent = if s < iterations { want.messages } else { 0 };
+        let sent = if s < iterations { want.records } else { 0 };
         assert_eq!(report.remote_messages, sent, "superstep {s}");
     }
     let iterations = iterations as u64;
-    assert_eq!(sum("bsp.frames.remote"), iterations * want.messages);
     // A vertex with k neighbors on one peer is one record there, not k.
+    assert_eq!(sum("bsp.frames.remote"), iterations * want.records);
     assert_eq!(sum("bsp.records.sent"), iterations * want.records);
-    let hub_records = if hubs { want.records } else { 0 };
-    assert_eq!(sum("bsp.hub.broadcasts"), iterations * hub_records);
+    assert_eq!(sum("bsp.hub.broadcasts"), iterations * want.records);
     assert_eq!(sum("bsp.frames.malformed"), 0);
-    assert_eq!(calls(), calls0, "the job made calls (hubs: {hubs})");
+    assert_eq!(calls(), calls0, "the job made calls (directed: {directed})");
     for (m, want) in want.bytes.iter().enumerate() {
         assert_eq!(
             payload(m) - payload0[m],
             *want,
-            "payload bytes machine {m} sent (hubs: {hubs}, {iterations} sending supersteps)"
+            "payload bytes machine {m} sent (directed: {directed}, {iterations} sending supersteps)"
         );
     }
     cloud.shutdown();
@@ -281,13 +283,11 @@ fn one_superstep_ships_exactly_the_bytes_the_run_format_predicts() {
     // from the graph, the addressing table and the shares alone: per peer
     // one run frame, per (vertex, peer it reaches) one record, gaps
     // running on from the record before, the frame stating the 8-byte
-    // width once. On the grouped route a record carries the vertex's
-    // neighbors there in stored adjacency order. On the hub route every
-    // vertex is a hub: its record names only itself, states no count and
+    // width once. Every vertex is a hub: its record names only itself and
     // ships its share against a zero base, this being its first.
     let csr = trinity::graphgen::social(1_200, 10, 29);
-    for hubs in [false, true] {
-        ships_what_the_run_format_predicts(&csr, 1, hubs);
+    for directed in [false, true] {
+        ships_what_the_run_format_predicts(&csr, 1, directed);
     }
 }
 
@@ -298,7 +298,7 @@ fn later_supersteps_ship_exactly_the_deltas_the_run_format_predicts() {
     // its peer kept as the base, and cuts the zero bytes that leaves.
     let csr = trinity::graphgen::social(1_200, 10, 29);
     for iterations in [2, 3] {
-        ships_what_the_run_format_predicts(&csr, iterations, true);
+        ships_what_the_run_format_predicts(&csr, iterations, false);
     }
-    ships_what_the_run_format_predicts(&csr, 2, false);
+    ships_what_the_run_format_predicts(&csr, 2, true);
 }

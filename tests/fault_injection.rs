@@ -42,13 +42,17 @@ impl VertexProgram for MaxValue {
     }
 }
 
-/// A ring of `n` loaded into `cloud` for the hub route (`hubs`) or the
-/// grouped one (marked directed, no in-links).
-fn ring_graph(cloud: &Arc<MemoryCloud>, n: usize, hubs: bool) -> Arc<DistributedGraph> {
+/// A ring of `n` loaded into `cloud`, undirected or (`directed`) marked
+/// directed with in-links stored.
+fn ring_graph(cloud: &Arc<MemoryCloud>, n: usize, directed: bool) -> Arc<DistributedGraph> {
     let edges: Vec<(u64, u64)> = (0..n as u64).map(|v| (v, (v + 1) % n as u64)).collect();
     let mut csr = Csr::undirected_from_edges(n, &edges, true);
-    csr.directed = !hubs;
-    Arc::new(load_graph(Arc::clone(cloud), &csr, &LoadOptions::default()).unwrap())
+    csr.directed = directed;
+    let opts = LoadOptions {
+        with_in_links: directed,
+        attrs: None,
+    };
+    Arc::new(load_graph(Arc::clone(cloud), &csr, &opts).unwrap())
 }
 
 fn cfg(limit: usize) -> BspConfig {
@@ -60,15 +64,15 @@ fn cfg(limit: usize) -> BspConfig {
 
 #[test]
 fn bsp_job_interrupted_and_resumed_from_tfs_checkpoint() {
-    for hubs in [true, false] {
-        interrupted_and_resumed(hubs);
+    for directed in [false, true] {
+        interrupted_and_resumed(directed);
     }
 }
 
-fn interrupted_and_resumed(hubs: bool) {
+fn interrupted_and_resumed(directed: bool) {
     let n = 36;
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(3)));
-    let graph = ring_graph(&cloud, n, hubs);
+    let graph = ring_graph(&cloud, n, directed);
     let expected = BspRunner::new(Arc::clone(&graph), MaxValue, cfg(128)).run();
     // Run 6 supersteps (1.5 checkpoint intervals), then "crash".
     let ckpt = CheckpointConfig::new(4, "interrupted");
@@ -91,15 +95,15 @@ fn machine_failure_mid_bsp_job_recovers_through_cloud_and_checkpoint() {
     // a machine dies between segments; the memory cloud reloads its
     // trunks onto survivors; the job resumes from the checkpoint over the
     // recovered data and finishes with exact results.
-    for hubs in [true, false] {
-        recovers_through_cloud_and_checkpoint(hubs);
+    for directed in [false, true] {
+        recovers_through_cloud_and_checkpoint(directed);
     }
 }
 
-fn recovers_through_cloud_and_checkpoint(hubs: bool) {
+fn recovers_through_cloud_and_checkpoint(directed: bool) {
     let n = 40;
     let cloud = Arc::new(MemoryCloud::new(CloudConfig::small(4)));
-    let graph = ring_graph(&cloud, n, hubs);
+    let graph = ring_graph(&cloud, n, directed);
     let expected = BspRunner::new(Arc::clone(&graph), MaxValue, cfg(128)).run();
     cloud.backup_all().unwrap();
 
